@@ -9,18 +9,29 @@ with block offset ``m0(j) = (j // n_mu) * d_mu + q_r[j mod n_mu] - B/2 + 1``
 — the chunked, d_mu-shifted structure of Fig 6(a), stored compactly as the
 n_mu*B*S distinct coefficients.
 
-The numeric kernel is one vectorized implementation (verified against a
-literal triple loop).  The paper's three *execution strategies* — row-major
-baseline, loop-interchanged decomposed form, and circular-buffer staging —
-differ in traversal order, which NumPy's vectorization erases; they are
-modeled as first-class :class:`ConvStrategy` objects that expose working
-sets, memory-sweep ledgers, cache address traces (for the cache simulator)
-and modeled execution times, reproducing the Fig 11 ablation.
+There is one numeric kernel, :func:`convolve`, and it is a GEMM.  The
+``n_mu`` rows of chunk ``c = j // n_mu`` all read, per lane, the same
+``K = B + max(q_r)`` consecutive samples of the lane's stride-S input, so
+with the taps of residue ``r`` shifted down by ``q_r`` inside a
+zero-padded ``(K, n_mu)`` matrix (:meth:`SoiTables.gemm_coeffs`) a tile of
+T chunks is ``U[p] = X[p] @ W[p]`` — ``(T, K) @ (K, n_mu)`` per lane, one
+batched BLAS call per tile.  This is the paper's decomposed form (loop
+interchange: lane outermost) with the stride-S windows staged into
+contiguous storage (its circular buffer).  Tiles are position-invariant:
+see :func:`convolve` for the alignment rule every bitwise contract of the
+repo (batch == solo, simulator == processes, recovered == fault-free)
+rests on.
+
+The paper's three *execution strategies* — row-major baseline,
+loop-interchanged decomposed form, and circular-buffer staging — differ in
+traversal order and cache behaviour; they remain as *models*:
+first-class :class:`ConvStrategy` objects that expose working sets,
+memory-sweep ledgers, cache address traces (for the cache simulator) and
+modeled execution times, reproducing the Fig 11 ablation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -42,17 +53,24 @@ __all__ = [
     "input_block_offsets",
 ]
 
-#: Rows per gather/staging block in the vectorized kernels (bounds temp
-#: memory for the ``matmul`` mode and the tap-staging chunk for
-#: ``buffered``).
-_ROW_BLOCK = 4096
+#: Most chunks (groups of n_mu rows) one GEMM tile holds.
+_TILE_CHUNKS = 256
 
-#: Rows per residue staged through the reused circular buffers in the
-#: ``buffered`` mode — sized so acc+tmp stay cache-resident.
-_BUF_ROWS = 512
+#: Multiply-adds one lane's ``(T, K) @ (K, n_mu)`` product stays under.  A
+#: product this small is cache-resident, and OpenBLAS runs it on the
+#: calling thread: above 2**16 it hands a zgemm to its thread pool, a
+#: fork/join that costs more than the product (measured on a 2-cpu guest:
+#: 64 ms instead of 0.1 ms per tile for a process's first second of BLAS).
+_TILE_MACS = 1 << 16
 
-#: Supported inner-product execution modes for :func:`convolve`.
-CONV_INNER_MODES = ("einsum", "buffered", "matmul")
+
+def _tile_chunks(params: SoiParams, k_width: int) -> int:
+    """T, the chunks per GEMM tile: the largest power of two within both
+    caps (a power of two divides the usual ``M'/n_mu``, so no tile is
+    mostly zero fill), or all ``M'/n_mu`` chunks when that is fewer."""
+    fit = max(1, (_TILE_MACS - 1) // (k_width * params.n_mu))
+    return min(_TILE_CHUNKS, 1 << (fit.bit_length() - 1),
+               params.m_oversampled // params.n_mu)
 
 
 class ConvWorkspace:
@@ -111,37 +129,33 @@ def block_range_for_rows(params: SoiParams, j_start: int, n_rows: int
 
 def convolve(x_ext: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,
              block_lo: int, out: np.ndarray | None = None, *,
-             workspace: ConvWorkspace | None = None,
-             inner: str = "einsum") -> np.ndarray:
-    """Vectorized W*x for rows [j_start, j_start+n_rows).
+             workspace: ConvWorkspace | None = None) -> np.ndarray:
+    """W*x for rows [j_start, j_start+n_rows) as per-lane GEMM tiles.
 
     ``x_ext`` holds the (ghost-extended, periodically wrapped) input blocks
     ``[block_lo, block_lo + len(x_ext)//S)`` as a flat complex array, or a
     ``(batch, ext)`` stack of such arrays for batched execution.  Returns
     ``u`` of shape (n_rows, S) — ``(batch, n_rows, S)`` when batched.
 
-    The chunked, d_mu-shifted row structure makes every residue class
-    ``j mod n_mu`` read the input at a *fixed block stride d_mu*, so the
-    kernels below walk strided views of ``x_ext`` and never materialize
-    gathered copies of the B-deep windows.  ``inner`` selects the
-    inner-product execution:
+    An output row is a function of (global row index, input) only — not of
+    the row range, batch size or rank that computed it — because BLAS
+    returns the same bits for the same operand at the same position of a
+    same-shaped product.  So every GEMM here has the one shape
+    ``(S, T, K) @ (S, K, n_mu)`` with T chunks a function of ``params``
+    alone (:func:`_tile_chunks`), tiles are aligned to the *global* chunk
+    index ``j // n_mu`` (chunk ``c`` always sits at tile position
+    ``c mod T``), a range that starts or ends mid-tile zero-fills the rest
+    of the tile and still computes it at full shape, and a batch runs one
+    frame at a time.  (Equal bits across processes also presume equal BLAS
+    thread settings, as for the lane-DFT matmul.)
 
-    * ``"einsum"`` (default) — one ``np.einsum`` per residue class over
-      the strided sliding-window view, writing straight into ``out``;
-    * ``"buffered"`` — tap-by-tap multiply-accumulate through two reused
-      cache-sized staging buffers (the executable form of the paper's
-      §5.3 circular-buffer strategy);
-    * ``"matmul"`` — stages window chunks contiguously and runs a batched
-      BLAS matmul over the lanes.
-
-    ``workspace`` (a :class:`ConvWorkspace`) supplies the staging buffers
-    for the latter two modes; with it, repeat calls of one geometry are
-    allocation-free apart from the (caller-avoidable) output.
+    ``workspace`` (a :class:`ConvWorkspace`) supplies the two tile
+    buffers, whose shapes depend on ``params`` and dtype only; with it,
+    repeat calls are allocation-free apart from the (caller-avoidable)
+    output.
     """
     p = tables.params
-    s, b_width = p.n_segments, p.b
-    if inner not in CONV_INNER_MODES:
-        raise ValueError(f"inner must be one of {CONV_INNER_MODES}")
+    s, n_mu, d_mu = p.n_segments, p.n_mu, p.d_mu
     arr = np.asarray(x_ext)
     dtype = np.complex64 if arr.dtype == np.complex64 else np.complex128
     x_ext = np.asarray(arr, dtype=dtype)
@@ -150,103 +164,44 @@ def convolve(x_ext: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,
     batched = x_ext.ndim == 2
     if x_ext.shape[-1] % s:
         raise ValueError("x_ext length must be a multiple of S")
-    # the full per-row offset table is linear within each residue class
-    # (slope d_mu), so only the n_mu base offsets are ever materialized
-    m0 = input_block_offsets(p, j_start, min(n_rows, p.n_mu)) - block_lo
+    if j_start % n_mu or n_rows % n_mu:
+        raise ValueError("j_start and n_rows must be multiples of n_mu")
+    w = tables.gemm_coeffs(dtype)  # (S, K, n_mu)
+    k_width = w.shape[1]
     nblocks = x_ext.shape[-1] // s
-    last = (n_rows // p.n_mu - 1) * p.d_mu if n_rows >= p.n_mu else 0
-    if n_rows and (m0.min() < 0
-                   or int(m0.max()) + last + b_width > nblocks):
+    c0, n_chunks = j_start // n_mu, n_rows // n_mu
+    c1 = c0 + n_chunks
+    # chunk c reads the K blocks from base + (c - c0) * d_mu, every lane
+    base = c0 * d_mu - p.b // 2 + 1 - block_lo
+    if n_rows and (base < 0
+                   or base + (n_chunks - 1) * d_mu + k_width > nblocks):
         raise ValueError("x_ext does not cover the required block range")
     out_shape = (x_ext.shape[0], n_rows, s) if batched else (n_rows, s)
     if out is None:
         out = np.empty(out_shape, dtype=dtype)
     elif out.shape != out_shape:
         raise ValueError("out has wrong shape")
-    w = tables.coeffs.astype(dtype, copy=False)
+    if not n_rows:
+        return out
+    t_chunks = _tile_chunks(p, k_width)
     ws = workspace if workspace is not None else ConvWorkspace()
+    tile = ws.array("tile", (s, t_chunks, k_width), dtype)
+    res = ws.array("res", (s, t_chunks, n_mu), dtype)
     xb = x_ext.reshape(-1, nblocks, s)
-    ob = out.reshape(-1, n_rows, s)
-    if inner == "einsum":
-        _convolve_einsum(xb, ob, w, m0, p)
-    elif inner == "buffered":
-        _convolve_buffered(xb, ob, w, m0, p, ws)
-    else:
-        _convolve_matmul(xb, ob, w, m0, p, ws)
+    ob = out.reshape(-1, n_chunks, n_mu, s)
+    # win[f, k] is chunk c0+k's (S, K) window: lane p's K stride-S samples
+    win = sliding_window_view(xb, k_width, axis=1)[:, base::d_mu]
+    for t0 in range(c0 - c0 % t_chunks, c1, t_chunks):
+        lo, hi = max(c0, t0), min(c1, t0 + t_chunks)
+        a, b = lo - t0, hi - t0
+        if b - a < t_chunks:
+            tile[:, :a] = 0
+            tile[:, b:] = 0
+        for f in range(xb.shape[0]):
+            np.copyto(tile[:, a:b], win[f, lo - c0:hi - c0].transpose(1, 0, 2))
+            np.matmul(tile, w, out=res)
+            ob[f, lo - c0:hi - c0] = res[:, a:b].transpose(1, 2, 0)
     return out
-
-
-def _residue_window(win: np.ndarray, base: int, k0: int, k1: int,
-                    d_mu: int) -> np.ndarray:
-    """Strided view of rows k0..k1 of one residue class: (batch, k1-k0, B, S)."""
-    lo = base + k0 * d_mu
-    return win[:, lo: lo + (k1 - k0 - 1) * d_mu + 1: d_mu]
-
-
-def _convolve_einsum(xb, ob, w, m0, p) -> None:
-    """One strided-view einsum per residue class; no staging copies.
-
-    Batched inputs run one lane at a time: einsum's strided inner loops
-    degrade sharply once a fourth (batch) axis is added, so per-lane 3-D
-    contractions are the fast shape (see ``bench/regression.py``).
-    """
-    s, b_width, n_mu, d_mu = p.n_segments, p.b, p.n_mu, p.d_mu
-    n_rows = ob.shape[1]
-    nr = n_rows // n_mu
-    win = sliding_window_view(xb, (b_width, s), axis=(1, 2))[:, :, 0]
-    for x in range(xb.shape[0]):
-        for r in range(n_mu):
-            lo = int(m0[r])
-            v = win[x, lo: lo + (nr - 1) * d_mu + 1: d_mu]
-            np.einsum("cbs,bs->cs", v, w[r], out=ob[x, r::n_mu],
-                      optimize=False)
-
-
-def _convolve_buffered(xb, ob, w, m0, p, ws: ConvWorkspace) -> None:
-    """Tap-accumulate through two reused cache-sized staging buffers."""
-    s, b_width, n_mu, d_mu = p.n_segments, p.b, p.n_mu, p.d_mu
-    nb, n_rows = xb.shape[0], ob.shape[1]
-    nr = n_rows // n_mu
-    chunk = min(nr, max(1, _BUF_ROWS // nb)) if nr else 0
-    acc = ws.array("buffered.acc", (nb, chunk, s), xb.dtype)
-    tmp = ws.array("buffered.tmp", (nb, chunk, s), xb.dtype)
-    for r in range(n_mu):
-        base = int(m0[r])
-        orows = ob[:, r::n_mu]
-        for k0 in range(0, nr, chunk):
-            k1 = min(k0 + chunk, nr)
-            a, t = acc[:, : k1 - k0], tmp[:, : k1 - k0]
-            lo = base + k0 * d_mu
-            hi = lo + (k1 - k0 - 1) * d_mu + 1
-            np.multiply(xb[:, lo:hi:d_mu], w[r, 0], out=a)
-            for b in range(1, b_width):
-                np.multiply(xb[:, lo + b: hi + b: d_mu], w[r, b], out=t)
-                np.add(a, t, out=a)
-            orows[:, k0:k1] = a
-
-
-def _convolve_matmul(xb, ob, w, m0, p, ws: ConvWorkspace) -> None:
-    """Stage window chunks lane-major and contract with a batched matmul."""
-    s, b_width, n_mu, d_mu = p.n_segments, p.b, p.n_mu, p.d_mu
-    nb, n_rows = xb.shape[0], ob.shape[1]
-    nr = n_rows // n_mu
-    chunk = min(nr, max(1, _ROW_BLOCK // nb)) if nr else 0
-    win = sliding_window_view(xb, (b_width, s), axis=(1, 2))[:, :, 0]
-    sel = ws.array("matmul.sel", (nb, s, chunk, b_width), xb.dtype)
-    res = ws.array("matmul.res", (nb, s, chunk, 1), xb.dtype)
-    wcol = ws.array("matmul.w", (n_mu, s, b_width, 1), xb.dtype)
-    np.copyto(wcol, w.transpose(0, 2, 1)[..., None])
-    for r in range(n_mu):
-        base = int(m0[r])
-        orows = ob[:, r::n_mu]
-        for k0 in range(0, nr, chunk):
-            k1 = min(k0 + chunk, nr)
-            ck = k1 - k0
-            sl, rs = sel[:, :, :ck], res[:, :, :ck]
-            v = _residue_window(win, base, k0, k1, d_mu)  # (nb, ck, B, S)
-            np.copyto(sl, v.transpose(0, 3, 1, 2))
-            np.matmul(sl, wcol[r], out=rs)
-            orows[:, k0:k1] = rs[..., 0].transpose(0, 2, 1)
 
 
 def convolve_lanes(x_ext: np.ndarray, tables: SoiTables, j_start: int,

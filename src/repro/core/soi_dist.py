@@ -193,8 +193,8 @@ class DistributedSoiFFT:
                              f"workers")
         self._lane_plan = get_plan(p.n_segments, -1) if p.n_segments > 1 else None
         self._seg_plan = get_plan(p.m_oversampled, -1)
-        # every rank's convolution has identical geometry, so one reused
-        # workspace serves all ranks across repeated runs of the plan
+        # the convolution's tile buffers are shaped by params alone, so one
+        # reused workspace serves every rank, run and recovery row range
         self._conv_ws = ConvWorkspace()
 
     # -- data layout helpers ------------------------------------------------
@@ -580,7 +580,8 @@ class DistributedSoiFFT:
         idx = np.arange(lo, hi) % n_blocks
         x_ext = np.ascontiguousarray(
             x_global.reshape(n_blocks, s)[idx].reshape(-1))
-        u = convolve(x_ext, self.tables, j_start, n_rows, lo)
+        u = convolve(x_ext, self.tables, j_start, n_rows, lo,
+                     workspace=self._conv_ws)
         return self._lane_plan(u) if self._lane_plan is not None else u
 
     def _balanced_slices(self, start: int, count: int, parts: int

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.simcluster import SimCluster
-from repro.core.convolution import convolve
+from repro.core.convolution import ConvWorkspace, convolve
 from repro.core.demodulate import demodulate
 from repro.core.params import SoiParams
 from repro.core.soi_dist import DEFAULT_CONV_EFFICIENCY, DEFAULT_FFT_EFFICIENCY
@@ -62,6 +62,7 @@ class HeterogeneousSoiFFT:
         self.tables: SoiTables = build_tables(self.params, window)
         self._lane_plan = get_plan(s, -1) if s > 1 else None
         self._seg_plan = get_plan(self.params.m_oversampled, -1)
+        self._conv_ws = ConvWorkspace()
 
         # row split proportional to seg_counts, rounded to whole chunks
         mp = self.params.m_oversampled
@@ -131,7 +132,8 @@ class HeterogeneousSoiFFT:
         for r in range(n_ranks):
             j0, j1 = int(self.row_bounds[r]), int(self.row_bounds[r + 1])
             u = convolve(x_ext[r], self.tables, j0, j1 - j0,
-                         int(self.block_bounds[r]) - left_g)
+                         int(self.block_bounds[r]) - left_g,
+                         workspace=self._conv_ws)
             z = self._lane_plan(u) if self._lane_plan is not None else u
             z_parts.append(z)
             share = (j1 - j0) / p.m_oversampled

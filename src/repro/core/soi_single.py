@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.convolution import (
-    CONV_INNER_MODES,
     ConvWorkspace,
     block_range_for_rows,
     convolve,
@@ -73,13 +72,6 @@ class SoiFFT:
         float32 epsilon anyway (e.g. mu = 8/7 at B <= 48); it requires
         ``local_fft="direct"`` and (2,3,5,7)-smooth S and M'.  The design
         tables themselves are always built in double precision.
-    conv_inner:
-        Inner-product mode for the convolution stage (see
-        :func:`repro.core.convolution.convolve`).  The default
-        ``"einsum"`` is bitwise-identical for batched and single
-        execution (``batch()`` must equal per-vector calls exactly);
-        ``"matmul"`` trades that reproducibility for BLAS throughput on
-        large batches.
     verify:
         ``True`` or a :class:`repro.verify.VerifyPolicy` arms algorithm-
         based fault tolerance: every planned block is checked against
@@ -103,15 +95,23 @@ class SoiFFT:
     first call of a given batch size no further allocations occur.  Calls
     without ``out=`` allocate exactly the result array.  The pooled stage
     buffers are private to the plan — results never alias them.
+
+    Batch invariance
+    ----------------
+    ``batch(xs)[i]`` is bitwise ``plan(xs[i])``.  The convolution earns
+    this by the tile-alignment rule of
+    :func:`repro.core.convolution.convolve`: every GEMM has one shape
+    fixed by ``params``, a row always sits at the same tile position, and
+    a batch runs one frame at a time — so a row's bits do not depend on
+    the batch it rode in.  The lane DFT and segment FFT compute each
+    frame at a fixed shape already.
     """
 
     def __init__(self, params: SoiParams, window=None,
                  local_fft: str = "direct", dtype=np.complex128,
-                 conv_inner: str = "einsum", verify=False, telemetry=None):
+                 verify=False, telemetry=None):
         if local_fft not in LOCAL_FFT_CHOICES:
             raise ValueError(f"local_fft must be one of {LOCAL_FFT_CHOICES}")
-        if conv_inner not in CONV_INNER_MODES:
-            raise ValueError(f"conv_inner must be one of {CONV_INNER_MODES}")
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype(np.complex64), np.dtype(np.complex128)):
             raise ValueError("dtype must be complex64 or complex128")
@@ -119,7 +119,6 @@ class SoiFFT:
             raise ValueError("complex64 requires local_fft='direct'")
         self.params = params
         self.local_fft = local_fft
-        self.conv_inner = conv_inner
         self.tables: SoiTables = build_tables(params, window)
         dt = self.dtype.type
         self._lane_plan = get_plan(params.n_segments, -1, dtype=dt) \
@@ -202,7 +201,7 @@ class SoiFFT:
         rows = p.m_oversampled  # all rows (single process)
         x_ext = self.extended_input(x)
         u = convolve(x_ext, self.tables, 0, rows, self._block_lo,
-                     workspace=self._conv_ws, inner=self.conv_inner)
+                     workspace=self._conv_ws)
         if self._lane_plan is None:
             return u
         return self._lane_plan(u)
@@ -256,8 +255,7 @@ class SoiFFT:
         t = clk() if clk else 0.0
         self._gather_extended(xs, bufs["x_ext"])
         convolve(bufs["x_ext"], self.tables, 0, mp, self._block_lo,
-                 out=bufs["u"], workspace=self._conv_ws,
-                 inner=self.conv_inner)
+                 out=bufs["u"], workspace=self._conv_ws)
         if telem is not None:
             now = clk()
             telem.stage("conv", t, now,

@@ -32,6 +32,7 @@ from repro.cluster.spmd import (
     SendRecvRing,
 )
 from repro.core.convolution import (
+    ConvWorkspace,
     block_range_for_rows,
     conv_time_model,
     convolve,
@@ -52,14 +53,17 @@ __all__ = ["run_parallel_soi", "soi_rank_program", "spmd_soi_fft"]
 
 
 def soi_rank_program(ctx: RankContext, x_local: np.ndarray,
-                     tables: SoiTables, verifier=None):
+                     tables: SoiTables, verifier=None, workspace=None):
     """Generator run by every rank: local chunk in, local spectrum out.
 
     *verifier*, if given, is a shared
     :class:`~repro.verify.selfcheck.DistVerifier`: each stage is
     ABFT-checked (and repaired) in place before its data is
     checkpointed, shipped, or returned; SDC events of the installed
-    wire fault plan strike the stage buffers first.
+    wire fault plan strike the stage buffers first.  *workspace* is the
+    :class:`~repro.core.convolution.ConvWorkspace` whose tile buffers the
+    convolution reuses (the convolution never spans a ``yield``, so
+    rank-serial ranks may share one).
     """
     p = tables.params
     rank, size = ctx.rank, ctx.size
@@ -79,7 +83,7 @@ def soi_rank_program(ctx: RankContext, x_local: np.ndarray,
     # --- local convolution-and-oversampling + lane FFTs ---
     j_start = rank * rows
     u = convolve(x_ext, tables, j_start, rows,
-                 rank * blocks_per_rank - left_g)
+                 rank * blocks_per_rank - left_g, workspace=workspace)
     z = get_plan(s, -1)(u) if s > 1 else u
     conv_secs = conv_time_model(p, machine,
                                 compute_efficiency=DEFAULT_CONV_EFFICIENCY)
@@ -132,6 +136,9 @@ def soi_rank_program(ctx: RankContext, x_local: np.ndarray,
 #: (and their planned FFTs) instead of re-deriving the window per call.
 _WORKER_TABLES: dict = {}
 _WORKER_VERIFIERS: dict = {}
+#: Worker-side convolution tile buffers: a worker runs one job at a time,
+#: so steady-state jobs (and recovery programs) restage into the same tiles.
+_WORKER_CONV_WS = ConvWorkspace()
 
 
 def _tables_for(params: SoiParams, window):
@@ -169,7 +176,8 @@ def _parallel_soi_program(ctx: RankContext, x_local: np.ndarray,
             if key is not None:
                 _WORKER_VERIFIERS[key] = verifier
         verifier.reset_report()
-    seg = yield from soi_rank_program(ctx, x_local, tables, verifier)
+    seg = yield from soi_rank_program(ctx, x_local, tables, verifier,
+                                      _WORKER_CONV_WS)
     return seg, (verifier.report if verifier is not None else None)
 
 
@@ -206,7 +214,8 @@ def _recovery_rows(x_global: np.ndarray, tables: SoiTables, j_start: int,
     idx = np.arange(lo, hi) % n_blocks
     x_ext = np.ascontiguousarray(
         x_global.reshape(n_blocks, s)[idx].reshape(-1))
-    u = convolve(x_ext, tables, j_start, n_rows, lo)
+    u = convolve(x_ext, tables, j_start, n_rows, lo,
+                 workspace=_WORKER_CONV_WS)
     return get_plan(s, -1)(u) if s > 1 else u
 
 
@@ -518,7 +527,8 @@ def spmd_soi_fft(cluster: SimCluster, params: SoiParams, x: np.ndarray,
             results = backend.run(
                 soi_rank_program,
                 [(parts[r],) for r in range(params.n_procs)],
-                common=(tables, verifier), checkpoints=ckpts, hedge=hedge)
+                common=(tables, verifier, ConvWorkspace()),
+                checkpoints=ckpts, hedge=hedge)
         except RankFailed:
             if not resilient:
                 raise

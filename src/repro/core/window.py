@@ -25,7 +25,7 @@ error left is out-of-band aliasing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -146,11 +146,35 @@ class SoiTables:
     f_r: np.ndarray  # (n_mu,) fractional phases frac(r*d/n)
     demod: np.ndarray  # (M,) normalized demodulation: y = beta[:M] / demod
     expected_stopband: float
+    #: dtype -> gemm_coeffs result (derived once, reused by every call)
+    _gemm: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def distinct_coefficients(self) -> int:
         """n_mu * B * S — the paper's working-set size for convolution."""
         return self.coeffs.size
+
+    def gemm_coeffs(self, dtype) -> np.ndarray:
+        """The taps as per-lane GEMM operands, shape ``(S, K, n_mu)``.
+
+        Column ``r`` of lane ``p`` holds ``coeffs[r, :, p]`` shifted down
+        by ``q_r[r]`` inside ``K = B + max(q_r)`` zero-padded rows, so all
+        ``n_mu`` rows of a chunk contract against the *same* K-wide input
+        window (:func:`repro.core.convolution.convolve`).  Cast and
+        widened once per dtype and shared read-only.
+        """
+        key = np.dtype(dtype).str
+        w = self._gemm.get(key)
+        if w is None:
+            p = self.params
+            w = np.zeros((p.n_segments, p.b + int(self.q_r.max()), p.n_mu),
+                         dtype=dtype)
+            for r, q in enumerate(self.q_r):
+                w[:, q:q + p.b, r] = self.coeffs[r].T
+            w.flags.writeable = False
+            self._gemm[key] = w
+        return w
 
     @property
     def demod_condition(self) -> float:

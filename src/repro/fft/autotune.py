@@ -257,7 +257,7 @@ def default_soi_config(n: int) -> dict:
     for segments in (8,) + tuple(s for s in _SEGMENT_CHOICES if s != 8):
         for n_mu, d_mu in _MU_CHOICES:
             cand = {"segments": segments, "n_mu": n_mu, "d_mu": d_mu,
-                    "b": 72, "conv_inner": "einsum"}
+                    "b": 72}
             if _soi_valid(n, cand, floor_db=0.0):
                 return cand
     raise ValueError(f"no valid SOI configuration for n={n}")
@@ -280,11 +280,10 @@ def soi_candidates(n: int, default: dict | None = None) -> list[dict]:
     for segments in _SEGMENT_CHOICES:
         for n_mu, d_mu in _MU_CHOICES:
             for b in _B_CHOICES:
-                for conv_inner in ("einsum", "buffered", "matmul"):
-                    cand = {"segments": segments, "n_mu": n_mu,
-                            "d_mu": d_mu, "b": b, "conv_inner": conv_inner}
-                    if cand != default and _soi_valid(n, cand, floor_db):
-                        out.append(cand)
+                cand = {"segments": segments, "n_mu": n_mu, "d_mu": d_mu,
+                        "b": b}
+                if cand != default and _soi_valid(n, cand, floor_db):
+                    out.append(cand)
     return out
 
 
@@ -312,7 +311,7 @@ class SoiResult:
 
 def _soi_label(cand: dict) -> str:
     return (f"S{cand['segments']},mu{cand['n_mu']}/{cand['d_mu']},"
-            f"B{cand['b']},{cand['conv_inner']}")
+            f"B{cand['b']}")
 
 
 def tune_soi(n: int, dtype=np.complex128, *,
@@ -321,7 +320,7 @@ def tune_soi(n: int, dtype=np.complex128, *,
     """Search the SOI configuration space for one size.
 
     Exhaustive when the valid candidate set is small; otherwise a greedy
-    beam — coordinate descent over (segments, mu+B, conv_inner), always
+    beam — coordinate descent over (segments, mu+B), always
     keeping the measured best — bounded by *budget*.  Every candidate is
     at least as accurate as the default by design bound, so the search
     trades only speed.
@@ -342,8 +341,7 @@ def tune_soi(n: int, dtype=np.complex128, *,
         label = _soi_label(cand)
         if label in timings:
             return timings[label]
-        plan = SoiFFT(_soi_params(n, cand), dtype=dt,
-                      conv_inner=cand["conv_inner"])
+        plan = SoiFFT(_soi_params(n, cand), dtype=dt)
         out = np.empty_like(xs)
         t = _best_of(lambda: plan.batch(xs, out=out), reps)
         budget.charge()
@@ -367,8 +365,6 @@ def tune_soi(n: int, dtype=np.complex128, *,
             ("segments", [{"segments": s} for s in _SEGMENT_CHOICES]),
             ("mu+B", [{"n_mu": nm, "d_mu": dm, "b": b}
                       for nm, dm in _MU_CHOICES for b in _B_CHOICES]),
-            ("conv_inner", [{"conv_inner": c}
-                            for c in ("einsum", "buffered", "matmul")]),
         )
         floor_db = kaiser_attenuation_db(default["b"],
                                          default["n_mu"] / default["d_mu"])
@@ -457,7 +453,6 @@ def autotune(sizes=(), soi_sizes=(), *, sign: int = -1,
                           segments=res.winner["segments"],
                           n_mu=res.winner["n_mu"],
                           d_mu=res.winner["d_mu"], b=res.winner["b"],
-                          conv_inner=res.winner["conv_inner"],
                           tuned_s=res.tuned_s, default_s=res.default_s)
     return AutotuneReport(machine=machine, kernel_results=kernel_results,
                           soi_results=soi_results,

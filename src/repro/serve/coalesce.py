@@ -14,8 +14,10 @@ elapsed since its first member (the gateway owns the timers — this
 structure is clock-free and usable from the virtual-time load
 generator).  The split back to per-request results is trivial because
 row *i* of the batched spectrum IS request *i*'s spectrum, bitwise: the
-``"einsum"`` convolution kernel guarantees batched and single execution
-agree exactly (asserted by the differential tests).
+convolution's GEMM tiles have one shape fixed by the plan's parameters,
+sit at global row positions and run one frame at a time
+(:func:`repro.core.convolution.convolve`), so batched and single
+execution agree exactly (asserted by the differential tests).
 
 :func:`itemize_batch` spreads one batch execution's cost back into the
 member requests' :class:`~repro.resilience.deadline.Budget`s: each

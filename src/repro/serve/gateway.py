@@ -20,7 +20,8 @@ runs through, in order:
    on an executor thread so the loop keeps accepting; the plan, twiddle
    tables, and pooled workspaces amortize over the whole window.  Row
    *i* of the result is request *i*'s spectrum, bitwise identical to
-   serving it alone (the ``"einsum"`` batch invariance).
+   serving it alone (the convolution's tile-alignment rule: a row's
+   bits do not depend on the batch it rode in).
 5. **Per-request completion** — each member's own
    :class:`~repro.resilience.deadline.Deadline` is checked, its budget
    itemized (``"compute"`` share + ``"coalesce wait"``), and its future

@@ -193,7 +193,7 @@ class TestSoiCandidateEquivalence:
                            segments_per_process=cand["segments"],
                            n_mu=cand["n_mu"], d_mu=cand["d_mu"],
                            b=cand["b"])
-        f = SoiFFT(params, conv_inner=cand["conv_inner"])
+        f = SoiFFT(params)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ref = np.fft.fft(x)
@@ -220,10 +220,8 @@ class TestSoiCandidateEquivalence:
                        budget=TuneBudget(seconds=10.0))
         from repro.core.soi_single import SoiFFT
 
-        f_def = SoiFFT(_soi_params_for(n, default_soi_config(n)),
-                       conv_inner=default_soi_config(n)["conv_inner"])
-        f_tuned = SoiFFT(_soi_params_for(n, res.winner),
-                         conv_inner=res.winner["conv_inner"])
+        f_def = SoiFFT(_soi_params_for(n, default_soi_config(n)))
+        f_tuned = SoiFFT(_soi_params_for(n, res.winner))
         x = random_complex(rng, n)
         ref = np.fft.fft(x)
         err_def = np.linalg.norm(f_def(x) - ref) / np.linalg.norm(ref)

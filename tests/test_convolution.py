@@ -1,10 +1,16 @@
 """Tests for convolution-and-oversampling: numerics, structure, strategies."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.convolution import (
     ConvStrategy,
+    _tile_chunks,
     block_range_for_rows,
     conv_time_model,
     convolve,
@@ -115,6 +121,143 @@ class TestConvolveNumerics:
         with pytest.raises(ValueError, match="out"):
             convolve(x_ext, tables, 0, rows, lo,
                      out=np.empty((1, 1), dtype=np.complex128))
+
+
+# -- the invariance contract: a row is a function of (row index, input) -----
+
+#: (n_mu, d_mu, B, segments/process, processes, chunks).  Chunk counts sit
+#: below, at, and 1-3 tiles above the tile (256 chunks; 128 at B=48);
+#: each is small enough for the triple-loop oracle.
+GEOMETRIES = (
+    (8, 7, 16, 4, 1, 24),
+    (8, 7, 4, 2, 1, 300),
+    (8, 7, 48, 2, 1, 300),
+    (8, 7, 8, 2, 1, 520),
+    (5, 4, 8, 4, 1, 40),
+    (5, 4, 4, 2, 1, 600),
+    (5, 4, 16, 8, 1, 100),
+    (2, 1, 8, 4, 1, 700),
+    (2, 1, 4, 1, 1, 259),
+)
+#: The 64-rank partition-recovery geometry of tests/test_partition.py:
+#: survivors adopt one- and two-chunk slices of dead ranks' rows, and each
+#: must come back bit-identical to the fault-free run.
+RANKS64 = (2, 1, 4, 1, 64, 256)
+
+
+@lru_cache(maxsize=None)
+def geometry_tables(geometry):
+    n_mu, d_mu, b, spp, procs, chunks = geometry
+    return build_tables(SoiParams(
+        n=spp * procs * chunks * d_mu, n_procs=procs,
+        segments_per_process=spp, n_mu=n_mu, d_mu=d_mu, b=b))
+
+
+def chunk_input(p, xs, c_lo, c_hi):
+    """Ghost-extended input of chunks [c_lo, c_hi), and its first block."""
+    lo, hi = block_range_for_rows(p, c_lo * p.n_mu, (c_hi - c_lo) * p.n_mu)
+    s = p.n_segments
+    return xs[..., np.arange(lo * s, hi * s) % p.n], lo
+
+
+def tile_of(tables):
+    return _tile_chunks(tables.params, tables.gemm_coeffs(complex).shape[1])
+
+
+def mid_tile_ranges(tables):
+    """Chunk ranges that start and end strictly inside a tile: a long one
+    (crossing into the second tile when there is one) and a single chunk."""
+    p = tables.params
+    chunks, tile = p.m_oversampled // p.n_mu, tile_of(tables)
+    end = tile + (chunks - tile) // 2 if chunks > tile + 1 else chunks - 1
+    return [(tile // 3, end), (tile // 2, tile // 2 + 1)]
+
+
+def assert_row_invariance(conv, tables, xs, chunk_ranges):
+    """The contract, for kernel *conv* on the ``(batch, N)`` stack *xs*."""
+    p = tables.params
+    rows, n_mu = p.m_oversampled, p.n_mu
+    x_full, lo = chunk_input(p, xs, 0, rows // n_mu)
+    full = conv(x_full, tables, 0, rows, lo)
+    ref = convolve_reference(x_full[0], tables, 0, rows, lo)
+    tol = 1e-12 if xs.dtype == np.complex128 else 1e-5
+    assert np.abs(full[0] - ref).max() <= tol * np.abs(ref).max(), \
+        "disagrees with the triple-loop oracle"
+    for i in range(xs.shape[0]):
+        assert np.array_equal(conv(x_full[i], tables, 0, rows, lo), full[i]), \
+            f"batch invariance: frame {i} of {xs.shape[0]} differs from solo"
+    for c_lo, c_hi in chunk_ranges:
+        x_sub, lo_sub = chunk_input(p, xs, c_lo, c_hi)
+        part = conv(x_sub, tables, c_lo * n_mu, (c_hi - c_lo) * n_mu, lo_sub)
+        assert np.array_equal(part, full[:, c_lo * n_mu:c_hi * n_mu]), \
+            f"row-range invariance: chunks [{c_lo}, {c_hi}) differ from " \
+            f"the same rows of the full range"
+        assert np.abs(part[0] - ref[c_lo * n_mu:c_hi * n_mu]).max() \
+            <= tol * np.abs(ref).max()
+
+
+def convolve_call_relative(x_ext, tables, j_start, n_rows, block_lo):
+    """The naive tiling, kept here as the mutant the contract must catch:
+    the same GEMM, but tiles count from the call's first chunk and the last
+    tile is ragged — so a chunk's tile position and its GEMM's shape depend
+    on the row range asked for."""
+    p = tables.params
+    s, n_mu, d_mu = p.n_segments, p.n_mu, p.d_mu
+    w = tables.gemm_coeffs(x_ext.dtype)
+    tile = tile_of(tables)
+    base = int(input_block_offsets(p, j_start, n_mu)[0]) - block_lo
+    xb = x_ext.reshape(-1, x_ext.shape[-1] // s, s)
+    out = np.empty(x_ext.shape[:-1] + (n_rows, s), dtype=x_ext.dtype)
+    ob = out.reshape(xb.shape[0], -1, n_mu, s)
+    win = sliding_window_view(xb, w.shape[1], axis=1)[:, base::d_mu]
+    for f in range(xb.shape[0]):
+        for c in range(0, n_rows // n_mu, tile):
+            windows = win[f, c:min(c + tile, n_rows // n_mu)]
+            staged = np.ascontiguousarray(windows.transpose(1, 0, 2))
+            ob[f, c:c + tile] = np.matmul(staged, w).transpose(1, 2, 0)
+    return out
+
+
+class TestRowInvariance:
+    """``convolve`` rows are bitwise independent of the row range and the
+    batch they were computed in — the seam every solo/coalesced,
+    simulator/process and recovered/fault-free contract passes through."""
+
+    @staticmethod
+    def stack(geometry, dtype, batch, seed):
+        p = geometry_tables(geometry).params
+        rng = np.random.default_rng(seed)
+        return random_complex(rng, batch, p.n).astype(dtype)
+
+    @given(st.sampled_from(GEOMETRIES + (RANKS64,)),
+           st.sampled_from([np.complex128, np.complex64]),
+           st.integers(1, 5), st.integers(0, 2 ** 31 - 1),
+           st.integers(0, 2 ** 20), st.integers(0, 2 ** 20))
+    @example(RANKS64, np.complex128, 2, 2013, 5, 0)
+    @example(RANKS64, np.complex64, 1, 2013, 254, 1)
+    @settings(max_examples=25, deadline=None)
+    def test_rows_independent_of_range_and_batch(self, geometry, dtype,
+                                                 batch, seed, a, b):
+        tables = geometry_tables(geometry)
+        chunks = geometry[-1]
+        c_lo = a % chunks
+        c_hi = c_lo + 1 + b % (chunks - c_lo)
+        assert_row_invariance(convolve, tables,
+                              self.stack(geometry, dtype, batch, seed),
+                              [(c_lo, c_hi)] + mid_tile_ranges(tables))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_call_relative_tiling_fails_the_contract(self, dtype):
+        # the gate can go red: the naive tiling is numerically as good
+        # (it passes the oracle and the batch assertions, which run first)
+        # but a one-chunk adopted slice becomes an M=1 product, which BLAS
+        # sums in a different order than row 5 of the full tile
+        xs = self.stack(RANKS64, dtype, 2, 2013)
+        with pytest.raises(AssertionError, match="row-range invariance"):
+            assert_row_invariance(convolve_call_relative,
+                                  geometry_tables(RANKS64), xs, [(5, 6)])
+        assert_row_invariance(convolve, geometry_tables(RANKS64), xs,
+                              [(5, 6)])
 
 
 class TestStrategies:

@@ -131,9 +131,9 @@ class TestKernelEntries:
     def test_soi_record_and_lookup(self):
         w = Wisdom()
         w.record_soi(3584, "complex128", "m000000000001", segments=8,
-                     n_mu=8, d_mu=7, b=72, conv_inner="einsum")
+                     n_mu=8, d_mu=7, b=72)
         e = w.lookup_soi(3584, "complex128")
-        assert e["segments"] == 8 and e["conv_inner"] == "einsum"
+        assert e["segments"] == 8 and e["b"] == 72
 
     def test_lookup_publishes_wisdom_metrics(self):
         from repro.telemetry.metrics import MetricsRegistry, set_registry
@@ -157,7 +157,7 @@ class TestRoundTrip:
         w.record_kernel(256, -1, "complex128", "m000000000001", "stockham",
                         [2] * 8, tuned_s=1e-4, default_s=2e-4)
         w.record_soi(3584, "complex128", "m000000000001", segments=16,
-                     n_mu=5, d_mu=4, b=48, conv_inner="matmul")
+                     n_mu=5, d_mu=4, b=48)
         path = tmp_path / "wisdom.json"
         w.save(path)
         restored = Wisdom.load(path, strict=True)
@@ -180,6 +180,20 @@ class TestRoundTrip:
         v1 = json.dumps([{"n": 64, "sign": -1, "radices": [8, 8]}])
         w = Wisdom.from_json(v1)
         assert (64, -1) in w
+
+    def test_v2_soi_entry_with_conv_inner_still_loads(self, tmp_path):
+        # files written before the convolution became one kernel carry a
+        # "conv_inner" key per SOI entry: read, ignored, not written back
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"version": WISDOM_VERSION, "entries": [
+            {"kind": "soi", "n": 3584, "dtype": "complex128",
+             "machine": "m", "segments": 32, "n_mu": 5, "d_mu": 4,
+             "b": 48, "conv_inner": "matmul", "tuned_s": 1e-3,
+             "default_s": 2e-3}]}))
+        w = Wisdom.load(path, strict=True)
+        e = w.lookup_soi(3584, "complex128")
+        assert (e["segments"], e["n_mu"], e["d_mu"], e["b"]) == (32, 5, 4, 48)
+        assert "conv_inner" not in w.to_json()
 
     def test_save_merges_with_existing_store(self, tmp_path):
         path = tmp_path / "w.json"
