@@ -50,10 +50,9 @@ Elastic fault tolerance (the parent is the watchdog):
   SIGKILL — both flood abort markers so the survivors unwind, then
   surface as :class:`~repro.cluster.faults.RankFailed` carrying the
   dead rank ids, the job label, and the surviving worker set.  Shipped
-  ``Checkpoint`` data stays available to the caller
-  (:meth:`ProcessBackend.take_checkpoints`), so the SOI layer completes
-  the transform on the survivors via shrink-and-redistribute instead of
-  tearing the world down;
+  ``Checkpoint`` data is copied into the caller's ``checkpoints`` dict
+  first, so the SOI layer completes the transform on the survivors via
+  shrink-and-redistribute instead of tearing the world down;
 * dead workers are respawned lazily (next job) and every segment a
   crashed worker left behind is reclaimed by a
   :class:`~repro.cluster.shm.ShmJanitor`, so repeated failures cannot
@@ -133,10 +132,16 @@ class ExecutionBackend:
     """
 
     is_real = False
+    #: RecoveryReport of the most recent shrink-and-redistribute.
+    last_recovery = None
 
     def run(self, program: Callable, per_rank_args: list[tuple], *,
             common: tuple = (), **kwargs) -> list:
         raise NotImplementedError
+
+    def note_recovery(self, report, detected_at: float | None) -> None:
+        """Record a completed shrink-and-redistribute recovery."""
+        self.last_recovery = report
 
     def close(self) -> None:
         """Release workers/segments (no-op for the simulator)."""
@@ -162,16 +167,33 @@ class SimulatedBackend(ExecutionBackend):
 
     def run(self, program: Callable, per_rank_args: list[tuple], *,
             common: tuple = (), checkpoints: dict | None = None,
-            hedge=None, **_ignored) -> list:
-        if len(per_rank_args) != self.cluster.n_ranks:
+            hedge=None, deadline=None, ranks: tuple | None = None,
+            **_ignored) -> list:
+        """Step *program* rank-serially over *ranks* (default: all).
+
+        *deadline*, if given, is installed on the communicator for the
+        duration of the run — every collective checks it at entry and
+        charges attempts, backoff waits and recovery transfers to its
+        budget — and the previously installed one is restored on exit.
+        """
+        group = range(self.cluster.n_ranks) if ranks is None else ranks
+        if len(per_rank_args) != len(group):
             raise ValueError("need one args tuple per rank")
 
         def prog(ctx: RankContext):
             return (yield from program(ctx, *per_rank_args[ctx.rank],
                                        *common))
 
-        return run_spmd(self.cluster, prog, checkpoints=checkpoints,
-                        hedge=hedge)
+        comm = self.cluster.comm
+        prev = comm.deadline
+        if deadline is not None:
+            comm.install_deadline(deadline)
+        try:
+            return run_spmd(self.cluster, prog, checkpoints=checkpoints,
+                            hedge=hedge, ranks=ranks)
+        finally:
+            if deadline is not None:
+                comm.install_deadline(prev)
 
 
 # ---------------------------------------------------------------------------
@@ -843,8 +865,6 @@ class ProcessBackend(ExecutionBackend):
         self.fault_plan: Any = None
         #: Watchdog's view of the most recent worker failure.
         self.last_failure: WorkerFailure | None = None
-        #: RecoveryReport of the most recent shrink-and-redistribute.
-        self.last_recovery = None
         #: Detection-to-recovered seconds of the most recent recovery.
         self.last_mttr_s: float | None = None
         self._ckpts: dict[tuple[int, str], ShmView] = {}
@@ -969,25 +989,6 @@ class ProcessBackend(ExecutionBackend):
         return [wid for wid, p in enumerate(self._procs)
                 if p is not None and p.is_alive()]
 
-    def take_checkpoints(self) -> dict[tuple[int, str], np.ndarray]:
-        """Copy out all shipped checkpoint data; reclaims the segments.
-
-        Keyed ``(worker_id, tag)``.  Called by the recovery driver right
-        after a :class:`~repro.cluster.faults.RankFailed`: the copies
-        survive the sweep, so recovery jobs can re-stage them.
-        """
-        out: dict[tuple[int, str], np.ndarray] = {}
-        for key, view in self._ckpts.items():
-            try:
-                out[key] = np.array(view.resolve(self._pool), copy=True)
-            except FileNotFoundError:  # pragma: no cover - creator died
-                continue
-            finally:
-                self._pool.detach(view.segment)
-        self._ckpts.clear()
-        self.janitor.sweep("k")
-        return out
-
     def note_recovery(self, report, detected_at: float | None) -> None:
         """Record a completed shrink-and-redistribute recovery.
 
@@ -1011,8 +1012,17 @@ class ProcessBackend(ExecutionBackend):
                               self._t_cursor, self._t_cursor)
         self._sweep_checkpoints()
 
-    def _sweep_checkpoints(self) -> None:
-        for view in self._ckpts.values():
+    def _sweep_checkpoints(self, into: dict | None = None) -> None:
+        """Reclaim the shipped checkpoint segments — after copying their
+        data out under ``(worker_id, tag)`` keys when *into* is given:
+        the copies survive the sweep, so recovery jobs can re-stage them.
+        """
+        for key, view in self._ckpts.items():
+            if into is not None:
+                try:
+                    into[key] = np.array(view.resolve(self._pool), copy=True)
+                except FileNotFoundError:  # pragma: no cover - creator died
+                    pass
             self._pool.detach(view.segment)
         self._ckpts.clear()
         reclaimed = self.janitor.sweep("k")
@@ -1043,8 +1053,11 @@ class ProcessBackend(ExecutionBackend):
         (default: all of them) — recovery jobs run on the survivors this
         way.  ``checkpoints``, when a dict is passed, arms checkpoint
         shipping: workers post their ``Checkpoint`` stage data through
-        shared segments, available via :meth:`take_checkpoints` after a
-        failure.  ``deadline`` (wall-clock
+        shared segments, and if a worker dies the dict is filled in place
+        with copies of what was shipped under ``(worker id, tag)`` keys
+        before ``RankFailed`` raises — the contract
+        :func:`~repro.cluster.spmd.run_spmd` gives the simulated path.
+        ``deadline`` (wall-clock
         :class:`~repro.resilience.Deadline`) is checked at dispatch and
         on every watchdog tick; ``hedge`` (a
         :class:`~repro.verify.HedgePolicy`) arms straggler re-dispatch:
@@ -1191,6 +1204,8 @@ class ProcessBackend(ExecutionBackend):
                 break
 
             if out.deaths:
+                if checkpoints is not None:
+                    self._sweep_checkpoints(into=checkpoints)
                 self._handle_deaths(jid, label, group, out)
             if out.errors:
                 wid, payload, tb = min(out.errors, key=lambda e: e[0])

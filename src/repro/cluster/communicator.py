@@ -1,8 +1,9 @@
 """The only doorway between ranks of a simulated cluster.
 
-Distributed algorithms in this library are written phase-structured: each
-rank's data lives in its own NumPy buffers, and *every* inter-rank byte
-must pass through a :class:`Communicator` collective.  The communicator
+On the simulated cluster each rank's data lives in its own NumPy buffers,
+and *every* inter-rank byte must pass through a :class:`Communicator`
+collective — whether a rank program yields the request to the SPMD engine
+(:mod:`repro.cluster.spmd`) or a baseline calls it phase by phase.  The communicator
 really moves the bytes (copies between per-rank arrays) and charges
 simulated time from the transport model, so communication volume, message
 counts, and packet sizes are exact — which is what the paper's

@@ -1,23 +1,26 @@
 """Generator-based SPMD runtime: write rank-local programs, MPI style.
 
-The phase-structured API (:mod:`repro.core.soi_dist`) drives the
-algorithm from a global viewpoint.  This runtime offers the converse,
-closer to how the paper's symmetric-mode code is written: each rank is a
-Python generator that *yields* communication requests and receives the
-result of the collective at the resume point:
+Distributed algorithms are written the way the paper's symmetric-mode
+code is: each rank is a Python generator that *yields* communication
+requests and receives the result of the collective at the resume point
+(:func:`repro.core.soi_dist.soi_rank_program` is the SOI one):
 
     def program(ctx):
-        halo = yield SendRecvRing(left=my_left, right=my_right)
+        halo = yield SendRecvRing(to_left=my_left, to_right=my_right)
         ...
         blocks = yield AllToAll(per_dest_list)
         ...
         return my_result
 
-The engine steps all ranks to their next request, verifies they agree on
-the collective (SPMD discipline — mismatched collectives deadlock real
-MPI and raise here), performs the exchange through the cluster's
-:class:`~repro.cluster.communicator.Communicator` (so byte accounting and
-clock charging are identical to the phase-structured path), and resumes.
+The request types are the whole interface between a program and its
+executor.  :func:`run_spmd`, the simulated engine, steps all ranks to
+their next request, verifies they agree on the collective (SPMD
+discipline — mismatched collectives deadlock real MPI and raise here),
+performs the exchange through the cluster's
+:class:`~repro.cluster.communicator.Communicator` (which moves the bytes
+and charges the simulated clocks), and resumes;
+:class:`~repro.cluster.backends.ProcessBackend` serves the same requests
+between real worker processes.
 """
 
 from __future__ import annotations
@@ -36,10 +39,14 @@ __all__ = ["AllToAll", "Barrier", "Bcast", "Checkpoint", "Compute",
 @dataclass(frozen=True)
 class AllToAll:
     """Yield with one ndarray per destination rank; resumes with a list
-    of arrays, one per source rank."""
+    of arrays, one per source rank.  *groups* asks the simulated fabric
+    for the two-level exchange of
+    :meth:`~repro.cluster.communicator.Communicator.alltoall`; real
+    workers exchange through shared memory and ignore it."""
 
     per_dest: list
     label: str = "all-to-all"
+    groups: list | None = None
 
 
 @dataclass(frozen=True)
@@ -114,19 +121,26 @@ def _check_uniform(requests: list) -> type:
 
 
 def run_spmd(cluster: SimCluster, program: Callable, *args,
-             checkpoints: dict | None = None, hedge=None) -> list:
+             checkpoints: dict | None = None, hedge=None,
+             ranks=None) -> list:
     """Run *program(ctx, \\*args)* as a generator on every rank.
 
     Returns the list of per-rank return values.  Compute requests are
-    charged per rank; collectives are matched across all live ranks.
+    charged per rank; collectives are matched across all participants.
     Ranks must finish after the same number of collectives (a rank
     returning early while others still communicate raises).
 
+    *ranks* restricts the run to a subset of the cluster (a shrunken
+    communicator, the way recovery runs on the survivors): participant
+    *i* sees ``ctx.rank == i`` and ``ctx.size == len(ranks)`` while its
+    charges, checkpoints and collectives land on global rank
+    ``ranks[i]``.  The ring exchange is defined on the full cluster only.
+
     *checkpoints*, if given, is filled in place with the data of every
-    :class:`Checkpoint` request under ``(rank, tag)`` keys.  Because the
-    caller owns the dict, checkpointed stage data survives a collective
-    raising :class:`~repro.cluster.faults.RankFailed` — the basis for
-    shrink-and-redistribute restarts.
+    :class:`Checkpoint` request under ``(global rank, tag)`` keys.
+    Because the caller owns the dict, checkpointed stage data survives a
+    collective raising :class:`~repro.cluster.faults.RankFailed` — the
+    basis for shrink-and-redistribute restarts.
 
     *hedge*, if given, is a :class:`repro.verify.watchdog.HedgePolicy`:
     after each stepping round (all ranks advanced to their next
@@ -134,10 +148,11 @@ def run_spmd(cluster: SimCluster, program: Callable, *args,
     speculatively duplicates straggling steps on idle peers, first
     finisher wins (charged to the ``"hedge"`` trace category).
     """
-    p = cluster.n_ranks
+    parts = list(range(cluster.n_ranks)) if ranks is None else list(ranks)
+    p = len(parts)
     gens = []
-    for r in range(p):
-        g = program(RankContext(r, p, cluster), *args)
+    for i in range(p):
+        g = program(RankContext(i, p, cluster), *args)
         if not hasattr(g, "send"):
             raise TypeError("program must be a generator function "
                             "(use 'yield' for collectives)")
@@ -149,13 +164,14 @@ def run_spmd(cluster: SimCluster, program: Callable, *args,
         while not all(done):
             requests: list = [None] * p
             round_steps: list = []  # (rank, label, t0, seconds) this round
-            for r, g in enumerate(gens):
-                if done[r]:
+            for i, g in enumerate(gens):
+                if done[i]:
                     continue
+                r = parts[i]
                 try:
                     while True:
-                        req = g.send(payload[r])
-                        payload[r] = None
+                        req = g.send(payload[i])
+                        payload[i] = None
                         if isinstance(req, Compute):
                             t0 = cluster.clocks[r]
                             cluster.charge_seconds(r, req.label, req.seconds)
@@ -172,51 +188,54 @@ def run_spmd(cluster: SimCluster, program: Callable, *args,
                                 r, "checkpoint",
                                 cluster.machine_of(r).mem_time(nbytes))
                             continue  # local: keep stepping this rank
-                        requests[r] = req
+                        requests[i] = req
                         break
                 except StopIteration as stop:
-                    done[r] = True
-                    results[r] = stop.value
+                    done[i] = True
+                    results[i] = stop.value
             if hedge is not None and round_steps:
                 hedge.review(cluster, round_steps)
-            live = [r for r in range(p) if not done[r]]
+            live = [i for i in range(p) if not done[i]]
             if not live:
                 break
-            if any(done[r] for r in range(p)):
+            if any(done):
                 raise SpmdError("some ranks finished while others still "
                                 "communicate (unbalanced collective counts)")
-            kind = _check_uniform([requests[r] for r in live])
+            kind = _check_uniform(requests)
             if kind is AllToAll:
-                send = [requests[r].per_dest for r in range(p)]
+                send = [req.per_dest for req in requests]
                 for row in send:
                     if len(row) != p:
                         raise SpmdError("AllToAll needs one buffer per rank")
                 recv = cluster.comm.alltoall(
                     [[np.asarray(b) for b in row] for row in send],
-                    label=requests[0].label)
-                for r in range(p):
-                    payload[r] = recv[r]
+                    label=requests[0].label, ranks=ranks,
+                    groups=requests[0].groups)
+                for i in range(p):
+                    payload[i] = recv[i]
             elif kind is SendRecvRing:
+                if ranks is not None:
+                    raise SpmdError("the ring exchange runs on the full "
+                                    "cluster, not on a rank subset")
                 fl, fr = cluster.comm.ring_exchange(
-                    [np.asarray(requests[r].to_left) for r in range(p)],
-                    [np.asarray(requests[r].to_right) for r in range(p)],
+                    [np.asarray(req.to_left) for req in requests],
+                    [np.asarray(req.to_right) for req in requests],
                     label=requests[0].label)
-                for r in range(p):
-                    payload[r] = (fl[r], fr[r])
+                for i in range(p):
+                    payload[i] = (fl[i], fr[i])
             elif kind is Bcast:
                 root = requests[0].root
-                if any(requests[r].root != root for r in range(p)):
+                if any(req.root != root for req in requests):
                     raise SpmdError("ranks disagree on bcast root")
                 if requests[root].buf is None:
                     raise SpmdError("bcast root provided no buffer")
                 out = cluster.comm.bcast(np.asarray(requests[root].buf),
-                                         root=root, label=requests[0].label)
-                for r in range(p):
-                    payload[r] = out[r]
+                                         root=parts[root], ranks=ranks,
+                                         label=requests[0].label)
+                for i in range(p):
+                    payload[i] = out[i]
             elif kind is Barrier:
-                cluster.comm.barrier(label=requests[0].label)
-                for r in range(p):
-                    payload[r] = None
+                cluster.comm.barrier(label=requests[0].label, ranks=ranks)
             else:  # pragma: no cover - _check_uniform limits the kinds
                 raise SpmdError(f"unknown request type {kind.__name__}")
     finally:

@@ -15,15 +15,14 @@ from repro.core.soi_dist import (
     DEFAULT_CONV_EFFICIENCY,
     DEFAULT_FFT_EFFICIENCY,
     DistributedSoiFFT,
+    Ownership,
+    soi_rank_program,
+    stage_costs,
 )
 from repro.core.soi_hetero import HeterogeneousSoiFFT
 from repro.core.soi_offload import OffloadSoiFFT
 from repro.core.soi_single import LOCAL_FFT_CHOICES, SoiFFT, soi_fft, soi_ifft
-from repro.core.soi_spmd import (
-    run_parallel_soi,
-    soi_rank_program,
-    spmd_soi_fft,
-)
+from repro.core.soi_spmd import spmd_soi_fft
 from repro.core.streaming import SoiStft, hann_window
 from repro.core.window import (
     GaussianSincWindow,
@@ -50,6 +49,7 @@ __all__ = [
     "KaiserSincWindow",
     "LOCAL_FFT_CHOICES",
     "OffloadSoiFFT",
+    "Ownership",
     "SoiFFT",
     "SoiParams",
     "SoiStft",
@@ -68,6 +68,6 @@ __all__ = [
     "soi_fft",
     "soi_ifft",
     "soi_rank_program",
-    "run_parallel_soi",
     "spmd_soi_fft",
+    "stage_costs",
 ]

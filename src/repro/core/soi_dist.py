@@ -1,31 +1,51 @@
-"""Distributed SOI FFT on a simulated cluster (the paper's headline system).
+"""Distributed SOI FFT: one rank-local program, an ownership map, one driver.
 
-Maps Equation 1 onto P ranks exactly as §2/§5 describe:
+The paper's distributed algorithm (§2, §5, Fig 2) is written here once,
+as the generator :func:`soi_rank_program` every participant runs:
 
-* each rank owns a contiguous N/P chunk of the input and computes the
-  convolution rows whose windows fall in it — after a latency-bound
-  nearest-neighbor *ghost exchange* of B/2 blocks (the two right-most
-  arrows of Fig 2);
-* lane FFTs (I_{M'} (x) F_S) run locally;
-* the stride permutation P^{S,N'}_erm is realized as **one all-to-all**
-  — the entire inter-node communication of the algorithm;
-* each rank then runs a length-M' FFT and demodulation per owned segment,
-  leaving the output in natural order, block-distributed like the input.
+* obtain the input its convolution rows touch — on its own N/P chunk
+  after a latency-bound nearest-neighbor *ghost exchange* of B/2 blocks
+  (the two right-most arrows of Fig 2);
+* convolution-and-oversampling plus lane FFTs (I_{M'} (x) F_S), locally;
+* the stride permutation P^{S,N'}_erm as **one all-to-all** — the entire
+  inter-node communication of the algorithm;
+* a length-M' FFT and demodulation per owned segment, leaving the output
+  in natural order, block-distributed like the input.
+
+*Who* computes which rows and owns which segments is data, not code: an
+:class:`Ownership` map.  Fault-free execution is the identity map,
+shrink-and-redistribute recovery the map :meth:`Ownership.after_failures`
+plans over the survivors, a heterogeneous cluster
+(:mod:`repro.core.soi_hetero`) a map with unequal shares.
+:class:`DistributedSoiFFT` is the single driver: it hands the program to
+an execution backend (:mod:`repro.cluster.backends`: rank-serial against
+simulated clocks, or one worker process per rank) and, when a rank dies,
+re-plans and runs the same program over the survivors.  Outputs are
+bit-for-bit identical across backends and across recoveries, because a
+convolution row's value depends on (row, input) only.
 
 Compute stages charge roofline time at the paper's measured efficiencies
-(12% local FFT, 40% convolution) against the rank clocks; communication
-goes through the cluster's transport model.  The numerics are exact and
-tested equal to the single-process pipeline and to ``numpy.fft``.
+(:func:`stage_costs`) against the simulated rank clocks; on real workers
+the same requests mark measured wall-clock intervals.  The numerics are
+exact and tested equal to the single-process pipeline and ``numpy.fft``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.cluster.backends import SimulatedBackend
 from repro.cluster.faults import PartitionDetected, RankFailed
 from repro.cluster.simcluster import SimCluster
+from repro.cluster.spmd import (
+    AllToAll,
+    Checkpoint,
+    Compute,
+    RankContext,
+    SendRecvRing,
+)
 from repro.core.convolution import (
     ConvStrategy,
     ConvWorkspace,
@@ -37,9 +57,11 @@ from repro.core.demodulate import demodulate
 from repro.core.params import SoiParams
 from repro.core.window import SoiTables, build_tables
 from repro.fft.plan import get_plan
+from repro.machine.spec import MachineSpec
 
-__all__ = ["DistributedSoiFFT", "PartitionReport", "RecoveryReport",
-           "balanced_row_slices",
+__all__ = ["DistributedSoiFFT", "Ownership", "PartitionReport",
+           "RankLocal", "RecoveryReport", "SoiSpec", "StageCosts",
+           "balanced_row_slices", "soi_rank_program", "stage_costs",
            "DEFAULT_FFT_EFFICIENCY", "DEFAULT_CONV_EFFICIENCY"]
 
 #: Paper §4/§6: measured compute efficiencies on both Xeon and Xeon Phi.
@@ -92,16 +114,13 @@ class PartitionReport:
     minority_error: PartitionDetected | None = None
 
 
+# -- the mapping: who computes which rows, who owns which segments ---------
+
 def balanced_row_slices(params: SoiParams, start: int, count: int,
                         parts: int) -> list[tuple[int, int]]:
     """Split [start, start+count) into <= *parts* contiguous slices,
     each a whole number of convolution chunks (multiples of n_mu — the
-    chunked convolution's row granularity).
-
-    The adoption schedule of shrink-and-redistribute recovery, shared by
-    the simulated path and the real-backend recovery driver so both
-    recompute identical row ranges (bitwise-identical outputs).
-    """
+    chunked convolution's row granularity)."""
     n_mu = params.n_mu
     chunks = count // n_mu
     base, extra = divmod(chunks, parts)
@@ -115,14 +134,338 @@ def balanced_row_slices(params: SoiParams, start: int, count: int,
     return out
 
 
+@dataclass(frozen=True)
+class Ownership:
+    """The processor mapping of one run, as data.
+
+    ``ranks[i]`` is participant *i*'s global rank id; ``rows[i]`` the
+    convolution row ranges it covers, in the order it computes them,
+    ``((j_start, n_rows, from_checkpoint), ...)`` — n_mu-aligned ranges
+    that together partition ``[0, M')``, the input of range ``j_start``
+    starting at block ``(j_start // n_mu) * d_mu`` — and ``slots[i]`` the
+    global segment slots it transforms, ascending.
+    """
+
+    ranks: tuple[int, ...]
+    rows: tuple[tuple[tuple[int, int, bool], ...], ...]
+    slots: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def identity(cls, params: SoiParams) -> "Ownership":
+        """Fault-free execution: every rank its own rows and segments —
+        the plan with nobody dead and nothing checkpointed yet."""
+        return cls.after_failures(params, range(params.n_procs), (), ())
+
+    @classmethod
+    def after_failures(cls, params: SoiParams, survivors, have_ckpt,
+                       placement) -> "Ownership":
+        """Shrink-and-redistribute: the identity map re-planned over
+        *survivors*.
+
+        Every survivor keeps its own rows (``from_checkpoint`` when it
+        is in *have_ckpt*, the ranks whose post-convolution checkpoint
+        exists) and its own slots.  Each dead rank's rows are cut into
+        :func:`balanced_row_slices` and its slots handed out round-robin,
+        both walking *placement* — the survivors in the order adoption
+        should cycle through them (rank order, or an order that spreads
+        one dead switch's load across the surviving fault domains).
+        """
+        p = params
+        rows, spp = p.rows_per_process, p.segments_per_process
+        q = len(survivors)
+        cover = {r: [(r * rows, rows, r in have_ckpt)] for r in survivors}
+        dead = [r for r in range(p.n_procs) if r not in cover]
+        for k, f in enumerate(dead):
+            for i, (j0, nr) in enumerate(
+                    balanced_row_slices(p, f * rows, rows, q)):
+                cover[placement[(i + k) % q]].append((j0, nr, False))
+        slots: dict[int, list[int]] = {r: [] for r in survivors}
+        orphan = 0
+        for t in range(p.n_segments):
+            owner = t // spp
+            if owner not in slots:
+                owner = placement[orphan % q]
+                orphan += 1
+            slots[owner].append(t)
+        return cls(ranks=tuple(survivors),
+                   rows=tuple(tuple(cover[r]) for r in survivors),
+                   slots=tuple(tuple(slots[r]) for r in survivors))
+
+    @property
+    def slot_owners(self) -> dict[int, int]:
+        """Global segment slot -> global rank that transforms it."""
+        return dict(sorted((t, r) for r, ts in zip(self.ranks, self.slots)
+                           for t in ts))
+
+    @property
+    def recomputed_rows(self) -> int:
+        """Rows this map computes rather than takes from a checkpoint."""
+        return sum(nr for cover in self.rows
+                   for _j0, nr, from_ckpt in cover if not from_ckpt)
+
+
+# -- the §4 cost model of the stages ----------------------------------------
+
+@dataclass(frozen=True)
+class StageCosts:
+    """Modeled seconds of one rank's fault-free share of each stage:
+    ``rows_per_process`` convolution rows, ``segments_per_process``
+    segments.  Other shares are charged proportionally."""
+
+    conv: float  # convolution-and-oversampling
+    lane: float  # lane FFTs of the convolved rows
+    fft: float  # M'-point segment FFTs
+    demod: float  # demodulation of the segment spectra
+
+
+def stage_costs(params: SoiParams, machine: MachineSpec,
+                fuse_demodulation: bool = True) -> StageCosts:
+    """The §4 stage model: roofline time at the measured efficiencies."""
+    p = params
+    if fuse_demodulation:
+        demod_words = p.m
+    else:
+        # separate pass: read spectrum, read constants, write (Fig 9 "etc.")
+        demod_words = 2 * p.m_oversampled + 2 * p.m + p.m
+    return StageCosts(
+        conv=conv_time_model(p, machine, ConvStrategy.BUFFERED,
+                             DEFAULT_CONV_EFFICIENCY),
+        lane=machine.flop_time(p.lane_fft_flops / p.n_procs,
+                               DEFAULT_FFT_EFFICIENCY),
+        fft=machine.flop_time(p.local_fft_flops / p.n_procs,
+                              DEFAULT_FFT_EFFICIENCY),
+        demod=machine.mem_time(demod_words * p.segments_per_process * 16))
+
+
+# -- the rank-local program -------------------------------------------------
+
+class RankLocal:
+    """Per-process state a :class:`SoiSpec` resolves to: the tables, the
+    planned FFTs (planned here, so workers forked afterwards inherit
+    them), the shared :class:`~repro.verify.selfcheck.DistVerifier` if
+    any, and the convolution's tile buffers — shaped by params alone, and
+    the convolution never spans a ``yield``, so one reused workspace
+    serves every rank-serial rank, run and recovery row range."""
+
+    def __init__(self, tables: SoiTables, verifier=None):
+        p = tables.params
+        self.tables = tables
+        self.verifier = verifier
+        self.workspace = ConvWorkspace()
+        self.lane_plan = get_plan(p.n_segments, -1) \
+            if p.n_segments > 1 else None
+        self.seg_plan = get_plan(p.m_oversampled, -1)
+
+
+@dataclass(frozen=True)
+class SoiSpec:
+    """What a rank runs besides its data: geometry, mapping, costs.
+
+    Small and picklable: ``local`` travels by reference inside one
+    process only.  ``SoiTables`` are large (the demodulation table alone
+    is M complex words), so a worker rebuilds — and caches — its own
+    from ``(params, window, policy)``; ``build_tables`` is deterministic,
+    so all ranks agree bitwise.
+    """
+
+    params: SoiParams
+    window: object  # None or a picklable window
+    policy: object  # VerifyPolicy arming ABFT stage checks, or None
+    ownership: Ownership
+    costs: tuple[StageCosts, ...]  # per *global* rank
+    rounds: int = 1  # all-to-all rounds the owned segments go out in
+    groups: list | None = None  # two-level all-to-all grouping, or None
+    local: RankLocal | None = field(default=None, compare=False, repr=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "local": None}
+
+
+#: Worker-side cache: every job of the same geometry reuses the tables
+#: (and their planned FFTs, verifier and convolution tiles) instead of
+#: re-deriving the window per call.
+_WORKER_LOCAL: dict = {}
+
+
+def _worker_local(spec: SoiSpec) -> RankLocal:
+    policy = spec.policy
+    key = None
+    if spec.window is None and (policy is None or policy.inject is None):
+        key = (spec.params, policy and (policy.safety, policy.max_strikes,
+                                        policy.use_alias))
+    local = _WORKER_LOCAL.get(key)
+    if local is None:
+        local = RankLocal(build_tables(spec.params, spec.window))
+        if policy is not None:
+            from repro.verify.selfcheck import DistVerifier
+            local.verifier = DistVerifier(local.tables, policy)
+        if key is not None:
+            _WORKER_LOCAL[key] = local
+    return local
+
+
+def _columns(slots: tuple[int, ...]):
+    """Column index of ascending *slots* into a row block: a slice (a
+    view, no gather) when they are adjacent."""
+    if slots and slots[-1] - slots[0] == len(slots) - 1:
+        return slice(slots[0], slots[-1] + 1)
+    return list(slots)
+
+
+def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
+                     x_global=None):
+    """Generator run by every participant of ``spec.ownership``.
+
+    Yields collectives and simulated-compute charges to whichever
+    backend runs it; returns ``(spectrum, report)`` — one demodulated
+    M-point row per owned slot, flattened, and the rank's own
+    :class:`~repro.verify.VerificationReport` when it verified with a
+    worker-built verifier (None when the spec's shared one did).
+
+    The primary round (*x_global* None) runs on the rank's own input
+    chunk *x_local*: ghost halos arrive by ring exchange, ABFT stage
+    checks run when ``spec.policy`` arms them (each stage is verified —
+    and repaired — before its data is checkpointed, shipped or
+    returned), and SDC events of the installed fault plan strike the
+    stage buffers first.  A recovery round gathers each recomputed row
+    range's input from the staged global input *x_global* instead, takes
+    row ranges marked ``from_checkpoint`` from *z_ckpt*, and runs
+    without verifier or SDC plan.
+    """
+    p = spec.params
+    own = spec.ownership
+    me = own.ranks[ctx.rank]
+    costs = spec.costs[me]
+    local, report = spec.local, None
+    if local is None:
+        local = _worker_local(spec)
+        if local.verifier is not None:
+            report = local.verifier.reset_report()
+    tables, lane_plan = local.tables, local.lane_plan
+    s, n_mu, d_mu = p.n_segments, p.n_mu, p.d_mu
+    rows_pp, spp = p.rows_per_process, p.segments_per_process
+    left_g, right_g = p.ghost_blocks
+    recovering = x_global is not None
+    verifier = sdc = None
+    if recovering:
+        blocks = x_global.reshape(-1, s)
+    else:
+        verifier = local.verifier
+        fault_plan = ctx.cluster.comm.fault_plan
+        if fault_plan is not None and fault_plan.has_sdc:
+            sdc = fault_plan
+        # ghost exchange: send my edge blocks to the neighbors
+        from_left, from_right = yield SendRecvRing(
+            to_left=x_local[: right_g * s],
+            to_right=x_local[x_local.size - left_g * s:])
+        x_ext = np.concatenate([from_left, x_local, from_right])
+
+    # ---- convolution-and-oversampling + lane FFTs per covered range ----
+    chunks: list[np.ndarray] = []
+    for j0, nr, from_ckpt in own.rows[ctx.rank]:
+        if from_ckpt:
+            chunks.append(np.asarray(z_ckpt))
+            continue
+        if recovering:
+            lo, hi = block_range_for_rows(p, j0, nr)
+            x_in = np.ascontiguousarray(
+                blocks[np.arange(lo, hi) % len(blocks)].reshape(-1))
+        else:
+            lo = (j0 // n_mu) * d_mu - left_g  # where x_ext starts
+            x_in = x_ext
+        u = convolve(x_in, tables, j0, nr, lo, workspace=local.workspace)
+        z = lane_plan(u) if lane_plan is not None else u
+        adopted = recovering and j0 // rows_pp != me
+        yield Compute((costs.conv + costs.lane) * (nr / rows_pp),
+                      label="recovery recompute" if adopted
+                      else "convolution")
+        if sdc is not None:
+            z = sdc.apply_sdc(z, rank=me, stage="conv")
+        if verifier is not None:
+            # verify before the checkpoint and the wire: a corrupt z
+            # must never be trusted for recovery or shipped to peers
+            z = verifier.check_conv(ctx.cluster, me, x_in, u, z, j0, lo,
+                                    conv_seconds=costs.conv,
+                                    lane_seconds=costs.lane)
+        if not adopted:
+            # stage checkpoint: the post-convolution segments (mu*N/P
+            # complex words per rank) are the natural cut point for
+            # shrink-and-redistribute recovery
+            yield Checkpoint(z, tag="post-conv")
+        chunks.append(z)
+
+    # ---- per round: one all-to-all, then M'-point FFT + demodulation ----
+    rounds = spec.rounds
+    segs: list[np.ndarray] = []
+    for k in range(rounds):
+        # this round's share of every owner's slots: the k-th of *rounds*
+        # contiguous runs
+        going = [ts[k * len(ts) // rounds:(k + 1) * len(ts) // rounds]
+                 for ts in own.slots]
+        # the stride permutation P^{S,N'}_erm: my rows of every segment
+        # to its owner
+        pieces = yield AllToAll(
+            [np.concatenate([z[:, _columns(ts)] for z in chunks], axis=0)
+             for ts in going], groups=spec.groups)
+        mine = going[ctx.rank]
+        share = len(mine) / spp
+        alpha = np.empty((p.m_oversampled, len(mine)), dtype=np.complex128)
+        for piece, cover in zip(pieces, own.rows):
+            off = 0
+            for j0, nr, _from_ckpt in cover:
+                alpha[j0:j0 + nr] = piece[off:off + nr]
+                off += nr
+        beta = local.seg_plan(alpha.T)  # (n_slots, M')
+        yield Compute(costs.fft * share, label="local FFT")
+        if sdc is not None:
+            beta = sdc.apply_sdc(beta, rank=me, stage="segment-fft")
+        if verifier is not None:
+            beta = verifier.check_segments(ctx.cluster, me, alpha, beta,
+                                           mine, fft_seconds=costs.fft * share)
+        seg = demodulate(beta, tables)  # (n_slots, M)
+        yield Compute(costs.demod * share, label="demodulation")
+        if verifier is not None:
+            seg = verifier.check_demod(ctx.cluster, me, beta, seg, mine)
+        segs.append(seg)
+    seg = segs[0] if rounds == 1 else np.concatenate(segs)
+    return seg.reshape(-1), report
+
+
+def _merge_reports(reports):
+    """Fold per-rank reports into one, in the simulated engine's order.
+
+    The rank-serial engine sees every rank's pre-wire (conv/lane) events
+    first, then every rank's post-all-to-all events — reproduce that so
+    the merged report compares equal to a simulated run's.
+    """
+    from repro.verify.policy import VerificationReport
+    merged = VerificationReport()
+    for rep in reports:
+        merged.merge(rep)
+    pre = [e for e in merged.events if e.stage in ("conv", "lane")]
+    post = [e for e in merged.events if e.stage not in ("conv", "lane")]
+    merged.events = pre + post
+    return merged
+
+
+# -- the driver -------------------------------------------------------------
+
 class DistributedSoiFFT:
-    """SOI FFT across the ranks of a :class:`SimCluster`."""
+    """SOI FFT across the ranks of a :class:`SimCluster`.
+
+    *backend* selects the executor: ``None`` (or a
+    :class:`~repro.cluster.backends.SimulatedBackend` over *cluster*)
+    steps the ranks serially against the simulated clocks; a
+    :class:`~repro.cluster.backends.ProcessBackend` runs every rank as a
+    real worker process with shared-memory collectives — bit-for-bit the
+    same result, with *cluster* still supplying the machine model and
+    the fault plan (which must then be SDC-only: wire faults are a
+    property of the simulated fabric, process-level chaos goes through
+    :meth:`~repro.cluster.backends.ProcessBackend.inject`).
+    """
 
     def __init__(self, cluster: SimCluster, params: SoiParams, window=None,
-                 *, fft_efficiency: float = DEFAULT_FFT_EFFICIENCY,
-                 conv_efficiency: float = DEFAULT_CONV_EFFICIENCY,
-                 conv_strategy: ConvStrategy = ConvStrategy.BUFFERED,
-                 fuse_demodulation: bool = True,
+                 *, fuse_demodulation: bool = True,
                  segment_exchanges: bool = False,
                  verify=False, backend=None):
         if params.n_procs != cluster.n_ranks:
@@ -135,13 +478,21 @@ class DistributedSoiFFT:
             raise ValueError(
                 f"ghost halo ({ghost} blocks) exceeds a rank's chunk "
                 f"({blocks_per_rank} blocks); increase N or decrease B")
+        if backend is None:
+            backend = SimulatedBackend(cluster)
+        elif backend.is_real:
+            if getattr(backend, "size", None) != p.n_procs:
+                raise ValueError(
+                    f"params expect {p.n_procs} ranks, backend has "
+                    f"{getattr(backend, 'size', None)} workers")
+        elif not isinstance(backend, SimulatedBackend) \
+                or backend.cluster is not cluster:
+            raise ValueError("backend must be a ProcessBackend or a "
+                             "SimulatedBackend over this cluster")
         self.cluster = cluster
         self.params = params
+        self.backend = backend
         self.tables: SoiTables = build_tables(params, window)
-        self._window = window  # kept: worker processes rebuild from spec
-        self.fft_efficiency = fft_efficiency
-        self.conv_efficiency = conv_efficiency
-        self.conv_strategy = conv_strategy
         self.fuse_demodulation = fuse_demodulation
         #: §6.1 pipelining structure: exchange one segment per round so the
         #: per-segment FFT can start while later rounds are still in
@@ -150,7 +501,8 @@ class DistributedSoiFFT:
         #: :func:`repro.cluster.replay.replay_with_overlap` for the
         #: overlapped makespan.
         self.segment_exchanges = segment_exchanges
-        #: Set by :meth:`recover` after a run that survived rank failures.
+        #: Set by :meth:`recover` after a run that survived rank failures
+        #: (and mirrored onto ``backend.last_recovery``).
         self.last_recovery: RecoveryReport | None = None
         #: Set whenever a collective surfaced a fabric partition
         #: (whether or not a quorum survived it).
@@ -161,41 +513,33 @@ class DistributedSoiFFT:
         #: 10^3-10^4 ranks the flat exchange's q-1 messages per rank
         #: dominate; two levels cut that to (m-1) + (G-1).
         self.hier_threshold = 64
-        #: ABFT verifier (``verify=True`` or a VerifyPolicy arms it): every
-        #: rank's post-conv segments are checksum-verified *before* they are
-        #: checkpointed or cross the wire, every destination's segment
-        #: spectra are checked against Parseval + an appended checksum row,
-        #: and demodulation is consistency-checked.  Detected segments are
-        #: recomputed from the in-memory stage inputs; verification time is
-        #: charged as ``"abft verify"`` and repairs as ``"abft repair"``.
-        #: If the installed wire fault plan carries SDC events
-        #: (:meth:`repro.cluster.faults.FaultPlan.apply_sdc`), they strike
-        #: the stage buffers here.  Per-call results land in
-        #: ``self.last_verification``.
+        #: ABFT verifier (``verify=True``, a VerifyPolicy, or a
+        #: :class:`~repro.verify.DistVerifier` built for the same params
+        #: arms it): post-conv segments are checksum-verified *before*
+        #: they are checkpointed or cross the wire, segment spectra are
+        #: checked against Parseval + an appended checksum row, and
+        #: demodulation is consistency-checked.  Detected segments are
+        #: recomputed from the in-memory stage inputs; verification time
+        #: is charged as ``"abft verify"``, repairs as ``"abft repair"``.
+        #: Per-call results land in ``self.last_verification``.
         self.verifier = None
         self.last_verification = None
         if verify is not None and verify is not False:
             from repro.verify.policy import VerifyPolicy
             from repro.verify.selfcheck import DistVerifier
-            self.verifier = DistVerifier(self.tables,
-                                         VerifyPolicy.coerce(verify))
-        #: Execution backend.  ``None`` keeps the phase-structured
-        #: simulated driver; a real backend
-        #: (:class:`~repro.cluster.backends.ProcessBackend`) runs the
-        #: numerically-identical SPMD program on worker processes with
-        #: shared-memory collectives — *cluster* still supplies the
-        #: machine model and the (SDC-only) fault plan.
-        self.backend = backend
-        if backend is not None and backend.is_real \
-                and getattr(backend, "size", None) != params.n_procs:
-            raise ValueError(f"params expect {params.n_procs} ranks, "
-                             f"backend has {getattr(backend, 'size', None)} "
-                             f"workers")
-        self._lane_plan = get_plan(p.n_segments, -1) if p.n_segments > 1 else None
-        self._seg_plan = get_plan(p.m_oversampled, -1)
-        # the convolution's tile buffers are shaped by params alone, so one
-        # reused workspace serves every rank, run and recovery row range
-        self._conv_ws = ConvWorkspace()
+            self.verifier = verify if isinstance(verify, DistVerifier) \
+                else DistVerifier(self.tables, VerifyPolicy.coerce(verify))
+        # the identity map and the stage costs are per-plan constants:
+        # a call adds nothing to what the rank program is handed
+        self.costs = stage_costs(p, cluster.machine, fuse_demodulation)
+        self._spec = SoiSpec(
+            params=p, window=window,
+            policy=self.verifier.policy if self.verifier is not None
+            else None,
+            ownership=Ownership.identity(p),
+            costs=(self.costs,) * p.n_procs,
+            rounds=p.segments_per_process if segment_exchanges else 1,
+            local=RankLocal(self.tables, self.verifier))
 
     # -- data layout helpers ------------------------------------------------
 
@@ -213,26 +557,28 @@ class DistributedSoiFFT:
         """Concatenate per-rank outputs into the global result."""
         return np.concatenate(parts)
 
-    # -- the algorithm --------------------------------------------------------
+    # -- the driver ----------------------------------------------------------
 
-    def __call__(self, x_parts: list[np.ndarray],
-                 deadline=None) -> list[np.ndarray]:
+    def __call__(self, x_parts: list[np.ndarray], deadline=None,
+                 hedge=None) -> list[np.ndarray]:
         """Run the distributed transform on block-distributed input.
 
         Returns the block-distributed, natural-order spectrum: rank r's
         array is ``y[r*N/P : (r+1)*N/P]``.
 
-        Resilience: if a collective declares a rank dead
-        (:class:`~repro.cluster.faults.RankFailed`), the transform does
-        not abort — it re-partitions the dead rank's work across the
-        survivors from the nearest stage checkpoint and completes
-        degraded (see :meth:`recover`).
+        Resilience: if a collective (or the worker watchdog) declares a
+        rank dead (:class:`~repro.cluster.faults.RankFailed`), the
+        transform does not abort — it re-partitions the dead rank's work
+        across the survivors from the nearest stage checkpoint and
+        completes degraded (see :meth:`recover`); a fabric partition is
+        adjudicated by quorum first (:meth:`_handle_partition`).
 
         *deadline* (duck-typed :class:`repro.resilience.Deadline`) is
-        checked at the stage boundaries — entry, before the all-to-all,
-        and between recovery rounds; a stage that started runs to
-        completion.  Collectives themselves check the deadline installed
-        on the communicator, if any.
+        enforced by the backend — at every collective's entry on the
+        simulator, off the wall clock on real workers — and between
+        recovery rounds; a stage that started runs to completion.
+        *hedge*, a :class:`~repro.verify.HedgePolicy`, arms straggler
+        hedging in the backend.
 
         Telemetry: the whole call runs inside one ``"soi request"``
         scope span per rank (so every charge — including retries and
@@ -241,49 +587,60 @@ class DistributedSoiFFT:
         folded into the cluster's metric registry on exit, even when
         the call raises.
         """
-        if self.backend is not None and self.backend.is_real:
-            return self._transform_parallel(x_parts, deadline)
+        p = self.params
         cl = self.cluster
+        if len(x_parts) != p.n_procs:
+            raise ValueError(f"expected {p.n_procs} input parts")
+        parts = [np.ascontiguousarray(a, dtype=np.complex128)
+                 for a in x_parts]
+        for part in parts:
+            if part.shape != (p.elements_per_process,):
+                raise ValueError("each part must hold N/P elements")
+        self.last_recovery = self.backend.last_recovery = None
+        self.last_partition = None
+        if self.verifier is not None:
+            self.last_verification = self.verifier.reset_report()
+        spec = self._spec
+        groups = self._groups_for(list(range(p.n_procs)))
+        if groups is not None:
+            spec = replace(spec, groups=groups)
+        fault_plan = cl.comm.fault_plan
+        if fault_plan is not None and not fault_plan.has_sdc:
+            fault_plan = None  # nothing in it for a real rank to do
+        ckpts: dict = {}
         rec = cl.recorder
         first = len(cl.trace.events)
         scopes = [rec.begin(r, "soi request", "other", cl.clocks[r],
-                            attributes={"n": self.params.n})
+                            attributes={"n": p.n})
                   for r in range(cl.n_ranks)]
         try:
-            return self._transform(x_parts, deadline=deadline)
+            results = self.backend.run(
+                soi_rank_program, [(x, None) for x in parts],
+                common=(spec,), checkpoints=ckpts, hedge=hedge,
+                deadline=deadline, machine=cl.machine,
+                fault_plan=fault_plan, label="soi request",
+                result_spec=((p.elements_per_process,), np.complex128))
+        except (RankFailed, PartitionDetected) as exc:
+            z_parts = [ckpts.get((r, "post-conv")) for r in range(p.n_procs)]
+            if isinstance(exc, PartitionDetected):
+                return self._handle_partition(exc, parts, z_parts,
+                                              deadline=deadline)
+            return self.recover(parts, z_parts, deadline=deadline,
+                                failure=exc)
         finally:
             for scope in scopes:
                 if not scope.closed:
                     rec.end(scope, cl.clocks[scope.rank])
             self._publish_metrics(first)
-
-    def _transform_parallel(self, x_parts: list[np.ndarray],
-                            deadline=None) -> list[np.ndarray]:
-        """Run the numerically-identical SPMD program on the real backend.
-
-        The phase-structured simulated driver and the SPMD program are
-        asserted equal in the test suite, so delegating here preserves
-        the plan's outputs exactly; measured (not simulated) timings
-        land in the backend's trace/metrics.  *deadline* runs off the
-        wall clock (checked at dispatch and on every watchdog tick);
-        worker deaths recover via the backend's elastic
-        shrink-and-redistribute path, and the resulting
-        :class:`RecoveryReport` lands in :attr:`last_recovery`.
-        """
-        from repro.core.soi_spmd import run_parallel_soi  # circular import
-        self.last_recovery = None
-        policy = self.verifier.policy if self.verifier is not None else None
-        parts, report = run_parallel_soi(
-            self.backend, self.params, x_parts,
-            machine=self.cluster.machine, window=self._window,
-            policy=policy, fault_plan=self.cluster.comm.fault_plan,
-            deadline=deadline)
-        self.last_recovery = getattr(self.backend, "last_recovery", None)
-        if self.verifier is not None:
-            self.last_verification = self.verifier.reset_report()
-            if report is not None:
-                self.last_verification.merge(report)
-        return parts
+        reports = [rep for _seg, rep in results if rep is not None]
+        if reports:
+            # ranks across a process boundary verified with their own
+            # verifiers; fold what they saw into this plan's report
+            from repro.verify.selfcheck import _MetricsMirror
+            merged = _merge_reports(reports)
+            _MetricsMirror().publish(merged, self.backend.metrics)
+            self.last_verification.merge(merged)
+        return [seg for seg, _rep in results]
 
     def _publish_metrics(self, first: int) -> None:
         """Fold one call's trace events into the cluster's registry."""
@@ -304,163 +661,7 @@ class DistributedSoiFFT:
                   "algorithmic flops of distributed transform calls"
                   ).inc(p.local_fft_flops + p.lane_fft_flops)
 
-    def _transform(self, x_parts: list[np.ndarray],
-                   deadline=None) -> list[np.ndarray]:
-        p = self.params
-        cl = self.cluster
-        n_procs = p.n_procs
-        s = p.n_segments
-        spp = p.segments_per_process
-        rows = p.rows_per_process
-        blocks_per_rank = p.n // (s * n_procs)
-        if len(x_parts) != n_procs:
-            raise ValueError(f"expected {n_procs} input parts")
-        for part in x_parts:
-            if np.asarray(part).shape != (p.elements_per_process,):
-                raise ValueError("each part must hold N/P elements")
-        x_parts = [np.asarray(a, dtype=np.complex128) for a in x_parts]
-        if deadline is not None:
-            deadline.check("distributed entry")
-        self.last_recovery = None
-        self.last_partition = None
-        fault_plan = cl.comm.fault_plan
-        sdc = fault_plan if (fault_plan is not None
-                             and fault_plan.has_sdc) else None
-        if self.verifier is not None:
-            self.last_verification = self.verifier.reset_report()
-
-        # ---- ghost exchange (nearest neighbor, latency bound) ----
-        left_g, right_g = p.ghost_blocks
-        if n_procs > 1:
-            to_left = [part[: right_g * s] for part in x_parts]  # neighbor's right halo
-            to_right = [part[part.size - left_g * s:] for part in x_parts]
-            try:
-                from_left, from_right = cl.comm.ring_exchange(
-                    to_left, to_right, label="ghost exchange")
-            except RankFailed:
-                # pre-convolution failure: only the input checkpoint exists
-                return self.recover(x_parts, None, deadline=deadline)
-            except PartitionDetected as exc:
-                return self._handle_partition(exc, x_parts, None,
-                                              deadline=deadline)
-            x_ext = [np.concatenate([from_left[r], x_parts[r], from_right[r]])
-                     for r in range(n_procs)]
-        else:
-            part = x_parts[0]
-            x_ext = [np.concatenate([part[part.size - left_g * s:], part,
-                                     part[: right_g * s]])]
-
-        # ---- convolution-and-oversampling + lane FFTs (local) ----
-        conv_seconds = conv_time_model(p, cl.machine, self.conv_strategy,
-                                       self.conv_efficiency)
-        lane_flops = p.lane_fft_flops / n_procs
-        lane_seconds = cl.machine.flop_time(lane_flops, self.fft_efficiency)
-        z_parts: list[np.ndarray] = []
-        for r in range(n_procs):
-            j_start = r * rows
-            lo, hi = block_range_for_rows(p, j_start, rows)
-            own_lo = r * blocks_per_rank
-            # x_ext[r] starts at block own_lo - left_g
-            u = convolve(x_ext[r], self.tables, j_start, rows,
-                         own_lo - left_g, workspace=self._conv_ws)
-            z = self._lane_plan(u) if self._lane_plan is not None else u
-            cl.charge_seconds(r, "convolution", conv_seconds + lane_seconds)
-            if sdc is not None:
-                z = sdc.apply_sdc(z, rank=r, stage="conv")
-            if self.verifier is not None:
-                # verify before the checkpoint and the wire: a corrupt z
-                # must never be trusted for recovery or shipped to peers
-                z = self.verifier.check_conv(
-                    cl, r, x_ext[r], u, z, j_start, own_lo - left_g,
-                    conv_seconds=conv_seconds, lane_seconds=lane_seconds)
-            z_parts.append(z)
-            # stage checkpoint: the post-convolution segments (mu*N/P
-            # complex words per rank) are the natural cut point for
-            # shrink-and-redistribute recovery
-            cl.charge_seconds(r, "checkpoint", cl.machine.mem_time(z.nbytes))
-
-        # ---- per-segment compute costs ----
-        fft_seconds = cl.machine.flop_time(p.local_fft_flops / n_procs,
-                                           self.fft_efficiency)
-        if self.fuse_demodulation:
-            demod_seconds = cl.machine.mem_time(p.m * spp * 16)
-        else:
-            # separate pass: read spectrum, read constants, write (Fig 9 "etc.")
-            demod_seconds = cl.machine.mem_time(
-                (2 * p.m_oversampled + 2 * p.m + p.m) * spp * 16)
-
-        if deadline is not None:
-            deadline.check("pre all-to-all")
-        groups = self._groups_for(list(range(n_procs)))
-        if not self.segment_exchanges:
-            # ---- the ONE all-to-all: stride permutation P^{S,N'}_erm ----
-            sendbufs = [[np.ascontiguousarray(
-                z_parts[src][:, dst * spp:(dst + 1) * spp])
-                for dst in range(n_procs)] for src in range(n_procs)]
-            try:
-                recv = cl.comm.alltoall(sendbufs, label="all-to-all",
-                                        groups=groups)
-            except RankFailed:
-                return self.recover(x_parts, z_parts, deadline=deadline)
-            except PartitionDetected as exc:
-                return self._handle_partition(exc, x_parts, z_parts,
-                                              deadline=deadline)
-            y_parts: list[np.ndarray] = []
-            for dst in range(n_procs):
-                alpha = np.concatenate(recv[dst], axis=0)  # (M', spp), rows
-                # in global j order because sources are rank-ordered
-                beta = self._seg_plan(alpha.T)  # (spp, M')
-                cl.charge_seconds(dst, "local FFT", fft_seconds)
-                if sdc is not None:
-                    beta = sdc.apply_sdc(beta, rank=dst, stage="segment-fft")
-                slots = range(dst * spp, (dst + 1) * spp)
-                if self.verifier is not None:
-                    beta = self.verifier.check_segments(
-                        cl, dst, alpha, beta, slots,
-                        fft_seconds=fft_seconds)
-                seg = demodulate(beta, self.tables)  # (spp, M)
-                cl.charge_seconds(dst, "demodulation", demod_seconds)
-                if self.verifier is not None:
-                    seg = self.verifier.check_demod(cl, dst, beta, seg, slots)
-                y_parts.append(seg.reshape(-1))
-            return y_parts
-
-        # ---- segmented exchanges: one round per owned-segment slot ----
-        seg_chunks: list[list[np.ndarray]] = [[] for _ in range(n_procs)]
-        for slot in range(spp):
-            sendbufs = [[np.ascontiguousarray(
-                z_parts[src][:, dst * spp + slot])
-                for dst in range(n_procs)] for src in range(n_procs)]
-            try:
-                recv = cl.comm.alltoall(sendbufs, label="all-to-all",
-                                        groups=groups)
-            except RankFailed:
-                # restart the exchange phase from the z checkpoint on the
-                # survivors (slots finished before the failure are redone)
-                return self.recover(x_parts, z_parts, deadline=deadline)
-            except PartitionDetected as exc:
-                return self._handle_partition(exc, x_parts, z_parts,
-                                              deadline=deadline)
-            for dst in range(n_procs):
-                alpha = np.concatenate(recv[dst])  # (M',) for this segment
-                beta = self._seg_plan(alpha)
-                cl.charge_seconds(dst, "local FFT", fft_seconds / spp)
-                if sdc is not None:
-                    beta = sdc.apply_sdc(beta, rank=dst, stage="segment-fft")
-                if self.verifier is not None:
-                    beta = self.verifier.check_segments(
-                        cl, dst, alpha[:, None], beta[None, :],
-                        [dst * spp + slot], fft_seconds=fft_seconds / spp)[0]
-                seg = demodulate(beta, self.tables)
-                cl.charge_seconds(dst, "demodulation", demod_seconds / spp)
-                if self.verifier is not None:
-                    seg = self.verifier.check_demod(
-                        cl, dst, beta[None, :], seg[None, :],
-                        [dst * spp + slot])[0]
-                seg_chunks[dst].append(seg)
-        return [np.concatenate(chunks) for chunks in seg_chunks]
-
-    # -- topology-aware scheduling helpers ------------------------------------
+    # -- topology-aware scheduling helpers -----------------------------------
 
     def _groups_for(self, parts: list[int]) -> list[list[int]] | None:
         """Two-level grouping for an all-to-all over *parts*, or None.
@@ -476,7 +677,7 @@ class DistributedSoiFFT:
             return None
         return dom.equal_groups(parts)
 
-    # -- fault recovery: shrink-and-redistribute ------------------------------
+    # -- fault recovery: shrink-and-redistribute -----------------------------
 
     def _handle_partition(self, exc: PartitionDetected,
                           x_parts: list[np.ndarray],
@@ -535,186 +736,100 @@ class DistributedSoiFFT:
 
     def recover(self, x_parts: list[np.ndarray],
                 z_parts: list[np.ndarray | None] | None,
-                deadline=None) -> list[np.ndarray]:
+                deadline=None, failure: RankFailed | None = None
+                ) -> list[np.ndarray]:
         """Complete the transform on the surviving ranks after failures.
 
         ``x_parts`` is the stage-0 checkpoint (the block-distributed
         input); ``z_parts`` the optional post-convolution checkpoint —
         a list indexed by rank whose entries may be ``None`` for ranks
-        that had not checkpointed when the failure struck.  The dead
-        ranks' convolution rows are recomputed from the input checkpoint
-        by adopters (charged as ``"recovery recompute"``), their segment
-        slots are re-assigned round-robin across the survivors, and the
-        stride permutation runs as one all-to-all over the shrunken
-        communicator.  Output keeps the natural-order block-distributed
-        contract — parts of dead ranks are hosted by their adopters.
+        that had not checkpointed when the failure struck; *failure*
+        the :class:`~repro.cluster.faults.RankFailed` that brought us
+        here.  :meth:`Ownership.after_failures` re-plans the map (dead
+        rows recomputed by adopters, charged as ``"recovery recompute"``;
+        dead slots re-assigned round-robin) and :func:`soi_rank_program`
+        runs again over the shrunken group with one all-to-all.  Output
+        keeps the natural-order block-distributed contract — parts of
+        dead ranks are hosted by their adopters.
 
         Further failures during recovery shrink again (with *deadline*,
         if given, checked between rounds); only an empty survivor set
         aborts, raising :class:`~repro.cluster.faults.RankFailed`
         chained from the failure that killed the last recovery round.
         """
-        x_parts = [np.asarray(a, dtype=np.complex128) for a in x_parts]
-        last: RankFailed | None = None
+        p = self.params
+        cl = self.cluster
+        spp = p.segments_per_process
+        # only the simulator has clocks to charge and a wire to model
+        simulated = not self.backend.is_real
+        x_global = np.concatenate(x_parts)  # stage-0 checkpoint, assembled
+        z_parts = z_parts or [None] * p.n_procs
+        have_ckpt = {r for r, z in enumerate(z_parts) if z is not None}
+        detected_at = getattr(failure, "detected_at", None)
+        dom = cl.domains
         while True:
             if deadline is not None:
                 deadline.check("recovery round")
-            live = self.cluster.live_ranks
-            if not live:
+            survivors = cl.live_ranks if simulated \
+                else sorted(getattr(failure, "survivors", range(p.n_procs)))
+            if not survivors:
                 raise RankFailed(
-                    -1, "no surviving ranks to recover on") from last
+                    -1, "no surviving ranks to recover on") from failure
+            live = set(survivors)
+            dead = [r for r in range(p.n_procs) if r not in live]
+            # domain-aware placement: adopted rows and orphaned slots walk
+            # the survivors in an order that cycles across fault domains,
+            # so a dead switch's whole load never lands behind one other
+            # switch
+            own = Ownership.after_failures(
+                p, survivors, have_ckpt,
+                dom.spread_order(survivors) if dom is not None else survivors)
+            if deadline is not None:
+                # adopters recompute one rank-share of rows per dead rank
+                redo = (self.costs.conv + self.costs.lane) * len(dead)
+                deadline.charge("recovery", redo if simulated else 0.0)
             try:
-                return self._finish_on_survivors(live, x_parts, z_parts)
+                if simulated:
+                    # redistribute each lost input chunk to the survivors:
+                    # the checkpoint copy is replayed from the first one
+                    for f in dead:
+                        cl.comm.bcast(x_parts[f], root=survivors[0],
+                                      ranks=survivors,
+                                      label="recovery redistribute")
+                results = self.backend.run(
+                    soi_rank_program, [(None, z_parts[r]) for r in survivors],
+                    common=(replace(self._spec, ownership=own, rounds=1,
+                                    groups=self._groups_for(survivors)),
+                            x_global),
+                    ranks=tuple(survivors), deadline=deadline,
+                    machine=cl.machine, label="soi recovery")
             except RankFailed as exc:
-                last = exc
+                failure = exc
                 continue
+            break
 
-    def _compute_rows(self, x_global: np.ndarray, j_start: int,
-                      n_rows: int) -> np.ndarray:
-        """Convolution + lane FFT for an arbitrary global row range,
-        rebuilt from the (checkpointed) global input."""
-        p = self.params
-        s = p.n_segments
-        lo, hi = block_range_for_rows(p, j_start, n_rows)
-        n_blocks = p.n // s
-        idx = np.arange(lo, hi) % n_blocks
-        x_ext = np.ascontiguousarray(
-            x_global.reshape(n_blocks, s)[idx].reshape(-1))
-        u = convolve(x_ext, self.tables, j_start, n_rows, lo,
-                     workspace=self._conv_ws)
-        return self._lane_plan(u) if self._lane_plan is not None else u
-
-    def _balanced_slices(self, start: int, count: int, parts: int
-                         ) -> list[tuple[int, int]]:
-        return balanced_row_slices(self.params, start, count, parts)
-
-    def _finish_on_survivors(self, live: list[int],
-                             x_parts: list[np.ndarray],
-                             z_parts: list[np.ndarray | None] | None
-                             ) -> list[np.ndarray]:
-        p = self.params
-        cl = self.cluster
-        n_procs, s, spp = p.n_procs, p.n_segments, p.segments_per_process
-        rows = p.rows_per_process
-        q = len(live)
-        live_set = set(live)
-        dead = [r for r in range(n_procs) if r not in live_set]
-        # domain-aware placement: adopted rows and orphaned slots walk the
-        # survivors in an order that cycles across fault domains, so a dead
-        # switch's whole load never lands behind one other switch.  On
-        # topology-less clusters this degenerates to plain rank order.
-        dom = getattr(cl, "domains", None)
-        placement = dom.spread_order(live) if dom is not None else live
-        # MTTR clock zero per affected domain: its first member's failure
-        # time (dead clocks froze where the rank died)
-        fail_t: dict[int, float] = {}
-        if dom is not None:
-            for f in dead:
-                d = dom.domain_of(f)
-                t = cl.clocks[f]
-                fail_t[d] = min(fail_t.get(d, t), t)
-
-        conv_seconds = conv_time_model(p, cl.machine, self.conv_strategy,
-                                       self.conv_efficiency)
-        lane_seconds = cl.machine.flop_time(p.lane_fft_flops / n_procs,
-                                            self.fft_efficiency)
-        fft_seconds = cl.machine.flop_time(p.local_fft_flops / n_procs,
-                                           self.fft_efficiency)
-        if self.fuse_demodulation:
-            demod_seconds = cl.machine.mem_time(p.m * spp * 16)
-        else:
-            demod_seconds = cl.machine.mem_time(
-                (2 * p.m_oversampled + 2 * p.m + p.m) * spp * 16)
-
-        x_global = np.concatenate(x_parts)  # stage-0 checkpoint, assembled
-
-        # ---- redistribute each lost input chunk to the survivors ----
-        for f in dead:
-            # the checkpoint copy is replayed from the first survivor
-            cl.comm.bcast(x_parts[f], root=live[0],
-                          ranks=live, label="recovery redistribute")
-
-        # ---- rebuild the row coverage: own rows + adopted dead rows ----
-        # row_chunks[r] = ordered [(j_start, z_block)] covering rank r's
-        # share of the M' global convolution rows
-        row_chunks: dict[int, list[tuple[int, np.ndarray]]] = \
-            {r: [] for r in live}
-        recomputed = 0
-        for r in live:
-            z = z_parts[r] if z_parts is not None else None
-            if z is None:
-                z = self._compute_rows(x_global, r * rows, rows)
-                cl.charge_seconds(r, "convolution",
-                                  conv_seconds + lane_seconds)
-                cl.charge_seconds(r, "checkpoint",
-                                  cl.machine.mem_time(z.nbytes))
-                recomputed += rows
-            row_chunks[r].append((r * rows, z))
-        for k, f in enumerate(dead):
-            for i, (j0, nr) in enumerate(
-                    self._balanced_slices(f * rows, rows, q)):
-                adopter = placement[(i + k) % q]
-                z = self._compute_rows(x_global, j0, nr)
-                seconds = (conv_seconds + lane_seconds) * nr / rows
-                cl.charge_seconds(adopter, "recovery recompute", seconds)
-                if cl.comm.deadline is not None:
-                    cl.comm.deadline.charge("recovery", seconds)
-                row_chunks[adopter].append((j0, z))
-                recomputed += nr
-        for r in live:
-            row_chunks[r].sort(key=lambda c: c[0])
-
-        # ---- re-assign the dead ranks' segment slots round-robin ----
-        owner: dict[int, int] = {}
-        orphan = 0
-        for t in range(s):
-            orig = t // spp
-            if orig in live_set:
-                owner[t] = orig
-            else:
-                owner[t] = placement[orphan % q]
-                orphan += 1
-        slots_of = {r: [t for t in range(s) if owner[t] == r] for r in live}
-
-        # ---- the stride permutation over the shrunken communicator ----
-        sendbufs = [[np.ascontiguousarray(np.concatenate(
-            [z[:, slots_of[d]] for _, z in row_chunks[src]], axis=0))
-            for d in live] for src in live]
-        recv = cl.comm.alltoall(sendbufs, label="all-to-all", ranks=live,
-                                groups=self._groups_for(live))
-
-        # ---- per owned slot: M'-point FFT + demodulation ----
         y_by_slot: dict[int, np.ndarray] = {}
-        for dpos, d in enumerate(live):
-            slots = slots_of[d]
-            alpha = np.empty((p.m_oversampled, len(slots)),
-                             dtype=np.complex128)
-            for spos, src in enumerate(live):
-                piece = recv[dpos][spos]
-                off = 0
-                for j0, z in row_chunks[src]:
-                    alpha[j0:j0 + z.shape[0]] = piece[off:off + z.shape[0]]
-                    off += z.shape[0]
-            beta = self._seg_plan(alpha.T)  # (n_slots, M')
-            seg = demodulate(beta, self.tables)  # (n_slots, M)
-            cl.charge_seconds(d, "local FFT", fft_seconds * len(slots) / spp)
-            cl.charge_seconds(d, "demodulation",
-                              demod_seconds * len(slots) / spp)
-            for i, t in enumerate(slots):
-                y_by_slot[t] = seg[i]
-
+        for slots, (seg, _rep) in zip(own.slots, results):
+            y_by_slot.update(zip(slots, seg.reshape(len(slots), p.m)))
+        # MTTR per affected domain, from its first member's failure (dead
+        # clocks froze where the rank died) to the last survivor's finish
         mttr: dict[int, float] = {}
-        if dom is not None and fail_t:
-            t_done = max(cl.clocks[r] for r in live)
-            mttr = {d: t_done - t0 for d, t0 in sorted(fail_t.items())}
+        if dom is not None:
+            t_done = max(cl.clocks[r] for r in survivors)
+            for t_fail, d in sorted((cl.clocks[f], dom.domain_of(f))
+                                    for f in dead):
+                mttr.setdefault(d, t_done - t_fail)
+            mttr = dict(sorted(mttr.items()))
         self.last_recovery = RecoveryReport(
-            dead_ranks=tuple(dead), n_live=q, slot_owners=owner,
-            recomputed_rows=recomputed,
+            dead_ranks=tuple(dead), n_live=len(survivors),
+            slot_owners=own.slot_owners,
+            recomputed_rows=own.recomputed_rows,
             domain_kind=dom.kind if dom is not None else None,
             mttr_by_domain=mttr)
+        self.backend.note_recovery(self.last_recovery, detected_at)
         return [np.concatenate([y_by_slot[t]
                                 for t in range(r * spp, (r + 1) * spp)])
-                for r in range(n_procs)]
+                for r in range(p.n_procs)]
 
     def inverse(self, y_parts: list[np.ndarray]) -> list[np.ndarray]:
         """Distributed inverse DFT via the conjugation identity.

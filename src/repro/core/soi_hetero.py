@@ -6,6 +6,9 @@ implements it: each rank owns a number of segments proportional to its
 weight, and with it a proportional share of the input, the convolution
 rows, and the output — so the per-rank compute time equalizes while the
 collective structure (ghost exchange + one all-to-all) is unchanged.
+It is the one rank program of :mod:`repro.core.soi_dist` run under an
+:class:`~repro.core.soi_dist.Ownership` map with unequal shares and
+per-rank-machine stage costs.
 
 Constraints: per-rank convolution rows must be whole chunks (multiples of
 n_mu), which the constructor enforces by rounding the row split to chunk
@@ -16,13 +19,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cluster.backends import SimulatedBackend
 from repro.cluster.simcluster import SimCluster
-from repro.core.convolution import ConvWorkspace, convolve
-from repro.core.demodulate import demodulate
 from repro.core.params import SoiParams
-from repro.core.soi_dist import DEFAULT_CONV_EFFICIENCY, DEFAULT_FFT_EFFICIENCY
+from repro.core.soi_dist import (
+    Ownership,
+    RankLocal,
+    SoiSpec,
+    soi_rank_program,
+    stage_costs,
+)
 from repro.core.window import SoiTables, build_tables
-from repro.fft.plan import get_plan
 
 __all__ = ["HeterogeneousSoiFFT"]
 
@@ -43,9 +50,7 @@ class HeterogeneousSoiFFT:
     """
 
     def __init__(self, cluster: SimCluster, n: int, seg_counts: list[int],
-                 *, n_mu: int = 8, d_mu: int = 7, b: int = 72, window=None,
-                 fft_efficiency: float = DEFAULT_FFT_EFFICIENCY,
-                 conv_efficiency: float = DEFAULT_CONV_EFFICIENCY):
+                 *, n_mu: int = 8, d_mu: int = 7, b: int = 72, window=None):
         p = cluster.n_ranks
         if len(seg_counts) != p:
             raise ValueError("need one segment count per rank")
@@ -57,12 +62,7 @@ class HeterogeneousSoiFFT:
                                 n_mu=n_mu, d_mu=d_mu, b=b)
         self.cluster = cluster
         self.seg_counts = list(seg_counts)
-        self.fft_efficiency = fft_efficiency
-        self.conv_efficiency = conv_efficiency
         self.tables: SoiTables = build_tables(self.params, window)
-        self._lane_plan = get_plan(s, -1) if s > 1 else None
-        self._seg_plan = get_plan(self.params.m_oversampled, -1)
-        self._conv_ws = ConvWorkspace()
 
         # row split proportional to seg_counts, rounded to whole chunks
         mp = self.params.m_oversampled
@@ -85,6 +85,22 @@ class HeterogeneousSoiFFT:
         self.seg_bounds = np.concatenate(
             [[0], np.cumsum(seg_counts)]).astype(np.int64)
 
+        # the mapping and each rank's costs on its own machine; params
+        # describe one process, so a rank's share of a stage is its
+        # share of all M' rows / all S segments
+        prm = self.params
+        rb, sb = self.row_bounds.tolist(), self.seg_bounds.tolist()
+        own = Ownership(
+            ranks=tuple(range(p)),
+            rows=tuple(((rb[r], rb[r + 1] - rb[r], False),)
+                       for r in range(p)),
+            slots=tuple(tuple(range(sb[r], sb[r + 1])) for r in range(p)))
+        costs = tuple(stage_costs(prm, cluster.machine_of(r))
+                      for r in range(p))
+        self._spec = SoiSpec(params=prm, window=window, policy=None,
+                             ownership=own, costs=costs,
+                             local=RankLocal(self.tables))
+
     # -- data layout -----------------------------------------------------
 
     def scatter(self, x: np.ndarray) -> list[np.ndarray]:
@@ -104,64 +120,13 @@ class HeterogeneousSoiFFT:
     # -- the algorithm ------------------------------------------------------
 
     def __call__(self, x_parts: list[np.ndarray]) -> list[np.ndarray]:
-        p = self.params
-        cl = self.cluster
-        n_ranks = cl.n_ranks
-        s = p.n_segments
-        n_mu = p.n_mu
-        left_g, right_g = p.ghost_blocks
-        if len(x_parts) != n_ranks:
-            raise ValueError(f"expected {n_ranks} parts")
-        x_parts = [np.asarray(a, dtype=np.complex128) for a in x_parts]
-
-        # ghost exchange (ragged chunk sizes are fine on the ring)
-        if n_ranks > 1:
-            to_left = [part[: right_g * s] for part in x_parts]
-            to_right = [part[part.size - left_g * s:] for part in x_parts]
-            from_left, from_right = cl.comm.ring_exchange(
-                to_left, to_right, label="ghost exchange")
-            x_ext = [np.concatenate([from_left[r], x_parts[r], from_right[r]])
-                     for r in range(n_ranks)]
-        else:
-            part = x_parts[0]
-            x_ext = [np.concatenate([part[part.size - left_g * s:], part,
-                                     part[: right_g * s]])]
-
-        # convolution + lane FFTs, charged per rank machine and share
-        z_parts = []
-        for r in range(n_ranks):
-            j0, j1 = int(self.row_bounds[r]), int(self.row_bounds[r + 1])
-            u = convolve(x_ext[r], self.tables, j0, j1 - j0,
-                         int(self.block_bounds[r]) - left_g,
-                         workspace=self._conv_ws)
-            z = self._lane_plan(u) if self._lane_plan is not None else u
-            z_parts.append(z)
-            share = (j1 - j0) / p.m_oversampled
-            machine = cl.machine_of(r)
-            flops = (p.conv_flops + p.lane_fft_flops) * share
-            cl.charge_seconds(r, "convolution",
-                              machine.flop_time(flops, self.conv_efficiency))
-
-        # one all-to-all: rows of each destination's segment group
-        send = [[np.ascontiguousarray(
-            z_parts[src][:, self.seg_bounds[d]:self.seg_bounds[d + 1]])
-            for d in range(n_ranks)] for src in range(n_ranks)]
-        recv = cl.comm.alltoall(send, label="all-to-all")
-
-        # per owned segment: M'-point FFT + demodulation
-        y_parts = []
-        for d in range(n_ranks):
-            alpha = np.concatenate(recv[d], axis=0)  # (M', segs_d)
-            beta = self._seg_plan(alpha.T)
-            seg = demodulate(beta, self.tables)
-            y_parts.append(seg.reshape(-1))
-            machine = cl.machine_of(d)
-            share = self.seg_counts[d] / s
-            cl.charge_seconds(d, "local FFT", machine.flop_time(
-                p.local_fft_flops * share, self.fft_efficiency))
-            cl.charge_seconds(d, "demodulation",
-                              machine.mem_time(p.m * self.seg_counts[d] * 16))
-        return y_parts
+        if len(x_parts) != self.cluster.n_ranks:
+            raise ValueError(f"expected {self.cluster.n_ranks} parts")
+        results = SimulatedBackend(self.cluster).run(
+            soi_rank_program,
+            [(np.asarray(a, dtype=np.complex128), None) for a in x_parts],
+            common=(self._spec,))
+        return [seg for seg, _report in results]
 
     # -- diagnostics -----------------------------------------------------------
 

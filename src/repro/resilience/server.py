@@ -10,8 +10,9 @@ too late):
   lazily planned :class:`~repro.core.soi_single.SoiFFT` instances, one
   per ladder rung.
 * :class:`ClusterSoiService` — a :class:`~repro.cluster.simcluster
-  .SimCluster` front end over :func:`~repro.core.soi_spmd.spmd_soi_fft`
-  in simulated time, with a shared :class:`~repro.resilience.breaker
+  .SimCluster` front end over lazily planned :class:`~repro.core
+  .soi_dist.DistributedSoiFFT` instances, one per ladder rung, in
+  simulated time, with a shared :class:`~repro.resilience.breaker
   .BreakerBoard` installed on the communicator and collective failures
   answered by stepping down the ladder.
 
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.faults import CollectiveFailure
+from repro.core.soi_dist import DistributedSoiFFT
 from repro.core.soi_single import SoiFFT
-from repro.core.soi_spmd import spmd_soi_fft
 from repro.core.streaming import SoiStft
 from repro.machine.spec import XEON_PHI_SE10, MachineSpec
 from repro.perfmodel.model import soi_request_breakdown
@@ -326,7 +327,8 @@ class SoiService:
 class ClusterSoiService:
     """Deadline-aware serving of distributed SOI requests (simulated).
 
-    Wraps :func:`~repro.core.soi_spmd.spmd_soi_fft` on one
+    Wraps one :class:`~repro.core.soi_dist.DistributedSoiFFT` per
+    ladder rung on one
     :class:`~repro.cluster.simcluster.SimCluster`: per-request simulated
     deadlines (:meth:`Deadline.simulated`) are installed on the
     communicator so every collective, retry, backoff wait, and recovery
@@ -358,6 +360,7 @@ class ClusterSoiService:
         self.breakers = BreakerBoard() if breakers is None else breakers
         self.calibration = calibration
         cluster.comm.install_breakers(self.breakers)
+        self._plans: dict[int, DistributedSoiFFT] = {}  # rung index -> plan
         self.admission = _Admission(ladder, queue_limit, calibration_gain,
                                     metrics=getattr(cluster, "metrics",
                                                     None))
@@ -369,6 +372,15 @@ class ClusterSoiService:
         if self.calibration is not None:
             return self.calibration.total(br)
         return sum(br.values())
+
+    def _plan(self, idx: int, rung) -> DistributedSoiFFT:
+        """The rung's distributed plan, built on first use and kept: its
+        tables are per-geometry constants, not per-request work."""
+        soi = self._plans.get(idx)
+        if soi is None:
+            soi = self._plans[idx] = DistributedSoiFFT(
+                self.cluster, rung.params, verify=self.verify)
+        return soi
 
     def _wait_out_cooldowns(self, deadline) -> None:
         """Idle the cluster until every open breaker has cooled down.
@@ -425,8 +437,9 @@ class ClusterSoiService:
             while True:
                 attempts += 1
                 try:
-                    y = spmd_soi_fft(cl, rung.params, x, verify=self.verify,
-                                     hedge=self.hedge, deadline=deadline)
+                    soi = self._plan(idx, rung)
+                    y = soi.assemble(soi(soi.scatter(x), deadline=deadline,
+                                         hedge=self.hedge))
                     break
                 except CollectiveFailure as exc:
                     if attempts >= self.max_attempts:

@@ -55,13 +55,13 @@ def _label_totals(trace, label: str, n_ranks: int) -> tuple[float, float]:
 def stage_profile(soi, trace=None) -> list[StageProfile]:
     """Profile an executed :class:`DistributedSoiFFT` run.
 
-    *soi* supplies the geometry, efficiencies, and machine/transport
-    models; *trace* defaults to the cluster's trace (profile right after
-    a run, before ``reset()``).  Backoff waits appear as a dedicated
+    *soi* supplies the geometry and the machine/transport models;
+    *trace* defaults to the cluster's trace (profile right after a run,
+    before ``reset()``).  Backoff waits appear as a dedicated
     ``fault backoff`` row (the model predicts zero for it) rather than
     inflating the stage they interrupted.
     """
-    from repro.core.convolution import conv_time_model
+    from repro.core.soi_dist import stage_costs
 
     p = soi.params
     cl = soi.cluster
@@ -74,27 +74,18 @@ def stage_profile(soi, trace=None) -> list[StageProfile]:
     left_g, right_g = p.ghost_blocks
     ghost_pred = transport.ring_exchange_time(
         max(left_g, right_g) * s * item, n_procs) if n_procs > 1 else 0.0
-    conv_pred = conv_time_model(p, machine, soi.conv_strategy,
-                                soi.conv_efficiency) + machine.flop_time(
-        p.lane_fft_flops / n_procs, soi.fft_efficiency)
+    costs = stage_costs(p, machine, soi.fuse_demodulation)
     ckpt_pred = machine.mem_time(rows * s * item)
     a2a_pred = transport.alltoall_time(n_procs, rows * spp * item) \
         if n_procs > 1 else 0.0
-    fft_pred = machine.flop_time(p.local_fft_flops / n_procs,
-                                 soi.fft_efficiency)
-    if soi.fuse_demodulation:
-        demod_pred = machine.mem_time(p.m * spp * item)
-    else:
-        demod_pred = machine.mem_time(
-            (2 * p.m_oversampled + 2 * p.m + p.m) * spp * item)
 
     stages = [
         ("ghost exchange", ghost_pred),
-        ("convolution", conv_pred),
+        ("convolution", costs.conv + costs.lane),
         ("checkpoint", ckpt_pred),
         ("all-to-all", a2a_pred),
-        ("local FFT", fft_pred),
-        ("demodulation", demod_pred),
+        ("local FFT", costs.fft),
+        ("demodulation", costs.demod),
     ]
     out = []
     for label, pred in stages:

@@ -27,7 +27,7 @@ from repro.cluster.spmd import (
 )
 from repro.core.params import SoiParams
 from repro.core.soi_dist import DistributedSoiFFT
-from repro.core.soi_spmd import run_parallel_soi, spmd_soi_fft
+from repro.core.soi_spmd import spmd_soi_fft
 from repro.resilience.deadline import Deadline, DeadlineExceeded
 from repro.verify import HedgePolicy
 from repro.verify.policy import VerifyPolicy
@@ -322,10 +322,9 @@ class TestProcessBackendSoi:
     def test_part_count_validated(self, backend):
         params = soi_params(2 ** 12)
         chunk = params.elements_per_process
+        soi = DistributedSoiFFT(SimCluster(P), params, backend=backend)
         with pytest.raises(ValueError, match="parts"):
-            run_parallel_soi(backend, params,
-                             [np.zeros(chunk, complex)] * (P - 1),
-                             machine=SimCluster(P).machine)
+            soi([np.zeros(chunk, complex)] * (P - 1))
 
 
 # -- elastic recovery and process-level chaos ---------------------------

@@ -156,23 +156,6 @@ class TestDiscipline:
 
 
 class TestSpmdSoi:
-    def test_matches_phase_structured(self, rng):
-        from repro.core.params import SoiParams
-        from repro.core.soi_dist import DistributedSoiFFT
-        from repro.core.soi_spmd import spmd_soi_fft
-
-        n, p = 8 * 448, 4
-        params = SoiParams(n=n, n_procs=p, segments_per_process=2,
-                           n_mu=8, d_mu=7, b=48)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        cl1 = SimCluster(p)
-        y_spmd = spmd_soi_fft(cl1, params, x)
-        cl2 = SimCluster(p)
-        d = DistributedSoiFFT(cl2, params)
-        y_phase = d.assemble(d(d.scatter(x)))
-        assert np.allclose(y_spmd, y_phase, rtol=1e-13, atol=1e-11)
-        assert cl1.comm.bytes_moved == cl2.comm.bytes_moved
-
     def test_matches_numpy(self, rng):
         from repro.core.params import SoiParams
         from repro.core.soi_spmd import spmd_soi_fft
