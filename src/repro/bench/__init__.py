@@ -1,4 +1,9 @@
-"""Benchmark harness utilities: workloads, tables, experiment drivers."""
+"""Exhibit table, figure drivers, tables and input workloads.
+
+Every ``python -m repro`` exhibit verb is a row of
+:data:`repro.bench.exhibits.EXHIBITS`; the wall-clock benchmark is
+``bench/e2e`` at the repository root, not this package.
+"""
 
 from repro.bench.runner import (
     PAPER_NODES,
@@ -15,21 +20,18 @@ from repro.bench.runner import (
     table2_rows,
 )
 from repro.bench.apidoc import build_apidoc, write_apidoc
-from repro.bench.chaosparallel import (
-    measure_parallel_recovery,
-    render_chaos_exhibit,
-    run_chaos_exhibit,
-)
+from repro.bench.chaosparallel import render_chaos_exhibit, run_chaos_exhibit
 from repro.bench.degrade import degrade_sweep_rows, render_degrade_sweep
+from repro.bench.exhibits import EXHIBITS, Exhibit, run_exhibit
 from repro.bench.parallelbench import (
     available_cpus,
     measure_parallel_soi,
     parallel_soi_params,
     render_parallel_table,
+    speedup_floor,
 )
 from repro.bench.report import build_report, write_report
 from repro.bench.servebench import (
-    coalesce_speedup,
     contract_differential,
     serve_bench,
     simulated_curves,
@@ -38,6 +40,8 @@ from repro.bench.tables import fmt, render_bars, render_series, render_table
 from repro.bench.workloads import chirp, constant, impulse, multi_tone, random_complex
 
 __all__ = [
+    "EXHIBITS",
+    "Exhibit",
     "PAPER_NODES",
     "accuracy_rows",
     "available_cpus",
@@ -45,7 +49,6 @@ __all__ = [
     "build_report",
     "write_apidoc",
     "chirp",
-    "coalesce_speedup",
     "contract_differential",
     "write_report",
     "constant",
@@ -59,7 +62,6 @@ __all__ = [
     "fmt",
     "headline_numbers",
     "impulse",
-    "measure_parallel_recovery",
     "measure_parallel_soi",
     "multi_tone",
     "paper_scale_model",
@@ -72,8 +74,10 @@ __all__ = [
     "render_series",
     "render_table",
     "run_chaos_exhibit",
+    "run_exhibit",
     "segments_for_nodes",
     "serve_bench",
     "simulated_curves",
+    "speedup_floor",
     "table2_rows",
 ]

@@ -10,8 +10,9 @@ checkpoint) while CT has no recovery path at all.
 
 :func:`fault_sweep_rows` quantifies the first effect on executed
 SimCluster runs; :func:`rank_failure_demo` demonstrates the second.
-Rendered by ``bench/fault_sweep.py`` and ``python -m repro fault-sweep``
-into ``benchmarks/results/fault_sweep.txt``.
+Rendered by ``python -m repro fault-sweep``, together with the ABFT
+detection-coverage table (:func:`render_abft_coverage`), into
+``benchmarks/results/fault_sweep.txt``.
 """
 
 from __future__ import annotations

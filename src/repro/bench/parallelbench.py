@@ -10,9 +10,9 @@ elapsed time is reported alongside, so measured scaling can be compared
 against the paper's prediction.
 
 Speedups on a machine with fewer cores than workers are physically
-capped near 1.0 — results carry the visible CPU count so downstream
-gates (``bench/regression.py``) can tell "backend is slow" from "host
-has one core".
+capped near 1.0 — results carry the visible CPU count so
+:func:`speedup_floor` can tell "backend is slow" (fails) from "host has
+too few cores" (skipped, never passed).
 """
 
 from __future__ import annotations
@@ -28,7 +28,13 @@ from repro.core.params import SoiParams
 from repro.core.soi_dist import DistributedSoiFFT
 
 __all__ = ["available_cpus", "measure_parallel_soi", "parallel_soi_params",
-           "render_parallel_table"]
+           "render_parallel_table", "speedup_floor"]
+
+#: The wall-clock floor of ``python -m repro parallel-bench``: the
+#: process backend on this many workers must beat the rank-serial run by
+#: this factor, on a host that can schedule them all at once.
+FLOOR_WORKERS = 4
+SPEEDUP_FLOOR = 1.5
 
 
 def available_cpus() -> int:
@@ -116,6 +122,18 @@ def measure_parallel_soi(n: int = 2 ** 22, workers=(1, 2, 4, 8),
         "reps": reps,
         "rows": rows,
     }
+
+
+def speedup_floor(result: dict) -> bool | str:
+    """Gate verdict of the wall-clock floor: met, missed, or the reason
+    the host could not measure it (a string; see ``bench.exhibits``)."""
+    row = next((r for r in result["rows"]
+                if r["workers"] == FLOOR_WORKERS), None)
+    if row is None:
+        return f"no {FLOOR_WORKERS}-worker row"
+    if result["cpus"] < FLOOR_WORKERS:
+        return f"{result['cpus']} cpu(s) < {FLOOR_WORKERS} workers"
+    return row["speedup"] >= SPEEDUP_FLOOR
 
 
 def render_parallel_table(result: dict) -> str:

@@ -1,39 +1,31 @@
-"""Serving-gateway benchmarks: coalesce speedup, contract, load curves.
+"""Serving-gateway exhibits: the solo == coalesced contract and load curves.
 
-Three exhibits, consumed by ``bench/regression.py`` (the
-``serving_gateway`` workload in ``BENCH_kernels.json``) and by the
-``python -m repro serve-bench`` CLI verb:
+Both are deterministic and rendered by ``python -m repro serve-bench``:
 
-* :func:`coalesce_speedup` — wall-clock: the same same-``(n, dtype)``
-  request mix served one-at-a-time through :class:`~repro.resilience
-  .server.SoiService` versus concurrently through the coalescing
-  :class:`~repro.serve.gateway.AsyncSoiGateway`.  The acceptance floor
-  (>= 1.5x, full mode) rides the measured batch amortization at small
-  ``n``, where plan setup dominates per-row work (~2.6x ceiling at
-  n=448), so the gateway must actually coalesce to clear it.  Bitwise
-  equality against the solo plan is asserted on every row.
-* :func:`contract_differential` — deterministic: a request served
-  through a coalesced window must be indistinguishable from the same
-  request served alone — same spectrum bits, same outcome, same budget
-  itemization (under a non-advancing injected clock both charge
-  identical purposes and seconds).
+* :func:`contract_differential` — a request served through a coalesced
+  window must be indistinguishable from the same request served alone —
+  same spectrum bits, same outcome, same budget itemization (under a
+  non-advancing injected clock both charge identical purposes and
+  seconds).
 * :func:`simulated_curves` — the open-loop latency-vs-offered-load
   sweep on the virtual-time simulator with a pinned
   :class:`~repro.serve.loadgen.ServiceModel`, so every number is
   machine-independent and the gates (p99/shed/throughput at a stated
   offered load, QoS shed ordering, outcome conservation) bind in quick
   mode.
+
+What coalescing buys in wall-clock terms is measured against an
+external floor by ``bench/e2e`` (``serve_open``/``serve_sparse``:
+``numpy_ratio``, ``gateway.coalesce_ratio``, ``gateway.overhead_ms``).
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 
 import numpy as np
 
 from repro.resilience.ladder import DegradationLadder
-from repro.resilience.server import SoiService
 from repro.serve.gateway import AsyncSoiGateway, serve_requests
 from repro.serve.loadgen import (
     LoadResult,
@@ -44,8 +36,7 @@ from repro.serve.loadgen import (
 from repro.serve.qos import QosPolicy
 from repro.telemetry.metrics import MetricsRegistry
 
-__all__ = ["coalesce_speedup", "contract_differential", "serve_bench",
-           "simulated_curves"]
+__all__ = ["contract_differential", "serve_bench", "simulated_curves"]
 
 #: The stated operating point of the simulated gates: at this offered
 #: load the gateway must hold p99 under the bound with at most the shed
@@ -57,7 +48,6 @@ P99_BOUND_S = 0.010
 #: contract is that its noise never spills onto gold.
 PREMIUM_SHED_BUDGET = 0.05
 THROUGHPUT_FLOOR_RPS = 2000.0
-COALESCE_SPEEDUP_FLOOR = 1.5
 
 
 def _fresh_qos() -> QosPolicy:
@@ -82,66 +72,6 @@ def _pinned_model(ladder: DegradationLadder) -> ServiceModel:
     return ServiceModel(
         setup_s=tuple(s * scale for s in base.setup_s),
         per_row_s=tuple(p * scale for p in base.per_row_s))
-
-
-def coalesce_speedup(*, n: int = 448, segments_per_process: int = 8,
-                     n_requests: int = 96, max_batch: int = 32,
-                     repeats: int = 2) -> dict:
-    """Wall-clock: coalesced gateway vs one-at-a-time ``SoiService``.
-
-    Same ladder, same signal mix (all requests share ``(n, dtype)``),
-    gold tenants (full-quality rung), generous deadlines — the only
-    difference is coalescing.  Every gateway row is compared bitwise
-    against the solo plan's output.
-    """
-    ladder = DegradationLadder.standard(
-        n, segments_per_process=segments_per_process)
-    rng = np.random.default_rng(2013)
-    xs = (rng.standard_normal((n_requests, n))
-          + 1j * rng.standard_normal((n_requests, n))
-          ).astype(ladder[0].dtype)
-    reqs = [{"x": xs[i], "tenant": "tenant-gold",
-             "deadline_seconds": 30.0} for i in range(n_requests)]
-
-    # solo baseline: the pre-gateway serving path, one request at a time
-    svc = SoiService(ladder, queue_limit=max(8, n_requests))
-    svc.submit(xs[0], deadline_seconds=30.0)  # warm the plan
-    solo_s = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        solo_results = [svc.submit(xs[i], deadline_seconds=30.0)
-                        for i in range(n_requests)]
-        solo_s = min(solo_s, time.perf_counter() - t0)
-
-    # coalesced: same mix submitted concurrently through the gateway
-    coalesced_s = float("inf")
-    bitwise = True
-    ratio = 0.0
-    for _ in range(repeats):
-        qos = _fresh_qos()
-        gw = AsyncSoiGateway(ladder, qos=qos,
-                             queue_limit=max(64, n_requests),
-                             max_batch=max_batch, window_seconds=1e-3,
-                             metrics=MetricsRegistry())
-        gw.plan(0).batch(xs[:1])  # warm the plan outside the timing
-        t0 = time.perf_counter()
-        gw_results = serve_requests(gw, reqs)
-        coalesced_s = min(coalesced_s, time.perf_counter() - t0)
-        ratio = gw.coalescer.ratio
-        for solo, via_gw in zip(solo_results, gw_results):
-            if not (hasattr(via_gw, "y")
-                    and np.array_equal(solo.y, via_gw.y)):
-                bitwise = False
-        asyncio.run(gw.close())
-    return {
-        "n": n, "n_requests": n_requests, "max_batch": max_batch,
-        "solo_s": round(solo_s, 6),
-        "coalesced_s": round(coalesced_s, 6),
-        "speedup": round(solo_s / coalesced_s, 3) if coalesced_s else None,
-        "coalesce_ratio": round(ratio, 3),
-        "bitwise_equal": bool(bitwise),
-        "floor": COALESCE_SPEEDUP_FLOOR,
-    }
 
 
 def contract_differential(*, n: int = 896, segments_per_process: int = 8,
@@ -259,21 +189,6 @@ def simulated_curves(quick: bool, *, n: int = 896,
 
 
 def serve_bench(quick: bool) -> dict:
-    """The full serving workload: wall-clock + differential + curves."""
-    out = {
-        "coalesce": coalesce_speedup(
-            n_requests=48 if quick else 96, repeats=1 if quick else 2),
-        "differential": contract_differential(),
-        "curves": simulated_curves(quick),
-    }
-    g = out["curves"]["gates"]
-    out["ok_quick"] = bool(
-        out["differential"]["ok"] and out["coalesce"]["bitwise_equal"]
-        and g["p99_ok"] and g["shed_ok"] and g["throughput_ok"]
-        and g["qos_ordering_ok"] and g["coalesce_effective_ok"]
-        and g["conserved_ok"])
-    out["ok_full"] = bool(
-        out["ok_quick"]
-        and out["coalesce"]["speedup"] is not None
-        and out["coalesce"]["speedup"] >= COALESCE_SPEEDUP_FLOOR)
-    return out
+    """The serving exhibit: contract differential + load curves."""
+    return {"differential": contract_differential(),
+            "curves": simulated_curves(quick)}

@@ -6,25 +6,16 @@ Commands
                and the naive DFT oracle at several parameter points)
 ``transform``  SOI-transform a synthetic signal and report accuracy/timing
 ``figures``    regenerate the paper's model-driven exhibits as text
-``fault-sweep``  makespan inflation vs fault rate on the faulty simulated
-               fabric (SOI vs Cooley-Tukey + rank-failure recovery demo)
 ``verify``     run the ABFT self-verifying distributed transform under a
-               seeded silent-data-corruption schedule and report
-               detection / localization / repair counts
-``degrade-sweep``  measure every degradation-ladder rung against its
-               predicted SNR (the serving layer's accuracy contract)
-``trace-export``  run a faulty 16-rank distributed SOI transform and
-               export its span tree as Chrome trace-event JSON
-               (validated against the flat trace totals)
-``metrics``    run an instrumented workload and print the Prometheus
-               text exposition of every registered metric
-``parallel-bench``  measure real wall-clock SOI speedup with the
-               process backend (worker processes + shared-memory
-               all-to-all) against the single-process run
-``scale-chaos``  correlated-failure exhibit on 10^3-10^4-rank fabrics:
-               flat vs two-level all-to-all, degraded uplinks, switch
-               failures, and partitions with quorum semantics
+               seeded silent-data-corruption schedule, report detection /
+               localization / repair counts and the wall-clock price of
+               verification
 ``info``       print machine presets, version, and parameter rules
+
+Every other verb (``fault-sweep``, ``scale-chaos``, ``degrade-sweep``,
+``trace-export``, ``metrics``, ``parallel-bench``, ``chaos-parallel``,
+``autotune``, ``serve-bench``, ``report``, ``apidoc``) is a row of
+:data:`repro.bench.exhibits.EXHIBITS` and runs through its one handler.
 """
 
 from __future__ import annotations
@@ -141,43 +132,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fault_sweep(args: argparse.Namespace) -> int:
-    from repro.bench.faultsweep import (
-        DEFAULT_RATES,
-        DEFAULT_SEEDS,
-        render_fault_sweep,
-    )
-
-    rates = (0.0, 0.002, 0.01) if args.quick else DEFAULT_RATES
-    seeds = DEFAULT_SEEDS[:2] if args.quick else DEFAULT_SEEDS
-    text = render_fault_sweep(rates, seeds, p=args.ranks)
-    print(text)
-    if args.output:
-        from pathlib import Path
-
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n")
-        print(f"[saved to {path}]")
-    return 0
-
-
-def _cmd_scale_chaos(args: argparse.Namespace) -> int:
-    from repro.bench.scalechaos import render_scale_chaos
-
-    text = render_scale_chaos(quick=args.quick, seed=args.seed)
-    print(text)
-    if args.output:
-        from pathlib import Path
-
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n")
-        print(f"[saved to {path}]")
-    return 0
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro.bench.exhibits import ABFT_OVERHEAD_BUDGET, batch_overhead
     from repro.bench.faultsweep import detection_coverage
     from repro.cluster.faults import FaultPlan, chaos_cluster
     from repro.cluster.simcluster import SimCluster
@@ -211,334 +167,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
           f"localized={cov['localized']} repairs={cov['repairs']} "
           f"escalations={cov['escalations']}")
     print(f"rel l2 error vs numpy: {err:.2e} (bound {th.output_rtol:.1e})")
+    # the price of verification on a clean single-node batch.  Reported,
+    # not gated: the budget dates from before the convolution got 7x
+    # faster and has read 1.12-1.25x since (ROADMAP item 5d).
+    ovh = batch_overhead(rounds=5, verify=True)
+    clean_trips = ovh["plan"].verifier.report.detections
+    print(f"abft overhead: plain batch {ovh['plain_s'] * 1e3:.1f} ms, "
+          f"verified {ovh['instrumented_s'] * 1e3:.1f} ms, median paired "
+          f"ratio {ovh['ratio']:.3f}x ("
+          f"{'OVER' if ovh['ratio'] > ABFT_OVERHEAD_BUDGET else 'within'} "
+          f"the {ABFT_OVERHEAD_BUDGET:.2f}x budget; reported, not gated); "
+          f"false positives on the clean batch: {clean_trips}")
     ok = (err <= th.output_rtol
           and cov["detected"] == cov["injected"]
-          and (plan.sdc_events or rep.detections == 0))
+          and (plan.sdc_events or rep.detections == 0)
+          and clean_trips == 0)
     print("verify:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
-
-
-def _cmd_degrade_sweep(args: argparse.Namespace) -> int:
-    from repro.bench.degrade import DEFAULT_N, render_degrade_sweep
-
-    n = DEFAULT_N if args.n is None else args.n
-    text = render_degrade_sweep(n, seed=args.seed)
-    print(text)
-    if args.output:
-        from pathlib import Path
-
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n")
-        print(f"[saved to {path}]")
-    return int("FAIL" in text or "VIOLATED" in text)
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.bench.report import write_report
-
-    path = write_report(args.output)
-    print(f"wrote {path} ({path.stat().st_size} bytes)")
-    return 0
-
-
-def _cmd_apidoc(args: argparse.Namespace) -> int:
-    from repro.bench.apidoc import write_apidoc
-
-    path = write_apidoc(args.output)
-    print(f"wrote {path} ({path.stat().st_size} bytes)")
-    return 0
-
-
-def _cmd_trace_export(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.cluster.faults import FaultPlan, chaos_cluster
-    from repro.cluster.simcluster import SimCluster
-    from repro.core.params import SoiParams
-    from repro.core.soi_dist import DistributedSoiFFT
-    from repro.telemetry import chrome_category_totals, chrome_trace_json
-    from repro.telemetry.metrics import MetricsRegistry
-
-    ranks = args.ranks
-    n = ranks * 2 * 448 if args.n is None else args.n
-    p = SoiParams(n=n, n_procs=ranks, segments_per_process=args.segments,
-                  n_mu=args.n_mu, d_mu=args.d_mu, b=args.b)
-    cluster = SimCluster(ranks, metrics=MetricsRegistry())
-    if not args.no_faults:
-        plan = FaultPlan.random(args.seed, ranks,
-                                corrupt_rate=args.corrupt_rate,
-                                timeout_rate=args.timeout_rate)
-        chaos_cluster(cluster, plan)
-        print(f"fault plan: {plan.describe()}")
-    soi = DistributedSoiFFT(cluster, p)
-    print(f"running {p.describe()} on {ranks} simulated ranks")
-    rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
-    soi(soi.scatter(x))
-
-    text = chrome_trace_json(cluster.recorder)
-    # round-trip through the parser before trusting the file
-    events = json.loads(text)["traceEvents"]
-    failures = 0
-
-    # per-category charge totals must match the flat trace's accounting
-    totals = chrome_category_totals(events)
-    for cat, chrome_s in sorted(totals.items()):
-        flat_s = cluster.trace.total(cat)
-        ok = abs(chrome_s - flat_s) <= 1e-9 * max(1.0, abs(flat_s))
-        failures += not ok
-        print(f"  {cat:10s} chrome={chrome_s:.6e}s "
-              f"trace={flat_s:.6e}s {'OK' if ok else 'MISMATCH'}")
-
-    # timestamps must be monotone non-decreasing within every row
-    last_ts: dict = {}
-    monotone = True
-    for ev in events:
-        if ev.get("ph") != "X":
-            continue
-        tid = ev["tid"]
-        if ev["ts"] < last_ts.get(tid, float("-inf")):
-            monotone = False
-        last_ts[tid] = ev["ts"]
-    failures += not monotone
-    print(f"  per-rank timestamp order: {'OK' if monotone else 'BROKEN'}")
-
-    path = Path(args.output)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n")
-    n_x = sum(1 for ev in events if ev.get("ph") == "X")
-    print(f"wrote {path} ({n_x} events, {path.stat().st_size} bytes) — "
-          f"load in chrome://tracing or ui.perfetto.dev")
-    if args.profile:
-        from repro.telemetry import render_stage_profile, stage_profile
-
-        print()
-        print(render_stage_profile(stage_profile(soi)))
-    print("trace-export:", "PASS" if failures == 0 else "FAIL")
-    return 1 if failures else 0
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.cluster.faults import FaultPlan, chaos_cluster
-    from repro.cluster.simcluster import SimCluster
-    from repro.core.params import SoiParams
-    from repro.core.soi_dist import DistributedSoiFFT
-    from repro.telemetry import prometheus_text, telemetry_snapshot
-    from repro.telemetry.metrics import MetricsRegistry
-
-    ranks = args.ranks
-    p = SoiParams(n=ranks * 2 * 448, n_procs=ranks,
-                  segments_per_process=2, n_mu=8, d_mu=7, b=48)
-    registry = MetricsRegistry()
-    cluster = SimCluster(ranks, metrics=registry)
-    chaos_cluster(cluster, FaultPlan.random(args.seed, ranks,
-                                            corrupt_rate=0.05))
-    soi = DistributedSoiFFT(cluster, p, verify=True)
-    rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
-    soi(soi.scatter(x))
-
-    text = prometheus_text(registry)
-    print(text, end="")
-    if args.output:
-        from pathlib import Path
-
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if args.json:
-            snap = telemetry_snapshot(registry, cluster.recorder,
-                                      meta={"ranks": ranks, "n": p.n})
-            path.write_text(json.dumps(snap, indent=2) + "\n")
-        else:
-            path.write_text(text)
-        print(f"[saved to {path}]")
-    return 0
-
-
-def _cmd_parallel_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.parallelbench import (
-        available_cpus,
-        measure_parallel_soi,
-        render_parallel_table,
-    )
-
-    workers = tuple(int(w) for w in args.workers.split(","))
-    n = args.n if args.n is not None else (2 ** 18 if args.quick else 2 ** 22)
-    reps = args.reps if args.reps is not None else (1 if args.quick else 2)
-    print(f"parallel-bench: n={n}, workers={workers}, "
-          f"{available_cpus()} cpu(s) visible")
-    result = measure_parallel_soi(
-        n=n, workers=workers, reps=reps,
-        segments_per_process=args.segments,
-        start_method=args.start_method, seed=args.seed)
-    table = render_parallel_table(result)
-    print(table)
-    if args.output:
-        from pathlib import Path
-
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(table + "\n")
-        print(f"[saved to {path}]")
-    if args.json:
-        from pathlib import Path
-
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result, indent=2) + "\n")
-        print(f"[json to {path}]")
-    mismatched = [r for r in result["rows"] if not r["bitwise_equal"]]
-    if mismatched:
-        print("parallel-bench: FAIL (backend outputs diverge)")
-        return 1
-    print("parallel-bench: PASS (all backends bitwise equal)")
-    return 0
-
-
-def _cmd_chaos_parallel(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.bench.chaosparallel import (
-        render_chaos_exhibit,
-        run_chaos_exhibit,
-    )
-
-    n = args.n if args.n is not None else (2 ** 13 if args.quick else 2 ** 14)
-    result = run_chaos_exhibit(n=n, workers=args.workers, seed=args.seed,
-                               hang_timeout=args.hang_timeout)
-    text = render_chaos_exhibit(result)
-    print(text)
-    if args.output:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n")
-        print(f"[saved to {path}]")
-    if not result["passed"]:
-        print("chaos-parallel: FAIL")
-        return 1
-    print("chaos-parallel: PASS")
-    return 0
-
-
-def _cmd_autotune(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    import numpy as np
-
-    from repro.fft.autotune import TuneBudget, autotune, render_speedup_table
-    from repro.fft.plan import cache_clear, get_plan, set_active_wisdom
-    from repro.fft.wisdom import Wisdom, machine_fingerprint
-
-    if args.smoke:
-        sizes = [256, 1008]
-        soi_sizes = [2048]
-        budget = TuneBudget(seconds=min(args.budget, 20.0), max_trials=60)
-        reps, batch = 2, 2
-    else:
-        sizes = ([int(s) for s in args.sizes.split(",")] if args.sizes
-                 else [1024, 4096, 2 ** 14, 3 * 2 ** 12, 2 ** 16])
-        soi_sizes = ([int(s) for s in args.soi_sizes.split(",")]
-                     if args.soi_sizes else [8 * 448, 2 ** 13])
-        budget = TuneBudget(seconds=args.budget)
-        reps, batch = 3, 4
-
-    machine = machine_fingerprint()
-    wisdom_path = Path(args.wisdom)
-    wisdom = Wisdom.load(wisdom_path)
-    print(f"autotune: machine {machine}, sizes {sizes}, "
-          f"soi {soi_sizes}, budget {budget.seconds:.0f}s")
-    report = autotune(sizes=sizes, soi_sizes=soi_sizes, budget=budget,
-                      wisdom=wisdom, machine=machine, reps=reps,
-                      batch=batch, rng_seed=2013)
-    table = render_speedup_table(report)
-    print(table)
-
-    wisdom_path.parent.mkdir(parents=True, exist_ok=True)
-    wisdom.save(wisdom_path)
-    print(f"[wisdom ({len(wisdom)} entries) to {wisdom_path}]")
-    if args.output:
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(table + "\n")
-        print(f"[table to {out}]")
-
-    # differential check: every tuned kernel plan must agree with the
-    # default plan (the autotuner may only change speed, never answers)
-    rng = np.random.default_rng(2013)
-    worst = 0.0
-    prev = set_active_wisdom(None)
-    try:
-        for res in report.kernel_results:
-            x = (rng.standard_normal(res.n)
-                 + 1j * rng.standard_normal(res.n)).astype(res.dtype)
-            cache_clear()
-            baseline = get_plan(res.n, res.sign, res.dtype)(x[None, :])[0]
-            set_active_wisdom(wisdom, machine)
-            tuned = get_plan(res.n, res.sign, res.dtype)(x[None, :])[0]
-            set_active_wisdom(None)
-            scale = float(np.max(np.abs(baseline))) or 1.0
-            worst = max(worst, float(np.max(np.abs(tuned - baseline)))
-                        / scale)
-    finally:
-        set_active_wisdom(prev)
-    tol = 1e-5 if any(r.dtype == "complex64"
-                      for r in report.kernel_results) else 1e-12
-    print(f"differential check: worst |tuned - default| = {worst:.2e} "
-          f"(tol {tol:g})")
-    regressed = [r for r in report.rows() if r["speedup"] < 0.999]
-    if worst > tol:
-        print("autotune: FAIL (tuned plan diverges from default)")
-        return 1
-    if regressed:
-        print(f"autotune: FAIL ({len(regressed)} tuned size(s) slower "
-              f"than default)")
-        return 1
-    print("autotune: PASS")
-    return 0
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.bench.servebench import serve_bench
-
-    quick = bool(args.quick)
-    out = serve_bench(quick)
-    co = out["coalesce"]
-    print(f"coalesce: {co['n_requests']} reqs at n={co['n']} — "
-          f"solo {co['solo_s'] * 1e3:.1f} ms, "
-          f"coalesced {co['coalesced_s'] * 1e3:.1f} ms "
-          f"(x{co['speedup']}, ratio {co['coalesce_ratio']}, "
-          f"bitwise={'yes' if co['bitwise_equal'] else 'NO'})")
-    diff = out["differential"]
-    print(f"differential: bitwise={diff['bitwise_equal']} "
-          f"outcomes={diff['outcomes_equal']} "
-          f"reports={diff['reports_equal']}")
-    print()
-    print(out["curves"]["exhibit"])
-    print()
-    gates = out["curves"]["gates"]
-    for k in sorted(g for g in gates if g.endswith("_ok")):
-        print(f"  {k:<24} {'PASS' if gates[k] else 'FAIL'}")
-    if args.output:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(out["curves"]["exhibit"] + "\n")
-        print(f"[curves to {path}]")
-    if args.json:
-        jpath = Path(args.json)
-        jpath.parent.mkdir(parents=True, exist_ok=True)
-        jpath.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
-        print(f"[json to {jpath}]")
-    ok = out["ok_quick"] if quick else out["ok_full"]
-    print(f"serve-bench: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -557,42 +201,31 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro``."""
+    from functools import partial
+
+    from repro.bench.exhibits import EXHIBITS, run_exhibit
+
     parser = argparse.ArgumentParser(
         prog="repro", description="SC'13 SOI FFT reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("selftest", help="quick numerical self-check")
+    sub.add_parser("selftest", help="quick numerical self-check") \
+        .set_defaults(handler=_cmd_selftest)
 
     t = sub.add_parser("transform", help="run one SOI transform")
     t.add_argument("--n", type=int, default=8 * 7 * 1024)
     t.add_argument("--segments", type=int, default=8)
-    t.add_argument("--n-mu", dest="n_mu", type=int, default=8)
-    t.add_argument("--d-mu", dest="d_mu", type=int, default=7)
+    t.add_argument("--n-mu", type=int, default=8)
+    t.add_argument("--d-mu", type=int, default=7)
     t.add_argument("--b", type=int, default=72)
     t.add_argument("--seed", type=int, default=0)
+    t.set_defaults(handler=_cmd_transform)
 
     f = sub.add_parser("figures", help="regenerate paper exhibits as text")
     f.add_argument("which", nargs="?", default="all",
                    choices=["all", "table2", "fig3", "fig8", "fig9",
                             "fig10", "fig11", "fig12"])
-
-    fs = sub.add_parser("fault-sweep",
-                        help="makespan inflation vs fault rate (SOI vs CT)")
-    fs.add_argument("--quick", action="store_true",
-                    help="fewer rates/seeds")
-    fs.add_argument("--ranks", type=int, default=8)
-    fs.add_argument("--output", default=None,
-                    help="also save the exhibit to this path")
-
-    sch = sub.add_parser(
-        "scale-chaos",
-        help="correlated failures and partitions at 10^3-10^4 ranks")
-    sch.add_argument("--quick", action="store_true",
-                     help="stop at 1024 ranks (full mode adds 4096 and "
-                          "the 1024-rank end-to-end SOI recovery)")
-    sch.add_argument("--seed", type=int, default=2013)
-    sch.add_argument("--output", default=None,
-                     help="also save the exhibit to this path")
+    f.set_defaults(handler=_cmd_figures)
 
     v = sub.add_parser(
         "verify",
@@ -601,159 +234,29 @@ def main(argv: list[str] | None = None) -> int:
     v.add_argument("--ranks", type=int, default=4)
     v.add_argument("--segments", type=int, default=2,
                    help="segment slots per rank")
-    v.add_argument("--n-mu", dest="n_mu", type=int, default=8)
-    v.add_argument("--d-mu", dest="d_mu", type=int, default=7)
+    v.add_argument("--n-mu", type=int, default=8)
+    v.add_argument("--d-mu", type=int, default=7)
     v.add_argument("--b", type=int, default=48)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--sdc-rate", dest="sdc_rate", type=float, default=0.25,
+    v.add_argument("--sdc-rate", type=float, default=0.25,
                    help="per-stage silent-corruption probability")
     v.add_argument("--amplitude", type=float, default=5.0,
                    help="perturbation amplitude in units of buffer RMS")
+    v.set_defaults(handler=_cmd_verify)
 
-    ds = sub.add_parser(
-        "degrade-sweep",
-        help="measured vs predicted SNR for every degradation-ladder rung")
-    ds.add_argument("--n", type=int, default=None,
-                    help="problem size (default: 8 * 1344)")
-    ds.add_argument("--seed", type=int, default=0)
-    ds.add_argument("--output",
-                    default="benchmarks/results/degradation_ladder.txt",
-                    help="save the exhibit here ('' to skip saving)")
+    sub.add_parser("info", help="print presets and parameter rules") \
+        .set_defaults(handler=_cmd_info)
 
-    te = sub.add_parser(
-        "trace-export",
-        help="run a distributed SOI transform and export a Chrome trace")
-    te.add_argument("--ranks", type=int, default=16)
-    te.add_argument("--n", type=int, default=None,
-                    help="problem size (default: ranks * 2 * 448)")
-    te.add_argument("--segments", type=int, default=2,
-                    help="segment slots per rank")
-    te.add_argument("--n-mu", dest="n_mu", type=int, default=8)
-    te.add_argument("--d-mu", dest="d_mu", type=int, default=7)
-    te.add_argument("--b", type=int, default=48)
-    te.add_argument("--seed", type=int, default=0)
-    te.add_argument("--no-faults", action="store_true",
-                    help="run on a clean fabric (default injects faults)")
-    te.add_argument("--corrupt-rate", dest="corrupt_rate", type=float,
-                    default=0.002,
-                    help="per-message corruption probability (a 16-rank "
-                         "all-to-all flies 240 payloads per attempt)")
-    te.add_argument("--timeout-rate", dest="timeout_rate", type=float,
-                    default=0.001, help="per-message timeout probability")
-    te.add_argument("--profile", action="store_true",
-                    help="also print the predicted-vs-measured stage table")
-    te.add_argument("--output",
-                    default="benchmarks/results/soi_trace_16rank.json")
-
-    me = sub.add_parser(
-        "metrics",
-        help="run an instrumented workload and print Prometheus metrics")
-    me.add_argument("--ranks", type=int, default=4)
-    me.add_argument("--seed", type=int, default=0)
-    me.add_argument("--output", default=None,
-                    help="also save the exposition (or snapshot) here")
-    me.add_argument("--json", action="store_true",
-                    help="save a versioned JSON snapshot instead of text")
-
-    pb = sub.add_parser(
-        "parallel-bench",
-        help="measure real-core SOI speedup (process backend vs serial)")
-    pb.add_argument("--n", type=int, default=None,
-                    help="problem size (default: 2^22, or 2^18 with --quick)")
-    pb.add_argument("--workers", default="1,2,4,8",
-                    help="comma-separated worker counts")
-    pb.add_argument("--segments", type=int, default=2,
-                    help="segment slots per rank")
-    pb.add_argument("--reps", type=int, default=None,
-                    help="timing repetitions (best-of)")
-    pb.add_argument("--seed", type=int, default=2013)
-    pb.add_argument("--start-method", dest="start_method", default="fork",
-                    choices=["fork", "spawn"])
-    pb.add_argument("--quick", action="store_true",
-                    help="CI smoke sizes (n=2^18, 1 rep)")
-    pb.add_argument("--output",
-                    default="benchmarks/results/parallel_speedup.txt",
-                    help="save the table here ('' to skip saving)")
-    pb.add_argument("--json", default=None,
-                    help="also save the raw result dict as JSON here")
-
-    cp = sub.add_parser(
-        "chaos-parallel",
-        help="kill/stall/starve real workers; verify elastic recovery")
-    cp.add_argument("--n", type=int, default=None,
-                    help="problem size (default: 2^14, or 2^13 with --quick)")
-    cp.add_argument("--workers", type=int, default=4)
-    cp.add_argument("--seed", type=int, default=2013)
-    cp.add_argument("--hang-timeout", dest="hang_timeout", type=float,
-                    default=1.5,
-                    help="seconds of stale heartbeat before a worker is "
-                         "declared hung")
-    cp.add_argument("--quick", action="store_true",
-                    help="CI smoke size (n=2^13)")
-    cp.add_argument("--output",
-                    default="benchmarks/results/chaos_parallel.txt",
-                    help="save the scenario table here ('' to skip saving)")
-
-    at = sub.add_parser(
-        "autotune",
-        help="search plan space, persist wisdom, verify tuned == default")
-    at.add_argument("--smoke", action="store_true",
-                    help="CI smoke: two kernel sizes + one SOI size, "
-                         "capped budget")
-    at.add_argument("--budget", type=float, default=60.0,
-                    help="tuning budget in seconds")
-    at.add_argument("--sizes", default=None,
-                    help="comma-separated kernel FFT sizes to tune")
-    at.add_argument("--soi-sizes", dest="soi_sizes", default=None,
-                    help="comma-separated SOI pipeline sizes to tune")
-    at.add_argument("--wisdom", default="benchmarks/results/wisdom.json",
-                    help="wisdom store to load, merge into, and save")
-    at.add_argument("--output",
-                    default="benchmarks/results/autotune_speedup.txt",
-                    help="save the speedup table here ('' to skip)")
-
-    sb = sub.add_parser(
-        "serve-bench",
-        help="serving gateway: coalesce speedup, contract differential, "
-             "latency-vs-load curves")
-    sb.add_argument("--quick", action="store_true",
-                    help="CI smoke: fewer requests per operating point "
-                         "(wall-clock speedup floor not binding)")
-    sb.add_argument("--output",
-                    default="benchmarks/results/serving_curves.txt",
-                    help="save the latency-vs-load exhibit here "
-                         "('' to skip saving)")
-    sb.add_argument("--json", default="",
-                    help="also dump the full result dict as JSON here")
-
-    sub.add_parser("info", help="print presets and parameter rules")
-
-    r = sub.add_parser("report", help="write the consolidated REPORT.md")
-    r.add_argument("--output", default="REPORT.md")
-
-    a = sub.add_parser("apidoc", help="regenerate docs/API.md")
-    a.add_argument("--output", default="docs/API.md")
+    for ex in EXHIBITS:
+        sp = sub.add_parser(ex.verb, help=ex.help)
+        for name, kwargs in ex.flags:
+            sp.add_argument(name, **kwargs)
+        sp.add_argument("--output", default=ex.output,
+                        help="save the exhibit here ('' to skip saving)")
+        sp.set_defaults(handler=partial(run_exhibit, ex))
 
     args = parser.parse_args(argv)
-    handlers = {
-        "selftest": _cmd_selftest,
-        "transform": _cmd_transform,
-        "figures": _cmd_figures,
-        "fault-sweep": _cmd_fault_sweep,
-        "scale-chaos": _cmd_scale_chaos,
-        "verify": _cmd_verify,
-        "degrade-sweep": _cmd_degrade_sweep,
-        "trace-export": _cmd_trace_export,
-        "metrics": _cmd_metrics,
-        "parallel-bench": _cmd_parallel_bench,
-        "chaos-parallel": _cmd_chaos_parallel,
-        "autotune": _cmd_autotune,
-        "serve-bench": _cmd_serve_bench,
-        "info": _cmd_info,
-        "report": _cmd_report,
-        "apidoc": _cmd_apidoc,
-    }
-    return handlers[args.command](args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

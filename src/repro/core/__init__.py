@@ -21,7 +21,7 @@ from repro.core.soi_dist import (
 )
 from repro.core.soi_hetero import HeterogeneousSoiFFT
 from repro.core.soi_offload import OffloadSoiFFT
-from repro.core.soi_single import LOCAL_FFT_CHOICES, SoiFFT, soi_fft, soi_ifft
+from repro.core.soi_single import SoiFFT, soi_fft, soi_ifft
 from repro.core.soi_spmd import spmd_soi_fft
 from repro.core.streaming import SoiStft, hann_window
 from repro.core.window import (
@@ -47,7 +47,6 @@ __all__ = [
     "GaussianSincWindow",
     "HeterogeneousSoiFFT",
     "KaiserSincWindow",
-    "LOCAL_FFT_CHOICES",
     "OffloadSoiFFT",
     "Ownership",
     "SoiFFT",

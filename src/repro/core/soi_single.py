@@ -19,7 +19,8 @@ reused, every stage runs through ``out=`` destinations, and
 :meth:`SoiFFT.batch` executes lane and segment FFTs as single
 ``(batch*S, M')``-shaped Stockham calls rather than a per-row Python
 loop.  Steady-state calls with ``out=`` perform no new allocations
-(asserted by ``bench/regression.py`` via ``tracemalloc``).
+(asserted with ``tracemalloc`` by
+``tests/test_zero_alloc.py::TestNoLargeAllocations``).
 """
 
 from __future__ import annotations
@@ -31,16 +32,13 @@ from repro.core.convolution import (
     block_range_for_rows,
     convolve,
 )
-from repro.core.demodulate import demodulate, fused_demod_diagonal
+from repro.core.demodulate import demodulate
 from repro.core.params import SoiParams
 from repro.core.window import SoiTables, build_tables
 from repro.fft.dft import dft_matrix
 from repro.fft.plan import get_plan
-from repro.fft.sixstep import sixstep_fft
 
-__all__ = ["SoiFFT", "soi_fft", "LOCAL_FFT_CHOICES"]
-
-LOCAL_FFT_CHOICES = ("direct", "sixstep", "sixstep-naive")
+__all__ = ["SoiFFT", "soi_fft"]
 
 
 def _coerce_verify(verify):
@@ -61,25 +59,19 @@ class SoiFFT:
         how many segments the decomposition uses; execution is local).
     window:
         Optional window object (default: Kaiser-sinc sized from params).
-    local_fft:
-        How the per-segment M'-point FFT runs: ``"direct"`` (batched
-        Stockham over all segments at once), ``"sixstep"`` (optimized
-        Bailey 6-step with *fused* demodulation, the paper's Phi path), or
-        ``"sixstep-naive"`` (Fig 4a baseline).
     dtype:
         Working precision: ``complex128`` (default) or ``complex64``.
         Single precision is worthwhile when the window stopband exceeds
         float32 epsilon anyway (e.g. mu = 8/7 at B <= 48); it requires
-        ``local_fft="direct"`` and (2,3,5,7)-smooth S and M'.  The design
-        tables themselves are always built in double precision.
+        (2,3,5,7)-smooth S and M'.  The design tables themselves are
+        always built in double precision.
     verify:
         ``True`` or a :class:`repro.verify.VerifyPolicy` arms algorithm-
         based fault tolerance: every planned block is checked against
         weighted-checksum and Parseval invariants after execution,
         corrupt segments are recomputed in place, and persistent
         corruption raises :class:`repro.verify.VerificationError`.
-        Counters accumulate in ``self.verifier.report``.  Requires
-        ``local_fft="direct"`` (the planned pipeline).
+        Counters accumulate in ``self.verifier.report``.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry` bundle (duck-typed:
         anything with ``clock``/``stage``/``transform_done``).  When
@@ -107,18 +99,12 @@ class SoiFFT:
     frame at a fixed shape already.
     """
 
-    def __init__(self, params: SoiParams, window=None,
-                 local_fft: str = "direct", dtype=np.complex128,
+    def __init__(self, params: SoiParams, window=None, dtype=np.complex128,
                  verify=False, telemetry=None):
-        if local_fft not in LOCAL_FFT_CHOICES:
-            raise ValueError(f"local_fft must be one of {LOCAL_FFT_CHOICES}")
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype(np.complex64), np.dtype(np.complex128)):
             raise ValueError("dtype must be complex64 or complex128")
-        if self.dtype == np.complex64 and local_fft != "direct":
-            raise ValueError("complex64 requires local_fft='direct'")
         self.params = params
-        self.local_fft = local_fft
         self.tables: SoiTables = build_tables(params, window)
         dt = self.dtype.type
         self._lane_plan = get_plan(params.n_segments, -1, dtype=dt) \
@@ -132,7 +118,6 @@ class SoiFFT:
             self._lane_mat = np.ascontiguousarray(
                 dft_matrix(params.n_segments).astype(self.dtype))
         self._seg_plan = get_plan(params.m_oversampled, -1, dtype=dt)
-        self._fused_diag = fused_demod_diagonal(self.tables)
         lo, hi = block_range_for_rows(params, 0, params.m_oversampled)
         self._block_lo, self._block_hi = lo, hi
         #: Precomputed periodic-wrap gather indices for extended_input.
@@ -148,8 +133,6 @@ class SoiFFT:
         self.verifier = None
         policy = _coerce_verify(verify)
         if policy is not None:
-            if local_fft != "direct":
-                raise ValueError("verify requires local_fft='direct'")
             from repro.verify.selfcheck import PipelineVerifier
             self.verifier = PipelineVerifier(self, policy)
 
@@ -211,16 +194,8 @@ class SoiFFT:
 
         Returns beta of shape (S, M').
         """
-        p = self.params
         alpha = np.ascontiguousarray(z.T)  # (S, M'): segment s's subband
-        if self.local_fft == "direct":
-            return self._seg_plan(alpha)
-        variant = "optimized" if self.local_fft == "sixstep" else "naive"
-        out = np.empty_like(alpha)
-        for s in range(p.n_segments):
-            res = sixstep_fft(alpha[s], variant=variant)
-            out[s] = res.output
-        return out
+        return self._seg_plan(alpha)
 
     # -- planned zero-allocation execution --------------------------------
 
@@ -323,33 +298,15 @@ class SoiFFT:
     def __call__(self, x: np.ndarray, out: np.ndarray | None = None,
                  deadline=None) -> np.ndarray:
         """Full in-order DFT of *x* (length N); ``out=`` avoids the result
-        allocation for the ``"direct"`` path.  *deadline* (a
-        :class:`repro.resilience.Deadline`, duck-typed) is checked at
-        entry — a transform that started runs to completion."""
+        allocation.  *deadline* (a :class:`repro.resilience.Deadline`,
+        duck-typed) is checked at entry — a transform that started runs
+        to completion."""
         if deadline is not None:
             deadline.check("transform entry")
         p = self.params
         x = np.asarray(x, dtype=self.dtype)
         if x.shape != (p.n,):
             raise ValueError(f"expected input of shape ({p.n},), got {x.shape}")
-        if self.local_fft == "sixstep":
-            # fused demodulation inside the 6-step final pass (§5.2.4)
-            z = self.oversample(x)
-            alpha = np.ascontiguousarray(z.T)
-            y = np.empty(p.n, dtype=np.complex128) if out is None \
-                else self._check_out(out, (p.n,))
-            for s in range(p.n_segments):
-                res = sixstep_fft(alpha[s], variant="optimized",
-                                  diagonal=self._fused_diag)
-                y[s * p.m:(s + 1) * p.m] = res.output[: p.m]
-            return y
-        if self.local_fft != "direct":
-            beta = self.segment_spectra(self.oversample(x))
-            y = demodulate(beta, self.tables).reshape(p.n)
-            if out is not None:
-                np.copyto(self._check_out(out, (p.n,)), y)
-                return out
-            return y
         res = np.empty(p.n, dtype=self.dtype) if out is None \
             else self._check_out(out, (p.n,))
         self._run(x.reshape(1, -1), res.reshape(1, -1))
@@ -358,7 +315,8 @@ class SoiFFT:
     #: Cache budget (bytes) for one row block of the batched pipeline.
     #: Measured sweet spot: a block's stage buffers should stay resident
     #: between pipeline stages; beyond ~8 MB the stage-at-a-time sweep
-    #: spills to DRAM and loses to smaller blocks (bench/regression.py).
+    #: spills to DRAM and loses to smaller blocks
+    #: (``bench/e2e`` workload ``batch_small``).
     _BATCH_CACHE_BUDGET = 8 << 20
 
     def _rows_per_block(self) -> int:
@@ -376,9 +334,9 @@ class SoiFFT:
         The expensive design work (window sampling, demodulation inverse,
         FFT plan construction) amortizes across the batch — the usage
         pattern of every frame-oriented application (see
-        :mod:`repro.core.streaming`).  For the ``"direct"`` local FFT the
-        batch executes as batched kernels over cache-sized row blocks:
-        per block, one convolution sweep, one ``(rows*M', S)`` lane
+        :mod:`repro.core.streaming`).  The batch executes as batched
+        kernels over cache-sized row blocks: per block, one
+        convolution sweep, one ``(rows*M', S)`` lane
         transform, one ``(rows*S, M')`` segment-FFT call, one
         demodulation — no per-row Python loop over pipeline stages.  The
         block size keeps a block's stage buffers cache-resident; tiny
@@ -400,18 +358,12 @@ class SoiFFT:
             res = np.empty(xs.shape, dtype=self.dtype)
         else:
             res = self._check_out(out, xs.shape)
-        if self.local_fft == "direct":
-            xs = np.ascontiguousarray(xs)
-            batch, block = xs.shape[0], self._rows_per_block()
-            for i in range(0, batch, block):
-                if deadline is not None and i > 0:
-                    deadline.check(f"batch block {i // block}")
-                self._run(xs[i:i + block], res[i:i + block])
-        else:
-            for i in range(xs.shape[0]):
-                if deadline is not None and i > 0:
-                    deadline.check(f"batch row {i}")
-                self(xs[i], out=res[i])
+        xs = np.ascontiguousarray(xs)
+        batch, block = xs.shape[0], self._rows_per_block()
+        for i in range(0, batch, block):
+            if deadline is not None and i > 0:
+                deadline.check(f"batch block {i // block}")
+            self._run(xs[i:i + block], res[i:i + block])
         return res
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
@@ -429,12 +381,12 @@ class SoiFFT:
 
 
 def soi_fft(x: np.ndarray, n_segments: int = 8, n_mu: int = 8, d_mu: int = 7,
-            b: int = 72, window=None, local_fft: str = "direct") -> np.ndarray:
+            b: int = 72, window=None) -> np.ndarray:
     """One-shot SOI FFT of a 1-D array (see :class:`SoiFFT` for knobs)."""
     x = np.asarray(x, dtype=np.complex128)
     params = SoiParams(n=x.size, n_procs=1, segments_per_process=n_segments,
                        n_mu=n_mu, d_mu=d_mu, b=b)
-    return SoiFFT(params, window=window, local_fft=local_fft)(x)
+    return SoiFFT(params, window=window)(x)
 
 
 def soi_ifft(y: np.ndarray, n_segments: int = 8, n_mu: int = 8, d_mu: int = 7,

@@ -19,7 +19,8 @@ All plans follow one workspace contract:
   the plan dtype.  ``out`` may alias ``x`` (in-place transform) or any
   previously returned result; it never aliases the internal pool.  With
   ``out=`` the steady state performs zero heap allocations
-  (``bench/regression.py`` asserts this with ``tracemalloc``).
+  (``tests/test_zero_alloc.py::TestNoLargeAllocations`` asserts this
+  with ``tracemalloc``).
 * ``plan.release_workspaces()`` drops the pooled buffers.
 """
 

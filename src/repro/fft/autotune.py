@@ -22,9 +22,9 @@ a seeded greedy beam (coordinate descent over the axes, keeping the
 best-so-far configuration) when the cross product grows — the FFTW
 ``ESTIMATE``/``MEASURE`` split in miniature.  The default configuration
 is always measured first and always remains a candidate, so a tuned
-entry is never slower than the default *by its own measurements*; the
-``bench/regression.py`` ``autotune`` workload re-verifies that claim
-with interleaved timing and gates on it.
+entry is never slower than the default *by its own measurements*
+(``python -m repro autotune`` checks that tuned and default plans give
+the same answers, and at full sizes that tuning pays at all).
 
 Winners persist through :meth:`Wisdom.save` and are consumed
 transparently: :func:`repro.fft.plan.set_active_wisdom` routes every

@@ -18,7 +18,8 @@ Execution is *planned and allocation-free*: each plan owns a pool of
 ping-pong workspaces keyed by batch size, every stage writes through
 ``out=`` ufunc destinations, and callers may supply the result array via
 ``plan(x, out=...)`` so steady-state loops perform no heap traffic at
-all (``bench/regression.py`` asserts this with ``tracemalloc``).
+all (``tests/test_zero_alloc.py::TestNoLargeAllocations`` asserts this
+with ``tracemalloc``).
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ the geometric mean of ``actual/pred`` ratios, which minimizes the
 squared log-error and therefore the typical q-error — and apply it to
 future predictions.  :class:`CostCalibration` carries the fitted
 factors; ``SoiService(calibration=...)`` plugs them into admission
-control, and ``bench/regression.py`` gates on a pinned post-calibration
-q-error ceiling per stage.
+control, and ``tests/test_qerror.py`` (``TestSimulatedMachineRegression``)
+gates on a pinned post-calibration q-error ceiling per stage.
 """
 
 from __future__ import annotations

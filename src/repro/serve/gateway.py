@@ -140,14 +140,19 @@ class AsyncSoiGateway:
     # -- plans -------------------------------------------------------------
 
     def plan(self, rung_index: int) -> SoiFFT:
-        """The lazily built per-rung plan (thread-safe get-or-create)."""
+        """The lazily built per-rung plan (thread-safe get-or-create).
+
+        Built under the lock: designing the tables runs an FFT through
+        the process-wide plan cache, whose pooled workspaces two
+        constructing threads would share — either's demodulation table
+        could come back corrupted.
+        """
         with self._plans_lock:
             plan = self._plans.get(rung_index)
-        if plan is None:
-            rung = self.ladder[rung_index]
-            plan = SoiFFT(rung.params, dtype=rung.dtype, verify=self.verify)
-            with self._plans_lock:
-                plan = self._plans.setdefault(rung_index, plan)
+            if plan is None:
+                rung = self.ladder[rung_index]
+                plan = self._plans[rung_index] = SoiFFT(
+                    rung.params, dtype=rung.dtype, verify=self.verify)
         return plan
 
     def _exec_lock(self, rung_index: int) -> threading.Lock:

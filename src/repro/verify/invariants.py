@@ -10,8 +10,9 @@ the corrupt segment, which is what turns detection into cheap repair
 
 The energy helpers reduce through real/imag views and ``einsum`` so a
 verification pass allocates only the reduced result — never an |a|^2
-temporary the size of the stage buffer (the checks must fit in the
-<=10% overhead budget of ``bench/regression.py``'s verified workload).
+temporary the size of the stage buffer (the checks are meant to fit
+the <=10% overhead budget that ``python -m repro verify`` reports
+against).
 """
 
 from __future__ import annotations

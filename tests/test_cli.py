@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
+from repro.bench import exhibits
+from repro.bench.exhibits import EXHIBITS, Exhibit, run_exhibit
 from repro.cli import main
 
 
@@ -77,6 +81,66 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+#: quick arguments for every exhibit verb, with the suite marker whose CI
+#: job owns it; the other rows of the table keep the smoke case that
+#: predates it, beside their module's tests
+SMOKE = {
+    "fault-sweep": (["--quick"], ()),
+    "scale-chaos": (["--quick"], pytest.mark.scale),
+    "degrade-sweep": ([], ()),
+    "trace-export": (["--profile"], ()),
+    "metrics": (["--json"], ()),
+    "parallel-bench": (["--quick", "--workers", "1,2"], pytest.mark.parallel),
+    "chaos-parallel": (["--quick"], pytest.mark.chaos_parallel),
+}
+SMOKED_ELSEWHERE = {
+    "autotune": "TestAutotune below",
+    "serve-bench": "tests/test_serve.py::TestServeBench::test_cli_verb_smoke",
+    "report": "tests/test_report.py::TestCliReport::test_cli_command",
+    "apidoc": "tests/test_apidoc.py::TestApidoc::test_cli",
+}
+
+
+class TestExhibitTable:
+    def test_every_row_has_a_smoke_case(self):
+        assert sorted([*SMOKE, *SMOKED_ELSEWHERE]) == sorted(
+            ex.verb for ex in EXHIBITS)
+
+    @pytest.mark.parametrize("verb", [
+        pytest.param(verb, marks=marks) for verb, (_, marks) in SMOKE.items()])
+    def test_verb_runs_and_writes_where_it_says(self, verb, tmp_path, capsys,
+                                                monkeypatch):
+        # a 5 % wall-clock ratio is judged in a process of its own (CI runs
+        # `python -m repro metrics`), not inside a long-lived pytest one
+        monkeypatch.setattr(exhibits, "batch_overhead", lambda **_: {
+            "plain_s": 1.0, "instrumented_s": 1.0, "ratio": 1.0})
+        out_file = tmp_path / "sub" / f"{verb}.out"
+        assert main([verb, *SMOKE[verb][0], "--output", str(out_file)]) == 0
+        assert out_file.stat().st_size > 0
+        assert f"wrote {out_file}" in capsys.readouterr().out
+
+    def run(self, gates, capsys):
+        ex = Exhibit("demo", "", lambda args: {"text": "table",
+                                               "gates": gates})
+        code = run_exhibit(ex, argparse.Namespace(output=None))
+        return code, capsys.readouterr().out
+
+    def test_skipped_gate_is_not_a_pass_and_not_a_failure(self, capsys):
+        code, out = self.run({"bitwise": True,
+                              "floor": "2 cpu(s) < 4 workers"}, capsys)
+        assert code == 0
+        assert "floor                    skipped (2 cpu(s) < 4 workers)" in out
+        assert "bitwise                  PASS" in out
+        assert out.endswith("demo: PASS\n")
+
+    @pytest.mark.parametrize("verdict", [False, None])
+    def test_failed_or_unmeasured_gate_fails_the_verb(self, verdict, capsys):
+        code, out = self.run({"bitwise": True, "floor": verdict}, capsys)
+        assert code == 1
+        assert "floor                    FAIL" in out
+        assert out.endswith("demo: FAIL (floor)\n")
 
 
 @pytest.mark.autotune

@@ -2,10 +2,9 @@
 
 Covers the metric itself, the closed-form per-stage fit, the pinned
 simulated-machine regression matrix (train on endpoint rank counts,
-evaluate held-out on the middle — the same split ``bench/regression.py``
-gates on), and the serving integration: a ``CostCalibration`` handed to
-``SoiService``/``ClusterSoiService`` must rescale admission-control
-projections stage by stage.
+evaluate held-out on the middle), and the serving integration: a
+``CostCalibration`` handed to ``SoiService``/``ClusterSoiService`` must
+rescale admission-control projections stage by stage.
 """
 
 import math
@@ -18,8 +17,8 @@ from repro.perfmodel.qerror import (CostCalibration, fit_calibration,
 
 pytestmark = pytest.mark.autotune
 
-#: Same pinned ceiling as bench/regression.py: held-out per-stage
-#: q-error of the calibrated serving cost model on the simulated fabric.
+#: Pinned ceiling: held-out per-stage q-error of the calibrated serving
+#: cost model on the simulated fabric.
 QERROR_CEILING = 2.0
 
 

@@ -151,4 +151,5 @@ class TestSoiAtScale:
         assert rep["survivors"] == 240
         assert rep["bitwise_equal"]
         assert list(rep["mttr_by_domain"]) == [rep["victim_domain"]]
-        assert all(t > 0 for t in rep["mttr_by_domain"].values())
+        # simulated per-domain repair time stays under the 1 s ceiling
+        assert all(0 < t <= 1.0 for t in rep["mttr_by_domain"].values())

@@ -228,6 +228,21 @@ class TestGatewayDifferential:
             assert a.report.rung_index == b.report.rung_index == 0
             assert a.report.reason == b.report.reason
 
+    def test_plan_asked_for_by_two_threads_at_once_is_sound(self, ladder):
+        # the first two windows of a solo run reach plan() together; each
+        # used to design its own plan through one shared FFT workspace
+        ref = make_gateway(ladder).plan(0).tables.demod
+        for _ in range(100):
+            gw = make_gateway(ladder)
+            threads = [threading.Thread(target=gw.plan, args=(0,))
+                       for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert np.array_equal(gw.plan(0).tables.demod, ref)
+            asyncio.run(gw.close())
+
     def test_coalesced_matches_plan_reference(self, ladder):
         xs = signals(5, seed=7)
         reqs = [{"x": xs[i], "tenant": "gold-tenant",

@@ -45,10 +45,6 @@ class TestComplex64Soi:
         assert e64 < 1e-7
         assert e32 > 10 * e64  # float32 floor
 
-    def test_requires_direct_local_fft(self):
-        with pytest.raises(ValueError, match="direct"):
-            SoiFFT(params(), dtype=np.complex64, local_fft="sixstep")
-
     def test_rejects_other_dtypes(self):
         with pytest.raises(ValueError):
             SoiFFT(params(), dtype=np.float32)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.demodulate import demodulate
 from repro.core.params import SoiParams
-from repro.core.soi_single import LOCAL_FFT_CHOICES, SoiFFT, soi_fft
+from repro.core.soi_single import SoiFFT, soi_fft
 from repro.core.window import GaussianSincWindow
+from repro.fft.sixstep import sixstep_fft
 from repro.util.validate import relative_l2_error
 from tests.conftest import random_complex
 
@@ -84,17 +86,24 @@ class TestAccuracy:
 
 
 class TestLocalFftChoices:
-    @pytest.mark.parametrize("choice", LOCAL_FFT_CHOICES)
+    """The Fig 4 six-step kernels compute the same segment spectra as
+    the planned pipeline's segment FFT (they are an exhibit, not an
+    option of ``SoiFFT``)."""
+
+    @pytest.mark.parametrize("choice", ["direct", "sixstep", "sixstep-naive"])
     def test_all_choices_agree(self, rng, choice):
         params = make_params(n=4 * 448, s=4, b=32)
         x = random_complex(rng, params.n)
-        ref = SoiFFT(params, local_fft="direct")(x)
-        got = SoiFFT(params, local_fft=choice)(x)
-        assert np.allclose(got, ref, rtol=1e-10, atol=1e-10)
-
-    def test_rejects_unknown_choice(self):
-        with pytest.raises(ValueError):
-            SoiFFT(make_params(), local_fft="fftw")
+        f = SoiFFT(params)
+        z = f.oversample(x)
+        if choice == "direct":
+            beta = f.segment_spectra(z)
+        else:
+            variant = "optimized" if choice == "sixstep" else "naive"
+            beta = np.stack([sixstep_fft(a, variant=variant).output
+                             for a in np.ascontiguousarray(z.T)])
+        got = demodulate(beta, f.tables).reshape(params.n)
+        assert np.allclose(got, f(x), rtol=1e-10, atol=1e-10)
 
 
 class TestConvenienceWrapper:

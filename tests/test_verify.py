@@ -180,10 +180,6 @@ class TestSingleNodeVerification:
             f(random_complex(rng, PARAMS.n))
         assert f.verifier.report.escalations >= 1
 
-    def test_verify_requires_direct_local_fft(self):
-        with pytest.raises(ValueError, match="verify"):
-            SoiFFT(PARAMS, local_fft="sixstep", verify=True)
-
 
 class TestDistributedVerification:
     @pytest.mark.parametrize("seed", range(4))

@@ -4,7 +4,8 @@ The planned execution layer promises: (a) repeated calls of one plan
 return independent results, (b) ``out=`` may alias the input or previous
 results safely, (c) ``complex64`` stays ``complex64`` end-to-end, and
 (d) the steady-state planned loop performs no new large allocations —
-asserted here with ``tracemalloc`` and in ``bench/regression.py``.
+asserted here with ``tracemalloc`` (``bench/e2e`` reports the same
+quantity as ``soi_single.steady_alloc_kb``).
 """
 
 import tracemalloc
@@ -281,9 +282,18 @@ class TestNoLargeAllocations:
         assert peak_new_bytes(lambda: plan(x, out=out)) < LARGE
 
     def test_soi_batch_steady_state(self, rng):
-        params = SoiParams(n=8 * 448, n_procs=1, segments_per_process=8,
+        # sized so ONE row of any stage buffer is ~1 MiB: a single stray
+        # temporary in batch(), __call__ or convolve trips the threshold
+        params = SoiParams(n=7 * 2 ** 13, n_procs=1, segments_per_process=8,
                            n_mu=8, d_mu=7, b=48)
         f = SoiFFT(params)
-        xs = random_complex(rng, 8, params.n)
+        xs = random_complex(rng, 4, params.n)
         out = np.empty_like(xs)
         assert peak_new_bytes(lambda: f.batch(xs, out=out)) < LARGE
+        assert peak_new_bytes(lambda: f(xs[0], out=out[0])) < LARGE
+        lo, _ = block_range_for_rows(params, 0, params.m_oversampled)
+        x_ext, ws = f.extended_input(xs[0]), ConvWorkspace()
+        u = np.empty((params.m_oversampled, params.n_segments), complex)
+        assert peak_new_bytes(lambda: convolve(
+            x_ext, f.tables, 0, params.m_oversampled, lo, out=u,
+            workspace=ws)) < LARGE
