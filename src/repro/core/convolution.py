@@ -39,6 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.params import SoiParams
 from repro.core.window import SoiTables
+from repro.fft.bitops import gemm_tile
 from repro.machine.memory import SweepLedger
 from repro.machine.spec import MachineSpec
 
@@ -56,20 +57,14 @@ __all__ = [
 #: Most chunks (groups of n_mu rows) one GEMM tile holds.
 _TILE_CHUNKS = 256
 
-#: Multiply-adds one lane's ``(T, K) @ (K, n_mu)`` product stays under.  A
-#: product this small is cache-resident, and OpenBLAS runs it on the
-#: calling thread: above 2**16 it hands a zgemm to its thread pool, a
-#: fork/join that costs more than the product (measured on a 2-cpu guest:
-#: 64 ms instead of 0.1 ms per tile for a process's first second of BLAS).
-_TILE_MACS = 1 << 16
-
 
 def _tile_chunks(params: SoiParams, k_width: int) -> int:
     """T, the chunks per GEMM tile: the largest power of two within both
-    caps (a power of two divides the usual ``M'/n_mu``, so no tile is
-    mostly zero fill), or all ``M'/n_mu`` chunks when that is fewer."""
-    fit = max(1, (_TILE_MACS - 1) // (k_width * params.n_mu))
-    return min(_TILE_CHUNKS, 1 << (fit.bit_length() - 1),
+    caps (:func:`repro.fft.bitops.gemm_tile`'s on the product, and
+    ``_TILE_CHUNKS``; a power of two divides the usual ``M'/n_mu``, so no
+    tile is mostly zero fill), or all ``M'/n_mu`` chunks when that is
+    fewer."""
+    return min(gemm_tile(k_width * params.n_mu, _TILE_CHUNKS),
                params.m_oversampled // params.n_mu)
 
 
@@ -146,8 +141,8 @@ def convolve(x_ext: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,
     index ``j // n_mu`` (chunk ``c`` always sits at tile position
     ``c mod T``), a range that starts or ends mid-tile zero-fills the rest
     of the tile and still computes it at full shape, and a batch runs one
-    frame at a time.  (Equal bits across processes also presume equal BLAS
-    thread settings, as for the lane-DFT matmul.)
+    frame at a time.  :func:`repro.fft.bitops.gemm_tile` states the rule
+    once for this kernel, the Stockham pass and the lane DFT.
 
     ``workspace`` (a :class:`ConvWorkspace`) supplies the two tile
     buffers, whose shapes depend on ``params`` and dtype only; with it,

@@ -25,6 +25,8 @@ loop.  Steady-state calls with ``out=`` perform no new allocations
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.convolution import (
@@ -35,6 +37,7 @@ from repro.core.convolution import (
 from repro.core.demodulate import demodulate
 from repro.core.params import SoiParams
 from repro.core.window import SoiTables, build_tables
+from repro.fft.bitops import gemm_tile
 from repro.fft.dft import dft_matrix
 from repro.fft.plan import get_plan
 
@@ -95,8 +98,9 @@ class SoiFFT:
     :func:`repro.core.convolution.convolve`: every GEMM has one shape
     fixed by ``params``, a row always sits at the same tile position, and
     a batch runs one frame at a time — so a row's bits do not depend on
-    the batch it rode in.  The lane DFT and segment FFT compute each
-    frame at a fixed shape already.
+    the batch it rode in.  The lane DFT (:meth:`_lane_dft`) and the
+    segment FFT (:class:`repro.fft.stockham.StockhamPlan`) obey the same
+    rule, stated once in :func:`repro.fft.bitops.gemm_tile`.
     """
 
     def __init__(self, params: SoiParams, window=None, dtype=np.complex128,
@@ -110,13 +114,15 @@ class SoiFFT:
         self._lane_plan = get_plan(params.n_segments, -1, dtype=dt) \
             if params.n_segments > 1 else None
         # for the tiny fixed-size lane transform (length S, huge batch) a
-        # direct DFT-matrix matmul beats the multi-pass Stockham stages by
-        # a wide margin (one BLAS zgemm vs ~12 strided ufunc sweeps); only
-        # worthwhile while the O(S^2) matrix stays cache-sized
+        # direct DFT-matrix GEMM beats the Stockham passes (one sweep, not
+        # one per radix); only worthwhile while the O(S^2) matrix stays
+        # cache-sized.  _lane_tile rows of u per product: see _lane_dft.
         self._lane_mat = None
         if 1 < params.n_segments <= 64:
             self._lane_mat = np.ascontiguousarray(
                 dft_matrix(params.n_segments).astype(self.dtype))
+            self._lane_tile = gemm_tile(params.n_segments ** 2,
+                                        params.m_oversampled)
         self._seg_plan = get_plan(params.m_oversampled, -1, dtype=dt)
         lo, hi = block_range_for_rows(params, 0, params.m_oversampled)
         self._block_lo, self._block_hi = lo, hi
@@ -185,9 +191,28 @@ class SoiFFT:
         x_ext = self.extended_input(x)
         u = convolve(x_ext, self.tables, 0, rows, self._block_lo,
                      workspace=self._conv_ws)
-        if self._lane_plan is None:
-            return u
-        return self._lane_plan(u)
+        return u if self._lane_plan is None else self._lane_dft(u)
+
+    def _lane_dft(self, u: np.ndarray, out: np.ndarray | None = None
+                  ) -> np.ndarray:
+        """Stage 2, ``z = (I (x) F_S) u`` over the last axis of a
+        C-contiguous ``(..., rows, S)`` — the one lane transform the
+        pipeline and the ABFT repair both run, so a repaired row rounds
+        exactly like a computed one.
+
+        With a lane matrix it is ``(T, S) @ (S, S)`` products over tiles of
+        ``T`` rows (:func:`repro.fft.bitops.gemm_tile` of all M' rows, so a
+        tile never spans two frames; fewer rows run in tiles that divide
+        both): one shape whatever the batch, each on the calling thread."""
+        if out is None:
+            out = np.empty_like(u)
+        if self._lane_mat is None:
+            return self._lane_plan(u, out=out)
+        s = self.params.n_segments
+        t = math.gcd(self._lane_tile, u.shape[-2])
+        np.matmul(u.reshape(-1, t, s), self._lane_mat,
+                  out=out.reshape(-1, t, s))
+        return out
 
     def segment_spectra(self, z: np.ndarray) -> np.ndarray:
         """Stages 3-4: permutation (transpose) + per-segment F_{M'}.
@@ -238,15 +263,8 @@ class SoiFFT:
             t = now
         if hook:
             hook("conv", bufs["u"])
-        if self._lane_mat is not None:
-            np.matmul(bufs["u"], self._lane_mat, out=bufs["z"])
-            z = bufs["z"]
-        elif self._lane_plan is not None:
-            self._lane_plan(bufs["u"].reshape(-1, s),
-                            out=bufs["z"].reshape(-1, s))
-            z = bufs["z"]
-        else:
-            z = bufs["u"]
+        z = bufs["u"] if self._lane_plan is None \
+            else self._lane_dft(bufs["u"], out=bufs["z"])
         if telem is not None and z is not bufs["u"]:
             now = clk()
             telem.stage("lane", t, now, nbytes=2 * z.nbytes)

@@ -22,12 +22,18 @@ All plans follow one workspace contract:
   (``tests/test_zero_alloc.py::TestNoLargeAllocations`` asserts this
   with ``tracemalloc``).
 * ``plan.release_workspaces()`` drops the pooled buffers.
+
+A Stockham plan's passes are batched GEMMs: ``default_radices(n)`` is the
+schedule an untuned plan runs and ``gemm_tile`` the one rule that sizes
+every product, which is what makes ``plan(xs)[i]`` bitwise
+``plan(xs[i:i+1])[0]`` under any BLAS thread pool.
 """
 
 from repro.fft.autotune import (AutotuneReport, KernelResult, SoiResult,
                                 TuneBudget, autotune, kernel_candidates,
                                 render_speedup_table, soi_candidates,
                                 tune_kernel, tune_soi)
+from repro.fft.bitops import default_radices, gemm_tile
 from repro.fft.bluestein import BluesteinPlan, bluestein_fft
 from repro.fft.codelet import CODELET_SIZES, generate_codelet_source, get_codelet
 from repro.fft.convolve import fft_convolve, fft_correlate
@@ -58,6 +64,7 @@ __all__ = [
     "PrimeFactorPlan",
     "RaderPlan",
     "crt_maps",
+    "default_radices",
     "pfa_fft",
     "primitive_root",
     "rader_fft",
@@ -80,6 +87,7 @@ __all__ = [
     "fft_correlate",
     "fft_flops",
     "fft_stockham",
+    "gemm_tile",
     "from_aos",
     "get_active_wisdom",
     "get_plan",

@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.fft.bitops import factorize_radices, is_power_of_two, \
-    mixed_radix_factors
+from repro.fft.bitops import default_radices
 from repro.fft.bluestein import BluesteinPlan
 from repro.fft.stockham import StockhamPlan
 from repro.fft.wisdom import Wisdom, candidate_radix_plans, \
@@ -93,14 +92,6 @@ class TuneBudget:
 
     def charge(self) -> None:
         self.trials += 1
-
-
-def default_radices(n: int) -> list[int] | None:
-    """The schedule :class:`StockhamPlan` picks with no tuning (or None
-    for non-smooth sizes, which plan through Bluestein)."""
-    if is_power_of_two(n):
-        return factorize_radices(n, radices=(4, 2))
-    return mixed_radix_factors(n)
 
 
 def kernel_candidates(n: int, dtype=np.complex128) -> list[dict]:

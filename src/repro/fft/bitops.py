@@ -12,8 +12,10 @@ import numpy as np
 
 __all__ = [
     "bit_reverse_indices",
+    "default_radices",
     "digit_reverse_indices",
     "factorize_radices",
+    "gemm_tile",
     "ilog2",
     "is_power_of_two",
     "largest_factor_leq_sqrt",
@@ -93,6 +95,57 @@ def mixed_radix_factors(n: int, primes: tuple[int, ...] = (2, 3, 5, 7)) -> list[
             out.append(p)
             m //= p
     return out if m == 1 else None
+
+
+#: Largest butterfly of the default schedule (the paper's §5.2.4 kernel
+#: "uses radix 8 and 16"): a radix-r pass costs r multiply-adds per point
+#: and one sweep, so 16 quarters the sweeps of radix 2 at 4x its arithmetic.
+_MAX_RADIX = 16
+
+
+def default_radices(n: int) -> list[int] | None:
+    """The Stockham schedule an untuned plan runs: repeatedly the largest
+    divisor of what is left that is at most 16 — the greedy radix-16 ladder
+    for powers of two (1024 = 16*16*4), prime factors merged into few
+    dense passes otherwise (12288 = 16*16*16*3).  None when *n* is not
+    (2,3,5,7)-smooth; such lengths plan through Bluestein."""
+    if mixed_radix_factors(n) is None:
+        return None
+    out: list[int] = []
+    while n > 1:
+        r = max(d for d in range(2, _MAX_RADIX + 1) if n % d == 0)
+        out.append(r)
+        n //= r
+    return out
+
+
+#: Multiply-adds one BLAS product stays under.  A product this small is
+#: cache-resident, and OpenBLAS runs it on the calling thread: above 2**16
+#: it hands a zgemm to its thread pool, a fork/join that costs more than
+#: the product (measured on a 2-cpu guest: 64 ms instead of 0.1 ms per tile
+#: for a process's first second of BLAS) and whose partial sums depend on
+#: how the host sized the pool.
+_TILE_MACS = 1 << 16
+
+
+def gemm_tile(macs_per_item: int, total: int) -> int:
+    """How many of *total* items (rows or columns of the streamed operand,
+    *macs_per_item* multiply-adds each) one GEMM of this repo holds: the
+    largest divisor of *total* that keeps the product under
+    :data:`_TILE_MACS`, so every tile is full and has one shape.
+
+    This is the shape half of the rule every bitwise contract rests on
+    (batch == solo, simulator == processes, recovered == fault-free, equal
+    bits under any BLAS pool): BLAS returns the same bits for the same
+    operand at the same position of a same-shaped product, so each kernel
+    fixes its tile from plan-time geometry alone, aligns tiles to the
+    global index, and never lets a product span two transforms.  Raises
+    ``ValueError`` when not even one item fits."""
+    fit = (_TILE_MACS - 1) // macs_per_item
+    if fit < 1:
+        raise ValueError(f"one item of {macs_per_item} multiply-adds does "
+                         f"not fit a GEMM tile of {_TILE_MACS}")
+    return next(d for d in range(min(fit, total), 0, -1) if total % d == 0)
 
 
 def largest_factor_leq_sqrt(n: int) -> int:

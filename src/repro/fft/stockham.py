@@ -5,18 +5,35 @@ Cooley-Tukey by ping-ponging between two buffers and interleaving outputs,
 so every stage reads and writes contiguous blocks — the same property the
 paper exploits on Xeon Phi to keep all FFT stages streaming-friendly.
 
-The engine is generic over the radix sequence: radix-4/8 stages (fewer
-passes, mirroring the paper's "we use radix 8 and 16" register-level
-choice) with a generic small-DFT butterfly fallback for odd radices
-(3, 5, 7, ...) used by the mixed-radix front end.
+A pass is arithmetic-dense and there are few of them (the paper's §5.2.4
+kernel "uses radix 8 and 16"): the default schedule is
+:func:`repro.fft.bitops.default_radices`, radix-16 butterflies with the
+remainder last, and the engine is generic over any radix sequence.  There
+is one pass kernel, :meth:`StockhamPlan._apply_stage`, and it is a batched
+``np.matmul``: stage ``(n, s, r)`` with ``m = n/r`` computes
+``o[b, p, :, q] = W_p @ c[b, :, p, q]`` with ``W_p = diag(tw[p]) . DFT_r``.
+Where the ``s`` columns of one ``p`` fill a GEMM tile the ``m`` matrices
+``W_p`` are tabulated at plan time and the pass is that one matmul,
+written straight into the strided destination (the last pass has ``m = 1``
+and no twiddle at all); the early passes, with many ``p`` of few columns
+each, run ``DFT_r`` over all ``m*s`` columns into a pooled scratch and pay
+one ``np.multiply`` by ``tw`` into the destination — six array sweeps for
+``[16, 16, 16, 16]`` at n = 65536.
 
-All kernels operate on 2-D arrays ``(batch, n)`` and vectorize across both
-the batch (the paper's outer-loop vectorization of 8 simultaneous FFTs)
-and the butterflies within a transform (inner-loop vectorization).
+Every product has one shape per stage, fixed by ``(n, radices, dtype)``
+alone: ``(r, r) @ (r, w)`` with ``w`` columns from
+:func:`repro.fft.bitops.gemm_tile`, tiles aligned to the column index
+inside a transform and never spanning two.  So ``plan(xs)[i]`` is bitwise
+``plan(xs[i:i+1])`` for every batch size, and the bits do not depend on
+the host's BLAS thread pool.
+
+All kernels operate on 2-D arrays ``(batch, n)``: the batch is the paper's
+outer-loop vectorization of simultaneous FFTs, the tile columns its
+inner-loop vectorization of the butterflies within a transform.
 
 Execution is *planned and allocation-free*: each plan owns a pool of
 ping-pong workspaces keyed by batch size, every stage writes through
-``out=`` ufunc destinations, and callers may supply the result array via
+``out=`` destinations, and callers may supply the result array via
 ``plan(x, out=...)`` so steady-state loops perform no heap traffic at
 all (``tests/test_zero_alloc.py::TestNoLargeAllocations`` asserts this
 with ``tracemalloc``).
@@ -24,13 +41,17 @@ with ``tracemalloc``).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from repro.fft.bitops import factorize_radices, is_power_of_two, mixed_radix_factors
+from repro.fft.bitops import default_radices, gemm_tile, mixed_radix_factors
 
 __all__ = ["StockhamPlan", "fft_stockham", "fft_flops", "stage_count"]
+
+#: Fewest columns per ``p`` for which a pass tabulates its ``m`` twiddled
+#: butterflies ``W_p``; under it the products would be slivers
+#: (``(16, 16) @ (16, 4)``) and one ``DFT_r`` over all columns plus a
+#: twiddle sweep is faster.
+_FOLD_COLUMNS = 64
 
 
 def fft_flops(n: int) -> float:
@@ -40,27 +61,31 @@ def fft_flops(n: int) -> float:
     return 5.0 * n * np.log2(n)
 
 
-@lru_cache(maxsize=None)
-def _butterfly_matrix(r: int, sign: int) -> np.ndarray:
-    """The r-by-r DFT matrix used as the radix-r butterfly."""
-    u = np.arange(r)
-    return np.exp(sign * 2j * np.pi * np.outer(u, u) / r)
-
-
 class _Stage:
-    """One Stockham pass: current sub-length n, stride s, radix r."""
+    """One Stockham pass: current sub-length n, stride s, radix r.
 
-    __slots__ = ("n", "s", "r", "tw")
+    ``mat[g, 0]`` is the butterfly of column group ``g`` and ``w`` the tile
+    width of its ``cols`` columns: ``m`` groups of ``s`` columns with the
+    twiddle folded in, or one group of ``m*s`` columns and the twiddle
+    ``tw[0, p, u, 0] = w_n^{u*p}`` applied after."""
 
-    def __init__(self, n: int, s: int, r: int, sign: int):
-        self.n = n
-        self.s = s
-        self.r = r
+    __slots__ = ("n", "s", "r", "cols", "w", "mat", "tw")
+
+    def __init__(self, n: int, s: int, r: int, sign: int, dtype):
+        self.n, self.s, self.r = n, s, r
         m = n // r
-        # tw[p, u] = w_n^{u*p} for p in [0, m), u in [0, r)
-        p = np.arange(m)[:, None]
-        u = np.arange(r)[None, :]
-        self.tw = np.exp(sign * 2j * np.pi * (p * u) / n)
+        fold = m == 1 or s >= _FOLD_COLUMNS
+        groups, self.cols = (m, s) if fold else (1, m * s)
+        self.w = gemm_tile(r * r, self.cols)  # raises for r >= 256
+        p = np.arange(groups)[:, None, None, None]
+        u = np.arange(r)[:, None]
+        j = np.arange(r)[None, :]
+        # W_p[u, j] = w_n^{u*p} * w_r^{u*j} = w_n^{u*(p + j*m)}
+        self.mat = np.exp(sign * 2j * np.pi * ((u * (p + j * m)) % n) / n
+                          ).astype(dtype)
+        self.tw = None if fold else np.exp(
+            sign * 2j * np.pi * (np.arange(m)[:, None] * np.arange(r)) / n
+        ).astype(dtype)[None, :, :, None]
 
 
 class StockhamPlan:
@@ -69,14 +94,15 @@ class StockhamPlan:
     Parameters
     ----------
     n:
-        Transform length.  Must factor into the supported radices
-        (2, 3, 4, 5, 7, 8 by default); arbitrary lengths go through
-        :mod:`repro.fft.bluestein` instead.
+        Transform length.  Must be (2,3,5,7)-smooth unless *radices* is
+        given; arbitrary lengths go through :mod:`repro.fft.bluestein`.
     sign:
         -1 for the forward transform, +1 for the inverse.  The inverse is
         scaled by 1/n (matching ``numpy.fft.ifft``).
     radices:
-        Optional explicit radix sequence whose product must equal *n*.
+        Optional explicit radix sequence whose product must equal *n*
+        (default: :func:`repro.fft.bitops.default_radices`).  Any radix
+        under 256 is legal; every pass runs the same kernel.
     dtype:
         ``numpy.complex128`` (default) or ``numpy.complex64`` — single
         precision matches the GPU/Cell implementations the paper's §8.4
@@ -84,8 +110,9 @@ class StockhamPlan:
 
     Workspace contract
     ------------------
-    The plan lazily allocates one pair of ping-pong buffers (plus a
-    butterfly scratch) per distinct flattened batch size and reuses them for
+    The plan lazily allocates one pair of ping-pong buffers (plus one
+    equally sized scratch when a pass applies its twiddle separately) per
+    distinct flattened batch size and reuses them for
     every subsequent call — calling a plan twice never re-allocates and the
     two calls return independent arrays.  ``plan(x, out=buf)`` writes the
     result into a caller-owned, C-contiguous array of the plan dtype; the
@@ -106,39 +133,22 @@ class StockhamPlan:
         self.sign = sign
         self.dtype = np.dtype(dtype)
         if radices is None:
-            if is_power_of_two(n):
-                radices = factorize_radices(n, radices=(4, 2))
-            else:
-                radices = mixed_radix_factors(n)
-                if radices is None:
-                    raise ValueError(
-                        f"n={n} is not smooth over (2,3,5,7); use bluestein_fft"
-                    )
+            radices = default_radices(n)
+            if radices is None:
+                raise ValueError(
+                    f"n={n} is not smooth over (2,3,5,7); use bluestein_fft"
+                )
         if int(np.prod(radices)) != n:
             raise ValueError(f"radices {radices} do not multiply to {n}")
         self.radices = list(radices)
         self._stages: list[_Stage] = []
         cur_n, cur_s = n, 1
         for r in self.radices:
-            st = _Stage(cur_n, cur_s, r, sign)
-            st.tw = st.tw.astype(self.dtype)
-            self._stages.append(st)
+            self._stages.append(_Stage(cur_n, cur_s, r, sign, self.dtype))
             cur_n //= r
             cur_s *= r
-        self._rot90 = self.dtype.type(1j * sign)  # i*sign in working precision
         self._inv_n = self.dtype.type(1.0 / n)
-        # Radix-2/4 butterflies stage their intermediates in contiguous
-        # scratch blocks and pay exactly one strided write per output
-        # quarter/half — writing intermediates straight into the strided
-        # (batch, m, r, s) destination views costs several extra strided
-        # passes.  Radix-4 needs four (batch, n/4) blocks, radix-2 one
-        # (batch, n/2) block; the generic butterfly needs none.
-        if any(st.r == 4 for st in self._stages):
-            self._scratch_elems = n
-        elif any(st.r == 2 for st in self._stages):
-            self._scratch_elems = n // 2
-        else:
-            self._scratch_elems = 0
+        self._needs_scratch = any(st.tw is not None for st in self._stages)
         #: batch size -> (ping, pong, scratch) reused across calls.
         self._pool: dict[int, tuple] = {}
 
@@ -149,8 +159,7 @@ class StockhamPlan:
         if ws is None:
             ping = np.empty((batch, self.n), dtype=self.dtype)
             pong = np.empty((batch, self.n), dtype=self.dtype)
-            scratch = (np.empty(batch * self._scratch_elems, dtype=self.dtype)
-                       if self._scratch_elems else None)
+            scratch = np.empty_like(ping) if self._needs_scratch else None
             ws = (ping, pong, scratch)
             self._pool[batch] = ws
         return ws
@@ -226,40 +235,17 @@ class StockhamPlan:
     def _apply_stage(self, cur: np.ndarray, out: np.ndarray, st: _Stage,
                      scratch: np.ndarray | None) -> None:
         batch = cur.shape[0]
-        n, s, r = st.n, st.s, st.r
-        m = n // r
-        c = cur.reshape(batch, r, m, s)
-        o = out.reshape(batch, m, r, s)
-        if r == 2:
-            a, b = c[:, 0], c[:, 1]
-            sc = scratch[: batch * m * s].reshape(batch, m, s)
-            np.add(a, b, out=o[:, :, 0, :])
-            np.subtract(a, b, out=sc)
-            np.multiply(sc, st.tw[None, :, 1, None], out=o[:, :, 1, :])
-        elif r == 4:
-            blk = batch * m * s
-            sc0 = scratch[0 * blk:1 * blk].reshape(batch, m, s)
-            sc1 = scratch[1 * blk:2 * blk].reshape(batch, m, s)
-            sc2 = scratch[2 * blk:3 * blk].reshape(batch, m, s)
-            sc3 = scratch[3 * blk:4 * blk].reshape(batch, m, s)
-            c0, c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2], c[:, 3]
-            np.add(c0, c2, out=sc0)                 # ap
-            np.subtract(c0, c2, out=sc1)            # am
-            np.add(c1, c3, out=sc2)                 # bp
-            np.subtract(c1, c3, out=sc3)            # bm
-            np.multiply(sc3, self._rot90, out=sc3)  # i*sign*bm
-            np.add(sc0, sc2, out=o[:, :, 0, :])     # ap + bp (tw[:, 0] == 1)
-            np.subtract(sc0, sc2, out=sc2)          # ap - bp
-            np.multiply(sc2, st.tw[None, :, 2, None], out=o[:, :, 2, :])
-            np.add(sc1, sc3, out=sc0)               # am + jbm
-            np.multiply(sc0, st.tw[None, :, 1, None], out=o[:, :, 1, :])
-            np.subtract(sc1, sc3, out=sc1)          # am - jbm
-            np.multiply(sc1, st.tw[None, :, 3, None], out=o[:, :, 3, :])
-        else:
-            omega = _butterfly_matrix(r, self.sign).astype(self.dtype)
-            # o[b, p, u, s] = sum_j omega[u, j] * c[b, j, p, s]
-            np.einsum("uj,bjps->bpus", omega, c, out=o, optimize=True)
-            np.multiply(o, st.tw[None, :, :, None], out=o)
+        r, w = st.r, st.w
+        groups, tiles = st.mat.shape[0], st.cols // w
+        dst = out if st.tw is None else scratch
+        # d[b, g, t] = mat[g] @ c[b, g, t]: (r, r) @ (r, w), tile t of group g
+        c = cur.reshape(batch, r, groups, tiles, w).transpose(0, 2, 3, 1, 4)
+        d = dst.reshape(batch, groups, r, tiles, w).transpose(0, 1, 3, 2, 4)
+        np.matmul(st.mat, c, out=d)
+        if st.tw is not None:
+            m = st.n // r
+            np.multiply(dst.reshape(batch, r, m, st.s).transpose(0, 2, 1, 3),
+                        st.tw, out=out.reshape(batch, m, r, st.s))
 
     @property
     def flops(self) -> float:
@@ -268,8 +254,8 @@ class StockhamPlan:
 
 
 def stage_count(n: int) -> int:
-    """Number of Stockham passes for a power-of-two length (radix-4 biased)."""
-    return len(factorize_radices(n, radices=(4, 2)))
+    """Number of Stockham passes the default schedule runs for a smooth *n*."""
+    return len(default_radices(n))
 
 
 def fft_stockham(x: np.ndarray, sign: int = -1) -> np.ndarray:

@@ -46,7 +46,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.fft.bitops import is_power_of_two, mixed_radix_factors
+from repro.fft.bitops import factorize_radices, is_power_of_two, \
+    mixed_radix_factors
 from repro.fft.stockham import StockhamPlan
 
 __all__ = ["WISDOM_VERSION", "Wisdom", "candidate_radix_plans",
@@ -79,22 +80,19 @@ def machine_fingerprint() -> str:
 def candidate_radix_plans(n: int) -> list[list[int]]:
     """Reasonable radix decompositions of *n* (greedy ladders).
 
-    Power-of-two sizes get the radix-16/8/4/2 greedy ladders; other smooth
-    sizes get the prime factorization (unique up to order) in ascending
-    and descending order.
+    Power-of-two sizes get the radix-32/16/8/4/2 greedy ladders; other
+    smooth sizes get the prime factorization (unique up to order) in
+    ascending and descending order.  The default schedule
+    (:func:`repro.fft.bitops.default_radices`) is not repeated here;
+    :func:`repro.fft.autotune.kernel_candidates` puts it first.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     out: list[list[int]] = []
     if is_power_of_two(n):
-        for ladder in ((4, 2), (8, 4, 2), (16, 8, 4, 2), (2,)):
-            m, plan = n, []
-            while m > 1:
-                for r in ladder:
-                    if m % r == 0:
-                        plan.append(r)
-                        m //= r
-                        break
+        for ladder in ((4, 2), (8, 4, 2), (16, 8, 4, 2), (32, 16, 8, 4, 2),
+                       (2,)):
+            plan = factorize_radices(n, ladder)
             if plan not in out:
                 out.append(plan)
         return out

@@ -146,13 +146,8 @@ class PipelineVerifier:
         # stage that produced it.
         self.report.checks += 1
         c_pred_u = self._conv_checksum().predict(bufs["x_ext"])
-        if has_lane:
-            if soi._lane_mat is not None:
-                c_pred_z = np.matmul(c_pred_u, soi._lane_mat)
-            else:
-                c_pred_z = soi._lane_plan(c_pred_u)
-        else:
-            c_pred_z = c_pred_u
+        c_pred_z = soi._lane_dft(c_pred_u[:, None])[:, 0] if has_lane \
+            else c_pred_u
         c_obs_z = np.matmul(self._w_rows, z)
         e_z = energy_cols(z)  # (b, s)
         bad = _abs2(c_obs_z - c_pred_z) > th.checksum_rtol ** 2 * (
@@ -226,17 +221,11 @@ class PipelineVerifier:
                     soi._block_lo, ts)
                 # the lane FFT mixes lanes: everything downstream of a
                 # repaired lane is suspect for this batch row
-                if soi._lane_mat is not None:
-                    np.matmul(u[bi], soi._lane_mat, out=z[bi])
-                elif soi._lane_plan is not None:
-                    soi._lane_plan(u[bi], out=z[bi])
+                if soi._lane_plan is not None:
+                    soi._lane_dft(u[bi], out=z[bi])
                 self._redo_downstream(bufs, res3, bi, range(s))
             elif stage == "lane":
-                if soi._lane_mat is not None:
-                    z[bi][:, ts] = np.matmul(u[bi], soi._lane_mat[:, ts])
-                else:
-                    soi._lane_plan(u[bi], out=z[bi])
-                    ts = range(s)
+                z[bi][:, ts] = soi._lane_dft(u[bi])[:, ts]
                 self._redo_downstream(bufs, res3, bi, ts)
             elif stage == "permute":
                 self._redo_downstream(bufs, res3, bi, ts)

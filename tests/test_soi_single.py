@@ -1,5 +1,10 @@
 """End-to-end tests for the single-process SOI FFT."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +111,25 @@ class TestLocalFftChoices:
         assert np.allclose(got, f(x), rtol=1e-10, atol=1e-10)
 
 
+class TestLaneDft:
+    def test_tiled_product_is_the_lane_transform(self, rng):
+        f = SoiFFT(make_params(n=7 * 2 ** 13))  # M' = 8192, S = 8
+        assert f._lane_tile == 512  # 512 * 8 * 8 multiply-adds < 2**16
+        u = random_complex(rng, 3, f.params.m_oversampled, 8)
+        z = f._lane_dft(u)
+        assert np.allclose(z, np.fft.fft(u, axis=-1))
+        for i in range(3):  # a tile never spans two frames
+            assert np.array_equal(f._lane_dft(u[i]), z[i])
+        # any row count runs (the ABFT checksum is one row per frame)
+        assert np.allclose(f._lane_dft(u[:, :1]), z[:, :1])
+
+    def test_wide_lane_counts_use_the_stockham_plan(self, rng):
+        f = SoiFFT(make_params(n=128 * 448, s=128))
+        assert f._lane_mat is None
+        u = random_complex(rng, f.params.m_oversampled, 128)
+        assert np.allclose(f._lane_dft(u), np.fft.fft(u, axis=-1))
+
+
 class TestConvenienceWrapper:
     def test_soi_fft_function(self, rng):
         x = random_complex(rng, 8 * 448)
@@ -148,3 +172,65 @@ class TestLinearity:
         params = make_params(n=4 * 448, s=4, b=16)
         f = SoiFFT(params)
         assert np.allclose(f(np.zeros(params.n, dtype=np.complex128)), 0.0)
+
+
+# -- one answer whatever BLAS thread pool the host configured ---------------
+
+POOL_PROBE = """
+import hashlib
+import numpy as np
+from repro.core.params import SoiParams
+from repro.core.soi_single import SoiFFT
+from repro.fft.plan import get_plan
+
+rng = np.random.default_rng(2013)
+x = rng.standard_normal(458752) + 1j * rng.standard_normal(458752)
+a = rng.standard_normal((8, 65536)) + 1j * rng.standard_normal((8, 65536))
+f = SoiFFT(SoiParams(n=x.size, n_procs=1, segments_per_process=8,
+                     n_mu=8, d_mu=7, b=72))
+blocks = {
+    "segment_fft": get_plan(65536)(a),
+    "lane_dft": f._lane_dft(a.reshape(65536, 8)),
+    "soi_call": f(x),
+    "threaded_dot": np.vdot(x, x),
+}
+for name, block in blocks.items():
+    print(name, hashlib.sha1(np.ascontiguousarray(block).tobytes()).hexdigest())
+"""
+
+
+@pytest.fixture(scope="module")
+def digests_by_pool():
+    """name -> set of digests over OPENBLAS_NUM_THREADS unset, 1 and 2."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    seen: dict[str, set] = {}
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(src)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        done = subprocess.run([sys.executable, "-c", POOL_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        for line in done.stdout.splitlines():
+            name, digest = line.split()
+            seen.setdefault(name, set()).add(digest)
+    return seen
+
+
+class TestBlasPoolInvariance:
+    """Every GEMM of a transform is one :func:`repro.fft.bitops.gemm_tile`
+    tile, which OpenBLAS runs on the calling thread — so the bits do not
+    depend on how the host sized its pool."""
+
+    @pytest.mark.parametrize("block", ["segment_fft", "lane_dft", "soi_call"])
+    def test_one_digest_for_every_pool(self, digests_by_pool, block):
+        assert len(digests_by_pool[block]) == 1
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="OpenBLAS caps its pool at the cpu count")
+    def test_the_probe_can_see_a_pool(self, digests_by_pool):
+        # the gate can go red: an over-threshold reduction in the same
+        # probe is split across the pool and sums in another order
+        assert len(digests_by_pool["threaded_dot"]) > 1

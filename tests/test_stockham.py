@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.fft.bitops import _TILE_MACS, default_radices, gemm_tile
 from repro.fft.dft import dft
 from repro.fft.stockham import StockhamPlan, fft_flops, fft_stockham, stage_count
 from tests.conftest import random_complex
@@ -63,6 +64,29 @@ class TestPlan:
         plan = StockhamPlan(105, radices=[3, 5, 7])
         assert np.allclose(plan(x), np.fft.fft(x))
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("sign", [-1, +1])
+    @pytest.mark.parametrize("radices", [[16, 16], [32, 32], [3, 5, 7],
+                                         [12, 8], [2] * 4, [4, 16, 16, 4]])
+    def test_one_kernel_for_any_radices(self, rng, radices, sign, dtype):
+        # dense butterflies: no radix has a path of its own, and the
+        # inverse's 1/n and an ``out`` that is the input go through it too
+        n = int(np.prod(radices))
+        plan = StockhamPlan(n, sign=sign, radices=radices, dtype=dtype)
+        x = random_complex(rng, 3, n).astype(dtype)
+        wide = x.astype(np.complex128)
+        ref = np.fft.fft(wide) if sign == -1 else np.fft.ifft(wide)
+        # measured 9e-16 of the peak at 65536 in double, 2e-7 in single
+        tol = (1e-13 if dtype == np.complex128 else 1e-5) * np.abs(ref).max()
+        assert np.abs(plan(x) - ref).max() <= tol
+        assert plan(x, out=x) is x
+        assert np.abs(x - ref).max() <= tol
+
+    def test_rejects_a_radix_wider_than_a_tile(self):
+        with pytest.raises(ValueError, match="does not fit a GEMM tile"):
+            StockhamPlan(512, radices=[256, 2])
+        assert StockhamPlan(254, radices=[127, 2]).radices == [127, 2]
+
     def test_rejects_mismatched_radices(self):
         with pytest.raises(ValueError):
             StockhamPlan(16, radices=[2, 2])
@@ -99,10 +123,132 @@ class TestFlopsAndStages:
         assert fft_flops(2) == pytest.approx(10.0)
         assert fft_flops(1) == 0.0
 
-    def test_stage_count_radix4_bias(self):
-        assert stage_count(16) == 2
-        assert stage_count(32) == 3
-        assert stage_count(1024) == 5
+    def test_stage_count_is_the_default_schedule(self):
+        # radix-16 ladder, remainder last; odd primes merged into few passes
+        assert [stage_count(n) for n in (16, 32, 1024, 65536)] == [1, 2, 3, 4]
+        assert stage_count(12288) == 4  # 16*16*16*3, was thirteen passes
+        for n in (32, 1024, 12288, 6720):
+            assert StockhamPlan(n).radices == default_radices(n)
+
+
+# -- batch invariance at the seam: the pass kernel's tile rule --------------
+
+
+def row_tiles(batch, cols, w):
+    """The rule: every transform tiled alike from its own column 0."""
+    return [(b * cols + lo, b * cols + lo + w)
+            for b in range(batch) for lo in range(0, cols, w)]
+
+
+def batch_sized_tiles(batch, cols, w, r):
+    """Mutant: the cap shared out over the call, so the width depends on
+    how many transforms rode along."""
+    return row_tiles(batch, cols, gemm_tile(r * r * batch, cols))
+
+
+def spanning_tiles(batch, cols, w, r):
+    """Mutant: the call's columns as one axis cut at the largest width
+    under the cap — products run on from one transform into the next."""
+    width, total = (_TILE_MACS - 1) // (r * r), batch * cols
+    return [(lo, min(lo + width, total)) for lo in range(0, total, width)]
+
+
+def call_aligned_tiles(batch, cols, w, r):
+    """Mutant: the same cuts, clipped so no product spans two transforms —
+    but still counted from the call's first column, not the transform's."""
+    cuts = spanning_tiles(batch, cols, w, r)
+    edges = sorted({e for lo, hi in cuts for e in (lo, hi)}
+                   | {b * cols for b in range(batch + 1)})
+    return list(zip(edges, edges[1:]))
+
+
+def run_tiled(plan, xs, tiles=None):
+    """``plan(xs)`` with every product made by hand, one per tile of
+    ``tiles(batch, cols, w, r)`` (half-open ranges of the call's
+    ``batch * cols`` columns); ``None`` is the plan's own tiling."""
+    cur = np.array(xs, dtype=plan.dtype)
+    batch = cur.shape[0]
+    for st in plan._stages:
+        r, m = st.r, st.n // st.r
+        groups = st.mat.shape[0]
+        c = cur.reshape(batch, r, groups, st.cols)
+        d = np.empty((batch, groups, r, st.cols), dtype=plan.dtype)
+        cuts = row_tiles(batch, st.cols, st.w) if tiles is None \
+            else tiles(batch, st.cols, st.w, r)
+        for g in range(groups):
+            flat = np.ascontiguousarray(
+                c[:, :, g].transpose(1, 0, 2)).reshape(r, -1)
+            prod = np.empty_like(flat)
+            for lo, hi in cuts:
+                prod[:, lo:hi] = st.mat[g, 0] @ flat[:, lo:hi]
+            d[:, g] = prod.reshape(r, batch, st.cols).transpose(1, 0, 2)
+        if st.tw is not None:
+            d = d.reshape(batch, r, m, st.s).transpose(0, 2, 1, 3) * st.tw
+        cur = np.ascontiguousarray(d).reshape(batch, -1)
+    return cur * plan._inv_n if plan.sign == +1 else cur
+
+
+def assert_batch_invariance(transform, n, dtype, batches, seed=2013):
+    """The contract, for ``transform(xs)`` on stacks of length-*n* rows."""
+    rng = np.random.default_rng(seed)
+    xs = random_complex(rng, max(batches), n).astype(dtype)
+    full = transform(xs)
+    ref = np.fft.fft(xs[:2].astype(np.complex128), axis=-1)
+    tol = 1e-12 if dtype == np.complex128 else 1e-5
+    assert np.abs(full[:2] - ref).max() <= tol * np.abs(ref).max(), \
+        "disagrees with numpy.fft"
+    for b in batches:
+        assert np.array_equal(transform(xs[:b]), full[:b]), \
+            f"batch invariance: the first {b} rows differ from the same " \
+            f"rows of a batch of {max(batches)}"
+    for i in sorted({0, 1, 2, max(batches) // 3, max(batches) - 1}):
+        assert np.array_equal(transform(xs[i:i + 1])[0], full[i]), \
+            f"batch invariance: row {i} solo differs from row {i} of " \
+            f"a batch of {max(batches)}"
+
+
+#: Largest batch per length: 104 is ``batch_small``'s block of 13 frames
+#: of 8 segments; the long lengths stay under 100 MiB of workspace.
+BATCHES = {128: (1, 3, 8, 104), 1024: (1, 3, 8, 104), 12288: (1, 3, 8, 40),
+           65536: (1, 3, 8)}
+DTYPES = [np.complex128, np.complex64]
+
+
+class TestBatchInvariance:
+    """``plan(xs)[i]`` is bitwise ``plan(xs[i:i+1])[0]`` — the seam every
+    solo/coalesced, simulator/process and recovered/fault-free contract
+    passes through on its way to the segment FFT."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", sorted(BATCHES))
+    def test_rows_independent_of_batch(self, n, dtype):
+        plan = StockhamPlan(n, dtype=dtype)
+        assert_batch_invariance(plan, n, dtype, BATCHES[n])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", [1024, 12288])
+    def test_hand_tiled_model_is_the_kernel(self, rng, n, dtype):
+        # the mutants below differ from this model in their cuts alone
+        plan = StockhamPlan(n, dtype=dtype)
+        xs = random_complex(rng, 5, n).astype(dtype)
+        assert np.array_equal(run_tiled(plan, xs), plan(xs))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", [1024, 12288])
+    @pytest.mark.parametrize("mutant", [batch_sized_tiles, spanning_tiles,
+                                        call_aligned_tiles])
+    def test_breaking_the_tile_rule_fails_the_contract(self, mutant, n,
+                                                       dtype):
+        # the gate can go red: each mutant is numerically as good (it
+        # passes the numpy assertion, which runs first), but some column
+        # then sits in a product of another width or at another tile
+        # edge, where BLAS's remainder kernels sum in a different order
+        plan = StockhamPlan(n, dtype=dtype)
+        with pytest.raises(AssertionError, match="batch invariance"):
+            assert_batch_invariance(lambda xs: run_tiled(plan, xs, mutant),
+                                    n, dtype, BATCHES[n])
+        assert_batch_invariance(lambda xs: run_tiled(plan, xs), n, dtype,
+                                (1, 3, 8))
 
 
 # -- property-based tests on DFT identities ---------------------------------

@@ -150,6 +150,22 @@ class TestSingleNodeVerification:
         # repair restores numpy.fft agreement to the clean-run level
         assert relative_l2_error(y, np.fft.fft(x)) <= base * 1.0001
 
+    def test_a_repaired_lane_rounds_like_a_computed_one(self, rng):
+        # pipeline and repair both run SoiFFT._lane_dft (and the batch-
+        # invariant segment plan after it): recovered == fault-free, bitwise
+        x = random_complex(rng, PARAMS.n)
+        clean = SoiFFT(PARAMS)(x)
+        f = SoiFFT(PARAMS, verify=VerifyPolicy(
+            inject=one_shot_injector("lane", 5)))
+        y = f(x)
+        assert f.verifier.report.detected_stages == {"lane"}
+        assert np.array_equal(y, clean)
+        # the gate can go red: the column product the repair used to make
+        # by hand, (M', S) @ (S, 1), is a gemv and sums in another order
+        u = f._bufpool[1]["u"][0]
+        assert not np.array_equal(np.matmul(u, f._lane_mat[:, [5]]),
+                                  f._lane_dft(u)[:, [5]])
+
     def test_small_amplitude_still_detected(self, rng):
         x = random_complex(rng, PARAMS.n)
         policy = VerifyPolicy(

@@ -281,6 +281,17 @@ class TestNoLargeAllocations:
         out = np.empty((16, 4096), dtype=np.complex128)
         assert peak_new_bytes(lambda: plan(x, out=out)) < LARGE
 
+    @pytest.mark.parametrize("n", [12288, 105 * 64])
+    def test_stockham_mixed_radix_steady_state(self, rng, n):
+        # an odd factor runs the same planned kernel as a power of two:
+        # no per-call butterfly matrix, no einsum/tensordot temporaries
+        # (3 MiB per call at 12288 x 8 before the pass was one matmul)
+        plan = StockhamPlan(n)
+        x = random_complex(rng, 8, n)
+        out = np.empty((8, n), dtype=np.complex128)
+        assert peak_new_bytes(lambda: plan(x, out=out)) < LARGE
+        assert np.allclose(out, np.fft.fft(x, axis=-1))
+
     def test_soi_batch_steady_state(self, rng):
         # sized so ONE row of any stage buffer is ~1 MiB: a single stray
         # temporary in batch(), __call__ or convolve trips the threshold
