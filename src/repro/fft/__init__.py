@@ -13,15 +13,16 @@ All plans follow one workspace contract:
   ``fft``/``ifft``/``fft_stockham`` all share it; ``cache_clear()`` /
   ``cache_info()`` manage it.
 * A plan lazily allocates ping-pong workspaces per distinct batch size
-  and reuses them forever after — calling a plan twice never re-allocates
-  and always returns independent result arrays.
+  and calling thread, and reuses them forever after — calling a plan
+  twice never re-allocates and always returns independent result arrays,
+  and one cached plan may run on several threads at once.
 * ``plan(x, out=buf)`` writes into a caller-owned, C-contiguous array of
   the plan dtype.  ``out`` may alias ``x`` (in-place transform) or any
   previously returned result; it never aliases the internal pool.  With
   ``out=`` the steady state performs zero heap allocations
   (``tests/test_zero_alloc.py::TestNoLargeAllocations`` asserts this
   with ``tracemalloc``).
-* ``plan.release_workspaces()`` drops the pooled buffers.
+* ``plan.release_workspaces()`` drops the calling thread's pooled buffers.
 
 A Stockham plan's passes are batched GEMMs: ``default_radices(n)`` is the
 schedule an untuned plan runs and ``gemm_tile`` the one rule that sizes

@@ -7,12 +7,15 @@ counts in SOI parameter sweeps) is supported.
 
 Like :class:`repro.fft.stockham.StockhamPlan`, execution is planned and
 workspace-reusing: the padded chirp buffers are pooled per batch size and
-the embedded Stockham plans run with ``out=`` destinations, so a
-steady-state ``plan(x, out=buf)`` loop performs no per-call allocation.
+calling thread (the same workspace contract: one cached plan may run on
+several threads at once) and the embedded Stockham plans run with
+``out=`` destinations, so a steady-state ``plan(x, out=buf)`` loop
+performs no per-call allocation.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -48,8 +51,12 @@ class BluesteinPlan:
         self._inv = StockhamPlan(m, +1)
         self._bhat = self._fwd(b)
         self._inv_n = self.dtype.type(1.0 / n)
-        #: batch size -> (padded, spectrum) chirp-convolution buffers.
-        self._pool: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._local = threading.local()
+
+    @property
+    def _pool(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """The calling thread's batch size -> (padded, spectrum) buffers."""
+        return self._local.__dict__  # a local's attributes are per thread
 
     def _workspace(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
         ws = self._pool.get(batch)
@@ -60,7 +67,8 @@ class BluesteinPlan:
         return ws
 
     def release_workspaces(self) -> None:
-        """Drop pooled buffers here and in the embedded Stockham plans."""
+        """Drop the calling thread's pooled buffers, here and in the
+        embedded Stockham plans."""
         self._pool.clear()
         self._fwd.release_workspaces()
         self._inv.release_workspaces()

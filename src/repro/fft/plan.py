@@ -1,4 +1,4 @@
-"""Top-level FFT entry points: sharded plan cache + length-based dispatch.
+"""Top-level FFT entry points: the plan cache + length-based dispatch.
 
 ``fft``/``ifft`` pick the fastest applicable kernel:
 
@@ -9,24 +9,20 @@ This mirrors the role MKL's DFTI plans play in the paper's node-local
 code: users express *what* to transform, the library picks *how*.
 
 There is exactly ONE plan cache in the library — the dtype-aware LRU
-behind :func:`get_plan`.  ``fft_stockham`` and the dispatchers all share
-it, so a plan's pooled workspaces (see ``StockhamPlan``) are reused no
-matter which entry point reached it.  ``cache_clear()`` releases every
-cached plan (and with them the workspace pools); ``cache_info()`` exposes
-the LRU counters for tests and diagnostics.
-
-The cache is **lock-striped**: keys hash onto :data:`_N_SHARDS`
-independent LRU shards, each behind its own lock, so concurrent lookups
-of different sizes (the serving gateway runs coalesced batches for
-several ladder rungs at once on executor threads) never serialize on a
-single global lock.  ``cache_info()`` aggregates the shard counters into
-one functools-compatible view; per-shard hit/miss/evict counters are
-also published to the default telemetry registry as
-``repro_fft_plancache_shard<i>_{hits,misses,evictions}_total``.
+behind :func:`get_plan`: one ``OrderedDict`` behind one lock (lookups
+happen when a pipeline is *constructed*; a served request reaches its
+plan by a dict hit in the gateway, so there is nothing to stripe).
+``fft_stockham`` and the dispatchers all share it, so every caller of a
+length holds the same plan object — safe across threads because a plan's
+tables are read-only and its pooled workspaces belong to the calling
+thread (``StockhamPlan``'s workspace contract).  ``cache_clear()``
+releases every cached plan (and with them the workspace pools);
+``cache_info()`` exposes the LRU counters, which are also published as
+``repro_fft_plancache_{hits,misses,evictions}_total``.
 
 The cache is fork/spawn-safe: get-or-create is serialized behind the
-shard lock (two threads planning the same size build it once), and a
-per-process guard empties every shard and replaces its lock the first
+lock (two threads planning the same size keep one plan), and a
+per-process guard empties the cache and replaces its lock the first
 time a forked worker touches it — a child must never share plan
 workspaces (or a possibly-locked lock) inherited from its parent.  The
 :class:`~repro.cluster.backends.ProcessBackend` workers rely on this.
@@ -58,26 +54,10 @@ __all__ = ["fft", "ifft", "get_plan", "cache_clear", "cache_info",
            "get_active_wisdom", "set_active_wisdom"]
 
 _MAXSIZE = 256
-#: Lock stripes.  8 shards × 32 entries keep the total capacity at
-#: ``_MAXSIZE`` while letting 8 executor threads plan concurrently.
-_N_SHARDS = 8
-_SHARD_MAX = _MAXSIZE // _N_SHARDS
 
-
-class _Shard:
-    """One lock-striped LRU shard with its own counters."""
-
-    __slots__ = ("lock", "entries", "hits", "misses", "evictions")
-
-    def __init__(self) -> None:
-        self.lock = threading.RLock()
-        self.entries: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-
-_shards: list[_Shard] = [_Shard() for _ in range(_N_SHARDS)]
+_lock = threading.RLock()
+_entries: OrderedDict = OrderedDict()
+_hits = _misses = 0
 _pid = os.getpid()
 _wisdom: Wisdom | None = None
 _wisdom_machine: str | None = None
@@ -85,25 +65,21 @@ _wisdom_machine: str | None = None
 
 def _ensure_this_process() -> None:
     """Reset inherited cache state after a fork (call with no lock held)."""
-    global _shards, _pid
+    global _lock, _entries, _hits, _misses, _pid
     if _pid != os.getpid():
-        # any shard lock may have been captured mid-acquire in the
-        # parent; fresh shards are the only safe option in the child
-        _shards = [_Shard() for _ in range(_N_SHARDS)]
+        # the lock may have been captured mid-acquire in the parent; a
+        # fresh lock and an empty cache are the only safe option in the child
+        _lock = threading.RLock()
+        _entries = OrderedDict()
+        _hits = _misses = 0
         _pid = os.getpid()
 
 
-def _shard_for(key: tuple) -> tuple[int, _Shard]:
-    i = hash(key) % _N_SHARDS
-    return i, _shards[i]
-
-
-def _count(shard_index: int, event: str) -> None:
-    """Publish one shard cache event to the default metrics registry."""
+def _count(event: str) -> None:
+    """Publish one cache event to the default metrics registry."""
     from repro.telemetry.metrics import get_registry
-    get_registry().counter(
-        f"repro_fft_plancache_shard{shard_index}_{event}_total",
-        f"plan-cache shard {shard_index} {event}").inc()
+    get_registry().counter(f"repro_fft_plancache_{event}_total",
+                           f"plan-cache {event}").inc()
 
 
 def set_active_wisdom(wisdom: Wisdom | None,
@@ -120,9 +96,8 @@ def set_active_wisdom(wisdom: Wisdom | None,
     _wisdom = wisdom
     _wisdom_machine = (machine_fingerprint() if machine is None
                        else machine)
-    for shard in _shards:
-        with shard.lock:
-            shard.entries.clear()
+    with _lock:
+        _entries.clear()
     return prev
 
 
@@ -151,73 +126,50 @@ def _build_plan(n: int, sign: int, dtype_str: str):
 
 def get_plan(n: int, sign: int = -1, dtype=np.complex128):
     """Return a cached callable plan for length, direction, and precision."""
+    global _hits, _misses
     if n <= 0:
         raise ValueError("n must be positive")
     key = (n, sign, np.dtype(dtype).name)
     _ensure_this_process()
-    i, shard = _shard_for(key)
-    with shard.lock:
-        plan = shard.entries.get(key)
+    with _lock:
+        plan = _entries.get(key)
         if plan is not None:
-            shard.hits += 1
-            shard.entries.move_to_end(key)
-            _count(i, "hits")
+            _hits += 1
+            _entries.move_to_end(key)
+            _count("hits")
             return plan
-        shard.misses += 1
-    _count(i, "misses")
+        _misses += 1
+    _count("misses")
     # build outside the lock: planning is slow (twiddle tables) and must
     # not serialize unrelated sizes; a racing duplicate is discarded below
     plan = _build_plan(*key)
-    with shard.lock:
-        winner = shard.entries.setdefault(key, plan)
-        shard.entries.move_to_end(key)
+    with _lock:
+        winner = _entries.setdefault(key, plan)
+        _entries.move_to_end(key)
         evicted = 0
-        while len(shard.entries) > _SHARD_MAX:
-            shard.entries.popitem(last=False)
-            shard.evictions += 1
+        while len(_entries) > _MAXSIZE:
+            _entries.popitem(last=False)
             evicted += 1
     for _ in range(evicted):
-        _count(i, "evictions")
+        _count("evictions")
     return winner
 
 
 def cache_clear() -> None:
     """Drop every cached plan (and its pooled workspaces)."""
+    global _hits, _misses
     _ensure_this_process()
-    for shard in _shards:
-        with shard.lock:
-            shard.entries.clear()
-            shard.hits = shard.misses = shard.evictions = 0
+    with _lock:
+        _entries.clear()
+        _hits = _misses = 0
 
 
 def cache_info():
-    """LRU statistics of the unified plan cache (hits/misses/currsize).
-
-    Aggregated across the lock stripes into the same functools
-    ``CacheInfo`` shape the unsharded cache exposed.
-    """
+    """LRU statistics of the plan cache, in functools' ``CacheInfo`` shape
+    (hits/misses/maxsize/currsize)."""
     _ensure_this_process()
-    hits = misses = currsize = 0
-    for shard in _shards:
-        with shard.lock:
-            hits += shard.hits
-            misses += shard.misses
-            currsize += len(shard.entries)
-    return _CacheInfo(hits, misses, _MAXSIZE, currsize)
-
-
-def cache_shard_info() -> list[dict]:
-    """Per-shard counters (diagnostics; sums match :func:`cache_info`)."""
-    _ensure_this_process()
-    out = []
-    for i, shard in enumerate(_shards):
-        with shard.lock:
-            out.append({"shard": i, "hits": shard.hits,
-                        "misses": shard.misses,
-                        "evictions": shard.evictions,
-                        "currsize": len(shard.entries),
-                        "maxsize": _SHARD_MAX})
-    return out
+    with _lock:
+        return _CacheInfo(_hits, _misses, _MAXSIZE, len(_entries))
 
 
 def _transform(x: np.ndarray, axis: int, sign: int) -> np.ndarray:

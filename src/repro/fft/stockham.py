@@ -41,6 +41,8 @@ with ``tracemalloc``).
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.fft.bitops import default_radices, gemm_tile, mixed_radix_factors
@@ -112,13 +114,17 @@ class StockhamPlan:
     ------------------
     The plan lazily allocates one pair of ping-pong buffers (plus one
     equally sized scratch when a pass applies its twiddle separately) per
-    distinct flattened batch size and reuses them for
-    every subsequent call — calling a plan twice never re-allocates and the
-    two calls return independent arrays.  ``plan(x, out=buf)`` writes the
+    distinct flattened batch size *and calling thread*, and reuses them
+    for every subsequent call from that thread — calling a plan twice
+    never re-allocates and the two calls return independent arrays.  The
+    tables are read-only and the buffers belong to the executing thread,
+    so the one plan :mod:`repro.fft.plan` caches per length may run on
+    several threads at once.  ``plan(x, out=buf)`` writes the
     result into a caller-owned, C-contiguous array of the plan dtype; the
     input is never read after the destination is first written, so
     ``out`` may alias ``x`` (a fully in-place transform) or a buffer
-    returned by a previous call.  ``release_workspaces()`` drops the pool.
+    returned by a previous call.  ``workspace_bytes()`` and
+    ``release_workspaces()`` speak for the calling thread's pool only.
     """
 
     def __init__(self, n: int, sign: int = -1, radices: list[int] | None = None,
@@ -149,10 +155,14 @@ class StockhamPlan:
             cur_s *= r
         self._inv_n = self.dtype.type(1.0 / n)
         self._needs_scratch = any(st.tw is not None for st in self._stages)
-        #: batch size -> (ping, pong, scratch) reused across calls.
-        self._pool: dict[int, tuple] = {}
+        self._local = threading.local()
 
     # -- workspace management ------------------------------------------
+
+    @property
+    def _pool(self) -> dict[int, tuple]:
+        """The calling thread's batch size -> (ping, pong, scratch)."""
+        return self._local.__dict__  # a local's attributes are per thread
 
     def _workspace(self, batch: int) -> tuple:
         ws = self._pool.get(batch)
@@ -165,14 +175,15 @@ class StockhamPlan:
         return ws
 
     def workspace_bytes(self) -> int:
-        """Bytes currently held by the pooled workspaces."""
+        """Bytes currently held by the calling thread's pooled workspaces."""
         total = 0
         for bufs in self._pool.values():
             total += sum(b.nbytes for b in bufs if b is not None)
         return total
 
     def release_workspaces(self) -> None:
-        """Drop all pooled buffers (they re-allocate lazily on next use)."""
+        """Drop the calling thread's pooled buffers (they re-allocate
+        lazily on next use)."""
         self._pool.clear()
 
     # -- execution -----------------------------------------------------

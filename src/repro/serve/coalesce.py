@@ -19,20 +19,20 @@ sit at global row positions and run one frame at a time
 (:func:`repro.core.convolution.convolve`), so batched and single
 execution agree exactly (asserted by the differential tests).
 
-:func:`itemize_batch` spreads one batch execution's cost back into the
-member requests' :class:`~repro.resilience.deadline.Budget`s: each
-member is charged its equal ``"compute"`` share plus its own
-``"coalesce wait"`` (enqueue -> execution start), so per-request
-accounting still sums to what the system actually spent.
+The window members (:class:`PendingRequest`) and :func:`itemize_batch`,
+which spreads one batch execution's cost back into their budgets, are
+the request lifecycle's and live with it in
+:mod:`repro.resilience.server`; they are re-exported here.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
+
+from repro.resilience.server import PendingRequest, itemize_batch
 
 __all__ = ["CoalesceKey", "Coalescer", "PendingRequest", "itemize_batch",
            "split_rows", "stack_requests"]
@@ -44,34 +44,6 @@ class CoalesceKey(NamedTuple):
     n: int
     dtype: str
     rung_index: int
-
-
-@dataclass(repr=False)
-class PendingRequest:
-    """One admitted request waiting in a coalescing window."""
-
-    x: np.ndarray
-    tenant: str
-    deadline: Any  # duck-typed repro.resilience.Deadline
-    min_snr_db: float
-    arrival: float
-    rung_index: int
-    projected: float  # admission backlog token (released after the batch)
-    enqueued_at: float = 0.0
-    #: completion hook — an asyncio.Future for the gateway, anything
-    #: with set_result/set_exception for other front ends.
-    future: Any = None
-    #: rows coalesced alongside this request (filled at execution).
-    coalesced_with: int = 0
-    meta: dict = field(default_factory=dict)
-
-    def __repr__(self) -> str:
-        # compact on purpose: the default dataclass repr would print the
-        # whole signal, and asyncio reprs pending objects in error paths
-        shape = getattr(self.x, "shape", None)
-        return (f"PendingRequest(tenant={self.tenant!r}, "
-                f"rung={self.rung_index}, x.shape={shape}, "
-                f"arrival={self.arrival:.6g})")
 
 
 class Coalescer:
@@ -152,22 +124,3 @@ def split_rows(y: np.ndarray,
     batch buffer (or its window siblings' rows).
     """
     return [np.array(y[i], copy=True) for i in range(len(members))]
-
-
-def itemize_batch(members: list[PendingRequest], started_at: float,
-                  elapsed: float) -> None:
-    """Charge each member its share of one batch execution.
-
-    The compute share is equal-split (every row is the same transform);
-    the coalesce wait is each member's own enqueue -> start interval.
-    Charges land in the member's existing ``Deadline.budget``, under the
-    purposes ``"compute"`` and ``"coalesce wait"``, so a request's
-    budget reads the same whether it was coalesced or served alone
-    (a window of one waits zero and pays the full batch).
-    """
-    share = elapsed / len(members)
-    for m in members:
-        m.coalesced_with = len(members) - 1
-        m.deadline.charge("compute", share)
-        m.deadline.charge("coalesce wait",
-                          max(0.0, started_at - m.enqueued_at))

@@ -1,40 +1,41 @@
 """The asyncio serving gateway: concurrent admission, coalesced execution.
 
 :class:`AsyncSoiGateway` is the traffic front end over the node-local
-serving stack.  Requests arrive concurrently on the event loop; each one
-runs through, in order:
+serving stack — a *driver* of the one request lifecycle in
+:class:`~repro.resilience.server._Admission` (see
+:mod:`repro.resilience.server`), owning what a driver may differ in:
+event-loop timers for waiting, executor threads and coalesced windows
+for executing.  Requests arrive concurrently on the event loop; each
+one runs through, in order:
 
-1. **QoS admission** (:class:`~repro.serve.qos.QosPolicy`) — per-tenant
-   rate limit and queue-share check; a noisy tenant sheds here before it
-   can pressure anyone else.
-2. **Cost-model admission** (the same
-   :class:`~repro.resilience.server._Admission` the synchronous services
-   use, now thread-safe) — picks the best ladder rung inside the
-   class's window whose projected completion fits the deadline, or
-   sheds as :class:`~repro.resilience.deadline.Overloaded`.
-3. **Coalescing** (:class:`~repro.serve.coalesce.Coalescer`) — the
+1. **Admission** (``admission.open``) — per-tenant QoS
+   (:class:`~repro.serve.qos.QosPolicy`; a noisy tenant sheds here
+   before it can pressure anyone else), then the cost model over the
+   class's ladder window, or
+   :class:`~repro.resilience.deadline.Overloaded`.
+2. **Coalescing** (:class:`~repro.serve.coalesce.Coalescer`) — the
    request joins the open window for its ``(n, dtype, rung)``; the
    window flushes when full (``max_batch``) or when ``window_seconds``
    elapse, whichever is first.
-4. **Batched execution** — one ``SoiFFT.batch()`` call per window, run
-   on an executor thread so the loop keeps accepting; the plan, twiddle
-   tables, and pooled workspaces amortize over the whole window.  Row
+3. **Batched execution** — one ``SoiFFT.batch()`` call per window, run
+   on an executor thread so the loop keeps accepting; the plan and its
+   twiddle tables amortize over the whole window.  Row
    *i* of the result is request *i*'s spectrum, bitwise identical to
    serving it alone (the convolution's tile-alignment rule: a row's
    bits do not depend on the batch it rode in).
-5. **Per-request completion** — each member's own
-   :class:`~repro.resilience.deadline.Deadline` is checked, its budget
-   itemized (``"compute"`` share + ``"coalesce wait"``), and its future
-   resolved to a :class:`~repro.resilience.server.ServeResult` or one of
-   the contract exceptions.
+4. **Settlement** (``admission.settle``) — the batch is itemized into
+   each member's budget, each member's own deadline checked, and its
+   future resolved to a :class:`~repro.resilience.server.ServeResult`
+   or one of the contract exceptions.
 
 The four-outcome contract survives coalescing: a batch that fails
-mid-execution does not fail its members as a unit — each member is
-retried alone one rung down its viable window (outcome ``"degraded"``)
-or, if no cheaper rung exists or the retry also fails, shed
-individually (:class:`Overloaded`); members whose deadline has passed
-raise :class:`DeadlineExceeded`.  Every submitted request resolves to
-exactly one of the four outcomes (property-tested under chaos).
+mid-execution does not fail its members as a unit — ``step_down``
+answers for each: retried alone one rung down its viable window
+(outcome ``"degraded"``), shed individually (:class:`Overloaded`) if no
+cheaper rung exists or the retry also fails, or
+:class:`DeadlineExceeded` if its deadline has passed.  Every submitted
+request resolves to exactly one of the four outcomes (property-tested
+under chaos).
 
 The wall-clock/loop split: coalescing *timers* always run on the event
 loop's clock, while deadlines, latencies, and budget accounting use the
@@ -53,15 +54,12 @@ import numpy as np
 
 from repro.core.soi_single import SoiFFT
 from repro.machine.spec import XEON_PHI_SE10, MachineSpec
-from repro.perfmodel.model import soi_request_breakdown
 from repro.resilience.deadline import Deadline, DeadlineExceeded, Overloaded
-from repro.resilience.ladder import DegradationLadder, DegradationReport
-from repro.resilience.server import ServeResult, _Admission
+from repro.resilience.ladder import DegradationLadder
+from repro.resilience.server import PendingRequest, ServeResult, _Admission
 from repro.serve.coalesce import (
     CoalesceKey,
     Coalescer,
-    PendingRequest,
-    itemize_batch,
     split_rows,
     stack_requests,
 )
@@ -112,23 +110,23 @@ class AsyncSoiGateway:
                  metrics=None, recorder=None, verify=False,
                  executor=None, fault_injector=None):
         self.ladder = ladder
-        self.machine = machine
         self.clock = clock
         self.qos = QosPolicy() if qos is None else qos
         self.metrics = get_registry() if metrics is None else metrics
         self.recorder = recorder
-        self.calibration = calibration
         self.verify = verify
         self.fault_injector = fault_injector
         self.admission = _Admission(ladder, queue_limit, calibration_gain,
-                                    metrics=self.metrics)
+                                    metrics=self.metrics, qos=self.qos,
+                                    machine=machine, calibration=calibration)
         self.coalescer = Coalescer(max_batch=max_batch,
                                    window_seconds=window_seconds)
         self._plans: dict[int, SoiFFT] = {}
         self._plans_lock = threading.Lock()
-        # SoiFFT plans reuse pooled workspaces and are NOT safe under
-        # concurrent batch() calls: one execution lock per rung keeps
-        # same-plan batches serial while different rungs still overlap.
+        # A SoiFFT's stage buffers and verifier report are its own, NOT
+        # safe under concurrent batch() calls: one execution lock per
+        # rung keeps same-plan batches serial while different rungs still
+        # overlap (a cached FFT plan they share pools per thread).
         self._plan_exec_locks: dict[int, threading.Lock] = {}
         self._own_executor = executor is None
         self.executor = (ThreadPoolExecutor(max_workers=2)
@@ -142,10 +140,8 @@ class AsyncSoiGateway:
     def plan(self, rung_index: int) -> SoiFFT:
         """The lazily built per-rung plan (thread-safe get-or-create).
 
-        Built under the lock: designing the tables runs an FFT through
-        the process-wide plan cache, whose pooled workspaces two
-        constructing threads would share — either's demodulation table
-        could come back corrupted.
+        Built under the lock, so two windows that reach a rung together
+        design its tables once, not twice.
         """
         with self._plans_lock:
             plan = self._plans.get(rung_index)
@@ -153,22 +149,8 @@ class AsyncSoiGateway:
                 rung = self.ladder[rung_index]
                 plan = self._plans[rung_index] = SoiFFT(
                     rung.params, dtype=rung.dtype, verify=self.verify)
+                self._plan_exec_locks[rung_index] = threading.Lock()
         return plan
-
-    def _exec_lock(self, rung_index: int) -> threading.Lock:
-        with self._plans_lock:
-            lock = self._plan_exec_locks.get(rung_index)
-            if lock is None:
-                lock = self._plan_exec_locks[rung_index] = threading.Lock()
-            return lock
-
-    def _project(self, rung, batch: int) -> float:
-        br = soi_request_breakdown(rung.params, self.machine,
-                                   itemsize=rung.dtype.itemsize,
-                                   batch=batch)
-        if self.calibration is not None:
-            return self.calibration.total(br)
-        return sum(br.values())
 
     # -- submission --------------------------------------------------------
 
@@ -187,64 +169,32 @@ class AsyncSoiGateway:
         if x.ndim != 1 or x.size != n:
             raise ValueError(f"expected a 1-D signal of length {n}")
         now = float(self.clock())
-        # 1. QoS: the noisy/low-tier shed point.
-        try:
-            qos = self.qos.admit(tenant, now, self.admission.queued,
-                                 self.admission.queue_limit)
-        except Overloaded:
-            self.admission.record_shed()
-            raise
-        # 2. Cost model, restricted to the class's ladder window.
-        window = qos.viable_window(self.ladder, min_snr_db)
-        try:
-            idx, rung, projected = self.admission.admit(
-                now, deadline_seconds, max(min_snr_db, qos.min_snr_db),
-                lambda r: self._project(r, 1), viable=window)
-        except Overloaded:
-            self.qos.record_outcome(tenant, "overloaded")
-            raise
-        deadline = Deadline(deadline_seconds, clock=self.clock, start=now)
-        req = PendingRequest(
-            x=x, tenant=tenant, deadline=deadline, min_snr_db=min_snr_db,
-            arrival=now, rung_index=idx, projected=projected,
-            enqueued_at=now,
-            future=asyncio.get_running_loop().create_future())
-        # 3. Coalesce.
-        key = CoalesceKey(n=n, dtype=np.dtype(rung.dtype).name,
-                          rung_index=idx)
+        req = self.admission.open(
+            Deadline(deadline_seconds, clock=self.clock, start=now),
+            min_snr_db, x=x, tenant=tenant)
+        loop = asyncio.get_running_loop()
+        req.future = loop.create_future()
+        key = CoalesceKey(n=n, dtype=np.dtype(
+            self.ladder[req.rung_index].dtype).name,
+            rung_index=req.rung_index)
         state = self.coalescer.add(key, req)
         self._gauge_pending()
         if state == "full":
-            self._cancel_timer(key)
             self._spawn_flush(key)
         elif state == "first":
-            loop = asyncio.get_running_loop()
             self._timers[key] = loop.call_later(
                 self.coalescer.window_seconds, self._spawn_flush, key)
-        try:
-            result = await req.future
-        except DeadlineExceeded:
-            self.qos.record_outcome(tenant, "deadline_exceeded")
-            raise
-        except Overloaded:
-            self.qos.record_outcome(tenant, "overloaded")
-            raise
-        self.qos.record_outcome(tenant, result.outcome,
-                                coalesced_with=req.coalesced_with)
-        return result
+        return await req.future
 
     # -- window execution --------------------------------------------------
-
-    def _cancel_timer(self, key: CoalesceKey) -> None:
-        timer = self._timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
 
     def _spawn_flush(self, key: CoalesceKey) -> None:
         """Close the window *synchronously* (so ``max_batch`` truly
         bounds it even while the flush task waits its turn), then
         execute it as a task."""
-        self._timers.pop(key, None)
+        timer = self._timers.pop(key, None)
+        if timer is not None:
+            timer.cancel()  # a no-op when it is the timer that called
         members = self.coalescer.take(key)
         self._gauge_pending()
         if not members:
@@ -262,84 +212,38 @@ class AsyncSoiGateway:
             self.fault_injector(key, members)
         xs = stack_requests(members, plan.dtype)
         t0 = float(self.clock())
-        with self._exec_lock(key.rung_index):
+        with self._plan_exec_locks[key.rung_index]:
             y = plan.batch(xs)
         elapsed = float(self.clock()) - t0
         return split_rows(y, members), elapsed
-
-    def _reason(self, rung_index: int, tenant: str) -> str:
-        if rung_index == 0:
-            return "full quality"
-        if self.qos.class_of(tenant).best_rung >= rung_index > 0:
-            return "qos class window"
-        return "deadline pressure"
-
-    def _complete(self, m: PendingRequest, y: np.ndarray, rung_index: int,
-                  reason: str) -> None:
-        """Resolve one member: ok/degraded, or DeadlineExceeded."""
-        if m.future.done():
-            return
-        try:
-            m.deadline.check("completion")
-        except DeadlineExceeded as exc:
-            self.admission.record_overrun()
-            m.future.set_exception(exc)
-            return
-        latency = float(self.clock()) - m.arrival
-        self.admission.record_served(rung_index, latency)
-        rung = self.ladder[rung_index]
-        report = DegradationReport(rung_index=rung_index, rung=rung,
-                                   reason=reason, min_snr_db=m.min_snr_db)
-        m.future.set_result(ServeResult(
-            y=y, outcome="degraded" if report.degraded else "ok",
-            report=report, latency_seconds=latency,
-            deadline_seconds=m.deadline.seconds))
 
     async def _degrade_members(self, key: CoalesceKey,
                                members: list[PendingRequest],
                                exc: Exception) -> None:
         """Batch failed: each member degrades or sheds *individually*.
 
-        A member whose deadline already passed raises
-        :class:`DeadlineExceeded`; otherwise it retries alone one rung
-        down its class's viable window; with no cheaper rung (or a
-        failed retry) it sheds as :class:`Overloaded`.  No member ever
-        resolves twice, so the four-outcome contract holds per request.
+        ``admission.step_down`` answers for each: past its deadline it
+        raises :class:`DeadlineExceeded`; otherwise it retries alone one
+        rung down its class's viable window; with no cheaper rung (or a
+        failed retry) it sheds as :class:`Overloaded`.
         """
         loop = asyncio.get_running_loop()
-        reason = f"batch failure ({type(exc).__name__})"
         for m in members:
-            if m.future.done():
+            if self.admission.step_down(
+                    m, exc, what="batch failure") is not None:
                 continue
+            retry = CoalesceKey(key.n, np.dtype(
+                self.ladder[m.rung_index].dtype).name, m.rung_index)
+            started_at = float(self.clock())
             try:
-                m.deadline.check("after batch failure")
-            except DeadlineExceeded as overrun:
-                self.admission.record_overrun()
-                m.future.set_exception(overrun)
-                continue
-            window = self.qos.class_of(m.tenant).viable_window(
-                self.ladder, m.min_snr_db)
-            cheaper = [i for i, _ in window if i > key.rung_index]
-            if not cheaper:
-                m.future.set_exception(Overloaded(
-                    f"shed after batch failure: {exc}"))
-                self.admission.record_shed()
-                continue
-            retry_idx = cheaper[0]
-            try:
-                started_at = float(self.clock())
                 ys, elapsed = await loop.run_in_executor(
-                    self.executor, self._execute_batch,
-                    CoalesceKey(key.n, np.dtype(
-                        self.ladder[retry_idx].dtype).name, retry_idx),
-                    [m])
+                    self.executor, self._execute_batch, retry, [m])
             except Exception as exc2:
-                m.future.set_exception(Overloaded(
-                    f"shed after failed degrade retry: {exc2}"))
-                self.admission.record_shed()
+                self.admission.step_down(
+                    m, exc2, what="failed degrade retry", last=True)
                 continue
-            itemize_batch([m], started_at, elapsed)
-            self._complete(m, ys[0], retry_idx, reason)
+            self.admission.settle([m], ys, started_at=started_at,
+                                  elapsed=elapsed)
 
     # -- telemetry ---------------------------------------------------------
 
@@ -373,18 +277,14 @@ class AsyncSoiGateway:
 
     async def drain(self) -> None:
         """Flush every open window and wait for in-flight batches."""
-        for key, members in self.coalescer.take_all():
-            self._cancel_timer(key)
-            task = asyncio.get_running_loop().create_task(
-                self._flush_members(key, members))
-            self._flushes.add(task)
-            task.add_done_callback(self._flushes.discard)
+        for key in list(self._timers):  # an open window has a timer armed
+            self._spawn_flush(key)
         while self._flushes:
             await asyncio.gather(*list(self._flushes),
                                  return_exceptions=True)
 
     async def _flush_members(self, key, members) -> None:
-        """Execute one closed window: batch, itemize, resolve members."""
+        """Execute one closed window as a batch, then settle it."""
         loop = asyncio.get_running_loop()
         started_at = float(self.clock())
         try:
@@ -393,16 +293,11 @@ class AsyncSoiGateway:
         except Exception as exc:
             await self._degrade_members(key, members, exc)
             return
-        finally:
-            for m in members:
-                self.admission.release(m.projected)
         self._record_batch(key, members, started_at, elapsed)
-        itemize_batch(members, started_at, elapsed)
-        raw = self._project(self.ladder[key.rung_index], len(members))
-        self.admission.calibrate(raw, elapsed)
-        for m, y in zip(members, ys):
-            self._complete(m, y, key.rung_index,
-                           self._reason(key.rung_index, m.tenant))
+        # calibrate on the batch's own execution time, not on latency:
+        # a member's wait in the window is not modeled work
+        self.admission.settle(members, ys, started_at=started_at,
+                              elapsed=elapsed, observed=elapsed)
 
     async def close(self) -> None:
         """Drain, then release the executor (idempotent)."""
@@ -410,9 +305,6 @@ class AsyncSoiGateway:
             return
         await self.drain()
         self._closed = True
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
         if self._own_executor:
             self.executor.shutdown(wait=True)
 

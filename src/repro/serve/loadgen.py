@@ -10,12 +10,13 @@ population would feel it.
 
 Two drivers share the arrival schedules:
 
-* :func:`simulate_serving` — an event-driven **virtual-time** simulator
-  that pushes 10^5–10^6 requests through the *real* policy objects
-  (:class:`~repro.serve.qos.QosPolicy`,
-  :class:`~repro.serve.coalesce.Coalescer`, the same
-  :class:`~repro.resilience.server._Admission` the gateway uses) with
-  batch execution replaced by a :class:`ServiceModel` cost function.
+* :func:`simulate_serving` — an event-driven **virtual-time** driver of
+  the one request lifecycle (:class:`~repro.resilience.server
+  ._Admission`, the ``open``/``settle`` the gateway calls, with its
+  :class:`~repro.serve.qos.QosPolicy` and :class:`~repro.serve.coalesce
+  .Coalescer`) that pushes 10^5–10^6 requests through it, the clock
+  replaced by an event heap and batch execution by a
+  :class:`ServiceModel` cost function.
   Fully deterministic (seeded arrivals, no wall clock), machine
   independent, and fast enough to sweep offered load past the knee.
 * :func:`drive_gateway` — the wall-clock driver that fires the same
@@ -36,10 +37,10 @@ import numpy as np
 
 from repro.machine.spec import XEON_PHI_SE10
 from repro.perfmodel.model import soi_request_breakdown
-from repro.resilience.deadline import DeadlineExceeded, Overloaded
+from repro.resilience.deadline import Deadline, DeadlineExceeded, Overloaded
 from repro.resilience.ladder import DegradationLadder
-from repro.resilience.server import _Admission
-from repro.serve.coalesce import CoalesceKey, Coalescer, PendingRequest
+from repro.resilience.server import PendingRequest, _Admission
+from repro.serve.coalesce import CoalesceKey, Coalescer
 from repro.serve.qos import QosPolicy
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -208,6 +209,23 @@ class LoadResult:
         return d
 
 
+def _finish(res: LoadResult, latencies: list[float], span: float,
+            coalescer, qos) -> LoadResult:
+    """Fold a finished run's latencies and ledgers into its point."""
+    res.batches = coalescer.batches
+    res.coalesce_ratio = coalescer.ratio
+    res.throughput_rps = res.served / span
+    res.makespan_s = span
+    res.tenants = qos.snapshot()
+    if latencies:
+        arr = np.array(latencies)
+        res.latency_p50 = float(np.percentile(arr, 50))
+        res.latency_p95 = float(np.percentile(arr, 95))
+        res.latency_p99 = float(np.percentile(arr, 99))
+        res.latency_mean = float(arr.mean())
+    return res
+
+
 # event kinds, ordered so same-time events resolve deterministically:
 # completions free capacity before new arrivals claim it, and arrivals
 # join windows before the window timer fires.
@@ -221,19 +239,19 @@ def simulate_serving(ladder: DegradationLadder, arrivals: list[Arrival],
                      n_workers: int = 2) -> LoadResult:
     """Event-driven virtual-time run of the gateway's serving policy.
 
-    The policy path is the real thing — :class:`QosPolicy` admission,
-    :class:`_Admission` cost-model projection against the bounded
-    backlog, :class:`Coalescer` windows — only the ``batch()`` execution
-    is replaced by *model* seconds on one of *n_workers* simulated
-    executor threads.  Every submitted request resolves to exactly one
-    of the four contract outcomes.
+    The lifecycle is the real thing — ``_Admission.open`` (QoS, then
+    the cost model against the bounded backlog), :class:`Coalescer`
+    windows, ``_Admission.settle`` — driven by an event heap instead of
+    a clock, with the ``batch()`` execution replaced by *model* seconds
+    on one of *n_workers* simulated executor threads.  Every submitted
+    request resolves to exactly one of the four contract outcomes.
     """
     if not arrivals:
         raise ValueError("no arrivals to simulate")
     model = ServiceModel.analytic(ladder) if model is None else model
     qos = QosPolicy(metrics=MetricsRegistry()) if qos is None else qos
     admission = _Admission(ladder, queue_limit, 0.3,
-                           metrics=MetricsRegistry())
+                           metrics=MetricsRegistry(), qos=qos)
     coalescer = Coalescer(max_batch=max_batch,
                           window_seconds=window_seconds)
     events: list[tuple[float, int, int, object]] = []
@@ -248,17 +266,22 @@ def simulate_serving(ladder: DegradationLadder, arrivals: list[Arrival],
     open_gen: dict[CoalesceKey, int] = {}
     latencies: list[float] = []
     res = LoadResult(offered_rps=0.0, n_requests=len(arrivals))
-    last_done = arrivals[0].t
+    last_done = now = arrivals[0].t
 
-    def start_batch(now: float, key: CoalesceKey,
+    def clock() -> float:  # virtual time: the event being handled
+        return now
+
+    def estimate(rung) -> float:
+        return model.request_seconds(rung_idx[id(rung)])
+
+    def start_batch(key: CoalesceKey,
                     members: list[PendingRequest]) -> None:
         nonlocal seq
         i = min(range(len(worker_free)), key=worker_free.__getitem__)
         start = max(now, worker_free[i])
         done = start + model.batch_seconds(key.rung_index, len(members))
         worker_free[i] = done
-        heapq.heappush(events, (done, _COMPLETE, seq,
-                                (key, members, start)))
+        heapq.heappush(events, (done, _COMPLETE, seq, (members, start)))
         seq += 1
 
     while events:
@@ -266,34 +289,19 @@ def simulate_serving(ladder: DegradationLadder, arrivals: list[Arrival],
         if kind == _ARRIVE:
             a = payload
             try:
-                qcls = qos.admit(a.tenant, now, admission.queued,
-                                 admission.queue_limit)
+                req = admission.open(
+                    Deadline(a.deadline_seconds, clock=clock, start=now),
+                    a.min_snr_db, tenant=a.tenant, estimate=estimate)
             except Overloaded:
-                admission.record_shed()
                 res.shed += 1
                 continue
-            window = qcls.viable_window(ladder, a.min_snr_db)
-            try:
-                idx, _rung, projected = admission.admit(
-                    now, a.deadline_seconds,
-                    max(a.min_snr_db, qcls.min_snr_db),
-                    lambda r: model.request_seconds(rung_idx[id(r)]),
-                    viable=window)
-            except Overloaded:
-                qos.record_outcome(a.tenant, "overloaded")
-                res.shed += 1
-                continue
-            req = PendingRequest(
-                x=None, tenant=a.tenant, deadline=None,
-                min_snr_db=a.min_snr_db, arrival=now, rung_index=idx,
-                projected=projected, enqueued_at=now,
-                meta={"deadline_seconds": a.deadline_seconds})
+            idx = req.rung_index
             key = CoalesceKey(ladder[idx].params.n,
                               np.dtype(ladder[idx].dtype).name, idx)
             state = coalescer.add(key, req)
             if state == "full":
                 open_gen.pop(key, None)
-                start_batch(now, key, coalescer.take(key))
+                start_batch(key, coalescer.take(key))
             elif state == "first":
                 open_gen[key] = seq
                 heapq.heappush(events, (now + window_seconds, _FLUSH, seq,
@@ -304,41 +312,25 @@ def simulate_serving(ladder: DegradationLadder, arrivals: list[Arrival],
             if open_gen.get(key) != gen:
                 continue  # that window already flushed full
             open_gen.pop(key, None)
-            start_batch(now, key, coalescer.take(key))
+            start_batch(key, coalescer.take(key))
         else:  # _COMPLETE
-            key, members, start = payload
+            members, start = payload
             last_done = max(last_done, now)
-            for m in members:
-                admission.release(m.projected)
-                latency = now - m.arrival
-                if latency > m.meta["deadline_seconds"]:
-                    admission.record_overrun()
-                    qos.record_outcome(m.tenant, "deadline_exceeded")
+            # a model has nothing to calibrate against: no ``observed``
+            for out in admission.settle(members, [None] * len(members),
+                                        started_at=start,
+                                        elapsed=now - start):
+                if isinstance(out, DeadlineExceeded):
                     res.deadline_exceeded += 1
                     continue
-                admission.record_served(key.rung_index, latency)
-                outcome = "ok" if key.rung_index == 0 else "degraded"
-                qos.record_outcome(m.tenant, outcome,
-                                   coalesced_with=len(members) - 1)
                 res.served += 1
-                if outcome == "degraded":
+                if out.outcome == "degraded":
                     res.degraded += 1
-                latencies.append(latency)
+                latencies.append(out.latency_seconds)
     span = max(last_done - arrivals[0].t, 1e-12)
     offered_span = max(arrivals[-1].t - arrivals[0].t, 1e-12)
     res.offered_rps = len(arrivals) / offered_span
-    res.batches = coalescer.batches
-    res.coalesce_ratio = coalescer.ratio
-    res.throughput_rps = res.served / span
-    res.makespan_s = span
-    res.tenants = qos.snapshot()
-    if latencies:
-        arr = np.array(latencies)
-        res.latency_p50 = float(np.percentile(arr, 50))
-        res.latency_p95 = float(np.percentile(arr, 95))
-        res.latency_p99 = float(np.percentile(arr, 99))
-        res.latency_mean = float(arr.mean())
-    return res
+    return _finish(res, latencies, span, coalescer, qos)
 
 
 def sweep_offered_load(ladder: DegradationLadder, rates, *,
@@ -434,15 +426,4 @@ async def drive_gateway(gateway, arrivals: list[Arrival], *,
             if out.outcome == "degraded":
                 res.degraded += 1
             latencies.append(out.latency_seconds)
-    res.batches = gateway.coalescer.batches
-    res.coalesce_ratio = gateway.coalescer.ratio
-    res.throughput_rps = res.served / wall
-    res.makespan_s = wall
-    res.tenants = gateway.qos.snapshot()
-    if latencies:
-        arr = np.array(latencies)
-        res.latency_p50 = float(np.percentile(arr, 50))
-        res.latency_p95 = float(np.percentile(arr, 95))
-        res.latency_p99 = float(np.percentile(arr, 99))
-        res.latency_mean = float(arr.mean())
-    return res
+    return _finish(res, latencies, wall, gateway.coalescer, gateway.qos)

@@ -243,6 +243,34 @@ class TestGatewayDifferential:
             assert np.array_equal(gw.plan(0).tables.demod, ref)
             asyncio.run(gw.close())
 
+    def test_rungs_sharing_a_plan_run_concurrently(self, ladder):
+        # rungs 0 and 2 are both M' = 140 / complex128: their SoiFFTs hold
+        # ONE cached segment plan, and the exec lock is per rung, so the
+        # gateway's two executor threads may be inside it at once
+        gw = make_gateway(ladder)
+        plans = [gw.plan(0), gw.plan(2)]
+        assert plans[0]._seg_plan is plans[1]._seg_plan  # else vacuous
+        xs = signals(3, seed=9)
+        serial = [p.batch(xs).copy() for p in plans]
+        corrupt = [0, 0]
+        start = threading.Barrier(2)
+
+        def hammer(i):
+            start.wait()
+            for _ in range(1000):
+                corrupt[i] += not np.array_equal(plans[i].batch(xs),
+                                                 serial[i])
+
+        threads = [threading.Thread(target=hammer, args=(i,))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        asyncio.run(gw.close())
+        assert corrupt == [0, 0]
+
     def test_coalesced_matches_plan_reference(self, ladder):
         xs = signals(5, seed=7)
         reqs = [{"x": xs[i], "tenant": "gold-tenant",
