@@ -49,7 +49,6 @@ __all__ = [
     "block_range_for_rows",
     "conv_time_model",
     "convolve",
-    "convolve_lanes",
     "convolve_reference",
     "input_block_offsets",
 ]
@@ -196,44 +195,6 @@ def convolve(x_ext: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,
             np.copyto(tile[:, a:b], win[f, lo - c0:hi - c0].transpose(1, 0, 2))
             np.matmul(tile, w, out=res)
             ob[f, lo - c0:hi - c0] = res[:, a:b].transpose(1, 2, 0)
-    return out
-
-
-def convolve_lanes(x_ext: np.ndarray, tables: SoiTables, j_start: int,
-                   n_rows: int, block_lo: int, lanes,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """W*x restricted to a subset of output *lanes* (columns of ``u``).
-
-    The decomposed per-lane structure (Fig 6(b)) makes lane ``p`` depend
-    only on the stride-S input slice ``x_ext[p::S]`` and the coefficient
-    slice ``coeffs[:, :, p]`` — so a corrupted lane can be recomputed at
-    ``len(lanes)/S`` of the full convolution cost.  The ABFT layer
-    (:mod:`repro.verify`) uses this for segment-level repair.  1-D
-    ``x_ext`` only; returns ``(n_rows, len(lanes))``.
-    """
-    p = tables.params
-    s, b_width, n_mu, d_mu = p.n_segments, p.b, p.n_mu, p.d_mu
-    lanes = list(lanes)
-    x_ext = np.asarray(x_ext)
-    if x_ext.ndim != 1:
-        raise ValueError("convolve_lanes takes a 1-D x_ext")
-    dtype = np.complex64 if x_ext.dtype == np.complex64 else np.complex128
-    x_ext = np.asarray(x_ext, dtype=dtype)
-    if out is None:
-        out = np.empty((n_rows, len(lanes)), dtype=dtype)
-    elif out.shape != (n_rows, len(lanes)):
-        raise ValueError("out has wrong shape")
-    m0 = input_block_offsets(p, j_start, min(n_rows, n_mu)) - block_lo
-    nr = n_rows // n_mu
-    w = tables.coeffs.astype(dtype, copy=False)
-    for i, lane in enumerate(lanes):
-        xl = x_ext[lane::s]  # the lane's stride-S input samples
-        win = sliding_window_view(xl, b_width)
-        for r in range(n_mu):
-            lo = int(m0[r])
-            v = win[lo: lo + (nr - 1) * d_mu + 1: d_mu]
-            np.einsum("cb,b->c", v, w[r, :, lane], out=out[r::n_mu, i],
-                      optimize=False)
     return out
 
 

@@ -373,7 +373,10 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
         else:
             lo = (j0 // n_mu) * d_mu - left_g  # where x_ext starts
             x_in = x_ext
-        u = convolve(x_in, tables, j0, nr, lo, workspace=local.workspace)
+        def conv():  # this range's stage-1 kernel: run now, and by a repair
+            return convolve(x_in, tables, j0, nr, lo,
+                            workspace=local.workspace)
+        u = conv()
         z = lane_plan(u) if lane_plan is not None else u
         adopted = recovering and j0 // rows_pp != me
         yield Compute((costs.conv + costs.lane) * (nr / rows_pp),
@@ -384,9 +387,9 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
         if verifier is not None:
             # verify before the checkpoint and the wire: a corrupt z
             # must never be trusted for recovery or shipped to peers
-            z = verifier.check_conv(ctx.cluster, me, x_in, u, z, j0, lo,
-                                    conv_seconds=costs.conv,
-                                    lane_seconds=costs.lane)
+            verifier.check_conv(ctx.cluster, me, x_in, u, z, conv=conv,
+                                lane=lane_plan, conv_seconds=costs.conv,
+                                lane_seconds=costs.lane)
         if not adopted:
             # stage checkpoint: the post-convolution segments (mu*N/P
             # complex words per rank) are the natural cut point for
@@ -420,32 +423,17 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
         if sdc is not None:
             beta = sdc.apply_sdc(beta, rank=me, stage="segment-fft")
         if verifier is not None:
-            beta = verifier.check_segments(ctx.cluster, me, alpha, beta,
-                                           mine, fft_seconds=costs.fft * share)
+            verifier.check_segments(ctx.cluster, me, alpha.T, beta,
+                                    fft=local.seg_plan, ids=mine,
+                                    fft_seconds=costs.fft * share)
         seg = demodulate(beta, tables)  # (n_slots, M)
         yield Compute(costs.demod * share, label="demodulation")
         if verifier is not None:
-            seg = verifier.check_demod(ctx.cluster, me, beta, seg, mine)
+            verifier.check_demod(ctx.cluster, me, beta, seg, ids=mine,
+                                 demod_seconds=costs.demod * share)
         segs.append(seg)
     seg = segs[0] if rounds == 1 else np.concatenate(segs)
     return seg.reshape(-1), report
-
-
-def _merge_reports(reports):
-    """Fold per-rank reports into one, in the simulated engine's order.
-
-    The rank-serial engine sees every rank's pre-wire (conv/lane) events
-    first, then every rank's post-all-to-all events — reproduce that so
-    the merged report compares equal to a simulated run's.
-    """
-    from repro.verify.policy import VerificationReport
-    merged = VerificationReport()
-    for rep in reports:
-        merged.merge(rep)
-    pre = [e for e in merged.events if e.stage in ("conv", "lane")]
-    post = [e for e in merged.events if e.stage not in ("conv", "lane")]
-    merged.events = pre + post
-    return merged
 
 
 # -- the driver -------------------------------------------------------------
@@ -636,10 +624,7 @@ class DistributedSoiFFT:
         if reports:
             # ranks across a process boundary verified with their own
             # verifiers; fold what they saw into this plan's report
-            from repro.verify.selfcheck import _MetricsMirror
-            merged = _merge_reports(reports)
-            _MetricsMirror().publish(merged, self.backend.metrics)
-            self.last_verification.merge(merged)
+            self.verifier.absorb(reports, self.backend.metrics)
         return [seg for seg, _rep in results]
 
     def _publish_metrics(self, first: int) -> None:

@@ -70,10 +70,12 @@ class SoiFFT:
         always built in double precision.
     verify:
         ``True`` or a :class:`repro.verify.VerifyPolicy` arms algorithm-
-        based fault tolerance: every planned block is checked against
-        weighted-checksum and Parseval invariants after execution,
-        corrupt segments are recomputed in place, and persistent
-        corruption raises :class:`repro.verify.VerificationError`.
+        based fault tolerance: every stage of a planned block is checked
+        against weighted-checksum and Parseval invariants before the
+        next stage consumes its output, corrupt segments are recomputed
+        in place by the stage's own kernel (a repaired transform is
+        bitwise the fault-free one), and persistent corruption raises
+        :class:`repro.verify.VerificationError`.
         Counters accumulate in ``self.verifier.report``.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry` bundle (duck-typed:
@@ -240,68 +242,71 @@ class SoiFFT:
             pos += chunk
             src = 0
 
+    def _stage_seam(self, batch: int):
+        """The one observer of the stage boundaries, or None when neither
+        telemetry nor a verifier is armed.
+
+        ``after(stage, array, nbytes)`` runs once *stage* has written
+        *array* and before the next stage reads it: the telemetry span
+        and latency histogram of the stage, then the verifier's
+        injection point, check and repair.  A check's seconds belong to
+        no stage: the clock restarts after it."""
+        telem, verifier = self.telemetry, self.verifier
+        if telem is None and verifier is None:
+            return None
+        p = self.params
+        clk = telem.clock if telem is not None else None
+        t = clk() if clk else 0.0
+
+        def after(stage: str, arr: np.ndarray, nbytes: int) -> None:
+            nonlocal t
+            if telem is not None:
+                now = clk()
+                telem.stage(stage, t, now, nbytes=nbytes)
+                if stage == "demod":
+                    telem.transform_done(
+                        batch,
+                        batch * (p.local_fft_flops + p.lane_fft_flops))
+                t = now
+            if verifier is not None:
+                verifier.after(stage, arr)
+                if telem is not None:
+                    t = clk()
+        return after
+
     def _execute(self, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
         """Planned pipeline: (batch, N) -> (batch, N) through pooled buffers.
 
-        When a verifier is armed, its stage hook fires after every stage
-        (the single-node silent-corruption injection point)."""
+        Each stage hands its output to the stage seam
+        (:meth:`_stage_seam`) before the next one consumes it — with a
+        verifier armed, a corrupt stage output is repaired there, so
+        everything downstream runs once, on trusted input."""
         p = self.params
         s, mp = p.n_segments, p.m_oversampled
         batch = xs.shape[0]
         bufs = self._buffers(batch)
-        hook = self.verifier.stage_hook if self.verifier is not None else None
-        telem = self.telemetry
-        clk = telem.clock if telem is not None else None
-        t = clk() if clk else 0.0
+        after = self._stage_seam(batch)
         self._gather_extended(xs, bufs["x_ext"])
         convolve(bufs["x_ext"], self.tables, 0, mp, self._block_lo,
                  out=bufs["u"], workspace=self._conv_ws)
-        if telem is not None:
-            now = clk()
-            telem.stage("conv", t, now,
-                        nbytes=bufs["x_ext"].nbytes + bufs["u"].nbytes)
-            t = now
-        if hook:
-            hook("conv", bufs["u"])
-        z = bufs["u"] if self._lane_plan is None \
-            else self._lane_dft(bufs["u"], out=bufs["z"])
-        if telem is not None and z is not bufs["u"]:
-            now = clk()
-            telem.stage("lane", t, now, nbytes=2 * z.nbytes)
-            t = now
-        if hook and z is not bufs["u"]:
-            hook("lane", z)
+        if after:
+            after("conv", bufs["u"], bufs["x_ext"].nbytes + bufs["u"].nbytes)
+        z = bufs["u"]
+        if self._lane_plan is not None:
+            z = self._lane_dft(bufs["u"], out=bufs["z"])
+            if after:
+                after("lane", z, 2 * z.nbytes)
         np.copyto(bufs["alpha"], z.transpose(0, 2, 1))  # stride permutation
-        if telem is not None:
-            now = clk()
-            telem.stage("permute", t, now, nbytes=2 * bufs["alpha"].nbytes)
-            t = now
-        if hook:
-            hook("permute", bufs["alpha"])
+        if after:
+            after("permute", bufs["alpha"], 2 * bufs["alpha"].nbytes)
         self._seg_plan(bufs["alpha"].reshape(-1, mp),
                        out=bufs["beta"].reshape(-1, mp))
-        if telem is not None:
-            now = clk()
-            telem.stage("segment-fft", t, now, nbytes=2 * bufs["beta"].nbytes)
-            t = now
-        if hook:
-            hook("segment-fft", bufs["beta"])
-        demodulate(bufs["beta"], self.tables,
-                   out=res.reshape(batch, s, p.m))
-        if telem is not None:
-            telem.stage("demod", t, clk(),
-                        nbytes=bufs["beta"].nbytes + res.nbytes)
-            telem.transform_done(
-                batch, batch * (p.local_fft_flops + p.lane_fft_flops))
-        if hook:
-            hook("demod", res.reshape(batch, s, p.m))
-        return res
-
-    def _run(self, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
-        """Execute one planned block, then (if armed) verify and repair."""
-        self._execute(xs, res)
-        if self.verifier is not None:
-            self.verifier.check_and_repair(xs, res)
+        if after:
+            after("segment-fft", bufs["beta"], 2 * bufs["beta"].nbytes)
+        res3 = res.reshape(batch, s, p.m)
+        demodulate(bufs["beta"], self.tables, out=res3)
+        if after:
+            after("demod", res3, bufs["beta"].nbytes + res.nbytes)
         return res
 
     def _check_out(self, out: np.ndarray, shape: tuple) -> np.ndarray:
@@ -327,7 +332,7 @@ class SoiFFT:
             raise ValueError(f"expected input of shape ({p.n},), got {x.shape}")
         res = np.empty(p.n, dtype=self.dtype) if out is None \
             else self._check_out(out, (p.n,))
-        self._run(x.reshape(1, -1), res.reshape(1, -1))
+        self._execute(x.reshape(1, -1), res.reshape(1, -1))
         return res
 
     #: Cache budget (bytes) for one row block of the batched pipeline.
@@ -381,7 +386,7 @@ class SoiFFT:
         for i in range(0, batch, block):
             if deadline is not None and i > 0:
                 deadline.check(f"batch block {i // block}")
-            self._run(xs[i:i + block], res[i:i + block])
+            self._execute(xs[i:i + block], res[i:i + block])
         return res
 
     def inverse(self, y: np.ndarray) -> np.ndarray:

@@ -18,11 +18,14 @@ tradition adapted to the SOI factorization:
   two O(n) per-row cross-checks that *localize* the corrupt segment,
   not just detect the corruption.
 * **Segment-level repair** (:mod:`~repro.verify.selfcheck`): a failed
-  invariant names the corrupt segment(s); the pipelines recompute only
-  those from the stage inputs still in memory (the PR-2 checkpoint cut
-  points), escalating to a full stage/block recompute after repeated
-  strikes and raising :class:`VerificationError` only when recomputation
-  cannot restore the invariants.
+  invariant names the corrupt segment(s); one engine, hosted by the
+  single-node and the distributed pipeline alike, recomputes only those
+  from the stage inputs still in memory (the PR-2 checkpoint cut
+  points) with the kernels the stage itself ran — so a repaired
+  transform is bitwise the fault-free one — escalating to a full stage
+  recompute after repeated strikes and raising
+  :class:`VerificationError` only when recomputation cannot restore the
+  invariants.
 * **Straggler hedging** (:mod:`~repro.verify.watchdog`): the SPMD
   runtime duplicates the slowest compute steps speculatively on idle
   ranks and takes the first finisher, charged under the ``"hedge"``

@@ -12,8 +12,8 @@ __all__ = ["DetectionRecord", "VerificationError", "VerificationReport",
 class VerificationError(RuntimeError):
     """Invariants still failing after every repair escalation.
 
-    Raised only when segment-level recomputation *and* a full stage (or
-    block) recompute both failed to restore the ABFT invariants — i.e.
+    Raised only when segment-level recomputation *and* a full stage
+    recompute both failed to restore the ABFT invariants — i.e.
     the corruption is persistent (bad hardware, not a transient flip) or
     the thresholds are miscalibrated for the workload."""
 
@@ -24,11 +24,11 @@ class VerifyPolicy:
 
     ``safety`` scales the calibrated floating-point noise floors
     (:func:`repro.core.error_model.verification_thresholds`);
-    ``max_strikes`` is the K of the escalation ladder — repair attempt 1
-    recomputes only the flagged segments/lanes from in-memory stage
-    inputs, attempt 2 recomputes the whole stage (single-node: re-runs
-    the whole block), and after *max_strikes* failed attempts the run
-    raises :class:`VerificationError`.  ``inject`` is a test hook called
+    ``max_strikes`` is the K of the escalation ladder, counted per stage
+    boundary — repair attempt 1 recomputes only the flagged
+    segments/lanes from in-memory stage inputs, attempt 2 recomputes the
+    whole stage, and after *max_strikes* failed attempts the run raises
+    :class:`VerificationError`.  ``inject`` is a test hook called
     as ``inject(stage, array)`` at every stage boundary of the
     single-node pipeline (mutate the array in place to simulate silent
     corruption; production SDC comes from
@@ -66,8 +66,9 @@ class DetectionRecord:
 class VerificationReport:
     """Counters the self-verifying pipelines fill in as they run.
 
-    ``checks`` counts invariant evaluations (one per stage boundary per
-    verification site); ``detections`` counts tripped invariants;
+    ``checks`` counts verified stage boundaries (one per boundary per
+    block or rank, however often a repair made it re-evaluate);
+    ``detections`` counts tripped invariants;
     ``segment_repairs``/``stage_repairs`` count segment-granular vs
     whole-stage recomputes; ``escalations`` counts falls past segment
     granularity.  A clean run must show ``detections == 0`` (asserted

@@ -1,42 +1,47 @@
-"""Self-verifying execution of the SOI pipelines.
+"""Self-verifying execution of the SOI pipelines: one ABFT engine, two hosts.
 
-Two verifier engines share the ABFT primitives:
+The SOI factorization is one algorithm whatever P is, so its fault
+tolerance is stated once.  :class:`_Engine` owns
 
-* :class:`PipelineVerifier` rides :class:`repro.core.soi_single.SoiFFT`:
-  after each planned block executes, it checks every stage transition
-  still resident in the pooled buffers (conv checksum carried through
-  the lane transform, permutation energy, per-segment Parseval + the
-  DFT sum invariant on the batched segment FFT, demodulation
-  consistency), repairs the *earliest* corrupt stage at segment/lane
-  granularity, and recomputes downstream only for the affected rows.
-* :class:`DistVerifier` rides the distributed pipelines
-  (:mod:`repro.core.soi_dist`, :mod:`repro.core.soi_spmd`): per-rank
-  conv+lane checksum before data crosses the wire (so the post-conv
-  checkpoint is verified before it is trusted), per-destination segment
-  Parseval + sum invariant after the all-to-all, and demodulation
-  consistency on the output.  Verification time is charged to the rank
-  clocks under ``"abft verify"`` (compute) and repairs under
-  ``"abft repair"`` (the ``"retry"`` category — the cost of resilience,
-  like re-flown transfers).
+* the **invariants**, each written over ``(..., rows, S)`` /
+  ``(..., k, M')`` arrays so a rank's 2-D block and a batch's 3-D block
+  are the same call: the convolution's checksum syndrome carried through
+  the lane transform (:meth:`~_Engine.check_conv`), the energy a pure
+  data movement preserves (:meth:`~_Engine.check_permute`), per-segment
+  Parseval + the DFT sum invariant (:meth:`~_Engine.check_segments`) and
+  the demodulation weighted sum (:meth:`~_Engine.check_demod`);
+* the **ladder** (:meth:`~_Engine._ladder`): detect → record → strike →
+  repair the flagged units (strike 1) or the whole stage (strike 2) →
+  raise :class:`VerificationError` past ``max_strikes`` — the only place
+  strikes are counted, detections recorded, seconds charged, counters
+  published and the error raised;
+* the **repairs** (:func:`_columns`, :func:`_rows`), which call the
+  callables the stage itself ran — never a kernel of their own — so a
+  repaired unit is bitwise the one a fault-free run computes.
 
-Both follow the same escalation ladder (:class:`VerifyPolicy`): repair
-attempt 1 recomputes only the flagged segments from in-memory stage
-inputs, attempt 2 recomputes the whole stage, and past ``max_strikes``
-the run raises :class:`VerificationError` instead of returning silently
-corrupt output.
+A *host* verifies each stage at the boundary where the next one would
+consume it, and supplies only what differs between executors: the
+convolution geometry, the kernels that ran, the rank a detection is
+recorded under, and where seconds are charged.
+:class:`PipelineVerifier` rides the stage seam of
+:class:`repro.core.soi_single.SoiFFT`; :class:`DistVerifier` is called
+by :func:`repro.core.soi_dist.soi_rank_program` before a stage's output
+is checkpointed, shipped or returned, and charges ``"abft verify"``
+(compute) and ``"abft repair"`` (the ``"retry"`` category — the cost of
+resilience, like re-flown transfers) to the rank clocks.
 """
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
-from repro.core.convolution import convolve, convolve_lanes
+from repro.core.convolution import convolve
 from repro.core.demodulate import demodulate
 from repro.core.error_model import verification_thresholds
 from repro.core.window import SoiTables
-from repro.fft.dft import dft_matrix
-from repro.fft.plan import get_plan
-from repro.verify.abft import ConvChecksum, checksum_weights
+from repro.verify.abft import ConvChecksum, batch_checksum, checksum_weights
 from repro.verify.invariants import energy_cols, energy_rows, parseval_check
 from repro.telemetry.metrics import get_registry
 from repro.verify.policy import (
@@ -54,280 +59,173 @@ _REPORT_FIELDS = ("checks", "detections", "segment_repairs",
                   "stage_repairs", "escalations")
 
 
-class _MetricsMirror:
-    """Publishes a report's counter *deltas* into a metric registry.
-
-    The verifiers bump plain integers on their report as they run; the
-    mirror remembers what it last published so each verification site
-    can flush at its exit without double-counting (and without the hot
-    invariant loops touching the registry)."""
-
-    def __init__(self) -> None:
-        self._last = dict.fromkeys(_REPORT_FIELDS, 0)
-
-    def reset(self) -> None:
-        self._last = dict.fromkeys(_REPORT_FIELDS, 0)
-
-    def publish(self, report: VerificationReport, registry) -> None:
-        for f in _REPORT_FIELDS:
-            val = getattr(report, f)
-            delta = val - self._last[f]
-            if delta > 0:
-                registry.counter(
-                    f"repro_verify_{f}_total",
-                    f"ABFT {f.replace('_', ' ')} across all verifiers"
-                ).inc(delta)
-                self._last[f] = val
-
-#: Largest S for which the lane transform's DFT matrix is materialized to
-#: repair single columns; beyond this, lane repair recomputes the rank's
-#: whole lane stage (still O(1/P) of the transform).
-_MAX_LANE_MATRIX = 512
-
-
 def _abs2(a: np.ndarray) -> np.ndarray:
     return a.real * a.real + a.imag * a.imag
 
 
-class PipelineVerifier:
-    """ABFT checks + segment-level repair for one :class:`SoiFFT` plan."""
+class _Stage(NamedTuple):
+    """One executed stage, as the ladder sees it: the *name* a detection
+    is recorded under, ``redo(bad)`` that recomputes the flagged units of
+    its output in place and returns the fraction of the stage's work that
+    reran, and the modeled *seconds* of the whole stage (0.0 where nobody
+    charges)."""
 
-    def __init__(self, soi, policy: VerifyPolicy):
+    name: str
+    redo: Callable
+    seconds: float
+
+
+def _columns(name: str, out: np.ndarray, run: Callable,
+             seconds: float = 0.0) -> _Stage:
+    """A stage whose units are columns of an ``(..., rows, S)`` output
+    that its kernel does not compute apart (a convolution tile is one
+    product over every lane; the lane transform mixes them): run the
+    stage's own kernel whole — the only call that rounds like the first
+    one — and keep the flagged columns."""
+    def redo(bad: np.ndarray) -> float:
+        np.copyto(out, run(), where=bad[..., None, :])
+        return 1.0
+    return _Stage(name, redo, seconds)
+
+
+def _rows(name: str, out: np.ndarray, src: np.ndarray, run: Callable,
+          seconds: float = 0.0) -> _Stage:
+    """A stage whose units are independent rows, ``out[.., k, :] =
+    run(src[.., k, :])``: row *k* of a batched call is bitwise the call
+    on row *k* alone (:func:`repro.fft.bitops.gemm_tile`), so only the
+    flagged rows rerun."""
+    def redo(bad: np.ndarray) -> float:
+        out[bad] = run(np.ascontiguousarray(src[bad]))
+        return float(bad.mean())
+    return _Stage(name, redo, seconds)
+
+
+class _Engine:
+    """The invariants, the strike ladder and the repairs, written once.
+
+    Every ``check_*`` takes the *cluster* and *rank* its seconds are
+    charged to (``None``/-1: a single-node host, nothing is charged) and
+    the stage's arrays and kernels; outputs are repaired in place.
+    """
+
+    #: Name of the stage whose output is ``z``.  The rank program's
+    #: "conv" stage ends after the lane transform (one compute charge,
+    #: one SDC slot); the single-node pipeline names it apart.
+    _Z_STAGE = "lane"
+
+    def __init__(self, tables: SoiTables, policy: VerifyPolicy, dtype,
+                 rows: int, block_lo: int):
+        self.tables = tables
         self.policy = policy
         self.report = VerificationReport()
         self.thresholds = verification_thresholds(
-            soi.tables, dtype=soi.dtype, safety=policy.safety,
+            tables, dtype=dtype, safety=policy.safety,
             use_alias=policy.use_alias)
-        self._soi = soi
-        p = soi.params
-        self._w_rows = checksum_weights(p.m_oversampled, dtype=soi.dtype)
+        #: conv geometry in host-local coordinates: rows checksummed, and
+        #: the block index ``x_ext`` starts at
+        self._rows, self._block_lo, self._dtype = rows, block_lo, dtype
+        self._w_rows = checksum_weights(rows, dtype=dtype)
         self._vdemod = np.ascontiguousarray(
-            (1.0 / soi.tables.demod).astype(soi.dtype))
+            (1.0 / tables.demod).astype(dtype))
         self._conv_chk: ConvChecksum | None = None
-        self._mirror = _MetricsMirror()
-
-    # -- hooks called by SoiFFT._execute -----------------------------------
-
-    def stage_hook(self, stage: str, arr: np.ndarray) -> None:
-        """Stage-boundary hook; the test injection point for silent
-        corruption in the single-node pipeline."""
-        if self.policy.inject is not None:
-            self.policy.inject(stage, arr)
-
-    # -- detection ---------------------------------------------------------
+        self._published = dict.fromkeys(_REPORT_FIELDS, 0)
 
     def _conv_checksum(self) -> ConvChecksum:
         if self._conv_chk is None:
-            soi = self._soi
             self._conv_chk = ConvChecksum(
-                soi.tables, 0, soi.params.m_oversampled, soi._block_lo,
-                self._w_rows, dtype=soi.dtype)
+                self.tables, 0, self._rows, self._block_lo, self._w_rows,
+                dtype=self._dtype)
         return self._conv_chk
 
-    def _first_failure(self, bufs, res3):
-        """Earliest stage whose invariant fails; returns (stage, units).
+    # -- the invariants: each returns the mask of units that violate it ----
 
-        *units* is a list of ``(batch_row, segment_or_lane)`` pairs.
-        Checks run in pipeline order so repairs always start from a
-        trusted upstream buffer.
-        """
-        soi = self._soi
-        p = soi.params
-        mp, m = p.m_oversampled, p.m
-        th = self.thresholds
-        u, alpha, beta = bufs["u"], bufs["alpha"], bufs["beta"]
-        z = bufs.get("z", u)
-        has_lane = soi._lane_plan is not None
+    def _checksum_bad(self, a: np.ndarray, c_pred: np.ndarray):
+        """Columns of ``(..., rows, S)`` *a* whose weighted row checksum
+        departs from the predicted one; also returns their energies."""
+        e = energy_cols(a)
+        bad = _abs2(batch_checksum(a, self._w_rows) - c_pred) > (
+            self.thresholds.checksum_rtol ** 2 * (self._rows * e + _TINY))
+        return bad, e
 
-        # conv + lane: the operator checksum predicted from the staged
-        # input rides the lane transform, so one comparison on the wire
-        # buffer covers both stages in the clean path; only on failure
-        # does the u-side check run, to attribute the error to the
-        # stage that produced it.
-        self.report.checks += 1
-        c_pred_u = self._conv_checksum().predict(bufs["x_ext"])
-        c_pred_z = soi._lane_dft(c_pred_u[:, None])[:, 0] if has_lane \
-            else c_pred_u
-        c_obs_z = np.matmul(self._w_rows, z)
-        e_z = energy_cols(z)  # (b, s)
-        bad = _abs2(c_obs_z - c_pred_z) > th.checksum_rtol ** 2 * (
-            mp * e_z + _TINY)
-        if bad.any():
-            if has_lane:
-                c_obs_u = np.matmul(self._w_rows, u)
-                e_u = energy_cols(u)
-                bad_u = _abs2(c_obs_u - c_pred_u) > th.checksum_rtol ** 2 * (
-                    mp * e_u + _TINY)
-                if bad_u.any():
-                    return "conv", np.argwhere(bad_u)
-                return "lane", np.argwhere(bad)
-            return "conv", np.argwhere(bad)
+    def _energy_bad(self, e_in: np.ndarray, e_out: np.ndarray) -> np.ndarray:
+        """Units whose energy a pure data movement failed to preserve."""
+        return np.abs(e_out - e_in) > self.thresholds.energy_rtol * (
+            e_in + _TINY)
 
-        # permutation: pure data movement preserves each segment's energy
-        self.report.checks += 1
-        e_alpha = energy_rows(alpha)  # (b, s)
-        bad = np.abs(e_alpha - e_z) > th.energy_rtol * (e_z + _TINY)
-        if bad.any():
-            return "permute", np.argwhere(bad)
-
-        # segment FFTs: per-segment Parseval + the DFT sum invariant
-        # (``sum_k beta[k] == M' * alpha[0]`` for an unscaled forward
-        # DFT).  Any single corrupted spectrum element shifts the sum;
-        # an energy-preserving error that fools Parseval still moves it.
-        self.report.checks += 1
-        e_beta = energy_rows(beta)  # (b, s)
+    def _spectrum_bad(self, e_alpha: np.ndarray, dc_pred: np.ndarray,
+                      beta: np.ndarray) -> np.ndarray:
+        """Rows of ``(..., k, M')`` *beta* that break Parseval or the DFT
+        sum invariant ``sum_k beta[k] == M' * alpha[0]`` of an unscaled
+        forward DFT.  Any single corrupted spectrum element shifts the
+        sum; an energy-preserving error that fools Parseval still does."""
+        th, mp = self.thresholds, beta.shape[-1]
+        e_beta = energy_rows(beta)
         bad = parseval_check(e_alpha, e_beta, mp, th.energy_rtol)
-        dc = beta.sum(axis=-1) - mp * alpha[..., 0]
-        bad |= _abs2(dc) > th.checksum_rtol ** 2 * (mp * e_beta + _TINY)
-        if bad.any():
-            return "segment-fft", np.argwhere(bad)
+        return bad | (_abs2(beta.sum(axis=-1) - dc_pred)
+                      > th.checksum_rtol ** 2 * (mp * e_beta + _TINY))
 
-        # demodulation: weighted-sum consistency res * demod == beta[:M]
+    def _demod_bad(self, rhs: np.ndarray, seg: np.ndarray) -> np.ndarray:
+        """Rows of ``(..., k, M)`` *seg* whose plain sum departs from
+        *rhs*, the ``1/demod``-weighted sum of the spectrum they were
+        divided out of (``seg * demod == beta[..., :M]``)."""
+        return _abs2(seg.sum(axis=-1) - rhs) > (
+            self.thresholds.checksum_rtol ** 2
+            * (seg.shape[-1] * energy_rows(seg) + _TINY))
+
+    # -- the ladder --------------------------------------------------------
+
+    def _ladder(self, cluster, rank: int, stages: list, detect: Callable,
+                ids=None, nbytes: int = 0) -> None:
+        """Verify one stage boundary; repair and re-verify until clean.
+
+        *detect()* returns ``(i, bad)``: the mask of the units that
+        violate the boundary's invariant (last axis; *ids* maps them to
+        global segment ids when they are not those already) and the index
+        in *stages* of the stage that produced them.
+        Strike 1 repairs the flagged units, strike 2 the whole stage;
+        past ``policy.max_strikes`` the corruption is persistent and the
+        run raises instead of returning silently corrupt output.
+        """
         self.report.checks += 1
-        lhs = res3.sum(axis=-1)  # sum_m res (v * demod == 1)
-        rhs = np.matmul(beta[..., :m], self._vdemod)
-        e_res = energy_rows(res3)
-        bad = _abs2(lhs - rhs) > th.checksum_rtol ** 2 * (m * e_res + _TINY)
-        if bad.any():
-            return "demod", np.argwhere(bad)
-        return None
-
-    # -- repair ------------------------------------------------------------
-
-    def _redo_downstream(self, bufs, res3, bi: int, ts) -> None:
-        """Recompute permute/segment/demod for segments *ts* of row *bi*."""
-        soi = self._soi
-        z = bufs.get("z", bufs["u"])
-        alpha, beta = bufs["alpha"], bufs["beta"]
-        ts = list(ts)
-        alpha[bi, ts] = z[bi][:, ts].T
-        beta[bi, ts] = soi._seg_plan(np.ascontiguousarray(alpha[bi, ts]))
-        for t in ts:
-            res3[bi, t] = beta[bi, t, : soi.params.m] / soi.tables.demod
-
-    def _repair(self, bufs, res3, stage: str, units) -> None:
-        soi = self._soi
-        p = soi.params
-        s = p.n_segments
-        u, alpha, beta = bufs["u"], bufs["alpha"], bufs["beta"]
-        z = bufs.get("z", u)
-        by_row: dict[int, list[int]] = {}
-        for bi, t in units:
-            by_row.setdefault(int(bi), []).append(int(t))
-        for bi, ts in by_row.items():
-            if stage == "conv":
-                u[bi][:, ts] = convolve_lanes(
-                    bufs["x_ext"][bi], soi.tables, 0, p.m_oversampled,
-                    soi._block_lo, ts)
-                # the lane FFT mixes lanes: everything downstream of a
-                # repaired lane is suspect for this batch row
-                if soi._lane_plan is not None:
-                    soi._lane_dft(u[bi], out=z[bi])
-                self._redo_downstream(bufs, res3, bi, range(s))
-            elif stage == "lane":
-                z[bi][:, ts] = soi._lane_dft(u[bi])[:, ts]
-                self._redo_downstream(bufs, res3, bi, ts)
-            elif stage == "permute":
-                self._redo_downstream(bufs, res3, bi, ts)
-            elif stage == "segment-fft":
-                beta[bi, ts] = soi._seg_plan(
-                    np.ascontiguousarray(alpha[bi, ts]))
-                for t in ts:
-                    res3[bi, t] = beta[bi, t, : p.m] / soi.tables.demod
-            else:  # demod
-                for t in ts:
-                    res3[bi, t] = beta[bi, t, : p.m] / soi.tables.demod
-            self.report.segment_repairs += 1
-
-    def check_and_repair(self, xs: np.ndarray, res: np.ndarray) -> None:
-        """Verify one executed block; repair and re-verify until clean.
-
-        Called by ``SoiFFT._run`` after the pipeline stages.  Raises
-        :class:`VerificationError` if the invariants stay violated after
-        the escalation ladder (persistent corruption)."""
-        soi = self._soi
-        p = soi.params
-        bufs = soi._bufpool[xs.shape[0]]
-        res3 = res.reshape(xs.shape[0], p.n_segments, p.m)
+        if cluster is not None:
+            self._charge(cluster, rank, "abft verify",
+                         cluster.machine_of(rank).mem_time(nbytes))
         strike = 0
         try:
             while True:
-                fail = self._first_failure(bufs, res3)
-                if fail is None:
+                i, bad = detect()
+                if not bad.any():
                     return
-                stage, units = fail
                 strike += 1
-                self.report.record(stage, -1,
-                                   sorted({int(t) for _, t in units}),
-                                   strike)
+                units = np.unique(np.nonzero(bad)[-1]).tolist()
+                segs = units if ids is None else [ids[k] for k in units]
+                self.report.record(stages[i].name, rank, segs, strike)
                 if strike > self.policy.max_strikes:
                     raise VerificationError(
-                        f"stage '{stage}' failed verification after "
+                        f"{f'rank {rank}: ' if rank >= 0 else ''}stage "
+                        f"'{stages[i].name}' failed verification after "
                         f"{self.policy.max_strikes} repair attempts "
-                        f"(segments {sorted({int(t) for _, t in units})})")
+                        f"(segments {segs})")
                 if strike == 1:
-                    self._repair(bufs, res3, stage, units)
+                    self.report.segment_repairs += 1
                 else:
-                    # escalation: re-execute the whole block from the input
-                    self.report.escalations += 1
+                    bad = np.ones_like(bad)
                     self.report.stage_repairs += 1
-                    soi._execute(xs, res)
+                    self.report.escalations += 1
+                self._charge(cluster, rank, "abft repair",
+                             self._repair(stages[i:], bad), category="retry")
         finally:
-            telem = soi.telemetry
-            self._mirror.publish(
-                self.report,
-                telem.metrics if telem is not None else get_registry())
+            self._publish(self._registry(cluster))
 
-
-class DistVerifier:
-    """ABFT checks + segment-level repair for the distributed pipelines.
-
-    One verifier serves every rank of a run (the per-rank convolution
-    geometry is identical, so the precomputed checksum functional and
-    weights are shared); detections carry the rank they fired on.
-    """
-
-    def __init__(self, tables: SoiTables, policy: VerifyPolicy | None = None,
-                 dtype=np.complex128):
-        self.tables = tables
-        self.policy = policy or VerifyPolicy()
-        self.report = VerificationReport()
-        self.thresholds = verification_thresholds(
-            tables, dtype=dtype, safety=self.policy.safety,
-            use_alias=self.policy.use_alias)
-        p = tables.params
-        self._rows = p.rows_per_process
-        self._left_g = p.ghost_blocks[0]
-        self._w_rows = checksum_weights(self._rows)
-        self._seg_plan = get_plan(p.m_oversampled, -1)
-        self._lane_plan = get_plan(p.n_segments, -1) \
-            if p.n_segments > 1 else None
-        self._lane_mat = None
-        if 1 < p.n_segments <= _MAX_LANE_MATRIX:
-            self._lane_mat = dft_matrix(p.n_segments)
-        self._vdemod = np.ascontiguousarray(1.0 / tables.demod)
-        self._conv_chk: ConvChecksum | None = None
-        self._mirror = _MetricsMirror()
-
-    def reset_report(self) -> VerificationReport:
-        """Fresh counters for a new run; returns the new report."""
-        self.report = VerificationReport()
-        self._mirror.reset()
-        return self.report
-
-    def _publish(self, cluster) -> None:
-        self._mirror.publish(
-            self.report,
-            cluster.metrics if cluster is not None else get_registry())
-
-    def _conv_checksum(self) -> ConvChecksum:
-        if self._conv_chk is None:
-            # every rank's local geometry is the same shifted window:
-            # rank r's (j_start = r*rows, block_lo = own_lo - left_g)
-            # reduces to (0, -left_g) in local coordinates
-            self._conv_chk = ConvChecksum(
-                self.tables, 0, self._rows, -self._left_g, self._w_rows)
-        return self._conv_chk
+    def _repair(self, stages: list, bad: np.ndarray) -> float:
+        """Recompute the flagged units of ``stages[0]``, then every later
+        stage of the boundary whole (it consumed what was just repaired);
+        returns the modeled seconds of what ran."""
+        seconds = 0.0
+        for stage in stages:
+            seconds += stage.seconds * stage.redo(bad)
+            bad = np.ones_like(bad)
+        return seconds
 
     def _charge(self, cluster, rank: int, label: str, seconds: float,
                 category: str = "compute") -> None:
@@ -341,163 +239,194 @@ class DistVerifier:
         if deadline is not None:
             deadline.charge(category, seconds)
 
-    # -- per-rank conv + lane stage (before the wire) -----------------------
+    def _registry(self, cluster):
+        return cluster.metrics if cluster is not None else get_registry()
+
+    def _publish(self, registry) -> None:
+        """Publish the report's counter *deltas* since the last flush, so
+        every ladder can flush at its exit without double-counting (and
+        without the invariants touching the registry)."""
+        for f in _REPORT_FIELDS:
+            val = getattr(self.report, f)
+            delta = val - self._published[f]
+            if delta > 0:
+                registry.counter(
+                    f"repro_verify_{f}_total",
+                    f"ABFT {f.replace('_', ' ')} across all verifiers"
+                ).inc(delta)
+                self._published[f] = val
+
+    # -- the stage boundaries ----------------------------------------------
 
     def check_conv(self, cluster, rank: int, x_ext: np.ndarray,
-                   u: np.ndarray, z: np.ndarray, j_start: int,
-                   block_lo: int, conv_seconds: float = 0.0,
+                   u: np.ndarray, z: np.ndarray, *, conv: Callable,
+                   lane: Callable | None, conv_seconds: float = 0.0,
                    lane_seconds: float = 0.0) -> np.ndarray:
-        """Verify (and if needed repair) one rank's post-conv segments.
+        """Verify ``u = W x_ext`` and ``z = (I (x) F_S) u``.
 
-        Returns the trusted ``z`` — the array that must feed both the
-        checkpoint and the all-to-all.  Localization: the checksum
-        syndrome's column support names the corrupt segment columns.
+        The operator checksum predicted from the staged input rides the
+        lane transform, so one comparison on ``z`` covers both stages in
+        the clean path; only on failure does the ``u``-side check run, to
+        attribute the error to the stage that produced it.  The
+        syndrome's column support names the corrupt lanes.  *conv()*
+        recomputes ``u`` whole; *lane* (None: there is no lane stage and
+        ``z`` is the convolution's output) maps ``u`` to ``z``.  Returns
+        the per-column energies of the verified ``z``.
         """
-        th = self.thresholds
-        p = self.tables.params
-        s = p.n_segments
-        self.report.checks += 1
-        if cluster is not None:
-            self._charge(cluster, rank, "abft verify",
-                         cluster.machine_of(rank).mem_time(
-                             z.nbytes + x_ext.nbytes))
-        c_pred_u = self._conv_checksum().predict(x_ext)
-        if self._lane_mat is not None:
-            c_pred = c_pred_u @ self._lane_mat
-        elif self._lane_plan is not None:
-            c_pred = self._lane_plan(c_pred_u)
+        c_u = self._conv_checksum().predict(x_ext)
+        if lane is None:
+            c_z, stages = c_u, [_columns("conv", z, conv, conv_seconds)]
         else:
-            c_pred = c_pred_u
-        strike = 0
-        try:
-            while True:
-                c_obs = np.matmul(self._w_rows, z)
-                e_z = energy_cols(z)
-                bad = _abs2(c_obs - c_pred) > th.checksum_rtol ** 2 * (
-                    self._rows * e_z + _TINY)
-                if not bad.any():
-                    return z
-                strike += 1
-                segs = np.nonzero(bad)[0]
-                self.report.record("conv", rank, segs, strike)
-                if strike > self.policy.max_strikes:
-                    raise VerificationError(
-                        f"rank {rank}: conv stage failed verification after "
-                        f"{self.policy.max_strikes} repair attempts "
-                        f"(segments {segs.tolist()})")
-                if strike == 1 and self._lane_mat is not None:
-                    # segment-level: re-derive only the corrupt z columns
-                    z[:, segs] = np.matmul(u, self._lane_mat[:, segs])
-                    self.report.segment_repairs += 1
-                    self._charge(cluster, rank, "abft repair",
-                                 lane_seconds * len(segs) / s,
-                                 category="retry")
-                else:
-                    u = convolve(x_ext, self.tables, j_start, self._rows,
-                                 block_lo)
-                    z = self._lane_plan(u) \
-                        if self._lane_plan is not None else u
-                    self.report.stage_repairs += 1
-                    self.report.escalations += 1
-                    self._charge(cluster, rank, "abft repair",
-                                 conv_seconds + lane_seconds,
-                                 category="retry")
-        finally:
-            self._publish(cluster)
+            c_z = lane(c_u[..., None, :])[..., 0, :]
+            stages = [_columns("conv", u, conv, conv_seconds),
+                      _columns(self._Z_STAGE, z, lambda: lane(u),
+                               lane_seconds)]
+        e_z = None
 
-    # -- per-destination segment FFTs (after the wire) ----------------------
+        def detect():
+            nonlocal e_z
+            bad, e_z = self._checksum_bad(z, c_z)
+            if lane is not None and bad.any():
+                bad_u, _ = self._checksum_bad(u, c_u)
+                return (0, bad_u) if bad_u.any() else (1, bad)
+            return 0, bad
+
+        self._ladder(cluster, rank, stages, detect,
+                     nbytes=z.nbytes + x_ext.nbytes)
+        return e_z
+
+    def check_permute(self, e_z: np.ndarray, zt: np.ndarray,
+                      alpha: np.ndarray) -> np.ndarray:
+        """Verify the stride permutation ``alpha = zt`` (*zt* the
+        ``(..., S, M')`` transposed view of the verified ``z`` whose
+        column energies are *e_z*).  Single-node only: on a cluster this
+        movement is the all-to-all, covered by the wire checksum.
+        Returns the per-segment energies of the verified ``alpha``."""
+        e_alpha = None
+
+        def detect():
+            nonlocal e_alpha
+            e_alpha = energy_rows(alpha)
+            return 0, self._energy_bad(e_z, e_alpha)
+
+        self._ladder(None, -1, [_rows("permute", alpha, zt, lambda a: a)],
+                     detect)
+        return e_alpha
 
     def check_segments(self, cluster, rank: int, alpha: np.ndarray,
-                       beta: np.ndarray, slot_ids,
-                       fft_seconds: float = 0.0) -> np.ndarray:
-        """Verify one destination's segment spectra against Parseval and
-        the DFT sum invariant (``sum_k beta[i, k] == M' * alpha[0, i]``
-        for an unscaled forward DFT); repair flagged segments from
-        ``alpha`` (still in memory — the natural per-destination
-        checkpoint).
-
-        ``alpha`` is (M', k) with k owned segments in ``slot_ids``
-        (global ids, for localization records); ``beta`` is (k, M').
-        Returns the trusted ``beta``.
-        """
-        th = self.thresholds
-        p = self.tables.params
-        mp = p.m_oversampled
-        slot_ids = list(slot_ids)
-        self.report.checks += 1
-        if cluster is not None:
-            self._charge(cluster, rank, "abft verify",
-                         cluster.machine_of(rank).mem_time(
-                             alpha.nbytes + beta.nbytes))
-        e_a = energy_cols(alpha)  # (k,) per owned segment
-        dc_pred = mp * alpha[0]  # the sum invariant, from the input side
-        strike = 0
-        try:
-            while True:
-                e_b = energy_rows(beta)
-                bad = parseval_check(e_a, e_b, mp, th.energy_rtol)
-                dc = beta.sum(axis=-1) - dc_pred
-                bad = bad | (_abs2(dc) > th.checksum_rtol ** 2 * (
-                    mp * e_b + _TINY))
-                if not bad.any():
-                    return beta
-                strike += 1
-                rows_bad = np.nonzero(bad)[0]
-                self.report.record("segment-fft", rank,
-                                   [slot_ids[i] for i in rows_bad], strike)
-                if strike > self.policy.max_strikes:
-                    raise VerificationError(
-                        f"rank {rank}: segment FFTs failed verification "
-                        f"after {self.policy.max_strikes} repair attempts "
-                        f"(segments {[slot_ids[i] for i in rows_bad]})")
-                if strike == 1:
-                    beta[rows_bad] = self._seg_plan(
-                        np.ascontiguousarray(alpha.T[rows_bad]))
-                    self.report.segment_repairs += 1
-                    self._charge(cluster, rank, "abft repair",
-                                 fft_seconds * len(rows_bad) / max(
-                                     beta.shape[0], 1),
-                                 category="retry")
-                else:
-                    beta = self._seg_plan(np.ascontiguousarray(alpha.T))
-                    self.report.stage_repairs += 1
-                    self.report.escalations += 1
-                    self._charge(cluster, rank, "abft repair", fft_seconds,
-                                 category="retry")
-        finally:
-            self._publish(cluster)
+                       beta: np.ndarray, *, fft: Callable, ids=None,
+                       e_alpha: np.ndarray | None = None,
+                       fft_seconds: float = 0.0) -> None:
+        """Verify the segment spectra ``beta = fft(alpha)``, both
+        ``(..., k, M')``; flagged rows are recomputed from ``alpha``
+        (still in memory — the natural per-destination checkpoint).
+        *e_alpha* passes the row energies of ``alpha`` when the host
+        already has them."""
+        if e_alpha is None:
+            e_alpha = energy_rows(alpha)
+        dc_pred = alpha.shape[-1] * alpha[..., 0]
+        self._ladder(cluster, rank,
+                     [_rows("segment-fft", beta, alpha, fft, fft_seconds)],
+                     lambda: (0, self._spectrum_bad(e_alpha, dc_pred, beta)),
+                     ids, alpha.nbytes + beta.nbytes)
 
     def check_demod(self, cluster, rank: int, beta: np.ndarray,
-                    seg: np.ndarray, slot_ids) -> np.ndarray:
-        """Weighted-sum consistency of ``seg * demod == beta[:, :M]``."""
-        th = self.thresholds
-        m = self.tables.params.m
-        self.report.checks += 1
-        slot_ids = list(slot_ids)
-        strike = 0
-        try:
-            while True:
-                lhs = seg.sum(axis=-1)
-                rhs = np.matmul(beta[:, :m], self._vdemod)
-                e_res = energy_rows(seg)
-                bad = _abs2(lhs - rhs) > th.checksum_rtol ** 2 * (
-                    m * e_res + _TINY)
-                if not bad.any():
-                    return seg
-                strike += 1
-                rows_bad = np.nonzero(bad)[0]
-                self.report.record("demod", rank,
-                                   [slot_ids[i] for i in rows_bad], strike)
-                if strike > self.policy.max_strikes:
-                    raise VerificationError(
-                        f"rank {rank}: demodulation failed verification "
-                        f"after {self.policy.max_strikes} repair attempts")
-                rows = rows_bad if strike == 1 else np.arange(seg.shape[0])
-                seg[rows] = demodulate(beta[rows], self.tables)
-                if strike == 1:
-                    self.report.segment_repairs += 1
-                else:
-                    self.report.stage_repairs += 1
-                    self.report.escalations += 1
-        finally:
-            self._publish(cluster)
+                    seg: np.ndarray, *, ids=None,
+                    demod_seconds: float = 0.0) -> None:
+        """Verify ``seg = demodulate(beta)``: ``(..., k, M')`` spectra
+        projected and divided into ``(..., k, M)`` output rows."""
+        rhs = np.matmul(beta[..., : seg.shape[-1]], self._vdemod)
+        self._ladder(cluster, rank,
+                     [_rows("demod", seg, beta,
+                            lambda b: demodulate(b, self.tables),
+                            demod_seconds)],
+                     lambda: (0, self._demod_bad(rhs, seg)),
+                     ids, beta.nbytes + seg.nbytes)
+
+
+class PipelineVerifier(_Engine):
+    """The ABFT engine riding one :class:`SoiFFT` plan's stage seam.
+
+    Geometry: all ``M'`` rows from block ``soi._block_lo``; kernels: the
+    plan's own ``convolve`` call, :meth:`SoiFFT._lane_dft`, segment plan
+    and ``demodulate``; detections are recorded under rank -1 and
+    nothing is charged (wall time is measured, not modeled)."""
+
+    def __init__(self, soi, policy: VerifyPolicy):
+        super().__init__(soi.tables, policy, soi.dtype,
+                         soi.params.m_oversampled, soi._block_lo)
+        self._soi = soi
+        self._energy = None  # unit energies of the last verified stage
+
+    def _registry(self, cluster):
+        telem = self._soi.telemetry
+        return telem.metrics if telem is not None else get_registry()
+
+    def after(self, stage: str, arr: np.ndarray) -> None:
+        """Stage-seam observer, called by ``SoiFFT._execute`` with each
+        stage's output before the next stage consumes it: the injection
+        point for silent corruption (``policy.inject``), then the
+        stage's check and repair."""
+        if self.policy.inject is not None:
+            self.policy.inject(stage, arr)
+        soi = self._soi
+        bufs = soi._bufpool[arr.shape[0]]
+        lane = soi._lane_dft if soi._lane_plan is not None else None
+        if stage == "conv" and lane is not None:
+            return  # verified with the lane output it feeds
+        if stage in ("conv", "lane"):
+            self._energy = self.check_conv(
+                None, -1, bufs["x_ext"], bufs["u"], arr, lane=lane,
+                conv=lambda: convolve(
+                    bufs["x_ext"], soi.tables, 0, self._rows,
+                    self._block_lo, workspace=soi._conv_ws))
+        elif stage == "permute":
+            self._energy = self.check_permute(
+                self._energy, bufs.get("z", bufs["u"]).transpose(0, 2, 1),
+                arr)
+        elif stage == "segment-fft":
+            self.check_segments(None, -1, bufs["alpha"], arr,
+                                fft=soi._seg_plan, e_alpha=self._energy)
+        else:  # demod
+            self.check_demod(None, -1, bufs["beta"], arr)
+
+
+class DistVerifier(_Engine):
+    """The ABFT engine for the distributed pipelines.
+
+    One verifier serves every rank of a run (the per-rank convolution
+    geometry is the same shifted window — rank r's ``(j_start = r*rows,
+    block_lo = own_lo - left_g)`` is ``(0, -left_g)`` in local
+    coordinates — so the checksum functional and weights are shared);
+    the rank program hands each ``check_*`` its cluster, its rank and the
+    kernels it ran.
+    """
+
+    _Z_STAGE = "conv"
+
+    def __init__(self, tables: SoiTables, policy: VerifyPolicy | None = None,
+                 dtype=np.complex128):
+        p = tables.params
+        super().__init__(tables, policy or VerifyPolicy(), dtype,
+                         p.rows_per_process, -p.ghost_blocks[0])
+
+    def reset_report(self) -> VerificationReport:
+        """Fresh counters for a new run; returns the new report."""
+        self.report = VerificationReport()
+        self._published = dict.fromkeys(_REPORT_FIELDS, 0)
+        return self.report
+
+    def absorb(self, reports, registry) -> None:
+        """Fold in the reports of ranks that verified with their own
+        verifiers across a process boundary, and publish them.
+
+        The rank-serial engine sees every rank's pre-wire (conv/lane)
+        events first, then every rank's post-all-to-all events —
+        reproduce that so the report compares equal to a simulated
+        run's."""
+        merged = VerificationReport()
+        for rep in reports:
+            merged.merge(rep)
+        merged.events.sort(key=lambda e: e.stage not in ("conv", "lane"))
+        self.report.merge(merged)
+        self._publish(registry)

@@ -277,6 +277,22 @@ class TestProcessBackendSoi:
         assert ver_sim.report == ver_real.report
         assert ver_sim.report.detections > 0  # the plan actually struck
 
+    @pytest.mark.parametrize("seed", [5, 16])
+    def test_repaired_on_real_workers_is_bitwise_fault_free(self, backend,
+                                                            seed):
+        """A worker's repair reruns the kernels the worker ran (its own
+        convolve call and cached lane plan), so detected-and-repaired on
+        real processes is the fault-free spectrum, bitwise."""
+        params = soi_params(2 ** 12)
+        x = signal(params.n)
+        cl = SimCluster(P)
+        cl.comm.install_faults(FaultPlan.random(
+            seed, P, sdc_rate=0.3, sdc_amplitude=50.0))
+        soi = DistributedSoiFFT(cl, params, verify=True, backend=backend)
+        got = soi.assemble(soi(soi.scatter(x)))
+        assert "conv" in soi.last_verification.detected_stages
+        assert np.array_equal(got, spmd_soi_fft(SimCluster(P), params, x))
+
     def test_wire_faults_rejected_sdc_only_allowed(self, backend):
         params = soi_params(2 ** 12)
         x = signal(params.n)

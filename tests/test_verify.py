@@ -2,9 +2,16 @@
 localization and repair, detection coverage against seeded SDC, and
 straggler hedging."""
 
+import ast
+import dataclasses
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import repro
+import repro.core.soi_dist as soi_dist
 from repro.bench.faultsweep import (
     detection_coverage,
     sdc_ground_truth,
@@ -18,6 +25,8 @@ from repro.core.soi_dist import DistributedSoiFFT
 from repro.core.soi_single import SoiFFT
 from repro.core.soi_spmd import spmd_soi_fft
 from repro.core.window import build_tables
+from repro.resilience.deadline import Deadline
+from repro.fft.dft import dft_matrix
 from repro.util.validate import relative_l2_error
 from repro.verify import (
     ConvChecksum,
@@ -151,15 +160,17 @@ class TestSingleNodeVerification:
         assert relative_l2_error(y, np.fft.fft(x)) <= base * 1.0001
 
     def test_a_repaired_lane_rounds_like_a_computed_one(self, rng):
-        # pipeline and repair both run SoiFFT._lane_dft (and the batch-
-        # invariant segment plan after it): recovered == fault-free, bitwise
+        # every repair runs the callable its stage ran (convolve,
+        # SoiFFT._lane_dft, the batch-invariant segment plan, demodulate),
+        # so whichever stage was struck: recovered == fault-free, bitwise
         x = random_complex(rng, PARAMS.n)
         clean = SoiFFT(PARAMS)(x)
-        f = SoiFFT(PARAMS, verify=VerifyPolicy(
-            inject=one_shot_injector("lane", 5)))
-        y = f(x)
-        assert f.verifier.report.detected_stages == {"lane"}
-        assert np.array_equal(y, clean)
+        for stage in STAGES:
+            f = SoiFFT(PARAMS, verify=VerifyPolicy(
+                inject=one_shot_injector(stage, 5)))
+            y = f(x)
+            assert f.verifier.report.detected_stages == {stage}
+            assert np.array_equal(y, clean), stage
         # the gate can go red: the column product the repair used to make
         # by hand, (M', S) @ (S, 1), is a gemv and sums in another order
         u = f._bufpool[1]["u"][0]
@@ -191,7 +202,7 @@ class TestSingleNodeVerification:
                 arr[0, 2, 37] += 10.0 * np.sqrt((np.abs(arr) ** 2).mean())
 
         f = SoiFFT(PARAMS, verify=VerifyPolicy(inject=always_inject))
-        f.verifier._repair = lambda *a, **k: None
+        f.verifier._repair = lambda stages, bad: 0.0
         with pytest.raises(VerificationError, match="segment-fft"):
             f(random_complex(rng, PARAMS.n))
         assert f.verifier.report.escalations >= 1
@@ -224,6 +235,11 @@ class TestDistributedVerification:
         assert cov["localized"] == cov["injected"]
         err = relative_l2_error(y, np.fft.fft(x))
         assert err < soi.verifier.thresholds.output_rtol
+        # a repair reruns the kernels the rank ran: detected-and-repaired
+        # is the fault-free spectrum, bitwise
+        fault_free = DistributedSoiFFT(SimCluster(4), params)
+        assert np.array_equal(
+            y, fault_free.assemble(fault_free(fault_free.scatter(x))))
         if cov["injected"]:
             assert cov["repairs"] >= 1
             # the price of resilience lands in the retry trace category
@@ -253,6 +269,163 @@ class TestDistributedVerification:
         verify_evs = [e for e in cl.trace.events if e.label == "abft verify"]
         assert verify_evs and all(e.category == "compute"
                                   for e in verify_evs)
+
+
+# -- one engine, two hosts: each gate at the seam, and shown able to fail ----
+
+#: the invariant (an engine method) that catches a strike on each stage
+INVARIANT = {"conv": "_checksum_bad", "lane": "_checksum_bad",
+             "permute": "_energy_bad", "segment-fft": "_spectrum_bad",
+             "demod": "_demod_bad"}
+#: what each host's pipeline lets a test strike.  On a cluster the lane
+#: transform's output *is* the rank program's "conv" output, and the
+#: stride permutation is the all-to-all, which the wire checksum covers.
+CASES = [("single", st) for st in STAGES] + [
+    ("dist", st) for st in ("conv", "segment-fft", "demod")]
+
+
+def struck_run(host, stage, monkeypatch, mutate=lambda verifier: None):
+    """One transform on *host* with one element of *stage*'s output
+    corrupted once, after *mutate* had its way with the host's verifier.
+    Returns the spectrum ``y``, the fault-free one ``clean``, the
+    ``report`` and, on a cluster, the ``cluster`` and the ``budget`` of
+    the deadline the call ran under."""
+    rng = np.random.default_rng(19)
+    if host == "single":
+        x = random_complex(rng, PARAMS.n)
+        f = SoiFFT(PARAMS, verify=VerifyPolicy(
+            inject=one_shot_injector(stage, 5)))
+        mutate(f.verifier)
+        return SimpleNamespace(y=f(x), clean=SoiFFT(PARAMS)(x),
+                               report=f.verifier.report)
+    params = verify_params(4)
+    x = random_complex(rng, params.n)
+    fault_free = DistributedSoiFFT(SimCluster(4), params)
+    clean = fault_free.assemble(fault_free(fault_free.scatter(x)))
+    cl = SimCluster(4)
+    if stage == "demod":
+        # no SDC slot strikes the demodulated rows, so the rank program's
+        # kernel does (a repair calls the engine's own import of it)
+        real, fired = soi_dist.demodulate, []
+
+        def struck_demodulate(beta, tables):
+            seg = real(beta, tables)
+            if not fired:
+                fired.append(1)
+                seg[1, 37] += 5.0 * np.sqrt((np.abs(seg) ** 2).mean())
+            return seg
+        monkeypatch.setattr(soi_dist, "demodulate", struck_demodulate)
+    else:
+        # rank 1's slot: a run consumes P conv slots, then P segment-FFT
+        # (seed 23 strikes lane 4 of z; a gemv happens to round lanes 0
+        # and 1 of an 8-point DFT like the plan, which would let the
+        # repair-kernel mutant live)
+        chaos_cluster(cl, FaultPlan(seed=23, sdc_events={
+            2 if stage == "conv" else 4 + 2: 5.0}))
+    soi = DistributedSoiFFT(cl, params, verify=True)
+    mutate(soi.verifier)
+    d = Deadline.simulated(cl, 10.0)
+    y = soi.assemble(soi(soi.scatter(x), deadline=d))
+    return SimpleNamespace(y=y, clean=clean, report=soi.last_verification,
+                           cluster=cl, budget=d.budget)
+
+
+def blind(invariant):
+    """Mutant: *invariant* runs with its thresholds forced to inf."""
+    def mutate(verifier):
+        real = getattr(verifier, invariant)
+
+        def mutant(*args):
+            th = verifier.thresholds
+            verifier.thresholds = dataclasses.replace(
+                th, checksum_rtol=np.inf, energy_rtol=np.inf)
+            try:
+                return real(*args)
+            finally:
+                verifier.thresholds = th
+        setattr(verifier, invariant, mutant)
+    return mutate
+
+
+def column_gemv_lane(verifier):
+    """Mutant: the lane kernel a repair reruns is not the one the stage
+    ran but the column products both engines used to make by hand,
+    ``(rows, S) @ (S,)`` per lane — a gemv, which sums in another order."""
+    f_s = dft_matrix(verifier.tables.params.n_segments)
+
+    def lane_by_gemv(u):
+        return np.stack([np.matmul(u, f_s[:, c])
+                         for c in range(f_s.shape[1])], axis=-1)
+    real = verifier.check_conv
+    verifier.check_conv = lambda *a, lane, **k: real(
+        *a, lane=lane_by_gemv, **k)
+
+
+class TestOneEngineTwoHosts:
+    """The ABFT contracts, stated once over both hosts of the engine."""
+
+    @pytest.mark.parametrize("host,stage", CASES)
+    def test_a_strike_is_named_once_and_repaired_bitwise(
+            self, host, stage, monkeypatch):
+        run = struck_run(host, stage, monkeypatch)
+        rep = run.report
+        assert [(e.stage, e.strike) for e in rep.events] == [(stage, 1)]
+        assert (rep.segment_repairs, rep.escalations) == (1, 0)
+        assert np.array_equal(run.y, run.clean)
+
+    @pytest.mark.parametrize("host,stage", CASES)
+    def test_mutant_blind_invariant_misses_its_strike(
+            self, host, stage, monkeypatch):
+        run = struck_run(host, stage, monkeypatch, blind(INVARIANT[stage]))
+        assert run.report.detections == 0
+        # struck, and nobody noticed
+        assert not np.array_equal(run.y, run.clean)
+
+    @pytest.mark.parametrize("host,stage", CASES)
+    def test_mutant_noop_repair_ends_in_an_error(
+            self, host, stage, monkeypatch):
+        """Repairs that repair nothing must climb the ladder to an
+        error, never return silently corrupt output."""
+        seen = []
+
+        def mutate(verifier):
+            seen.append(verifier)
+            verifier._repair = lambda stages, bad: 0.0
+        with pytest.raises(VerificationError, match=f"stage '{stage}'"):
+            struck_run(host, stage, monkeypatch, mutate)
+        rep = seen[0].report
+        assert [e.strike for e in rep.events] == [1, 2, 3]
+        assert rep.escalations >= 1
+
+    @pytest.mark.parametrize("host,stage", [("single", "lane"),
+                                            ("dist", "conv")])
+    def test_mutant_column_gemv_repair_is_not_bitwise(
+            self, host, stage, monkeypatch):
+        run = struck_run(host, stage, monkeypatch, column_gemv_lane)
+        assert run.report.detected_stages == {stage}
+        assert run.report.repairs == 1
+        assert np.allclose(run.y, run.clean, rtol=0,
+                           atol=1e-9 * np.abs(run.clean).max())
+        assert not np.array_equal(run.y, run.clean)
+
+    def test_every_check_and_repair_is_charged(self, monkeypatch):
+        """Each boundary charges what it read as "abft verify" and what
+        it reran as "abft repair", to the rank clock and to the installed
+        deadline's budget — the demodulation check included."""
+        run = struck_run("dist", "demod", monkeypatch)
+        assert run.report.detected_stages == {"demod"}
+        events = run.cluster.trace.events
+        verify = [e for e in events if e.label == "abft verify"]
+        assert len(verify) == 3 * 4  # conv, segment-fft, demod per rank
+        assert all(e.category == "compute" and e.duration > 0
+                   for e in verify)
+        repair = [e for e in events if e.label == "abft repair"]
+        assert [(e.rank, e.category) for e in repair] == [(0, "retry")]
+        assert repair[0].duration > 0
+        assert run.budget.charges["retry"] == pytest.approx(
+            repair[0].duration)
+        assert run.budget.charges["compute"] == pytest.approx(
+            sum(e.duration for e in verify))
 
 
 class TestSpmdVerification:
@@ -327,3 +500,54 @@ class TestHedging:
     def test_summary_mentions_wins(self):
         hp = HedgePolicy()
         assert "hedges=0" in hp.summary()
+
+
+# -- tier-1 guards: the engine and its seam are written once -----------------
+
+def _named(node):
+    f = node.func
+    return getattr(f, "id", None) or getattr(f, "attr", "")
+
+
+def test_abft_engine_is_written_once():
+    """An ``ast`` count (docstrings cannot trip it): ``verify/selfcheck.py``
+    raises, records an escalation, runs Parseval and builds the conv
+    checksum in one place each, and has no kernel of its own.  A second
+    ladder or a private repair kernel turns this red."""
+    root = Path(repro.__file__).parents[2]
+    tree = ast.parse(
+        (root / "src/repro/verify/selfcheck.py").read_text())
+    calls = [_named(n) for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    for name in ("VerificationError", "parseval_check", "ConvChecksum"):
+        assert calls.count(name) == 1, name
+    assert sum(isinstance(n, ast.AugAssign)
+               and getattr(n.target, "attr", "") == "escalations"
+               for n in ast.walk(tree)) == 1
+    used = {getattr(n, "id", None) or getattr(n, "attr", None)
+            or getattr(n, "name", None) for n in ast.walk(tree)}
+    assert not used & {"einsum", "dft_matrix", "get_plan"}
+    # the lane-subset convolution, a second kernel, is gone: the only
+    # file under src/ and tests/ that spells its name is this guard
+    hits = [f.relative_to(root).as_posix()
+            for d in ("src", "tests") for f in sorted((root / d).rglob("*.py"))
+            if "convolve_lanes" in f.read_text()]
+    assert hits == ["tests/test_verify.py"]
+
+
+def test_execute_has_one_stage_seam():
+    """``SoiFFT._execute`` hands each stage's output to one observer
+    behind one falsy check; telemetry and the verifier hang off that,
+    not off per-stage blocks of their own."""
+    root = Path(repro.__file__).parent
+    tree = ast.parse((root / "core/soi_single.py").read_text())
+    fn = next(n for n in ast.walk(tree)
+              if isinstance(n, ast.FunctionDef) and n.name == "_execute")
+    used = {getattr(n, "id", None) or getattr(n, "attr", None)
+            for n in ast.walk(fn)}
+    assert not used & {"telem", "telemetry", "hook", "verifier", "clk"}
+    staged = [n.args[0].value for n in ast.walk(fn)
+              if isinstance(n, ast.Call) and _named(n) == "after"]
+    assert sorted(staged) == sorted(STAGES)
+    guards = [n for n in ast.walk(fn) if isinstance(n, ast.If)
+              and getattr(n.test, "id", "") == "after"]
+    assert len(guards) == len(STAGES)
