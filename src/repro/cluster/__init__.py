@@ -39,6 +39,7 @@ from repro.cluster.pcie import PCIE_GEN2_X16, PcieSpec, pipeline_makespan
 from repro.cluster.proxy import ReverseProxy
 from repro.cluster.schedule import Schedule, ScheduledTask, Task
 from repro.cluster.shm import (
+    ShmArena,
     ShmJanitor,
     ShmPool,
     ShmView,
@@ -87,6 +88,7 @@ __all__ = [
     "RetriesExhausted",
     "RetryPolicy",
     "ShmJanitor",
+    "ShmArena",
     "ShmPool",
     "ShmView",
     "SimulatedBackend",

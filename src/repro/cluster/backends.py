@@ -40,6 +40,13 @@ Resumed views are valid until the rank's next yielded request (the
 standard MPI receive-buffer contract); programs that need the data
 longer must copy.
 
+Memory: every byte that crosses a process boundary lives in one of four
+persistent :class:`~repro.cluster.shm.ShmArena` buffers — per worker its
+collective outbox and its checkpoint stash, in the parent the input
+staging and the per-rank result slots — so a steady-state job ships
+descriptors into memory every process already has mapped and creates,
+maps and unlinks no segment (DESIGN.md, "ProcessBackend memory").
+
 Elastic fault tolerance (the parent is the watchdog):
 
 * every worker writes a heartbeat timestamp and a progress counter (the
@@ -53,8 +60,8 @@ Elastic fault tolerance (the parent is the watchdog):
   ``Checkpoint`` data is copied into the caller's ``checkpoints`` dict
   first, so the SOI layer completes the transform on the survivors via
   shrink-and-redistribute instead of tearing the world down;
-* dead workers are respawned lazily (next job) and every segment a
-  crashed worker left behind is reclaimed by a
+* dead workers are respawned lazily (next job) and every arena
+  generation a crashed worker left behind is reclaimed by a
   :class:`~repro.cluster.shm.ShmJanitor`, so repeated failures cannot
   leak ``/dev/shm``;
 * *deadline* budgets run off the wall clock: checked at dispatch and on
@@ -90,12 +97,13 @@ import traceback
 import multiprocessing as mp
 from multiprocessing import connection as mp_connection
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.cluster.faults import RankFailed
-from repro.cluster.shm import ShmJanitor, ShmPool, ShmView
+from repro.cluster.shm import ShmArena, ShmJanitor, ShmPool, ShmView
 from repro.cluster.simcluster import SimCluster
 from repro.cluster.spmd import (
     AllToAll,
@@ -118,6 +126,9 @@ _MAILBOX_TIMEOUT_S = 120.0
 _HANG_TIMEOUT_S = 10.0
 _HEARTBEAT_PERIOD_S = 0.05
 _WATCHDOG_TICK_S = 0.05
+#: How long the watchdog waits for aborted ranks to report before it
+#: gives the job up (a rank deep in a compute phase reads no mailbox).
+_ABORT_GRACE_S = 5.0
 _BAR = "__barrier__"
 
 
@@ -334,10 +345,9 @@ class _Job:
     machine: Any = None
     fault_plan: Any = None  # SDC-only FaultPlan (or None)
     result_slot: ShmView | None = None
-    staging_prefix: str = ""
     ranks: tuple = ()  # worker ids forming the group ((), = all workers)
     faults: tuple = ()  # ((kind, collective), ...) for THIS worker
-    ckpt_prefix: str = ""  # ship Checkpoint data to the parent when set
+    checkpoints: bool = False  # ship Checkpoint data to the parent
 
 
 @dataclass
@@ -430,47 +440,8 @@ def _next_msg(mailbox, job_id: int, coll_idx: int, timeout: float,
         pending.append(msg)
 
 
-class _Outbox:
-    """The rank-owned segment outgoing collective slices are packed into.
-
-    Grown geometrically by generation; an old generation is unlinked at
-    the next pack, which the entry barrier has made safe (every peer
-    finished reading views of the previous collective before any rank
-    reaches its own pack).
-    """
-
-    def __init__(self, prefix: str, pool: ShmPool):
-        self._prefix = prefix
-        self._pool = pool
-        self._gen = -1
-        self._name: str | None = None
-        self._shm = None
-        self._capacity = 0
-
-    def pack(self, arrays: list[np.ndarray]) -> list[ShmView]:
-        arrays = [np.ascontiguousarray(a) for a in arrays]
-        total = sum(a.nbytes for a in arrays)
-        if self._shm is None or total > self._capacity:
-            cap = 1 << max(6, int(total - 1).bit_length() if total else 6)
-            self._gen += 1
-            name = f"{self._prefix}g{self._gen}"
-            shm = self._pool.create(name, cap)
-            if self._name is not None:
-                self._pool.detach(self._name)  # peers keep their mappings
-            self._shm, self._name, self._capacity = shm, name, cap
-        views, off = [], 0
-        for a in arrays:
-            dst = np.ndarray(a.shape, dtype=a.dtype, buffer=self._shm.buf,
-                             offset=off)
-            np.copyto(dst, a)
-            views.append(ShmView(self._name, off, tuple(a.shape),
-                                 a.dtype.name))
-            off += a.nbytes
-        return views
-
-
 def _serve_collective(req, coll_idx: int, rank: int, group: tuple,
-                      mailboxes, pool: ShmPool, outbox: _Outbox,
+                      mailboxes, pool: ShmPool, outbox: ShmArena,
                       timeout: float, job_id: int, pending: list,
                       hb, me: int, faults: tuple):
     """Run one collective for this rank; returns the resume payload.
@@ -479,7 +450,9 @@ def _serve_collective(req, coll_idx: int, rank: int, group: tuple,
     worker id.  Scheduled worker-side faults fire at entry — after the
     progress counter is written, so the parent sees how far a victim
     got — and the entry barrier is a token round over the group's
-    mailboxes (works for any subset of the worker set).
+    mailboxes (works for any subset of the worker set).  Passing it
+    proves every peer finished reading the previous collective's views,
+    which is what lets the outbox start a new fill.
     """
     size = len(group)
     if hb is not None:
@@ -505,6 +478,7 @@ def _serve_collective(req, coll_idx: int, rank: int, group: tuple,
 
     if isinstance(req, Barrier):
         return None
+    outbox.reset()
 
     if isinstance(req, AllToAll):
         per_dest = [np.ascontiguousarray(np.asarray(b))
@@ -569,9 +543,12 @@ def _resolve_args(args: tuple, pool: ShmPool) -> tuple:
 
 
 def _run_rank(job: _Job, me: int, n_workers: int, mailboxes,
-              pool: ShmPool, outbox: _Outbox, timeout: float,
-              pending: list, hb, post_ckpt):
-    """Drive the rank generator to completion; returns (result, steps)."""
+              pool: ShmPool, outbox: ShmArena, timeout: float,
+              pending: list, hb, ship_ckpt):
+    """Drive the rank generator to completion; returns (result, steps).
+
+    *ship_ckpt(tag, data)* stashes a ``Checkpoint`` for the parent.
+    """
     group = job.ranks if job.ranks else tuple(range(n_workers))
     rank = group.index(me)
     size = len(group)
@@ -588,7 +565,6 @@ def _run_rank(job: _Job, me: int, n_workers: int, mailboxes,
     steps = _RankSteps()
     steps.open()
     coll_idx = 0
-    n_ckpts = 0
     payload = None
     try:
         while True:
@@ -604,20 +580,10 @@ def _run_rank(job: _Job, me: int, n_workers: int, mailboxes,
                 steps.close(req.label, "compute")
                 continue
             if isinstance(req, Checkpoint):
-                if job.ckpt_prefix:
-                    # ship the stage data to the parent through a
-                    # dedicated segment: survivors' checkpoints seed
-                    # shrink-and-redistribute recovery after a crash
-                    data = np.ascontiguousarray(np.asarray(req.data))
-                    name = f"{job.ckpt_prefix}r{me}n{n_ckpts}"
-                    n_ckpts += 1
-                    shm = pool.create(name, data.nbytes)
-                    dst = np.ndarray(data.shape, dtype=data.dtype,
-                                     buffer=shm.buf)
-                    np.copyto(dst, data)
-                    del dst
-                    post_ckpt(req.tag, ShmView(name, 0, tuple(data.shape),
-                                               data.dtype.name))
+                if job.checkpoints:
+                    # survivors' checkpoints seed shrink-and-redistribute
+                    # recovery after a crash
+                    ship_ckpt(req.tag, np.asarray(req.data))
                 steps.close("checkpoint", "compute")
                 continue
             steps.close(f"{req.label} prep", "compute")
@@ -652,12 +618,15 @@ def _worker_main(me: int, n_workers: int, token: str, job_q, result_q,
                  epoch: int) -> None:
     """Persistent worker loop: one process, one rank, many jobs.
 
-    *epoch* is this worker slot's spawn count: it keys the outbox
-    segment names so a respawned worker never reuses a name its peers
-    may still hold a cached (stale, unlinked) mapping of.
+    *epoch* is this worker slot's spawn count: it keys the names of the
+    worker's two arenas so a respawned worker never reuses a name its
+    peers (or the parent) may still hold a stale, unlinked mapping of.
+    The stash holds one job's ``Checkpoint`` data packed one after another;
+    the parent has copied what it needs before it dispatches the next job.
     """
     pool = ShmPool()
-    outbox = _Outbox(f"{token}o{me}e{epoch}", pool)
+    outbox = ShmArena(f"{token}w{me}e{epoch}o", pool)
+    stash = ShmArena(f"{token}w{me}e{epoch}k", pool)
     pending: list = []  # out-of-phase mailbox messages (see _next_msg)
     hb = None
     stop_beat = threading.Event()
@@ -688,16 +657,16 @@ def _worker_main(me: int, n_workers: int, token: str, job_q, result_q,
                 return
             job = pickle.loads(raw)
             pending[:] = [m for m in pending if m[0] >= job.job_id]
-            ckpt_names: list[str] = []
+            stash.reset()
 
-            def post_ckpt(tag, view, _jid=job.job_id):
-                ckpt_names.append(view.segment)
+            def ship_ckpt(tag, data, _jid=job.job_id):
+                (view,) = stash.pack([data])
                 post_result((_jid, me, "ckpt", tag, view, None))
 
             try:
                 result, steps = _run_rank(job, me, n_workers, mailboxes,
                                           pool, outbox, timeout, pending,
-                                          hb, post_ckpt)
+                                          hb, ship_ckpt)
                 kind, rest = _ship_result(result, job.result_slot, pool)
                 post_result((job.job_id, me, "ok", kind, rest, steps))
             except _Aborted as exc:
@@ -718,13 +687,6 @@ def _worker_main(me: int, n_workers: int, token: str, job_q, result_q,
                     payload = pickle.dumps(RuntimeError(repr(exc)))
                 post_result((job.job_id, me, "error", payload,
                              traceback.format_exc(), None))
-            finally:
-                if job.staging_prefix:
-                    pool.detach_prefix(job.staging_prefix)
-                for name in ckpt_names:
-                    # ownership handoff: the parent unlinks checkpoint
-                    # segments once recovery (or the job) is done
-                    pool.release(name)
     finally:
         stop_beat.set()
         hb = None
@@ -857,6 +819,8 @@ class ProcessBackend(ExecutionBackend):
         self._mailboxes: list = []
         self._result_chans: list = []  # one result pipe per worker
         self._pool = ShmPool()
+        self._inputs = ShmArena(f"{self._token}i", self._pool)
+        self._results = ShmArena(f"{self._token}r", self._pool)
         self._hb: np.ndarray | None = None
         self.janitor = ShmJanitor(self._token)
         self._job_counter = 0
@@ -869,6 +833,26 @@ class ProcessBackend(ExecutionBackend):
         self.last_mttr_s: float | None = None
         self._ckpts: dict[tuple[int, str], ShmView] = {}
         self._label_est: dict[str, float] = {}  # label -> last wall seconds
+
+    # -- instruments touched on every job: looked up once ---------------
+
+    @cached_property
+    def _workers_gauge(self):
+        return self.metrics.gauge(
+            "repro_backend_workers_count",
+            "live worker processes of the ProcessBackend")
+
+    @cached_property
+    def _job_counters(self) -> tuple:
+        m = self.metrics
+        return (m.counter("repro_backend_jobs_total",
+                          "jobs completed by the process backend"),
+                m.counter("repro_backend_wall_seconds_total",
+                          "max-over-ranks measured job wall seconds"),
+                m.counter("repro_backend_compute_seconds_total",
+                          "summed per-rank measured compute seconds"),
+                m.counter("repro_backend_exchange_seconds_total",
+                          "summed per-rank measured mpi seconds"))
 
     # -- worker lifecycle ----------------------------------------------
 
@@ -890,20 +874,18 @@ class ProcessBackend(ExecutionBackend):
             p = self._procs[wid]
             if p is None or not p.is_alive():
                 self._spawn_worker(wid)
-        self.metrics.gauge(
-            "repro_backend_workers_count",
-            "live worker processes of the ProcessBackend").set(self.size)
+        self._workers_gauge.set(self.size)
 
     def _spawn_worker(self, wid: int) -> None:
         old = self._procs[wid]
         if old is not None:
             old.join(timeout=0.5)
             # a crashed worker leaves its queues and segments dirty:
-            # drain stale payloads/messages, reclaim its outbox
+            # drain stale payloads/messages, reclaim its two arenas
             self._drain(self._job_qs[wid])
             self._drain(self._mailboxes[wid])
             self._drain(self._result_chans[wid])
-            self.janitor.sweep(f"o{wid}e")
+            self.janitor.sweep(f"w{wid}e")
             self._epochs[wid] += 1
             self.metrics.counter(
                 "repro_backend_worker_respawns_total",
@@ -960,6 +942,7 @@ class ProcessBackend(ExecutionBackend):
     def close(self) -> None:
         self._teardown_workers()
         self._ckpts.clear()
+        self._retire_staging()
         self._pool.close()
         reclaimed = self.janitor.sweep("")
         if reclaimed:
@@ -1013,24 +996,20 @@ class ProcessBackend(ExecutionBackend):
         self._sweep_checkpoints()
 
     def _sweep_checkpoints(self, into: dict | None = None) -> None:
-        """Reclaim the shipped checkpoint segments — after copying their
-        data out under ``(worker_id, tag)`` keys when *into* is given:
-        the copies survive the sweep, so recovery jobs can re-stage them.
+        """Forget the shipped checkpoint descriptors — after copying their
+        data out of the workers' stashes under ``(worker_id, tag)`` keys
+        when *into* is given: the copies outlive the stashes (a live
+        worker refills its own at the next job, a dead one's is swept
+        with its outbox), so recovery jobs can re-stage them.
         """
-        for key, view in self._ckpts.items():
-            if into is not None:
+        if into is not None:
+            for key, view in self._ckpts.items():
                 try:
                     into[key] = np.array(view.resolve(self._pool), copy=True)
                 except FileNotFoundError:  # pragma: no cover - creator died
                     pass
-            self._pool.detach(view.segment)
+                self._pool.detach(view.segment)
         self._ckpts.clear()
-        reclaimed = self.janitor.sweep("k")
-        if reclaimed:
-            self.metrics.counter(
-                "repro_backend_shm_reclaimed_total",
-                "orphaned shared-memory segments reclaimed"
-                ).inc(len(reclaimed))
 
     # -- job execution -------------------------------------------------
 
@@ -1087,69 +1066,30 @@ class ProcessBackend(ExecutionBackend):
         if deadline is not None:
             deadline.check(f"dispatch ({label})")
         self._ensure_workers()
-        self._job_counter += 1
-        jid = self._job_counter
-        staging_prefix = f"{self._token}j{jid}"
         actions = plan.next_job() if plan is not None else ()
-
-        # stage per-rank and common ndarray args through shared segments
-        arrays, slots = [], []
-        for i, args in enumerate(per_rank_args):
-            for k, a in enumerate(args):
-                if isinstance(a, np.ndarray):
-                    arrays.append(a)
-                    slots.append(("a", i, k))
-        for k, c in enumerate(common):
-            if isinstance(c, np.ndarray):
-                arrays.append(c)
-                slots.append(("c", 0, k))
-        staged = [list(args) for args in per_rank_args]
-        staged_common = list(common)
-        if arrays:
-            views = self._pool.place(staging_prefix + "i", arrays)
-            for (kind, i, k), v in zip(slots, views):
-                if kind == "a":
-                    staged[i][k] = v
-                else:
-                    staged_common[k] = v
-
         q = len(group)
-        result_views: list[ShmView | None] = [None] * q
-        result_arrays: list[np.ndarray | None] = [None] * q
-        if result_spec is not None:
-            shape, dtype = result_spec
-            # per-rank slots inside one segment; workers write, we copy out
-            dt = np.dtype(dtype)
-            per = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-            shm = self._pool.create(staging_prefix + "r", max(1, per * q))
-            for i in range(q):
-                result_views[i] = ShmView(staging_prefix + "r", i * per,
-                                          tuple(shape), dt.name)
-                result_arrays[i] = np.ndarray(tuple(shape), dtype=dt,
-                                              buffer=shm.buf,
-                                              offset=i * per)
-
         try:
             attempt = 0
             while True:
                 attempt += 1
-                ckpt_prefix = (f"{self._token}k{jid}"
-                               if checkpoints is not None else "")
+                self._job_counter += 1
+                jid = self._job_counter
+                staged, staged_common, slots = self._stage(
+                    per_rank_args, common, result_spec, q)
                 # pickle eagerly: surfaces an unpicklable program as a
-                # clean error here, and delayed/held deliveries plus the
-                # hedge retry reuse the bytes verbatim
+                # clean error here, and a delayed/held delivery sends the
+                # bytes verbatim
                 try:
                     payloads = {wid: pickle.dumps(_Job(
                         job_id=jid, program=program,
                         args=tuple(staged[i]), common=tuple(staged_common),
                         machine=machine, fault_plan=fault_plan,
-                        result_slot=result_views[i],
-                        staging_prefix=staging_prefix, ranks=group,
+                        result_slot=slots[i], ranks=group,
                         faults=tuple(
                             (f.kind, f.collective) for f in actions
                             if f.rank == wid and f.collective is not None
                             and f.kind in ("kill", "stall")),
-                        ckpt_prefix=ckpt_prefix))
+                        checkpoints=checkpoints is not None))
                         for i, wid in enumerate(group)}
                 except Exception as exc:
                     raise ValueError(
@@ -1197,8 +1137,7 @@ class ProcessBackend(ExecutionBackend):
                         self._spawn_worker(wid)
                     self._sweep_checkpoints()
                     self._drain_stale()
-                    self._job_counter += 1
-                    jid = self._job_counter
+                    self._retire_staging()
                     actions = ()
                     continue
                 break
@@ -1223,20 +1162,56 @@ class ProcessBackend(ExecutionBackend):
             for i, wid in enumerate(group):
                 status, kind, rest, steps = out.outcomes[wid]
                 if kind == "slot":
-                    results[i] = result_arrays[i].copy()
+                    results[i] = slots[i].resolve(self._pool).copy()
                 elif kind == "slot+rest":
-                    results[i] = (result_arrays[i].copy(), *rest)
+                    results[i] = (slots[i].resolve(self._pool).copy(), *rest)
                 else:
                     results[i] = rest
             self._fold_telemetry(jid, label,
                                  {w: o[3] for w, o in out.outcomes.items()})
             self._label_est[label] = time.monotonic() - t0
-            if checkpoints is not None:
-                self._sweep_checkpoints()
+            self._sweep_checkpoints()
             return results
-        finally:
-            del result_arrays  # views die before their segment unlinks
-            self._pool.detach_prefix(staging_prefix)
+        except BaseException:
+            self._retire_staging()
+            raise
+
+    def _stage(self, per_rank_args: list[tuple], common: tuple,
+               result_spec: tuple | None, q: int):
+        """One fill of the parent's two arenas.
+
+        Every ndarray argument is copied into the input arena (``common``
+        arrays once, shared by all ranks) and replaced by its descriptor;
+        ``result_spec`` reserves one slot per rank in the result arena.
+        Returns ``(per-rank args, common, slot descriptors)``.
+        """
+        staged = [list(args) for args in per_rank_args]
+        staged_common = list(common)
+        homes = [(row, k) for row in (*staged, staged_common)
+                 for k, a in enumerate(row) if isinstance(a, np.ndarray)]
+        if homes:
+            self._inputs.reset()
+            views = self._inputs.pack([row[k] for row, k in homes])
+            for (row, k), view in zip(homes, views):
+                row[k] = view
+        slots: list[ShmView | None] = [None] * q
+        if result_spec is not None:
+            shape, dtype = result_spec
+            dt = np.dtype(dtype)
+            per = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
+            self._results.reset()
+            name, base = self._results.reserve(per * q)
+            slots = [ShmView(name, base + i * per, tuple(shape), dt.name)
+                     for i in range(q)]
+        return staged, staged_common, slots
+
+    def _retire_staging(self) -> None:
+        """Rule 1 of :class:`~repro.cluster.shm.ShmArena`: a rank of a job
+        that did not end clean may still be running, so the generations
+        it reads and writes are unlinked before anything is staged again.
+        """
+        self._inputs.retire()
+        self._results.retire()
 
     # -- the watchdog --------------------------------------------------
 
@@ -1327,7 +1302,8 @@ class ProcessBackend(ExecutionBackend):
                         flooded = True
                         self._flood_abort(jid, group, wid,
                                           "worker process died")
-                        grace_until = now + max(5.0, 2 * self.hang_timeout)
+                        grace_until = now + max(_ABORT_GRACE_S,
+                                                2 * self.hang_timeout)
 
             if deadline is not None and not deadline_tripped \
                     and deadline.expired():
@@ -1335,7 +1311,7 @@ class ProcessBackend(ExecutionBackend):
                 if not flooded:
                     flooded = True
                     self._flood_abort(jid, group, -1, "deadline expired")
-                grace_until = now + 5.0
+                grace_until = now + _ABORT_GRACE_S
 
             if hedge is not None and est is not None and not hedged \
                     and not deaths and len(group) >= hedge.min_ranks \
@@ -1348,7 +1324,8 @@ class ProcessBackend(ExecutionBackend):
                         flooded = True
                         self._flood_abort(jid, group, laggards[0],
                                           "straggler hedged")
-                    grace_until = now + max(5.0, 2 * self.hang_timeout)
+                    grace_until = now + max(_ABORT_GRACE_S,
+                                            2 * self.hang_timeout)
                     for wid in laggards:
                         timeline.cancel(wid)
                         p = self._procs[wid]
@@ -1441,20 +1418,18 @@ class ProcessBackend(ExecutionBackend):
             job_id=jid, job_label=label, dead=dead, survivors=survivors,
             detected_at=out.detected_at or time.monotonic(),
             reason=reason, hung=tuple(out.hung))
-        # reclaim what the dead left behind (their outbox generations);
-        # survivors' mappings of the segments stay valid until job end
+        # reclaim what the dead left behind (their outbox and stash
+        # generations; run() has copied the checkpoints recovery needs);
+        # survivors' mappings of the segments stay valid
         reclaimed = []
         for w in dead:
-            reclaimed += self.janitor.sweep(f"o{w}e")
+            reclaimed += self.janitor.sweep(f"w{w}e")
         if reclaimed:
             self.metrics.counter(
                 "repro_backend_shm_reclaimed_total",
                 "orphaned shared-memory segments reclaimed"
                 ).inc(len(reclaimed))
-        self.metrics.gauge(
-            "repro_backend_workers_count",
-            "live worker processes of the ProcessBackend"
-            ).set(len(self.live_workers()))
+        self._workers_gauge.set(len(self.live_workers()))
         exc = RankFailed(
             dead[0],
             f"{reason} during job {jid} ({label!r}); "
@@ -1489,16 +1464,11 @@ class ProcessBackend(ExecutionBackend):
                                   base + s0, base + s1)
             rec.end(scope, base + hi)
         self._t_cursor = base + t1
-        m = self.metrics
-        m.counter("repro_backend_jobs_total",
-                  "jobs completed by the process backend").inc()
-        m.counter("repro_backend_wall_seconds_total",
-                  "max-over-ranks measured job wall seconds").inc(t1 - t0)
-        for cat, metric in (("compute", "repro_backend_compute_seconds_total"),
-                            ("mpi", "repro_backend_exchange_seconds_total")):
-            secs = sum(s[3] - s[2] for s in all_steps if s[1] == cat)
-            m.counter(metric,
-                      f"summed per-rank measured {cat} seconds").inc(secs)
+        jobs, wall, compute, exchange = self._job_counters
+        jobs.inc()
+        wall.inc(t1 - t0)
+        for cat, seconds in (("compute", compute), ("mpi", exchange)):
+            seconds.inc(sum(s[3] - s[2] for s in all_steps if s[1] == cat))
 
 
 def _sdc_only(plan) -> bool:

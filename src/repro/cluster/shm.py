@@ -1,19 +1,25 @@
-"""Shared-memory segment pool and zero-copy slice descriptors.
+"""Shared-memory segments: a per-process pool, generation-named arenas
+and zero-copy slice descriptors.
 
-The process backend's all-to-all does not pickle arrays through pipes:
-each worker packs its outgoing slices into a POSIX shared-memory segment
-it owns and sends peers a tiny :class:`ShmView` *descriptor* (segment
-name, offset, shape, dtype).  The receiver resolves the descriptor into
-a numpy view over the mapped segment — the payload bytes cross the
-process boundary zero-copy, exactly like the paper's one all-to-all
-moves data without intermediate staging buffers.
+The process backend moves no array through a pipe.  Whoever produces
+bytes another process must read packs them into a :class:`ShmArena` it
+owns and ships a tiny :class:`ShmView` *descriptor* (segment name,
+offset, shape, dtype); the reader resolves the descriptor into a numpy
+view over the mapped segment — the payload crosses the process boundary
+zero-copy, exactly like the paper's one all-to-all moves data without
+intermediate staging buffers, and like its reverse-communication proxy
+(section 5.1) the buffers are allocated once and reused for every
+transfer.
 
-Two pieces:
+Three pieces:
 
 * :class:`ShmView` — a picklable descriptor resolving to an ndarray view;
 * :class:`ShmPool` — per-process cache of created/attached segments, so
   a segment is mapped at most once per process no matter how many
-  descriptors point into it.
+  descriptors point into it, and at most one generation of an arena;
+* :class:`ShmArena` — a persistent, owner-created buffer that grows by
+  *generation name*; the backend uses it four times (collective outbox,
+  checkpoint stash, input staging, result slots).
 
 CPython wart handled here: on 3.8-3.12 merely *attaching* to a segment
 registers it with the ``resource_tracker``, which then unlinks it when
@@ -26,7 +32,7 @@ attachers plus the creator's unlink would send N+1 removals for one
 registration, spraying KeyError tracebacks at exit.
 
 Crash hygiene: a SIGKILL'd worker never runs its pool's ``close()``, so
-the segments it created (outbox generations, checkpoint stashes) would
+the arena generations it created (outbox, checkpoint stash) would
 outlive it in ``/dev/shm``.  :class:`ShmJanitor` is the parent-side
 reclaimer: it enumerates live segments by name prefix
 (:func:`list_segments`) and force-unlinks the orphans
@@ -46,7 +52,7 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-__all__ = ["ShmJanitor", "ShmPool", "ShmView", "list_segments",
+__all__ = ["ShmArena", "ShmJanitor", "ShmPool", "ShmView", "list_segments",
            "unlink_segment"]
 
 #: Where the kernel exposes POSIX shared-memory segments as files.
@@ -70,15 +76,22 @@ class ShmView:
         """A numpy view over the segment's bytes (no copy).
 
         Views are handed out read-only by default: the bytes belong to
-        the sending rank's outbox and will be reused for its next
-        collective, so a receiver that wants to mutate must copy (the
-        same contract as an MPI receive buffer it does not own).
+        the sender's arena and will be reused for its next fill (the
+        sending rank's next collective, the parent's next job), so a
+        receiver that wants to mutate must copy (the same contract as an
+        MPI receive buffer it does not own).
         """
         shm = pool.attach(self.segment)
         arr = np.ndarray(self.shape, dtype=np.dtype(self.dtype),
                          buffer=shm.buf, offset=self.offset)
         arr.flags.writeable = writeable
         return arr
+
+
+def _arena_of(name: str) -> str:
+    """The arena prefix of a generation name ``<prefix>g<n>`` ('' if none)."""
+    head, _, gen = name.rpartition("g")
+    return head if gen.isdigit() else ""
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -187,7 +200,8 @@ class ShmPool:
     Segments *created* through the pool are owned by it: ``close()``
     (and therefore interpreter exit of the creator) unlinks them.
     Segments *attached* are only mapped; closing the pool unmaps but
-    never unlinks them.
+    never unlinks them.  Attaching generation *n* of an arena unmaps
+    every other generation of it (rule 2 of :class:`ShmArena`).
     """
 
     def __init__(self) -> None:
@@ -210,22 +224,13 @@ class ShmPool:
         shm = self._created.get(name) or self._attached.get(name)
         if shm is None:
             shm = _attach_untracked(name)
+            arena = _arena_of(name)
+            if arena:
+                for old in [n for n in self._attached
+                            if _arena_of(n) == arena]:
+                    self.detach(old)
             self._attached[name] = shm
         return shm
-
-    def place(self, name: str, arrays: list[np.ndarray]) -> list[ShmView]:
-        """Create segment *name* sized for *arrays*, copy them in, and
-        return one descriptor per array (creator-side packing)."""
-        arrays = [np.ascontiguousarray(a) for a in arrays]
-        total = sum(a.nbytes for a in arrays)
-        shm = self.create(name, total)
-        views, off = [], 0
-        for a in arrays:
-            dst = np.ndarray(a.shape, dtype=a.dtype, buffer=shm.buf, offset=off)
-            np.copyto(dst, a)
-            views.append(ShmView(name, off, tuple(a.shape), a.dtype.name))
-            off += a.nbytes
-        return views
 
     def detach(self, name: str) -> None:
         """Unmap an attached (or unlink a created) segment by name."""
@@ -241,28 +246,6 @@ class ShmPool:
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
 
-    def release(self, name: str) -> None:
-        """Unmap a *created* segment without unlinking it.
-
-        Ownership handoff: a worker that created a checkpoint segment
-        releases it at job end so the parent (who holds the descriptor)
-        controls its lifetime; the parent's janitor unlinks it later.
-        Attached segments are simply unmapped (same as :meth:`detach`).
-        """
-        shm = self._created.pop(name, None)
-        if shm is None:
-            shm = self._attached.pop(name, None)
-        if shm is not None:
-            shm.close()
-
-    def detach_prefix(self, prefix: str) -> None:
-        """Drop every mapping whose segment name starts with *prefix*
-        (job-scoped staging segments at job end)."""
-        for name in [n for n in self._attached if n.startswith(prefix)]:
-            self.detach(name)
-        for name in [n for n in self._created if n.startswith(prefix)]:
-            self.detach(name)
-
     def close(self) -> None:
         """Unmap everything; unlink every segment this pool created."""
         for name in list(self._attached):
@@ -275,3 +258,102 @@ class ShmPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+_ALIGN = 64  # arena slots start on cache-line boundaries
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-int(nbytes) // _ALIGN) * _ALIGN
+
+
+class ShmArena:
+    """A persistent buffer one process fills and others read or write by
+    descriptor, grown geometrically by *generation name*.
+
+    The owner creates segment ``<prefix>g<n>`` through its pool; when a
+    fill does not fit, generation ``n+1`` is created at the next power of
+    two and the old one is unlinked by the owner.  Everyone else maps a
+    generation the first time a descriptor names it and keeps the mapping,
+    so once the sizes have been seen a fill costs a memcpy and no
+    ``shm_open`` / ``mmap`` / ``shm_unlink`` in any process.  A name is
+    never reused, which is what makes a stale mapping harmless: it points
+    at memory nobody will read again.
+
+    One *fill* is ``reset()`` followed by any number of ``pack`` /
+    ``reserve``; descriptors of a fill stay valid until the next
+    ``reset()`` (a generation outgrown mid-fill stays linked until then).
+    The caller owns the proof that the previous fill is dead: the entry
+    barrier for a collective outbox, the job boundary for the other three.
+
+    Two lifetime rules replace what per-job segment names gave for free:
+
+    1. **Retire after an unclean end.**  When a fill's readers or writers
+       may still be running (a job that ended by death, hang, hedge,
+       abort, error, deadline or grace-period break), the owner calls
+       :meth:`retire` before the next fill: the generation is unlinked and
+       the next fill gets a fresh name, so a straggler that wakes up late
+       writes into memory only it still maps — never into the next job's
+       result.
+    2. **One mapped generation per arena per process.**
+       :meth:`ShmPool.attach` unmaps every other generation of an arena
+       when it maps a new one, so neither growth nor retirement leaves old
+       generations mapped for the life of a reader.  Generations a crashed
+       owner left behind are reclaimed by prefix (:class:`ShmJanitor`).
+    """
+
+    def __init__(self, prefix: str, pool: ShmPool):
+        self._prefix = prefix
+        self._pool = pool
+        self._gen = -1
+        self._name: str | None = None
+        self._capacity = 0
+        self._offset = 0
+        self._outgrown: list[str] = []  # still linked until the next reset
+
+    def _unlink_outgrown(self) -> None:
+        for name in self._outgrown:
+            self._pool.detach(name)
+        self._outgrown.clear()
+
+    def reset(self) -> None:
+        """Start a new fill: everything handed out before may be overwritten."""
+        self._offset = 0
+        self._unlink_outgrown()
+
+    def reserve(self, nbytes: int) -> tuple[str, int]:
+        """``(segment, offset)`` of *nbytes* fresh bytes in the current fill."""
+        nbytes = _aligned(nbytes)
+        if self._name is None or self._offset + nbytes > self._capacity:
+            # room for the whole fill so far, so the next one like it fits
+            cap = 1 << max(6, (self._offset + nbytes - 1).bit_length())
+            self._gen += 1
+            name = f"{self._prefix}g{self._gen}"
+            self._pool.create(name, cap)
+            if self._name is not None:
+                self._outgrown.append(self._name)
+                if not self._offset:  # nothing of this fill lives there
+                    self._unlink_outgrown()
+            self._name, self._capacity, self._offset = name, cap, 0
+        offset = self._offset
+        self._offset += nbytes
+        return self._name, offset
+
+    def pack(self, arrays: list[np.ndarray]) -> list[ShmView]:
+        """Copy *arrays* into the current fill; one descriptor per array."""
+        arrays = [np.ascontiguousarray(a) for a in arrays]
+        name, offset = self.reserve(sum(_aligned(a.nbytes) for a in arrays))
+        views = []
+        for a in arrays:
+            view = ShmView(name, offset, tuple(a.shape), a.dtype.name)
+            np.copyto(view.resolve(self._pool, writeable=True), a)
+            views.append(view)
+            offset += _aligned(a.nbytes)
+        return views
+
+    def retire(self) -> None:
+        """Unlink every generation (rule 1); the next fill gets a new name."""
+        if self._name is not None:
+            self._outgrown.append(self._name)
+        self._unlink_outgrown()
+        self._name, self._capacity, self._offset = None, 0, 0

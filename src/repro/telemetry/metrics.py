@@ -220,12 +220,12 @@ class MetricsRegistry:
     def _get(self, name: str, kind: str, factory):
         if not self.enabled:
             return _NULL_INSTRUMENT
-        if not _NAME_RE.match(name):
-            raise ValueError(
-                f"metric name {name!r} must match repro_<layer>_<name>_"
-                f"<unit> (lowercase, underscore-separated)")
         inst = self._instruments.get(name)
         if inst is None:
+            if not _NAME_RE.match(name):
+                raise ValueError(
+                    f"metric name {name!r} must match repro_<layer>_<name>_"
+                    f"<unit> (lowercase, underscore-separated)")
             inst = factory()
             self._instruments[name] = inst
         elif inst.kind != kind:

@@ -6,9 +6,15 @@ identical to the rank-serial ``SimulatedBackend``, including the merged
 ``VerificationReport`` under injected silent data corruption.
 """
 
+import re
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.cluster import backends as backends_mod
+from repro.cluster import shm as shm_mod
 from repro.cluster.backends import ProcessBackend, SimulatedBackend
 from repro.cluster.faults import (
     FaultPlan,
@@ -16,12 +22,13 @@ from repro.cluster.faults import (
     ProcessFaultPlan,
     RankFailed,
 )
-from repro.cluster.shm import ShmPool, list_segments
+from repro.cluster.shm import ShmArena, ShmPool, list_segments
 from repro.cluster.simcluster import SimCluster
 from repro.cluster.spmd import (
     AllToAll,
     Barrier,
     Bcast,
+    Checkpoint,
     SendRecvRing,
     run_spmd,
 )
@@ -87,21 +94,71 @@ def boom_prog(ctx):
     return ctx.rank
 
 
+def fill_prog(ctx, n, value):
+    return np.full(n, value)
+    yield  # the backend runs generator programs only
+
+
+def straggler_prog(ctx, n, slow_rank, sleep_s):
+    """Rank *slow_rank* outlives its job, then writes 1s into a result
+    slot the job no longer owns."""
+    if ctx.rank == slow_rank:
+        time.sleep(sleep_s)
+    return np.ones(n)
+    yield
+
+
+def checkpointed_straggler_prog(ctx, n, slow_rank, sleep_s):
+    """Every rank ships a checkpoint and meets at a barrier; then all
+    but one return, and *slow_rank* sleeps on as in straggler_prog."""
+    yield Checkpoint(np.full(n, float(ctx.rank)), tag="stage")
+    yield Barrier()
+    if ctx.rank != 0:
+        time.sleep(sleep_s if ctx.rank == slow_rank else 0.5)
+    return np.ones(n)
+
+
+def doubling_prog(ctx, x_local):
+    time.sleep(0.1)
+    yield Barrier()
+    return x_local * 2
+
+
+def mapping_count_prog(ctx, x_local, token):
+    """How many mappings of the backend's segments this worker holds,
+    counted after an all-to-all sized like the input."""
+    yield AllToAll(np.array_split(x_local, ctx.size))
+    with open("/proc/self/maps") as maps:
+        return np.array([sum(token in line for line in maps)], dtype=float)
+
+
 # -- shared-memory pool ------------------------------------------------
 
 class TestShmPool:
-    def test_place_and_resolve_roundtrip(self):
-        with ShmPool() as pool:
+    """The pool, and the arena every data segment is created through."""
+
+    def test_pack_and_resolve_roundtrip(self):
+        with ShmPool() as owner, ShmPool() as reader:
+            arena = ShmArena("t-seg", owner)
             a = np.arange(12, dtype=np.complex128).reshape(3, 4)
             b = np.arange(5, dtype=np.float32)
-            va, vb = pool.place("t-seg", [a, b])
-            assert np.array_equal(va.resolve(pool), a)
-            assert np.array_equal(vb.resolve(pool), b)
+            va, vb, vc = arena.pack([a, b, b])
+            assert va.segment == vb.segment == vc.segment == "t-segg0"
+            assert np.array_equal(va.resolve(reader), a)
+            assert np.array_equal(vb.resolve(reader), b)
             assert va.nbytes == a.nbytes and vb.nbytes == b.nbytes
+            # the next fill lands in the same bytes, pack after pack
+            arena.reset()
+            assert arena.pack([a + 1, b]) == [va, vb]
+            assert arena.pack([b + 1]) == [vc]
+            assert np.array_equal(va.resolve(reader), a + 1)
+            assert np.array_equal(vb.resolve(reader), b)
+            assert np.array_equal(vc.resolve(reader), b + 1)
+            assert list_segments("t-seg") == ["t-segg0"]
 
     def test_views_are_read_only_by_default(self):
         with ShmPool() as pool:
-            (view,) = pool.place("t-ro", [np.zeros(4)])
+            (view,) = ShmArena("t-ro", pool).pack([np.zeros(4)])
             arr = view.resolve(pool)
             with pytest.raises(ValueError):
                 arr[0] = 1.0
@@ -120,14 +177,37 @@ class TestShmPool:
             with pytest.raises(ValueError, match="already created"):
                 pool.create("t-dup", 16)
 
-    def test_detach_prefix_drops_job_segments(self):
-        with ShmPool() as pool:
-            pool.place("job1-in", [np.zeros(4)])
-            pool.place("job1-out", [np.zeros(4)])
-            pool.place("job2-in", [np.zeros(4)])
-            pool.detach_prefix("job1-")
-            assert "job1-in" not in pool._created
-            assert "job2-in" in pool._created
+    def test_grow_unlinks_the_old_generation(self):
+        with ShmPool() as owner, ShmPool() as reader:
+            arena = ShmArena("t-grow", owner)
+            (small,) = arena.pack([np.zeros(8)])
+            small.resolve(reader)
+            arena.reset()
+            (big,) = arena.pack([np.arange(1024.0)])
+            assert (small.segment, big.segment) == ("t-growg0", "t-growg1")
+            assert list_segments("t-grow") == ["t-growg1"]
+            # rule 2: the reader swaps its mapping, it does not collect them
+            assert np.array_equal(big.resolve(reader), np.arange(1024.0))
+            assert list(reader._attached) == ["t-growg1"]
+            # growth in the middle of a fill keeps what the fill handed out
+            (more,) = arena.pack([np.arange(4096.0)])
+            assert more.segment == "t-growg2"
+            assert list_segments("t-grow") == ["t-growg1", "t-growg2"]
+            assert np.array_equal(big.resolve(reader), np.arange(1024.0))
+            arena.reset()
+            assert list_segments("t-grow") == ["t-growg2"]
+
+    def test_retire_and_owner_close_unlink(self):
+        with ShmPool() as owner:
+            arena = ShmArena("t-own", owner)
+            (v0,) = arena.pack([np.ones(8)])
+            arena.retire()
+            assert list_segments("t-own") == []
+            arena.reset()
+            (v1,) = arena.pack([np.ones(8)])
+            assert v1.segment != v0.segment  # a name is never reused
+            assert list_segments("t-own") == [v1.segment]
+        assert list_segments("t-own") == []
 
 
 # -- simulated backend routing -----------------------------------------
@@ -355,6 +435,29 @@ def chaos_backend():
     assert list_segments(token) == []  # no /dev/shm leak, ever
 
 
+def live_infrastructure(be):
+    """Mid-life hygiene, stated exactly: between jobs ``/dev/shm`` holds
+    the heartbeat, at most one input and one result generation, and per
+    *live* worker epoch at most one outbox and one checkpoint stash —
+    nothing named after a job, nothing a dead worker left.  Returns how
+    many segments of each kind there are; any other name fails here.
+    """
+    live = {(w, be._epochs[w]) for w in be.live_workers()}
+    found = []
+    for name in list_segments(be._token):
+        tail = name[len(be._token):]
+        m = re.fullmatch(r"w(\d+)e(\d+)([ok])g\d+", tail)
+        if m:
+            assert (int(m[1]), int(m[2])) in live, f"orphan {name}"
+            found.append(({"o": "outbox", "k": "stash"}[m[3]], m[1]))
+        else:
+            m = re.fullmatch(r"(hb)|([ir])g\d+", tail)
+            assert m, f"not infrastructure: {name}"
+            found.append((m[1] or m[2], ""))
+    assert len(set(found)) == len(found), f"two generations live: {found}"
+    return Counter(kind for kind, _worker in found)
+
+
 class TestProcessFaultPlan:
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):
@@ -506,11 +609,194 @@ class TestElasticRecovery:
         spmd_soi_fft(SimCluster(P), params, x, backend=be)
         assert recoveries.value == r0 + 1
         assert deaths.value == d0 + 1
-        # mid-life hygiene: only live infrastructure segments remain
-        # (heartbeat + live outboxes); checkpoint/staging segments and
-        # the dead worker's outbox were reclaimed by the janitor
-        kinds = {n[len(be._token):][:1] for n in list_segments(be._token)}
-        assert kinds <= {"h", "o"}
+        # the dead worker 0 has not been respawned yet; every survivor
+        # packed an outbox and shipped a checkpoint
+        # packed an outbox and shipped a checkpoint; the failed job's
+        # result generation was retired and recovery pickles its results
+        assert live_infrastructure(be) == {
+            "hb": 1, "i": 1, "outbox": P - 1, "stash": P - 1}
+
+
+# -- arena lifetimes: rule 1 (retire), rule 2 (one mapped generation) ---
+
+N_SLOT = 1024
+BIG = ((2 * N_SLOT,), np.float64)  # the unclean job's result slots
+HALF = ((N_SLOT,), np.float64)  # the next jobs': half as large
+
+
+@pytest.fixture()
+def quick_backend(monkeypatch):
+    """A backend that gives an aborted job up after 1.5 s (the deadline
+    path after 0.2 s) instead of 5 s; checked for leaks when it closes."""
+    monkeypatch.setattr(backends_mod, "_ABORT_GRACE_S", 0.2)
+    b = ProcessBackend(P, hang_timeout=0.75)
+    yield b
+    b.close()
+    assert list_segments(b._token) == []
+
+
+def leave_the_generations(self):
+    """Mutant of ``ShmArena.retire``: an unclean job's input and result
+    generations stay where the next job will be staged."""
+
+
+def staging_generations(be):
+    return [n for n in list_segments(be._token)
+            if re.fullmatch(r"[ir]g\d+", n[len(be._token):])]
+
+
+def next_jobs_return_exactly_twos(be):
+    """Slot 1 of a BIG job covers slots 2 and 3 of a HALF one, and ranks
+    2 and 3 have filled those long before the straggler on rank 1 wakes
+    up, writes its 1s and only then takes its own share of this job."""
+    for _ in range(20):
+        got = be.run(fill_prog, [(N_SLOT, 2.0)] * P, result_spec=HALF)
+        assert all(np.array_equal(y, np.full(N_SLOT, 2.0)) for y in got)
+
+
+def straggler_past_a_deadline(be):
+    be.run(fill_prog, [(2 * N_SLOT, 0.0)] * P, result_spec=BIG)
+    with pytest.raises(DeadlineExceeded):
+        be.run(straggler_prog, [(2 * N_SLOT, 1, 1.2)] * P, result_spec=BIG,
+               deadline=Deadline(0.05))
+    next_jobs_return_exactly_twos(be)
+
+
+def straggler_past_a_kill(be):
+    be.run(fill_prog, [(2 * N_SLOT, 0.0)] * P, result_spec=BIG)
+    be.inject(ProcessFaultPlan([ProcessFault("kill", rank=2, after_s=0.3)]))
+    ckpts = {}
+    with pytest.raises(RankFailed):
+        be.run(checkpointed_straggler_prog, [(2 * N_SLOT, 1, 3.0)] * P,
+               result_spec=BIG, checkpoints=ckpts)
+    # the dead rank's checkpoint was copied before its stash was swept
+    assert sorted(ckpts) == [(r, "stage") for r in range(P)]
+    assert all(np.array_equal(ckpts[r, "stage"], np.full(2 * N_SLOT, r))
+               for r in range(P))
+    assert list_segments(f"{be._token}w2e") == []
+    next_jobs_return_exactly_twos(be)
+    # and shrink-and-redistribute on the same backend is still the
+    # simulator's answer, bit for bit
+    params = soi_params(2 ** 12)
+    x = signal(params.n)
+    be.inject(ProcessFaultPlan([ProcessFault("kill", rank=2,
+                                             collective=1)]))
+    assert np.array_equal(spmd_soi_fft(SimCluster(P), params, x),
+                          spmd_soi_fft(SimCluster(P), params, x, backend=be))
+    assert be.last_recovery.dead_ranks == (2,)
+
+
+def hedged_stall(be):
+    """No rank survives a hedge to write late (a laggard is killed, the
+    front is parked in a mailbox), so what is held here is the rule
+    itself: the re-dispatch and everything after it are staged under
+    names the abandoned attempt never saw."""
+    xs = [np.arange(N_SLOT) + float(r) for r in range(P)]
+
+    def doubled(**kwargs):
+        got = be.run(doubling_prog, [(x,) for x in xs], result_spec=HALF,
+                     label="doubling", **kwargs)
+        return all(np.array_equal(y, 2 * x) for y, x in zip(got, xs))
+
+    # twice: the hedge goes by the label's last duration, and the first
+    # job's includes the workers starting up
+    assert doubled() and doubled()
+    before = staging_generations(be)
+    # rank 1 freezes in its sleep, short of the barrier the others reach
+    # (not at 0 s, while it may be half way through reading the job)
+    be.inject(ProcessFaultPlan([ProcessFault("stall", rank=1,
+                                             after_s=0.03)]))
+    hedge = HedgePolicy(threshold=2.0, min_ranks=2)
+    assert doubled(hedge=hedge)
+    assert hedge.launched >= 1 and hedge.won >= 1
+    after = staging_generations(be)
+    assert len(after) == 2 and not set(after) & set(before)
+    be.inject(None)
+    assert all(doubled() for _ in range(20))
+    assert staging_generations(be) == after
+
+
+UNCLEAN_ENDINGS = [straggler_past_a_deadline, straggler_past_a_kill,
+                   hedged_stall]
+
+
+class TestUncleanJobsRetireTheirGenerations:
+    @pytest.mark.parametrize("ending", UNCLEAN_ENDINGS,
+                             ids=lambda f: f.__name__)
+    def test_the_next_job_is_untouched(self, ending, quick_backend):
+        ending(quick_backend)
+
+    @pytest.mark.parametrize("ending", UNCLEAN_ENDINGS,
+                             ids=lambda f: f.__name__)
+    def test_without_retire_it_is_not(self, ending, quick_backend,
+                                      monkeypatch):
+        monkeypatch.setattr(ShmArena, "retire", leave_the_generations)
+        with pytest.raises(AssertionError):
+            ending(quick_backend)
+
+
+def grown_mapping_counts(be):
+    """Per-rank mapping counts after jobs whose inputs (and all-to-all
+    payloads) grow 1 -> 2 -> 4 -> 8 MiB, two jobs of each size."""
+    counts = []
+    for mib in (1, 1, 2, 2, 4, 4, 8, 8):
+        x = np.zeros(mib * 2 ** 20 // (8 * P))
+        got = be.run(mapping_count_prog, [(x, be._token)] * P,
+                     result_spec=((1,), np.float64))
+        counts = [int(y[0]) for y in got]
+    return counts
+
+
+class TestSteadyStateCreatesNothing:
+    def test_third_call_leaves_dev_shm_and_the_parent_pool_alone(
+            self, backend, monkeypatch):
+        params = soi_params(2 ** 12)
+        soi = DistributedSoiFFT(SimCluster(P), params, backend=backend)
+        parts = soi.scatter(signal(params.n))
+        soi(parts)
+        want = soi(parts)
+        names = list_segments(backend._token)
+        calls = []
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(ShmPool, "create")
+        counted(shm_mod, "_attach_untracked")
+        got = soi(parts)
+        assert calls == []
+        assert list_segments(backend._token) == names
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+    def test_worker_mappings_equal_after_job_3_and_job_30(self, backend):
+        x = np.zeros(4096)
+        counts = [backend.run(mapping_count_prog, [(x, backend._token)] * P,
+                              result_spec=((1,), np.float64))
+                  for _ in range(30)]
+        assert [int(y[0]) for y in counts[2]] \
+            == [int(y[0]) for y in counts[29]]
+
+    # what a worker has mapped once warm: the heartbeat (its own mapping
+    # and the parent's, inherited through fork), its own outbox, one
+    # generation per peer outbox, the inputs and the result slots
+    CURRENT = 2 + 1 + (P - 1) + 1 + 1
+
+    def test_worker_mappings_bounded_while_arenas_grow(self):
+        with ProcessBackend(P) as be:
+            counts = grown_mapping_counts(be)
+        assert max(counts) <= self.CURRENT + 1
+
+    def test_skipping_rule_2_breaks_the_bound(self, monkeypatch):
+        # workers fork after the patch: no pool drops an older generation
+        monkeypatch.setattr(shm_mod, "_arena_of", lambda name: "")
+        with ProcessBackend(P) as be:
+            counts = grown_mapping_counts(be)
+        assert max(counts) > self.CURRENT + 1
 
 
 class TestProcessBackendTelemetry:
