@@ -1,7 +1,10 @@
-"""Exhibit table, figure drivers, tables and input workloads.
+"""Exhibit table, figure table, figure drivers and input workloads.
 
 Every ``python -m repro`` exhibit verb is a row of
-:data:`repro.bench.exhibits.EXHIBITS`; the wall-clock benchmark is
+:data:`repro.bench.exhibits.EXHIBITS`, and every paper exhibit or
+ablation the ``figures`` and ``report`` verbs render — one file under
+``benchmarks/results/`` each — is a row of
+:data:`repro.bench.figures.FIGURES`.  The wall-clock benchmark is
 ``bench/e2e`` at the repository root, not this package.
 """
 
@@ -23,6 +26,7 @@ from repro.bench.apidoc import build_apidoc, write_apidoc
 from repro.bench.chaosparallel import render_chaos_exhibit, run_chaos_exhibit
 from repro.bench.degrade import degrade_sweep_rows, render_degrade_sweep
 from repro.bench.exhibits import EXHIBITS, Exhibit, run_exhibit
+from repro.bench.figures import FIGURES, Figure
 from repro.bench.parallelbench import (
     available_cpus,
     measure_parallel_soi,
@@ -42,6 +46,8 @@ from repro.bench.workloads import chirp, constant, impulse, multi_tone, random_c
 __all__ = [
     "EXHIBITS",
     "Exhibit",
+    "FIGURES",
+    "Figure",
     "PAPER_NODES",
     "accuracy_rows",
     "available_cpus",

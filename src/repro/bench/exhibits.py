@@ -5,12 +5,14 @@ that does the work and returns a dict, the default ``--output`` path and
 the verb's own flags.  ``run`` returns
 
 ``text``      what is printed (may be empty),
-``artifact``  what ``--output`` receives when that is not ``text``,
+``artifact``  what ``--output`` receives when that is not ``text``; a
+              ``{file name: payload}`` dict makes ``--output`` a directory,
 ``json``      what ``--json PATH`` receives (verbs that have the flag),
-``gates``     ``{name: verdict}`` — ``True`` passes, ``False`` fails and a
-              string says why the gate had no input to judge and is
-              printed as ``skipped``.  Anything else, a ``None``
-              measurement included, fails: no gate passes by default.
+``gates``     ``{name: verdict}`` — ``True`` (Python's or numpy's) passes,
+              ``False`` fails and a string says why the gate had no input
+              to judge and is printed as ``skipped``.  Anything else, a
+              ``None`` measurement included, fails: no gate passes by
+              default.
 
 :func:`run_exhibit` is the only place that prints, writes ``--output``
 and ``--json``, renders the PASS/FAIL line and derives the exit code.
@@ -25,6 +27,8 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+
+from repro.bench.figures import FIGURES
 
 __all__ = ["ABFT_OVERHEAD_BUDGET", "EXHIBITS", "Exhibit",
            "TELEMETRY_OVERHEAD_BUDGET", "batch_overhead", "run_exhibit"]
@@ -57,13 +61,18 @@ def run_exhibit(ex: Exhibit, args) -> int:
     if text:
         print(text)
     if args.output:
-        _save(args.output, result.get("artifact", text + "\n"))
+        artifact = result.get("artifact", text + "\n")
+        if isinstance(artifact, dict):
+            for name, payload in artifact.items():
+                _save(Path(args.output) / name, payload)
+        else:
+            _save(args.output, artifact)
     if "json" in result and args.json:
         _save(args.json, json.dumps(result["json"], indent=2) + "\n")
     gates = result.get("gates", {})
     failed = []
     for name, verdict in gates.items():
-        if verdict is True:
+        if isinstance(verdict, (bool, np.bool_)) and verdict:
             word = "PASS"
         elif isinstance(verdict, str):
             word = f"skipped ({verdict})"
@@ -77,7 +86,7 @@ def run_exhibit(ex: Exhibit, args) -> int:
     return 1 if failed else 0
 
 
-def _save(path: str, payload: str) -> None:
+def _save(path: str | Path, payload: str) -> None:
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     p.write_text(payload)
@@ -358,6 +367,18 @@ def _metrics(args) -> dict:
                       ovh["ratio"] <= TELEMETRY_OVERHEAD_BUDGET}}
 
 
+def _figures(args) -> dict:
+    texts, files, gates = [], {}, {}
+    for fig in FIGURES:
+        if args.which in ("all", fig.group):
+            text, verdicts = fig.build()
+            texts.append(text)
+            files[f"{fig.name}.txt"] = text + "\n"
+            gates.update({f"{fig.name}.{gate}": verdict
+                          for gate, verdict in verdicts.items()})
+    return {"text": "\n\n".join(texts), "artifact": files, "gates": gates}
+
+
 def _report(args) -> dict:
     from repro.bench.report import build_report
 
@@ -477,6 +498,12 @@ EXHIBITS: tuple[Exhibit, ...] = (
                       help="CI smoke: fewer requests per operating point"),
                 _flag("--json", default="", help="also dump the full "
                       "result dict as JSON here"))),
+    Exhibit("figures", "regenerate the paper's exhibits as text; --output "
+            "is a directory that receives <name>.txt for each one printed",
+            _figures, flags=(
+                _flag("which", nargs="?", default="all",
+                      choices=["all", *dict.fromkeys(
+                          fig.group for fig in FIGURES)]),)),
     Exhibit("report", "write the consolidated REPORT.md", _report,
             "REPORT.md"),
     Exhibit("apidoc", "regenerate docs/API.md", _apidoc, "docs/API.md"),

@@ -2,7 +2,7 @@
 
 Each ``figN_*``/``tableN_*`` function computes the data behind the
 corresponding exhibit of the paper and returns plain Python structures;
-the scripts in ``benchmarks/`` render and assert on them, and
+the rows of :data:`repro.bench.figures.FIGURES` render and gate them, and
 EXPERIMENTS.md records paper-vs-reproduced values.
 
 Scale notes: numerics run at laptop-feasible sizes; the performance

@@ -1,8 +1,8 @@
 """ASCII rendering of the paper's tables and figure series.
 
-The benchmark harness regenerates every table and figure of the paper as
+The figure table regenerates every table and figure of the paper as
 text: numeric tables for the tables, labeled series/bars for the figures.
-These helpers keep that output consistent across benches.
+These helpers keep that output consistent across its rows.
 """
 
 from __future__ import annotations

@@ -5,7 +5,6 @@ Commands
 ``selftest``   quick numerical self-check (SOI vs the library's own FFT
                and the naive DFT oracle at several parameter points)
 ``transform``  SOI-transform a synthetic signal and report accuracy/timing
-``figures``    regenerate the paper's model-driven exhibits as text
 ``verify``     run the ABFT self-verifying distributed transform under a
                seeded silent-data-corruption schedule, report detection /
                localization / repair counts and the wall-clock price of
@@ -14,7 +13,7 @@ Commands
 
 Every other verb (``fault-sweep``, ``scale-chaos``, ``degrade-sweep``,
 ``trace-export``, ``metrics``, ``parallel-bench``, ``chaos-parallel``,
-``autotune``, ``serve-bench``, ``report``, ``apidoc``) is a row of
+``autotune``, ``serve-bench``, ``figures``, ``report``, ``apidoc``) is a row of
 :data:`repro.bench.exhibits.EXHIBITS` and runs through its one handler.
 """
 
@@ -85,50 +84,6 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     print(f"plan: {t_plan * 1e3:.1f} ms   transform: {t_run * 1e3:.1f} ms   "
           f"rel l2 error vs numpy: {err:.2e} (design bound "
           f"{f.expected_stopband:.1e})")
-    return 0
-
-
-def _cmd_figures(args: argparse.Namespace) -> int:
-    from repro.bench.runner import (
-        fig3_rows,
-        fig8_series,
-        fig9_rows,
-        fig10_rows,
-        fig11_rows,
-        fig12_rows,
-        table2_rows,
-    )
-    from repro.bench.tables import render_bars, render_series, render_table
-
-    which = args.which
-    if which in ("all", "table2"):
-        print(render_table(
-            ["machine", "cfg", "GHz", "L1/L2/L3", "GF/s", "GB/s", "bops"],
-            table2_rows(), title="Table 2"), end="\n\n")
-    if which in ("all", "fig3"):
-        print(render_table(["config", "local FFT", "conv", "MPI", "total"],
-                           fig3_rows(), title="Fig 3 (normalized)"), end="\n\n")
-    if which in ("all", "fig8"):
-        s = fig8_series()
-        print(render_series(
-            "nodes", s["nodes"],
-            {k: [round(v, 3) for v in s[k]] for k in s if k != "nodes"},
-            title="Fig 8 (TFLOPS + speedups)"), end="\n\n")
-    if which in ("all", "fig9"):
-        print(render_table(
-            ["machine", "nodes", "local FFT", "conv", "exposed MPI", "etc",
-             "total"], fig9_rows(), title="Fig 9 (seconds)"), end="\n\n")
-    if which in ("all", "fig10"):
-        print(render_bars(fig10_rows(), title="Fig 10 (GFLOPS)",
-                          unit=" GF"), end="\n\n")
-    if which in ("all", "fig11"):
-        print(render_table(
-            ["nodes", "baseline", "interchange", "buffering"],
-            fig11_rows(), title="Fig 11 (conv seconds)"), end="\n\n")
-    if which in ("all", "fig12"):
-        d = fig12_rows()
-        print(f"Fig 12: offload slowdown {d['offload_slowdown']:.2f}x, "
-              f"hybrid speedup {d['hybrid_speedup']:.3f}x\n")
     return 0
 
 
@@ -220,12 +175,6 @@ def main(argv: list[str] | None = None) -> int:
     t.add_argument("--b", type=int, default=72)
     t.add_argument("--seed", type=int, default=0)
     t.set_defaults(handler=_cmd_transform)
-
-    f = sub.add_parser("figures", help="regenerate paper exhibits as text")
-    f.add_argument("which", nargs="?", default="all",
-                   choices=["all", "table2", "fig3", "fig8", "fig9",
-                            "fig10", "fig11", "fig12"])
-    f.set_defaults(handler=_cmd_figures)
 
     v = sub.add_parser(
         "verify",

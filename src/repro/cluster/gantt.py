@@ -2,7 +2,7 @@
 
 Turns a :class:`~repro.cluster.trace.Trace` or a
 :class:`~repro.cluster.schedule.Schedule` into a per-lane text timeline,
-so examples and benches can *show* overlap instead of asserting it.
+so examples and figures can *show* overlap instead of asserting it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,10 @@ __all__ = ["gantt_from_trace", "gantt_from_schedule"]
 
 _GLYPHS = {"compute": "#", "mpi": "=", "pcie": "~", "retry": "!",
            "hedge": "+", "other": ".", "deadline": "x", "partition": "%"}
+
+#: schedule categories finer than the trace's (``perfmodel/overlap``
+#: accounts convolution and segment FFTs apart) draw as their family
+_FAMILY = {"convolution": "compute", "local_fft": "compute"}
 
 
 def _render(lanes: dict[str, list[tuple[float, float, str]]], span: float,
@@ -27,7 +31,8 @@ def _render(lanes: dict[str, list[tuple[float, float, str]]], span: float,
         for t0, t1, cat in intervals:
             c0 = min(width - 1, int(round(t0 / span * width)))
             c1 = max(c0 + 1, int(round(t1 / span * width)))
-            glyph = _GLYPHS.get(cat, "?")  # unmapped categories stand out
+            # unmapped categories stand out
+            glyph = _GLYPHS.get(_FAMILY.get(cat, cat), "?")
             for c in range(c0, min(c1, width)):
                 row[c] = glyph
         lines.append(f"{name.ljust(label_w)} |{''.join(row)}|")

@@ -98,6 +98,8 @@ SMOKE = {
 SMOKED_ELSEWHERE = {
     "autotune": "TestAutotune below",
     "serve-bench": "tests/test_serve.py::TestServeBench::test_cli_verb_smoke",
+    "figures": "tests/test_figures.py::TestOneProducerNoDrift::"
+               "test_every_gate_passes_and_every_file_is_reproduced",
     "report": "tests/test_report.py::TestCliReport::test_cli_command",
     "apidoc": "tests/test_apidoc.py::TestApidoc::test_cli",
 }

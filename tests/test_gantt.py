@@ -75,5 +75,25 @@ class TestScheduleGantt:
         # both lanes fully busy over the same span
         assert cpu.count("#") >= 7 and net.count("=") >= 7
 
+    def test_finer_compute_categories_draw_as_compute(self):
+        # Fig 12a: the overlap model accounts convolution and segment FFTs
+        # apart; both are compute on the cpu lane
+        from repro.bench.runner import paper_scale_model
+        from repro.machine.spec import XEON_PHI_SE10
+        from repro.perfmodel.overlap import soi_segment_schedule
+
+        sched = soi_segment_schedule(paper_scale_model(32), XEON_PHI_SE10)
+        assert sched.category_total("convolution") > 0
+        assert sched.category_total("local_fft") > 0
+        out = gantt_from_schedule(sched)
+        cpu = next(l for l in out.splitlines() if l.startswith("cpu"))
+        assert "#" in cpu and "?" not in out
+
+    def test_unknown_category_still_stands_out(self):
+        s = Schedule()
+        s.add("a", ("cpu", 0), 1.0, category="mystery")
+        lane = gantt_from_schedule(s, width=8).splitlines()[0]
+        assert lane.count("?") == 8
+
     def test_empty_schedule(self):
         assert gantt_from_schedule(Schedule(), title="x") == "x"
