@@ -34,12 +34,9 @@ DEFAULT_N = 8 * 1344
 TOLERANCE_DB = 3.0
 
 
-def degrade_sweep_rows(n: int = DEFAULT_N, seed: int = 0,
-                       ladder: DegradationLadder | None = None
-                       ) -> list[dict]:
+def degrade_sweep_rows(n: int = DEFAULT_N, seed: int = 0) -> list[dict]:
     """One row per ladder rung: geometry, predicted and measured SNR."""
-    if ladder is None:
-        ladder = DegradationLadder.standard(n)
+    ladder = DegradationLadder.standard(n)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     reference = np.fft.fft(x)

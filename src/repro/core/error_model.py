@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.window import SoiTables
-from repro.fft.plan import get_plan
 
 __all__ = ["AliasAnalysis", "SNR_MODEL_HEADROOM_DB", "VerificationThresholds",
            "alias_analysis", "expected_snr_db", "tone_response",
@@ -33,23 +32,23 @@ def tone_response(tables: SoiTables, frequencies: np.ndarray) -> np.ndarray:
     """Exact pipeline response R(nu) at arbitrary relative frequencies.
 
     ``frequencies`` are offsets from a segment origin in bins (the demod
-    table equals ``tone_response(tables, arange(M))``).  Vectorized;
-    cost O(n_mu * B * S * len(frequencies)).
+    table equals ``tone_response(tables, arange(M))``), any shape of one
+    axis or more; O(n_mu * B * S) each, a row of the last axis at a time.
     """
     p = tables.params
     nu = np.asarray(frequencies, dtype=np.float64)
     n, s, b_width, n_mu = p.n, p.n_segments, p.b, p.n_mu
     mp = p.m_oversampled
+    grid = np.arange(b_width * s)  # b*S + lane
+    taps = tables.coeffs.reshape(n_mu, -1)
     g = np.zeros(nu.shape, dtype=np.complex128)
-    grid = (np.arange(b_width)[:, None] * s
-            + np.arange(s)[None, :]).reshape(-1)  # b*S + lane
-    for r in range(n_mu):
-        taps = tables.coeffs[r].reshape(-1)
-        inner = np.exp(2j * np.pi * np.outer(nu, grid) / n) @ taps
-        phase = np.exp(-2j * np.pi * r * nu / mp
-                       + 2j * np.pi * nu * (tables.q_r[r] - b_width // 2 + 1)
-                       * s / n)
-        g += phase * inner
+    for k in np.ndindex(nu.shape[:-1]):
+        tap_phase = np.exp(2j * np.pi * np.outer(nu[k], grid) / n)  # all r
+        for r in range(n_mu):
+            phase = np.exp(-2j * np.pi * r * nu[k] / mp
+                           + 2j * np.pi * nu[k]
+                           * (tables.q_r[r] - b_width // 2 + 1) * s / n)
+            g[k] += phase * (tap_phase @ taps[r])
     return g * (mp / (n_mu * float(n)))
 
 
@@ -75,29 +74,39 @@ class AliasAnalysis:
         return float(self.relative_bound.min())
 
 
-def alias_analysis(tables: SoiTables, bins: np.ndarray | None = None,
-                   n_aliases: int | None = None) -> AliasAnalysis:
-    """Compute alias bounds for the given output bins (default: a spread).
-
-    ``n_aliases`` limits how many alias images (each side) are summed;
-    by default all distinct images inside one period are included.
-    """
+def _image_sums(tables: SoiTables, bins, count: int, square: bool):
+    """``(bins, own, images)`` for *bins* (None: *count* of them, evenly
+    spaced over [0, M)): the own-bin response ``|R(k)|`` and the sum over
+    every distinct alias image inside one period, ``sum_{l != 0}
+    |R(k + l M')|`` (of the squares if *square*), from one
+    :func:`tone_response` evaluation."""
     p = tables.params
     m, mp = p.m, p.m_oversampled
     if bins is None:
-        bins = np.unique(np.linspace(0, m - 1, min(m, 33)).astype(np.int64))
+        bins = np.unique(np.linspace(0, m - 1, min(m, count)).astype(np.int64))
     bins = np.asarray(bins, dtype=np.int64)
     if bins.size == 0 or bins.min() < 0 or bins.max() >= m:
         raise ValueError("bins must be non-empty and within [0, M)")
-    if n_aliases is None:
-        n_aliases = max(1, p.n // mp // 2)
-    signal = np.abs(tone_response(tables, bins.astype(np.float64)))
+    n_aliases = max(1, p.n // mp // 2)
+    images = np.arange(-n_aliases, n_aliases + 1)[:, None] * mp
+    mag = np.abs(tone_response(tables, bins + images))
+    if square:
+        mag = mag ** 2
     alias = np.zeros(bins.size)
     for l in range(1, n_aliases + 1):
-        for side in (+1, -1):
-            nu = bins + side * l * mp
-            alias += np.abs(tone_response(tables, nu.astype(np.float64)))
-    return AliasAnalysis(bins=bins, signal=signal, alias_sum=alias)
+        alias += mag[n_aliases + l]
+        alias += mag[n_aliases - l]
+    return bins, mag[n_aliases], alias
+
+
+def alias_analysis(tables: SoiTables,
+                   bins: np.ndarray | None = None) -> AliasAnalysis:
+    """Compute alias bounds for the given output bins (default: a spread
+    of 33, analyzed once per record)."""
+    def analyze():
+        return AliasAnalysis(*_image_sums(tables, bins, 33, square=False))
+    return tables.derived("alias bound", analyze) if bins is None \
+        else analyze()
 
 
 #: Conservative margin subtracted from the on-grid alias SNR prediction.
@@ -113,9 +122,8 @@ def alias_analysis(tables: SoiTables, bins: np.ndarray | None = None,
 SNR_MODEL_HEADROOM_DB = 5.0
 
 
-def expected_snr_db(tables: SoiTables, bins: np.ndarray | None = None,
-                    n_aliases: int | None = None,
-                    headroom_db: float = SNR_MODEL_HEADROOM_DB) -> float:
+def expected_snr_db(tables: SoiTables,
+                    bins: np.ndarray | None = None) -> float:
     """Predicted output SNR (dB) for spectrally flat random input.
 
     For flat input every bin carries equal expected power, so the
@@ -123,30 +131,20 @@ def expected_snr_db(tables: SoiTables, bins: np.ndarray | None = None,
     alias sum normalized by the demodulated own-bin response:
     ``mean_k( sum_{l != 0} |R(k + l M')|^2 / |R(k)|^2 )`` (demodulation
     divides by R(k), making the own-bin response exactly 1).  The result
-    is ``-10 log10`` of that mean, minus *headroom_db* for the fine-grid
-    resampling images the closed form cannot see (see
-    :data:`SNR_MODEL_HEADROOM_DB`).  This is the accuracy annotation the
-    degradation ladder (:mod:`repro.resilience`) attaches to each rung.
+    is ``-10 log10`` of that mean, minus :data:`SNR_MODEL_HEADROOM_DB`
+    for the fine-grid resampling images the closed form cannot see.  This
+    is the accuracy annotation the degradation ladder
+    (:mod:`repro.resilience`) attaches to each rung; the default (a
+    spread of 129 bins) is computed once per record.
     """
-    p = tables.params
-    m, mp = p.m, p.m_oversampled
-    if bins is None:
-        bins = np.unique(np.linspace(0, m - 1, min(m, 129)).astype(np.int64))
-    bins = np.asarray(bins, dtype=np.int64)
-    if bins.size == 0 or bins.min() < 0 or bins.max() >= m:
-        raise ValueError("bins must be non-empty and within [0, M)")
-    if n_aliases is None:
-        n_aliases = max(1, p.n // mp // 2)
-    nu = bins.astype(np.float64)
-    signal = np.abs(tone_response(tables, nu)) ** 2
-    alias = np.zeros(bins.size)
-    for l in range(1, n_aliases + 1):
-        for side in (+1, -1):
-            alias += np.abs(tone_response(tables, nu + side * l * mp)) ** 2
-    noise = float(np.mean(alias / signal))
-    if noise <= 0.0:
-        noise = np.finfo(np.float64).tiny
-    return float(-10.0 * np.log10(noise)) - headroom_db
+    def predict():
+        _, signal, alias = _image_sums(tables, bins, 129, square=True)
+        noise = float(np.mean(alias / signal))
+        if noise <= 0.0:
+            noise = np.finfo(np.float64).tiny
+        return float(-10.0 * np.log10(noise)) - SNR_MODEL_HEADROOM_DB
+    return tables.derived("predicted snr", predict) if bins is None \
+        else predict()
 
 
 @dataclass(frozen=True)
@@ -180,9 +178,7 @@ class VerificationThresholds:
 
 
 def verification_thresholds(tables: SoiTables, *, dtype=np.complex128,
-                            safety: float = 64.0,
-                            use_alias: bool = True
-                            ) -> VerificationThresholds:
+                            safety: float = 64.0) -> VerificationThresholds:
     """Calibrate ABFT tolerances from the table's exact alias analysis.
 
     The stage invariants are exact identities, so their thresholds come
@@ -193,19 +189,18 @@ def verification_thresholds(tables: SoiTables, *, dtype=np.complex128,
     :func:`alias_analysis` (the rigorous per-bin worst case), floored at
     the ``10 * expected_stopband`` convention the accuracy tests use.
     """
-    p = tables.params
-    eps = float(np.finfo(np.dtype(dtype)).eps)
-    mp = p.m_oversampled
-    terms = mp + p.b * p.n_mu  # longest checksum accumulation chain
-    checksum_rtol = safety * eps * float(np.sqrt(terms))
-    energy_rtol = safety * eps * (np.log2(mp) + 4.0)
-    demod_rtol = safety * eps
-    output_rtol = 10.0 * tables.expected_stopband + 1e-12
-    if use_alias:
-        output_rtol = max(output_rtol, 2.0 * alias_analysis(tables).worst)
-    return VerificationThresholds(
-        checksum_rtol=float(checksum_rtol),
-        energy_rtol=float(energy_rtol),
-        demod_rtol=float(demod_rtol),
-        output_rtol=float(output_rtol),
-        min_detectable_amplitude=float(np.sqrt(4.0 * mp * energy_rtol)))
+    def calibrate():
+        p = tables.params
+        eps = float(np.finfo(np.dtype(dtype)).eps)
+        mp = p.m_oversampled
+        terms = mp + p.b * p.n_mu  # longest checksum accumulation chain
+        energy_rtol = safety * eps * (np.log2(mp) + 4.0)
+        return VerificationThresholds(
+            checksum_rtol=float(safety * eps * float(np.sqrt(terms))),
+            energy_rtol=float(energy_rtol),
+            demod_rtol=float(safety * eps),
+            output_rtol=float(max(10.0 * tables.expected_stopband + 1e-12,
+                                  2.0 * alias_analysis(tables).worst)),
+            min_detectable_amplitude=float(np.sqrt(4.0 * mp * energy_rtol)))
+    return tables.derived(("thresholds", np.dtype(dtype).str, safety),
+                          calibrate)

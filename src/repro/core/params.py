@@ -126,6 +126,13 @@ class SoiParams:
         """
         return self.b // 2 - 1, self.b // 2
 
+    def ghost_fits(self, chunk_blocks: int | None = None) -> bool:
+        """Whether the ghost halo fits a rank's chunk of *chunk_blocks*
+        input blocks (default: the even split's N/(S*P))."""
+        if chunk_blocks is None:
+            chunk_blocks = self.elements_per_process // self.n_segments
+        return max(self.ghost_blocks) <= chunk_blocks
+
     @property
     def ghost_bytes(self) -> int:
         """Bytes of ghost halo exchanged per process per side (complex128)."""

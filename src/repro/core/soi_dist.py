@@ -55,7 +55,7 @@ from repro.core.convolution import (
 )
 from repro.core.demodulate import demodulate
 from repro.core.params import SoiParams
-from repro.core.window import SoiTables, build_tables
+from repro.core.window import SoiTables, get_tables
 from repro.fft.plan import get_plan
 from repro.machine.spec import MachineSpec
 
@@ -241,9 +241,8 @@ def stage_costs(params: SoiParams, machine: MachineSpec,
 
 class RankLocal:
     """Per-process state a :class:`SoiSpec` resolves to: the tables, the
-    planned FFTs (planned here, so workers forked afterwards inherit
-    them), the shared :class:`~repro.verify.selfcheck.DistVerifier` if
-    any, and the convolution's tile buffers — shaped by params alone, and
+    planned FFTs, the shared :class:`~repro.verify.selfcheck.DistVerifier`
+    if any, and the convolution's tile buffers — shaped by params alone, and
     the convolution never spans a ``yield``, so one reused workspace
     serves every rank-serial rank, run and recovery row range."""
 
@@ -262,10 +261,9 @@ class SoiSpec:
     """What a rank runs besides its data: geometry, mapping, costs.
 
     Small and picklable: ``local`` travels by reference inside one
-    process only.  ``SoiTables`` are large (the demodulation table alone
-    is M complex words), so a worker rebuilds — and caches — its own
-    from ``(params, window, policy)``; ``build_tables`` is deterministic,
-    so all ranks agree bitwise.
+    process only, and a worker resolves ``(params, window)`` to its design
+    record through :func:`get_tables` — inherited at the fork, else built
+    once; the builder is deterministic, so all ranks agree bitwise.
     """
 
     params: SoiParams
@@ -281,27 +279,20 @@ class SoiSpec:
         return {**self.__dict__, "local": None}
 
 
-#: Worker-side cache: every job of the same geometry reuses the tables
-#: (and their planned FFTs, verifier and convolution tiles) instead of
-#: re-deriving the window per call.
-_WORKER_LOCAL: dict = {}
-
-
 def _worker_local(spec: SoiSpec) -> RankLocal:
-    policy = spec.policy
-    key = None
-    if spec.window is None and (policy is None or policy.inject is None):
-        key = (spec.params, policy and (policy.safety, policy.max_strikes,
-                                        policy.use_alias))
-    local = _WORKER_LOCAL.get(key)
-    if local is None:
-        local = RankLocal(build_tables(spec.params, spec.window))
-        if policy is not None:
-            from repro.verify.selfcheck import DistVerifier
-            local.verifier = DistVerifier(local.tables, policy)
-        if key is not None:
-            _WORKER_LOCAL[key] = local
-    return local
+    """A worker's state for *spec*, kept on the design record: every job
+    of the geometry reuses the planned FFTs, verifier and tile buffers."""
+    tables, policy = get_tables(spec.params, spec.window), spec.policy
+
+    def build():
+        if policy is None:
+            return RankLocal(tables)
+        from repro.verify.selfcheck import DistVerifier
+        return RankLocal(tables, DistVerifier(tables, policy))
+    if policy is not None and policy.inject is not None:
+        return build()
+    return tables.derived(("rank local", policy and (
+        policy.safety, policy.max_strikes)), build)
 
 
 def _columns(slots: tuple[int, ...]):
@@ -460,12 +451,11 @@ class DistributedSoiFFT:
             raise ValueError(f"params expect {params.n_procs} ranks, "
                              f"cluster has {cluster.n_ranks}")
         p = params
-        blocks_per_rank = p.n // (p.n_segments * p.n_procs)
-        ghost = max(p.ghost_blocks)
-        if p.n_procs > 1 and ghost > blocks_per_rank:
+        if not p.ghost_fits():
             raise ValueError(
-                f"ghost halo ({ghost} blocks) exceeds a rank's chunk "
-                f"({blocks_per_rank} blocks); increase N or decrease B")
+                f"ghost halo ({max(p.ghost_blocks)} blocks) exceeds a rank's "
+                f"chunk ({p.elements_per_process // p.n_segments} blocks); "
+                f"increase N or decrease B")
         if backend is None:
             backend = SimulatedBackend(cluster)
         elif backend.is_real:
@@ -480,7 +470,7 @@ class DistributedSoiFFT:
         self.cluster = cluster
         self.params = params
         self.backend = backend
-        self.tables: SoiTables = build_tables(params, window)
+        self.tables: SoiTables = get_tables(params, window)
         self.fuse_demodulation = fuse_demodulation
         #: §6.1 pipelining structure: exchange one segment per round so the
         #: per-segment FFT can start while later rounds are still in

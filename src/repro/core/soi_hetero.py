@@ -29,7 +29,7 @@ from repro.core.soi_dist import (
     soi_rank_program,
     stage_costs,
 )
-from repro.core.window import SoiTables, build_tables
+from repro.core.window import SoiTables, get_tables
 
 __all__ = ["HeterogeneousSoiFFT"]
 
@@ -62,7 +62,7 @@ class HeterogeneousSoiFFT:
                                 n_mu=n_mu, d_mu=d_mu, b=b)
         self.cluster = cluster
         self.seg_counts = list(seg_counts)
-        self.tables: SoiTables = build_tables(self.params, window)
+        self.tables: SoiTables = get_tables(self.params, window)
 
         # row split proportional to seg_counts, rounded to whole chunks
         mp = self.params.m_oversampled
@@ -78,9 +78,7 @@ class HeterogeneousSoiFFT:
                              "increase N")
         # input block boundaries implied by the row split
         self.block_bounds = (self.row_bounds // n_mu) * d_mu  # len p+1
-        left_g, right_g = self.params.ghost_blocks
-        chunk_blocks = np.diff(self.block_bounds)
-        if p > 1 and max(left_g, right_g) > int(chunk_blocks.min()):
+        if not self.params.ghost_fits(int(np.diff(self.block_bounds).min())):
             raise ValueError("ghost halo exceeds the smallest rank chunk")
         self.seg_bounds = np.concatenate(
             [[0], np.cumsum(seg_counts)]).astype(np.int64)

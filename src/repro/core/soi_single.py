@@ -36,7 +36,7 @@ from repro.core.convolution import (
 )
 from repro.core.demodulate import demodulate
 from repro.core.params import SoiParams
-from repro.core.window import SoiTables, build_tables
+from repro.core.window import SoiTables, get_tables
 from repro.fft.bitops import gemm_tile
 from repro.fft.dft import dft_matrix
 from repro.fft.plan import get_plan
@@ -111,7 +111,7 @@ class SoiFFT:
         if self.dtype not in (np.dtype(np.complex64), np.dtype(np.complex128)):
             raise ValueError("dtype must be complex64 or complex128")
         self.params = params
-        self.tables: SoiTables = build_tables(params, window)
+        self.tables: SoiTables = get_tables(params, window)
         dt = self.dtype.type
         self._lane_plan = get_plan(params.n_segments, -1, dtype=dt) \
             if params.n_segments > 1 else None

@@ -27,7 +27,7 @@ def spmd_soi_fft(cluster: SimCluster, params: SoiParams, x: np.ndarray,
     (which see for *backend*, *deadline*, *hedge* and the recovery
     behaviour: rank deaths shrink-and-redistribute, partitions are
     adjudicated by quorum); callers serving many transforms of one
-    geometry should hold the plan instead of rebuilding its tables here.
+    geometry should hold the plan instead of planning the driver here.
 
     *verify* arms ABFT stage verification: ``True`` / a
     :class:`~repro.verify.VerifyPolicy` build a fresh

@@ -30,13 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.params import SoiParams
-from repro.fft.plan import get_plan
+from repro.fft.plan import get_plan, on_clear
 
 __all__ = [
     "GaussianSincWindow",
     "KaiserSincWindow",
     "SoiTables",
     "build_tables",
+    "get_tables",
     "kaiser_attenuation_db",
 ]
 
@@ -136,9 +137,10 @@ class GaussianSincWindow:
         return lowpass * np.exp(2j * np.pi * center * t / n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SoiTables:
-    """Everything precomputed for one SoiParams + window combination."""
+    """The design record of one SoiParams + window combination: immutable
+    (read-only arrays) and shared by its holders (:func:`get_tables`)."""
 
     params: SoiParams
     coeffs: np.ndarray  # (n_mu, B, S) complex convolution taps w[r, b, p]
@@ -146,9 +148,16 @@ class SoiTables:
     f_r: np.ndarray  # (n_mu,) fractional phases frac(r*d/n)
     demod: np.ndarray  # (M,) normalized demodulation: y = beta[:M] / demod
     expected_stopband: float
-    #: dtype -> gemm_coeffs result (derived once, reused by every call)
-    _gemm: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
+
+    def derived(self, key, compute):
+        """``compute()``, memoized on this record under *key*: GEMM operands
+        per dtype, the analyses of :mod:`repro.core.error_model`, a worker's
+        rank-local state.  Deterministic, so a racing duplicate is dropped."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            return self._derived.setdefault(key, compute())
 
     @property
     def distinct_coefficients(self) -> int:
@@ -164,17 +173,15 @@ class SoiTables:
         window (:func:`repro.core.convolution.convolve`).  Cast and
         widened once per dtype and shared read-only.
         """
-        key = np.dtype(dtype).str
-        w = self._gemm.get(key)
-        if w is None:
+        def widen():
             p = self.params
             w = np.zeros((p.n_segments, p.b + int(self.q_r.max()), p.n_mu),
                          dtype=dtype)
             for r, q in enumerate(self.q_r):
                 w[:, q:q + p.b, r] = self.coeffs[r].T
             w.flags.writeable = False
-            self._gemm[key] = w
-        return w
+            return w
+        return self.derived(("gemm", np.dtype(dtype).str), widen)
 
     @property
     def demod_condition(self) -> float:
@@ -188,7 +195,8 @@ def build_tables(params: SoiParams, window=None) -> SoiTables:
 
     The tap for output phase r, block b, lane p is
     ``h((f_r + B/2 - 1 - b) * S - p)`` — the structured sparse W of paper
-    Fig 6(a) stored compactly as its n_mu*B*S distinct elements.
+    Fig 6(a) stored compactly as its n_mu*B*S distinct elements.  The
+    uncached builder: pipelines ask :func:`get_tables`.
     """
     if window is None:
         window = KaiserSincWindow(params)
@@ -207,6 +215,8 @@ def build_tables(params: SoiParams, window=None) -> SoiTables:
     if mags.min() <= 10.0 * np.finfo(np.float64).tiny:
         raise ValueError("window response vanishes inside the segment of "
                          "interest; demodulation would be singular")
+    for table in (coeffs, q_r, f_r, demod):
+        table.flags.writeable = False
     return SoiTables(
         params=p,
         coeffs=coeffs,
@@ -215,6 +225,31 @@ def build_tables(params: SoiParams, window=None) -> SoiTables:
         demod=demod,
         expected_stopband=float(window.expected_stopband),
     )
+
+
+#: Default-window records of this process, oldest first; every access is
+#: one atomic dict operation, so there is no lock for a fork to inherit held.
+_MAX_RECORDS = 64
+_records: dict = {}
+on_clear.append(_records.clear)
+
+
+def get_tables(params: SoiParams, window=None) -> SoiTables:
+    """The design record of a geometry, built once per process and shared:
+    every pipeline, verifier and ladder rung of one ``params`` holds the
+    same immutable :class:`SoiTables` (and the analyses memoized on it).
+    Forked workers inherit the records, :func:`repro.fft.plan.cache_clear`
+    drops them, and a custom *window* is built uncached.
+    """
+    tables = _records.get(params) if window is None else None
+    if tables is None:
+        tables = build_tables(params, window)
+        if window is None:
+            # two threads may both have built: the first to land is kept
+            tables = _records.setdefault(params, tables)
+            for oldest in list(_records)[:-_MAX_RECORDS]:
+                _records.pop(oldest, None)
+    return tables
 
 
 def _demod_table(p: SoiParams, coeffs: np.ndarray, q_r: np.ndarray) -> np.ndarray:

@@ -61,6 +61,9 @@ _hits = _misses = 0
 _pid = os.getpid()
 _wisdom: Wisdom | None = None
 _wisdom_machine: str | None = None
+#: ``clear`` of each cache built through plans (:mod:`repro.core.window`'s
+#: design records): :func:`cache_clear` leaves the whole process cold.
+on_clear: list = []
 
 
 def _ensure_this_process() -> None:
@@ -162,6 +165,8 @@ def cache_clear() -> None:
     with _lock:
         _entries.clear()
         _hits = _misses = 0
+    for clear in on_clear:
+        clear()
 
 
 def cache_info():

@@ -12,10 +12,10 @@ cheapest rung that still meets the caller's ``min_snr_db``; the response
 carries a :class:`DegradationReport` saying which rung ran and why.
 
 Verification stays consistent across rungs automatically: ABFT
-thresholds are always derived from the *rung's own* tables and dtype
-(:func:`repro.core.error_model.verification_thresholds`), so a degraded
-run is checked against its own accuracy contract, not the full-quality
-one (asserted in ``tests/test_resilience.py``).
+thresholds are always derived from the *rung's own* design record and
+dtype (:func:`repro.core.error_model.verification_thresholds`), so a
+degraded run is checked against its own accuracy contract, not the
+full-quality one (asserted in ``tests/test_resilience.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import numpy as np
 
 from repro.core.error_model import expected_snr_db, verification_thresholds
 from repro.core.params import SoiParams
-from repro.core.window import build_tables
+from repro.core.window import get_tables
+from repro.fft.bitops import mixed_radix_factors
 
 __all__ = ["DEFAULT_RUNG_CANDIDATES", "DegradationLadder",
            "DegradationReport", "Rung"]
@@ -47,13 +48,6 @@ DEFAULT_RUNG_CANDIDATES = (
 )
 
 
-def _smooth2357(n: int) -> bool:
-    for f in (2, 3, 5, 7):
-        while n % f == 0:
-            n //= f
-    return n == 1
-
-
 @dataclass(frozen=True)
 class Rung:
     """One ladder step: an SOI configuration and its predicted accuracy."""
@@ -68,12 +62,9 @@ class Rung:
 
     @property
     def thresholds(self):
-        """ABFT thresholds for *this* rung's tables and dtype.
-
-        Recomputed from the rung's own design so verification stays
-        consistent with the accuracy actually requested.
-        """
-        return verification_thresholds(build_tables(self.params),
+        """ABFT thresholds for *this* rung's design record and dtype:
+        verification follows the accuracy actually requested."""
+        return verification_thresholds(get_tables(self.params),
                                        dtype=self.dtype)
 
     def describe(self) -> str:
@@ -142,19 +133,15 @@ class DegradationLadder:
     @classmethod
     def standard(cls, n: int, *, n_procs: int = 1,
                  segments_per_process: int = 8,
-                 candidates=DEFAULT_RUNG_CANDIDATES,
-                 allow_single_precision: bool = True,
-                 snr_bins: int | None = None) -> "DegradationLadder":
+                 candidates=DEFAULT_RUNG_CANDIDATES) -> "DegradationLadder":
         """Build the ladder valid for one problem geometry.
 
         Candidates violating the SOI parameter rules for this (n,
         n_procs, segments_per_process) — divisibility, ghost-halo fit,
-        float32 smoothness — are skipped.  Each surviving rung is
-        annotated with :func:`~repro.core.error_model.expected_snr_db`
-        (over ``snr_bins`` subsampled bins; default chosen by the model).
-        The distributed pipelines run in complex128, so pass
-        ``allow_single_precision=False`` (or ``n_procs > 1``, which
-        implies it) for cluster serving.
+        float32 smoothness — are skipped, as are float32 rungs when
+        ``n_procs > 1`` (the distributed pipelines run in complex128).
+        Each surviving rung is annotated with
+        :func:`~repro.core.error_model.expected_snr_db` of its record.
         """
         rungs: list[Rung] = []
         seen: set[tuple] = set()
@@ -170,22 +157,13 @@ class DegradationLadder:
                               n_mu=n_mu, d_mu=d_mu, b=b)
             except ValueError:
                 continue
-            if n_procs > 1:
-                blocks_per_rank = n // (p.n_segments * n_procs)
-                if max(p.ghost_blocks) > blocks_per_rank:
-                    continue
-            if dt == np.dtype(np.complex64):
-                if not allow_single_precision or n_procs > 1:
-                    continue
-                if not (_smooth2357(p.n_segments)
-                        and _smooth2357(p.m_oversampled)):
-                    continue
-            tables = build_tables(p)
-            bins = None
-            if snr_bins is not None:
-                bins = np.unique(np.linspace(0, p.m - 1,
-                                             min(p.m, snr_bins))
-                                 .astype(np.int64))
-            pred = expected_snr_db(tables, bins=bins)
-            rungs.append(Rung(params=p, dtype=dt, predicted_snr_db=pred))
+            if not p.ghost_fits():
+                continue
+            if dt == np.dtype(np.complex64) and (
+                    n_procs > 1
+                    or mixed_radix_factors(p.n_segments) is None
+                    or mixed_radix_factors(p.m_oversampled) is None):
+                continue
+            rungs.append(Rung(params=p, dtype=dt,
+                              predicted_snr_db=expected_snr_db(get_tables(p))))
         return cls(rungs)

@@ -138,11 +138,7 @@ class AsyncSoiGateway:
     # -- plans -------------------------------------------------------------
 
     def plan(self, rung_index: int) -> SoiFFT:
-        """The lazily built per-rung plan (thread-safe get-or-create).
-
-        Built under the lock, so two windows that reach a rung together
-        design its tables once, not twice.
-        """
+        """The lazily built per-rung plan (thread-safe get-or-create)."""
         with self._plans_lock:
             plan = self._plans.get(rung_index)
             if plan is None:

@@ -36,7 +36,6 @@ class VerifyPolicy:
 
     safety: float = 64.0
     max_strikes: int = 2
-    use_alias: bool = True
     inject: Callable | None = None
 
     @classmethod

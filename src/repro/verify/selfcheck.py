@@ -119,8 +119,7 @@ class _Engine:
         self.policy = policy
         self.report = VerificationReport()
         self.thresholds = verification_thresholds(
-            tables, dtype=dtype, safety=policy.safety,
-            use_alias=policy.use_alias)
+            tables, dtype=dtype, safety=policy.safety)
         #: conv geometry in host-local coordinates: rows checksummed, and
         #: the block index ``x_ext`` starts at
         self._rows, self._block_lo, self._dtype = rows, block_lo, dtype

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.error_model import alias_analysis, tone_response
+from repro.core.error_model import (
+    alias_analysis,
+    tone_response,
+    verification_thresholds,
+)
 from repro.core.params import SoiParams
 from repro.core.soi_single import SoiFFT
 from repro.core.window import build_tables
@@ -95,3 +99,44 @@ class TestAliasAnalysis:
             alias_analysis(tables, bins=np.array([], dtype=np.int64))
         with pytest.raises(ValueError):
             alias_analysis(tables, bins=np.array([tables.params.m]))
+
+
+class TestBitsPinnedBeforeTheImageSumWasWrittenOnce:
+    """``float.hex()`` values printed by the commit whose ``alias_analysis``
+    and ``expected_snr_db`` each had their own image loop, one
+    ``tone_response`` call per image."""
+
+    def test_predicted_snr_of_the_seven_n896_rungs(self):
+        from repro.resilience.ladder import DegradationLadder
+
+        got = {(r.mu_str, r.params.b, r.dtype.name): r.predicted_snr_db.hex()
+               for r in DegradationLadder.standard(896)}
+        assert got == {
+            ("5/4", 48, "complex128"): "0x1.5543ec35d5f79p+7",
+            ("8/7", 72, "complex128"): "0x1.39be3183cedfcp+7",
+            ("5/4", 32, "complex128"): "0x1.db37ddbc2e580p+6",
+            ("5/4", 32, "complex64"): "0x1.db37ddbc2e580p+6",
+            ("8/7", 48, "complex128"): "0x1.b781c447a874bp+6",
+            ("8/7", 48, "complex64"): "0x1.b781c447a874bp+6",
+            ("8/7", 32, "complex128"): "0x1.34241120ada27p+6",
+        }
+
+    @pytest.mark.parametrize("dtype,safety,want", [
+        (np.complex128, 64.0, (
+            "0x1.33c42213ee0c9p-41", "0x1.c4231623369e8p-43",
+            "0x1.0000000000000p-46", "0x1.f572913158d44p-40",
+            "0x1.f72fc4d68fdd9p-16")),
+        (np.complex64, 16.0, (
+            "0x1.33c42213ee0c9p-14", "0x1.c4231623369e8p-16",
+            "0x1.0000000000000p-19", "0x1.f572913158d44p-40",
+            "0x1.63ce80f348906p-2")),
+    ])
+    def test_thresholds_where_the_alias_bound_sets_output_rtol(
+            self, dtype, safety, want):
+        # mu = 5/4, B = 72: 2 x worst alias bound > 10 x expected stopband
+        t = build_tables(params(b=72, n=7168, n_mu=5, d_mu=4))
+        th = verification_thresholds(t, dtype=dtype, safety=safety)
+        assert th.output_rtol == 2.0 * alias_analysis(t).worst
+        assert (th.checksum_rtol.hex(), th.energy_rtol.hex(),
+                th.demod_rtol.hex(), th.output_rtol.hex(),
+                th.min_detectable_amplitude.hex()) == want

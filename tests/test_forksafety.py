@@ -1,17 +1,27 @@
-"""Fork/spawn safety of the process-wide caches (plan cache, wisdom).
+"""Fork/spawn safety of the process-wide caches (plan cache, wisdom,
+design records).
 
 The process backend forks workers that immediately hammer ``get_plan``
 and the wisdom store.  A lock or cache object inherited from the parent
 in a surprising state (held lock, parent's hit counters) must not leak
-into the child: both caches detect the PID change and start fresh.
+into the child: both caches detect the PID change and start fresh.  The
+design records (``get_tables``) are the opposite case: immutable and
+behind no lock, so a worker keeps what it inherited.
 """
 
 import multiprocessing
+import os
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.cluster.backends import ProcessBackend
+from repro.cluster.simcluster import SimCluster
+from repro.core import soi_dist as soi_dist_mod
+from repro.core import window as window_mod
+from repro.core.params import SoiParams
+from repro.core.soi_dist import DistributedSoiFFT
 from repro.fft import plan as plan_mod
 from repro.fft.plan import fft, get_plan
 from repro.fft.wisdom import Wisdom
@@ -116,3 +126,51 @@ class TestFftStillCorrectAfterClear:
         plan_mod.cache_clear()
         x = np.random.default_rng(1).standard_normal(96) * 1j
         assert np.allclose(fft(x), np.fft.fft(x))
+
+
+class TestDesignRecordForkInheritance:
+    """Workers forked after the driver was built run on the parent's
+    record: the builder never runs in a child."""
+
+    @pytest.fixture
+    def builder_is_the_parents(self, monkeypatch):
+        me, real = os.getpid(), window_mod.build_tables
+
+        def parent_only(params, window=None):
+            if os.getpid() != me:
+                raise RuntimeError("a worker rebuilt the design record")
+            return real(params, window)
+        monkeypatch.setattr(window_mod, "build_tables", parent_only)
+        plan_mod.cache_clear()
+        return me
+
+    @staticmethod
+    def run_on_two_workers():
+        params = SoiParams(n=2 ** 12, n_procs=2, segments_per_process=2,
+                           n_mu=5, d_mu=4, b=48)
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal(params.n) + 1j * rng.standard_normal(params.n)
+        serial = DistributedSoiFFT(SimCluster(2), params)
+        parts = serial.scatter(x)
+        with ProcessBackend(2) as be:
+            real = DistributedSoiFFT(SimCluster(2), params, backend=be)
+            assert real.tables is serial.tables
+            for _ in range(2):  # second job: the worker's own cache
+                got = real(parts)
+        return serial(parts), got
+
+    def test_workers_inherit_the_record(self, builder_is_the_parents):
+        want, got = self.run_on_two_workers()
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+    def test_a_pid_guard_would_make_them_rebuild(self, builder_is_the_parents,
+                                                 monkeypatch):
+        me, real = builder_is_the_parents, window_mod.get_tables
+
+        def pid_guarded(params, window=None):
+            if os.getpid() != me:
+                window_mod._records.clear()
+            return real(params, window)
+        monkeypatch.setattr(soi_dist_mod, "get_tables", pid_guarded)
+        with pytest.raises(RuntimeError, match="rebuilt the design record"):
+            self.run_on_two_workers()

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.window import get_tables
 from repro.resilience.deadline import DeadlineExceeded, Overloaded
 from repro.resilience.ladder import DegradationLadder
 from repro.resilience.server import _Admission
@@ -228,20 +229,28 @@ class TestGatewayDifferential:
             assert a.report.rung_index == b.report.rung_index == 0
             assert a.report.reason == b.report.reason
 
-    def test_plan_asked_for_by_two_threads_at_once_is_sound(self, ladder):
+    def test_plan_asked_for_by_two_threads_at_once_is_sound(self,
+                                                            table_builds):
         # the first two windows of a solo run reach plan() together; each
-        # used to design its own plan through one shared FFT workspace
-        ref = make_gateway(ladder).plan(0).tables.demod
+        # used to design its own plan through one shared FFT workspace.
+        # Now the rung's design record is the process's: the ladder built
+        # it, and every plan of every gateway holds that one object
+        ladder = DegradationLadder.standard(N, segments_per_process=SEG)
+        record = get_tables(ladder[0].params)
         for _ in range(100):
-            gw = make_gateway(ladder)
+            pair = [make_gateway(ladder, verify=True) for _ in range(2)]
             threads = [threading.Thread(target=gw.plan, args=(0,))
-                       for _ in range(2)]
+                       for gw in pair for _ in range(2)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=30)
-            assert np.array_equal(gw.plan(0).tables.demod, ref)
-            asyncio.run(gw.close())
+            for gw in pair:
+                assert gw.plan(0).tables is record
+                assert gw.plan(0).verifier.thresholds \
+                    is ladder[0].thresholds  # calibrated once, too
+                asyncio.run(gw.close())
+        assert table_builds.count(ladder[0].params) == 1
 
     def test_rungs_sharing_a_plan_run_concurrently(self, ladder):
         # rungs 0 and 2 are both M' = 140 / complex128: their SoiFFTs hold

@@ -1,15 +1,23 @@
 """Tests for window design and the exact demodulation table."""
 
+import ast
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+from repro.core import window as window_mod
 from repro.core.params import SoiParams
 from repro.core.window import (
     GaussianSincWindow,
     KaiserSincWindow,
     build_tables,
+    get_tables,
     kaiser_attenuation_db,
 )
+from repro.fft.plan import cache_clear
 
 
 def params(n=8 * 448, s=8, n_mu=8, d_mu=7, b=48):
@@ -126,3 +134,93 @@ class TestTables:
 
         with pytest.raises(ValueError, match="vanishes"):
             build_tables(p, ZeroWindow())
+
+
+def call_sites(name, sources):
+    """The file of every call of the bare *name* in *sources* (a
+    ``{file name: source text}`` dict), one entry per call."""
+    return sorted(
+        fname for fname, src in sources.items()
+        for node in ast.walk(ast.parse(src))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == name)
+
+
+class TestDesignRecords:
+    """One record per geometry: built once, shared read-only, dropped by
+    ``cache_clear()``; custom windows never enter the cache."""
+
+    def test_a_geometry_is_built_once_and_shared(self, table_builds):
+        from repro.core.error_model import verification_thresholds
+        from repro.core.soi_single import SoiFFT
+        from repro.resilience.ladder import DegradationLadder
+
+        ladder = DegradationLadder.standard(896)
+        assert sorted(table_builds, key=repr) == sorted(
+            {r.params for r in ladder}, key=repr)  # float32 rungs share
+        rung = ladder[0]
+        plan = SoiFFT(rung.params, dtype=rung.dtype, verify=True)
+        assert plan.tables is get_tables(rung.params)
+        assert plan.verifier.thresholds is rung.thresholds \
+            is verification_thresholds(plan.tables, dtype=rung.dtype)
+        assert len(table_builds) == len({r.params for r in ladder})
+
+    def test_a_racing_duplicate_is_discarded(self, monkeypatch):
+        # both threads are inside the builder at once: one of the two
+        # records wins, and both callers get it
+        both_in = threading.Barrier(2)
+
+        def slow(params, window=None):
+            both_in.wait(timeout=30)
+            return build_tables(params, window)
+        monkeypatch.setattr(window_mod, "build_tables", slow)
+        cache_clear()
+        got = []
+        threads = [threading.Thread(
+            target=lambda: got.append(get_tables(params())))
+            for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert len(got) == 2 and got[0] is got[1] is get_tables(params())
+
+    def test_a_shared_record_is_read_only(self):
+        t = get_tables(params())
+        for table in (t.demod, t.coeffs, t.q_r, t.f_r,
+                      t.gemm_coeffs(np.complex64)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+    def test_cache_clear_drops_records(self, table_builds):
+        first = get_tables(params())
+        assert get_tables(params()) is first and len(table_builds) == 1
+        cache_clear()
+        again = get_tables(params())
+        assert again is not first and len(table_builds) == 2
+        assert np.array_equal(again.demod, first.demod)
+
+    def test_a_custom_window_is_never_cached(self, table_builds):
+        p = params()
+        a, b = (get_tables(p, KaiserSincWindow(p)) for _ in range(2))
+        assert a is not b and len(table_builds) == 2
+        assert not window_mod._records
+        assert get_tables(p) is get_tables(p) and len(table_builds) == 3
+
+    def test_the_cache_is_bounded(self, table_builds, monkeypatch):
+        monkeypatch.setattr(window_mod, "_MAX_RECORDS", 2)
+        oldest = get_tables(params(b=16))
+        get_tables(params(b=18)), get_tables(params(b=20))
+        assert list(window_mod._records) == [params(b=18), params(b=20)]
+        assert get_tables(params(b=16)) is not oldest
+
+    def test_one_builder_call_and_one_constructor_site_in_src(self):
+        src = Path(repro.__file__).parent
+        sources = {str(f.relative_to(src)): f.read_text()
+                   for f in src.rglob("*.py")}
+        assert call_sites("build_tables", sources) == ["core/window.py"]
+        assert call_sites("SoiTables", sources) == ["core/window.py"]
+        # the guard sees a second caller
+        sources["mutant.py"] = "t = build_tables(p)\n"
+        assert call_sites("build_tables", sources) == ["core/window.py",
+                                                       "mutant.py"]
