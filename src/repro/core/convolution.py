@@ -32,6 +32,7 @@ modeled execution times, reproducing the Fig 11 ablation.
 
 from __future__ import annotations
 
+import threading
 from enum import Enum
 
 import numpy as np
@@ -51,6 +52,7 @@ __all__ = [
     "convolve",
     "convolve_reference",
     "input_block_offsets",
+    "tile_rows",
 ]
 
 #: Most chunks (groups of n_mu rows) one GEMM tile holds.
@@ -67,18 +69,34 @@ def _tile_chunks(params: SoiParams, k_width: int) -> int:
                params.m_oversampled // params.n_mu)
 
 
+def tile_rows(tables: SoiTables, dtype) -> int:
+    """Output rows of one full GEMM tile of :func:`convolve` (a frame of
+    fewer rows is one smaller tile).  A caller that shares a row range out
+    cuts it at multiples of this (of the *global* row index, as the tiles
+    are), so no tile is computed twice."""
+    p = tables.params
+    return p.n_mu * gemm_tile(tables.gemm_coeffs(dtype).shape[1] * p.n_mu,
+                              _TILE_CHUNKS)
+
+
 class ConvWorkspace:
     """Reusable scratch arrays for :func:`convolve`.
 
-    Buffers are keyed by (name, shape, dtype), so a plan that calls
-    ``convolve`` with a fixed geometry gets the same storage back on every
-    call — the steady state performs no new allocations.  One workspace
-    per plan (``SoiFFT`` owns one); sharing across differently-shaped
-    callers is safe but grows the pool.
+    Buffers are keyed by (name, shape, dtype) *and executing thread*, so a
+    plan that calls ``convolve`` with a fixed geometry gets the same
+    storage back on every call from that thread — the steady state
+    performs no new allocations, and the one workspace a plan owns
+    (``SoiFFT``) serves every worker thread its row ranges run on.
+    ``nbytes()`` and ``clear()`` speak for the calling thread's buffers
+    only, as :class:`repro.fft.stockham.StockhamPlan`'s do.
     """
 
     def __init__(self):
-        self._bufs: dict[tuple, np.ndarray] = {}
+        self._local = threading.local()
+
+    @property
+    def _bufs(self) -> dict[tuple, np.ndarray]:
+        return self._local.__dict__  # a local's attributes are per thread
 
     def array(self, name: str, shape: tuple, dtype) -> np.ndarray:
         """Return a reused (uninitialized) buffer of the given geometry."""
@@ -90,11 +108,11 @@ class ConvWorkspace:
         return buf
 
     def nbytes(self) -> int:
-        """Bytes currently held by the pool."""
+        """Bytes currently held by the calling thread's buffers."""
         return sum(b.nbytes for b in self._bufs.values())
 
     def clear(self) -> None:
-        """Drop every pooled buffer."""
+        """Drop every buffer of the calling thread."""
         self._bufs.clear()
 
 

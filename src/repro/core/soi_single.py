@@ -15,7 +15,8 @@ node-local use.
 
 Execution is planned: the wrap-index table, convolution workspaces, and
 all five stage buffers are allocated once per batch size at first use and
-reused, every stage runs through ``out=`` destinations, and
+reused, every stage runs through ``out=`` destinations (as row ranges on
+the per-cpu worker pool, :mod:`repro.core.cpupool`, when large enough), and
 :meth:`SoiFFT.batch` executes lane and segment FFTs as single
 ``(batch*S, M')``-shaped Stockham calls rather than a per-row Python
 loop.  Steady-state calls with ``out=`` perform no new allocations
@@ -26,13 +27,16 @@ loop.  Steady-state calls with ``out=`` perform no new allocations
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
+from repro.core import cpupool
 from repro.core.convolution import (
     ConvWorkspace,
     block_range_for_rows,
     convolve,
+    tile_rows,
 )
 from repro.core.demodulate import demodulate
 from repro.core.params import SoiParams
@@ -42,6 +46,16 @@ from repro.fft.dft import dft_matrix
 from repro.fft.plan import get_plan
 
 __all__ = ["SoiFFT", "soi_fft"]
+
+
+def _cuts(total: int, grid: int, parts: int) -> list[tuple[int, int]]:
+    """``[0, total)`` as at most *parts* ranges cut at multiples of *grid*
+    counted from 0, not from the range — :func:`repro.fft.bitops.gemm_tile`'s
+    alignment rule: a row sits in the same tile whoever computes it."""
+    units = -(-total // grid)
+    edges = sorted({min(total, units * i // parts * grid)
+                    for i in range(parts + 1)})
+    return list(zip(edges, edges[1:]))
 
 
 def _coerce_verify(verify):
@@ -93,6 +107,15 @@ class SoiFFT:
     without ``out=`` allocate exactly the result array.  The pooled stage
     buffers are private to the plan — results never alias them.
 
+    Threads
+    -------
+    A call large enough to pay for it (:meth:`_parts`) runs every stage as
+    row ranges on the process's per-cpu worker pool
+    (:mod:`repro.core.cpupool`) while the caller waits; the result is
+    bitwise the one-range call's, whatever the pool and the BLAS pool.
+    There is nothing to configure.  A plan still serves one call at a
+    time (it owns its stage buffers); different plans may run at once.
+
     Batch invariance
     ----------------
     ``batch(xs)[i]`` is bitwise ``plan(xs[i])``.  The convolution earns
@@ -119,7 +142,7 @@ class SoiFFT:
         # direct DFT-matrix GEMM beats the Stockham passes (one sweep, not
         # one per radix); only worthwhile while the O(S^2) matrix stays
         # cache-sized.  _lane_tile rows of u per product: see _lane_dft.
-        self._lane_mat = None
+        self._lane_mat, self._lane_tile = None, 1
         if 1 < params.n_segments <= 64:
             self._lane_mat = np.ascontiguousarray(
                 dft_matrix(params.n_segments).astype(self.dtype))
@@ -133,6 +156,7 @@ class SoiFFT:
                                   hi * params.n_segments) % params.n
         self._ext_start = (lo * params.n_segments) % params.n
         self._conv_ws = ConvWorkspace()
+        self._conv_tile = tile_rows(self.tables, self.dtype)
         #: batch size -> dict of reused pipeline stage buffers.
         self._bufpool: dict[int, dict[str, np.ndarray]] = {}
         #: optional instrument bundle (duck-typed Telemetry).
@@ -168,17 +192,30 @@ class SoiFFT:
             self._bufpool[batch] = bufs
         return bufs
 
+    def _held(self, release: bool = False) -> int:
+        """Bytes of kernel workspace (convolution tiles, FFT ping-pong
+        pairs) the calling thread holds, after dropping them if *release*."""
+        plans = [plan for plan in (self._seg_plan, self._lane_plan)
+                 if plan is not None]
+        if release:
+            self._conv_ws.clear()
+            for plan in plans:
+                plan.release_workspaces()
+        return self._conv_ws.nbytes() + sum(plan.workspace_bytes()
+                                            for plan in plans)
+
     def workspace_bytes(self) -> int:
-        """Bytes held by the pooled stage buffers and conv workspace."""
-        total = self._conv_ws.nbytes()
+        """Bytes held by the pooled stage buffers and by the kernel
+        workspaces of the caller and of every worker thread."""
+        total = sum(cpupool.on_each(self._held))
         for bufs in self._bufpool.values():
             total += sum(b.nbytes for b in bufs.values())
         return total
 
     def release_workspaces(self) -> None:
-        """Drop all pooled buffers (they re-allocate lazily on next use)."""
+        """Drop all of them, on every thread (they re-allocate lazily)."""
         self._bufpool.clear()
-        self._conv_ws.clear()
+        cpupool.on_each(partial(self._held, release=True))
 
     # -- pipeline stages (also reused by tests) ---------------------------
 
@@ -226,22 +263,6 @@ class SoiFFT:
 
     # -- planned zero-allocation execution --------------------------------
 
-    def _gather_extended(self, xs: np.ndarray, dst: np.ndarray) -> None:
-        """Fill the extended-input buffer via wrapped slice copies.
-
-        The gather indices are consecutive integers mod N, so the copy is
-        a handful of contiguous slices — unlike ``np.take(..., out=)``,
-        which materializes a full temporary before writing ``out``.
-        """
-        n = self.params.n
-        ext = dst.shape[1]
-        pos, src = 0, self._ext_start
-        while pos < ext:
-            chunk = min(n - src, ext - pos)
-            dst[:, pos:pos + chunk] = xs[:, src:src + chunk]
-            pos += chunk
-            src = 0
-
     def _stage_seam(self, batch: int):
         """The one observer of the stage boundaries, or None when neither
         telemetry nor a verifier is armed.
@@ -274,39 +295,102 @@ class SoiFFT:
                     t = clk()
         return after
 
+    #: Fewest bytes of one stage buffer a worker's share of a call may
+    #: hold: a stage costs a 42-65 us fork/join whatever its size, and
+    #: measured, sharing breaks even at 0.75 MiB of stage buffer and wins
+    #: 10 % and up from 1 MiB (EXPERIMENTS.md "PR 23").
+    _POOL_MIN_SHARE = 512 << 10
+
+    def _parts(self, batch: int) -> int:
+        """How many workers share each stage of a *batch*-frame call: one
+        when a frame does not fill a convolution tile (every n = 896
+        serving rung: GEMM slivers the interpreter lock serializes)."""
+        p = self.params
+        if p.m_oversampled < self._conv_tile:
+            return 1
+        fit = (batch * p.m_oversampled * p.n_segments * self.dtype.itemsize
+               // self._POOL_MIN_SHARE)
+        return min(fit, cpupool.size()) if fit > 1 else 1
+
     def _execute(self, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
         """Planned pipeline: (batch, N) -> (batch, N) through pooled buffers.
 
+        A stage is one slice function over frames ``[f0, f1)`` and rows
+        or segments ``[a, b)``, shared out on :mod:`repro.core.cpupool`
+        over ranges cut on the global tile grid (:func:`_cuts`; a block by
+        frame, one frame by tile and segment) into the same stage buffer:
+        the bits are those of the one-range call a small transform makes.
+
         Each stage hands its output to the stage seam
-        (:meth:`_stage_seam`) before the next one consumes it — with a
-        verifier armed, a corrupt stage output is repaired there, so
-        everything downstream runs once, on trusted input."""
+        (:meth:`_stage_seam`), after the join, before the next one
+        consumes it — with a verifier armed, a corrupt stage output is
+        repaired there, so everything downstream runs once, on trusted
+        input."""
         p = self.params
         s, mp = p.n_segments, p.m_oversampled
         batch = xs.shape[0]
         bufs = self._buffers(batch)
+        x_ext, u = bufs["x_ext"], bufs["u"]
+        alpha, beta = bufs["alpha"], bufs["beta"]
+        z = bufs.get("z", u)
+        res3 = res.reshape(batch, s, p.m)
         after = self._stage_seam(batch)
-        self._gather_extended(xs, bufs["x_ext"])
-        convolve(bufs["x_ext"], self.tables, 0, mp, self._block_lo,
-                 out=bufs["u"], workspace=self._conv_ws)
+        parts = self._parts(batch)
+
+        def gather(f0, f1, a, b):
+            # consecutive integers mod N: a handful of contiguous slice
+            # copies, where ``np.take(..., out=)`` makes a full temporary
+            pos, src = a, (self._ext_start + a) % p.n
+            while pos < b:
+                chunk = min(p.n - src, b - pos)
+                x_ext[f0:f1, pos:pos + chunk] = xs[f0:f1, src:src + chunk]
+                pos, src = pos + chunk, 0
+
+        def conv(f0, f1, a, b):
+            convolve(x_ext[f0:f1], self.tables, a, b - a, self._block_lo,
+                     out=u[f0:f1, a:b], workspace=self._conv_ws)
+
+        def lane(f0, f1, a, b):
+            self._lane_dft(u[f0:f1, a:b], out=z[f0:f1, a:b])
+
+        def permute(f0, f1, a, b):  # the stride permutation
+            np.copyto(alpha[f0:f1, a:b], z[f0:f1, :, a:b].transpose(0, 2, 1))
+
+        def segment_fft(f0, f1, a, b):
+            self._seg_plan(alpha[f0:f1, a:b], out=beta[f0:f1, a:b])
+
+        def demod(f0, f1, a, b):
+            demodulate(beta[f0:f1, a:b], self.tables, out=res3[f0:f1, a:b])
+
+        def share(fn, total, grid):
+            if parts == 1:
+                return fn(0, batch, 0, total)
+            if batch == 1:
+                ranges = [(0, 1, a, b) for a, b in _cuts(total, grid, parts)]
+            else:
+                ranges = [(f0, f1, 0, total)
+                          for f0, f1 in _cuts(batch, 1, parts)]
+            if len(ranges) == 1:  # a stage of one tile
+                return fn(*ranges[0])
+            cpupool.run([partial(fn, *r) for r in ranges])
+
+        share(gather, x_ext.shape[1], 1)
+        share(conv, mp, self._conv_tile)
         if after:
-            after("conv", bufs["u"], bufs["x_ext"].nbytes + bufs["u"].nbytes)
-        z = bufs["u"]
+            after("conv", u, x_ext.nbytes + u.nbytes)
         if self._lane_plan is not None:
-            z = self._lane_dft(bufs["u"], out=bufs["z"])
+            share(lane, mp, self._lane_tile)
             if after:
                 after("lane", z, 2 * z.nbytes)
-        np.copyto(bufs["alpha"], z.transpose(0, 2, 1))  # stride permutation
+        share(permute, s, 1)
         if after:
-            after("permute", bufs["alpha"], 2 * bufs["alpha"].nbytes)
-        self._seg_plan(bufs["alpha"].reshape(-1, mp),
-                       out=bufs["beta"].reshape(-1, mp))
+            after("permute", alpha, 2 * alpha.nbytes)
+        share(segment_fft, s, 1)
         if after:
-            after("segment-fft", bufs["beta"], 2 * bufs["beta"].nbytes)
-        res3 = res.reshape(batch, s, p.m)
-        demodulate(bufs["beta"], self.tables, out=res3)
+            after("segment-fft", beta, 2 * beta.nbytes)
+        share(demod, s, 1)
         if after:
-            after("demod", res3, bufs["beta"].nbytes + res.nbytes)
+            after("demod", res3, beta.nbytes + res.nbytes)
         return res
 
     def _check_out(self, out: np.ndarray, shape: tuple) -> np.ndarray:

@@ -66,6 +66,11 @@ class BluesteinPlan:
             self._pool[batch] = ws
         return ws
 
+    def workspace_bytes(self) -> int:
+        """Bytes the calling thread holds, here and in the embedded plans."""
+        return (sum(b.nbytes for ws in self._pool.values() for b in ws)
+                + self._fwd.workspace_bytes() + self._inv.workspace_bytes())
+
     def release_workspaces(self) -> None:
         """Drop the calling thread's pooled buffers, here and in the
         embedded Stockham plans."""

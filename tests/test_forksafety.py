@@ -1,27 +1,33 @@
 """Fork/spawn safety of the process-wide caches (plan cache, wisdom,
-design records).
+design records) and of the per-cpu worker pool.
 
 The process backend forks workers that immediately hammer ``get_plan``
 and the wisdom store.  A lock or cache object inherited from the parent
 in a surprising state (held lock, parent's hit counters) must not leak
 into the child: both caches detect the PID change and start fresh.  The
 design records (``get_tables``) are the opposite case: immutable and
-behind no lock, so a worker keeps what it inherited.
+behind no lock, so a worker keeps what it inherited.  The worker pool
+(``core.cpupool``) is threads, which a fork does not copy: a child that
+finds its parent's pool must start its own.
 """
 
+import hashlib
 import multiprocessing
 import os
 import pickle
+import queue
 
 import numpy as np
 import pytest
 
 from repro.cluster.backends import ProcessBackend
 from repro.cluster.simcluster import SimCluster
+from repro.core import cpupool
 from repro.core import soi_dist as soi_dist_mod
 from repro.core import window as window_mod
 from repro.core.params import SoiParams
 from repro.core.soi_dist import DistributedSoiFFT
+from repro.core.soi_single import SoiFFT
 from repro.fft import plan as plan_mod
 from repro.fft.plan import fft, get_plan
 from repro.fft.wisdom import Wisdom
@@ -174,3 +180,77 @@ class TestDesignRecordForkInheritance:
         monkeypatch.setattr(soi_dist_mod, "get_tables", pid_guarded)
         with pytest.raises(RuntimeError, match="rebuilt the design record"):
             self.run_on_two_workers()
+
+
+# -- the worker pool: threads do not survive a fork --------------------------
+
+#: one frame is 1 MiB of stage buffer: shared out wherever there is a pool
+POOLED = SoiParams(n=7 * 2 ** 13, n_procs=1, segments_per_process=8,
+                   n_mu=8, d_mu=7, b=48)
+
+
+def _pooled_call(x) -> dict:
+    """One ``SoiFFT`` call and who ran it, as seen from this process."""
+    mask = sorted(os.sched_getaffinity(0))
+    y = SoiFFT(POOLED)(x)
+    return {"digest": hashlib.sha1(y.tobytes()).hexdigest(),
+            "mask": mask, "workers": cpupool.size()}
+
+
+def _pooled_child(q, x, guarded):
+    if not guarded:
+        # mutant: no pid guard — the parent's pool looks like ours
+        cpupool._pid = os.getpid()
+    q.put(_pooled_call(x))
+
+
+def _pooled_program(ctx, x):
+    """A rank that runs a single-node plan of its own."""
+    return _pooled_call(x)
+    yield  # the backend runs generator programs only
+
+
+class TestWorkerPoolForkSafety:
+    @pytest.fixture
+    def parent(self):
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal(POOLED.n) + 1j * rng.standard_normal(POOLED.n)
+        return x, _pooled_call(x)  # the parent's pool is up before any fork
+
+    @staticmethod
+    def forked(x, guarded, timeout):
+        ctx = multiprocessing.get_context("fork")
+        q = ctx.Queue()
+        proc = ctx.Process(target=_pooled_child, args=(q, x, guarded))
+        proc.start()
+        try:
+            return q.get(timeout=timeout)
+        finally:
+            proc.kill()
+            proc.join(timeout=30)
+
+    def check_child(self, child, parent):
+        assert child["digest"] == parent["digest"]
+        # the forking thread was never bound, so neither is the child —
+        # and it has as many workers of its own as the parent
+        assert child["mask"] == parent["mask"]
+        assert child["workers"] == parent["workers"]
+
+    def test_a_forked_child_starts_its_own_pool(self, parent):
+        x, mine = parent
+        assert mine["mask"] == sorted(os.sched_getaffinity(0))
+        self.check_child(self.forked(x, guarded=True, timeout=60), mine)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="1 cpu")
+    def test_without_the_pid_guard_the_child_hangs(self, parent):
+        # the gate can go red: its slices wait in the inboxes of threads
+        # that only exist in the parent
+        with pytest.raises(queue.Empty):
+            self.forked(parent[0], guarded=False, timeout=3)
+
+    def test_a_process_backend_worker_starts_its_own_pool(self, parent):
+        x, mine = parent
+        with ProcessBackend(1) as be:
+            for _ in range(2):  # second job: the worker's pool, reused
+                (child,) = be.run(_pooled_program, [(x,)], label="pooled")
+                self.check_child(child, mine)

@@ -174,63 +174,129 @@ class TestLinearity:
         assert np.allclose(f(np.zeros(params.n, dtype=np.complex128)), 0.0)
 
 
-# -- one answer whatever BLAS thread pool the host configured ---------------
+# -- one answer whatever BLAS pool the host configured, and however many
+# -- cpus the worker pool found ------------------------------------------------
 
 POOL_PROBE = """
-import hashlib
+import hashlib, os, sys
 import numpy as np
+from repro.core import cpupool, soi_single
 from repro.core.params import SoiParams
 from repro.core.soi_single import SoiFFT
+from repro.fft import stockham
 from repro.fft.plan import get_plan
+
+cpus, mutant = sys.argv[1:]
+if cpus == "one":  # before the first pooled call: the pool finds one cpu
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+if mutant == "range_aligned_cut":
+    # a worker tiles its rows from the first row of its own range, and the
+    # ranges are n_mu-aligned (all the kernel asks for) but not tile-aligned
+    from tests.test_convolution import convolve_call_relative
+    def convolve(x_ext, tables, j_start, n_rows, block_lo, out, workspace):
+        out[...] = convolve_call_relative(x_ext, tables, j_start, n_rows,
+                                          block_lo)
+    def cuts(total, grid, parts, real=soi_single._cuts):
+        if grid == 1 or parts == 1:
+            return real(total, grid, parts)
+        return [(0, total // 2 + 8), (total // 2 + 8, total)]
+    soi_single.convolve, soi_single._cuts = convolve, cuts
+elif mutant == "call_aligned_tile":
+    # the Stockham tiles are counted from the first column of the call, so
+    # a segment's tile edges move when a worker's call starts at its row
+    from tests.test_stockham import call_aligned_tiles, run_tiled
+    def execute(self, flat, res):
+        res[...] = run_tiled(self, flat, call_aligned_tiles)
+        return res
+    stockham.StockhamPlan._execute = execute
+
+def geometry(n):
+    return SoiParams(n=n, n_procs=1, segments_per_process=8,
+                     n_mu=8, d_mu=7, b=48)
 
 rng = np.random.default_rng(2013)
 x = rng.standard_normal(458752) + 1j * rng.standard_normal(458752)
+xs = rng.standard_normal((12, 7168)) + 1j * rng.standard_normal((12, 7168))
 a = rng.standard_normal((8, 65536)) + 1j * rng.standard_normal((8, 65536))
-f = SoiFFT(SoiParams(n=x.size, n_procs=1, segments_per_process=8,
-                     n_mu=8, d_mu=7, b=72))
+f = SoiFFT(geometry(x.size))  # bench/e2e's single_large
 blocks = {
-    "segment_fft": get_plan(65536)(a),
-    "lane_dft": f._lane_dft(a.reshape(65536, 8)),
     "soi_call": f(x),
-    "threaded_dot": np.vdot(x, x),
+    "batch": SoiFFT(geometry(7168)).batch(xs),  # a block of batch_small
 }
+if mutant == "none":
+    blocks.update({
+        "segment_fft": get_plan(65536)(a),
+        "lane_dft": f._lane_dft(a.reshape(65536, 8)),
+        "threaded_dot": np.vdot(x, x),
+    })
+print("workers", cpupool.size() if f._parts(1) > 1 else 1)
 for name, block in blocks.items():
     print(name, hashlib.sha1(np.ascontiguousarray(block).tobytes()).hexdigest())
 """
 
+CPUS = len(os.sched_getaffinity(0))
+
+
+def probe(cpus: str, mutant: str = "none", threads=None) -> dict:
+    """name -> digest of one run of the probe (``workers`` -> how many
+    threads shared the stages of ``soi_call``)."""
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = f"{root / 'src'}{os.pathsep}{root}"
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    done = subprocess.run([sys.executable, "-c", POOL_PROBE, cpus, mutant],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    return dict(line.split() for line in done.stdout.splitlines())
+
 
 @pytest.fixture(scope="module")
 def digests_by_pool():
-    """name -> set of digests over OPENBLAS_NUM_THREADS unset, 1 and 2."""
-    src = Path(__file__).resolve().parents[1] / "src"
+    """name -> set of digests over {every cpu, one cpu} x
+    OPENBLAS_NUM_THREADS unset, 1 and 2."""
     seen: dict[str, set] = {}
-    for threads in (None, "1", "2"):
-        env = {k: v for k, v in os.environ.items()
-               if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = str(src)
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        done = subprocess.run([sys.executable, "-c", POOL_PROBE], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        for line in done.stdout.splitlines():
-            name, digest = line.split()
-            seen.setdefault(name, set()).add(digest)
+    for cpus in ("all", "one"):
+        for threads in (None, "1", "2"):
+            for name, digest in probe(cpus, threads=threads).items():
+                seen.setdefault(name, set()).add(digest)
     return seen
 
 
 class TestBlasPoolInvariance:
     """Every GEMM of a transform is one :func:`repro.fft.bitops.gemm_tile`
-    tile, which OpenBLAS runs on the calling thread — so the bits do not
-    depend on how the host sized its pool."""
+    tile, which OpenBLAS runs on the calling thread, at a position counted
+    on the global grid — so the bits depend neither on how the host sized
+    its BLAS pool nor on how many workers shared the stages out."""
 
-    @pytest.mark.parametrize("block", ["segment_fft", "lane_dft", "soi_call"])
+    @pytest.mark.parametrize("block", ["segment_fft", "lane_dft", "soi_call",
+                                       "batch"])
     def test_one_digest_for_every_pool(self, digests_by_pool, block):
         assert len(digests_by_pool[block]) == 1
 
-    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+    @pytest.mark.skipif(CPUS < 2, reason="1 cpu")
+    def test_the_probe_ran_pooled_and_serial(self, digests_by_pool):
+        assert digests_by_pool["workers"] == {"1", str(CPUS)}
+
+    @pytest.mark.skipif(CPUS < 2,
                         reason="OpenBLAS caps its pool at the cpu count")
     def test_the_probe_can_see_a_pool(self, digests_by_pool):
         # the gate can go red: an over-threshold reduction in the same
         # probe is split across the pool and sums in another order
         assert len(digests_by_pool["threaded_dot"]) > 1
+
+    @pytest.mark.skipif(CPUS < 2, reason="1 cpu")
+    @pytest.mark.parametrize("mutant, blocks", [
+        ("range_aligned_cut", ["soi_call"]),
+        ("call_aligned_tile", ["soi_call", "batch"])])
+    def test_a_cut_off_the_global_grid_is_a_second_digest(self, mutant,
+                                                          blocks):
+        # the gate can go red: each mutant is numerically as good, but a
+        # row then sits in a product of another shape on the pool
+        pooled, serial = probe("all", mutant), probe("one", mutant)
+        assert (pooled["workers"], serial["workers"]) == (str(CPUS), "1")
+        for block in blocks:
+            assert pooled[block] != serial[block], block

@@ -1,6 +1,7 @@
 """Tests for the telemetry subsystem: spans, metrics, exporters, profile."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -421,6 +422,27 @@ class TestTelemetryBundle:
         assert {"soi conv", "soi permute", "soi segment-fft",
                 "soi demod"} <= stages
         assert telem.metrics.get("repro_core_transforms_total").value == 1
+
+
+    def test_a_pooled_transform_records_the_same_spans(self, rng):
+        # a frame the worker pool shares out: one span per stage, on the
+        # caller, after the join — as for the one-range call
+        params = SoiParams(n=7 * 2 ** 13, n_procs=1, segments_per_process=8,
+                           n_mu=8, d_mu=7, b=48)
+        x = random_complex(rng, params.n)
+        names = {}
+        for share in (SoiFFT._POOL_MIN_SHARE, 1 << 60):
+            telem = Telemetry(recorder=SpanRecorder(),
+                              metrics=MetricsRegistry())
+            f = SoiFFT(params, telemetry=telem)
+            f._POOL_MIN_SHARE = share
+            names[share] = (f._parts(1), f(x).tobytes(),
+                            [s.name for s in telem.recorder.charges])
+        (parts, y, spans), (one, want, serial) = names.values()
+        assert parts == min(2, len(os.sched_getaffinity(0))) and one == 1
+        assert y == want
+        assert spans == serial == ["soi conv", "soi lane", "soi permute",
+                                   "soi segment-fft", "soi demod"]
 
 
 class TestStageProfile:

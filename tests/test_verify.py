@@ -4,6 +4,7 @@ straggler hedging."""
 
 import ast
 import dataclasses
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ import pytest
 
 import repro
 import repro.core.soi_dist as soi_dist
+from repro.core import cpupool
 from repro.bench.faultsweep import (
     detection_coverage,
     sdc_ground_truth,
@@ -206,6 +208,69 @@ class TestSingleNodeVerification:
         with pytest.raises(VerificationError, match="segment-fft"):
             f(random_complex(rng, PARAMS.n))
         assert f.verifier.report.escalations >= 1
+
+
+#: a frame of two convolution tiles: with the size rule's constant lowered
+#: (a test-local patch, not a knob) every stage is shared out
+POOLED = SoiParams(n=16 * 896, n_procs=1, segments_per_process=8,
+                   n_mu=8, d_mu=7, b=48)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="1 cpu")
+class TestPooledStages:
+    """The seam fires on the caller after each stage's join, so the engine
+    sees what it sees on one thread — whether one frame was shared out by
+    tile and segment or a block by frame."""
+
+    @pytest.fixture
+    def joins(self, monkeypatch):
+        """The fork/joins made from here on, with every call shared out."""
+        monkeypatch.setattr(SoiFFT, "_POOL_MIN_SHARE", 1)
+        seen, real = [], cpupool.run
+
+        def counting(fns):
+            seen.append(len(fns))
+            return real(fns)
+        monkeypatch.setattr(cpupool, "run", counting)
+        return seen
+
+    @pytest.mark.parametrize("frames", [1, 3])
+    def test_clean_pooled_runs_have_zero_false_positives(self, joins,
+                                                         frames):
+        f = SoiFFT(POOLED, verify=True)
+        for seed in range(3):
+            xs = random_complex(np.random.default_rng(seed), frames, POOLED.n)
+            f.batch(xs)
+        assert f.verifier.report.checks > 0
+        assert f.verifier.report.detections == 0
+        # gather, convolve, lane, permute, segment FFT, demodulate
+        assert joins == [2] * 3 * 6
+
+    @pytest.mark.parametrize("frames", [1, 3])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_repaired_on_the_pool_is_bitwise_the_serial_fault_free(
+            self, rng, joins, stage, frames):
+        xs = random_complex(rng, frames, POOLED.n)
+        f = SoiFFT(POOLED, verify=VerifyPolicy(
+            inject=one_shot_injector(stage, 5)))
+        ys = f.batch(xs)
+        assert joins and f.verifier.report.detected_stages == {stage}
+        assert f.verifier.report.repairs >= 1
+        serial = SoiFFT(POOLED)
+        serial._POOL_MIN_SHARE = 1 << 60
+        del joins[:]
+        assert np.array_equal(ys, serial.batch(xs)) and not joins
+
+    def test_the_verify_verb_checks_a_pooled_batch(self, monkeypatch,
+                                                   capsys):
+        from repro.cli import main
+        seen, real = [], cpupool.run
+        monkeypatch.setattr(cpupool, "run",
+                            lambda fns: seen.append(1) or real(fns))
+        assert main(["verify"]) == 0
+        out = capsys.readouterr().out
+        assert seen and "false positives on the clean batch: 0" in out
+        assert "verify: PASS" in out
 
 
 class TestDistributedVerification:

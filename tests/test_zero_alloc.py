@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core import cpupool
 from repro.core.convolution import ConvWorkspace, block_range_for_rows, convolve
 from repro.core.params import SoiParams
 from repro.core.soi_single import SoiFFT
@@ -199,6 +200,48 @@ class TestSoiPlannedExecution:
         assert soi.workspace_bytes() > 0
         soi.release_workspaces()
         assert soi.workspace_bytes() == 0
+
+    def test_release_workspaces_with_a_bluestein_segment_plan(self, rng):
+        # M' = 88 is not (2,3,5,7)-smooth: the segment FFT is chirp-z
+        params = SoiParams(n=8 * 77, n_procs=1, segments_per_process=8,
+                           n_mu=8, d_mu=7, b=16)
+        f = SoiFFT(params)
+        x = random_complex(rng, params.n)
+        ref = np.fft.fft(x)
+        assert (np.linalg.norm(f(x) - ref)
+                < 10 * f.expected_stopband * np.linalg.norm(ref))
+        assert f.workspace_bytes() > f._conv_ws.nbytes() + sum(
+            b.nbytes for b in f._bufpool[1].values())
+        f.release_workspaces()
+        assert f.workspace_bytes() == 0
+
+
+class TestWorkspacesFollowTheWork:
+    """The kernel workspaces live on whichever threads ran the stages;
+    ``workspace_bytes`` / ``release_workspaces`` cover all of them."""
+
+    def test_release_after_a_pooled_call(self, rng):
+        # 1 MiB of stage buffer a frame: shared out wherever there is a pool
+        params = SoiParams(n=7 * 2 ** 13, n_procs=1, segments_per_process=8,
+                           n_mu=8, d_mu=7, b=48)
+        f = SoiFFT(params)
+        x = random_complex(rng, params.n)
+        out = np.empty_like(x)
+        f.release_workspaces()  # the cached FFT plans are shared: start cold
+        want = f(x).copy()
+        held = f.workspace_bytes()
+        if f._parts(1) > 1:
+            # the tiles and the ping-pong pairs are the workers', not ours
+            assert f._held() == 0
+            assert sum(cpupool.on_each(f._held)) > LARGE
+        f.release_workspaces()
+        assert f.workspace_bytes() == 0
+        assert sum(cpupool.on_each(f._held)) == 0
+        # the next call re-allocates everything once, then nothing
+        assert peak_new_bytes(lambda: f(x, out=out), warmup=0, reps=1) > LARGE
+        assert f.workspace_bytes() == held
+        assert peak_new_bytes(lambda: f(x, out=out), warmup=0) < LARGE
+        assert np.array_equal(out, want)
 
 
 class TestConvolveWorkspace:
