@@ -11,8 +11,8 @@ Both are deterministic and rendered by ``python -m repro serve-bench``:
   sweep on the virtual-time simulator with a pinned
   :class:`~repro.serve.loadgen.ServiceModel`, so every number is
   machine-independent and the gates (p99/shed/throughput at a stated
-  offered load, QoS shed ordering, outcome conservation) bind in quick
-  mode.
+  offered load, QoS shed ordering, outcome conservation, batching under
+  load and no waiting without it) bind in quick mode.
 
 What coalescing buys in wall-clock terms is measured against an
 external floor by ``bench/e2e`` (``serve_open``/``serve_sparse``:
@@ -48,6 +48,11 @@ P99_BOUND_S = 0.010
 #: contract is that its noise never spills onto gold.
 PREMIUM_SHED_BUDGET = 0.05
 THROUGHPUT_FLOOR_RPS = 2000.0
+#: What the pinned model charges a solo rung-0 request, and what the
+#: median request may take at the lowest offered rate: a request that
+#: finds its lane idle is not held back for company.
+SOLO_REQUEST_S = 3.3e-4
+IDLE_P50_BOUND_S = 2 * SOLO_REQUEST_S
 
 
 def _fresh_qos() -> QosPolicy:
@@ -68,7 +73,7 @@ def _pinned_model(ladder: DegradationLadder) -> ServiceModel:
     then bit-reproducible everywhere.
     """
     base = ServiceModel.analytic(ladder)
-    scale = 3.3e-4 / base.request_seconds(0)
+    scale = SOLO_REQUEST_S / base.request_seconds(0)
     return ServiceModel(
         setup_s=tuple(s * scale for s in base.setup_s),
         per_row_s=tuple(p * scale for p in base.per_row_s))
@@ -149,6 +154,7 @@ def simulated_curves(quick: bool, *, n: int = 896,
     stated = min(results,
                  key=lambda r: abs(r.offered_rps - STATED_OFFERED_RPS))
     hottest = max(results, key=lambda r: r.offered_rps)
+    coolest = min(results, key=lambda r: r.offered_rps)
     conserved = all(r.served + r.shed + r.deadline_exceeded == r.n_requests
                     for r in results)
     gates = {
@@ -170,6 +176,9 @@ def simulated_curves(quick: bool, *, n: int = 896,
             shed_frac(hottest, "tenant-bronze")
             >= shed_frac(hottest, "tenant-gold")),
         "coalesce_effective_ok": bool(hottest.coalesce_ratio >= 1.5),
+        "idle_p50_s": round(coolest.latency_p50, 6),
+        "idle_p50_bound_s": IDLE_P50_BOUND_S,
+        "idle_latency_ok": bool(coolest.latency_p50 <= IDLE_P50_BOUND_S),
         "conserved_ok": bool(conserved),
     }
     return {

@@ -13,10 +13,15 @@ one runs through, in order:
    before it can pressure anyone else), then the cost model over the
    class's ladder window, or
    :class:`~repro.resilience.deadline.Overloaded`.
-2. **Coalescing** (:class:`~repro.serve.coalesce.Coalescer`) — the
-   request joins the open window for its ``(n, dtype, rung)``; the
-   window flushes when full (``max_batch``) or when ``window_seconds``
-   elapse, whichever is first.
+2. **Coalescing** (:class:`~repro.serve.coalesce.Coalescer`, which
+   states the rule; this module only keeps its clock) — the request
+   joins the open window for its ``(n, dtype, rung)``; the window
+   closes when it is full (``max_batch``), when ``window_seconds``
+   elapse, or as soon as no batch of its key is executing — so a
+   request that finds its lane idle runs at the end of the loop turn it
+   arrived in (with whatever else that turn submitted), and one that
+   arrives behind a running batch rides the next batch with everything
+   else that did.
 3. **Batched execution** — one ``SoiFFT.batch()`` call per window, run
    on an executor thread so the loop keeps accepting; the plan and its
    twiddle tables amortize over the whole window.  Row
@@ -83,13 +88,16 @@ class AsyncSoiGateway:
         Admission-control knobs, as for
         :class:`~repro.resilience.server.SoiService`.
     max_batch / window_seconds:
-        Coalescing bounds: a window flushes at ``max_batch`` members or
-        after ``window_seconds`` on the event loop, whichever is first.
+        Coalescing bounds: a window closes at ``max_batch`` members, or
+        ``window_seconds`` on the event loop after it opened behind a
+        running batch — or, before either, the moment its lane is free.
     clock:
         Injectable time source for deadlines/latency/budget accounting.
     recorder:
         Optional :class:`~repro.telemetry.SpanRecorder`; each executed
-        window records a ``"coalesce"``-kind span carrying its row count.
+        window records a ``"coalesce"``-kind span carrying its row
+        count, why it closed (``idle`` / ``lane_free`` / ``full`` /
+        ``timer`` / ``drain``) and how long its oldest member waited.
     verify:
         Arm ABFT on the per-rung plans (as for :class:`SoiFFT`).
     executor:
@@ -121,6 +129,9 @@ class AsyncSoiGateway:
                                     machine=machine, calibration=calibration)
         self.coalescer = Coalescer(max_batch=max_batch,
                                    window_seconds=window_seconds)
+        n = ladder[0].params.n
+        self._keys = [CoalesceKey(n, np.dtype(rung.dtype).name, i)
+                      for i, rung in enumerate(ladder)]
         self._plans: dict[int, SoiFFT] = {}
         self._plans_lock = threading.Lock()
         # A SoiFFT's stage buffers and verifier report are its own, NOT
@@ -131,7 +142,9 @@ class AsyncSoiGateway:
         self._own_executor = executor is None
         self.executor = (ThreadPoolExecutor(max_workers=2)
                          if executor is None else executor)
-        self._timers: dict[CoalesceKey, asyncio.TimerHandle] = {}
+        # every open window has its closing call here: a timer behind a
+        # running batch, a call_soon on an idle lane
+        self._timers: dict[CoalesceKey, asyncio.Handle] = {}
         self._flushes: set[asyncio.Task] = set()
         self._closed = False
 
@@ -161,7 +174,7 @@ class AsyncSoiGateway:
         if self._closed:
             raise RuntimeError("gateway is closed")
         x = np.asarray(x)
-        n = self.ladder[0].params.n
+        n = self._keys[0].n
         if x.ndim != 1 or x.size != n:
             raise ValueError(f"expected a 1-D signal of length {n}")
         now = float(self.clock())
@@ -170,21 +183,25 @@ class AsyncSoiGateway:
             min_snr_db, x=x, tenant=tenant)
         loop = asyncio.get_running_loop()
         req.future = loop.create_future()
-        key = CoalesceKey(n=n, dtype=np.dtype(
-            self.ladder[req.rung_index].dtype).name,
-            rung_index=req.rung_index)
+        key = self._keys[req.rung_index]
         state = self.coalescer.add(key, req)
         self._gauge_pending()
         if state == "full":
-            self._spawn_flush(key)
+            self._spawn_flush(key, "full")
+        elif state == "idle":
+            # not synchronously: what this loop turn has yet to submit
+            # (a gather of submits, a burst) rides the same batch
+            self._timers[key] = loop.call_soon(
+                self._spawn_flush, key, "idle")
         elif state == "first":
             self._timers[key] = loop.call_later(
-                self.coalescer.window_seconds, self._spawn_flush, key)
+                self.coalescer.window_seconds, self._spawn_flush, key,
+                "timer")
         return await req.future
 
     # -- window execution --------------------------------------------------
 
-    def _spawn_flush(self, key: CoalesceKey) -> None:
+    def _spawn_flush(self, key: CoalesceKey, why: str) -> None:
         """Close the window *synchronously* (so ``max_batch`` truly
         bounds it even while the flush task waits its turn), then
         execute it as a task."""
@@ -195,8 +212,11 @@ class AsyncSoiGateway:
         self._gauge_pending()
         if not members:
             return
+        self.metrics.counter(
+            f"repro_serve_coalesce_flush_{why}_total",
+            f"coalescing windows closed because: {why}").inc()
         task = asyncio.get_running_loop().create_task(
-            self._flush_members(key, members))
+            self._flush_members(key, members, why))
         self._flushes.add(task)
         task.add_done_callback(self._flushes.discard)
 
@@ -228,8 +248,7 @@ class AsyncSoiGateway:
             if self.admission.step_down(
                     m, exc, what="batch failure") is not None:
                 continue
-            retry = CoalesceKey(key.n, np.dtype(
-                self.ladder[m.rung_index].dtype).name, m.rung_index)
+            retry = self._keys[m.rung_index]
             started_at = float(self.clock())
             try:
                 ys, elapsed = await loop.run_in_executor(
@@ -250,7 +269,7 @@ class AsyncSoiGateway:
         ).set(self.coalescer.pending)
 
     def _record_batch(self, key: CoalesceKey, members: list[PendingRequest],
-                      started_at: float, elapsed: float) -> None:
+                      started_at: float, elapsed: float, why: str) -> None:
         m = self.metrics
         m.counter("repro_serve_coalesce_batches_total",
                   "coalesced batch() executions").inc()
@@ -265,6 +284,9 @@ class AsyncSoiGateway:
                 0, f"coalesce n={key.n} rung={key.rung_index}", "serve",
                 started_at, started_at + elapsed, kind="coalesce",
                 attributes={"rows": len(members),
+                            "why": why,
+                            "oldest_wait_s":
+                                started_at - members[0].enqueued_at,
                             "dtype": key.dtype,
                             "tenants": sorted({x.tenant
                                                for x in members})})
@@ -273,23 +295,29 @@ class AsyncSoiGateway:
 
     async def drain(self) -> None:
         """Flush every open window and wait for in-flight batches."""
-        for key in list(self._timers):  # an open window has a timer armed
-            self._spawn_flush(key)
+        for key in list(self._timers):
+            self._spawn_flush(key, "drain")
         while self._flushes:
             await asyncio.gather(*list(self._flushes),
                                  return_exceptions=True)
 
-    async def _flush_members(self, key, members) -> None:
+    async def _flush_members(self, key, members, why: str) -> None:
         """Execute one closed window as a batch, then settle it."""
         loop = asyncio.get_running_loop()
         started_at = float(self.clock())
         try:
-            ys, elapsed = await loop.run_in_executor(
-                self.executor, self._execute_batch, key, members)
+            try:
+                ys, elapsed = await loop.run_in_executor(
+                    self.executor, self._execute_batch, key, members)
+            finally:
+                # done, failed or cancelled, the batch no longer holds its
+                # lane: what gathered behind it runs now
+                if self.coalescer.done(key):
+                    self._spawn_flush(key, "lane_free")
         except Exception as exc:
             await self._degrade_members(key, members, exc)
             return
-        self._record_batch(key, members, started_at, elapsed)
+        self._record_batch(key, members, started_at, elapsed, why)
         # calibrate on the batch's own execution time, not on latency:
         # a member's wait in the window is not modeled work
         self.admission.settle(members, ys, started_at=started_at,

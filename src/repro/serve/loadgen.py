@@ -39,7 +39,7 @@ from repro.machine.spec import XEON_PHI_SE10
 from repro.perfmodel.model import soi_request_breakdown
 from repro.resilience.deadline import Deadline, DeadlineExceeded, Overloaded
 from repro.resilience.ladder import DegradationLadder
-from repro.resilience.server import PendingRequest, _Admission
+from repro.resilience.server import _Admission
 from repro.serve.coalesce import CoalesceKey, Coalescer
 from repro.serve.qos import QosPolicy
 from repro.telemetry.metrics import MetricsRegistry
@@ -228,7 +228,8 @@ def _finish(res: LoadResult, latencies: list[float], span: float,
 
 # event kinds, ordered so same-time events resolve deterministically:
 # completions free capacity before new arrivals claim it, and arrivals
-# join windows before the window timer fires.
+# join windows before the window closes — on its timer, or at ``now``
+# when its lane is free (the gateway's ``call_soon``).
 _COMPLETE, _ARRIVE, _FLUSH = 0, 1, 2
 
 
@@ -241,7 +242,8 @@ def simulate_serving(ladder: DegradationLadder, arrivals: list[Arrival],
 
     The lifecycle is the real thing — ``_Admission.open`` (QoS, then
     the cost model against the bounded backlog), :class:`Coalescer`
-    windows, ``_Admission.settle`` — driven by an event heap instead of
+    windows and its rule for closing them, ``_Admission.settle`` —
+    driven by an event heap instead of
     a clock, with the ``batch()`` execution replaced by *model* seconds
     on one of *n_workers* simulated executor threads.  Every submitted
     request resolves to exactly one of the four contract outcomes.
@@ -261,8 +263,11 @@ def simulate_serving(ladder: DegradationLadder, arrivals: list[Arrival],
         seq += 1
     worker_free = [0.0] * max(1, n_workers)
     rung_idx = {id(r): i for i, r in enumerate(ladder)}
-    # window generation tokens: a timer flush only fires for the window
-    # it was armed for, not a successor that reused the key
+    keys = [CoalesceKey(r.params.n, np.dtype(r.dtype).name, i)
+            for i, r in enumerate(ladder)]
+    # window generation tokens: a flush only fires for the window (and
+    # the closing time) it was last armed for, not a successor that
+    # reused the key
     open_gen: dict[CoalesceKey, int] = {}
     latencies: list[float] = []
     res = LoadResult(offered_rps=0.0, n_requests=len(arrivals))
@@ -274,14 +279,22 @@ def simulate_serving(ladder: DegradationLadder, arrivals: list[Arrival],
     def estimate(rung) -> float:
         return model.request_seconds(rung_idx[id(rung)])
 
-    def start_batch(key: CoalesceKey,
-                    members: list[PendingRequest]) -> None:
+    def flush(key: CoalesceKey) -> None:
+        """Close *key*'s window now and run it on the next free worker."""
         nonlocal seq
+        open_gen.pop(key, None)
+        members = coalescer.take(key)
         i = min(range(len(worker_free)), key=worker_free.__getitem__)
         start = max(now, worker_free[i])
         done = start + model.batch_seconds(key.rung_index, len(members))
         worker_free[i] = done
-        heapq.heappush(events, (done, _COMPLETE, seq, (members, start)))
+        heapq.heappush(events, (done, _COMPLETE, seq, (key, members, start)))
+        seq += 1
+
+    def flush_at(key: CoalesceKey, when: float) -> None:
+        nonlocal seq
+        open_gen[key] = seq
+        heapq.heappush(events, (when, _FLUSH, seq, (key, seq)))
         seq += 1
 
     while events:
@@ -295,27 +308,23 @@ def simulate_serving(ladder: DegradationLadder, arrivals: list[Arrival],
             except Overloaded:
                 res.shed += 1
                 continue
-            idx = req.rung_index
-            key = CoalesceKey(ladder[idx].params.n,
-                              np.dtype(ladder[idx].dtype).name, idx)
+            key = keys[req.rung_index]
             state = coalescer.add(key, req)
             if state == "full":
-                open_gen.pop(key, None)
-                start_batch(key, coalescer.take(key))
+                flush(key)
+            elif state == "idle":
+                flush_at(key, now)
             elif state == "first":
-                open_gen[key] = seq
-                heapq.heappush(events, (now + window_seconds, _FLUSH, seq,
-                                        (key, seq)))
-                seq += 1
+                flush_at(key, now + window_seconds)
         elif kind == _FLUSH:
             key, gen = payload
-            if open_gen.get(key) != gen:
-                continue  # that window already flushed full
-            open_gen.pop(key, None)
-            start_batch(key, coalescer.take(key))
+            if open_gen.get(key) == gen:  # else: closed or re-armed since
+                flush(key)
         else:  # _COMPLETE
-            members, start = payload
+            key, members, start = payload
             last_done = max(last_done, now)
+            if coalescer.done(key):
+                flush_at(key, now)
             # a model has nothing to calibrate against: no ``observed``
             for out in admission.settle(members, [None] * len(members),
                                         started_at=start,

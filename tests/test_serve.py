@@ -4,6 +4,10 @@ The load-bearing guarantees under test:
 
 * a coalesced request is indistinguishable from one served alone —
   same spectrum bits, same outcome, same budget itemization;
+* coalescing is work-conserving: a window closes when it is full, when
+  its timer fires, or as soon as no batch of its key is in flight — one
+  rule in ``Coalescer``, closing the same windows under both of its
+  drivers (the gateway's loop, the simulator's event heap);
 * the four-outcome contract (ok / degraded / Overloaded /
   DeadlineExceeded) survives coalescing, including a batch that fails
   mid-execution: every member resolves exactly once, individually;
@@ -15,6 +19,7 @@ The load-bearing guarantees under test:
 """
 
 import asyncio
+import sys
 import threading
 
 import numpy as np
@@ -26,6 +31,7 @@ from repro.core.window import get_tables
 from repro.resilience.deadline import DeadlineExceeded, Overloaded
 from repro.resilience.ladder import DegradationLadder
 from repro.resilience.server import _Admission
+from repro.serve import loadgen
 from repro.serve import (
     Arrival,
     AsyncSoiGateway,
@@ -157,11 +163,37 @@ class TestCoalescer:
 
     def test_window_dispositions(self):
         c = Coalescer(max_batch=3)
-        assert c.add(self.KEY, req()) == "first"
+        assert c.add(self.KEY, req()) == "idle"  # nothing runs: close now
+        assert c.add(self.KEY, req()) == "queued"
+        assert len(c.take(self.KEY)) == 2  # ... and that batch is running
+        assert c.add(self.KEY, req()) == "first"  # behind it: arm the timer
         assert c.add(self.KEY, req()) == "queued"
         assert c.add(self.KEY, req()) == "full"
         assert len(c.take(self.KEY)) == 3
         assert c.take(self.KEY) == []  # already flushed
+
+    def test_done_frees_the_lane_for_what_gathered_behind_it(self):
+        c = Coalescer(max_batch=2)
+        c.add(self.KEY, req())
+        c.take(self.KEY)
+        c.add(self.KEY, req())
+        assert c.add(self.KEY, req()) == "full"
+        c.take(self.KEY)  # a second batch in flight on the same lane
+        assert c.add(self.KEY, req()) == "first"
+        assert c.pending == 1
+        assert c.done(self.KEY) is False  # the other one still runs
+        assert c.done(self.KEY) is True  # free, and a window is waiting
+        assert len(c.take(self.KEY)) == 1 and c.pending == 0
+        assert c.done(self.KEY) is False  # free, nothing gathered
+        assert c.add(self.KEY, req()) == "idle"
+
+    def test_a_driver_without_completions_keeps_the_timer_policy(self):
+        c = Coalescer(max_batch=8)
+        c.add(self.KEY, req())
+        c.take(self.KEY)
+        for _ in range(3):  # add/take alone stays legal
+            assert c.add(self.KEY, req()) == "first"
+            assert len(c.take(self.KEY)) == 1
 
     def test_keys_do_not_mix(self):
         c = Coalescer(max_batch=8)
@@ -309,6 +341,314 @@ class TestGatewayDifferential:
         asyncio.run(gw.close())
         assert stats["coalesce_ratio"] > 1.0
         assert stats["batches"] < len(xs)
+
+
+# ---------------------------------------------------------------------------
+# The coalescing rule: a request never waits on an idle lane
+# ---------------------------------------------------------------------------
+
+class Gate:
+    """A ``fault_injector`` that parks chosen batches (by the order they
+    reach the executor) until released, and writes down every batch."""
+
+    def __init__(self, *hold):
+        self.rows: list[int] = []
+        self.members: list[PendingRequest] = []
+        self.entered = {i: threading.Event() for i in hold}
+        self.release = {i: threading.Event() for i in hold}
+        self.fail: set[int] = set()
+        self._lock = threading.Lock()
+
+    def __call__(self, key, members):
+        with self._lock:
+            i = len(self.rows)
+            self.rows.append(len(members))
+            self.members += members
+        if i in self.release:
+            self.entered[i].set()
+            assert self.release[i].wait(30)
+        if i in self.fail:
+            raise RuntimeError("injected batch fault")
+
+    async def reached(self, i):
+        for _ in range(30000):
+            if self.entered[i].is_set():
+                return
+            await asyncio.sleep(1e-3)
+        raise AssertionError(f"batch {i} never reached the executor")
+
+
+async def turn():
+    """Let the loop run what the last statement scheduled."""
+    await asyncio.sleep(0)
+    await asyncio.sleep(0)
+
+
+the_add = Coalescer.add  # bound before any monkeypatching
+the_done = Coalescer.done
+
+
+def always_arm_the_timer(self, key, request):
+    """Mutant: an idle lane is no reason to close a window."""
+    state = the_add(self, key, request)
+    return "first" if state == "idle" else state
+
+
+def flush_each_on_arrival(self, key, request):
+    """Mutant: a running batch is no reason to wait for company."""
+    state = the_add(self, key, request)
+    return "idle" if state in ("first", "queued") else state
+
+
+def free_only_on_success(self, key):
+    """Mutant: a batch that raised (or was cancelled) keeps its lane."""
+    if sys.exc_info()[0] is not None:
+        return False
+    return the_done(self, key)
+
+
+class TestWorkConservingWindows:
+    TIMER = 10.0  # a window that waited for it would fail every test here
+
+    def gateway(self, ladder, gate=None, **kwargs):
+        kwargs.setdefault("window_seconds", self.TIMER)
+        return make_gateway(ladder, fault_injector=gate, **kwargs)
+
+    @staticmethod
+    def submit(gw, x, tenant="gold-tenant"):
+        return asyncio.ensure_future(gw.submit(
+            x, tenant=tenant, deadline_seconds=60.0))
+
+    # (a) ---------------------------------------------------------------
+
+    def lone_request(self, ladder):
+        gw = self.gateway(ladder)
+        [x] = signals(1, seed=11)
+
+        async def go():
+            try:
+                return await asyncio.wait_for(self.submit(gw, x), 0.5)
+            finally:
+                await gw.close()
+
+        res = asyncio.run(go())
+        assert np.array_equal(res.y, gw.plan(0).batch(x[None])[0])
+        return gw
+
+    def test_a_lone_request_does_not_wait_for_the_timer(self, ladder):
+        gw = self.lone_request(ladder)
+        assert gw.metrics.counter(
+            "repro_serve_coalesce_flush_idle_total").value == 1
+
+    def test_mutant_always_arm_the_timer(self, ladder, monkeypatch):
+        monkeypatch.setattr(Coalescer, "add", always_arm_the_timer)
+        with pytest.raises(asyncio.TimeoutError):
+            self.lone_request(ladder)
+
+    # (b) ---------------------------------------------------------------
+
+    def behind_a_held_batch(self, ladder, k=4, after_each=lambda: None,
+                            **kwargs):
+        gate = Gate(0)
+        gw = self.gateway(ladder, gate, **kwargs)
+        xs = signals(1 + k, seed=12)
+
+        async def go():
+            try:
+                tasks = [self.submit(gw, xs[0])]
+                await gate.reached(0)
+                for x in xs[1:]:  # each in a loop turn of its own
+                    tasks.append(self.submit(gw, x))
+                    await turn()
+                    after_each()
+                gate.release[0].set()
+                return await asyncio.wait_for(asyncio.gather(*tasks), 30)
+            finally:
+                gate.release[0].set()
+                await gw.close()
+
+        out = asyncio.run(go())
+        ref = gw.plan(0).batch(xs)
+        assert all(np.array_equal(r.y, ref[i]) for i, r in enumerate(out))
+        return gw, gate, out
+
+    def test_arrivals_behind_a_running_batch_ride_the_next_one(self,
+                                                               ladder):
+        gw, gate, _ = self.behind_a_held_batch(ladder)
+        assert gate.rows == [1, 4]
+        closed = {why: gw.metrics.counter(
+            f"repro_serve_coalesce_flush_{why}_total").value
+            for why in ("idle", "lane_free", "full", "timer", "drain")}
+        assert closed == {"idle": 1, "lane_free": 1, "full": 0,
+                          "timer": 0, "drain": 0}
+
+    def test_mutant_flush_each_on_arrival(self, ladder, monkeypatch):
+        monkeypatch.setattr(Coalescer, "add", flush_each_on_arrival)
+        _, gate, _ = self.behind_a_held_batch(ladder)
+        assert gate.rows == [1, 1, 1, 1, 1]
+
+    # (c) ---------------------------------------------------------------
+
+    def after_a_lost_batch(self, ladder, how):
+        gate = Gate(0)
+        if how == "raises":
+            gate.fail.add(0)
+        gw = self.gateway(ladder, gate)
+        xs = signals(2, seed=13)
+
+        async def go():
+            try:
+                lost = self.submit(gw, xs[0])
+                await gate.reached(0)
+                if how == "cancelled":
+                    [flush] = gw._flushes
+                    flush.cancel()
+                    lost.cancel()
+                    await asyncio.gather(flush, lost,
+                                         return_exceptions=True)
+                gate.release[0].set()
+                if how == "raises":  # its member steps down, alone
+                    assert (await lost).report.rung_index == 1
+                return await asyncio.wait_for(self.submit(gw, xs[1]), 0.5)
+            finally:
+                gate.release[0].set()
+                await gw.close()
+
+        res = asyncio.run(go())
+        assert res.outcome == "ok"
+        assert np.array_equal(res.y, gw.plan(0).batch(xs[1:])[0])
+
+    @pytest.mark.parametrize("how", ["raises", "cancelled"])
+    def test_a_lost_batch_still_frees_its_lane(self, ladder, how):
+        self.after_a_lost_batch(ladder, how)
+
+    @pytest.mark.parametrize("how", ["raises", "cancelled"])
+    def test_mutant_free_only_on_success(self, ladder, how, monkeypatch):
+        monkeypatch.setattr(Coalescer, "done", free_only_on_success)
+        with pytest.raises(asyncio.TimeoutError):
+            self.after_a_lost_batch(ladder, how)
+
+    # (d) ---------------------------------------------------------------
+
+    #: (virtual second, tenant): every batch takes 1 s whatever its
+    #: rows, a window holds three, its timer is 0.3 s, two executors
+    SCRIPT = [
+        (0.00, "a"), (0.00, "b"),  # one instant, idle lane: one window
+        (0.10, "c"), (0.11, "d"), (0.12, "e"),  # behind it: full at 3
+        (1.05, "f"),  # a|b ended at 1.0, c|d|e runs until 1.12
+        (2.20, "g"),  # f ended at 2.12: idle again
+        (2.30, "h"),  # behind g, which outlasts the timer
+        (5.00, "i"),
+    ]
+    WINDOWS = [("a", "b"), ("c", "d", "e"), ("f",), ("g",), ("h",), ("i",)]
+    WHY = ["idle", "full", "lane_free", "idle", "timer", "idle"]
+
+    def both_drivers(self, ladder, monkeypatch):
+        """The script's windows as the simulator, then the gateway,
+        closed them (what ``Coalescer.take`` handed out, in order)."""
+        taken = []
+        the_take = Coalescer.take
+
+        def take(self, key):
+            members = the_take(self, key)
+            if members:
+                taken.append(tuple(m.tenant for m in members))
+            return members
+
+        monkeypatch.setattr(Coalescer, "take", take)
+        names = [tenant for _, tenant in self.SCRIPT]
+
+        def qos():
+            q = QosPolicy(metrics=MetricsRegistry())
+            for tenant in names:
+                q.assign(tenant, "gold")
+            return q
+
+        simulate_serving(
+            ladder, [Arrival(t, tenant, 60.0) for t, tenant in self.SCRIPT],
+            model=ServiceModel(setup_s=(1.0,) * len(ladder),
+                               per_row_s=(0.0,) * len(ladder)),
+            qos=qos(), max_batch=3, window_seconds=0.3, n_workers=2)
+        simulated = taken[:]
+        del taken[:]
+
+        gate = Gate(0, 1, 3)  # a|b, c|d|e and g are held; f, h, i run
+        gw = self.gateway(ladder, gate, qos=qos(), max_batch=3,
+                          window_seconds=0.3)
+        xs = dict(zip(names, signals(len(names), seed=14)))
+
+        def send(*tenants):
+            return [self.submit(gw, xs[t], tenant=t) for t in tenants]
+
+        async def go():
+            try:
+                ab = send("a", "b")
+                await gate.reached(0)
+                cde = []
+                for tenant in "cde":
+                    cde += send(tenant)
+                    await turn()
+                await gate.reached(1)
+                gate.release[0].set()
+                await asyncio.wait_for(asyncio.gather(*ab), 30)
+                f = send("f")
+                await turn()
+                gate.release[1].set()
+                await asyncio.wait_for(asyncio.gather(*cde, *f), 30)
+                g = send("g")
+                await gate.reached(3)
+                h = send("h")  # only the timer can close its window
+                await asyncio.wait_for(asyncio.gather(*h), 30)
+                gate.release[3].set()
+                await asyncio.wait_for(asyncio.gather(*g), 30)
+                await asyncio.wait_for(asyncio.gather(*send("i")), 30)
+            finally:
+                for release in gate.release.values():
+                    release.set()
+                await gw.close()
+
+        asyncio.run(go())
+        return simulated, taken, gw
+
+    def test_gateway_and_simulator_close_the_same_windows(
+            self, ladder, monkeypatch):
+        simulated, served, gw = self.both_drivers(ladder, monkeypatch)
+        assert simulated == served == self.WINDOWS
+        for why in set(self.WHY):
+            assert gw.metrics.counter(
+                f"repro_serve_coalesce_flush_{why}_total"
+            ).value == self.WHY.count(why)
+
+    def test_mutant_a_flush_that_sorts_before_same_instant_arrivals(
+            self, ladder, monkeypatch):
+        monkeypatch.setattr(loadgen, "_FLUSH", -1)
+        simulated, served, _ = self.both_drivers(ladder, monkeypatch)
+        assert served == self.WINDOWS
+        assert simulated[0] == ("a",)  # the burst was split
+        assert simulated != served
+
+    def test_span_says_why_and_how_long_the_oldest_waited(self, ladder):
+        from repro.telemetry import SpanRecorder
+
+        rec = SpanRecorder()
+        t = [100.0]
+
+        def quarter_second():
+            t[0] += 0.25
+
+        _, gate, out = self.behind_a_held_batch(
+            ladder, k=2, after_each=quarter_second, recorder=rec,
+            clock=lambda: t[0])
+        spans = [s.attributes for s in rec.spans if s.kind == "coalesce"]
+        assert [(a["rows"], a["why"], a["oldest_wait_s"]) for a in spans] \
+            == [(1, "idle", 0.0), (2, "lane_free", 0.5)]
+        # the itemization still sums to each member's latency (of the
+        # window that waited; the injector's hold of the first is uncharged)
+        for res, m, wait in zip(out[1:], gate.members[1:], (0.5, 0.25)):
+            charges = m.deadline.budget.charges
+            assert charges["coalesce wait"] == pytest.approx(wait)
+            assert m.deadline.budget.spent == pytest.approx(
+                res.latency_seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +867,16 @@ class TestLoadGen:
         assert once() == once()
 
     def test_coalescing_rises_with_load(self, ladder):
-        model = ServiceModel.analytic(ladder)
+        # company arrives while a batch runs: a 250 us request outlasts
+        # the 125 us between arrivals at 8000 req/s, not the 2 ms at 500
+        model = ServiceModel(setup_s=(2e-4,) * len(ladder),
+                             per_row_s=(5e-5,) * len(ladder))
         results = sweep_offered_load(
             ladder, (500.0, 8000.0), n_requests=1200, seed=0,
             tenants={"gold-tenant": 1.0}, deadline_seconds=0.05,
             model=model, qos_factory=fresh_qos)
-        assert results[1].coalesce_ratio > results[0].coalesce_ratio
+        assert results[0].coalesce_ratio < 1.1 < 2.0 < \
+            results[1].coalesce_ratio
 
     def test_render_curves_mentions_every_point(self, ladder):
         model = ServiceModel.analytic(ladder)
@@ -555,6 +899,19 @@ class TestServeBench:
 
         out = contract_differential(n_requests=4)
         assert out["ok"]
+
+    def test_idle_latency_gate_and_its_mutant(self, monkeypatch):
+        from repro.bench.servebench import simulated_curves
+
+        gates = simulated_curves(True)["gates"]
+        assert gates["idle_latency_ok"] and gates["coalesce_effective_ok"]
+        assert gates["idle_p50_s"] == pytest.approx(3.3e-4, rel=0.01)
+        # the policy this gate was written against: every request sits
+        # out the window timer, busy lane or not
+        monkeypatch.setattr(Coalescer, "add", always_arm_the_timer)
+        gates = simulated_curves(True)["gates"]
+        assert not gates["idle_latency_ok"]
+        assert gates["idle_p50_s"] > 2e-3
 
     def test_cli_verb_smoke(self, tmp_path, capsys):
         from repro.cli import main

@@ -13,6 +13,7 @@ show the suite can fail.
 
 import ast
 import asyncio
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +207,19 @@ class Gateway(Driver):
         return out
 
 
+@dataclass(frozen=True)
+class StallingModel(ServiceModel):
+    """A batch takes *stall* seconds longer than admission projected."""
+
+    stall: float = 0.0
+
+    def request_seconds(self, rung_index):
+        return ServiceModel.batch_seconds(self, rung_index, 1)
+
+    def batch_seconds(self, rung_index, rows):
+        return ServiceModel.batch_seconds(self, rung_index, rows) + self.stall
+
+
 class Simulated(Driver):
     """No executor to enter: the model's seconds are the execution."""
 
@@ -216,7 +230,7 @@ class Simulated(Driver):
         self.ladder = ladder
         base = ServiceModel.analytic(ladder)
         scale = 1e-2 / base.request_seconds(0)
-        self.model = ServiceModel(
+        self.model = StallingModel(
             setup_s=tuple(t * scale for t in base.setup_s),
             per_row_s=tuple(t * scale for t in base.per_row_s))
         self.full = False
@@ -246,8 +260,8 @@ class Simulated(Driver):
             self.result = simulate_serving(
                 self.ladder,
                 [Arrival(1.0, TENANT, deadline_seconds, min_snr_db)] * count,
-                model=self.model, qos=gold_qos(),
-                queue_limit=self.queue_limit, max_batch=K + 1,  # on the timer
+                model=replace(self.model, stall=self.stall), qos=gold_qos(),
+                queue_limit=self.queue_limit, max_batch=K + 1,  # never full
                 window_seconds=self.window_seconds)
         finally:
             loadgen._Admission = admission
@@ -376,12 +390,8 @@ def scenario_floor(d):
 
 
 def scenario_overrun(d):
-    if d.name == "simulate_serving":
-        # admitted on the model's seconds; the window wait is on top
-        deadline, d.window_seconds = d.seconds(0) * (K + 1), 1.0
-    else:
-        deadline, d.stall = 5.0, 10.0
-    check(d, d.submit(deadline, FLOOR_DB), "DeadlineExceeded")
+    d.stall = 10.0  # admitted on what was projected; the stall is on top
+    check(d, d.submit(5.0, FLOOR_DB), "DeadlineExceeded")
 
 
 def scenario_step_down(d):
