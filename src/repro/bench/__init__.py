@@ -23,15 +23,14 @@ from repro.bench.runner import (
     table2_rows,
 )
 from repro.bench.apidoc import build_apidoc, write_apidoc
-from repro.bench.chaosparallel import render_chaos_exhibit, run_chaos_exhibit
-from repro.bench.degrade import degrade_sweep_rows, render_degrade_sweep
+from repro.bench.chaosparallel import run_chaos_exhibit
+from repro.bench.degrade import degrade_sweep_rows
 from repro.bench.exhibits import EXHIBITS, Exhibit, run_exhibit
 from repro.bench.figures import FIGURES, Figure
 from repro.bench.parallelbench import (
     available_cpus,
     measure_parallel_soi,
     parallel_soi_params,
-    render_parallel_table,
     speedup_floor,
 )
 from repro.bench.report import build_report, write_report
@@ -74,9 +73,6 @@ __all__ = [
     "parallel_soi_params",
     "random_complex",
     "render_bars",
-    "render_chaos_exhibit",
-    "render_degrade_sweep",
-    "render_parallel_table",
     "render_series",
     "render_table",
     "run_chaos_exhibit",

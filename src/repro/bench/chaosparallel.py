@@ -17,9 +17,9 @@ healed pool must keep :data:`THROUGHPUT_FLOOR` of the pre-failure rate
 (judged only where the host can schedule every worker at once;
 otherwise the ratio measures the scheduler and the gate is skipped).
 
-``python -m repro chaos-parallel`` renders the scenario table and writes
-it to ``benchmarks/results/chaos_parallel.txt`` (the CI artifact),
-exiting non-zero unless every scenario passes.
+``python -m repro chaos-parallel`` writes :func:`build`'s scenario table
+to ``benchmarks/results/chaos_parallel.txt`` (the CI artifact), exiting
+non-zero unless every scenario passes.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import time
 
 import numpy as np
 
+from repro.bench.tables import render_table
 from repro.cluster.backends import ProcessBackend
 from repro.cluster.faults import ProcessFault, ProcessFaultPlan
 from repro.cluster.shm import list_segments
@@ -38,7 +39,7 @@ from repro.verify import HedgePolicy
 
 from repro.bench.parallelbench import available_cpus, parallel_soi_params
 
-__all__ = ["render_chaos_exhibit", "run_chaos_exhibit"]
+__all__ = ["build", "run_chaos_exhibit"]
 
 MTTR_CEILING_S = 5.0  # failure detection -> recovered result
 THROUGHPUT_FLOOR = 0.5  # healed-pool / pre-failure clean-run rate
@@ -159,51 +160,46 @@ def run_chaos_exhibit(n: int = 2 ** 14, workers: int = 4, seed: int = 2013,
     want = spmd_soi_fft(SimCluster(workers), params, x)
     rows = [_run_scenario(scn, params, x, want, workers, hang_timeout)
             for scn in _scenarios(workers)]
-    healed = [r for r in rows if r["expect"] == "recovered"]
-    cpus = available_cpus()
     return {
         "n": n,
         "workers": workers,
         "seed": seed,
         "hang_timeout_s": hang_timeout,
-        "cpus": cpus,
+        "cpus": available_cpus(),
         "rows": rows,
-        "gates": {
-            "bitwise_zero_leak": all(r["ok"] for r in rows),
-            "mttr_ceiling": all(r["mttr_s"] is not None
-                                and r["mttr_s"] <= MTTR_CEILING_S
-                                for r in healed),
-            "throughput_floor": f"{cpus} cpu(s) < {workers} workers"
-            if cpus < workers else all(
-                r["throughput"] is not None
-                and r["throughput"] >= THROUGHPUT_FLOOR for r in healed),
-        },
     }
 
 
-def render_chaos_exhibit(result: dict) -> str:
-    """Fixed-width scenario table (CLI / CI artifact output)."""
-    lines = [
-        f"process-level chaos on the real-parallel backend — "
-        f"n=2^{int(np.log2(result['n']))} ({result['n']}), "
-        f"{result['workers']} workers, {result['cpus']} cpu(s) visible, "
-        f"hang timeout {result['hang_timeout_s']:.1f}s",
-        f"{'scenario':<26} {'expected':<12} {'dead':<8} {'mttr':>9} "
-        f"{'healed':>7} {'wall':>9} {'bitwise':>8} {'leaks':>6} "
-        f"{'verdict':>8}",
-    ]
-    for r in result["rows"]:
-        mttr = f"{r['mttr_s'] * 1e3:7.1f} ms" if r["mttr_s"] is not None \
-            else "      —  "
-        healed = f"{r['throughput']:6.2f}x" if r["throughput"] is not None \
-            else "     — "
-        dead = ",".join(map(str, r["dead"])) if r["dead"] else "—"
-        lines.append(
-            f"{r['name']:<26} {r['expect']:<12} {dead:<8} {mttr:>9} "
-            f"{healed:>7} {r['wall_s']:>7.2f} s "
-            f"{'ok' if r['bitwise'] else 'MISMATCH':>8} {r['leaks']:>6d} "
-            f"{'PASS' if r['ok'] else 'FAIL':>8}")
-    lines.append(f"healed = clean-run rate on the healed pool / before the "
-                 f"fault (floor {THROUGHPUT_FLOOR}); mttr ceiling "
-                 f"{MTTR_CEILING_S:.0f} s")
-    return "\n".join(lines)
+def build(result: dict) -> tuple[str, dict]:
+    """The ``chaos-parallel`` exhibit: ``(text, gates)`` from one
+    :func:`run_chaos_exhibit` result, every gate judged from its rows."""
+    rows = result["rows"]
+    healed = [r for r in rows if r["expect"] == "recovered"]
+    cpus, workers = result["cpus"], result["workers"]
+    text = "\n".join([
+        render_table(
+            ["scenario", "expected", "dead", "mttr", "healed", "wall",
+             "bitwise", "leaks", "verdict"],
+            [[r["name"], r["expect"], ",".join(map(str, r["dead"])) or "—",
+              "—" if r["mttr_s"] is None else f"{r['mttr_s'] * 1e3:.1f} ms",
+              "—" if r["throughput"] is None
+              else f"{r['throughput']:.2f}x",
+              f"{r['wall_s']:.2f} s", "ok" if r["bitwise"] else "MISMATCH",
+              r["leaks"], "PASS" if r["ok"] else "FAIL"] for r in rows],
+            title=f"process-level chaos on the real-parallel backend — "
+                  f"n=2^{int(np.log2(result['n']))} ({result['n']}), "
+                  f"{workers} workers, {cpus} cpu(s) visible, hang timeout "
+                  f"{result['hang_timeout_s']:.1f}s"),
+        f"healed = clean-run rate on the healed pool / before the fault "
+        f"(floor {THROUGHPUT_FLOOR}); mttr ceiling {MTTR_CEILING_S:.0f} s",
+    ])
+    return text, {
+        "bitwise_zero_leak": all(r["ok"] for r in rows),
+        "mttr_ceiling": all(r["mttr_s"] is not None
+                            and r["mttr_s"] <= MTTR_CEILING_S
+                            for r in healed),
+        "throughput_floor": f"{cpus} cpu(s) < {workers} workers"
+        if cpus < workers else all(
+            r["throughput"] is not None
+            and r["throughput"] >= THROUGHPUT_FLOOR for r in healed),
+    }

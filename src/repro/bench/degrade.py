@@ -8,20 +8,20 @@ measures it — every rung of the standard ladder transforms the same
 random input, the output is compared against ``np.fft.fft`` with
 :func:`repro.util.validate.spectral_snr`, and the delta must sit within
 the acceptance band (measured >= predicted, and within ``TOLERANCE_DB``
-of it).  Rendered by ``python -m repro degrade-sweep`` into
-``benchmarks/results/degradation_ladder.txt``.
+of it).  ``python -m repro degrade-sweep`` writes :func:`build`'s table
+to ``benchmarks/results/degradation_ladder.txt``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.bench.tables import render_table
 from repro.core.soi_single import SoiFFT
 from repro.resilience.ladder import DegradationLadder
 from repro.util.validate import spectral_snr
 
-__all__ = ["DEFAULT_N", "TOLERANCE_DB", "degrade_sweep_rows",
-           "render_degrade_sweep"]
+__all__ = ["DEFAULT_N", "TOLERANCE_DB", "build", "degrade_sweep_rows"]
 
 #: Default problem size: 8 segments of M = 1344, giving M' in {1536,
 #: 1680, 1792} across the candidate oversamplings — all (2,3,5,7)-smooth,
@@ -57,35 +57,28 @@ def degrade_sweep_rows(n: int = DEFAULT_N, seed: int = 0) -> list[dict]:
     return rows
 
 
-def render_degrade_sweep(n: int = DEFAULT_N, seed: int = 0) -> str:
-    """The ladder table with measured-vs-predicted verdicts."""
+def build(n: int = DEFAULT_N, seed: int = 0) -> tuple[str, dict]:
+    """The ``degrade-sweep`` exhibit: ``(text, {"snr_band": verdict})``,
+    the ladder table and the gate judged from the same rows."""
     rows = degrade_sweep_rows(n, seed)
-    lines = [
+    good = [0.0 <= r["delta_db"] <= TOLERANCE_DB for r in rows]
+    text = "\n".join([
         f"Degradation ladder at N = {n} (seed {seed})",
         "",
         "Predicted SNR: exact alias model (per-bin demod-normalized power"
-        f" sum) minus {5.0:.0f} dB",
+        " sum) minus 5 dB",
         "fine-grid resampling headroom; measured: spectral SNR vs"
         " np.fft.fft on flat random input.",
         f"Acceptance: 0 <= measured - predicted <= {TOLERANCE_DB:.0f} dB.",
         "",
-        "rung  mu    B   dtype       predicted    measured      delta"
-        "   verdict",
-        "----  ----  --  ----------  -----------  -----------  ------"
-        "   -------",
-    ]
-    worst = 0.0
-    ok = True
-    for r in rows:
-        good = 0.0 <= r["delta_db"] <= TOLERANCE_DB
-        ok &= good
-        worst = max(worst, abs(r["delta_db"]))
-        lines.append(
-            f"{r['rung']:>4d}  {r['mu']:<4s}  {r['b']:>2d}  "
-            f"{r['dtype']:<10s}  {r['predicted_db']:>8.1f} dB  "
-            f"{r['measured_db']:>8.1f} dB  {r['delta_db']:>+5.1f}   "
-            f"{'ok' if good else 'FAIL'}")
-    lines.append("")
-    lines.append(f"worst |delta| = {worst:.2f} dB "
-                 f"({'all rungs within band' if ok else 'BAND VIOLATED'})")
-    return "\n".join(lines)
+        render_table(
+            ["rung", "mu", "B", "dtype", "predicted", "measured", "delta",
+             "verdict"],
+            [[r["rung"], r["mu"], r["b"], r["dtype"],
+              f"{r['predicted_db']:.1f} dB", f"{r['measured_db']:.1f} dB",
+              f"{r['delta_db']:+.1f}", "ok" if g else "FAIL"]
+             for r, g in zip(rows, good)]),
+        "",
+        f"worst |delta| = {max(abs(r['delta_db']) for r in rows):.2f} dB",
+    ])
+    return text, {"snr_band": all(good)}

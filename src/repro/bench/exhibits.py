@@ -130,67 +130,50 @@ def batch_overhead(rounds: int = 8, **instrumented) -> dict:
 # -- one run(args) per verb ---------------------------------------------------
 
 def _fault_sweep(args) -> dict:
-    from repro.bench.faultsweep import (
-        DEFAULT_RATES,
-        DEFAULT_SEEDS,
-        render_abft_coverage,
-        render_fault_sweep,
-    )
+    from repro.bench.faultsweep import DEFAULT_RATES, DEFAULT_SEEDS, build
 
     rates = (0.0, 0.002, 0.01) if args.quick else DEFAULT_RATES
     seeds = DEFAULT_SEEDS[:2] if args.quick else DEFAULT_SEEDS
-    return {"text": render_fault_sweep(rates, seeds, p=args.ranks) + "\n\n"
-            + render_abft_coverage(seeds=seeds)}
+    text, gates = build(rates, seeds, p=args.ranks)
+    return {"text": text, "gates": gates}
 
 
 def _scale_chaos(args) -> dict:
-    from repro.bench.scalechaos import render_scale_chaos
+    from repro.bench import scalechaos
 
-    text = render_scale_chaos(quick=args.quick, seed=args.seed)
-    return {"text": text, "gates": {"bitwise": "MISMATCH" not in text}}
+    text, gates = scalechaos.build(quick=args.quick, seed=args.seed)
+    return {"text": text, "gates": gates}
 
 
 def _degrade_sweep(args) -> dict:
-    from repro.bench.degrade import DEFAULT_N, render_degrade_sweep
+    from repro.bench import degrade
 
-    text = render_degrade_sweep(DEFAULT_N if args.n is None else args.n,
-                                seed=args.seed)
-    return {"text": text,
-            "gates": {"snr_band": "FAIL" not in text
-                      and "VIOLATED" not in text}}
+    text, gates = degrade.build(
+        degrade.DEFAULT_N if args.n is None else args.n, seed=args.seed)
+    return {"text": text, "gates": gates}
 
 
 def _parallel_bench(args) -> dict:
-    from repro.bench.parallelbench import (
-        measure_parallel_soi,
-        render_parallel_table,
-        speedup_floor,
-    )
+    from repro.bench import parallelbench
 
     n = args.n if args.n is not None else (2 ** 18 if args.quick else 2 ** 22)
     reps = args.reps if args.reps is not None else (1 if args.quick else 2)
-    result = measure_parallel_soi(
+    result = parallelbench.measure_parallel_soi(
         n=n, workers=tuple(int(w) for w in args.workers.split(",")),
         reps=reps, segments_per_process=args.segments,
         start_method=args.start_method, seed=args.seed)
-    return {"text": render_parallel_table(result), "json": result,
-            "gates": {
-                "bitwise": all(r["bitwise_equal"] for r in result["rows"]),
-                # one rep of a dispatch-bound size is not a scaling number
-                "speedup_floor": "--quick sizes" if args.quick
-                else speedup_floor(result)}}
+    text, gates = parallelbench.build(result, quick=args.quick)
+    return {"text": text, "json": result, "gates": gates}
 
 
 def _chaos_parallel(args) -> dict:
-    from repro.bench.chaosparallel import (
-        render_chaos_exhibit,
-        run_chaos_exhibit,
-    )
+    from repro.bench import chaosparallel
 
     n = args.n if args.n is not None else (2 ** 13 if args.quick else 2 ** 14)
-    result = run_chaos_exhibit(n=n, workers=args.workers, seed=args.seed,
-                               hang_timeout=args.hang_timeout)
-    return {"text": render_chaos_exhibit(result), "gates": result["gates"]}
+    text, gates = chaosparallel.build(chaosparallel.run_chaos_exhibit(
+        n=n, workers=args.workers, seed=args.seed,
+        hang_timeout=args.hang_timeout))
+    return {"text": text, "gates": gates}
 
 
 def _serve_bench(args) -> dict:
@@ -406,12 +389,16 @@ _SOI_GEOMETRY = (
 
 EXHIBITS: tuple[Exhibit, ...] = (
     Exhibit("fault-sweep", "makespan inflation vs fault rate (SOI vs CT) "
-            "and ABFT detection coverage", _fault_sweep, flags=(
+            "and ABFT detection coverage", _fault_sweep,
+            "benchmarks/results/fault_sweep.txt", (
                 _flag("--quick", action="store_true",
                       help="fewer rates/seeds"),
                 _flag("--ranks", type=int, default=8))),
     Exhibit("scale-chaos", "correlated failures and partitions at "
-            "10^3-10^4 ranks", _scale_chaos, flags=(
+            "10^3-10^4 ranks (full mode needs more than 8 GiB of memory "
+            "and many minutes: its 4096-rank partition series alone peaks "
+            "at 7.4 GiB)", _scale_chaos,
+            "benchmarks/results/scale_chaos.txt", (
                 _flag("--quick", action="store_true",
                       help="stop at 1024 ranks (full mode adds 4096 and "
                            "the 1024-rank end-to-end SOI recovery)"),

@@ -26,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.baseline.ct_dist import DistributedCooleyTukeyFFT
 from repro.baseline.fft2d_dist import Distributed2dFFT
 from repro.bench.runner import (
     N_PER_NODE,
@@ -39,6 +38,8 @@ from repro.bench.runner import (
     fig12_rows,
     headline_numbers,
     paper_scale_model,
+    run_ct,
+    run_soi,
     table2_rows,
 )
 from repro.bench.tables import render_bars, render_series, render_table
@@ -61,7 +62,6 @@ from repro.cluster.topology import Torus
 from repro.core.convolution import ConvStrategy
 from repro.core.params import SoiParams
 from repro.core.segments import segments_for_machines
-from repro.core.soi_dist import DistributedSoiFFT
 from repro.core.soi_hetero import HeterogeneousSoiFFT
 from repro.core.soi_single import SoiFFT
 from repro.core.window import GaussianSincWindow
@@ -111,22 +111,6 @@ def _rising(values) -> bool:
 
 def _falling(values) -> bool:
     return all(a >= b for a, b in zip(values, values[1:]))
-
-
-def _run_soi(cluster: SimCluster, x: np.ndarray, segments: int) -> SimCluster:
-    """One distributed SOI transform of *x* (mu = 8/7, B = 48) on *cluster*."""
-    soi = DistributedSoiFFT(cluster, SoiParams(
-        n=x.size, n_procs=cluster.n_ranks, segments_per_process=segments,
-        n_mu=8, d_mu=7, b=48))
-    soi(soi.scatter(x))
-    return cluster
-
-
-def _run_ct(cluster: SimCluster, x: np.ndarray) -> SimCluster:
-    """One distributed in-order Cooley-Tukey transform of *x* on *cluster*."""
-    ct = DistributedCooleyTukeyFFT(cluster, x.size)
-    ct(ct.scatter(x))
-    return cluster
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +214,8 @@ def _fig8_executed_miniature():
     rows = []
     for p in (2, 4, 8):
         x = np.random.default_rng(1).standard_normal(4 * 448 * p) + 0j
-        soi = _run_soi(SimCluster(p), x, segments=2)
-        ct = _run_ct(SimCluster(p), x)
+        soi = run_soi(SimCluster(p), x, segments=2)
+        ct = run_ct(SimCluster(p), x)
         rows.append([p, round(soi.elapsed * 1e3, 4),
                      round(ct.elapsed * 1e3, 4),
                      soi.comm.bytes_moved, ct.comm.bytes_moved])
@@ -322,9 +306,9 @@ def _fig9_breakdown():
 
 
 def _fig9_executed_breakdown():
-    cl = _run_soi(SimCluster(4),
-                  np.random.default_rng(2).standard_normal(8 * 448) + 0j,
-                  segments=2)
+    cl = run_soi(SimCluster(4),
+                 np.random.default_rng(2).standard_normal(8 * 448) + 0j,
+                 segments=2)
     return render_table(
         ["component", "simulated time"],
         [[k, f"{v * 1e6:.2f} us"] for k, v in sorted(cl.breakdown().items())],
@@ -334,9 +318,9 @@ def _fig9_executed_breakdown():
 
 def _overlap_replay():
     """Post-process an executed distributed run into Fig 9 quantities."""
-    cl = _run_soi(SimCluster(4),
-                  np.random.default_rng(14).standard_normal(16 * 448) + 0j,
-                  segments=4)
+    cl = run_soi(SimCluster(4),
+                 np.random.default_rng(14).standard_normal(16 * 448) + 0j,
+                 segments=4)
     rows = []
     for segments in (1, 2, 4, 8):
         r = replay_with_overlap(cl.trace, rank=0, segments=segments)
@@ -657,8 +641,8 @@ def _dimensionality():
     cl2d = SimCluster(p)
     f2 = Distributed2dFFT(cl2d, 64, n // 64)
     f2(f2.scatter(x.reshape(64, n // 64)))
-    cl_soi = _run_soi(SimCluster(p), x, segments=4)
-    cl_ct = _run_ct(SimCluster(p), x)
+    cl_soi = run_soi(SimCluster(p), x, segments=4)
+    cl_ct = run_ct(SimCluster(p), x)
     unit = 16 * n * (p - 1) / p  # one plain exchange
     rows = [[label, cl.comm.bytes_moved, round(cl.comm.bytes_moved / unit, 2)]
             for label, cl in (("2-D FFT (64 x 112)", cl2d),
@@ -767,8 +751,8 @@ def _noise_stragglers():
             # a NoiseModel owns its random stream: one per cluster
             noisy_cluster(cl_soi, NoiseModel(**noise))
             noisy_cluster(cl_ct, NoiseModel(**noise))
-        _run_soi(cl_soi, x, segments=2)
-        _run_ct(cl_ct, x)
+        run_soi(cl_soi, x, segments=2)
+        run_ct(cl_ct, x)
         rows.append([label, round(cl_soi.elapsed * 1e6, 2),
                      round(cl_ct.elapsed * 1e6, 2)])
     text = render_table(["condition", "SOI elapsed (us)", "CT elapsed (us)"],

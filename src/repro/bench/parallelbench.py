@@ -22,13 +22,14 @@ import time
 
 import numpy as np
 
+from repro.bench.tables import render_table
 from repro.cluster.backends import ProcessBackend
 from repro.cluster.simcluster import SimCluster
 from repro.core.params import SoiParams
 from repro.core.soi_dist import DistributedSoiFFT
 
-__all__ = ["available_cpus", "measure_parallel_soi", "parallel_soi_params",
-           "render_parallel_table", "speedup_floor"]
+__all__ = ["available_cpus", "build", "measure_parallel_soi",
+           "parallel_soi_params", "speedup_floor"]
 
 #: The wall-clock floor of ``python -m repro parallel-bench``: the
 #: process backend on this many workers must beat the rank-serial run by
@@ -136,24 +137,28 @@ def speedup_floor(result: dict) -> bool | str:
     return row["speedup"] >= SPEEDUP_FLOOR
 
 
-def render_parallel_table(result: dict) -> str:
-    """Fixed-width table of the scaling rows (CLI / artifact output)."""
-    lines = [
-        f"real-parallel SOI scaling — n=2^{int(np.log2(result['n']))} "
-        f"({result['n']}), {result['cpus']} cpu(s) visible, "
-        f"start method {result['start_method']}",
-        f"{'workers':>8} {'serial':>12} {'parallel':>12} {'speedup':>9} "
-        f"{'model':>12} {'model x':>9} {'bitwise':>8}",
-    ]
-    for r in result["rows"]:
-        lines.append(
-            f"{r['workers']:>8d} {r['serial_s'] * 1e3:>10.1f} ms "
-            f"{r['parallel_s'] * 1e3:>10.1f} ms {r['speedup']:>8.2f}x "
-            f"{r['model_s'] * 1e3:>10.3f} ms "
-            f"{(r['model_predicted_speedup'] or 0):>8.2f}x "
-            f"{'ok' if r['bitwise_equal'] else 'MISMATCH':>8}")
-    if result["cpus"] < max(r["workers"] for r in result["rows"]):
+def build(result: dict, quick: bool = False) -> tuple[str, dict]:
+    """The ``parallel-bench`` exhibit: ``(text, gates)`` from one
+    :func:`measure_parallel_soi` result.  A *quick* run times
+    dispatch-bound sizes once, which is not a scaling number, so its
+    floor is skipped."""
+    rows = result["rows"]
+    lines = [render_table(
+        ["workers", "serial", "parallel", "speedup", "model", "model x",
+         "bitwise"],
+        [[r["workers"], f"{r['serial_s'] * 1e3:.1f} ms",
+          f"{r['parallel_s'] * 1e3:.1f} ms", f"{r['speedup']:.2f}x",
+          f"{r['model_s'] * 1e3:.3f} ms",
+          f"{(r['model_predicted_speedup'] or 0):.2f}x",
+          "ok" if r["bitwise_equal"] else "MISMATCH"] for r in rows],
+        title=f"real-parallel SOI scaling — "
+              f"n=2^{int(np.log2(result['n']))} ({result['n']}), "
+              f"{result['cpus']} cpu(s) visible, start method "
+              f"{result['start_method']}")]
+    if result["cpus"] < max(r["workers"] for r in rows):
         lines.append(f"note: only {result['cpus']} cpu(s) visible — "
                      f"wall-clock speedup is capped by the host, not the "
                      f"backend")
-    return "\n".join(lines)
+    return "\n".join(lines), {
+        "bitwise": all(r["bitwise_equal"] for r in rows),
+        "speedup_floor": "--quick sizes" if quick else speedup_floor(result)}

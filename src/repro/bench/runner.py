@@ -17,9 +17,12 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.baseline.ct_dist import DistributedCooleyTukeyFFT
 from repro.cluster.network import STAMPEDE_EFFECTIVE, NetworkSpec
+from repro.cluster.simcluster import SimCluster
 from repro.core.convolution import ConvStrategy, conv_time_model
 from repro.core.params import SoiParams
+from repro.core.soi_dist import DistributedSoiFFT
 from repro.core.soi_single import SoiFFT
 from repro.machine.spec import XEON_E5_2680, XEON_PHI_SE10
 from repro.perfmodel.localfft import LOCAL_FFT_VARIANTS, local_fft_gflops
@@ -38,6 +41,8 @@ __all__ = [
     "fig12_rows",
     "headline_numbers",
     "paper_scale_model",
+    "run_ct",
+    "run_soi",
     "segments_for_nodes",
     "table2_rows",
 ]
@@ -81,6 +86,24 @@ def paper_scale_model(nodes: int, *, algorithm_mu=(8, 7), b: int = 72,
         segments_per_process=segments_for_nodes(nodes),
         use_packet_model=packet_model,
     )
+
+
+def run_soi(cluster: SimCluster, x: np.ndarray,
+            segments: int = 1) -> SimCluster:
+    """One distributed SOI transform of *x* (mu = 8/7, B = 48) on *cluster*
+    (and whatever fault plan the caller installed on it)."""
+    soi = DistributedSoiFFT(cluster, SoiParams(
+        n=x.size, n_procs=cluster.n_ranks, segments_per_process=segments,
+        n_mu=8, d_mu=7, b=48))
+    soi(soi.scatter(x))
+    return cluster
+
+
+def run_ct(cluster: SimCluster, x: np.ndarray) -> SimCluster:
+    """One distributed in-order Cooley-Tukey transform of *x* on *cluster*."""
+    ct = DistributedCooleyTukeyFFT(cluster, x.size)
+    ct(ct.scatter(x))
+    return cluster
 
 
 # ---------------------------------------------------------------------------

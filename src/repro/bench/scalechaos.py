@@ -27,8 +27,9 @@ per fabric size:
 
 Full mode adds the 4096-rank fabric and an end-to-end distributed SOI
 run at 1024 ranks with a dead leaf switch (domain-aware recovery with
-per-domain MTTR).  ``python -m repro scale-chaos`` writes the whole
-exhibit to ``benchmarks/results/scale_chaos.txt``.
+per-domain MTTR).  ``python -m repro scale-chaos`` writes :func:`build`'s
+exhibit to ``benchmarks/results/scale_chaos.txt``; full mode does not fit
+in 8 GiB (the 4096-rank partition series alone peaks at 7.4 GiB).
 """
 
 from __future__ import annotations
@@ -52,11 +53,11 @@ from repro.cluster.topology import FatTree
 __all__ = [
     "DEFAULT_SIZES",
     "FULL_SIZES",
+    "build",
     "degraded_uplink_rows",
     "exchange_rows",
     "fabric_for",
     "partition_rows",
-    "render_scale_chaos",
     "soi_domain_recovery",
     "switch_failure_rows",
 ]
@@ -368,13 +369,25 @@ def soi_domain_recovery(n_ranks: int = 1024, seed: int = DEFAULT_SEED
 
 
 # ---------------------------------------------------------------------------
-# Rendering
+# The exhibit
 # ---------------------------------------------------------------------------
 
-def render_scale_chaos(quick: bool = False,
-                       seed: int = DEFAULT_SEED) -> str:
+def build(quick: bool = False, seed: int = DEFAULT_SEED) -> tuple[str, dict]:
+    """The ``scale-chaos`` exhibit: ``(text, {gate: verdict})``, each
+    series' gate judged from its own rows."""
     sizes = DEFAULT_SIZES if quick else FULL_SIZES
-    parts = [
+    exchange = exchange_rows(sizes, seed)
+    degraded = degraded_uplink_rows(sizes, seed)
+    switch = switch_failure_rows(sizes, seed)
+    partition = partition_rows(sizes, seed)
+    soi = soi_domain_recovery(64 if quick else 1024, seed)
+
+    def ok(flag: bool) -> str:
+        return "ok" if flag else "MISMATCH"
+
+    mttr = ", ".join(f"domain {d}: {t * 1e3:.3f} ms"
+                     for d, t in sorted(soi["mttr_by_domain"].items()))
+    text = "\n".join([
         "scale-chaos: correlated failures, partitions, and the two-level "
         "exchange",
         f"fabric: two-level fat tree, radix 2*sqrt(P) (sqrt(P) ranks per "
@@ -385,8 +398,7 @@ def render_scale_chaos(quick: bool = False,
              "hier sim s", "speedup", "bitwise"],
             [[r["ranks"], r["groups"], r["flat_msgs"], r["hier_msgs"],
               r["flat_sim_s"], r["hier_sim_s"], r["speedup"],
-              "ok" if r["bitwise_equal"] else "MISMATCH"]
-             for r in exchange_rows(sizes, seed)],
+              ok(r["bitwise_equal"])] for r in exchange],
             title="flat vs hierarchical all-to-all (one element per pair; "
                   "Fig 8 shape)"),
         "",
@@ -395,8 +407,7 @@ def render_scale_chaos(quick: bool = False,
              "slowdown", "losses", "retries", "complete"],
             [[r["ranks"], r["degraded_links"], r["clean_sim_s"],
               r["degraded_sim_s"], r["slowdown"], r["losses"], r["retries"],
-              "ok" if r["complete"] else "MISMATCH"]
-             for r in degraded_uplink_rows(sizes, seed)],
+              ok(r["complete"])] for r in degraded],
             title="degraded uplink (one leaf at 25% bandwidth with packet "
                   "loss: retries ride it out)"),
         "",
@@ -404,27 +415,19 @@ def render_scale_chaos(quick: bool = False,
             ["ranks", "victim", "dead", "detect sim s", "mttr sim s",
              "survivors", "bitwise-vs-fresh"],
             [[r["ranks"], r["victim_domain"], r["dead"], r["detect_sim_s"],
-              r["mttr_sim_s"], r["survivors"],
-              "ok" if r["bitwise_equal"] else "MISMATCH"]
-             for r in switch_failure_rows(sizes, seed)],
+              r["mttr_sim_s"], r["survivors"], ok(r["bitwise_equal"])]
+             for r in switch],
             title="one switch down mid-exchange (correlated domain "
                   "failure; shrink to survivors)"),
         "",
         render_table(
             ["ranks", "census", "quorum", "majority", "aborted",
              "detect sim s", "bitwise-vs-fresh"],
-            [[r["ranks"], r["census"],
-              "yes" if r["quorum"] else "no", r["majority"], r["aborted"],
-              r["detect_sim_s"],
-              "ok" if r["bitwise_equal"] else "MISMATCH"]
-             for r in partition_rows(sizes, seed)],
+            [[r["ranks"], r["census"], "yes" if r["quorum"] else "no",
+              r["majority"], r["aborted"], r["detect_sim_s"],
+              ok(r["bitwise_equal"])] for r in partition],
             title="fabric partition along domain boundaries (majority "
                   "shrinks, minority aborts)"),
-    ]
-    soi = soi_domain_recovery(64 if quick else 1024, seed)
-    mttr = ", ".join(f"domain {d}: {t * 1e3:.3f} ms"
-                     for d, t in sorted(soi["mttr_by_domain"].items()))
-    parts += [
         "",
         f"distributed SOI at {soi['ranks']} ranks (N = {soi['n']}) with a "
         f"dead {soi['domain_kind']}:",
@@ -437,5 +440,11 @@ def render_scale_chaos(quick: bool = False,
         f"(miniature mu=2, B=4 design: accuracy floor is the design's, "
         f"not recovery's)",
         "",
-    ]
-    return "\n".join(parts)
+    ])
+    return text, {
+        "exchange_bitwise": all(r["bitwise_equal"] for r in exchange),
+        "degraded_complete": all(r["complete"] for r in degraded),
+        "switch_bitwise": all(r["bitwise_equal"] for r in switch),
+        "partition_bitwise": all(r["bitwise_equal"] for r in partition),
+        "soi_recovery_bitwise": soi["bitwise_equal"],
+    }

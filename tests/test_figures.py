@@ -5,6 +5,7 @@ producer of every file no other exhibit verb writes; this module holds
 the checked-in files to it, and each check to a mutant that turns it red.
 """
 
+import ast
 import contextlib
 import io
 import re
@@ -21,9 +22,9 @@ from repro.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 RESULTS = ROOT / "benchmarks" / "results"
 
-#: files a verb writes only when told where: these two rows print only by
-#: default, and the wisdom store is ``autotune --wisdom``'s default
-ON_REQUEST = ("fault_sweep.txt", "scale_chaos.txt", "wisdom.json")
+#: files no ``--output`` default names: the wisdom store is
+#: ``autotune --wisdom``'s default
+ON_REQUEST = ("wisdom.json",)
 
 
 def producers() -> list[str]:
@@ -95,6 +96,13 @@ class TestOneProducerNoDrift:
         (copy / "orphan.txt").write_text("a table no row writes\n")
         assert drift(copy, fresh) == ["orphan.txt: 0 producers"]
 
+    def test_fault_sweep_file_is_its_producer(self, tmp_path, capsys):
+        # full mode, ~1 s: the verb's default --output is the checked-in file
+        fresh = tmp_path / "fault_sweep.txt"
+        assert main(["fault-sweep", "--output", str(fresh)]) == 0
+        assert capsys.readouterr().out.endswith("fault-sweep: PASS\n")
+        assert fresh.read_bytes() == (RESULTS / "fault_sweep.txt").read_bytes()
+
     def test_mutant_failed_gate_of_any_row_fails_the_verb(self, monkeypatch,
                                                           capsys):
         row = exhibits.FIGURES[0]
@@ -103,6 +111,42 @@ class TestOneProducerNoDrift:
         assert main(["figures"]) == 1
         assert capsys.readouterr().out.endswith(
             f"figures: FAIL ({row.name}.bound)\n")
+
+
+#: a format spec that pads its field to a width (``>8``, ``<26``, ``8.3f``)
+_WIDTH = re.compile(r"[<>=^]?[+\- ]?#?0?\d")
+
+
+def hand_aligned(source: str) -> list[int]:
+    """Lines of hand-aligned table rows: an f-string padding three or more
+    fields to a width, or a ``ljust`` / ``rjust`` / ``center`` call.  A
+    label/value list (Fig 12's lanes, the verdict lines) pads at most two."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.JoinedStr):
+            padded = [v for v in node.values
+                      if isinstance(v, ast.FormattedValue) and v.format_spec
+                      and _WIDTH.match("".join(
+                          c.value for c in v.format_spec.values
+                          if isinstance(c, ast.Constant)))]
+            if len(padded) >= 3:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func,
+                                                       ast.Attribute) \
+                and node.func.attr in ("ljust", "rjust", "center"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+#: the parent's ladder row, verbatim
+HAND_ALIGNED_ROW = '''
+lines.append(
+    f"{r['rung']:>4d}  {r['mu']:<4s}  {r['b']:>2d}  "
+    f"{r['dtype']:<10s}  {r['predicted_db']:>8.1f} dB  "
+    f"{r['measured_db']:>8.1f} dB  {r['delta_db']:>+5.1f}   "
+    f"{'ok' if good else 'FAIL'}")
+header = " ".join(h.rjust(9) for h in headers)
+'''
 
 
 class TestHeadersOnce:
@@ -126,3 +170,13 @@ class TestHeadersOnce:
                  for line in path.read_text().splitlines()
                  if re.search(r'"exposed MPI( \(s\))?"', line)]
         assert sites == ["figures.py", "runner.py"]
+
+    def test_no_table_is_hand_aligned_outside_the_renderer(self):
+        found = {path.name: hand_aligned(path.read_text())
+                 for path in sorted((self.SRC / "bench").glob("*.py"))
+                 if path.name != "tables.py"}
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+    def test_mutant_hand_aligned_rows_are_caught(self):
+        assert hand_aligned(HAND_ALIGNED_ROW) == [3, 7]
+        assert hand_aligned((self.SRC / "bench" / "tables.py").read_text())

@@ -12,10 +12,13 @@ kept out of the default run only because 1024-rank exchanges take tens
 of wall-clock seconds each.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.bench.scalechaos import (
+    build,
     exchange_rows,
     fabric_for,
     partition_rows,
@@ -98,6 +101,24 @@ class TestSeededReproducibility:
         # the loss draws are seeded; distinct seeds give distinct drops
         assert (a["losses"], a["degraded_sim_s"]) != \
             (b["losses"], b["degraded_sim_s"])
+
+
+class TestCheckedInExhibit:
+    def test_quick_rows_match_the_full_mode_file(self):
+        """Full mode does not fit an 8 GiB host, so this is the drift check
+        ``scale_chaos.txt`` gets there: every 64/256/1024-rank row of the
+        four tables, whitespace-normalised (column widths follow the
+        widest cell, and full mode adds 4096-rank cells)."""
+        def rows(text):
+            return [" ".join(line.split()) for line in text.splitlines()
+                    if line.split()[:1] in (["64"], ["256"], ["1024"])]
+
+        text, gates = build(quick=True)
+        checked_in = (Path(__file__).resolve().parents[1] / "benchmarks"
+                      / "results" / "scale_chaos.txt").read_text()
+        assert all(v is True for v in gates.values())
+        assert len(rows(text)) == 12
+        assert rows(text) == rows(checked_in)
 
 
 class TestSoiAtScale:
