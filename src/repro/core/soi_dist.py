@@ -12,6 +12,9 @@ as the generator :func:`soi_rank_program` every participant runs:
 * a length-M' FFT and demodulation per owned segment, leaving the output
   in natural order, block-distributed like the input.
 
+Each local step runs a kernel of the geometry's single-node plan
+(:meth:`repro.core.soi_single.SoiFFT._of`): one kernel set per node.
+
 *Who* computes which rows and owns which segments is data, not code: an
 :class:`Ownership` map.  Fault-free execution is the identity map,
 shrink-and-redistribute recovery the map :meth:`Ownership.after_failures`
@@ -21,18 +24,20 @@ plans over the survivors, a heterogeneous cluster
 an execution backend (:mod:`repro.cluster.backends`: rank-serial against
 simulated clocks, or one worker process per rank) and, when a rank dies,
 re-plans and runs the same program over the survivors.  Outputs are
-bit-for-bit identical across backends and across recoveries, because a
-convolution row's value depends on (row, input) only.
+bit-for-bit identical across backends and across recoveries, and to
+:class:`~repro.core.soi_single.SoiFFT` of the same geometry, because a
+row's or a segment's value depends on (index, input) only.
 
 Compute stages charge roofline time at the paper's measured efficiencies
 (:func:`stage_costs`) against the simulated rank clocks; on real workers
 the same requests mark measured wall-clock intervals.  The numerics are
-exact and tested equal to the single-process pipeline and ``numpy.fft``.
+exact and tested bitwise equal to the single-process pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -48,19 +53,18 @@ from repro.cluster.spmd import (
 )
 from repro.core.convolution import (
     ConvStrategy,
-    ConvWorkspace,
     block_range_for_rows,
     conv_time_model,
     convolve,
 )
 from repro.core.demodulate import demodulate
 from repro.core.params import SoiParams
+from repro.core.soi_single import SoiFFT
 from repro.core.window import SoiTables, get_tables
-from repro.fft.plan import get_plan
 from repro.machine.spec import MachineSpec
 
 __all__ = ["DistributedSoiFFT", "Ownership", "PartitionReport",
-           "RankLocal", "RecoveryReport", "SoiSpec", "StageCosts",
+           "RecoveryReport", "SoiSpec", "StageCosts",
            "balanced_row_slices", "soi_rank_program", "stage_costs",
            "DEFAULT_FFT_EFFICIENCY", "DEFAULT_CONV_EFFICIENCY"]
 
@@ -239,31 +243,15 @@ def stage_costs(params: SoiParams, machine: MachineSpec,
 
 # -- the rank-local program -------------------------------------------------
 
-class RankLocal:
-    """Per-process state a :class:`SoiSpec` resolves to: the tables, the
-    planned FFTs, the shared :class:`~repro.verify.selfcheck.DistVerifier`
-    if any, and the convolution's tile buffers — shaped by params alone, and
-    the convolution never spans a ``yield``, so one reused workspace
-    serves every rank-serial rank, run and recovery row range."""
-
-    def __init__(self, tables: SoiTables, verifier=None):
-        p = tables.params
-        self.tables = tables
-        self.verifier = verifier
-        self.workspace = ConvWorkspace()
-        self.lane_plan = get_plan(p.n_segments, -1) \
-            if p.n_segments > 1 else None
-        self.seg_plan = get_plan(p.m_oversampled, -1)
-
-
 @dataclass(frozen=True)
 class SoiSpec:
     """What a rank runs besides its data: geometry, mapping, costs.
 
-    Small and picklable: ``local`` travels by reference inside one
-    process only, and a worker resolves ``(params, window)`` to its design
-    record through :func:`get_tables` — inherited at the fork, else built
-    once; the builder is deterministic, so all ranks agree bitwise.
+    Small and picklable: ``node``, the driver's ``(SoiFFT, verifier)``,
+    travels by reference inside one process only, and a worker resolves
+    ``(params, window)`` to its design record through :func:`get_tables`
+    — inherited at the fork, else built once; the builder is
+    deterministic, so all ranks agree bitwise.
     """
 
     params: SoiParams
@@ -273,26 +261,25 @@ class SoiSpec:
     costs: tuple[StageCosts, ...]  # per *global* rank
     rounds: int = 1  # all-to-all rounds the owned segments go out in
     groups: list | None = None  # two-level all-to-all grouping, or None
-    local: RankLocal | None = field(default=None, compare=False, repr=False)
+    node: tuple | None = field(default=None, compare=False, repr=False)
 
     def __getstate__(self):
-        return {**self.__dict__, "local": None}
+        return {**self.__dict__, "node": None}
 
 
-def _worker_local(spec: SoiSpec) -> RankLocal:
-    """A worker's state for *spec*, kept on the design record: every job
-    of the geometry reuses the planned FFTs, verifier and tile buffers."""
+def _worker_node(spec: SoiSpec) -> tuple:
+    """A worker's ``(plan, verifier)``, kept on the design record for every
+    job of the geometry.  Not a driver's: a plan kept on a record refers
+    back to it, and the cycle outlives a dropped record until a full
+    garbage collection (+8 MiB peak RSS on ``dist_process``)."""
     tables, policy = get_tables(spec.params, spec.window), spec.policy
-
-    def build():
-        if policy is None:
-            return RankLocal(tables)
+    verifier = None
+    if policy is not None:
         from repro.verify.selfcheck import DistVerifier
-        return RankLocal(tables, DistVerifier(tables, policy))
-    if policy is not None and policy.inject is not None:
-        return build()
-    return tables.derived(("rank local", policy and (
-        policy.safety, policy.max_strikes)), build)
+        key = ("rank verifier", policy.safety, policy.max_strikes)
+        verifier = DistVerifier(tables, policy) if policy.inject is not None \
+            else tables.derived(key, lambda: DistVerifier(tables, policy))
+    return tables.derived("soi plan", lambda: SoiFFT._of(tables)), verifier
 
 
 def _columns(slots: tuple[int, ...]):
@@ -327,21 +314,16 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
     own = spec.ownership
     me = own.ranks[ctx.rank]
     costs = spec.costs[me]
-    local, report = spec.local, None
-    if local is None:
-        local = _worker_local(spec)
-        if local.verifier is not None:
-            report = local.verifier.reset_report()
-    tables, lane_plan = local.tables, local.lane_plan
+    soi, shared = spec.node or _worker_node(spec)
+    report = None if spec.node or shared is None else shared.reset_report()
+    tables = soi.tables
     s, n_mu, d_mu = p.n_segments, p.n_mu, p.d_mu
     rows_pp, spp = p.rows_per_process, p.segments_per_process
     left_g, right_g = p.ghost_blocks
     recovering = x_global is not None
     verifier = sdc = None
-    if recovering:
-        blocks = x_global.reshape(-1, s)
-    else:
-        verifier = local.verifier
+    if not recovering:
+        verifier = shared
         fault_plan = ctx.cluster.comm.fault_plan
         if fault_plan is not None and fault_plan.has_sdc:
             sdc = fault_plan
@@ -359,16 +341,17 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
             continue
         if recovering:
             lo, hi = block_range_for_rows(p, j0, nr)
-            x_in = np.ascontiguousarray(
-                blocks[np.arange(lo, hi) % len(blocks)].reshape(-1))
+            x_in = soi._wrap(x_global, np.empty((hi - lo) * s, complex),
+                             lo * s)
         else:
             lo = (j0 // n_mu) * d_mu - left_g  # where x_ext starts
             x_in = x_ext
         def conv():  # this range's stage-1 kernel: run now, and by a repair
             return convolve(x_in, tables, j0, nr, lo,
-                            workspace=local.workspace)
+                            workspace=soi._conv_ws)
+        lane = partial(soi._lane_dft, row0=j0) if s > 1 else None
         u = conv()
-        z = lane_plan(u) if lane_plan is not None else u
+        z = lane(u) if lane is not None else u
         adopted = recovering and j0 // rows_pp != me
         yield Compute((costs.conv + costs.lane) * (nr / rows_pp),
                       label="recovery recompute" if adopted
@@ -379,7 +362,7 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
             # verify before the checkpoint and the wire: a corrupt z
             # must never be trusted for recovery or shipped to peers
             verifier.check_conv(ctx.cluster, me, x_in, u, z, conv=conv,
-                                lane=lane_plan, conv_seconds=costs.conv,
+                                lane=lane, conv_seconds=costs.conv,
                                 lane_seconds=costs.lane)
         if not adopted:
             # stage checkpoint: the post-convolution segments (mu*N/P
@@ -403,19 +386,20 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
              for ts in going], groups=spec.groups)
         mine = going[ctx.rank]
         share = len(mine) / spp
-        alpha = np.empty((p.m_oversampled, len(mine)), dtype=np.complex128)
+        # (n_slots, M'): the layout the single-node permutation writes
+        alpha = np.empty((len(mine), p.m_oversampled), dtype=np.complex128)
         for piece, cover in zip(pieces, own.rows):
             off = 0
             for j0, nr, _from_ckpt in cover:
-                alpha[j0:j0 + nr] = piece[off:off + nr]
+                alpha[:, j0:j0 + nr] = piece[off:off + nr].T
                 off += nr
-        beta = local.seg_plan(alpha.T)  # (n_slots, M')
+        beta = soi._seg_plan(alpha)
         yield Compute(costs.fft * share, label="local FFT")
         if sdc is not None:
             beta = sdc.apply_sdc(beta, rank=me, stage="segment-fft")
         if verifier is not None:
-            verifier.check_segments(ctx.cluster, me, alpha.T, beta,
-                                    fft=local.seg_plan, ids=mine,
+            verifier.check_segments(ctx.cluster, me, alpha, beta,
+                                    fft=soi._seg_plan, ids=mine,
                                     fft_seconds=costs.fft * share)
         seg = demodulate(beta, tables)  # (n_slots, M)
         yield Compute(costs.demod * share, label="demodulation")
@@ -517,7 +501,7 @@ class DistributedSoiFFT:
             ownership=Ownership.identity(p),
             costs=(self.costs,) * p.n_procs,
             rounds=p.segments_per_process if segment_exchanges else 1,
-            local=RankLocal(self.tables, self.verifier))
+            node=(SoiFFT._of(self.tables), self.verifier))
 
     # -- data layout helpers ------------------------------------------------
 

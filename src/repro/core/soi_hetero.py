@@ -24,11 +24,11 @@ from repro.cluster.simcluster import SimCluster
 from repro.core.params import SoiParams
 from repro.core.soi_dist import (
     Ownership,
-    RankLocal,
     SoiSpec,
     soi_rank_program,
     stage_costs,
 )
+from repro.core.soi_single import SoiFFT
 from repro.core.window import SoiTables, get_tables
 
 __all__ = ["HeterogeneousSoiFFT"]
@@ -97,7 +97,7 @@ class HeterogeneousSoiFFT:
                       for r in range(p))
         self._spec = SoiSpec(params=prm, window=window, policy=None,
                              ownership=own, costs=costs,
-                             local=RankLocal(self.tables))
+                             node=(SoiFFT._of(self.tables), None))
 
     # -- data layout -----------------------------------------------------
 

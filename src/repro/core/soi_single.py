@@ -9,12 +9,12 @@ Computes ``y = F_N x`` via Equation 1 of the paper:
 5. projection + demodulation ``W^{-1} P_roj``.
 
 The distributed implementation (:mod:`repro.core.soi_dist`) runs exactly
-these kernels with the permutation realized as an all-to-all; this module
-is both the numerical reference for it and the convenient entry point for
-node-local use.
+these kernels (:meth:`SoiFFT._of`) with the permutation realized as an
+all-to-all, bit for bit; this module is both the numerical reference for
+it and the convenient entry point for node-local use.
 
-Execution is planned: the wrap-index table, convolution workspaces, and
-all five stage buffers are allocated once per batch size at first use and
+Execution is planned: convolution workspaces and all five stage buffers
+are allocated once per batch size at first use and
 reused, every stage runs through ``out=`` destinations (as row ranges on
 the per-cpu worker pool, :mod:`repro.core.cpupool`, when large enough), and
 :meth:`SoiFFT.batch` executes lane and segment FFTs as single
@@ -26,7 +26,6 @@ loop.  Steady-state calls with ``out=`` perform no new allocations
 
 from __future__ import annotations
 
-import math
 from functools import partial
 
 import numpy as np
@@ -56,14 +55,6 @@ def _cuts(total: int, grid: int, parts: int) -> list[tuple[int, int]]:
     edges = sorted({min(total, units * i // parts * grid)
                     for i in range(parts + 1)})
     return list(zip(edges, edges[1:]))
-
-
-def _coerce_verify(verify):
-    """Normalize ``verify=`` lazily (repro.verify imports core modules)."""
-    if verify is None or verify is False:
-        return None
-    from repro.verify.policy import VerifyPolicy
-    return VerifyPolicy.coerce(verify)
 
 
 class SoiFFT:
@@ -130,12 +121,27 @@ class SoiFFT:
 
     def __init__(self, params: SoiParams, window=None, dtype=np.complex128,
                  verify=False, telemetry=None):
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.complex64), np.dtype(np.complex128)):
+        self._plan(get_tables(params, window), dtype, telemetry)
+        if verify is not None and verify is not False:
+            # lazily: repro.verify imports core modules
+            from repro.verify.policy import VerifyPolicy
+            from repro.verify.selfcheck import PipelineVerifier
+            self.verifier = PipelineVerifier(self, VerifyPolicy.coerce(verify))
+
+    @classmethod
+    def _of(cls, tables: SoiTables) -> "SoiFFT":
+        """The plain complex128 plan of the design record *tables* (a
+        custom window's too, with no second build): the node-local
+        kernels a distributed rank of the geometry runs."""
+        return cls.__new__(cls)._plan(tables)
+
+    def _plan(self, tables: SoiTables, dtype=np.complex128, telemetry=None):
+        dtype = np.dtype(dtype)
+        if dtype not in (np.dtype(np.complex64), np.dtype(np.complex128)):
             raise ValueError("dtype must be complex64 or complex128")
-        self.params = params
-        self.tables: SoiTables = get_tables(params, window)
-        dt = self.dtype.type
+        params = tables.params
+        self.dtype, self.params, self.tables = dtype, params, tables
+        dt = dtype.type
         self._lane_plan = get_plan(params.n_segments, -1, dtype=dt) \
             if params.n_segments > 1 else None
         # for the tiny fixed-size lane transform (length S, huge batch) a
@@ -145,28 +151,22 @@ class SoiFFT:
         self._lane_mat, self._lane_tile = None, 1
         if 1 < params.n_segments <= 64:
             self._lane_mat = np.ascontiguousarray(
-                dft_matrix(params.n_segments).astype(self.dtype))
+                dft_matrix(params.n_segments).astype(dtype))
             self._lane_tile = gemm_tile(params.n_segments ** 2,
                                         params.m_oversampled)
         self._seg_plan = get_plan(params.m_oversampled, -1, dtype=dt)
         lo, hi = block_range_for_rows(params, 0, params.m_oversampled)
-        self._block_lo, self._block_hi = lo, hi
-        #: Precomputed periodic-wrap gather indices for extended_input.
-        self._ext_idx = np.arange(lo * params.n_segments,
-                                  hi * params.n_segments) % params.n
-        self._ext_start = (lo * params.n_segments) % params.n
+        #: extended_input's blocks [lo, hi): the first, and the sample count
+        self._block_lo, self._ext_size = lo, (hi - lo) * params.n_segments
         self._conv_ws = ConvWorkspace()
-        self._conv_tile = tile_rows(self.tables, self.dtype)
+        self._conv_tile = tile_rows(tables, dtype)
         #: batch size -> dict of reused pipeline stage buffers.
         self._bufpool: dict[int, dict[str, np.ndarray]] = {}
         #: optional instrument bundle (duck-typed Telemetry).
         self.telemetry = telemetry
         #: armed ABFT verifier (None unless ``verify`` was requested).
         self.verifier = None
-        policy = _coerce_verify(verify)
-        if policy is not None:
-            from repro.verify.selfcheck import PipelineVerifier
-            self.verifier = PipelineVerifier(self, policy)
+        return self
 
     @property
     def expected_stopband(self) -> float:
@@ -180,9 +180,8 @@ class SoiFFT:
         if bufs is None:
             p = self.params
             s, mp = p.n_segments, p.m_oversampled
-            ext = self._ext_idx.size
             bufs = {
-                "x_ext": np.empty((batch, ext), dtype=self.dtype),
+                "x_ext": np.empty((batch, self._ext_size), dtype=self.dtype),
                 "u": np.empty((batch, mp, s), dtype=self.dtype),
                 "alpha": np.empty((batch, s, mp), dtype=self.dtype),
                 "beta": np.empty((batch, s, mp), dtype=self.dtype),
@@ -221,7 +220,20 @@ class SoiFFT:
 
     def extended_input(self, x: np.ndarray) -> np.ndarray:
         """Input blocks [block_lo, block_hi) with periodic wrap."""
-        return np.asarray(x, dtype=self.dtype)[..., self._ext_idx]
+        x = np.asarray(x, dtype=self.dtype)
+        x_ext = np.empty(x.shape[:-1] + (self._ext_size,), dtype=self.dtype)
+        return self._wrap(x, x_ext, self._block_lo * self.params.n_segments)
+
+    def _wrap(self, x: np.ndarray, out: np.ndarray, start: int) -> np.ndarray:
+        """``out[..., k] = x[..., (start + k) mod N]``, the one periodic
+        gather: consecutive integers mod N, so a handful of contiguous
+        slice copies, where ``np.take(..., out=)`` makes a full temporary."""
+        n, pos, src = self.params.n, 0, start % self.params.n
+        while pos < out.shape[-1]:
+            chunk = min(n - src, out.shape[-1] - pos)
+            out[..., pos:pos + chunk] = x[..., src:src + chunk]
+            pos, src = pos + chunk, 0
+        return out
 
     def oversample(self, x: np.ndarray) -> np.ndarray:
         """Stages 1-2: u = W x, then z = (I (x) F_S) u.  Shape (M', S)."""
@@ -232,23 +244,30 @@ class SoiFFT:
                      workspace=self._conv_ws)
         return u if self._lane_plan is None else self._lane_dft(u)
 
-    def _lane_dft(self, u: np.ndarray, out: np.ndarray | None = None
-                  ) -> np.ndarray:
+    def _lane_dft(self, u: np.ndarray, out: np.ndarray | None = None,
+                  row0: int = 0) -> np.ndarray:
         """Stage 2, ``z = (I (x) F_S) u`` over the last axis of a
-        C-contiguous ``(..., rows, S)`` — the one lane transform the
-        pipeline and the ABFT repair both run, so a repaired row rounds
-        exactly like a computed one.
+        C-contiguous ``(..., rows, S)`` of rows ``[row0, row0 + rows)`` —
+        the one lane transform the pipeline, every distributed rank and the
+        ABFT repair run, so a row rounds alike wherever it is computed.
 
         With a lane matrix it is ``(T, S) @ (S, S)`` products over tiles of
         ``T`` rows (:func:`repro.fft.bitops.gemm_tile` of all M' rows, so a
-        tile never spans two frames; fewer rows run in tiles that divide
-        both): one shape whatever the batch, each on the calling thread."""
+        tile never spans two frames) on the global row grid, each on the
+        calling thread; a range cut inside a tile runs on a zero-filled
+        copy of whole tiles, as :func:`~repro.core.convolution.convolve`
+        does."""
         if out is None:
             out = np.empty_like(u)
         if self._lane_mat is None:
             return self._lane_plan(u, out=out)
-        s = self.params.n_segments
-        t = math.gcd(self._lane_tile, u.shape[-2])
+        s, t, rows = self.params.n_segments, self._lane_tile, u.shape[-2]
+        a, b = row0 % t, -(row0 + rows) % t  # zero rows before and after
+        if a or b:
+            tiles = np.zeros(u.shape[:-2] + (a + rows + b, s), self.dtype)
+            tiles[..., a:a + rows, :] = u
+            np.copyto(out, self._lane_dft(tiles)[..., a:a + rows, :])
+            return out
         np.matmul(u.reshape(-1, t, s), self._lane_mat,
                   out=out.reshape(-1, t, s))
         return out
@@ -338,20 +357,14 @@ class SoiFFT:
         parts = self._parts(batch)
 
         def gather(f0, f1, a, b):
-            # consecutive integers mod N: a handful of contiguous slice
-            # copies, where ``np.take(..., out=)`` makes a full temporary
-            pos, src = a, (self._ext_start + a) % p.n
-            while pos < b:
-                chunk = min(p.n - src, b - pos)
-                x_ext[f0:f1, pos:pos + chunk] = xs[f0:f1, src:src + chunk]
-                pos, src = pos + chunk, 0
+            self._wrap(xs[f0:f1], x_ext[f0:f1, a:b], self._block_lo * s + a)
 
         def conv(f0, f1, a, b):
             convolve(x_ext[f0:f1], self.tables, a, b - a, self._block_lo,
                      out=u[f0:f1, a:b], workspace=self._conv_ws)
 
         def lane(f0, f1, a, b):
-            self._lane_dft(u[f0:f1, a:b], out=z[f0:f1, a:b])
+            self._lane_dft(u[f0:f1, a:b], out=z[f0:f1, a:b], row0=a)
 
         def permute(f0, f1, a, b):  # the stride permutation
             np.copyto(alpha[f0:f1, a:b], z[f0:f1, :, a:b].transpose(0, 2, 1))
@@ -429,7 +442,7 @@ class SoiFFT:
     def _rows_per_block(self) -> int:
         p = self.params
         lanes = 4 if self._lane_plan is not None else 3
-        per_row = (self._ext_idx.size
+        per_row = (self._ext_size
                    + lanes * p.m_oversampled * p.n_segments
                    ) * self.dtype.itemsize
         return max(1, self._BATCH_CACHE_BUDGET // per_row)

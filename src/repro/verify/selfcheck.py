@@ -276,7 +276,8 @@ class _Engine:
         if lane is None:
             c_z, stages = c_u, [_columns("conv", z, conv, conv_seconds)]
         else:
-            c_z = lane(c_u[..., None, :])[..., 0, :]
+            # all frames' checksum rows as one block: one tile, any batch
+            c_z = lane(c_u.reshape(-1, c_u.shape[-1])).reshape(c_u.shape)
             stages = [_columns("conv", u, conv, conv_seconds),
                       _columns(self._Z_STAGE, z, lambda: lane(u),
                                lane_seconds)]
@@ -398,7 +399,7 @@ class DistVerifier(_Engine):
     block_lo = own_lo - left_g)`` is ``(0, -left_g)`` in local
     coordinates — so the checksum functional and weights are shared);
     the rank program hands each ``check_*`` its cluster, its rank and the
-    kernels it ran.
+    kernels it ran (its geometry's ``SoiFFT`` plan's).
     """
 
     _Z_STAGE = "conv"

@@ -13,6 +13,7 @@ from repro.core.soi_single import SoiFFT
 from repro.machine.spec import XEON_E5_2680
 from repro.util.validate import relative_l2_error
 from tests.conftest import random_complex
+from tests.test_soi_executors import stockham_rank_lane
 
 
 def make(n=8 * 448, p=4, spp=2, n_mu=8, d_mu=7, b=48):
@@ -20,6 +21,17 @@ def make(n=8 * 448, p=4, spp=2, n_mu=8, d_mu=7, b=48):
                        n_mu=n_mu, d_mu=d_mu, b=b)
     cluster = SimCluster(p)
     return cluster, DistributedSoiFFT(cluster, params)
+
+
+def single_and_distributed(x):
+    """P -> (distributed spectrum of 8 segments on P ranks, SoiFFT's)."""
+    y_single = SoiFFT(SoiParams(n=x.size, n_procs=1, segments_per_process=8,
+                                n_mu=8, d_mu=7, b=48))(x)
+    out = {}
+    for p in (1, 2, 4, 8):
+        _cluster, dist = make(n=x.size, p=p, spp=8 // p)
+        out[p] = dist.assemble(dist(dist.scatter(x))), y_single
+    return out
 
 
 class TestNumericalEquivalence:
@@ -32,16 +44,17 @@ class TestNumericalEquivalence:
             10 * dist.tables.expected_stopband + 1e-12
 
     def test_identical_to_single_process_pipeline(self, rng):
-        n = 8 * 448
-        x = random_complex(rng, n)
-        cluster, dist = make(p=4, spp=2)
-        y_dist = dist.assemble(dist(dist.scatter(x)))
-        params1 = SoiParams(n=n, n_procs=1, segments_per_process=8,
-                            n_mu=8, d_mu=7, b=48)
-        y_single = SoiFFT(params1)(x)
-        # same segment decomposition => identical floating-point pipeline
-        # up to reduction order in the batched FFTs
-        assert np.allclose(y_dist, y_single, rtol=1e-12, atol=1e-10)
+        # same segment decomposition, same node-local kernels => the same
+        # bits, whatever P
+        x = random_complex(rng, 8 * 448)
+        for p, (y_dist, y_single) in single_and_distributed(x).items():
+            assert np.array_equal(y_dist, y_single), p
+
+    def test_a_stockham_rank_lane_is_not_identical(self, rng, monkeypatch):
+        stockham_rank_lane(monkeypatch)
+        x = random_complex(rng, 8 * 448)
+        for p, (y_dist, y_single) in single_and_distributed(x).items():
+            assert not np.array_equal(y_dist, y_single), p
 
     def test_output_distribution_is_natural_order_blocks(self, rng):
         cluster, dist = make(p=4, spp=2)
@@ -128,7 +141,7 @@ class TestSegmentedExchanges:
         cl2 = SimCluster(4)
         d2 = DistributedSoiFFT(cl2, params, segment_exchanges=True)
         y2 = d2.assemble(d2(d2.scatter(x)))
-        assert np.allclose(y1, y2, rtol=1e-12, atol=1e-10)
+        assert np.array_equal(y1, y2)
         assert cl1.comm.bytes_moved == cl2.comm.bytes_moved
 
     def test_one_round_per_segment_slot(self, rng):

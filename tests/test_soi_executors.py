@@ -2,14 +2,18 @@
 
 One rank program (:func:`repro.core.soi_dist.soi_rank_program`), one
 planner (:meth:`repro.core.soi_dist.Ownership.after_failures`), one
-driver (:class:`repro.core.soi_dist.DistributedSoiFFT`) — so every
-scenario below runs through the same code on either executor, and what
-must hold is the same: the spectrum is *bitwise* the fault-free
-simulated one, and for equal dead sets both executors report the same
-recovery plan.  Process cases carry the ``parallel`` marker.
+driver (:class:`repro.core.soi_dist.DistributedSoiFFT`) and one kernel
+set per node (the geometry's :class:`~repro.core.soi_single.SoiFFT`) — so
+every scenario below runs through the same code on either executor, and
+what must hold is the same: the spectrum is *bitwise* the single-node
+transform of the same geometry, and for equal dead sets both executors
+report the same recovery plan.  Process cases carry the ``parallel``
+marker.
 """
 
 import ast
+import copy
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +35,9 @@ from repro.cluster.simcluster import SimCluster
 from repro.cluster.topology import FatTree
 from repro.core.params import SoiParams
 from repro.core.soi_dist import DistributedSoiFFT, Ownership
+from repro.core.soi_single import SoiFFT
 from repro.core.soi_spmd import spmd_soi_fft
+from repro.fft.plan import get_plan
 from repro.telemetry.metrics import MetricsRegistry
 
 P = 4
@@ -42,6 +48,27 @@ PARAMS = SoiParams(n=2 ** 12, n_procs=P, segments_per_process=2,
 def signal(n, seed=2013):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def single_node(params, x):
+    """:class:`SoiFFT` of *params*' segment geometry on one process."""
+    return SoiFFT(replace(params, n_procs=1,
+                          segments_per_process=params.n_segments))(x)
+
+
+def stockham_rank_lane(monkeypatch):
+    """Mutant: the plan a rank runs transforms its lanes with a Stockham
+    length-S plan, ``get_plan(S, -1)``, as ranks did before they ran
+    SoiFFT's own kernels — as accurate, and a few ulps off the single-node
+    GEMM.  Processes forked before it keep the real plan."""
+    real = SoiFFT._of.__func__
+
+    def rank_plan(cls, tables):
+        plan = copy.copy(real(cls, tables))
+        lane = get_plan(tables.params.n_segments, -1)
+        plan._lane_dft = lambda u, out=None, row0=0: lane(u, out=out)
+        return plan
+    monkeypatch.setattr(SoiFFT, "_of", classmethod(rank_plan))
 
 
 X = signal(PARAMS.n)
@@ -69,8 +96,8 @@ SCENARIOS = {
 
 @pytest.fixture(scope="module")
 def reference():
-    """The fault-free simulated spectrum every run must equal bitwise."""
-    return spmd_soi_fft(SimCluster(P), PARAMS, X)
+    """The single-node spectrum every run must equal bitwise."""
+    return single_node(PARAMS, X)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +109,7 @@ def workers():
     assert list_segments(token) == [], "leaked /dev/shm segments"
 
 
-def run_simulated(scenario):
+def run_simulated(scenario, params=PARAMS):
     cl = SimCluster(P)
     failures = SCENARIOS[scenario][0]
     if failures is not None:
@@ -90,8 +117,9 @@ def run_simulated(scenario):
         # so the transfer numbers above are the whole schedule
         cl.comm.install_faults(FaultPlan(rank_failures=failures),
                                RetryPolicy(max_retries=0))
-    soi = DistributedSoiFFT(cl, PARAMS)
-    return soi.assemble(soi(soi.scatter(X))), soi.last_recovery
+    soi = DistributedSoiFFT(cl, params)
+    return soi.assemble(soi(soi.scatter(signal(params.n)))), \
+        soi.last_recovery
 
 
 def run_processes(scenario, be):
@@ -135,6 +163,52 @@ class TestOneProgramOnEitherExecutor:
         a2a = 16 * PARAMS.n_oversampled * (P - 1) // P
         ghosts = sum(PARAMS.ghost_blocks) * PARAMS.n_segments * 16 * P
         assert cl.comm.bytes_moved == a2a + ghosts
+
+
+#: A geometry whose ranks' rows fill whole lane tiles (M'/P = 2048 rows,
+#: tiles of 512): only a recovery slice starts inside one.
+TILED = SoiParams(n=7 * 2 ** 13, n_procs=P, segments_per_process=2,
+                  n_mu=8, d_mu=7, b=48)
+
+
+class TestOneKernelSet:
+    """A rank runs its geometry's :class:`SoiFFT` kernels on its rows and
+    segments, so every executor returns the single-node bits; the
+    Stockham-lane mutant turns each of these checks red."""
+
+    def test_a_recovery_slice_that_starts_mid_tile(self):
+        tile = SoiFFT(TILED)._lane_tile
+        own = Ownership.after_failures(TILED, [0, 1, 3], {0, 1, 3},
+                                       [0, 1, 3])
+        assert any(j0 % tile for cover in own.rows for j0, _nr, _ck in cover)
+        y, report = run_simulated("death at the all-to-all", TILED)
+        assert report.dead_ranks == (2,)
+        assert np.array_equal(y, single_node(TILED, signal(TILED.n)))
+
+    def test_the_mutant_turns_a_mid_tile_recovery_red(self, monkeypatch):
+        stockham_rank_lane(monkeypatch)
+        y, _report = run_simulated("death at the all-to-all", TILED)
+        assert not np.array_equal(y, single_node(TILED, signal(TILED.n)))
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_the_mutant_turns_the_simulator_red(self, scenario, reference,
+                                                monkeypatch):
+        stockham_rank_lane(monkeypatch)
+        y, _report = run_simulated(scenario)
+        assert not np.array_equal(y, reference)
+
+    @pytest.mark.parallel
+    def test_the_mutant_turns_the_workers_red(self, reference, monkeypatch):
+        stockham_rank_lane(monkeypatch)
+        be = ProcessBackend(P, hang_timeout=1.5)  # forked under the mutant
+        try:
+            for scenario in ("fault-free", "death at the all-to-all"):
+                y, _report = run_processes(scenario, be)
+                assert not np.array_equal(y, reference), scenario
+        finally:
+            token = be._token
+            be.close()
+        assert list_segments(token) == []
 
 
 # -- the planner ------------------------------------------------------------
@@ -276,3 +350,30 @@ def test_stage_sequence_is_written_once():
                 if key in calls:
                     calls[key] += 1
     assert calls == {"convolve": 1, "demodulate": 1, "alltoall": 1}
+
+
+def own_fft_plans(source: str) -> set[str]:
+    """What in *source* plans a rank FFT of its own rather than running
+    SoiFFT's kernels: a ``get_plan(`` call, a name holding ``lane_plan``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "get_plan" in (
+                getattr(node.func, "id", None)
+                or getattr(node.func, "attr", "")):
+            found.add("get_plan(")
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(name, str) and "lane_plan" in name:
+            found.add("lane_plan")
+    return found
+
+
+def test_a_rank_plans_no_fft_of_its_own():
+    """``ast`` guard: the distributed modules run the single-node plan's
+    lane and segment kernels and plan none of their own."""
+    core = Path(repro.core.__file__).parent
+    for name in ("soi_dist.py", "soi_hetero.py"):
+        assert own_fft_plans((core / name).read_text()) == set(), name
+    # the guard can go red: the rank-local plans ranks used to build
+    assert own_fft_plans("self.lane_plan = get_plan(s, -1)\n"
+                         "seg = get_plan(mp, -1)") == {"get_plan(",
+                                                       "lane_plan"}

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from repro.cluster.simcluster import SimCluster
+from repro.core.params import SoiParams
 from repro.core.segments import segments_for_machines
+from repro.core.soi_dist import DistributedSoiFFT
 from repro.core.soi_hetero import HeterogeneousSoiFFT
+from repro.core.soi_single import SoiFFT
 from repro.machine.spec import XEON_E5_2680, XEON_PHI_SE10
 from repro.util.validate import relative_l2_error
 from tests.conftest import random_complex
+from tests.test_soi_executors import stockham_rank_lane
 
 MIXED = [XEON_E5_2680, XEON_PHI_SE10, XEON_PHI_SE10, XEON_E5_2680]
 
@@ -20,6 +24,12 @@ def build(n=32 * 448, seg_counts=None, machines=MIXED, b=48):
     return cluster, HeterogeneousSoiFFT(cluster, n, seg_counts, b=b)
 
 
+def hetero_and_single(x, seg_counts):
+    """(the mixed cluster's spectrum under *seg_counts*, SoiFFT's)."""
+    _cluster, h = build(n=x.size, seg_counts=seg_counts)
+    return h.assemble(h(h.scatter(x))), SoiFFT(h.params)(x)
+
+
 class TestNumerics:
     def test_matches_numpy(self, rng):
         cluster, h = build()
@@ -29,21 +39,34 @@ class TestNumerics:
             10 * h.tables.expected_stopband
 
     def test_uniform_split_equals_homogeneous_pipeline(self, rng):
-        """With equal segment counts the result must match the standard
-        distributed SOI (same decomposition, different bookkeeping)."""
-        from repro.core.params import SoiParams
-        from repro.core.soi_dist import DistributedSoiFFT
-
+        """With equal segment counts the result is the standard
+        distributed SOI's and the single node's, bit for bit (same
+        decomposition and kernels, different bookkeeping)."""
         n, p = 32 * 448, 4
         x = random_complex(rng, n)
-        cluster, h = build(n=n, seg_counts=[8, 8, 8, 8])
-        y_het = h.assemble(h(h.scatter(x)))
+        y_het, y_single = hetero_and_single(x, [8, 8, 8, 8])
         params = SoiParams(n=n, n_procs=p, segments_per_process=8,
                            n_mu=8, d_mu=7, b=48)
-        cl = SimCluster(p)
-        d = DistributedSoiFFT(cl, params)
-        y_hom = d.assemble(d(d.scatter(x)))
-        assert np.allclose(y_het, y_hom, rtol=1e-12, atol=1e-10)
+        d = DistributedSoiFFT(SimCluster(p), params)
+        assert np.array_equal(y_het, y_single)
+        assert np.array_equal(d.assemble(d(d.scatter(x))), y_single)
+
+    def test_unequal_split_equals_single_node_pipeline(self, rng):
+        x = random_complex(rng, 32 * 448)
+        counts = segments_for_machines(MIXED, 32)
+        assert len(set(counts)) > 1
+        y_het, y_single = hetero_and_single(x, counts)
+        assert np.array_equal(y_het, y_single)
+
+    @pytest.mark.parametrize("split", ["uniform", "unequal"])
+    def test_a_stockham_rank_lane_is_not_the_single_node(self, rng, split,
+                                                         monkeypatch):
+        stockham_rank_lane(monkeypatch)
+        counts = [8, 8, 8, 8] if split == "uniform" \
+            else segments_for_machines(MIXED, 32)
+        y_het, y_single = hetero_and_single(random_complex(rng, 32 * 448),
+                                            counts)
+        assert not np.array_equal(y_het, y_single)
 
     def test_single_rank(self, rng):
         cluster = SimCluster(1, machines=[XEON_PHI_SE10])

@@ -120,7 +120,11 @@ class TestLaneDft:
         assert np.allclose(z, np.fft.fft(u, axis=-1))
         for i in range(3):  # a tile never spans two frames
             assert np.array_equal(f._lane_dft(u[i]), z[i])
-        # any row count runs (the ABFT checksum is one row per frame)
+        # a range cut inside tiles (a rank's, a recovery slice's) is the
+        # same rows of the whole, on the global grid
+        assert np.array_equal(f._lane_dft(u[1, 700:1500], row0=700),
+                              z[1, 700:1500])
+        # any row count runs (the ABFT checksum is a few rows, one a frame)
         assert np.allclose(f._lane_dft(u[:, :1]), z[:, :1])
 
     def test_wide_lane_counts_use_the_stockham_plan(self, rng):
@@ -180,8 +184,10 @@ class TestLinearity:
 POOL_PROBE = """
 import hashlib, os, sys
 import numpy as np
+from repro.cluster.simcluster import SimCluster
 from repro.core import cpupool, soi_single
 from repro.core.params import SoiParams
+from repro.core.soi_dist import DistributedSoiFFT
 from repro.core.soi_single import SoiFFT
 from repro.fft import stockham
 from repro.fft.plan import get_plan
@@ -225,9 +231,13 @@ blocks = {
     "batch": SoiFFT(geometry(7168)).batch(xs),  # a block of batch_small
 }
 if mutant == "none":
+    # bench/e2e's dist_process layout, on the rank-serial simulator
+    dist = DistributedSoiFFT(SimCluster(2), SoiParams(
+        n=x.size, n_procs=2, segments_per_process=4, n_mu=8, d_mu=7, b=48))
     blocks.update({
         "segment_fft": get_plan(65536)(a),
         "lane_dft": f._lane_dft(a.reshape(65536, 8)),
+        "dist": dist.assemble(dist(dist.scatter(x))),
         "threaded_dot": np.vdot(x, x),
     })
 print("workers", cpupool.size() if f._parts(1) > 1 else 1)
@@ -273,9 +283,14 @@ class TestBlasPoolInvariance:
     its BLAS pool nor on how many workers shared the stages out."""
 
     @pytest.mark.parametrize("block", ["segment_fft", "lane_dft", "soi_call",
-                                       "batch"])
+                                       "batch", "dist"])
     def test_one_digest_for_every_pool(self, digests_by_pool, block):
         assert len(digests_by_pool[block]) == 1
+
+    def test_the_distributed_transform_is_the_single_node_digest(
+            self, digests_by_pool):
+        # its ranks run the same kernels on the same global grids
+        assert digests_by_pool["dist"] == digests_by_pool["soi_call"]
 
     @pytest.mark.skipif(CPUS < 2, reason="1 cpu")
     def test_the_probe_ran_pooled_and_serial(self, digests_by_pool):
