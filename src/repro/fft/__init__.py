@@ -25,15 +25,14 @@ All plans follow one workspace contract:
 * ``plan.release_workspaces()`` drops the calling thread's pooled buffers.
 
 A Stockham plan's passes are batched GEMMs: ``default_radices(n)`` is the
-schedule an untuned plan runs and ``gemm_tile`` the one rule that sizes
-every product, which is what makes ``plan(xs)[i]`` bitwise
+schedule every ``get_plan`` plan runs and ``gemm_tile`` the one rule that
+sizes every product, which is what makes ``plan(xs)[i]`` bitwise
 ``plan(xs[i:i+1])[0]`` under any BLAS thread pool.
 """
 
-from repro.fft.autotune import (AutotuneReport, KernelResult, SoiResult,
-                                TuneBudget, autotune, kernel_candidates,
-                                render_speedup_table, soi_candidates,
-                                tune_kernel, tune_soi)
+from repro.fft.autotune import (AutotuneReport, KernelResult, TuneBudget,
+                                autotune, kernel_candidates,
+                                render_speedup_table, tune_kernel)
 from repro.fft.bitops import default_radices, gemm_tile
 from repro.fft.bluestein import BluesteinPlan, bluestein_fft
 from repro.fft.codelet import CODELET_SIZES, generate_codelet_source, get_codelet
@@ -41,8 +40,7 @@ from repro.fft.convolve import fft_convolve, fft_correlate
 from repro.fft.dft import dft, dft_matrix, idft
 from repro.fft.layout import SoAView, from_aos, packet_lengths, to_aos
 from repro.fft.multistep import multistep_fft, multistep_sweeps
-from repro.fft.plan import (cache_clear, cache_info, fft, get_active_wisdom,
-                            get_plan, ifft, set_active_wisdom)
+from repro.fft.plan import cache_clear, cache_info, fft, get_plan, ifft
 from repro.fft.prime_factor import PrimeFactorPlan, crt_maps, pfa_fft
 from repro.fft.rader import RaderPlan, primitive_root, rader_fft
 from repro.fft.real import irfft, rfft, rfft_pair
@@ -58,7 +56,6 @@ __all__ = [
     "BluesteinPlan",
     "CODELET_SIZES",
     "KernelResult",
-    "SoiResult",
     "TuneBudget",
     "WISDOM_VERSION",
     "autotune",
@@ -90,7 +87,6 @@ __all__ = [
     "fft_stockham",
     "gemm_tile",
     "from_aos",
-    "get_active_wisdom",
     "get_plan",
     "idft",
     "ifft",
@@ -103,13 +99,10 @@ __all__ = [
     "render_speedup_table",
     "rfft",
     "rfft_pair",
-    "set_active_wisdom",
     "sixstep_fft",
-    "soi_candidates",
     "stride_permutation_indices",
     "to_aos",
     "tune",
     "tune_kernel",
-    "tune_soi",
     "twiddle_table",
 ]

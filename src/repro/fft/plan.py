@@ -27,13 +27,12 @@ time a forked worker touches it — a child must never share plan
 workspaces (or a possibly-locked lock) inherited from its parent.  The
 :class:`~repro.cluster.backends.ProcessBackend` workers rely on this.
 
-Autotuned wisdom plugs in underneath: once a tuned
-:class:`~repro.fft.wisdom.Wisdom` store is installed with
-:func:`set_active_wisdom`, ``_build_plan`` consults it before falling
-back to the default radix schedule, so every consumer of ``get_plan`` —
-``fft``/``ifft``, :class:`~repro.core.soi_single.SoiFFT` lane and
-segment transforms, the real-input paths — transparently executes tuned
-plans with zero call-site changes.
+A plan's schedule is chosen by a rule, as the paper's "radix 8 and 16,
+case by case" (§5.2.4) and FFTW's ``ESTIMATE`` plans are: the Stockham
+ladder of :func:`~repro.fft.bitops.default_radices` for (2,3,5,7)-smooth
+lengths, Bluestein for the rest.  Nothing else steers ``_build_plan``;
+:mod:`repro.fft.autotune` only measures whether another schedule beats
+the rule.
 """
 
 from __future__ import annotations
@@ -48,10 +47,8 @@ import numpy as np
 from repro.fft.bitops import mixed_radix_factors
 from repro.fft.bluestein import BluesteinPlan
 from repro.fft.stockham import StockhamPlan
-from repro.fft.wisdom import Wisdom, machine_fingerprint
 
-__all__ = ["fft", "ifft", "get_plan", "cache_clear", "cache_info",
-           "get_active_wisdom", "set_active_wisdom"]
+__all__ = ["fft", "ifft", "get_plan", "cache_clear", "cache_info"]
 
 _MAXSIZE = 256
 
@@ -59,8 +56,6 @@ _lock = threading.RLock()
 _entries: OrderedDict = OrderedDict()
 _hits = _misses = 0
 _pid = os.getpid()
-_wisdom: Wisdom | None = None
-_wisdom_machine: str | None = None
 #: ``clear`` of each cache built through plans (:mod:`repro.core.window`'s
 #: design records): :func:`cache_clear` leaves the whole process cold.
 on_clear: list = []
@@ -85,39 +80,7 @@ def _count(event: str) -> None:
                            f"plan-cache {event}").inc()
 
 
-def set_active_wisdom(wisdom: Wisdom | None,
-                      machine: str | None = None) -> Wisdom | None:
-    """Install (or with ``None`` remove) the wisdom consulted by planning.
-
-    Returns the previously active store.  The plan cache is cleared so
-    already-planned sizes re-plan through the new wisdom — an installed
-    store takes effect immediately, not only for never-seen sizes.
-    """
-    global _wisdom, _wisdom_machine
-    _ensure_this_process()
-    prev = _wisdom
-    _wisdom = wisdom
-    _wisdom_machine = (machine_fingerprint() if machine is None
-                       else machine)
-    with _lock:
-        _entries.clear()
-    return prev
-
-
-def get_active_wisdom() -> Wisdom | None:
-    """The wisdom store currently consulted by :func:`get_plan` (or None)."""
-    return _wisdom
-
-
 def _build_plan(n: int, sign: int, dtype_str: str):
-    w = _wisdom
-    if w is not None:
-        entry = w.lookup_kernel(n, sign, dtype_str, machine=_wisdom_machine)
-        if (entry is not None and entry["strategy"] == "stockham"
-                and (dtype_str == "complex128"
-                     or mixed_radix_factors(n) is not None)):
-            return StockhamPlan(n, sign, radices=entry["radices"],
-                                dtype=np.dtype(dtype_str).type)
     if mixed_radix_factors(n) is not None:
         return StockhamPlan(n, sign, dtype=np.dtype(dtype_str).type)
     if dtype_str != "complex128":

@@ -9,15 +9,14 @@ the machine.  This module makes that choice measurable and persistent:
 * :class:`Wisdom` stores winners and serializes to/from versioned JSON,
   so a deployment tunes once and replans instantly afterwards.
 
-Beyond the legacy (n, sign) -> radices map, the store holds two richer
-entry kinds written by :mod:`repro.fft.autotune`:
-
-* **kernel** entries — ``(n, sign, dtype, machine)`` -> (strategy,
-  radices), consulted transparently by the plan cache
-  (:func:`repro.fft.plan.get_plan`) once installed via
-  :func:`repro.fft.plan.set_active_wisdom`;
-* **soi** entries — ``(n, dtype, machine)`` -> a full SOI pipeline
-  configuration (segments, mu, B, conv inner kernel).
+Beyond the legacy (n, sign) -> radices map, the store holds **kernel**
+entries written by :mod:`repro.fft.autotune`: ``(n, sign, dtype,
+machine)`` -> (strategy, radices).  No library code reads them back —
+the plan cache (:func:`repro.fft.plan.get_plan`) plans by rule — so a
+store records what the tuner measured, not what a transform runs.
+Version-2 files written when the tuner also searched SOI geometries
+carry ``"soi"`` entries; they are dropped on read and never written
+back.
 
 Entries are keyed by a :func:`machine_fingerprint` so wisdom files are
 portable: an exact-machine entry wins, but a foreign machine's entry is
@@ -152,109 +151,43 @@ def _validate_kernel(entry: dict) -> dict:
             "default_s": entry.get("default_s")}
 
 
-def _validate_soi(entry: dict) -> dict:
-    n = int(entry["n"])
-    seg, n_mu, d_mu = (int(entry["segments"]), int(entry["n_mu"]),
-                       int(entry["d_mu"]))
-    if seg < 1 or n % seg or n_mu <= d_mu:
-        raise ValueError(f"corrupt wisdom soi entry for n={n}")
-    return {"kind": "soi", "n": n, "dtype": str(entry["dtype"]),
-            "machine": str(entry["machine"]), "segments": seg,
-            "n_mu": n_mu, "d_mu": d_mu, "b": int(entry["b"]),
-            "tuned_s": entry.get("tuned_s"),
-            "default_s": entry.get("default_s")}
-
-
-#: Lock stripes for the wisdom lookup path.  Keys hash onto a stripe by
-#: problem identity (machine excluded, so an exact entry and its foreign
-#: fallbacks share a stripe and one lock covers the whole lookup).
-_N_STRIPES = 8
-
-
 class Wisdom:
-    """Persistent store of tuned plan choices (legacy, kernel, and SOI).
+    """Persistent store of tuned plan choices (legacy and kernel).
 
-    Thread- and fork-safe: the kernel/SOI lookup path is **lock-striped**
-    — entries hash onto :data:`_N_STRIPES` independent stripes, each
-    behind its own lock, so concurrent plan lookups from the serving
-    gateway's executor threads do not serialize on one global lock.
-    Structural operations (merge, serialization) take every stripe lock
-    in order.  All locks are replaced (never shared) when the instance
-    crosses a fork or a pickle boundary."""
+    Thread- and fork-safe: every entry sits behind one lock, which is
+    replaced (never shared) when the instance crosses a fork or a pickle
+    boundary.  One lock is enough because nothing looks wisdom up on a
+    serving thread: the plan cache never consults it."""
 
     def __init__(self) -> None:
         self._best: dict[tuple[int, int], list[int]] = {}
-        #: stripe -> {(n, sign, dtype, machine) -> kernel entry dict}.
-        self._kernel_stripes: list[dict[tuple[int, int, str, str], dict]] = [
-            {} for _ in range(_N_STRIPES)]
-        #: stripe -> {(n, dtype, machine) -> soi entry dict}.
-        self._soi_stripes: list[dict[tuple[int, str, str], dict]] = [
-            {} for _ in range(_N_STRIPES)]
-        self._stripe_hits = [0] * _N_STRIPES
-        self._stripe_misses = [0] * _N_STRIPES
-        self._make_locks()
+        #: (n, sign, dtype, machine) -> kernel entry dict.
+        self._kernels: dict[tuple[int, int, str, str], dict] = {}
+        self.hits = self.misses = 0
+        self._lock = threading.Lock()
         self._pid = os.getpid()
 
-    def _make_locks(self) -> None:
-        self._lock = threading.Lock()  # legacy entries + structural ops
-        self._stripe_locks = [threading.Lock() for _ in range(_N_STRIPES)]
-
-    @property
-    def hits(self) -> int:
-        """Lookup hits, aggregated across stripes."""
-        return sum(self._stripe_hits)
-
-    @property
-    def misses(self) -> int:
-        """Lookup misses, aggregated across stripes."""
-        return sum(self._stripe_misses)
-
-    @staticmethod
-    def _stripe_of(n: int, sign: int | None, dtype_name: str) -> int:
-        return hash((n, sign, dtype_name)) % _N_STRIPES
-
-    def _check_pid(self) -> None:
-        # a forked child may inherit any lock in a locked state; give
-        # each process its own set
-        if self._pid != os.getpid():
-            self._make_locks()
-            self._pid = os.getpid()
-
     def _guard(self) -> threading.Lock:
-        """The coarse lock (legacy entries, structural ops), PID-guarded."""
-        self._check_pid()
+        """The store's lock, PID-guarded."""
+        # a forked child may inherit the lock in a locked state; give
+        # each process its own
+        if self._pid != os.getpid():
+            self._lock = threading.Lock()
+            self._pid = os.getpid()
         return self._lock
-
-    def _stripe_guard(self, i: int) -> threading.Lock:
-        self._check_pid()
-        return self._stripe_locks[i]
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]  # locks do not pickle
-        del state["_stripe_locks"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        if "_kernels" in state:  # pickled by a pre-stripe build
-            self._kernel_stripes = [{} for _ in range(_N_STRIPES)]
-            self._soi_stripes = [{} for _ in range(_N_STRIPES)]
-            self._stripe_hits = [0] * _N_STRIPES
-            self._stripe_misses = [0] * _N_STRIPES
-            for k, e in state.pop("_kernels").items():
-                self._kernel_stripes[self._stripe_of(k[0], k[1], k[2])][k] = e
-            for k, e in state.pop("_soi").items():
-                self._soi_stripes[self._stripe_of(k[0], None, k[1])][k] = e
-            self.__dict__.pop("_kernels", None)
-            self.__dict__.pop("_soi", None)
-        self._make_locks()
+        self._lock = threading.Lock()
         self._pid = os.getpid()
 
     def __len__(self) -> int:
-        return (len(self._best)
-                + sum(len(s) for s in self._kernel_stripes)
-                + sum(len(s) for s in self._soi_stripes))
+        return len(self._best) + len(self._kernels)
 
     def __contains__(self, key: tuple[int, int]) -> bool:
         return tuple(key) in self._best
@@ -284,11 +217,9 @@ class Wisdom:
             "machine": machine, "strategy": strategy,
             "radices": list(radices or []),
             "tuned_s": tuned_s, "default_s": default_s})
-        i = self._stripe_of(entry["n"], entry["sign"], entry["dtype"])
-        with self._stripe_guard(i):
-            self._kernel_stripes[i][
-                (entry["n"], entry["sign"], entry["dtype"],
-                 entry["machine"])] = entry
+        with self._guard():
+            self._kernels[(entry["n"], entry["sign"], entry["dtype"],
+                           entry["machine"])] = entry
         return entry
 
     def lookup_kernel(self, n: int, sign: int, dtype,
@@ -300,21 +231,19 @@ class Wisdom:
         Publishes hit/miss counters.
         """
         dtype_name = np.dtype(dtype).name
-        i = self._stripe_of(n, sign, dtype_name)
-        with self._stripe_guard(i):
-            stripe = self._kernel_stripes[i]
+        with self._guard():
             entry = None
             if machine is not None:
-                entry = stripe.get((n, sign, dtype_name, machine))
+                entry = self._kernels.get((n, sign, dtype_name, machine))
             if entry is None:
-                for (kn, ks, kd, _km), e in stripe.items():
+                for (kn, ks, kd, _km), e in self._kernels.items():
                     if (kn, ks, kd) == (n, sign, dtype_name):
                         entry = e
                         break
             if entry is not None:
-                self._stripe_hits[i] += 1
+                self.hits += 1
             else:
-                self._stripe_misses[i] += 1
+                self.misses += 1
         m = _metrics()
         if entry is not None:
             m.counter("repro_fft_wisdom_hits_total",
@@ -324,85 +253,31 @@ class Wisdom:
                       "plan lookups that fell back to defaults").inc()
         return entry
 
-    def record_soi(self, n: int, dtype, machine: str, *, segments: int,
-                   n_mu: int, d_mu: int, b: int,
-                   tuned_s: float | None = None,
-                   default_s: float | None = None) -> dict:
-        """Remember an autotuned SOI pipeline configuration."""
-        entry = _validate_soi({
-            "n": n, "dtype": np.dtype(dtype).name, "machine": machine,
-            "segments": segments, "n_mu": n_mu, "d_mu": d_mu, "b": b,
-            "tuned_s": tuned_s, "default_s": default_s})
-        i = self._stripe_of(entry["n"], None, entry["dtype"])
-        with self._stripe_guard(i):
-            self._soi_stripes[i][
-                (entry["n"], entry["dtype"], entry["machine"])] = entry
-        return entry
-
-    def lookup_soi(self, n: int, dtype,
-                   machine: str | None = None) -> dict | None:
-        """Tuned SOI configuration for (n, dtype), preferring *machine*."""
-        dtype_name = np.dtype(dtype).name
-        i = self._stripe_of(n, None, dtype_name)
-        with self._stripe_guard(i):
-            stripe = self._soi_stripes[i]
-            entry = None
-            if machine is not None:
-                entry = stripe.get((n, dtype_name, machine))
-            if entry is None:
-                for (kn, kd, _km), e in stripe.items():
-                    if (kn, kd) == (n, dtype_name):
-                        entry = e
-                        break
-            if entry is not None:
-                self._stripe_hits[i] += 1
-            else:
-                self._stripe_misses[i] += 1
-        return entry
-
-    # -- striped-map helpers (callers hold no locks) -----------------------
-
-    def _all_kernels(self) -> dict[tuple[int, int, str, str], dict]:
-        """Snapshot of every kernel entry across stripes."""
-        out: dict[tuple[int, int, str, str], dict] = {}
-        for i in range(_N_STRIPES):
-            with self._stripe_guard(i):
-                out.update(self._kernel_stripes[i])
-        return out
-
-    def _all_soi(self) -> dict[tuple[int, str, str], dict]:
-        """Snapshot of every SOI entry across stripes."""
-        out: dict[tuple[int, str, str], dict] = {}
-        for i in range(_N_STRIPES):
-            with self._stripe_guard(i):
-                out.update(self._soi_stripes[i])
-        return out
+    def _snapshot(self) -> tuple[dict, dict]:
+        """Copies of the legacy and kernel maps, taken under the lock."""
+        with self._guard():
+            return dict(self._best), dict(self._kernels)
 
     def merge(self, other: "Wisdom") -> "Wisdom":
         """Fold *other*'s entries into this store (ours win on conflict)."""
+        # snapshot first: holding both locks at once could deadlock two
+        # stores merging into each other (or one merging into itself)
+        best, kernels = other._snapshot()
         with self._guard():
-            for key, val in other._best.items():
+            for key, val in best.items():
                 self._best.setdefault(key, val)
-        for key, val in other._all_kernels().items():
-            i = self._stripe_of(key[0], key[1], key[2])
-            with self._stripe_guard(i):
-                self._kernel_stripes[i].setdefault(key, val)
-        for key, val in other._all_soi().items():
-            i = self._stripe_of(key[0], None, key[1])
-            with self._stripe_guard(i):
-                self._soi_stripes[i].setdefault(key, val)
+            for key, val in kernels.items():
+                self._kernels.setdefault(key, val)
         return self
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
-        kernels = self._all_kernels()
-        soi = self._all_soi()
+        best, kernels = self._snapshot()
         entries: list[dict] = []
         entries += [{"kind": "radix", "n": n, "sign": s, "radices": r}
-                    for (n, s), r in sorted(self._best.items())]
+                    for (n, s), r in sorted(best.items())]
         entries += [kernels[k] for k in sorted(kernels)]
-        entries += [soi[k] for k in sorted(soi)]
         return json.dumps({"version": WISDOM_VERSION, "entries": entries},
                           indent=2)
 
@@ -436,13 +311,9 @@ class Wisdom:
                 w._best[(n, sign)] = list(map(int, radices))
             elif kind == "kernel":
                 e = _validate_kernel(entry)
-                i = w._stripe_of(e["n"], e["sign"], e["dtype"])
-                w._kernel_stripes[i][
-                    (e["n"], e["sign"], e["dtype"], e["machine"])] = e
+                w._kernels[(e["n"], e["sign"], e["dtype"], e["machine"])] = e
             elif kind == "soi":
-                e = _validate_soi(entry)
-                i = w._stripe_of(e["n"], None, e["dtype"])
-                w._soi_stripes[i][(e["n"], e["dtype"], e["machine"])] = e
+                continue  # an SOI geometry the tuner no longer searches
             else:
                 raise ValueError(f"corrupt wisdom: unknown entry kind "
                                  f"{kind!r}")

@@ -1,26 +1,32 @@
 """Property-based differential tests for the plan autotuner.
 
 The contract under test: the autotuner may only change *speed*, never
-*answers*.  Every candidate the search may pick — any radix ladder, any
-strategy, any SOI configuration that survives the accuracy guard — must
-produce output equivalent to the default plan's, across a randomized
-(n, dtype, candidate) matrix that includes r2c and Bluestein sizes.
-Equivalence is bitwise when tuned and default configurations coincide,
-and within floating-point schedule tolerance otherwise (different radix
-orders legitimately round differently).
+*answers*, and it changes no plan at all.  Every candidate the search
+may pick — any radix ladder, any strategy — must produce output
+equivalent to the default plan's, across a randomized (n, dtype,
+candidate) matrix that includes r2c and Bluestein sizes; and
+:func:`~repro.fft.plan.get_plan` plans by the rule whatever a
+:class:`~repro.fft.wisdom.Wisdom` store holds.  Equivalence is bitwise
+when tuned and default schedules coincide, and within floating-point
+schedule tolerance otherwise (different radix orders legitimately round
+differently).
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fft.autotune import (TuneBudget, autotune, default_radices,
-                                default_soi_config, kernel_candidates,
-                                soi_candidates, tune_kernel, tune_soi)
+from repro.fft import plan as plan_mod
+from repro.fft import real as real_mod
+from repro.fft.autotune import (TuneBudget, _build_kernel, autotune,
+                                default_radices, kernel_candidates,
+                                tune_kernel)
 from repro.fft.bluestein import BluesteinPlan
-from repro.fft.plan import (cache_clear, get_active_wisdom, get_plan,
-                            set_active_wisdom)
+from repro.fft.plan import cache_clear, get_plan
 from repro.fft.real import rfft
 from repro.fft.stockham import StockhamPlan
 from repro.fft.wisdom import Wisdom, machine_fingerprint
@@ -34,15 +40,6 @@ TOL = 1e-9
 
 SMOOTH_SIZES = [16, 48, 64, 120, 256, 360, 504, 1008, 1024]
 BLUESTEIN_SIZES = [11, 97, 1009]  # primes: no smooth factorization
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_wisdom():
-    """Every test starts and ends with no wisdom installed."""
-    prev = set_active_wisdom(None)
-    yield
-    set_active_wisdom(prev)
-    cache_clear()
 
 
 def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -93,150 +90,168 @@ class TestKernelCandidateEquivalence:
             assert kernel_candidates(n)[0]["radices"] == default_radices(n)
 
 
+def store_with(n: int, radices: list, machine: str | None = None) -> Wisdom:
+    w = Wisdom()
+    w.record_kernel(n, -1, "complex128", machine or machine_fingerprint(),
+                    "stockham", radices)
+    return w
+
+
+def planned_radices(n: int) -> list:
+    """The schedule ``get_plan`` builds for *n* now, planned afresh."""
+    cache_clear()
+    try:
+        return list(get_plan(n).radices)
+    finally:
+        cache_clear()  # leave no plan of this test's _build_plan behind
+
+
+def consult_store(monkeypatch, store: Wisdom) -> None:
+    """Mutant: the plan cache's old wisdom branch — a stored Stockham
+    schedule wins over the rule."""
+    rule = plan_mod._build_plan
+
+    def build(n, sign, dtype_str):
+        entry = store.lookup_kernel(n, sign, dtype_str)
+        if entry is not None and entry["strategy"] == "stockham":
+            return StockhamPlan(n, sign, radices=entry["radices"],
+                                dtype=np.dtype(dtype_str).type)
+        return rule(n, sign, dtype_str)
+
+    monkeypatch.setattr(plan_mod, "_build_plan", build)
+
+
+def tuning_imports(source: str) -> set[str]:
+    """Modules of the tuner that *source* imports from."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found |= {m for m in names
+                  if m in ("repro.fft.wisdom", "repro.fft.autotune")}
+    return found
+
+
 class TestTunedPlanEquivalence:
-    """End-to-end: tune -> install wisdom -> get_plan answers match."""
+    """``get_plan`` plans by rule; a tuner's winner, planned directly, is
+    an equivalent transform, and no store changes what gets planned."""
 
     @given(st.sampled_from([64, 360, 1008]), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=8, deadline=None)
     def test_tuned_get_plan_matches_untuned(self, n, seed):
         res = tune_kernel(n, reps=1, batch=1,
                           budget=TuneBudget(seconds=5.0))
-        w = Wisdom()
-        w.record_kernel(n, res.sign, res.dtype, machine_fingerprint(),
-                        res.winner["strategy"], res.winner["radices"])
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        set_active_wisdom(None)
-        base = get_plan(n)(x[None, :])[0]
-        set_active_wisdom(w)
-        tuned = get_plan(n)(x[None, :])[0]
-        set_active_wisdom(None)
-        assert _rel_err(tuned, base) < TOL
+        # the winner planned directly, as the tuner measured it
+        tuned = _build_kernel(n, res.sign, res.dtype, res.winner)(
+            x[None, :])[0]
+        assert _rel_err(tuned, get_plan(n)(x[None, :])[0]) < TOL
 
     def test_tuned_plan_uses_winning_radices(self):
-        res = tune_kernel(256, reps=1, batch=1)
-        w = Wisdom()
-        w.record_kernel(256, -1, "complex128", machine_fingerprint(),
-                        res.winner["strategy"], res.winner["radices"])
-        set_active_wisdom(w)
-        plan = get_plan(256)
-        set_active_wisdom(None)
-        assert list(plan.radices) == list(res.winner["radices"])
+        # a store that records another schedule for n = 256 ...
+        store_with(256, [2] * 8)
+        assert default_radices(256) != [2] * 8
+        # ... does not change the schedule the plan cache builds
+        assert planned_radices(256) == default_radices(256)
 
-    def test_set_active_wisdom_returns_previous_and_clears_cache(self):
-        w1, w2 = Wisdom(), Wisdom()
-        assert set_active_wisdom(w1) is None
-        get_plan(64)
-        assert set_active_wisdom(w2) is w1
-        assert get_active_wisdom() is w2
-        assert set_active_wisdom(None) is w2
+    def test_a_plan_cache_that_consults_wisdom_turns_it_red(self,
+                                                            monkeypatch):
+        consult_store(monkeypatch, store_with(256, [2] * 8))
+        assert planned_radices(256) != default_radices(256)
 
-    def test_r2c_path_consumes_wisdom_and_matches(self, rng):
-        # rfft plans the half-length complex transform through get_plan,
-        # so installed wisdom must flow through without changing answers
+    def test_plan_module_imports_no_tuner(self):
+        """``ast`` guard: planning has one path, so ``fft/plan.py``
+        imports nothing from the wisdom store or the tuner."""
+        assert tuning_imports(Path(plan_mod.__file__).read_text()) == set()
+        # the guard can go red: the import the plan cache used to have
+        assert tuning_imports("from repro.fft.wisdom import Wisdom\n"
+                              "import repro.fft.autotune") == {
+            "repro.fft.wisdom", "repro.fft.autotune"}
+
+    def test_r2c_path_consumes_wisdom_and_matches(self, rng, monkeypatch):
+        # rfft plans the half-length complex transform through get_plan:
+        # the plan it runs is the rule's schedule for n/2
         n = 1008  # half = 504, smooth
-        res = tune_kernel(n // 2, reps=1, batch=1)
-        w = Wisdom()
-        w.record_kernel(n // 2, -1, "complex128", machine_fingerprint(),
-                        res.winner["strategy"], res.winner["radices"])
+        used = []
+
+        def spy(*args, **kwargs):
+            used.append(get_plan(*args, **kwargs))
+            return used[-1]
+
+        monkeypatch.setattr(real_mod, "get_plan", spy)
         x = rng.standard_normal(n)
-        set_active_wisdom(None)
-        base = rfft(x)
-        cache_clear()
-        set_active_wisdom(w)
-        tuned = rfft(x)
-        set_active_wisdom(None)
-        assert _rel_err(tuned, base) < TOL
-        assert _rel_err(tuned, np.fft.rfft(x)) < TOL
+        y = rfft(x)
+        assert [(p.n, list(p.radices)) for p in used] == [
+            (n // 2, default_radices(n // 2))]
+        assert _rel_err(y, np.fft.rfft(x)) < TOL
 
     def test_wisdom_for_other_machine_still_correct(self, rng):
         # foreign-machine entries are fallbacks (AccFFT portability):
         # possibly not optimal here, but must still be a correct plan
         res = tune_kernel(360, reps=1, batch=1)
-        w = Wisdom()
-        w.record_kernel(360, -1, "complex128", "feedfacecafe",
-                        res.winner["strategy"], res.winner["radices"])
+        w = store_with(360, res.winner["radices"], machine="feedfacecafe")
+        entry = w.lookup_kernel(360, -1, "complex128",
+                                machine=machine_fingerprint())
+        assert entry["machine"] == "feedfacecafe"
         x = random_complex(rng, 360)
-        set_active_wisdom(w)
-        tuned = get_plan(360)(x[None, :])[0]
-        set_active_wisdom(None)
+        tuned = StockhamPlan(360, radices=entry["radices"])(x[None, :])[0]
         assert _rel_err(tuned, np.fft.fft(x)) < TOL
 
     def test_complex64_wisdom_ignored_for_nonsmooth(self, rng):
-        # a (corrupt or foreign) stockham entry for a non-smooth length
-        # must not be applied to complex64 (Bluestein is c128-only), and
-        # plan building must still dispatch correctly for c128
-        w = Wisdom()
-        w.record_kernel(1009, -1, "complex128", machine_fingerprint(),
-                        "bluestein", [])
+        # Bluestein's chirp tables need double precision: a non-smooth
+        # complex64 plan is refused, and complex128 dispatches to it
+        with pytest.raises(ValueError, match="single-precision"):
+            get_plan(1009, dtype=np.complex64)
+        plan = get_plan(1009)
+        assert isinstance(plan, BluesteinPlan)
         x = random_complex(rng, 1009)
-        set_active_wisdom(w)
-        y = get_plan(1009)(x[None, :])[0]
-        set_active_wisdom(None)
-        assert _rel_err(y, np.fft.fft(x)) < 1e-8
+        assert _rel_err(plan(x[None, :])[0], np.fft.fft(x)) < 1e-8
+
+
+def _soi_geometries() -> list[tuple]:
+    """A test-local S x mu x B grid: every ``(n, S, n_mu, d_mu, B)`` of it
+    that :class:`~repro.core.params.SoiParams` accepts."""
+    from repro.core.params import SoiParams
+
+    out = []
+    for n in (2048, 3584, 8192):
+        for segments in (4, 8, 16, 32):
+            for n_mu, d_mu in ((8, 7), (5, 4), (9, 8)):
+                for b in (48, 72):
+                    try:
+                        SoiParams(n=n, n_procs=1,
+                                  segments_per_process=segments,
+                                  n_mu=n_mu, d_mu=d_mu, b=b)
+                    except ValueError:
+                        continue
+                    out.append((n, segments, n_mu, d_mu, b))
+    return out
 
 
 class TestSoiCandidateEquivalence:
-    """Every SOI configuration the search may pick stays within the
-    default's accuracy envelope and computes the same DFT."""
+    """Every SOI geometry of a small grid computes the DFT within its
+    own design envelope."""
 
-    @given(st.sampled_from([2048, 3584, 8192]), st.integers(0, 5),
-           st.integers(0, 2 ** 31 - 1))
+    @given(st.sampled_from(_soi_geometries()), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=10, deadline=None)
-    def test_soi_candidates_match_numpy(self, n, cand_idx, seed):
-        from repro.core.soi_single import SoiFFT
+    def test_soi_candidates_match_numpy(self, geometry, seed):
         from repro.core.params import SoiParams
+        from repro.core.soi_single import SoiFFT
 
-        cands = soi_candidates(n)
-        cand = cands[cand_idx % len(cands)]
-        params = SoiParams(n=n, n_procs=1,
-                           segments_per_process=cand["segments"],
-                           n_mu=cand["n_mu"], d_mu=cand["d_mu"],
-                           b=cand["b"])
-        f = SoiFFT(params)
+        n, segments, n_mu, d_mu, b = geometry
+        f = SoiFFT(SoiParams(n=n, n_procs=1, segments_per_process=segments,
+                             n_mu=n_mu, d_mu=d_mu, b=b))
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ref = np.fft.fft(x)
         err = np.linalg.norm(f(x) - ref) / np.linalg.norm(ref)
-        # every candidate passed the accuracy guard, so the default's
-        # design envelope bounds them all (10x slack as in core tests)
+        # 10x slack over the design stopband, as in the core tests
         assert err < 10 * f.expected_stopband + 1e-12
-
-    def test_candidates_never_looser_than_default(self):
-        from repro.core.window import kaiser_attenuation_db
-
-        for n in (2048, 3584):
-            default = default_soi_config(n)
-            floor = kaiser_attenuation_db(default["b"],
-                                          default["n_mu"] / default["d_mu"])
-            for cand in soi_candidates(n):
-                att = kaiser_attenuation_db(cand["b"],
-                                            cand["n_mu"] / cand["d_mu"])
-                assert att >= floor - 1e-9
-
-    def test_tuned_soi_matches_default_soi(self, rng):
-        n = 2048
-        res = tune_soi(n, reps=1, batch=1,
-                       budget=TuneBudget(seconds=10.0))
-        from repro.core.soi_single import SoiFFT
-
-        f_def = SoiFFT(_soi_params_for(n, default_soi_config(n)))
-        f_tuned = SoiFFT(_soi_params_for(n, res.winner))
-        x = random_complex(rng, n)
-        ref = np.fft.fft(x)
-        err_def = np.linalg.norm(f_def(x) - ref) / np.linalg.norm(ref)
-        err_tuned = np.linalg.norm(f_tuned(x) - ref) / np.linalg.norm(ref)
-        assert err_tuned < 10 * f_tuned.expected_stopband + 1e-12
-        # tuned accuracy stays within one design envelope of the default
-        assert err_tuned < max(10 * f_def.expected_stopband, err_def * 10) \
-            + 1e-12
-
-
-def _soi_params_for(n, cand):
-    from repro.core.params import SoiParams
-    return SoiParams(n=n, n_procs=1,
-                     segments_per_process=cand["segments"],
-                     n_mu=cand["n_mu"], d_mu=cand["d_mu"], b=cand["b"])
 
 
 class TestSearchDriver:
@@ -258,25 +273,16 @@ class TestSearchDriver:
         assert res.tuned_s == min(res.timings.values())
         assert res.tuned_s <= res.default_s
 
-    def test_soi_winner_is_measured_minimum(self):
-        res = tune_soi(2048, reps=1, batch=1,
-                       budget=TuneBudget(seconds=10.0))
-        assert res.tuned_s == min(res.timings.values())
-        assert res.tuned_s <= res.default_s
-
     def test_autotune_records_into_wisdom(self):
         w = Wisdom()
-        report = autotune(sizes=[64, 97], soi_sizes=[2048],
-                          budget=TuneBudget(seconds=10.0), reps=1,
-                          batch=1, wisdom=w, machine="testmachine01")
+        report = autotune(sizes=[64, 97], budget=TuneBudget(seconds=10.0),
+                          reps=1, batch=1, wisdom=w,
+                          machine="testmachine01")
         assert len(report.kernel_results) == 2
-        assert len(report.soi_results) == 1
         assert w.lookup_kernel(64, -1, "complex128",
                                machine="testmachine01") is not None
         assert w.lookup_kernel(97, -1, "complex128",
                                machine="testmachine01") is not None
-        assert w.lookup_soi(2048, "complex128",
-                            machine="testmachine01") is not None
 
     def test_report_rows_and_render(self):
         from repro.fft.autotune import render_speedup_table

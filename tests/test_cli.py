@@ -150,14 +150,21 @@ class TestAutotune:
     def test_smoke_run_passes_and_persists_wisdom(self, tmp_path, capsys):
         import json
 
+        from repro.fft.plan import cache_info
+
         wisdom_path = tmp_path / "wisdom.json"
         table_path = tmp_path / "speedup.txt"
+        cached = cache_info().currsize
         assert main(["autotune", "--smoke", "--budget", "10",
                      "--wisdom", str(wisdom_path),
                      "--output", str(table_path)]) == 0
+        # tuner and differential check plan directly: the cache is as found
+        assert cache_info().currsize == cached
         out = capsys.readouterr().out
         assert "autotune: PASS" in out
         assert "speedup" in out
+        assert "best_speedup_floor" not in out  # printed, not gated
+        assert "reported, not gated" in out
 
         store = json.loads(wisdom_path.read_text())
         assert store["version"] == 2

@@ -11,6 +11,20 @@ from repro.fft.wisdom import (WISDOM_VERSION, Wisdom,
 from tests.conftest import random_complex
 
 
+def v2_store_with_soi_entries() -> dict:
+    """A version-2 store as the tuner wrote it while it also searched SOI
+    geometries: one kernel entry, two SOI entries (one from before the
+    convolution became one kernel, with its "conv_inner" key)."""
+    return {"version": WISDOM_VERSION, "entries": [
+        {"kind": "kernel", "n": 64, "sign": -1, "dtype": "complex128",
+         "machine": "m", "strategy": "stockham", "radices": [8, 8]},
+        {"kind": "soi", "n": 3584, "dtype": "complex128", "machine": "m",
+         "segments": 32, "n_mu": 5, "d_mu": 4, "b": 48,
+         "conv_inner": "matmul", "tuned_s": 1e-3, "default_s": 2e-3},
+        {"kind": "soi", "n": 8192, "dtype": "complex128", "machine": "m",
+         "segments": 4, "n_mu": 5, "d_mu": 4, "b": 72}]}
+
+
 class TestCandidates:
     def test_pow2_candidates(self):
         plans = candidate_radix_plans(64)
@@ -128,12 +142,19 @@ class TestKernelEntries:
         with pytest.raises(ValueError, match="strategy"):
             w.record_kernel(64, -1, "complex128", "m", "sixstep", [8, 8])
 
-    def test_soi_record_and_lookup(self):
+    def test_soi_record_and_lookup(self, tmp_path):
+        # the tuner no longer records SOI geometries: saving over a store
+        # that holds some keeps its kernel entries and drops them
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(v2_store_with_soi_entries()))
         w = Wisdom()
-        w.record_soi(3584, "complex128", "m000000000001", segments=8,
-                     n_mu=8, d_mu=7, b=72)
-        e = w.lookup_soi(3584, "complex128")
-        assert e["segments"] == 8 and e["b"] == 72
+        w.record_kernel(128, -1, "complex128", "m", "stockham", [8, 4, 4])
+        w.save(path)
+        payload = json.loads(path.read_text())
+        assert [e["kind"] for e in payload["entries"]] == ["kernel"] * 2
+        merged = Wisdom.load(path, strict=True)
+        assert merged.lookup_kernel(64, -1, "complex128") is not None
+        assert merged.lookup_kernel(128, -1, "complex128") is not None
 
     def test_lookup_publishes_wisdom_metrics(self):
         from repro.telemetry.metrics import MetricsRegistry, set_registry
@@ -156,16 +177,12 @@ class TestRoundTrip:
         w = Wisdom()
         w.record_kernel(256, -1, "complex128", "m000000000001", "stockham",
                         [2] * 8, tuned_s=1e-4, default_s=2e-4)
-        w.record_soi(3584, "complex128", "m000000000001", segments=16,
-                     n_mu=5, d_mu=4, b=48)
         path = tmp_path / "wisdom.json"
         w.save(path)
         restored = Wisdom.load(path, strict=True)
         assert len(restored) == len(w)
         assert restored.lookup_kernel(256, -1, "complex128") \
             == w.lookup_kernel(256, -1, "complex128")
-        assert restored.lookup_soi(3584, "complex128") \
-            == w.lookup_soi(3584, "complex128")
 
     def test_v2_envelope_written(self, tmp_path):
         w = Wisdom()
@@ -182,18 +199,19 @@ class TestRoundTrip:
         assert (64, -1) in w
 
     def test_v2_soi_entry_with_conv_inner_still_loads(self, tmp_path):
-        # files written before the convolution became one kernel carry a
-        # "conv_inner" key per SOI entry: read, ignored, not written back
+        # v2 files written while the tuner searched SOI geometries carry
+        # "soi" entries, the oldest with a "conv_inner" key: the file
+        # loads without a warning, keeps its kernel entry, drops the rest
+        import warnings
+
         path = tmp_path / "w.json"
-        path.write_text(json.dumps({"version": WISDOM_VERSION, "entries": [
-            {"kind": "soi", "n": 3584, "dtype": "complex128",
-             "machine": "m", "segments": 32, "n_mu": 5, "d_mu": 4,
-             "b": 48, "conv_inner": "matmul", "tuned_s": 1e-3,
-             "default_s": 2e-3}]}))
-        w = Wisdom.load(path, strict=True)
-        e = w.lookup_soi(3584, "complex128")
-        assert (e["segments"], e["n_mu"], e["d_mu"], e["b"]) == (32, 5, 4, 48)
-        assert "conv_inner" not in w.to_json()
+        path.write_text(json.dumps(v2_store_with_soi_entries()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = Wisdom.load(path)
+        assert len(w) == 1
+        assert w.lookup_kernel(64, -1, "complex128")["radices"] == [8, 8]
+        assert '"soi"' not in w.to_json()
 
     def test_save_merges_with_existing_store(self, tmp_path):
         path = tmp_path / "w.json"
