@@ -87,6 +87,7 @@ mismatch raises instead of deadlocking — the same guarantee
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import queue
@@ -130,6 +131,10 @@ _WATCHDOG_TICK_S = 0.05
 #: gives the job up (a rank deep in a compute phase reads no mailbox).
 _ABORT_GRACE_S = 5.0
 _BAR = "__barrier__"
+#: Per-process serial of :class:`ProcessBackend` instances: with the pid
+#: it makes every backend's segment-name token unique, where an address
+#: would repeat once a dead backend's memory is reused.
+_backend_serials = itertools.count()
 
 
 class ExecutionBackend:
@@ -811,7 +816,9 @@ class ProcessBackend(ExecutionBackend):
         self.hang_timeout = float(hang_timeout)
         self.trace = Trace() if trace is None else trace
         self.metrics = get_registry() if metrics is None else metrics
-        self._token = f"rpb{os.getpid():x}{id(self) & 0xffff:x}"
+        # "_" ends each hex field, so no token is a prefix of another and
+        # one backend's janitor never sweeps another's segments
+        self._token = f"rpb{os.getpid():x}_{next(_backend_serials):x}_"
         self._ctx = mp.get_context(start_method)
         self._procs: list = []
         self._epochs: list[int] = [0] * self.size  # per-slot spawn count

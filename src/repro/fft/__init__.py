@@ -31,8 +31,9 @@ sizes every product, which is what makes ``plan(xs)[i]`` bitwise
 """
 
 from repro.fft.autotune import (AutotuneReport, KernelResult, TuneBudget,
-                                autotune, kernel_candidates,
-                                render_speedup_table, tune_kernel)
+                                autotune, candidate_radix_plans,
+                                kernel_candidates, render_speedup_table,
+                                tune_kernel)
 from repro.fft.bitops import default_radices, gemm_tile
 from repro.fft.bluestein import BluesteinPlan, bluestein_fft
 from repro.fft.codelet import CODELET_SIZES, generate_codelet_source, get_codelet
@@ -48,8 +49,7 @@ from repro.fft.sixstep import SixStepResult, sixstep_fft
 from repro.fft.stockham import StockhamPlan, fft_flops, fft_stockham
 from repro.fft.transpose import blocked_transpose, stride_permutation_indices
 from repro.fft.twiddle import SplitTwiddle, twiddle_table
-from repro.fft.wisdom import (WISDOM_VERSION, Wisdom, candidate_radix_plans,
-                              machine_fingerprint, tune)
+from repro.fft.wisdom import WISDOM_VERSION, Wisdom, machine_fingerprint
 
 __all__ = [
     "AutotuneReport",
@@ -102,7 +102,6 @@ __all__ = [
     "sixstep_fft",
     "stride_permutation_indices",
     "to_aos",
-    "tune",
     "tune_kernel",
     "twiddle_table",
 ]

@@ -5,13 +5,18 @@ rule, :func:`~repro.fft.bitops.default_radices`, the way the paper uses
 "radix 8 and 16, case by case" (§5.2.4).  This module measures whether
 that rule leaves speed on the table:
 
-* :func:`tune_kernel` searches the kernel-plan space for one
-  ``(n, sign, dtype)`` — Stockham radix ladders for smooth sizes,
-  Bluestein for the rest — with measured-time arbitration;
+* :func:`candidate_radix_plans` enumerates sensible radix
+  decompositions, and :func:`kernel_candidates` puts the rule's
+  schedule (or Bluestein, for non-smooth sizes) in front of them;
+* :func:`tune_kernel` searches those candidates for one
+  ``(n, sign, dtype)`` with measured-time arbitration;
 * :func:`autotune` drives it over a size list under a
   :class:`TuneBudget` and records winners into a versioned
   :class:`~repro.fft.wisdom.Wisdom` store keyed by
   ``(n, dtype, machine_fingerprint)``.
+
+This is the only search for a schedule: the store keeps what it
+measured and knows nothing of how it was measured.
 
 Search is exhaustive while the candidate set is small and measures a
 seeded random subset when it grows — the FFTW ``ESTIMATE``/``MEASURE``
@@ -32,15 +37,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.fft.bitops import default_radices
+from repro.fft.bitops import default_radices, factorize_radices, \
+    is_power_of_two, mixed_radix_factors
 from repro.fft.bluestein import BluesteinPlan
 from repro.fft.stockham import StockhamPlan
-from repro.fft.wisdom import Wisdom, candidate_radix_plans, \
-    machine_fingerprint
+from repro.fft.wisdom import Wisdom, machine_fingerprint
 
 __all__ = ["AutotuneReport", "KernelResult", "TuneBudget", "autotune",
-           "default_radices", "kernel_candidates", "render_speedup_table",
-           "tune_kernel"]
+           "candidate_radix_plans", "default_radices", "kernel_candidates",
+           "render_speedup_table", "tune_kernel"]
 
 #: Above this many candidates the search measures the default plus a
 #: seeded random subset of this size instead of every candidate.
@@ -81,14 +86,43 @@ class TuneBudget:
         self.trials += 1
 
 
+def candidate_radix_plans(n: int) -> list[list[int]]:
+    """Reasonable radix decompositions of *n* (greedy ladders).
+
+    Power-of-two sizes get the radix-32/16/8/4/2 greedy ladders; other
+    smooth sizes get the prime factorization (unique up to order) in
+    ascending and descending order.  The default schedule
+    (:func:`repro.fft.bitops.default_radices`) is not repeated here;
+    :func:`kernel_candidates` puts it first.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    out: list[list[int]] = []
+    if is_power_of_two(n):
+        for ladder in ((4, 2), (8, 4, 2), (16, 8, 4, 2), (32, 16, 8, 4, 2),
+                       (2,)):
+            plan = factorize_radices(n, ladder)
+            if plan not in out:
+                out.append(plan)
+        return out
+    factors = mixed_radix_factors(n)
+    if factors is None:
+        raise ValueError(f"{n} is not smooth over (2,3,5,7); Bluestein "
+                         f"handles it without radix tuning")
+    out.append(factors)
+    if factors[::-1] != factors:
+        out.append(factors[::-1])
+    return out
+
+
 def kernel_candidates(n: int, dtype=np.complex128) -> list[dict]:
     """Candidate kernel plans for one size, the default strategy first.
 
     Smooth sizes enumerate the Stockham radix ladders of
-    :func:`~repro.fft.wisdom.candidate_radix_plans`; non-smooth sizes
-    have exactly one legal strategy (Bluestein) so their candidate list
-    is the default alone — the autotuner must never migrate a size onto
-    a kernel that changes answers beyond schedule-level rounding.
+    :func:`candidate_radix_plans`; non-smooth sizes have exactly one
+    legal strategy (Bluestein) so their candidate list is the default
+    alone — the autotuner must never migrate a size onto a kernel that
+    changes answers beyond schedule-level rounding.
     """
     default = default_radices(n)
     if default is None:

@@ -1,22 +1,19 @@
-"""Empirical plan tuning and wisdom (FFTW-style), with a persistent store.
+"""Wisdom (FFTW-style): a persistent store of the kernel tuner's winners.
 
 The paper's "we use radix 8 and 16, case by case" (§5.2.4) is an
 empirical statement: the best radix decomposition depends on the size and
-the machine.  This module makes that choice measurable and persistent:
+the machine.  :mod:`repro.fft.autotune` owns the search that measures it;
+this module owns only the record of what won and its versioned JSON
+format.
 
-* :func:`candidate_radix_plans` enumerates sensible decompositions;
-* :func:`tune` times them on representative data and records the winner;
-* :class:`Wisdom` stores winners and serializes to/from versioned JSON,
-  so a deployment tunes once and replans instantly afterwards.
-
-Beyond the legacy (n, sign) -> radices map, the store holds **kernel**
-entries written by :mod:`repro.fft.autotune`: ``(n, sign, dtype,
-machine)`` -> (strategy, radices).  No library code reads them back —
-the plan cache (:func:`repro.fft.plan.get_plan`) plans by rule — so a
-store records what the tuner measured, not what a transform runs.
-Version-2 files written when the tuner also searched SOI geometries
-carry ``"soi"`` entries; they are dropped on read and never written
-back.
+The store holds one kind of entry, **kernel** entries: ``(n, sign,
+dtype, machine)`` -> (strategy, radices).  No library code reads them
+back — the plan cache (:func:`repro.fft.plan.get_plan`) plans by rule —
+so a store records what the tuner measured, not what a transform runs.
+Entry kinds the store no longer records are dropped on read, without a
+warning, and never written back: ``"radix"`` entries (the v1 bare-list
+format, and v2 entries with no ``kind``) from the first tuner, and
+``"soi"`` entries from when the tuner also searched SOI geometries.
 
 Entries are keyed by a :func:`machine_fingerprint` so wisdom files are
 portable: an exact-machine entry wins, but a foreign machine's entry is
@@ -45,12 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.fft.bitops import factorize_radices, is_power_of_two, \
-    mixed_radix_factors
-from repro.fft.stockham import StockhamPlan
-
-__all__ = ["WISDOM_VERSION", "Wisdom", "candidate_radix_plans",
-           "machine_fingerprint", "tune"]
+__all__ = ["WISDOM_VERSION", "Wisdom", "machine_fingerprint"]
 
 #: Schema version of the serialized store.  Readers reject newer files
 #: (a future format may not be interpretable); :meth:`Wisdom.load` turns
@@ -76,60 +68,6 @@ def machine_fingerprint() -> str:
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:12]
 
 
-def candidate_radix_plans(n: int) -> list[list[int]]:
-    """Reasonable radix decompositions of *n* (greedy ladders).
-
-    Power-of-two sizes get the radix-32/16/8/4/2 greedy ladders; other
-    smooth sizes get the prime factorization (unique up to order) in
-    ascending and descending order.  The default schedule
-    (:func:`repro.fft.bitops.default_radices`) is not repeated here;
-    :func:`repro.fft.autotune.kernel_candidates` puts it first.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    out: list[list[int]] = []
-    if is_power_of_two(n):
-        for ladder in ((4, 2), (8, 4, 2), (16, 8, 4, 2), (32, 16, 8, 4, 2),
-                       (2,)):
-            plan = factorize_radices(n, ladder)
-            if plan not in out:
-                out.append(plan)
-        return out
-    factors = mixed_radix_factors(n)
-    if factors is None:
-        raise ValueError(f"{n} is not smooth over (2,3,5,7); Bluestein "
-                         f"handles it without radix tuning")
-    out.append(factors)
-    if factors[::-1] != factors:
-        out.append(factors[::-1])
-    return out
-
-
-def _time_plan(plan: StockhamPlan, x: np.ndarray, reps: int) -> float:
-    plan(x)  # warm caches and twiddles
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        plan(x)
-    return (time.perf_counter() - t0) / reps
-
-
-def tune(n: int, sign: int = -1, batch: int = 4, reps: int = 3,
-         rng_seed: int = 0) -> tuple[list[int], dict[str, float]]:
-    """Measure all candidates; return (best_radices, timings_by_plan)."""
-    rng = np.random.default_rng(rng_seed)
-    x = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
-    timings: dict[str, float] = {}
-    best: tuple[float, list[int]] | None = None
-    for radices in candidate_radix_plans(n):
-        plan = StockhamPlan(n, sign, radices=radices)
-        t = _time_plan(plan, x, reps)
-        timings[",".join(map(str, radices))] = t
-        if best is None or t < best[0]:
-            best = (t, radices)
-    assert best is not None
-    return best[1], timings
-
-
 def _metrics():
     from repro.telemetry.metrics import get_registry
     return get_registry()
@@ -152,7 +90,7 @@ def _validate_kernel(entry: dict) -> dict:
 
 
 class Wisdom:
-    """Persistent store of tuned plan choices (legacy and kernel).
+    """Persistent store of the kernel tuner's plan choices.
 
     Thread- and fork-safe: every entry sits behind one lock, which is
     replaced (never shared) when the instance crosses a fork or a pickle
@@ -160,7 +98,6 @@ class Wisdom:
     serving thread: the plan cache never consults it."""
 
     def __init__(self) -> None:
-        self._best: dict[tuple[int, int], list[int]] = {}
         #: (n, sign, dtype, machine) -> kernel entry dict.
         self._kernels: dict[tuple[int, int, str, str], dict] = {}
         self.hits = self.misses = 0
@@ -187,23 +124,7 @@ class Wisdom:
         self._pid = os.getpid()
 
     def __len__(self) -> int:
-        return len(self._best) + len(self._kernels)
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return tuple(key) in self._best
-
-    def learn(self, n: int, sign: int = -1, **tune_kwargs) -> list[int]:
-        """Tune size *n* (if unknown) and remember the winner."""
-        key = (n, sign)
-        with self._guard():
-            if key not in self._best:
-                best, _ = tune(n, sign, **tune_kwargs)
-                self._best[key] = best
-            return self._best[key]
-
-    def plan(self, n: int, sign: int = -1) -> StockhamPlan:
-        """A plan using the remembered (or freshly tuned) decomposition."""
-        return StockhamPlan(n, sign, radices=self.learn(n, sign))
+        return len(self._kernels)
 
     # -- autotuner entries -------------------------------------------------
 
@@ -253,19 +174,17 @@ class Wisdom:
                       "plan lookups that fell back to defaults").inc()
         return entry
 
-    def _snapshot(self) -> tuple[dict, dict]:
-        """Copies of the legacy and kernel maps, taken under the lock."""
+    def _snapshot(self) -> dict:
+        """A copy of the kernel map, taken under the lock."""
         with self._guard():
-            return dict(self._best), dict(self._kernels)
+            return dict(self._kernels)
 
     def merge(self, other: "Wisdom") -> "Wisdom":
         """Fold *other*'s entries into this store (ours win on conflict)."""
         # snapshot first: holding both locks at once could deadlock two
         # stores merging into each other (or one merging into itself)
-        best, kernels = other._snapshot()
+        kernels = other._snapshot()
         with self._guard():
-            for key, val in best.items():
-                self._best.setdefault(key, val)
             for key, val in kernels.items():
                 self._kernels.setdefault(key, val)
         return self
@@ -273,11 +192,8 @@ class Wisdom:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
-        best, kernels = self._snapshot()
-        entries: list[dict] = []
-        entries += [{"kind": "radix", "n": n, "sign": s, "radices": r}
-                    for (n, s), r in sorted(best.items())]
-        entries += [kernels[k] for k in sorted(kernels)]
+        kernels = self._snapshot()
+        entries = [kernels[k] for k in sorted(kernels)]
         return json.dumps({"version": WISDOM_VERSION, "entries": entries},
                           indent=2)
 
@@ -285,14 +201,15 @@ class Wisdom:
     def from_json(cls, text: str) -> "Wisdom":
         """Parse a store; raises ``ValueError`` on any corruption.
 
-        Accepts both the v1 bare-list format (radix entries only) and the
-        current versioned envelope.  Use :meth:`load` for the tolerant
+        Accepts both the v1 bare-list format and the current versioned
+        envelope.  Entries of a kind the store no longer records (all of
+        a v1 list) are dropped.  Use :meth:`load` for the tolerant
         warn-and-fall-back behavior.
         """
         payload = json.loads(text)
         w = cls()
-        if isinstance(payload, list):  # v1: bare radix list
-            entries = [{"kind": "radix", **e} for e in payload]
+        if isinstance(payload, list):  # v1: radix entries only
+            entries = []
         elif isinstance(payload, dict):
             version = payload.get("version")
             if not isinstance(version, int) or version > WISDOM_VERSION:
@@ -302,18 +219,13 @@ class Wisdom:
         else:
             raise ValueError("wisdom payload must be a list or object")
         for entry in entries:
+            # an entry with no kind is a radix entry of the first tuner
             kind = entry.get("kind", "radix")
-            if kind == "radix":
-                n, sign = int(entry["n"]), int(entry["sign"])
-                radices = entry["radices"]
-                if int(np.prod(radices)) != n:
-                    raise ValueError(f"corrupt wisdom entry for n={n}")
-                w._best[(n, sign)] = list(map(int, radices))
-            elif kind == "kernel":
+            if kind == "kernel":
                 e = _validate_kernel(entry)
                 w._kernels[(e["n"], e["sign"], e["dtype"], e["machine"])] = e
-            elif kind == "soi":
-                continue  # an SOI geometry the tuner no longer searches
+            elif kind in ("radix", "soi"):
+                continue  # a kind the store no longer records
             else:
                 raise ValueError(f"corrupt wisdom: unknown entry kind "
                                  f"{kind!r}")

@@ -16,12 +16,15 @@ Two drivers share the arrival schedules:
   :class:`~repro.serve.qos.QosPolicy` and :class:`~repro.serve.coalesce
   .Coalescer`) that pushes 10^5–10^6 requests through it, the clock
   replaced by an event heap and batch execution by a
-  :class:`ServiceModel` cost function.
-  Fully deterministic (seeded arrivals, no wall clock), machine
-  independent, and fast enough to sweep offered load past the knee.
+  :class:`ServiceModel` cost function.  The cost function comes from
+  the Section 4 performance model (:meth:`ServiceModel.analytic`), never
+  from timing the host, so a run is fully deterministic (seeded
+  arrivals, no wall clock), machine independent, and fast enough to
+  sweep offered load past the knee.
 * :func:`drive_gateway` — the wall-clock driver that fires the same
   open-loop schedule at a live :class:`~repro.serve.gateway
-  .AsyncSoiGateway` (used by the serving bench for measured numbers).
+  .AsyncSoiGateway`; the serving bench's measured numbers come from it
+  alone.
 
 :func:`sweep_offered_load` runs the simulator across arrival rates and
 :func:`render_curves` writes the latency-vs-offered-load exhibit.
@@ -148,35 +151,6 @@ class ServiceModel:
             setup.append(s)
             per_row.append(slope)
         return cls(setup_s=tuple(setup), per_row_s=tuple(per_row))
-
-    @classmethod
-    def measured(cls, ladder: DegradationLadder, *,
-                 probe_batch: int = 8, repeats: int = 3) -> "ServiceModel":
-        """Calibrate ``(setup, per_row)`` by timing the real plans."""
-        import time
-
-        from repro.core.soi_single import SoiFFT
-        setup, per_row = [], []
-        for rung in ladder:
-            plan = SoiFFT(rung.params, dtype=rung.dtype)
-            rng = np.random.default_rng(7)
-            x1 = (rng.standard_normal(rung.params.n)
-                  + 1j * rng.standard_normal(rung.params.n)
-                  ).astype(rung.dtype)
-            xb = np.stack([x1] * probe_batch)
-            plan.batch(xb)  # warm the pools/tables before timing
-            t1 = min(_timed(plan, x1[None, :], time) for _ in range(repeats))
-            tb = min(_timed(plan, xb, time) for _ in range(repeats))
-            slope = max((tb - t1) / (probe_batch - 1), 1e-9)
-            setup.append(max(t1 - slope, 0.0))
-            per_row.append(slope)
-        return cls(setup_s=tuple(setup), per_row_s=tuple(per_row))
-
-
-def _timed(plan, xs, time_mod) -> float:
-    t0 = time_mod.perf_counter()
-    plan.batch(xs)
-    return time_mod.perf_counter() - t0
 
 
 @dataclass

@@ -6,6 +6,7 @@ identical to the rank-serial ``SimulatedBackend``, including the merged
 ``VerificationReport`` under injected silent data corruption.
 """
 
+import itertools
 import re
 import time
 from collections import Counter
@@ -615,6 +616,66 @@ class TestElasticRecovery:
         # result generation was retired and recovery pickles its results
         assert live_infrastructure(be) == {
             "hb": 1, "i": 1, "outbox": P - 1, "stash": P - 1}
+
+
+# -- tokens: every backend names its segments under its own prefix -----
+
+def one_token_for_every_backend(monkeypatch):
+    """Mutant of the token: every backend after this call gets the same
+    one (from a serial no other backend holds)."""
+    serial = next(backends_mod._backend_serials)
+    monkeypatch.setattr(backends_mod, "_backend_serials",
+                        itertools.repeat(serial))
+
+
+def two_live_backends(close_first: str) -> None:
+    """Backend *b* runs a job while *a*'s heartbeat segment exists; then
+    one of them closes and the other's segments are left as they were."""
+    a = ProcessBackend(2)
+    try:
+        a.run(alltoall_prog, [(0.0,)] * 2)
+        assert list_segments(f"{a._token}hb") == [f"{a._token}hb"]
+        b = ProcessBackend(2)
+        try:
+            got = b.run(alltoall_prog, [(1.0,)] * 2)
+            assert np.array_equal(got[0], [1.0] * 3 + [11.0] * 3)
+            gone, kept = (a, b) if close_first == "a" else (b, a)
+            names = list_segments(kept._token)
+            gone.close()
+            assert list_segments(gone._token) == []
+            assert list_segments(kept._token) == names
+            assert len(kept.run(alltoall_prog, [(2.0,)] * 2)) == 2
+        finally:
+            b.close()
+    finally:
+        a.close()
+
+
+class TestTokens:
+    """A janitor sweeps by name prefix, so no backend's token may equal
+    or start another's — not even one allocated where a dead one was."""
+
+    def test_no_token_is_a_prefix_of_another(self):
+        # serials 0x1 and 0x10 are both among 17 consecutive backends;
+        # a backend spawns no worker and creates no segment until it runs
+        backends = [ProcessBackend(1) for _ in range(17)]
+        for be in backends:
+            be.close()
+        tokens = [be._token for be in backends]
+        assert len(set(tokens)) == len(tokens)
+        assert not [(s, t) for s in tokens for t in tokens
+                    if s != t and t.startswith(s)]
+
+    @pytest.mark.parametrize("close_first", ["a", "b"])
+    def test_two_live_backends_keep_their_own_segments(self, close_first):
+        two_live_backends(close_first)
+
+    def test_a_shared_token_collides(self, monkeypatch):
+        one_token_for_every_backend(monkeypatch)
+        token = ProcessBackend(1)._token
+        with pytest.raises(FileExistsError):
+            two_live_backends("a")
+        assert list_segments(token) == []
 
 
 # -- arena lifetimes: rule 1 (retire), rule 2 (one mapped generation) ---

@@ -47,7 +47,7 @@ def _child_probe(q):
 
 
 def _wisdom_child(q, wisdom):
-    q.put(wisdom.learn(64))
+    q.put(wisdom.lookup_kernel(64, -1, "complex128"))
 
 
 class TestPlanCacheForkSafety:
@@ -108,21 +108,22 @@ class TestPlanCacheForkSafety:
 class TestWisdomForkSafety:
     def test_wisdom_pickles_without_its_lock(self):
         w = Wisdom()
-        radices = w.learn(64, reps=1, batch=1)
+        entry = w.record_kernel(64, -1, "complex128", "m", "stockham", [8, 8])
         clone = pickle.loads(pickle.dumps(w))
-        assert clone.learn(64) == radices  # cached entry survived the trip
+        # the recorded entry survived the trip
+        assert clone.lookup_kernel(64, -1, "complex128") == entry
         # the clone got a working lock of its own
         with clone._guard():
             pass
 
     def test_wisdom_usable_after_fork(self):
         w = Wisdom()
-        radices = w.learn(64, reps=1, batch=1)
+        entry = w.record_kernel(64, -1, "complex128", "m", "stockham", [8, 8])
         ctx = multiprocessing.get_context("fork")
         q = ctx.Queue()
         proc = ctx.Process(target=_wisdom_child, args=(q, w))
         proc.start()
-        assert q.get(timeout=30) == radices
+        assert q.get(timeout=30) == entry
         proc.join(timeout=30)
         assert proc.exitcode == 0
 

@@ -1,13 +1,18 @@
 """Tests for plan tuning and wisdom persistence."""
 
+import ast
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.fft.wisdom import (WISDOM_VERSION, Wisdom,
-                              candidate_radix_plans,
-                              machine_fingerprint, tune)
+from repro.fft import wisdom as wisdom_mod
+from repro.fft.autotune import (_build_kernel, _candidate_label,
+                                candidate_radix_plans, kernel_candidates,
+                                tune_kernel)
+from repro.fft.wisdom import WISDOM_VERSION, Wisdom, machine_fingerprint
 from tests.conftest import random_complex
 
 
@@ -54,44 +59,86 @@ class TestCandidates:
 
 
 class TestTune:
+    """The kernel tuner is the one search: its winner is a valid
+    schedule and the measured minimum."""
+
     def test_returns_valid_plan_and_timings(self):
-        best, timings = tune(64, reps=1, batch=1)
-        assert int(np.prod(best)) == 64
-        assert len(timings) == len(candidate_radix_plans(64))
-        assert all(t > 0 for t in timings.values())
+        res = tune_kernel(64, reps=1, batch=1)
+        assert int(np.prod(res.winner["radices"])) == 64
+        assert len(res.timings) == len(kernel_candidates(64))
+        assert all(t > 0 for t in res.timings.values())
 
     def test_best_is_minimum(self):
-        best, timings = tune(128, reps=1, batch=1)
-        key = ",".join(map(str, best))
-        assert timings[key] == min(timings.values())
+        res = tune_kernel(128, reps=1, batch=1)
+        assert res.timings[_candidate_label(res.winner)] \
+            == min(res.timings.values())
 
 
 class TestWisdom:
     def test_learn_and_plan(self, rng):
+        # the tuner's winner, recorded and read back, is a correct schedule
+        res = tune_kernel(64, reps=1, batch=1)
         w = Wisdom()
-        radices = w.learn(64, reps=1, batch=1)
-        assert (64, -1) in w
+        w.record_kernel(64, -1, res.dtype, "m", res.winner["strategy"],
+                        res.winner["radices"])
+        entry = w.lookup_kernel(64, -1, "complex128")
         x = random_complex(rng, 64)
-        assert np.allclose(w.plan(64)(x), np.fft.fft(x))
+        plan = _build_kernel(64, entry["sign"], entry["dtype"], entry)
+        assert np.allclose(plan(x[None, :])[0], np.fft.fft(x))
 
     def test_learn_is_cached(self):
         w = Wisdom()
-        a = w.learn(64, reps=1, batch=1)
-        b = w.learn(64)  # no tuning kwargs needed: cached
-        assert a == b and len(w) == 1
+        w.record_kernel(64, -1, "complex128", "m", "stockham", [4, 4, 4])
+        w.record_kernel(64, -1, "complex128", "m", "stockham", [8, 8])
+        assert len(w) == 1
+        assert w.lookup_kernel(64, -1, "complex128")["radices"] == [8, 8]
 
     def test_json_roundtrip(self):
         w = Wisdom()
-        w.learn(64, reps=1, batch=1)
-        w.learn(60, reps=1, batch=1)
+        w.record_kernel(64, -1, "complex128", "m", "stockham", [8, 8])
+        w.record_kernel(60, -1, "complex128", "m", "stockham", [3, 4, 5])
         restored = Wisdom.from_json(w.to_json())
         assert len(restored) == 2
-        assert restored.learn(64) == w.learn(64)
+        for n in (64, 60):
+            assert restored.lookup_kernel(n, -1, "complex128") \
+                == w.lookup_kernel(n, -1, "complex128")
 
     def test_corrupt_json_rejected(self):
-        bad = json.dumps([{"n": 64, "sign": -1, "radices": [4, 4]}])
+        bad = json.dumps({"version": WISDOM_VERSION, "entries": [
+            {"kind": "kernel", "n": 64, "sign": -1, "dtype": "complex128",
+             "machine": "m", "strategy": "stockham", "radices": [4, 4]}]})
         with pytest.raises(ValueError, match="corrupt"):
             Wisdom.from_json(bad)
+
+
+def fft_imports(source: str) -> set[str]:
+    """Modules of the ``repro.fft`` package that *source* imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = ["repro.fft" if node.level else node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found |= {m for m in names
+                  if m == "repro.fft" or m.startswith("repro.fft.")}
+    return found
+
+
+class TestStoreImportsNoKernel:
+    def test_wisdom_module_imports_no_fft_module(self):
+        """``ast`` guard: the store owns a format, not a search, so
+        ``fft/wisdom.py`` imports nothing from ``repro.fft``."""
+        source = Path(wisdom_mod.__file__).read_text()
+        assert fft_imports(source) == set()
+
+    def test_a_store_that_imports_a_kernel_turns_it_red(self):
+        source = Path(wisdom_mod.__file__).read_text()
+        mutant = source.replace(
+            "import numpy as np\n", "import numpy as np\n\n"
+            "from repro.fft.stockham import StockhamPlan\n", 1)
+        assert fft_imports(mutant) == {"repro.fft.stockham"}
 
 
 class TestMachineFingerprint:
@@ -193,17 +240,35 @@ class TestRoundTrip:
         assert payload["version"] == WISDOM_VERSION
         assert payload["entries"][0]["kind"] == "kernel"
 
-    def test_v1_bare_list_still_readable(self):
+    def test_v1_bare_list_still_readable(self, tmp_path):
+        # a v1 list holds only radix entries, a kind the store no longer
+        # records: it loads as an empty store, without a warning
         v1 = json.dumps([{"n": 64, "sign": -1, "radices": [8, 8]}])
-        w = Wisdom.from_json(v1)
-        assert (64, -1) in w
+        assert len(Wisdom.from_json(v1)) == 0
+        path = tmp_path / "w.json"
+        path.write_text(v1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(Wisdom.load(path)) == 0
+        w = Wisdom()
+        w.record_kernel(128, -1, "complex128", "m", "stockham", [8, 4, 4])
+        w.save(path)
+        payload = json.loads(path.read_text())
+        assert [e["kind"] for e in payload["entries"]] == ["kernel"]
+
+    def test_v2_radix_entries_are_dropped(self):
+        # radix entries, tagged or (as the first tuner wrote them) not
+        v2 = {"version": WISDOM_VERSION, "entries": [
+            {"kind": "radix", "n": 64, "sign": -1, "radices": [8, 8]},
+            {"n": 32, "sign": -1, "radices": [4, 8]}]}
+        w = Wisdom.from_json(json.dumps(v2))
+        assert len(w) == 0
+        assert json.loads(w.to_json())["entries"] == []
 
     def test_v2_soi_entry_with_conv_inner_still_loads(self, tmp_path):
         # v2 files written while the tuner searched SOI geometries carry
         # "soi" entries, the oldest with a "conv_inner" key: the file
         # loads without a warning, keeps its kernel entry, drops the rest
-        import warnings
-
         path = tmp_path / "w.json"
         path.write_text(json.dumps(v2_store_with_soi_entries()))
         with warnings.catch_warnings():
