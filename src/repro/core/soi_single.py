@@ -15,8 +15,9 @@ it and the convenient entry point for node-local use.
 
 Execution is planned: convolution workspaces and all five stage buffers
 are allocated once per batch size at first use and
-reused, every stage runs through ``out=`` destinations (as row ranges on
-the per-cpu worker pool, :mod:`repro.core.cpupool`, when large enough), and
+reused, every stage runs through ``out=`` destinations (on the per-cpu
+worker pool, :mod:`repro.core.cpupool`, when large enough: as row ranges
+of one stage, or as whole blocks of a batch's frames), and
 :meth:`SoiFFT.batch` executes lane and segment FFTs as single
 ``(batch*S, M')``-shaped Stockham calls rather than a per-row Python
 loop.  Steady-state calls with ``out=`` perform no new allocations
@@ -26,6 +27,7 @@ loop.  Steady-state calls with ``out=`` perform no new allocations
 
 from __future__ import annotations
 
+import threading
 from functools import partial
 
 import numpy as np
@@ -55,6 +57,27 @@ def _cuts(total: int, grid: int, parts: int) -> list[tuple[int, int]]:
     edges = sorted({min(total, units * i // parts * grid)
                     for i in range(parts + 1)})
     return list(zip(edges, edges[1:]))
+
+
+def _claim(starts, lock, stop: list, run_block, deadline) -> None:
+    """One worker of a frame-major batch: claim the next block start from
+    the shared iterator *starts* and run it, until none is left.  The
+    deadline is checked before every claim (a block that started runs to
+    completion); once a block or a check raised (*stop*), nobody claims."""
+    try:
+        while True:
+            with lock:
+                if stop:
+                    return
+                if deadline is not None:
+                    deadline.check("batch block")
+                i = next(starts, None)
+            if i is None:
+                return
+            run_block(i)
+    except BaseException:
+        stop.append(True)
+        raise
 
 
 class SoiFFT:
@@ -100,12 +123,17 @@ class SoiFFT:
 
     Threads
     -------
-    A call large enough to pay for it (:meth:`_parts`) runs every stage as
-    row ranges on the process's per-cpu worker pool
-    (:mod:`repro.core.cpupool`) while the caller waits; the result is
-    bitwise the one-range call's, whatever the pool and the BLAS pool.
-    There is nothing to configure.  A plan still serves one call at a
-    time (it owns its stage buffers); different plans may run at once.
+    A call large enough to pay for it (:meth:`_parts`) runs on the
+    process's per-cpu worker pool (:mod:`repro.core.cpupool`) while the
+    caller waits.  An unobserved :meth:`batch` whose frames fit a worker's
+    share of :attr:`_BATCH_CACHE_BUDGET` runs *frame-major*: each worker
+    claims whole blocks of frames from one counter and runs every stage on
+    them through its own stage buffers, one join per call.  Any other call
+    runs *stage-major*: every stage as row ranges of one shared buffer,
+    joined before the next.  The result is bitwise the one-range call's,
+    whatever the pool, the path and the BLAS pool.  There is nothing to
+    configure.  A plan still serves one call at a time (it owns its stage
+    buffers); different plans may run at once.
 
     Batch invariance
     ----------------
@@ -162,6 +190,8 @@ class SoiFFT:
         self._conv_tile = tile_rows(tables, dtype)
         #: batch size -> dict of reused pipeline stage buffers.
         self._bufpool: dict[int, dict[str, np.ndarray]] = {}
+        #: the same, per worker thread, for its frame-major blocks
+        self._local = threading.local()
         #: optional instrument bundle (duck-typed Telemetry).
         self.telemetry = telemetry
         #: armed ABFT verifier (None unless ``verify`` was requested).
@@ -175,8 +205,9 @@ class SoiFFT:
 
     # -- workspace management ---------------------------------------------
 
-    def _buffers(self, batch: int) -> dict[str, np.ndarray]:
-        bufs = self._bufpool.get(batch)
+    def _buffers(self, batch: int, pool=None) -> dict[str, np.ndarray]:
+        pool = self._bufpool if pool is None else pool
+        bufs = pool.get(batch)
         if bufs is None:
             p = self.params
             s, mp = p.n_segments, p.m_oversampled
@@ -188,24 +219,29 @@ class SoiFFT:
             }
             if self._lane_plan is not None:
                 bufs["z"] = np.empty((batch, mp, s), dtype=self.dtype)
-            self._bufpool[batch] = bufs
+            pool[batch] = bufs
         return bufs
 
     def _held(self, release: bool = False) -> int:
-        """Bytes of kernel workspace (convolution tiles, FFT ping-pong
-        pairs) the calling thread holds, after dropping them if *release*."""
+        """Bytes of workspace (convolution tiles, FFT ping-pong pairs,
+        frame-major stage buffers) the calling thread holds, after dropping
+        them if *release*."""
         plans = [plan for plan in (self._seg_plan, self._lane_plan)
                  if plan is not None]
+        blocks = self._local.__dict__  # a local's attributes are per thread
         if release:
             self._conv_ws.clear()
+            blocks.clear()
             for plan in plans:
                 plan.release_workspaces()
-        return self._conv_ws.nbytes() + sum(plan.workspace_bytes()
-                                            for plan in plans)
+        return (self._conv_ws.nbytes()
+                + sum(plan.workspace_bytes() for plan in plans)
+                + sum(b.nbytes for bufs in blocks.values()
+                      for b in bufs.values()))
 
     def workspace_bytes(self) -> int:
-        """Bytes held by the pooled stage buffers and by the kernel
-        workspaces of the caller and of every worker thread."""
+        """Bytes held by the pooled stage buffers and by the workspaces of
+        the caller and of every worker thread."""
         total = sum(cpupool.on_each(self._held))
         for bufs in self._bufpool.values():
             total += sum(b.nbytes for b in bufs.values())
@@ -331,7 +367,8 @@ class SoiFFT:
                // self._POOL_MIN_SHARE)
         return min(fit, cpupool.size()) if fit > 1 else 1
 
-    def _execute(self, xs: np.ndarray, res: np.ndarray) -> np.ndarray:
+    def _execute(self, xs: np.ndarray, res: np.ndarray,
+                 bufs: dict | None = None) -> np.ndarray:
         """Planned pipeline: (batch, N) -> (batch, N) through pooled buffers.
 
         A stage is one slice function over frames ``[f0, f1)`` and rows
@@ -344,17 +381,21 @@ class SoiFFT:
         (:meth:`_stage_seam`), after the join, before the next one
         consumes it — with a verifier armed, a corrupt stage output is
         repaired there, so everything downstream runs once, on trusted
-        input."""
+        input.  Given *bufs* (a worker's block of a frame-major
+        :meth:`batch`), every stage is one range on the calling thread and
+        nothing observes it."""
         p = self.params
         s, mp = p.n_segments, p.m_oversampled
         batch = xs.shape[0]
-        bufs = self._buffers(batch)
+        if bufs is None:
+            bufs, after = self._buffers(batch), self._stage_seam(batch)
+            parts = self._parts(batch)
+        else:
+            after, parts = None, 1
         x_ext, u = bufs["x_ext"], bufs["u"]
         alpha, beta = bufs["alpha"], bufs["beta"]
         z = bufs.get("z", u)
         res3 = res.reshape(batch, s, p.m)
-        after = self._stage_seam(batch)
-        parts = self._parts(batch)
 
         def gather(f0, f1, a, b):
             self._wrap(xs[f0:f1], x_ext[f0:f1, a:b], self._block_lo * s + a)
@@ -432,20 +473,36 @@ class SoiFFT:
         self._execute(x.reshape(1, -1), res.reshape(1, -1))
         return res
 
-    #: Cache budget (bytes) for one row block of the batched pipeline.
-    #: Measured sweet spot: a block's stage buffers should stay resident
-    #: between pipeline stages; beyond ~8 MB the stage-at-a-time sweep
-    #: spills to DRAM and loses to smaller blocks
-    #: (``bench/e2e`` workload ``batch_small``).
+    #: Cache budget (bytes) for the stage buffers of the frames in flight
+    #: at once: a block's buffers should stay resident between pipeline
+    #: stages; beyond ~8 MB the stage-at-a-time sweep spills to DRAM and
+    #: loses to smaller blocks (``bench/e2e`` workload ``batch_small``).
+    #: Stage-major, one block of the whole budget is in flight; frame-major,
+    #: one block per worker, so each gets its share.
     _BATCH_CACHE_BUDGET = 8 << 20
 
-    def _rows_per_block(self) -> int:
+    def _frame_bytes(self) -> int:
+        """Bytes of stage buffer one frame holds."""
         p = self.params
         lanes = 4 if self._lane_plan is not None else 3
-        per_row = (self._ext_size
-                   + lanes * p.m_oversampled * p.n_segments
-                   ) * self.dtype.itemsize
-        return max(1, self._BATCH_CACHE_BUDGET // per_row)
+        return (self._ext_size + lanes * p.m_oversampled * p.n_segments
+                ) * self.dtype.itemsize
+
+    def _frame_major(self, xs: np.ndarray, res: np.ndarray, block: int,
+                     parts: int, deadline) -> None:
+        """*parts* workers claim the *block*-frame blocks of the batch from
+        one counter (:func:`_claim`), each running every stage on its block
+        through its own stage buffers; the caller joins once."""
+        batch = xs.shape[0]
+
+        def run_block(i):
+            k = min(block, batch - i)  # the last block may be short
+            bufs = self._buffers(block, self._local.__dict__)
+            self._execute(xs[i:i + k], res[i:i + k],
+                          {name: b[:k] for name, b in bufs.items()})
+        starts, lock, stop = iter(range(0, batch, block)), threading.Lock(), []
+        cpupool.run([partial(_claim, starts, lock, stop, run_block, deadline)
+                     ] * parts)
 
     def batch(self, xs: np.ndarray, out: np.ndarray | None = None,
               deadline=None) -> np.ndarray:
@@ -455,7 +512,7 @@ class SoiFFT:
         FFT plan construction) amortizes across the batch — the usage
         pattern of every frame-oriented application (see
         :mod:`repro.core.streaming`).  The batch executes as batched
-        kernels over cache-sized row blocks: per block, one
+        kernels over cache-sized blocks of frames: per block, one
         convolution sweep, one ``(rows*M', S)`` lane
         transform, one ``(rows*S, M')`` segment-FFT call, one
         demodulation — no per-row Python loop over pipeline stages.  The
@@ -463,11 +520,20 @@ class SoiFFT:
         frames batch fully, huge transforms fall back to row-at-a-time.
         Results are bitwise-identical for every block size.
 
+        Frame-major (see *Threads*; unobserved, more than one frame, a
+        pooled size, and a frame within a worker's share of the budget),
+        the blocks hold at most ``_BATCH_CACHE_BUDGET // (frame bytes x
+        workers)`` frames, at least one block per worker, and the workers
+        claim them from one counter.  Otherwise the blocks run one after
+        another, each stage-major.
+
         *deadline* (duck-typed :class:`repro.resilience.Deadline`) is
-        checked at entry and between row blocks — the stage-boundary
+        checked at entry and before every block — the stage-boundary
         contract: a block that started runs to completion, the overrun
         raises at the next block boundary (or the caller's completion
-        check).
+        check).  Frame-major, a worker checks it before each block it
+        claims; the caller raises after the join, and once it fired (or any
+        block raised) no block starts.
         """
         if deadline is not None:
             deadline.check("batch entry")
@@ -479,7 +545,15 @@ class SoiFFT:
         else:
             res = self._check_out(out, xs.shape)
         xs = np.ascontiguousarray(xs)
-        batch, block = xs.shape[0], self._rows_per_block()
+        batch = xs.shape[0]
+        parts = self._parts(batch)
+        block = self._BATCH_CACHE_BUDGET // (self._frame_bytes() * parts)
+        if (batch > 1 and parts > 1 and block  # a worker's share holds one
+                and self.telemetry is None and self.verifier is None):
+            self._frame_major(xs, res, min(block, -(-batch // parts)), parts,
+                              deadline)
+            return res
+        block = max(1, self._BATCH_CACHE_BUDGET // self._frame_bytes())
         for i in range(0, batch, block):
             if deadline is not None and i > 0:
                 deadline.check(f"batch block {i // block}")

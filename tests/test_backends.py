@@ -678,6 +678,48 @@ class TestTokens:
         assert list_segments(token) == []
 
 
+def segments_after_close(close) -> list:
+    """A job loses one worker to SIGKILL and freezes another with SIGSTOP
+    (never resumed); *close* closes the backend.  Returns the segments
+    under its token left after that (and unlinks them)."""
+    be = ProcessBackend(P, hang_timeout=1.5)
+    try:
+        be.run(alltoall_prog, [(0.0,)] * P)
+        be.inject(ProcessFaultPlan([
+            ProcessFault("kill", rank=1, collective=0),
+            ProcessFault("stall", rank=2, collective=0)]))
+        with pytest.raises(RankFailed):
+            be.run(alltoall_prog, [(1.0,)] * P)
+    finally:
+        close(be)
+    left = list_segments(be._token)
+    for name in left:
+        shm_mod.unlink_segment(name)
+    return left
+
+
+def close_keeping_the_heartbeat(be) -> None:
+    """Mutant of ``close()``: everything is torn down but the heartbeat,
+    which neither the pool nor the janitor unlinks."""
+    hb = f"{be._token}hb"
+    be._pool._created.pop(hb).close()
+    sweep = be.janitor.sweep
+    be.janitor.sweep = lambda sub="", keep=(): sweep(sub, keep={hb, *keep})
+    ProcessBackend.close(be)
+
+
+class TestCloseAfterFaults:
+    """``close()`` leaves nothing under the token, whatever the last job
+    did to the workers."""
+
+    def test_no_segment_outlives_close_after_a_kill_and_a_stall(self):
+        assert segments_after_close(ProcessBackend.close) == []
+
+    def test_the_check_can_fail(self):
+        left = segments_after_close(close_keeping_the_heartbeat)
+        assert len(left) == 1 and left[0].endswith("hb"), left
+
+
 # -- arena lifetimes: rule 1 (retire), rule 2 (one mapped generation) ---
 
 N_SLOT = 1024

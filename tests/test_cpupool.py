@@ -104,6 +104,18 @@ class TestIdleWorkersHoldNothing:
         gc.collect()
         assert plan() is None and spectrum() is None
 
+    def test_a_plan_is_collectable_after_a_frame_major_batch(self):
+        # the workers' stage buffers die with the plan, and the claim loop
+        # keeps nothing of the call
+        params = SoiParams(n=7168, n_procs=1, segments_per_process=8,
+                           n_mu=8, d_mu=7, b=48)
+        f = SoiFFT(params)
+        y = f.batch(random_complex(np.random.default_rng(4), 8, params.n))
+        plan, spectrum = weakref.ref(f), weakref.ref(y)
+        del f, y
+        gc.collect()
+        assert plan() is None and spectrum() is None
+
 
 # -- errors: original type, after every slice has joined ---------------------
 
@@ -303,6 +315,19 @@ class TestGuards:
         core_sources = dict(core_sources, mutant="import os\n"
                             "os.sched_setaffinity(0, {0})\n")
         assert len(sites("sched_setaffinity", core_sources)) == 2
+
+    def test_two_sites_share_work_on_the_pool(self, core_sources):
+        # the stage share and the block claim: a third would be a third
+        # way of cutting a call's work
+        def pool_runs(text):
+            return [n.lineno for n in ast.walk(ast.parse(text))
+                    if isinstance(n, ast.Call)
+                    and getattr(n.func, "attr", None) == "run"
+                    and getattr(n.func.value, "id", None) == "cpupool"]
+        single = core_sources["soi_single.py"]
+        assert len(pool_runs(single)) == 2, pool_runs(single)
+        # the guard sees a third site
+        assert len(pool_runs(single + "\ncpupool.run([print])\n")) == 3
 
     def test_no_new_knob(self, core_sources):
         assert str(inspect.signature(SoiFFT.__init__)) == (

@@ -225,10 +225,12 @@ rng = np.random.default_rng(2013)
 x = rng.standard_normal(458752) + 1j * rng.standard_normal(458752)
 xs = rng.standard_normal((12, 7168)) + 1j * rng.standard_normal((12, 7168))
 a = rng.standard_normal((8, 65536)) + 1j * rng.standard_normal((8, 65536))
+frames = rng.standard_normal((64, 7168)) + 1j * rng.standard_normal((64, 7168))
 f = SoiFFT(geometry(x.size))  # bench/e2e's single_large
 blocks = {
     "soi_call": f(x),
     "batch": SoiFFT(geometry(7168)).batch(xs),  # a block of batch_small
+    "batch_small": SoiFFT(geometry(7168)).batch(frames),  # all of it
 }
 if mutant == "none":
     # bench/e2e's dist_process layout, on the rank-serial simulator
@@ -283,7 +285,7 @@ class TestBlasPoolInvariance:
     its BLAS pool nor on how many workers shared the stages out."""
 
     @pytest.mark.parametrize("block", ["segment_fft", "lane_dft", "soi_call",
-                                       "batch", "dist"])
+                                       "batch", "batch_small", "dist"])
     def test_one_digest_for_every_pool(self, digests_by_pool, block):
         assert len(digests_by_pool[block]) == 1
 

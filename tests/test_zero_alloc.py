@@ -243,6 +243,34 @@ class TestWorkspacesFollowTheWork:
         assert peak_new_bytes(lambda: f(x, out=out), warmup=0) < LARGE
         assert np.array_equal(out, want)
 
+    def test_release_after_a_frame_major_batch(self, rng):
+        # each worker runs its blocks through stage buffers of its own
+        params = SoiParams(n=7168, n_procs=1, segments_per_process=8,
+                           n_mu=8, d_mu=7, b=48)
+        f = SoiFFT(params)
+        xs = random_complex(rng, 64, params.n)
+        want = f.batch(xs)
+
+        def blocks():
+            return sum(b.nbytes for bufs in f._local.__dict__.values()
+                       for b in bufs.values())
+
+        def kernels():
+            return f._conv_ws.nbytes() + sum(
+                plan.workspace_bytes() for plan in (f._seg_plan, f._lane_plan)
+                if plan is not None)
+        held = cpupool.on_each(blocks)
+        if cpupool.size() > 1:
+            assert held[0] == 0 and any(held[1:]) and not f._bufpool
+        shared = sum(b.nbytes for bufs in f._bufpool.values()
+                     for b in bufs.values())
+        assert f.workspace_bytes() == shared + sum(held) + sum(
+            cpupool.on_each(kernels))
+        f.release_workspaces()
+        assert f.workspace_bytes() == 0
+        assert sum(cpupool.on_each(blocks)) == 0
+        assert np.array_equal(f.batch(xs), want)
+
 
 class TestConvolveWorkspace:
     def test_workspace_reuse_same_result(self, rng):
@@ -351,3 +379,19 @@ class TestNoLargeAllocations:
         assert peak_new_bytes(lambda: convolve(
             x_ext, f.tables, 0, params.m_oversampled, lo, out=u,
             workspace=ws)) < LARGE
+
+    def test_soi_frame_major_batch_steady_state(self, rng):
+        # 2.5 MiB of stage buffer a frame, one frame a block: each worker
+        # runs equal blocks through its own stage buffers, and a worker
+        # that re-allocated them would trip the threshold
+        params = SoiParams(n=7 * 2 ** 12, n_procs=1, segments_per_process=8,
+                           n_mu=8, d_mu=7, b=48)
+        f = SoiFFT(params)
+        xs = random_complex(rng, 4, params.n)
+        out = np.empty_like(xs)
+        for _ in range(50):  # until every worker has claimed a block
+            f.batch(xs, out=out)
+            if all(cpupool.on_each(lambda: bool(f._local.__dict__))[1:]):
+                break
+        assert peak_new_bytes(lambda: f.batch(xs, out=out)) < LARGE
+        assert np.array_equal(out, f.batch(xs))
