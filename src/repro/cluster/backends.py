@@ -944,7 +944,9 @@ class ProcessBackend(ExecutionBackend):
             ch.close()
         self._procs, self._job_qs, self._mailboxes = [], [], []
         self._result_chans = []
-        self._hb = None
+        if self._hb is not None:  # what _ensure_workers made, it unmakes
+            self._hb = None
+            self._pool.detach(f"{self._token}hb")
 
     def close(self) -> None:
         self._teardown_workers()

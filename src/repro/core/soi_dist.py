@@ -393,7 +393,8 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
             for j0, nr, _from_ckpt in cover:
                 alpha[:, j0:j0 + nr] = piece[off:off + nr].T
                 off += nr
-        beta = soi._seg_plan(alpha)
+        # unverified, alpha dies here: the passes may work in it
+        beta = soi._seg_plan(alpha, overwrite_x=verifier is None)
         yield Compute(costs.fft * share, label="local FFT")
         if sdc is not None:
             beta = sdc.apply_sdc(beta, rank=me, stage="segment-fft")

@@ -13,12 +13,17 @@ these kernels (:meth:`SoiFFT._of`) with the permutation realized as an
 all-to-all, bit for bit; this module is both the numerical reference for
 it and the convenient entry point for node-local use.
 
-Execution is planned: convolution workspaces and all five stage buffers
-are allocated once per batch size at first use and
-reused, every stage runs through ``out=`` destinations (on the per-cpu
-worker pool, :mod:`repro.core.cpupool`, when large enough: as row ranges
-of one stage, or as whole blocks of a batch's frames), and
-:meth:`SoiFFT.batch` executes lane and segment FFTs as single
+Execution is planned: convolution workspaces and stage buffers are
+allocated once per batch size at first use and reused.  A plan with a
+verifier armed keeps all five stage buffers apart, since the verifier
+repairs a stage from its predecessor; any other call reads each stage
+output only in the next stage, so besides the extended input two arenas
+serve by liveness, one holding ``u`` then ``alpha``, the other ``z`` then
+``beta``, and the segment FFT ping-pongs through the dead ``alpha`` and
+its ``beta``.  Every stage runs through ``out=``
+destinations (on the per-cpu worker pool, :mod:`repro.core.cpupool`, when
+large enough: as row ranges of one stage, or as whole blocks of a batch's
+frames), and :meth:`SoiFFT.batch` executes lane and segment FFTs as single
 ``(batch*S, M')``-shaped Stockham calls rather than a per-row Python
 loop.  Steady-state calls with ``out=`` perform no new allocations
 (asserted with ``tracemalloc`` by
@@ -57,6 +62,16 @@ def _cuts(total: int, grid: int, parts: int) -> list[tuple[int, int]]:
     edges = sorted({min(total, units * i // parts * grid)
                     for i in range(parts + 1)})
     return list(zip(edges, edges[1:]))
+
+
+def _nbytes(arrays) -> int:
+    """Bytes of the distinct buffers behind *arrays*: a view counts once,
+    with the array it views."""
+    bases = {}
+    for a in arrays:
+        base = a if a.base is None else a.base
+        bases[id(base)] = base
+    return sum(b.nbytes for b in bases.values())
 
 
 def _claim(starts, lock, stop: list, run_block, deadline) -> None:
@@ -205,20 +220,36 @@ class SoiFFT:
 
     # -- workspace management ---------------------------------------------
 
+    @property
+    def _keeps_stages(self) -> bool:
+        """Whether every stage output outlives the next stage: the armed
+        verifier repairs a stage from its predecessor.  Telemetry reads no
+        stage output, so without a verifier each output dies in the stage
+        after it, which the two-arena layout and the segment FFT's
+        ``overwrite_x`` rely on."""
+        return self.verifier is not None
+
     def _buffers(self, batch: int, pool=None) -> dict[str, np.ndarray]:
+        """The stage buffers of *batch* frames, by name.  Verified, every
+        stage output has its own arena; otherwise the stage outputs take
+        turns in two (``u``, ``alpha`` in one; ``z``, ``beta`` in the
+        other; without a lane stage ``u`` is ``z`` and ``beta`` goes back
+        to the first), each written only once its last reader has run."""
         pool = self._bufpool if pool is None else pool
         bufs = pool.get(batch)
         if bufs is None:
             p = self.params
             s, mp = p.n_segments, p.m_oversampled
-            bufs = {
-                "x_ext": np.empty((batch, self._ext_size), dtype=self.dtype),
-                "u": np.empty((batch, mp, s), dtype=self.dtype),
-                "alpha": np.empty((batch, s, mp), dtype=self.dtype),
-                "beta": np.empty((batch, s, mp), dtype=self.dtype),
-            }
-            if self._lane_plan is not None:
-                bufs["z"] = np.empty((batch, mp, s), dtype=self.dtype)
+            names = ["u", "alpha", "beta"] if self._lane_plan is None \
+                else ["u", "z", "alpha", "beta"]
+            live = len(names) if self._keeps_stages else 2
+            arenas = [np.empty((batch, mp * s), dtype=self.dtype)
+                      for _ in range(live)]
+            bufs = {"x_ext": np.empty((batch, self._ext_size),
+                                      dtype=self.dtype)}
+            for i, name in enumerate(names):
+                rows = (mp, s) if name in ("u", "z") else (s, mp)
+                bufs[name] = arenas[i % live].reshape(batch, *rows)
             pool[batch] = bufs
         return bufs
 
@@ -236,16 +267,14 @@ class SoiFFT:
                 plan.release_workspaces()
         return (self._conv_ws.nbytes()
                 + sum(plan.workspace_bytes() for plan in plans)
-                + sum(b.nbytes for bufs in blocks.values()
-                      for b in bufs.values()))
+                + _nbytes(b for bufs in blocks.values()
+                          for b in bufs.values()))
 
     def workspace_bytes(self) -> int:
         """Bytes held by the pooled stage buffers and by the workspaces of
         the caller and of every worker thread."""
-        total = sum(cpupool.on_each(self._held))
-        for bufs in self._bufpool.values():
-            total += sum(b.nbytes for b in bufs.values())
-        return total
+        return sum(cpupool.on_each(self._held)) + _nbytes(
+            b for bufs in self._bufpool.values() for b in bufs.values())
 
     def release_workspaces(self) -> None:
         """Drop all of them, on every thread (they re-allocate lazily)."""
@@ -410,8 +439,9 @@ class SoiFFT:
         def permute(f0, f1, a, b):  # the stride permutation
             np.copyto(alpha[f0:f1, a:b], z[f0:f1, :, a:b].transpose(0, 2, 1))
 
-        def segment_fft(f0, f1, a, b):
-            self._seg_plan(alpha[f0:f1, a:b], out=beta[f0:f1, a:b])
+        def segment_fft(f0, f1, a, b):  # alpha dies here unless verified
+            self._seg_plan(alpha[f0:f1, a:b], out=beta[f0:f1, a:b],
+                           overwrite_x=not self._keeps_stages)
 
         def demod(f0, f1, a, b):
             demodulate(beta[f0:f1, a:b], self.tables, out=res3[f0:f1, a:b])
@@ -482,7 +512,10 @@ class SoiFFT:
     _BATCH_CACHE_BUDGET = 8 << 20
 
     def _frame_bytes(self) -> int:
-        """Bytes of stage buffer one frame holds."""
+        """Bytes of stage buffer one frame holds with a verifier armed: the
+        extended input and every stage output apart.  The block sizes were
+        measured against this count; the two arenas of a call without one
+        hold less and do not re-size them."""
         p = self.params
         lanes = 4 if self._lane_plan is not None else 3
         return (self._ext_size + lanes * p.m_oversampled * p.n_segments

@@ -257,20 +257,32 @@ def _demod_table(p: SoiParams, coeffs: np.ndarray, q_r: np.ndarray) -> np.ndarra
 
     demod[k] = (M'/(n_mu*N)) * sum_r exp(-2pi i r k / M')
                * exp(+2pi i k (q_r - B/2 + 1) S / N) * G_r(k)
-    with G_r(k) = sum_{b,l} w[r,b,l] exp(+2pi i k (b*S + l)/N), evaluated
-    for all r at once via one batched inverse FFT of the zero-padded taps.
+    with G_r(k) = sum_{b,l} w[r,b,l] exp(+2pi i k (b*S + l)/N), one
+    inverse FFT of row r's zero-padded taps.  The rows go one at a time
+    through one reused row buffer (a row is bitwise its batch's row), the
+    sum accumulates in r order as ``sum(axis=0)`` adds, and the length-n
+    plan, which no pipeline runs, gives its workspaces back at the end:
+    the cached plan would otherwise pin them for the life of the process.
     """
     n, s, b_width = p.n, p.n_segments, p.b
     m, mp, n_mu = p.m, p.m_oversampled, p.n_mu
-    padded = np.zeros((n_mu, n), dtype=np.complex128)
-    padded[:, : b_width * s] = coeffs.reshape(n_mu, b_width * s)
-    # G_r(k) = N * ifft(padded)[k]; our inverse plan scales by 1/N already.
-    g = get_plan(n, +1)(padded) * n
+    plan = get_plan(n, +1)
+    row = np.empty(n, dtype=np.complex128)
+    g = np.empty(n, dtype=np.complex128)
     k = np.arange(m)
-    r = np.arange(n_mu)
-    phase = np.exp(
-        -2j * np.pi * np.outer(r, k) / mp
-        + 2j * np.pi * np.outer(q_r - b_width // 2 + 1, k) * s / n
-    )
-    d = (phase * g[:, :m]).sum(axis=0)
+    d = None
+    for r in range(n_mu):
+        row[: b_width * s] = coeffs[r].reshape(-1)
+        row[b_width * s:] = 0.0  # the transform overwrote the padding
+        # G_r(k) = N * ifft(row)[k]; our inverse plan scales by 1/N already.
+        plan(row, out=g, overwrite_x=True)
+        gr = np.multiply(g[:m], n, out=g[:m])
+        q = q_r[r] - b_width // 2 + 1
+        phase = np.exp(-2j * np.pi * (r * k) / mp
+                       + 2j * np.pi * (q * k) * s / n)
+        # in place, phase first: numpy's complex product rounds by operand
+        # order, so the batched table's ``phase * g`` fixes it
+        term = np.multiply(phase, gr, out=phase)
+        d = term if d is None else np.add(d, term, out=d)
+    plan.release_workspaces()
     return d * (mp / (n_mu * float(n)))

@@ -22,6 +22,9 @@ All plans follow one workspace contract:
   ``out=`` the steady state performs zero heap allocations
   (``tests/test_zero_alloc.py::TestNoLargeAllocations`` asserts this
   with ``tracemalloc``).
+* The input comes back untouched unless the caller grants
+  ``plan(x, out=buf, overwrite_x=True)``: then a Stockham plan's passes
+  work in ``x`` and ``buf`` and it keeps only its twiddle scratch.
 * ``plan.release_workspaces()`` drops the calling thread's pooled buffers.
 
 A Stockham plan's passes are batched GEMMs: ``default_radices(n)`` is the

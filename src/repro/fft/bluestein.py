@@ -9,8 +9,8 @@ Like :class:`repro.fft.stockham.StockhamPlan`, execution is planned and
 workspace-reusing: the padded chirp buffers are pooled per batch size and
 calling thread (the same workspace contract: one cached plan may run on
 several threads at once) and the embedded Stockham plans run with
-``out=`` destinations, so a steady-state ``plan(x, out=buf)`` loop
-performs no per-call allocation.
+``out=`` destinations through those two buffers, so a steady-state
+``plan(x, out=buf)`` loop performs no per-call allocation.
 """
 
 from __future__ import annotations
@@ -78,7 +78,11 @@ class BluesteinPlan:
         self._fwd.release_workspaces()
         self._inv.release_workspaces()
 
-    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None,
+                 overwrite_x: bool = False) -> np.ndarray:
+        """Transform along the last axis, as :class:`StockhamPlan` does.
+        *x* is never written (the chirp product lands in the pooled
+        buffer), so ``overwrite_x`` is accepted and changes nothing."""
         x = np.asarray(x, dtype=np.complex128)
         if x.shape[-1] != self.n:
             raise ValueError(f"last axis has length {x.shape[-1]}, plan is for {self.n}")
@@ -98,9 +102,11 @@ class BluesteinPlan:
         a, spec = self._workspace(batch)
         np.multiply(flat, self.chirp, out=a[:, : self.n])
         a[:, self.n:] = 0  # the inverse pass below repurposes a; re-zero the pad
-        self._fwd(a, out=spec)
+        # both buffers are rewritten before they are read again: the
+        # embedded passes may work in them and keep only their scratch
+        self._fwd(a, out=spec, overwrite_x=True)
         np.multiply(spec, self._bhat, out=spec)
-        self._inv(spec, out=a)
+        self._inv(spec, out=a, overwrite_x=True)
         np.multiply(a[:, : self.n], self.chirp, out=res)
         if self.sign == +1:
             np.multiply(res, self._inv_n, out=res)

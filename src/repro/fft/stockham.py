@@ -112,9 +112,9 @@ class StockhamPlan:
 
     Workspace contract
     ------------------
-    The plan lazily allocates one pair of ping-pong buffers (plus one
-    equally sized scratch when a pass applies its twiddle separately) per
-    distinct flattened batch size *and calling thread*, and reuses them
+    The plan lazily allocates, per distinct flattened batch size *and
+    calling thread*, one pair of ping-pong buffers and one equally sized
+    scratch when a pass applies its twiddle separately, and reuses them
     for every subsequent call from that thread — calling a plan twice
     never re-allocates and the two calls return independent arrays.  The
     tables are read-only and the buffers belong to the executing thread,
@@ -123,8 +123,13 @@ class StockhamPlan:
     result into a caller-owned, C-contiguous array of the plan dtype; the
     input is never read after the destination is first written, so
     ``out`` may alias ``x`` (a fully in-place transform) or a buffer
-    returned by a previous call.  ``workspace_bytes()`` and
-    ``release_workspaces()`` speak for the calling thread's pool only.
+    returned by a previous call.  The input comes back untouched unless
+    the caller grants ``overwrite_x=True``: then the passes ping-pong
+    between the input and ``out`` and the pair is never allocated, only
+    the scratch (the first pass, twiddled whenever there are two or more,
+    writes its butterflies there and may sweep them back into its own
+    input).  ``workspace_bytes()`` and ``release_workspaces()`` speak for
+    the calling thread's pool only.
     """
 
     def __init__(self, n: int, sign: int = -1, radices: list[int] | None = None,
@@ -160,18 +165,21 @@ class StockhamPlan:
     # -- workspace management ------------------------------------------
 
     @property
-    def _pool(self) -> dict[int, tuple]:
-        """The calling thread's batch size -> (ping, pong, scratch)."""
+    def _pool(self) -> dict[int, list]:
+        """The calling thread's batch size -> [ping, pong, scratch]."""
         return self._local.__dict__  # a local's attributes are per thread
 
-    def _workspace(self, batch: int) -> tuple:
+    def _workspace(self, batch: int, pair: bool) -> list:
+        """The calling thread's buffers of *batch* rows: the scratch when a
+        pass needs one, the ping-pong pair only when *pair* asks for it."""
         ws = self._pool.get(batch)
         if ws is None:
-            ping = np.empty((batch, self.n), dtype=self.dtype)
-            pong = np.empty((batch, self.n), dtype=self.dtype)
-            scratch = np.empty_like(ping) if self._needs_scratch else None
-            ws = (ping, pong, scratch)
-            self._pool[batch] = ws
+            ws = self._pool[batch] = [None, None, None]
+        if pair and ws[0] is None:
+            ws[0] = np.empty((batch, self.n), dtype=self.dtype)
+            ws[1] = np.empty((batch, self.n), dtype=self.dtype)
+        if self._needs_scratch and ws[2] is None:
+            ws[2] = np.empty((batch, self.n), dtype=self.dtype)
         return ws
 
     def workspace_bytes(self) -> int:
@@ -188,13 +196,15 @@ class StockhamPlan:
 
     # -- execution -----------------------------------------------------
 
-    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None,
+                 overwrite_x: bool = False) -> np.ndarray:
         """Transform along the last axis; any leading shape is the batch.
 
         With ``out=`` the result is written into the given C-contiguous
         array of matching shape and plan dtype (it may alias ``x``) and no
         allocation happens in steady state; without it a fresh result
-        array is the only allocation.
+        array is the only allocation.  ``overwrite_x=True`` lets the
+        passes use ``x`` as a work buffer (see the workspace contract).
         """
         x = np.asarray(x)
         if x.shape[-1] != self.n:
@@ -214,18 +224,34 @@ class StockhamPlan:
             if not out.flags.c_contiguous:
                 raise ValueError("out must be C-contiguous")
             res = out.reshape(batch, self.n)
-        self._execute(flat, res)
+        self._execute(flat, res, overwrite_x)
         if self.sign == +1:
             np.multiply(res, self._inv_n, out=res)
         return out if out is not None else res.reshape(lead + (self.n,))
 
-    def _execute(self, flat: np.ndarray, res: np.ndarray) -> np.ndarray:
-        """Run all stages from *flat* into *res* through the pooled pair."""
+    def _execute(self, flat: np.ndarray, res: np.ndarray,
+                 overwrite: bool = False) -> np.ndarray:
+        """Run all stages from *flat* into *res*: through *flat* itself when
+        *overwrite* grants it, else through the pooled pair."""
         if not self._stages:
             if res.base is not flat and res is not flat:
                 np.copyto(res, flat)
             return res
-        ping, pong, scratch = self._workspace(flat.shape[0])
+        last = len(self._stages) - 1
+        # with an even number of passes the first writes back into its
+        # input, which only a twiddled pass (butterflies into scratch) can
+        overwrite = overwrite and not np.may_share_memory(res, flat) and (
+            last % 2 == 0 or self._stages[0].tw is not None)
+        ping, pong, scratch = self._workspace(flat.shape[0], not overwrite)
+        if overwrite:
+            # pass i writes res when an even number of passes follow it,
+            # else flat; every later pass writes the buffer it did not read
+            cur = flat
+            for i, st in enumerate(self._stages):
+                dst = flat if (last - i) % 2 else res
+                self._apply_stage(cur, dst, st, scratch)
+                cur = dst
+            return res
         if np.may_share_memory(res, flat):
             # destination aliases the input (e.g. plan(x, out=x)): stage 0
             # must read a private copy so later writes cannot corrupt it.
@@ -235,7 +261,6 @@ class StockhamPlan:
         else:
             cur, spare = flat, ping
             reading_user_input = True
-        last = len(self._stages) - 1
         for i, st in enumerate(self._stages):
             dst = res if i == last else spare
             self._apply_stage(cur, dst, st, scratch)

@@ -720,6 +720,51 @@ class TestCloseAfterFaults:
         assert len(left) == 1 and left[0].endswith("hb"), left
 
 
+def job_teardown_job(teardown) -> tuple:
+    """A clean SOI job, *teardown* of the workers (what ``run`` does when
+    they stop answering), then another clean job.  Returns whether that
+    job came out bitwise the simulator's, and the segments left under the
+    token after ``close()`` (unlinking them)."""
+    params = soi_params(2 ** 12, n_procs=2)
+    serial = DistributedSoiFFT(SimCluster(2), params)
+    parts = serial.scatter(signal(params.n))
+    be = ProcessBackend(2)
+    try:
+        real = DistributedSoiFFT(SimCluster(2), params, backend=be)
+        real(parts)
+        teardown(be)
+        same = all(np.array_equal(a, b)
+                   for a, b in zip(real(parts), serial(parts)))
+    finally:
+        be.close()
+    left = list_segments(be._token)
+    for name in left:
+        shm_mod.unlink_segment(name)
+    return same, left
+
+
+def teardown_keeping_the_heartbeat(be) -> None:
+    """Mutant of ``_teardown_workers``: the heartbeat segment stays in the
+    backend's pool after its workers are gone."""
+    hb = f"{be._token}hb"
+    kept = be._pool._created.pop(hb)
+    ProcessBackend._teardown_workers(be)
+    be._pool._created[hb] = kept
+
+
+class TestTeardownReleasesWhatSpawnCreates:
+    """After a teardown (the "workers unresponsive" path of ``run``) the
+    next job respawns everything and runs clean."""
+
+    def test_a_clean_job_after_a_teardown(self):
+        assert job_teardown_job(ProcessBackend._teardown_workers) == (True,
+                                                                      [])
+
+    def test_the_check_can_fail(self):
+        with pytest.raises(ValueError, match="already created"):
+            job_teardown_job(teardown_keeping_the_heartbeat)
+
+
 # -- arena lifetimes: rule 1 (retire), rule 2 (one mapped generation) ---
 
 N_SLOT = 1024

@@ -82,9 +82,9 @@ class TestWhoIsBound:
         seen = set()
         real = f._seg_plan.__class__.__call__
 
-        def spy(plan, x, out=None):
+        def spy(plan, x, out=None, **kw):
             seen.add(threading.get_ident())
-            return real(plan, x, out=out)
+            return real(plan, x, out=out, **kw)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(f._seg_plan.__class__, "__call__", spy)
             f(random_complex(np.random.default_rng(1), POOLED.n))

@@ -1,0 +1,248 @@
+"""Memory as a measured budget: what a plan holds, and for how long.
+
+Four gates, each with a test-local mutant that must turn it red:
+
+(a) design time — building a geometry's tables leaves the length-n
+    inverse plan (which no pipeline runs) holding no workspace;
+(b) steady state — an unverified call holds at most 5x its signal;
+(c) verified calls — the verifier repairs a stage from its predecessor,
+    so an armed plan's stage buffers share no memory (telemetry reads
+    none, so a plan with telemetry alone shares two arenas);
+(d) end to end — a fresh process at n = 3670016 peaks at most 10x its
+    signal above the interpreter after construction and four calls.
+
+Plus the accounting (``workspace_bytes`` counts each buffer once) and the
+frame-major block size, which the two-arena layout must not change.
+"""
+
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.core import cpupool, window
+from repro.core.params import SoiParams
+from repro.core.soi_single import SoiFFT
+from repro.core.window import get_tables
+from repro.fft.plan import cache_clear, get_plan
+from repro.telemetry import MetricsRegistry, Telemetry
+from repro.verify import VerificationError
+from tests.conftest import random_complex
+from tests import test_verify
+
+#: test_verify's geometry, whose repair test (c)'s mutant must turn red
+PARAMS = test_verify.PARAMS
+from tests.test_zero_alloc import distinct_bytes
+
+
+def geometry(n: int) -> SoiParams:
+    return SoiParams(n=n, n_procs=1, segments_per_process=8, n_mu=8, d_mu=7,
+                     b=48)
+
+
+def signal_bytes(params: SoiParams) -> int:
+    return params.n * np.dtype(np.complex128).itemsize
+
+
+def keep_every_buffer(monkeypatch) -> None:
+    """Mutant: every call lays out and runs as a verified one does."""
+    monkeypatch.setattr(SoiFFT, "_keeps_stages", property(lambda self: True))
+
+
+def alias_verified_calls(monkeypatch) -> None:
+    """Mutant: a verified plan's stage buffers take turns in two arenas and
+    the segment FFT works in ``alpha``, as an unverified call's do."""
+    monkeypatch.setattr(SoiFFT, "_keeps_stages",
+                        property(lambda self: False))
+
+
+# -- (a) design time ---------------------------------------------------------
+
+def batched_demod_table(p, coeffs, q_r):
+    """Mutant of ``window._demod_table``: one batched ``(n_mu, n)``
+    inverse transform through the cached plan, whose workspaces stay."""
+    n, s, b_width = p.n, p.n_segments, p.b
+    m, mp, n_mu = p.m, p.m_oversampled, p.n_mu
+    padded = np.zeros((n_mu, n), dtype=np.complex128)
+    padded[:, : b_width * s] = coeffs.reshape(n_mu, b_width * s)
+    g = get_plan(n, +1)(padded) * n
+    k, r = np.arange(m), np.arange(n_mu)
+    phase = np.exp(-2j * np.pi * np.outer(r, k) / mp
+                   + 2j * np.pi * np.outer(q_r - b_width // 2 + 1, k) * s / n)
+    return (phase * g[:, :m]).sum(axis=0) * (mp / (n_mu * float(n)))
+
+
+def design_workspace(params: SoiParams) -> int:
+    """Bytes the length-n inverse plan holds on this thread after the
+    tables of *params* were built from a cold cache."""
+    cache_clear()
+    get_tables(params)
+    return get_plan(params.n, +1).workspace_bytes()
+
+
+class TestDesignTime:
+    @pytest.mark.parametrize("n", [7168, 57344])
+    def test_the_design_transform_keeps_no_workspace(self, n):
+        assert design_workspace(geometry(n)) == 0
+
+    def test_the_check_can_fail(self, monkeypatch):
+        monkeypatch.setattr(window, "_demod_table", batched_demod_table)
+        params = geometry(7168)
+        # three (n_mu, n) buffers: ping, pong and the twiddle scratch
+        assert design_workspace(params) == 3 * params.n_mu * signal_bytes(
+            params)
+
+    def test_the_table_is_the_batched_one_bitwise(self):
+        tables = window.build_tables(geometry(57344))
+        want = batched_demod_table(tables.params, tables.coeffs, tables.q_r)
+        assert np.array_equal(tables.demod, want)
+
+
+# -- (b) steady state, and the accounting ------------------------------------
+
+def steady_workspace(params: SoiParams) -> int:
+    f = SoiFFT(params)
+    f.release_workspaces()  # the cached FFT plans are shared: start cold
+    f(random_complex(np.random.default_rng(1), params.n))
+    return f.workspace_bytes()
+
+
+class TestSteadyState:
+    def test_an_unverified_call_holds_at_most_five_signals(self):
+        params = geometry(458752)
+        assert steady_workspace(params) <= 5 * signal_bytes(params)
+
+    def test_the_check_can_fail(self, monkeypatch):
+        keep_every_buffer(monkeypatch)
+        params = geometry(458752)
+        assert steady_workspace(params) > 5 * signal_bytes(params)
+
+    def test_each_buffer_is_counted_once(self, rng):
+        params = geometry(57344)
+        f = SoiFFT(params)
+        f.release_workspaces()
+        f(random_complex(rng, params.n))
+        stage = list(f._bufpool[1].values())
+
+        def kernels():
+            return f._conv_ws.nbytes() + sum(
+                plan.workspace_bytes() for plan in (f._seg_plan, f._lane_plan)
+                if plan is not None)
+        total = f.workspace_bytes()
+        assert total == distinct_bytes(stage) + sum(cpupool.on_each(kernels))
+        # the naive sum sees u and alpha, z and beta, as four buffers
+        assert total < sum(b.nbytes for b in stage) + sum(
+            cpupool.on_each(kernels))
+
+
+# -- (c) verified calls keep every buffer ------------------------------------
+
+def overlapping_stage_buffers(plan: SoiFFT) -> list:
+    bufs = plan._buffers(1)  # what a one-frame call runs through
+    return [(a, b) for a, b in itertools.combinations(
+        ["x_ext", "u", "z", "alpha", "beta"], 2)
+        if np.shares_memory(bufs[a], bufs[b])]
+
+
+class TestVerifiedCalls:
+    def test_a_verified_call_shares_no_stage_memory(self, rng):
+        plan = SoiFFT(PARAMS, verify=True)
+        plan(random_complex(rng, PARAMS.n))
+        assert overlapping_stage_buffers(plan) == []
+
+    @pytest.mark.parametrize("telemetry", [None, "armed"])
+    def test_an_unverified_call_shares_two_arenas(self, telemetry):
+        if telemetry:
+            telemetry = Telemetry(metrics=MetricsRegistry())
+        plan = SoiFFT(PARAMS, telemetry=telemetry)
+        assert overlapping_stage_buffers(plan) == [("u", "alpha"),
+                                                   ("z", "beta")]
+
+    def test_the_check_can_fail(self, monkeypatch, rng):
+        alias_verified_calls(monkeypatch)
+        assert overlapping_stage_buffers(SoiFFT(PARAMS, verify=True))
+        # and aliasing breaks the repair: the segment stage's predecessor
+        # is gone when its check runs
+        with pytest.raises((AssertionError, VerificationError)):
+            test_verify.TestSingleNodeVerification() \
+                .test_a_repaired_lane_rounds_like_a_computed_one(rng)
+
+
+# -- (d) end to end, in a fresh process --------------------------------------
+
+# VmHWM, not ru_maxrss: a forked-then-exec'd child's ru_maxrss starts at
+# its parent's resident size, the peak of its new address space does not
+PEAK_PROBE = """
+import sys
+import numpy as np
+from repro.core.params import SoiParams
+from repro.core.soi_single import SoiFFT
+
+if sys.argv[1] == "keep_every_buffer":
+    SoiFFT._keeps_stages = property(lambda self: True)
+n = 3670016
+
+def rss():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+
+interpreter = rss()
+rng = np.random.default_rng(2013)
+x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+out = np.empty(n, dtype=np.complex128)
+f = SoiFFT(SoiParams(n=n, n_procs=1, segments_per_process=8, n_mu=8,
+                     d_mu=7, b=48))
+for _ in range(4):
+    f(x, out=out)
+print((rss() - interpreter) / (n * 16))
+"""
+
+
+def peak_over_signal(mutant: str = "none") -> float:
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=f"{root / 'src'}{os.pathsep}{root}")
+    done = subprocess.run([sys.executable, "-c", PEAK_PROBE, mutant],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    return float(done.stdout)
+
+
+class TestPeak:
+    def test_construction_and_four_calls_peak_under_ten_signals(self):
+        assert peak_over_signal() <= 10.0
+
+    def test_the_check_can_fail(self):
+        assert peak_over_signal("keep_every_buffer") > 10.0
+
+
+# -- frame-major blocks keep their size --------------------------------------
+
+#: ``_frame_bytes()`` of bench/e2e's batch_small geometry (n = 7168): the
+#: extended input and four stage buffers of 8 x 1024 complex128 each.
+SMALL_FRAME_BYTES = 644992
+
+
+class TestFrameMajorBlocks:
+    def test_the_frame_count_is_unchanged(self, monkeypatch):
+        f = SoiFFT(geometry(7168))
+        assert f._frame_bytes() == SMALL_FRAME_BYTES
+        blocks = []
+        monkeypatch.setattr(SoiFFT, "_frame_major",
+                            lambda self, xs, res, block, parts, deadline:
+                            blocks.append((block, parts)))
+        f.batch(np.zeros((64, 7168), dtype=np.complex128))
+        if cpupool.size() < 2:
+            assert blocks == []
+            pytest.skip("1 cpu: no frame-major batch")
+        (block, parts), = blocks
+        assert block == min(SoiFFT._BATCH_CACHE_BUDGET
+                            // (SMALL_FRAME_BYTES * parts), -(-64 // parts))
+        if parts == 2:
+            assert block == 6  # the block batch_small was sized with

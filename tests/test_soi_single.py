@@ -212,7 +212,7 @@ elif mutant == "call_aligned_tile":
     # the Stockham tiles are counted from the first column of the call, so
     # a segment's tile edges move when a worker's call starts at its row
     from tests.test_stockham import call_aligned_tiles, run_tiled
-    def execute(self, flat, res):
+    def execute(self, flat, res, overwrite=False):
         res[...] = run_tiled(self, flat, call_aligned_tiles)
         return res
     stockham.StockhamPlan._execute = execute

@@ -118,6 +118,50 @@ class TestPlan:
         assert np.array_equal(x, saved)
 
 
+class TestOverwriteInput:
+    """``overwrite_x=True`` lends the input to the passes as a work buffer:
+    the bits of the default path, and no ping-pong pair pooled."""
+
+    @pytest.mark.parametrize("sign", [-1, +1])
+    @pytest.mark.parametrize("radices", [[64], [16, 16], [3, 5, 7], [12, 8],
+                                         [2] * 4, [4, 16, 16, 4],
+                                         [16, 16, 14, 2], [16, 1]])
+    def test_same_bits_without_the_pair(self, rng, radices, sign):
+        n = int(np.prod(radices))
+        plan = StockhamPlan(n, sign=sign, radices=radices)
+        x = random_complex(rng, 3, n)
+        want = plan(x)
+        plan.release_workspaces()
+        out = np.empty_like(x)
+        assert plan(x.copy(), out=out, overwrite_x=True) is out
+        assert np.array_equal(out, want)
+        # an even pass count makes the first pass write back into its
+        # input: only a twiddled one can ([16, 1]'s cannot, so it pairs)
+        paired = len(radices) % 2 == 0 and plan._stages[0].tw is None
+        ping, pong, scratch = plan._pool[3]
+        assert (ping is not None) == (pong is not None) == paired
+        assert (scratch is not None) == plan._needs_scratch
+
+    def test_an_out_that_is_the_input_still_works(self, rng):
+        plan = StockhamPlan(256)
+        x = random_complex(rng, 2, 256)
+        want = plan(x)
+        assert plan(x, out=x, overwrite_x=True) is x
+        assert np.array_equal(x, want)
+
+    def test_bluestein_leaves_its_input_and_pools_no_pair(self, rng):
+        from repro.fft.bluestein import BluesteinPlan
+        plan = BluesteinPlan(101)
+        plan.release_workspaces()  # planning ran the forward transform
+        x = random_complex(rng, 101)
+        saved = x.copy()
+        assert np.allclose(plan(x, overwrite_x=True), np.fft.fft(saved))
+        assert np.array_equal(x, saved)
+        for inner in (plan._fwd, plan._inv):
+            ping, pong, _ = inner._pool[1]
+            assert ping is None and pong is None
+
+
 class TestFlopsAndStages:
     def test_fft_flops(self):
         assert fft_flops(2) == pytest.approx(10.0)

@@ -25,6 +25,15 @@ from tests.conftest import random_complex
 LARGE = 1 << 20  # "large allocation" threshold: 1 MiB
 
 
+def distinct_bytes(arrays) -> int:
+    """Bytes of the distinct base buffers behind *arrays*."""
+    bases = {}
+    for a in arrays:
+        base = a if a.base is None else a.base
+        bases[id(base)] = base.nbytes
+    return sum(bases.values())
+
+
 def peak_new_bytes(fn, warmup=2, reps=3):
     """Peak newly-allocated bytes during *reps* steady-state calls of fn."""
     for _ in range(warmup):
@@ -251,9 +260,9 @@ class TestWorkspacesFollowTheWork:
         xs = random_complex(rng, 64, params.n)
         want = f.batch(xs)
 
-        def blocks():
-            return sum(b.nbytes for bufs in f._local.__dict__.values()
-                       for b in bufs.values())
+        def blocks():  # two stage arenas alias: each base buffer once
+            return distinct_bytes(b for bufs in f._local.__dict__.values()
+                                  for b in bufs.values())
 
         def kernels():
             return f._conv_ws.nbytes() + sum(
@@ -262,8 +271,8 @@ class TestWorkspacesFollowTheWork:
         held = cpupool.on_each(blocks)
         if cpupool.size() > 1:
             assert held[0] == 0 and any(held[1:]) and not f._bufpool
-        shared = sum(b.nbytes for bufs in f._bufpool.values()
-                     for b in bufs.values())
+        shared = distinct_bytes(b for bufs in f._bufpool.values()
+                                for b in bufs.values())
         assert f.workspace_bytes() == shared + sum(held) + sum(
             cpupool.on_each(kernels))
         f.release_workspaces()
