@@ -350,8 +350,7 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
             return convolve(x_in, tables, j0, nr, lo,
                             workspace=soi._conv_ws)
         lane = partial(soi._lane_dft, row0=j0) if s > 1 else None
-        u = conv()
-        z = lane(u) if lane is not None else u
+        z = conv() if lane is None else lane(conv())
         adopted = recovering and j0 // rows_pp != me
         yield Compute((costs.conv + costs.lane) * (nr / rows_pp),
                       label="recovery recompute" if adopted
@@ -361,9 +360,8 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
         if verifier is not None:
             # verify before the checkpoint and the wire: a corrupt z
             # must never be trusted for recovery or shipped to peers
-            verifier.check_conv(ctx.cluster, me, x_in, u, z, conv=conv,
-                                lane=lane, conv_seconds=costs.conv,
-                                lane_seconds=costs.lane)
+            verifier.check_conv(ctx.cluster, me, x_in, z, conv=conv,
+                                lane=lane, seconds=costs.conv + costs.lane)
         if not adopted:
             # stage checkpoint: the post-convolution segments (mu*N/P
             # complex words per rank) are the natural cut point for

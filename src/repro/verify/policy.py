@@ -29,9 +29,11 @@ class VerifyPolicy:
     segments/lanes from in-memory stage inputs, attempt 2 recomputes the
     whole stage, and after *max_strikes* failed attempts the run raises
     :class:`VerificationError`.  ``inject`` is a test hook called
-    as ``inject(stage, array)`` at every stage boundary of the
-    single-node pipeline (mutate the array in place to simulate silent
-    corruption; production SDC comes from
+    as ``inject(stage, array)`` at each stage boundary of the
+    single-node pipeline — ``"conv"`` with ``alpha`` (the front's
+    output), ``"segment-fft"`` with ``beta``, ``"demod"`` with the output
+    rows, each ``(batch, S, ...)`` (mutate the array in place to simulate
+    silent corruption; production SDC comes from
     :meth:`repro.cluster.faults.FaultPlan.apply_sdc`)."""
 
     safety: float = 64.0
@@ -55,7 +57,7 @@ class VerifyPolicy:
 class DetectionRecord:
     """One tripped invariant: which stage, where, and what it named."""
 
-    stage: str  # "conv", "lane", "permute", "segment-fft", "demod"
+    stage: str  # "conv" (the front), "segment-fft", "demod"
     rank: int  # rank (distributed) or -1 (single-node)
     segments: tuple[int, ...]  # localized segment/lane ids (global)
     strike: int  # 1 = first detection at this site, 2 = after repair, ...

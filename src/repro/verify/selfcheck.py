@@ -3,13 +3,13 @@
 The SOI factorization is one algorithm whatever P is, so its fault
 tolerance is stated once.  :class:`_Engine` owns
 
-* the **invariants**, each written over ``(..., rows, S)`` /
-  ``(..., k, M')`` arrays so a rank's 2-D block and a batch's 3-D block
-  are the same call: the convolution's checksum syndrome carried through
-  the lane transform (:meth:`~_Engine.check_conv`), the energy a pure
-  data movement preserves (:meth:`~_Engine.check_permute`), per-segment
-  Parseval + the DFT sum invariant (:meth:`~_Engine.check_segments`) and
-  the demodulation weighted sum (:meth:`~_Engine.check_demod`);
+* the **invariants** of the three stages, each written over
+  ``(..., rows, S)`` / ``(..., k, M')`` arrays so a rank's 2-D block and a
+  batch's 3-D block are the same call: the convolution's checksum
+  syndrome carried through the lane transform, checked on the front's
+  output (:meth:`~_Engine.check_conv`), per-segment Parseval + the DFT
+  sum invariant (:meth:`~_Engine.check_segments`) and the demodulation
+  weighted sum (:meth:`~_Engine.check_demod`);
 * the **ladder** (:meth:`~_Engine._ladder`): detect → record → strike →
   repair the flagged units (strike 1) or the whole stage (strike 2) →
   raise :class:`VerificationError` past ``max_strikes`` — the only place
@@ -108,11 +108,6 @@ class _Engine:
     the stage's arrays and kernels; outputs are repaired in place.
     """
 
-    #: Name of the stage whose output is ``z``.  The rank program's
-    #: "conv" stage ends after the lane transform (one compute charge,
-    #: one SDC slot); the single-node pipeline names it apart.
-    _Z_STAGE = "lane"
-
     def __init__(self, tables: SoiTables, policy: VerifyPolicy, dtype,
                  rows: int, block_lo: int):
         self.tables = tables
@@ -146,11 +141,6 @@ class _Engine:
             self.thresholds.checksum_rtol ** 2 * (self._rows * e + _TINY))
         return bad, e
 
-    def _energy_bad(self, e_in: np.ndarray, e_out: np.ndarray) -> np.ndarray:
-        """Units whose energy a pure data movement failed to preserve."""
-        return np.abs(e_out - e_in) > self.thresholds.energy_rtol * (
-            e_in + _TINY)
-
     def _spectrum_bad(self, e_alpha: np.ndarray, dc_pred: np.ndarray,
                       beta: np.ndarray) -> np.ndarray:
         """Rows of ``(..., k, M')`` *beta* that break Parseval or the DFT
@@ -173,14 +163,13 @@ class _Engine:
 
     # -- the ladder --------------------------------------------------------
 
-    def _ladder(self, cluster, rank: int, stages: list, detect: Callable,
+    def _ladder(self, cluster, rank: int, stage: _Stage, detect: Callable,
                 ids=None, nbytes: int = 0) -> None:
-        """Verify one stage boundary; repair and re-verify until clean.
+        """Verify one stage's output; repair and re-verify until clean.
 
-        *detect()* returns ``(i, bad)``: the mask of the units that
-        violate the boundary's invariant (last axis; *ids* maps them to
-        global segment ids when they are not those already) and the index
-        in *stages* of the stage that produced them.
+        *detect()* returns the mask of the units that violate the stage's
+        invariant (last axis; *ids* maps them to global segment ids when
+        they are not those already).
         Strike 1 repairs the flagged units, strike 2 the whole stage;
         past ``policy.max_strikes`` the corruption is persistent and the
         run raises instead of returning silently corrupt output.
@@ -192,17 +181,17 @@ class _Engine:
         strike = 0
         try:
             while True:
-                i, bad = detect()
+                bad = detect()
                 if not bad.any():
                     return
                 strike += 1
                 units = np.unique(np.nonzero(bad)[-1]).tolist()
                 segs = units if ids is None else [ids[k] for k in units]
-                self.report.record(stages[i].name, rank, segs, strike)
+                self.report.record(stage.name, rank, segs, strike)
                 if strike > self.policy.max_strikes:
                     raise VerificationError(
                         f"{f'rank {rank}: ' if rank >= 0 else ''}stage "
-                        f"'{stages[i].name}' failed verification after "
+                        f"'{stage.name}' failed verification after "
                         f"{self.policy.max_strikes} repair attempts "
                         f"(segments {segs})")
                 if strike == 1:
@@ -212,19 +201,14 @@ class _Engine:
                     self.report.stage_repairs += 1
                     self.report.escalations += 1
                 self._charge(cluster, rank, "abft repair",
-                             self._repair(stages[i:], bad), category="retry")
+                             self._repair(stage, bad), category="retry")
         finally:
             self._publish(self._registry(cluster))
 
-    def _repair(self, stages: list, bad: np.ndarray) -> float:
-        """Recompute the flagged units of ``stages[0]``, then every later
-        stage of the boundary whole (it consumed what was just repaired);
-        returns the modeled seconds of what ran."""
-        seconds = 0.0
-        for stage in stages:
-            seconds += stage.seconds * stage.redo(bad)
-            bad = np.ones_like(bad)
-        return seconds
+    def _repair(self, stage: _Stage, bad: np.ndarray) -> float:
+        """Recompute the flagged units of *stage*; returns the modeled
+        seconds of what ran."""
+        return stage.seconds * stage.redo(bad)
 
     def _charge(self, cluster, rank: int, label: str, seconds: float,
                 category: str = "compute") -> None:
@@ -258,60 +242,35 @@ class _Engine:
     # -- the stage boundaries ----------------------------------------------
 
     def check_conv(self, cluster, rank: int, x_ext: np.ndarray,
-                   u: np.ndarray, z: np.ndarray, *, conv: Callable,
-                   lane: Callable | None, conv_seconds: float = 0.0,
-                   lane_seconds: float = 0.0) -> np.ndarray:
-        """Verify ``u = W x_ext`` and ``z = (I (x) F_S) u``.
+                   out: np.ndarray, *, conv: Callable,
+                   lane: Callable | None, seconds: float = 0.0
+                   ) -> np.ndarray:
+        """Verify the front, ``out = lane(conv())`` seen as ``(..., rows,
+        S)``: on one node ``alpha`` through its transpose, on a rank ``z``
+        (whose permutation is the all-to-all, under the wire checksum).
 
         The operator checksum predicted from the staged input rides the
-        lane transform, so one comparison on ``z`` covers both stages in
-        the clean path; only on failure does the ``u``-side check run, to
-        attribute the error to the stage that produced it.  The
-        syndrome's column support names the corrupt lanes.  *conv()*
-        recomputes ``u`` whole; *lane* (None: there is no lane stage and
-        ``z`` is the convolution's output) maps ``u`` to ``z``.  Returns
-        the per-column energies of the verified ``z``.
-        """
-        c_u = self._conv_checksum().predict(x_ext)
-        if lane is None:
-            c_z, stages = c_u, [_columns("conv", z, conv, conv_seconds)]
-        else:
+        lane transform; its syndrome's column support names the corrupt
+        lanes, whichever step of the front struck them (a struck
+        convolution row reaches every lane).  *lane* is None when there
+        is no lane stage.  A repair reruns both kernels and keeps the
+        flagged columns.  Returns the per-column energies of *out*."""
+        c = self._conv_checksum().predict(x_ext)
+        run = conv
+        if lane is not None:
             # all frames' checksum rows as one block: one tile, any batch
-            c_z = lane(c_u.reshape(-1, c_u.shape[-1])).reshape(c_u.shape)
-            stages = [_columns("conv", u, conv, conv_seconds),
-                      _columns(self._Z_STAGE, z, lambda: lane(u),
-                               lane_seconds)]
-        e_z = None
+            c = lane(c.reshape(-1, c.shape[-1])).reshape(c.shape)
+            run = lambda: lane(conv())  # noqa: E731
+        e = None
 
         def detect():
-            nonlocal e_z
-            bad, e_z = self._checksum_bad(z, c_z)
-            if lane is not None and bad.any():
-                bad_u, _ = self._checksum_bad(u, c_u)
-                return (0, bad_u) if bad_u.any() else (1, bad)
-            return 0, bad
+            nonlocal e
+            bad, e = self._checksum_bad(out, c)
+            return bad
 
-        self._ladder(cluster, rank, stages, detect,
-                     nbytes=z.nbytes + x_ext.nbytes)
-        return e_z
-
-    def check_permute(self, e_z: np.ndarray, zt: np.ndarray,
-                      alpha: np.ndarray) -> np.ndarray:
-        """Verify the stride permutation ``alpha = zt`` (*zt* the
-        ``(..., S, M')`` transposed view of the verified ``z`` whose
-        column energies are *e_z*).  Single-node only: on a cluster this
-        movement is the all-to-all, covered by the wire checksum.
-        Returns the per-segment energies of the verified ``alpha``."""
-        e_alpha = None
-
-        def detect():
-            nonlocal e_alpha
-            e_alpha = energy_rows(alpha)
-            return 0, self._energy_bad(e_z, e_alpha)
-
-        self._ladder(None, -1, [_rows("permute", alpha, zt, lambda a: a)],
-                     detect)
-        return e_alpha
+        self._ladder(cluster, rank, _columns("conv", out, run, seconds),
+                     detect, nbytes=out.nbytes + x_ext.nbytes)
+        return e
 
     def check_segments(self, cluster, rank: int, alpha: np.ndarray,
                        beta: np.ndarray, *, fft: Callable, ids=None,
@@ -326,8 +285,8 @@ class _Engine:
             e_alpha = energy_rows(alpha)
         dc_pred = alpha.shape[-1] * alpha[..., 0]
         self._ladder(cluster, rank,
-                     [_rows("segment-fft", beta, alpha, fft, fft_seconds)],
-                     lambda: (0, self._spectrum_bad(e_alpha, dc_pred, beta)),
+                     _rows("segment-fft", beta, alpha, fft, fft_seconds),
+                     lambda: self._spectrum_bad(e_alpha, dc_pred, beta),
                      ids, alpha.nbytes + beta.nbytes)
 
     def check_demod(self, cluster, rank: int, beta: np.ndarray,
@@ -337,10 +296,10 @@ class _Engine:
         projected and divided into ``(..., k, M)`` output rows."""
         rhs = np.matmul(beta[..., : seg.shape[-1]], self._vdemod)
         self._ladder(cluster, rank,
-                     [_rows("demod", seg, beta,
-                            lambda b: demodulate(b, self.tables),
-                            demod_seconds)],
-                     lambda: (0, self._demod_bad(rhs, seg)),
+                     _rows("demod", seg, beta,
+                           lambda b: demodulate(b, self.tables),
+                           demod_seconds),
+                     lambda: self._demod_bad(rhs, seg),
                      ids, beta.nbytes + seg.nbytes)
 
 
@@ -356,7 +315,9 @@ class PipelineVerifier(_Engine):
         super().__init__(soi.tables, policy, soi.dtype,
                          soi.params.m_oversampled, soi._block_lo)
         self._soi = soi
-        self._energy = None  # unit energies of the last verified stage
+        #: per-segment energies of the last verified ``alpha``, which its
+        #: segment check reads: the front check's column energies
+        self._e_alpha = None
 
     def _registry(self, cluster):
         telem = self._soi.telemetry
@@ -371,22 +332,17 @@ class PipelineVerifier(_Engine):
             self.policy.inject(stage, arr)
         soi = self._soi
         bufs = soi._bufpool[arr.shape[0]]
-        lane = soi._lane_dft if soi._lane_plan is not None else None
-        if stage == "conv" and lane is not None:
-            return  # verified with the lane output it feeds
-        if stage in ("conv", "lane"):
-            self._energy = self.check_conv(
-                None, -1, bufs["x_ext"], bufs["u"], arr, lane=lane,
-                conv=lambda: convolve(
-                    bufs["x_ext"], soi.tables, 0, self._rows,
-                    self._block_lo, workspace=soi._conv_ws))
-        elif stage == "permute":
-            self._energy = self.check_permute(
-                self._energy, bufs.get("z", bufs["u"]).transpose(0, 2, 1),
-                arr)
+        if stage == "conv":
+            x_ext = bufs["x_ext"]
+            self._e_alpha = self.check_conv(
+                None, -1, x_ext, arr.swapaxes(-1, -2),
+                conv=lambda: convolve(x_ext, soi.tables, 0, self._rows,
+                                      self._block_lo,
+                                      workspace=soi._conv_ws),
+                lane=soi._lane_dft if soi._lane_plan is not None else None)
         elif stage == "segment-fft":
             self.check_segments(None, -1, bufs["alpha"], arr,
-                                fft=soi._seg_plan, e_alpha=self._energy)
+                                fft=soi._seg_plan, e_alpha=self._e_alpha)
         else:  # demod
             self.check_demod(None, -1, bufs["beta"], arr)
 
@@ -401,8 +357,6 @@ class DistVerifier(_Engine):
     the rank program hands each ``check_*`` its cluster, its rank and the
     kernels it ran (its geometry's ``SoiFFT`` plan's).
     """
-
-    _Z_STAGE = "conv"
 
     def __init__(self, tables: SoiTables, policy: VerifyPolicy | None = None,
                  dtype=np.complex128):
@@ -420,13 +374,13 @@ class DistVerifier(_Engine):
         """Fold in the reports of ranks that verified with their own
         verifiers across a process boundary, and publish them.
 
-        The rank-serial engine sees every rank's pre-wire (conv/lane)
+        The rank-serial engine sees every rank's pre-wire ("conv")
         events first, then every rank's post-all-to-all events —
         reproduce that so the report compares equal to a simulated
         run's."""
         merged = VerificationReport()
         for rep in reports:
             merged.merge(rep)
-        merged.events.sort(key=lambda e: e.stage not in ("conv", "lane"))
+        merged.events.sort(key=lambda e: e.stage != "conv")
         self.report.merge(merged)
         self._publish(registry)

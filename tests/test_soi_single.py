@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.demodulate import demodulate
 from repro.core.params import SoiParams
 from repro.core.soi_single import SoiFFT, soi_fft
@@ -144,6 +145,14 @@ class TestConvenienceWrapper:
         x = random_complex(rng, 2 ** 12)
         y = soi_fft(x, n_segments=8, n_mu=5, d_mu=4, b=64)
         assert relative_l2_error(y, np.fft.fft(x)) < 1e-9
+
+    def test_soi_ifft_inverts_soi_fft(self, rng):
+        # the exported one-shot inverse: numpy's convention (scaled by
+        # 1/N), each transform within the design's error estimate
+        x = random_complex(rng, 8 * 448)
+        bound = SoiFFT(make_params(b=72)).expected_stopband
+        assert relative_l2_error(repro.soi_ifft(x), np.fft.ifft(x)) < bound
+        assert relative_l2_error(repro.soi_ifft(soi_fft(x)), x) < 2 * bound
 
 
 class TestValidation:

@@ -5,6 +5,7 @@ straggler hedging."""
 import ast
 import dataclasses
 import os
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ import pytest
 
 import repro
 import repro.core.soi_dist as soi_dist
+import repro.core.soi_single as soi_single
 from repro.core import cpupool
 from repro.bench.faultsweep import (
     detection_coverage,
@@ -48,24 +50,70 @@ pytestmark = pytest.mark.abft
 
 PARAMS = SoiParams(n=8 * 448, n_procs=1, segments_per_process=8,
                    n_mu=8, d_mu=7, b=48)
-STAGES = ["conv", "lane", "permute", "segment-fft", "demod"]
+#: the stages an observer sees, on one node and on a rank alike: the
+#: front ("conv": gather, convolution, lane DFT, permutation), the segment
+#: FFT and demodulation
+STAGES = ["conv", "segment-fft", "demod"]
+#: where a test strikes one node, and the stage whose check names it: the
+#: output of each step of the front — the convolution's ``u`` and the lane
+#: DFT's ``z``, which no observer sees, and the permutation's ``alpha``,
+#: the seam's "conv" array — and of the two later stages
+SITES = {"conv": "conv", "lane": "conv", "permute": "conv",
+         "segment-fft": "segment-fft", "demod": "demod"}
+
+
+def strike_once(index, amplitude: float = 3.0):
+    """``strike(arr)`` adds amplitude*rms to ``arr[index]`` the first time
+    it is called, whichever pool worker calls first; later calls do
+    nothing."""
+    fired, lock = [], threading.Lock()
+
+    def strike(arr):
+        with lock:
+            if fired:
+                return
+            fired.append(1)
+        arr[index] += amplitude * np.sqrt((np.abs(arr) ** 2).mean())
+    return strike
 
 
 def one_shot_injector(stage: str, seg: int, amplitude: float = 3.0):
-    """Perturb one element of *stage*'s buffer by amplitude*rms, once."""
-    fired = []
+    """A policy hook that strikes segment *seg* of *stage*'s output once:
+    at every seam the array is ``(batch, S, ...)``, a segment a row."""
+    strike = strike_once((0, seg, 37), amplitude)
 
     def inject(st, arr):
-        if st != stage or fired:
-            return
-        fired.append(1)
-        rms = np.sqrt((np.abs(arr) ** 2).mean())
-        if st in ("conv", "lane"):  # (batch, rows, S): columns are lanes
-            arr[0, 100, seg] += amplitude * rms
-        else:  # (batch, S, M'): rows are segments
-            arr[0, seg, 37] += amplitude * rms
-
+        if st == stage:
+            strike(arr)
     return inject
+
+
+def struck_plan(params, site: str, monkeypatch, seg: int = 5) -> SoiFFT:
+    """A verified plan of *params* whose *site* (a key of :data:`SITES`)
+    takes one strike: a seam array through the policy's hook; ``u`` or
+    ``z`` in its kernel, in lane *seg* of the first row it writes."""
+    if site not in ("conv", "lane"):
+        return SoiFFT(params, verify=VerifyPolicy(
+            inject=one_shot_injector(SITES[site], seg)))
+    strike, f = strike_once((0, 0, seg)), SoiFFT(params, verify=True)
+    if site == "conv":
+        real_conv = soi_single.convolve
+
+        def convolve(*args, **kwargs):
+            u = real_conv(*args, **kwargs)
+            strike(u)
+            return u
+        monkeypatch.setattr(soi_single, "convolve", convolve)
+    else:
+        real_lane = f._lane_dft
+
+        def lane_dft(u, out=None, row0=0):
+            z = real_lane(u, out=out, row0=row0)
+            if out is not None:  # the stage's call, not a checksum row's
+                strike(z)
+            return z
+        f._lane_dft = lane_dft
+    return f
 
 
 class TestChecksumPrimitives:
@@ -82,14 +130,17 @@ class TestChecksumPrimitives:
         assert np.allclose(lhs, rhs)
 
     def test_conv_checksum_predicts_staged_output(self, rng):
+        # carried through the lane DFT, the checksum predicted from the
+        # staged input is the front's output's, seen as (rows, S)
         f = SoiFFT(PARAMS, verify=True)
         x = random_complex(rng, PARAMS.n)
         f(x)
         bufs = f._bufpool[1]
         chk = f.verifier._conv_checksum()
         assert isinstance(chk, ConvChecksum)
-        pred = chk.predict(bufs["x_ext"])
-        obs = batch_checksum(bufs["u"], f.verifier._w_rows)
+        pred = f._lane_dft(chk.predict(bufs["x_ext"]))
+        obs = batch_checksum(bufs["alpha"].swapaxes(-1, -2),
+                             f.verifier._w_rows)
         assert np.allclose(pred, obs)
 
     def test_conv_checksum_rejects_bad_weights(self):
@@ -162,20 +213,22 @@ class TestSingleNodeVerification:
         assert relative_l2_error(y, np.fft.fft(x)) <= base * 1.0001
 
     def test_a_repaired_lane_rounds_like_a_computed_one(self, rng):
-        # every repair runs the callable its stage ran (convolve,
-        # SoiFFT._lane_dft, the batch-invariant segment plan, demodulate),
-        # so whichever stage was struck: recovered == fault-free, bitwise
+        # every repair runs the callables its stage ran (convolve and
+        # SoiFFT._lane_dft for the whole front, the batch-invariant segment
+        # plan, demodulate), so wherever the strike landed: recovered ==
+        # fault-free, bitwise
         x = random_complex(rng, PARAMS.n)
         clean = SoiFFT(PARAMS)(x)
-        for stage in STAGES:
-            f = SoiFFT(PARAMS, verify=VerifyPolicy(
-                inject=one_shot_injector(stage, 5)))
-            y = f(x)
-            assert f.verifier.report.detected_stages == {stage}
-            assert np.array_equal(y, clean), stage
-        # the gate can go red: the column product the repair used to make
-        # by hand, (M', S) @ (S, 1), is a gemv and sums in another order
-        u = f._bufpool[1]["u"][0]
+        for site, stage in SITES.items():
+            with pytest.MonkeyPatch.context() as mp:
+                f = struck_plan(PARAMS, site, mp)
+                y = f(x)
+            assert f.verifier.report.detected_stages == {stage}, site
+            assert np.array_equal(y, clean), site
+        # the gate can go red: the column product a lane repair used to
+        # make by hand, (M', S) @ (S, 1), is a gemv and sums in another
+        # order
+        u = random_complex(rng, PARAMS.m_oversampled, PARAMS.n_segments)
         assert not np.array_equal(np.matmul(u, f._lane_mat[:, [5]]),
                                   f._lane_dft(u)[:, [5]])
 
@@ -247,14 +300,13 @@ class TestPooledStages:
         assert joins == [2] * 3 * 6
 
     @pytest.mark.parametrize("frames", [1, 3])
-    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize("site", SITES)
     def test_repaired_on_the_pool_is_bitwise_the_serial_fault_free(
-            self, rng, joins, stage, frames):
+            self, rng, joins, site, frames, monkeypatch):
         xs = random_complex(rng, frames, POOLED.n)
-        f = SoiFFT(POOLED, verify=VerifyPolicy(
-            inject=one_shot_injector(stage, 5)))
+        f = struck_plan(POOLED, site, monkeypatch)
         ys = f.batch(xs)
-        assert joins and f.verifier.report.detected_stages == {stage}
+        assert joins and f.verifier.report.detected_stages == {SITES[site]}
         assert f.verifier.report.repairs >= 1
         serial = SoiFFT(POOLED)
         serial._POOL_MIN_SHARE = 1 << 60
@@ -338,28 +390,29 @@ class TestDistributedVerification:
 
 # -- one engine, two hosts: each gate at the seam, and shown able to fail ----
 
-#: the invariant (an engine method) that catches a strike on each stage
+#: the invariant (an engine method) that catches a strike at each site: the
+#: front check's checksum, whichever step of the front was struck
 INVARIANT = {"conv": "_checksum_bad", "lane": "_checksum_bad",
-             "permute": "_energy_bad", "segment-fft": "_spectrum_bad",
+             "permute": "_checksum_bad", "segment-fft": "_spectrum_bad",
              "demod": "_demod_bad"}
-#: what each host's pipeline lets a test strike.  On a cluster the lane
-#: transform's output *is* the rank program's "conv" output, and the
-#: stride permutation is the all-to-all, which the wire checksum covers.
-CASES = [("single", st) for st in STAGES] + [
-    ("dist", st) for st in ("conv", "segment-fft", "demod")]
+#: what each host's pipeline lets a test strike: on one node, every site;
+#: on a cluster, each stage's output (the lane transform's output *is* the
+#: rank program's "conv" output, and the stride permutation is the
+#: all-to-all, which the wire checksum covers)
+CASES = [("single", site) for site in SITES] + [
+    ("dist", st) for st in STAGES]
 
 
 def struck_run(host, stage, monkeypatch, mutate=lambda verifier: None):
-    """One transform on *host* with one element of *stage*'s output
-    corrupted once, after *mutate* had its way with the host's verifier.
-    Returns the spectrum ``y``, the fault-free one ``clean``, the
-    ``report`` and, on a cluster, the ``cluster`` and the ``budget`` of
-    the deadline the call ran under."""
+    """One transform on *host* with one element of *stage*'s output (on
+    one node, of a site's) corrupted once, after *mutate* had its way with
+    the host's verifier.  Returns the spectrum ``y``, the fault-free one
+    ``clean``, the ``report`` and, on a cluster, the ``cluster`` and the
+    ``budget`` of the deadline the call ran under."""
     rng = np.random.default_rng(19)
     if host == "single":
         x = random_complex(rng, PARAMS.n)
-        f = SoiFFT(PARAMS, verify=VerifyPolicy(
-            inject=one_shot_injector(stage, 5)))
+        f = struck_plan(PARAMS, stage, monkeypatch)
         mutate(f.verifier)
         return SimpleNamespace(y=f(x), clean=SoiFFT(PARAMS)(x),
                                report=f.verifier.report)
@@ -434,7 +487,8 @@ class TestOneEngineTwoHosts:
             self, host, stage, monkeypatch):
         run = struck_run(host, stage, monkeypatch)
         rep = run.report
-        assert [(e.stage, e.strike) for e in rep.events] == [(stage, 1)]
+        assert [(e.stage, e.strike) for e in rep.events] == [
+            (SITES[stage], 1)]
         assert (rep.segment_repairs, rep.escalations) == (1, 0)
         assert np.array_equal(run.y, run.clean)
 
@@ -456,7 +510,8 @@ class TestOneEngineTwoHosts:
         def mutate(verifier):
             seen.append(verifier)
             verifier._repair = lambda stages, bad: 0.0
-        with pytest.raises(VerificationError, match=f"stage '{stage}'"):
+        with pytest.raises(VerificationError,
+                           match=f"stage '{SITES[stage]}'"):
             struck_run(host, stage, monkeypatch, mutate)
         rep = seen[0].report
         assert [e.strike for e in rep.events] == [1, 2, 3]
@@ -467,7 +522,7 @@ class TestOneEngineTwoHosts:
     def test_mutant_column_gemv_repair_is_not_bitwise(
             self, host, stage, monkeypatch):
         run = struck_run(host, stage, monkeypatch, column_gemv_lane)
-        assert run.report.detected_stages == {stage}
+        assert run.report.detected_stages == {"conv"}
         assert run.report.repairs == 1
         assert np.allclose(run.y, run.clean, rtol=0,
                            atol=1e-9 * np.abs(run.clean).max())
@@ -599,13 +654,11 @@ def test_abft_engine_is_written_once():
     assert hits == ["tests/test_verify.py"]
 
 
-def test_execute_has_one_stage_seam():
-    """``SoiFFT._execute`` hands each stage's output to one observer
-    behind one falsy check; telemetry and the verifier hang off that,
-    not off per-stage blocks of their own."""
-    root = Path(repro.__file__).parent
-    tree = ast.parse((root / "core/soi_single.py").read_text())
-    fn = next(n for n in ast.walk(tree)
+def assert_one_stage_seam(source: str) -> None:
+    """``SoiFFT._execute`` in *source* hands each of the three stages'
+    outputs to one observer behind one falsy check; telemetry and the
+    verifier hang off that, not off per-stage blocks of their own."""
+    fn = next(n for n in ast.walk(ast.parse(source))
               if isinstance(n, ast.FunctionDef) and n.name == "_execute")
     used = {getattr(n, "id", None) or getattr(n, "attr", None)
             for n in ast.walk(fn)}
@@ -616,3 +669,42 @@ def test_execute_has_one_stage_seam():
     guards = [n for n in ast.walk(fn) if isinstance(n, ast.If)
               and getattr(n.test, "id", "") == "after"]
     assert len(guards) == len(STAGES)
+
+
+def test_execute_has_one_stage_seam():
+    source = (Path(repro.__file__).parent / "core/soi_single.py").read_text()
+    assert_one_stage_seam(source)
+    # mutant: a fourth site, the lane DFT observed apart again
+    anchor = "        share(permute, s, 1)\n"
+    mutant = source.replace(anchor, "        if after:\n"
+                            "            after('lane', z, 2 * z.nbytes)\n"
+                            + anchor, 1)
+    assert mutant != source
+    with pytest.raises(AssertionError):
+        assert_one_stage_seam(mutant)
+
+
+def rank_program_stages(source: str) -> list:
+    """The stage names ``soi_dist.py`` (given as *source*) passes as string
+    literals to ``apply_sdc`` or to a verifier."""
+    names = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Call) and (
+                _named(n) == "apply_sdc"
+                or getattr(getattr(n.func, "value", None), "id", "")
+                == "verifier"):
+            names += [a.value for a in [*n.args,
+                                        *(k.value for k in n.keywords)]
+                      if isinstance(a, ast.Constant)
+                      and isinstance(a.value, str)]
+    return names
+
+
+def test_the_rank_program_names_only_the_seam_stages():
+    source = (Path(repro.__file__).parent / "core/soi_dist.py").read_text()
+    names = rank_program_stages(source)
+    assert names and set(names) <= set(STAGES)
+    # mutant: an SDC slot named after a step of the front
+    mutant = source.replace('stage="conv"', 'stage="lane"', 1)
+    assert mutant != source
+    assert not set(rank_program_stages(mutant)) <= set(STAGES)
