@@ -186,18 +186,18 @@ def sdc_ground_truth(plan: FaultPlan,
                      params: SoiParams) -> list[tuple[str, int, int]]:
     """Map logged SDC events to ``(stage, rank, global_segment)`` truth.
 
-    ``"conv"`` events strike the (rows, S) post-conv buffer, whose
-    columns are the global segments; ``"segment-fft"`` events strike the
-    (spp, M') spectra of the rank's owned slots.
+    Both stages strike a segment-major array, so a strike's segment is
+    its row: ``"conv"`` events the rank's ``(S, rows)`` front output, a
+    row per global segment; ``"segment-fft"`` events the ``(spp, M')``
+    spectra of the rank's owned slots.
     """
-    s, spp = params.n_segments, params.segments_per_process
-    mp = params.m_oversampled
+    spp = params.segments_per_process
     out = []
     for ev in plan.sdc_log:
         if ev.stage == "conv":
-            seg = ev.element % s
+            seg = ev.element // params.rows_per_process
         else:  # "segment-fft"
-            seg = ev.rank * spp + ev.element // mp
+            seg = ev.rank * spp + ev.element // params.m_oversampled
         out.append((ev.stage, ev.rank, seg))
     return out
 

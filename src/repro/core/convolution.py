@@ -9,18 +9,23 @@ with block offset ``m0(j) = (j // n_mu) * d_mu + q_r[j mod n_mu] - B/2 + 1``
 — the chunked, d_mu-shifted structure of Fig 6(a), stored compactly as the
 n_mu*B*S distinct coefficients.
 
-There is one numeric kernel, :func:`convolve`, and it is a GEMM.  The
-``n_mu`` rows of chunk ``c = j // n_mu`` all read, per lane, the same
-``K = B + max(q_r)`` consecutive samples of the lane's stride-S input, so
-with the taps of residue ``r`` shifted down by ``q_r`` inside a
-zero-padded ``(K, n_mu)`` matrix (:meth:`SoiTables.gemm_coeffs`) a tile of
-T chunks is ``U[p] = X[p] @ W[p]`` — ``(T, K) @ (K, n_mu)`` per lane, one
-batched BLAS call per tile.  This is the paper's decomposed form (loop
-interchange: lane outermost) with the stride-S windows staged into
-contiguous storage (its circular buffer).  Tiles are position-invariant:
-see :func:`convolve` for the alignment rule every bitwise contract of the
+There is one tile walk, and each tile is a GEMM.  The ``n_mu`` rows of
+chunk ``c = j // n_mu`` all read, per lane, the same ``K = B + max(q_r)``
+consecutive samples of the lane's stride-S input, so with the taps of
+residue ``r`` shifted down by ``q_r`` inside a zero-padded ``(K, n_mu)``
+matrix (:meth:`SoiTables.gemm_coeffs`) a tile of T chunks is
+``U[p] = X[p] @ W[p]`` — ``(T, K) @ (K, n_mu)`` per lane, one batched BLAS
+call per tile.  This is the paper's decomposed form (loop interchange:
+lane outermost) with the stride-S windows staged into contiguous storage
+(its circular buffer).  Tiles are position-invariant: see
+:func:`convolve` for the alignment rule every bitwise contract of the
 repo (batch == solo, simulator == processes, recovered == fault-free)
 rests on.
+
+:func:`convolve` stores ``u`` as ``(rows, S)``; :func:`front`, which the
+SOI pipelines run, is where ``F_S`` fuses: each tile's product goes
+through :func:`lane_fft` in cache and its S segment rows are stored
+contiguously, which takes back §5.3's extra sweep of the decomposed form.
 
 The paper's three *execution strategies* — row-major baseline,
 loop-interchanged decomposed form, and circular-buffer staging — differ in
@@ -41,6 +46,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.core.params import SoiParams
 from repro.core.window import SoiTables
 from repro.fft.bitops import gemm_tile
+from repro.fft.dft import dft_matrix
+from repro.fft.plan import get_plan
 from repro.machine.memory import SweepLedger
 from repro.machine.spec import MachineSpec
 
@@ -51,12 +58,18 @@ __all__ = [
     "conv_time_model",
     "convolve",
     "convolve_reference",
+    "front",
     "input_block_offsets",
+    "lane_fft",
     "tile_rows",
 ]
 
 #: Most chunks (groups of n_mu rows) one GEMM tile holds.
 _TILE_CHUNKS = 256
+
+#: Most lanes whose transform is a DFT-matrix GEMM, which beats the Stockham
+#: passes (one sweep, not one per radix) while the matrix is cache-sized.
+_LANE_MATRIX_MAX = 64
 
 
 def _tile_chunks(params: SoiParams, k_width: int) -> int:
@@ -80,12 +93,13 @@ def tile_rows(tables: SoiTables, dtype) -> int:
 
 
 class ConvWorkspace:
-    """Reusable scratch arrays for :func:`convolve`.
+    """Reusable scratch arrays for :func:`convolve` and :func:`front`.
 
-    Buffers are keyed by (name, shape, dtype) *and executing thread*, so a
-    plan that calls ``convolve`` with a fixed geometry gets the same
-    storage back on every call from that thread — the steady state
-    performs no new allocations, and the one workspace a plan owns
+    Buffers are keyed by (name, shape past the first axis, dtype) *and
+    executing thread*, and only grow along the first axis (the frames of
+    a batch), so a plan gets the same storage back on every call from
+    that thread — the steady state performs no new allocations, even as
+    batch sizes alternate, and the one workspace a plan owns
     (``SoiFFT``) serves every worker thread its row ranges run on.
     ``nbytes()`` and ``clear()`` speak for the calling thread's buffers
     only, as :class:`repro.fft.stockham.StockhamPlan`'s do.
@@ -99,13 +113,13 @@ class ConvWorkspace:
         return self._local.__dict__  # a local's attributes are per thread
 
     def array(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        """Return a reused (uninitialized) buffer of the given geometry."""
-        key = (name, tuple(shape), np.dtype(dtype).str)
+        """Return a reused (uninitialized) buffer of the given geometry:
+        the first ``shape[0]`` rows of the largest one asked for."""
+        key = (name, tuple(shape[1:]), np.dtype(dtype).str)
         buf = self._bufs.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            self._bufs[key] = buf
-        return buf
+        if buf is None or len(buf) < shape[0]:
+            buf = self._bufs[key] = np.empty(shape, dtype=dtype)
+        return buf[:shape[0]]
 
     def nbytes(self) -> int:
         """Bytes currently held by the calling thread's buffers."""
@@ -139,6 +153,37 @@ def block_range_for_rows(params: SoiParams, j_start: int, n_rows: int
     return int(m0.min()), int(m0.max()) + params.b
 
 
+def lane_fft(a: np.ndarray, tables: SoiTables, out: np.ndarray | None = None,
+             *, workspace: ConvWorkspace | None = None) -> np.ndarray:
+    """``F_S`` down the lanes of ``(..., S, R)`` blocks into segment rows,
+    ``out[..., k, :] = sum_p F_S[k, p] a[..., p, :]``, for the front and
+    the ABFT checksum.  Up to 64 lanes, ``(S, S) @ (S, c)`` products over
+    ``c`` = :func:`~repro.fft.bitops.gemm_tile` columns from column 0 (the
+    front hands it whole tiles of the global grid); wider (scale-chaos's
+    S = 1024), the length-S Stockham plan over the transposed blocks."""
+    s, r = a.shape[-2:]
+    if out is None:
+        out = np.empty(a.shape, dtype=a.dtype)
+    if s <= _LANE_MATRIX_MAX:
+        mat = tables.derived(("lanes", a.dtype.str),
+                             lambda: _read_only(dft_matrix(s, dtype=a.dtype)))
+        step = tables.derived(("lane tile", r), lambda: gemm_tile(s * s, r))
+        for c in range(0, r, step):
+            np.matmul(mat, a[..., c:c + step], out=out[..., c:c + step])
+        return out
+    t = (workspace or ConvWorkspace()).array(
+        "lanes", a.shape[:-2] + (r, s), a.dtype)
+    np.copyto(t, a.swapaxes(-1, -2))
+    get_plan(s, -1, dtype=a.dtype.type)(t, out=t)
+    np.copyto(out, t.swapaxes(-1, -2))
+    return out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def convolve(x_ext: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,
              block_lo: int, out: np.ndarray | None = None, *,
              workspace: ConvWorkspace | None = None) -> np.ndarray:
@@ -148,6 +193,8 @@ def convolve(x_ext: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,
     ``[block_lo, block_lo + len(x_ext)//S)`` as a flat complex array, or a
     ``(batch, ext)`` stack of such arrays for batched execution.  Returns
     ``u`` of shape (n_rows, S) — ``(batch, n_rows, S)`` when batched.
+    *out*, if given, must have that shape and the working dtype
+    (``complex64`` for ``complex64`` input, else ``complex128``).
 
     An output row is a function of (global row index, input) only — not of
     the row range, batch size or rank that computed it — because BLAS
@@ -159,13 +206,36 @@ def convolve(x_ext: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,
     ``c mod T``), a range that starts or ends mid-tile zero-fills the rest
     of the tile and still computes it at full shape, and a batch runs one
     frame at a time.  :func:`repro.fft.bitops.gemm_tile` states the rule
-    once for this kernel, the Stockham pass and the lane DFT.
+    once for this kernel, the Stockham pass and the lane transform.
 
-    ``workspace`` (a :class:`ConvWorkspace`) supplies the two tile
-    buffers, whose shapes depend on ``params`` and dtype only; with it,
-    repeat calls are allocation-free apart from the (caller-avoidable)
-    output.
+    ``workspace`` (a :class:`ConvWorkspace`) supplies the tile buffers,
+    whose shapes depend on ``params`` and dtype only; with it, repeat
+    calls are allocation-free apart from the (caller-avoidable) output.
     """
+    return _tile_walk(x_ext, tables, j_start, n_rows, block_lo, out,
+                      workspace, segment_major=False)
+
+
+def front(x_ext: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,
+          block_lo: int, out: np.ndarray | None = None, *,
+          workspace: ConvWorkspace | None = None) -> np.ndarray:
+    """The SOI front, ``(I_{M'} (x) F_S) W x`` stored segment-major: shape
+    ``(S, n_rows)`` (``(batch, S, n_rows)`` batched), row ``k`` the
+    rows ``[j_start, j_start + n_rows)`` of segment ``k``'s subband.
+
+    :func:`convolve`'s tile walk, with :func:`lane_fft` applied to each
+    tile's ``(S, T * n_mu)`` products (every frame's, in one call) in
+    cache and the S segment rows stored contiguously.  Same arguments,
+    alignment rule and workspace as :func:`convolve`; *out* may be a
+    strided view (a row range of a larger segment-major buffer)."""
+    return _tile_walk(x_ext, tables, j_start, n_rows, block_lo, out,
+                      workspace, segment_major=True)
+
+
+def _tile_walk(x_ext, tables: SoiTables, j_start: int, n_rows: int,
+               block_lo: int, out, workspace, *, segment_major: bool):
+    """The tile walk of :func:`convolve` and :func:`front`, whose store
+    *segment_major* picks."""
     p = tables.params
     s, n_mu, d_mu = p.n_segments, p.n_mu, p.d_mu
     arr = np.asarray(x_ext)
@@ -173,7 +243,6 @@ def convolve(x_ext: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,
     x_ext = np.asarray(arr, dtype=dtype)
     if x_ext.ndim not in (1, 2):
         raise ValueError("x_ext must be 1-D or (batch, ext)")
-    batched = x_ext.ndim == 2
     if x_ext.shape[-1] % s:
         raise ValueError("x_ext length must be a multiple of S")
     if j_start % n_mu or n_rows % n_mu:
@@ -188,19 +257,29 @@ def convolve(x_ext: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,
     if n_rows and (base < 0
                    or base + (n_chunks - 1) * d_mu + k_width > nblocks):
         raise ValueError("x_ext does not cover the required block range")
-    out_shape = (x_ext.shape[0], n_rows, s) if batched else (n_rows, s)
+    out_shape = x_ext.shape[:-1] + ((s, n_rows) if segment_major
+                                    else (n_rows, s))
     if out is None:
         out = np.empty(out_shape, dtype=dtype)
     elif out.shape != out_shape:
         raise ValueError("out has wrong shape")
+    elif out.dtype != dtype:
+        raise ValueError(f"out must have dtype {np.dtype(dtype)}")
     if not n_rows:
         return out
     t_chunks = _tile_chunks(p, k_width)
     ws = workspace if workspace is not None else ConvWorkspace()
     tile = ws.array("tile", (s, t_chunks, k_width), dtype)
-    res = ws.array("res", (s, t_chunks, n_mu), dtype)
     xb = x_ext.reshape(-1, nblocks, s)
-    ob = out.reshape(-1, n_chunks, n_mu, s)
+    frames = xb.shape[0]
+    # the front keeps every frame's product of a tile for one lane transform
+    res = ws.array("res", (frames if segment_major else 1, s, t_chunks,
+                           n_mu), dtype)
+    if segment_major:
+        lanes = ws.array("lane out", (frames, s, t_chunks * n_mu), dtype)
+        ob = out[None] if x_ext.ndim == 1 else out
+    else:
+        ob = out.reshape(-1, n_chunks, n_mu, s)
     # win[f, k] is chunk c0+k's (S, K) window: lane p's K stride-S samples
     win = sliding_window_view(xb, k_width, axis=1)[:, base::d_mu]
     for t0 in range(c0 - c0 % t_chunks, c1, t_chunks):
@@ -209,10 +288,16 @@ def convolve(x_ext: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,
         if b - a < t_chunks:
             tile[:, :a] = 0
             tile[:, b:] = 0
-        for f in range(xb.shape[0]):
+        for f in range(frames):
             np.copyto(tile[:, a:b], win[f, lo - c0:hi - c0].transpose(1, 0, 2))
-            np.matmul(tile, w, out=res)
-            ob[f, lo - c0:hi - c0] = res[:, a:b].transpose(1, 2, 0)
+            np.matmul(tile, w, out=res[f if segment_major else 0])
+            if not segment_major:
+                ob[f, lo - c0:hi - c0] = res[0, :, a:b].transpose(1, 2, 0)
+        if segment_major:
+            z = lane_fft(res.reshape(lanes.shape), tables, out=lanes,
+                         workspace=ws)
+            ob[:, :, (lo - c0) * n_mu:(hi - c0) * n_mu] = \
+                z[:, :, a * n_mu:b * n_mu]
     return out
 
 

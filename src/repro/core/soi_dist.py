@@ -6,9 +6,10 @@ as the generator :func:`soi_rank_program` every participant runs:
 * obtain the input its convolution rows touch — on its own N/P chunk
   after a latency-bound nearest-neighbor *ghost exchange* of B/2 blocks
   (the two right-most arrows of Fig 2);
-* convolution-and-oversampling plus lane FFTs (I_{M'} (x) F_S), locally;
-* the stride permutation P^{S,N'}_erm as **one all-to-all** — the entire
-  inter-node communication of the algorithm;
+* convolution-and-oversampling plus lane FFTs (I_{M'} (x) F_S), locally,
+  as one kernel storing segment-major rows;
+* the stride permutation P^{S,N'}_erm as **one all-to-all** of those rows
+  — the entire inter-node communication of the algorithm;
 * a length-M' FFT and demodulation per owned segment, leaving the output
   in natural order, block-distributed like the input.
 
@@ -37,7 +38,6 @@ exact and tested bitwise equal to the single-process pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from repro.core.convolution import (
     ConvStrategy,
     block_range_for_rows,
     conv_time_model,
-    convolve,
+    front,
 )
 from repro.core.demodulate import demodulate
 from repro.core.params import SoiParams
@@ -282,9 +282,9 @@ def _worker_node(spec: SoiSpec) -> tuple:
     return tables.derived("soi plan", lambda: SoiFFT._of(tables)), verifier
 
 
-def _columns(slots: tuple[int, ...]):
-    """Column index of ascending *slots* into a row block: a slice (a
-    view, no gather) when they are adjacent."""
+def _rows(slots: tuple[int, ...]):
+    """Row index of ascending *slots* into a segment-major block: a slice
+    (a view, no gather) when they are adjacent."""
     if slots and slots[-1] - slots[0] == len(slots) - 1:
         return slice(slots[0], slots[-1] + 1)
     return list(slots)
@@ -333,7 +333,7 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
             to_right=x_local[x_local.size - left_g * s:])
         x_ext = np.concatenate([from_left, x_local, from_right])
 
-    # ---- convolution-and-oversampling + lane FFTs per covered range ----
+    # ---- the front per covered range: (S, rows), segment-major ----
     chunks: list[np.ndarray] = []
     for j0, nr, from_ckpt in own.rows[ctx.rank]:
         if from_ckpt:
@@ -346,11 +346,9 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
         else:
             lo = (j0 // n_mu) * d_mu - left_g  # where x_ext starts
             x_in = x_ext
-        def conv():  # this range's stage-1 kernel: run now, and by a repair
-            return convolve(x_in, tables, j0, nr, lo,
-                            workspace=soi._conv_ws)
-        lane = partial(soi._lane_dft, row0=j0) if s > 1 else None
-        z = conv() if lane is None else lane(conv())
+        def conv():  # this range's front: run now, and by a repair
+            return front(x_in, tables, j0, nr, lo, workspace=soi._conv_ws)
+        z = conv()
         adopted = recovering and j0 // rows_pp != me
         yield Compute((costs.conv + costs.lane) * (nr / rows_pp),
                       label="recovery recompute" if adopted
@@ -361,7 +359,7 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
             # verify before the checkpoint and the wire: a corrupt z
             # must never be trusted for recovery or shipped to peers
             verifier.check_conv(ctx.cluster, me, x_in, z, conv=conv,
-                                lane=lane, seconds=costs.conv + costs.lane)
+                                seconds=costs.conv + costs.lane)
         if not adopted:
             # stage checkpoint: the post-convolution segments (mu*N/P
             # complex words per rank) are the natural cut point for
@@ -378,18 +376,18 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
         going = [ts[k * len(ts) // rounds:(k + 1) * len(ts) // rounds]
                  for ts in own.slots]
         # the stride permutation P^{S,N'}_erm: my rows of every segment
-        # to its owner
+        # to its owner, each segment's a contiguous run
         pieces = yield AllToAll(
-            [np.concatenate([z[:, _columns(ts)] for z in chunks], axis=0)
+            [np.concatenate([z[_rows(ts)] for z in chunks], axis=1)
              for ts in going], groups=spec.groups)
         mine = going[ctx.rank]
         share = len(mine) / spp
-        # (n_slots, M'): the layout the single-node permutation writes
+        # (n_slots, M'): the layout the single-node front writes
         alpha = np.empty((len(mine), p.m_oversampled), dtype=np.complex128)
         for piece, cover in zip(pieces, own.rows):
             off = 0
             for j0, nr, _from_ckpt in cover:
-                alpha[:, j0:j0 + nr] = piece[off:off + nr].T
+                alpha[:, j0:j0 + nr] = piece[:, off:off + nr]
                 off += nr
         # unverified, alpha dies here: the passes may work in it
         beta = soi._seg_plan(alpha, overwrite_x=verifier is None)

@@ -4,28 +4,31 @@ Computes ``y = F_N x`` via Equation 1 of the paper:
 
 1. convolution-and-oversampling ``W x`` (with periodic boundary),
 2. lane FFTs ``I_{M'} (x) F_S`` (length-S transform across lanes),
-3. the stride permutation (a local reshape when there is one process),
+3. the stride permutation,
 4. per-segment length-M' FFTs,
 5. projection + demodulation ``W^{-1} P_roj``.
 
-The distributed implementation (:mod:`repro.core.soi_dist`) runs exactly
-these kernels (:meth:`SoiFFT._of`) with the permutation realized as an
-all-to-all, bit for bit; this module is both the numerical reference for
-it and the convenient entry point for node-local use.
+Steps 1-3 are one kernel, the *front* (:func:`repro.core.convolution.front`):
+each convolution tile gets ``F_S`` in cache and stores its segment rows,
+so ``alpha`` is written segment-major, ``(S, M')``, in one sweep.
 
-An observer sees three stages on both: the *front*, steps 1-3
-(``"conv"``), then ``"segment-fft"`` and ``"demod"``.
+The distributed implementation (:mod:`repro.core.soi_dist`) runs exactly
+these kernels (:meth:`SoiFFT._of`), with the permutation's exchange an
+all-to-all of segment rows, bit for bit; this module is both the numerical
+reference for it and the convenient entry point for node-local use.
+
+An observer sees three stages on both: the front (``"conv"``), then
+``"segment-fft"`` and ``"demod"``.
 
 Execution is planned: convolution workspaces and stage buffers are
-allocated once per batch size at first use and reused.  Each stage output
-is read only by the next stage, so besides the extended input two arenas
-serve by liveness, one holding ``u`` then ``alpha``, the other ``z`` then
-``beta``.  Unverified, the segment FFT also ping-pongs through the dead
-``alpha`` and its ``beta``; an armed verifier repairs ``beta`` from
-``alpha``, so there ``alpha`` outlives it.  Every stage runs through ``out=``
+allocated once per batch size at first use and reused.  Besides the
+extended input there are two stage buffers, ``alpha`` and ``beta``.
+Unverified, the segment FFT also ping-pongs through the dead ``alpha``
+and its ``beta``; an armed verifier repairs ``beta`` from ``alpha``, so
+there ``alpha`` outlives it.  Every stage runs through ``out=``
 destinations (on the per-cpu worker pool, :mod:`repro.core.cpupool`, when
 large enough: as row ranges of one stage, or as whole blocks of a batch's
-frames), and :meth:`SoiFFT.batch` executes lane and segment FFTs as single
+frames), and :meth:`SoiFFT.batch` executes the segment FFTs as single
 ``(batch*S, M')``-shaped Stockham calls rather than a per-row Python
 loop.  Steady-state calls with ``out=`` perform no new allocations
 (asserted with ``tracemalloc`` by
@@ -43,14 +46,12 @@ from repro.core import cpupool
 from repro.core.convolution import (
     ConvWorkspace,
     block_range_for_rows,
-    convolve,
+    front,
     tile_rows,
 )
 from repro.core.demodulate import demodulate
 from repro.core.params import SoiParams
 from repro.core.window import SoiTables, get_tables
-from repro.fft.bitops import gemm_tile
-from repro.fft.dft import dft_matrix
 from repro.fft.plan import get_plan
 
 __all__ = ["SoiFFT", "soi_fft"]
@@ -64,16 +65,6 @@ def _cuts(total: int, grid: int, parts: int) -> list[tuple[int, int]]:
     edges = sorted({min(total, units * i // parts * grid)
                     for i in range(parts + 1)})
     return list(zip(edges, edges[1:]))
-
-
-def _nbytes(arrays) -> int:
-    """Bytes of the distinct buffers behind *arrays*: a view counts once,
-    with the array it views."""
-    bases = {}
-    for a in arrays:
-        base = a if a.base is None else a.base
-        bases[id(base)] = base
-    return sum(b.nbytes for b in bases.values())
 
 
 def _claim(starts, lock, stop: list, run_block, deadline) -> None:
@@ -154,14 +145,14 @@ class SoiFFT:
 
     Batch invariance
     ----------------
-    ``batch(xs)[i]`` is bitwise ``plan(xs[i])``.  The convolution earns
-    this by the tile-alignment rule of
-    :func:`repro.core.convolution.convolve`: every GEMM has one shape
+    ``batch(xs)[i]`` is bitwise ``plan(xs[i])``.  The front earns this by
+    the tile-alignment rule of :func:`repro.core.convolution.convolve`:
+    every GEMM (the convolution's and the lane transform's) has one shape
     fixed by ``params``, a row always sits at the same tile position, and
     a batch runs one frame at a time — so a row's bits do not depend on
-    the batch it rode in.  The lane DFT (:meth:`_lane_dft`) and the
-    segment FFT (:class:`repro.fft.stockham.StockhamPlan`) obey the same
-    rule, stated once in :func:`repro.fft.bitops.gemm_tile`.
+    the batch it rode in.  The segment FFT
+    (:class:`repro.fft.stockham.StockhamPlan`) obeys the same rule, stated
+    once in :func:`repro.fft.bitops.gemm_tile`.
     """
 
     def __init__(self, params: SoiParams, window=None, dtype=np.complex128,
@@ -187,18 +178,10 @@ class SoiFFT:
         params = tables.params
         self.dtype, self.params, self.tables = dtype, params, tables
         dt = dtype.type
+        #: the length-S plan the front runs above 64 segments (its
+        #: workspaces are counted and released with this plan's)
         self._lane_plan = get_plan(params.n_segments, -1, dtype=dt) \
             if params.n_segments > 1 else None
-        # for the tiny fixed-size lane transform (length S, huge batch) a
-        # direct DFT-matrix GEMM beats the Stockham passes (one sweep, not
-        # one per radix); only worthwhile while the O(S^2) matrix stays
-        # cache-sized.  _lane_tile rows of u per product: see _lane_dft.
-        self._lane_mat, self._lane_tile = None, 1
-        if 1 < params.n_segments <= 64:
-            self._lane_mat = np.ascontiguousarray(
-                dft_matrix(params.n_segments).astype(dtype))
-            self._lane_tile = gemm_tile(params.n_segments ** 2,
-                                        params.m_oversampled)
         self._seg_plan = get_plan(params.m_oversampled, -1, dtype=dt)
         lo, hi = block_range_for_rows(params, 0, params.m_oversampled)
         #: extended_input's blocks [lo, hi): the first, and the sample count
@@ -232,26 +215,20 @@ class SoiFFT:
         return self.verifier is not None
 
     def _buffers(self, batch: int, pool=None) -> dict[str, np.ndarray]:
-        """The stage buffers of *batch* frames, by name: the stage outputs
-        take turns in two arenas (``u``, ``alpha`` in one; ``z``, ``beta``
-        in the other; without a lane stage ``u`` is ``z`` and ``beta``
-        goes back to the first), each written only once its last reader
-        has run."""
+        """The stage buffers of *batch* frames, by name: the front's
+        ``alpha`` and the segment FFT's ``beta``, both segment-major
+        ``(batch, S, M')``, and the extended input."""
         pool = self._bufpool if pool is None else pool
         bufs = pool.get(batch)
         if bufs is None:
             p = self.params
-            s, mp = p.n_segments, p.m_oversampled
-            names = ["u", "alpha", "beta"] if self._lane_plan is None \
-                else ["u", "z", "alpha", "beta"]
-            arenas = [np.empty((batch, mp * s), dtype=self.dtype)
-                      for _ in range(2)]
-            bufs = {"x_ext": np.empty((batch, self._ext_size),
-                                      dtype=self.dtype)}
-            for i, name in enumerate(names):
-                rows = (mp, s) if name in ("u", "z") else (s, mp)
-                bufs[name] = arenas[i % 2].reshape(batch, *rows)
-            pool[batch] = bufs
+            seg = (batch, p.n_segments, p.m_oversampled)
+            # the order shapes the malloc heap, and with it whether a
+            # caller's large temporaries (numpy's FFT scratch) page-fault
+            bufs = pool[batch] = {
+                "alpha": np.empty(seg, dtype=self.dtype),
+                "beta": np.empty(seg, dtype=self.dtype),
+                "x_ext": np.empty((batch, self._ext_size), dtype=self.dtype)}
         return bufs
 
     def _held(self, release: bool = False) -> int:
@@ -268,14 +245,14 @@ class SoiFFT:
                 plan.release_workspaces()
         return (self._conv_ws.nbytes()
                 + sum(plan.workspace_bytes() for plan in plans)
-                + _nbytes(b for bufs in blocks.values()
-                          for b in bufs.values()))
+                + sum(b.nbytes for bufs in blocks.values()
+                      for b in bufs.values()))
 
     def workspace_bytes(self) -> int:
         """Bytes held by the pooled stage buffers and by the workspaces of
         the caller and of every worker thread."""
-        return sum(cpupool.on_each(self._held)) + _nbytes(
-            b for bufs in self._bufpool.values() for b in bufs.values())
+        return sum(cpupool.on_each(self._held)) + sum(
+            b.nbytes for bufs in self._bufpool.values() for b in bufs.values())
 
     def release_workspaces(self) -> None:
         """Drop all of them, on every thread (they re-allocate lazily)."""
@@ -302,48 +279,18 @@ class SoiFFT:
         return out
 
     def oversample(self, x: np.ndarray) -> np.ndarray:
-        """Stages 1-2: u = W x, then z = (I (x) F_S) u.  Shape (M', S)."""
-        p = self.params
-        rows = p.m_oversampled  # all rows (single process)
-        x_ext = self.extended_input(x)
-        u = convolve(x_ext, self.tables, 0, rows, self._block_lo,
+        """Steps 1-3, the front: ``alpha``, the oversampled subbands of
+        ``x`` (``W x``, then ``F_S`` across lanes), stored segment-major.
+        Shape (S, M')."""
+        return front(self.extended_input(x), self.tables, 0,
+                     self.params.m_oversampled, self._block_lo,
                      workspace=self._conv_ws)
-        return u if self._lane_plan is None else self._lane_dft(u)
 
-    def _lane_dft(self, u: np.ndarray, out: np.ndarray | None = None,
-                  row0: int = 0) -> np.ndarray:
-        """Stage 2, ``z = (I (x) F_S) u`` over the last axis of a
-        C-contiguous ``(..., rows, S)`` of rows ``[row0, row0 + rows)`` —
-        the one lane transform the pipeline, every distributed rank and the
-        ABFT repair run, so a row rounds alike wherever it is computed.
-
-        With a lane matrix it is ``(T, S) @ (S, S)`` products over tiles of
-        ``T`` rows (:func:`repro.fft.bitops.gemm_tile` of all M' rows, so a
-        tile never spans two frames) on the global row grid, each on the
-        calling thread; a range cut inside a tile runs on a zero-filled
-        copy of whole tiles, as :func:`~repro.core.convolution.convolve`
-        does."""
-        if out is None:
-            out = np.empty_like(u)
-        if self._lane_mat is None:
-            return self._lane_plan(u, out=out)
-        s, t, rows = self.params.n_segments, self._lane_tile, u.shape[-2]
-        a, b = row0 % t, -(row0 + rows) % t  # zero rows before and after
-        if a or b:
-            tiles = np.zeros(u.shape[:-2] + (a + rows + b, s), self.dtype)
-            tiles[..., a:a + rows, :] = u
-            np.copyto(out, self._lane_dft(tiles)[..., a:a + rows, :])
-            return out
-        np.matmul(u.reshape(-1, t, s), self._lane_mat,
-                  out=out.reshape(-1, t, s))
-        return out
-
-    def segment_spectra(self, z: np.ndarray) -> np.ndarray:
-        """Stages 3-4: permutation (transpose) + per-segment F_{M'}.
+    def segment_spectra(self, alpha: np.ndarray) -> np.ndarray:
+        """Step 4: the per-segment F_{M'} of the front's output.
 
         Returns beta of shape (S, M').
         """
-        alpha = np.ascontiguousarray(z.T)  # (S, M'): segment s's subband
         return self._seg_plan(alpha)
 
     # -- planned zero-allocation execution --------------------------------
@@ -423,23 +370,15 @@ class SoiFFT:
             parts = self._parts(batch)
         else:
             after, parts = None, 1
-        x_ext, u = bufs["x_ext"], bufs["u"]
-        alpha, beta = bufs["alpha"], bufs["beta"]
-        z = bufs.get("z", u)
+        x_ext, alpha, beta = bufs["x_ext"], bufs["alpha"], bufs["beta"]
         res3 = res.reshape(batch, s, p.m)
 
         def gather(f0, f1, a, b):
             self._wrap(xs[f0:f1], x_ext[f0:f1, a:b], self._block_lo * s + a)
 
-        def conv(f0, f1, a, b):
-            convolve(x_ext[f0:f1], self.tables, a, b - a, self._block_lo,
-                     out=u[f0:f1, a:b], workspace=self._conv_ws)
-
-        def lane(f0, f1, a, b):
-            self._lane_dft(u[f0:f1, a:b], out=z[f0:f1, a:b], row0=a)
-
-        def permute(f0, f1, a, b):  # the stride permutation
-            np.copyto(alpha[f0:f1, a:b], z[f0:f1, :, a:b].transpose(0, 2, 1))
+        def conv(f0, f1, a, b):  # the front: W x, F_S, the permutation
+            front(x_ext[f0:f1], self.tables, a, b - a, self._block_lo,
+                  out=alpha[f0:f1, :, a:b], workspace=self._conv_ws)
 
         def segment_fft(f0, f1, a, b):  # alpha dies here unless verified
             self._seg_plan(alpha[f0:f1, a:b], out=beta[f0:f1, a:b],
@@ -462,13 +401,8 @@ class SoiFFT:
 
         share(gather, x_ext.shape[1], 1)
         share(conv, mp, self._conv_tile)
-        if self._lane_plan is not None:
-            share(lane, mp, self._lane_tile)
-        share(permute, s, 1)
-        if after:  # each step reads its input, writes its output
-            steps = 2 if self._lane_plan is not None else 1
-            after("conv", alpha, x_ext.nbytes + alpha.nbytes
-                  + steps * (u.nbytes + z.nbytes))
+        if after:
+            after("conv", alpha, x_ext.nbytes + alpha.nbytes)
         share(segment_fft, s, 1)
         if after:
             after("segment-fft", beta, 2 * beta.nbytes)
@@ -513,11 +447,11 @@ class SoiFFT:
 
     def _frame_bytes(self) -> int:
         """Bytes of stage buffer one frame would hold with the extended
-        input and every stage output apart: the count the block sizes were
-        measured against (EXPERIMENTS.md "PR 30"), kept so they stay; the
-        two arenas a frame runs through hold less."""
+        input and the unfused pipeline's stage outputs (``u``, ``z``,
+        ``alpha``, ``beta``) apart: the count the block sizes were
+        measured against (EXPERIMENTS.md "PR 30"), kept so they stay."""
         p = self.params
-        lanes = 4 if self._lane_plan is not None else 3
+        lanes = 4 if p.n_segments > 1 else 3
         return (self._ext_size + lanes * p.m_oversampled * p.n_segments
                 ) * self.dtype.itemsize
 
@@ -545,12 +479,12 @@ class SoiFFT:
         FFT plan construction) amortizes across the batch — the usage
         pattern of every frame-oriented application (see
         :mod:`repro.core.streaming`).  The batch executes as batched
-        kernels over cache-sized blocks of frames: per block, one
-        convolution sweep, one ``(rows*M', S)`` lane
-        transform, one ``(rows*S, M')`` segment-FFT call, one
-        demodulation — no per-row Python loop over pipeline stages.  The
-        block size keeps a block's stage buffers cache-resident; tiny
-        frames batch fully, huge transforms fall back to row-at-a-time.
+        kernels over cache-sized blocks of frames: per block, one front
+        sweep (convolution and lane transform), one ``(rows*S, M')``
+        segment-FFT call, one demodulation — no per-row Python loop over
+        pipeline stages.  The block size keeps a block's stage buffers
+        cache-resident; tiny frames batch fully, huge transforms fall back
+        to row-at-a-time.
         Results are bitwise-identical for every block size.
 
         Frame-major (see *Threads*; unobserved, more than one frame, a

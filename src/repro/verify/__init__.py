@@ -10,8 +10,8 @@ tradition adapted to the SOI factorization:
   the transform of a weighted sum of rows must equal the weighted sum of
   the transformed rows.  The convolution operator W carries a
   *precomputed* checksum functional (``w^T W``) that rides the lane
-  transform, so conv + lane are verifiable against the staged input in
-  one O(N) sweep.
+  transform, so the front (conv + lane, one kernel) is verifiable
+  against the staged input in one O(N) sweep.
 * **Parseval/energy invariants** (:mod:`~repro.verify.invariants`): an
   unscaled forward FFT preserves energy up to the factor n, and its
   outputs satisfy the exact sum invariant ``sum_k Y[k] = n * y[0]`` —
@@ -45,7 +45,6 @@ from repro.verify.abft import (
     checksum_weights,
 )
 from repro.verify.invariants import (
-    energy_cols,
     energy_rows,
     parseval_check,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "VerifyPolicy",
     "batch_checksum",
     "checksum_weights",
-    "energy_cols",
     "energy_rows",
     "parseval_check",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["energy_cols", "energy_rows", "parseval_check"]
+__all__ = ["energy_rows", "parseval_check"]
 
 
 def energy_rows(a: np.ndarray) -> np.ndarray:
@@ -34,19 +34,6 @@ def energy_rows(a: np.ndarray) -> np.ndarray:
         return (np.einsum("...m,...m->...", ar, ar)
                 + np.einsum("...m,...m->...", ai, ai))
     return np.einsum("...m,...m->...", a, a)
-
-
-def energy_cols(a: np.ndarray) -> np.ndarray:
-    """``sum |a|^2`` over the second-to-last axis (per column)."""
-    if np.iscomplexobj(a) and a.flags.c_contiguous:
-        # contiguous pass over the (..., j, 2p) float view, then fold
-        # the interleaved re/im pairs back into per-column energies
-        v = a.view(a.real.dtype)
-        f = np.einsum("...jq,...jq->...q", v, v)
-        return f[..., 0::2] + f[..., 1::2]
-    # any other layout (one node's alpha seen as the front's (rows, S)
-    # output is one): the columns are the rows of the swapped view
-    return energy_rows(a.swapaxes(-1, -2))
 
 
 def parseval_check(e_in: np.ndarray, e_out: np.ndarray, n: int,

@@ -4,18 +4,18 @@ The SOI factorization is one algorithm whatever P is, so its fault
 tolerance is stated once.  :class:`_Engine` owns
 
 * the **invariants** of the three stages, each written over
-  ``(..., rows, S)`` / ``(..., k, M')`` arrays so a rank's 2-D block and a
-  batch's 3-D block are the same call: the convolution's checksum
-  syndrome carried through the lane transform, checked on the front's
-  output (:meth:`~_Engine.check_conv`), per-segment Parseval + the DFT
-  sum invariant (:meth:`~_Engine.check_segments`) and the demodulation
-  weighted sum (:meth:`~_Engine.check_demod`);
+  segment-major ``(..., k, length)`` arrays, a segment a row, so a rank's
+  2-D block and a batch's 3-D block are the same call: the convolution's
+  checksum syndrome carried through the lane transform, checked on the
+  front's output (:meth:`~_Engine.check_conv`), per-segment Parseval + the
+  DFT sum invariant (:meth:`~_Engine.check_segments`) and the
+  demodulation weighted sum (:meth:`~_Engine.check_demod`);
 * the **ladder** (:meth:`~_Engine._ladder`): detect → record → strike →
   repair the flagged units (strike 1) or the whole stage (strike 2) →
   raise :class:`VerificationError` past ``max_strikes`` — the only place
   strikes are counted, detections recorded, seconds charged, counters
   published and the error raised;
-* the **repairs** (:func:`_columns`, :func:`_rows`), which call the
+* the **repairs** (:func:`_whole`, :func:`_rows`), which call the
   callables the stage itself ran — never a kernel of their own — so a
   repaired unit is bitwise the one a fault-free run computes.
 
@@ -37,12 +37,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.core.convolution import convolve
+from repro.core.convolution import front, lane_fft
 from repro.core.demodulate import demodulate
 from repro.core.error_model import verification_thresholds
 from repro.core.window import SoiTables
-from repro.verify.abft import ConvChecksum, batch_checksum, checksum_weights
-from repro.verify.invariants import energy_cols, energy_rows, parseval_check
+from repro.verify.abft import ConvChecksum, checksum_weights
+from repro.verify.invariants import energy_rows, parseval_check
 from repro.telemetry.metrics import get_registry
 from repro.verify.policy import (
     VerificationError,
@@ -75,15 +75,15 @@ class _Stage(NamedTuple):
     seconds: float
 
 
-def _columns(name: str, out: np.ndarray, run: Callable,
-             seconds: float = 0.0) -> _Stage:
-    """A stage whose units are columns of an ``(..., rows, S)`` output
-    that its kernel does not compute apart (a convolution tile is one
-    product over every lane; the lane transform mixes them): run the
+def _whole(name: str, out: np.ndarray, run: Callable,
+           seconds: float = 0.0) -> _Stage:
+    """A stage whose units are the segment rows of an ``(..., S, rows)``
+    output that its kernel does not compute apart (a convolution tile is
+    one product over every lane; the lane transform mixes them): run the
     stage's own kernel whole — the only call that rounds like the first
-    one — and keep the flagged columns."""
+    one — and keep the flagged rows."""
     def redo(bad: np.ndarray) -> float:
-        np.copyto(out, run(), where=bad[..., None, :])
+        np.copyto(out, run(), where=bad[..., None])
         return 1.0
     return _Stage(name, redo, seconds)
 
@@ -134,10 +134,10 @@ class _Engine:
     # -- the invariants: each returns the mask of units that violate it ----
 
     def _checksum_bad(self, a: np.ndarray, c_pred: np.ndarray):
-        """Columns of ``(..., rows, S)`` *a* whose weighted row checksum
+        """Segments (rows) of ``(..., S, rows)`` *a* whose weighted checksum
         departs from the predicted one; also returns their energies."""
-        e = energy_cols(a)
-        bad = _abs2(batch_checksum(a, self._w_rows) - c_pred) > (
+        e = energy_rows(a)
+        bad = _abs2(np.matmul(a, self._w_rows) - c_pred) > (
             self.thresholds.checksum_rtol ** 2 * (self._rows * e + _TINY))
         return bad, e
 
@@ -242,25 +242,20 @@ class _Engine:
     # -- the stage boundaries ----------------------------------------------
 
     def check_conv(self, cluster, rank: int, x_ext: np.ndarray,
-                   out: np.ndarray, *, conv: Callable,
-                   lane: Callable | None, seconds: float = 0.0
+                   out: np.ndarray, *, conv: Callable, seconds: float = 0.0
                    ) -> np.ndarray:
-        """Verify the front, ``out = lane(conv())`` seen as ``(..., rows,
-        S)``: on one node ``alpha`` through its transpose, on a rank ``z``
-        (whose permutation is the all-to-all, under the wire checksum).
+        """Verify the front, ``out = conv()``, segment-major ``(..., S,
+        rows)``: ``alpha`` on one node, on a rank the block it checkpoints
+        and ships (the all-to-all is under the wire checksum).
 
         The operator checksum predicted from the staged input rides the
-        lane transform; its syndrome's column support names the corrupt
-        lanes, whichever step of the front struck them (a struck
-        convolution row reaches every lane).  *lane* is None when there
-        is no lane stage.  A repair reruns both kernels and keeps the
-        flagged columns.  Returns the per-column energies of *out*."""
-        c = self._conv_checksum().predict(x_ext)
-        run = conv
-        if lane is not None:
-            # all frames' checksum rows as one block: one tile, any batch
-            c = lane(c.reshape(-1, c.shape[-1])).reshape(c.shape)
-            run = lambda: lane(conv())  # noqa: E731
+        front's lane transform; its syndrome names the corrupt segments,
+        whichever step of the front struck them (a struck convolution
+        element reaches every segment).  A repair reruns the front and
+        keeps the flagged rows.  Returns the per-segment energies."""
+        # each frame's checksum an (S, 1) block
+        c = lane_fft(self._conv_checksum().predict(x_ext)[..., None],
+                     self.tables)[..., 0]
         e = None
 
         def detect():
@@ -268,7 +263,7 @@ class _Engine:
             bad, e = self._checksum_bad(out, c)
             return bad
 
-        self._ladder(cluster, rank, _columns("conv", out, run, seconds),
+        self._ladder(cluster, rank, _whole("conv", out, conv, seconds),
                      detect, nbytes=out.nbytes + x_ext.nbytes)
         return e
 
@@ -307,16 +302,16 @@ class PipelineVerifier(_Engine):
     """The ABFT engine riding one :class:`SoiFFT` plan's stage seam.
 
     Geometry: all ``M'`` rows from block ``soi._block_lo``; kernels: the
-    plan's own ``convolve`` call, :meth:`SoiFFT._lane_dft`, segment plan
-    and ``demodulate``; detections are recorded under rank -1 and
-    nothing is charged (wall time is measured, not modeled)."""
+    plan's own ``front`` call, segment plan and ``demodulate``; detections
+    are recorded under rank -1 and nothing is charged (wall time is
+    measured, not modeled)."""
 
     def __init__(self, soi, policy: VerifyPolicy):
         super().__init__(soi.tables, policy, soi.dtype,
                          soi.params.m_oversampled, soi._block_lo)
         self._soi = soi
         #: per-segment energies of the last verified ``alpha``, which its
-        #: segment check reads: the front check's column energies
+        #: segment check reads: the front check's per-segment energies
         self._e_alpha = None
 
     def _registry(self, cluster):
@@ -335,11 +330,9 @@ class PipelineVerifier(_Engine):
         if stage == "conv":
             x_ext = bufs["x_ext"]
             self._e_alpha = self.check_conv(
-                None, -1, x_ext, arr.swapaxes(-1, -2),
-                conv=lambda: convolve(x_ext, soi.tables, 0, self._rows,
-                                      self._block_lo,
-                                      workspace=soi._conv_ws),
-                lane=soi._lane_dft if soi._lane_plan is not None else None)
+                None, -1, x_ext, arr,
+                conv=lambda: front(x_ext, soi.tables, 0, self._rows,
+                                   self._block_lo, workspace=soi._conv_ws))
         elif stage == "segment-fft":
             self.check_segments(None, -1, bufs["alpha"], arr,
                                 fft=soi._seg_plan, e_alpha=self._e_alpha)

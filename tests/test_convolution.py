@@ -1,6 +1,8 @@
 """Tests for convolution-and-oversampling: numerics, structure, strategies."""
 
+import ast
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+import repro.core.convolution
 from repro.core.convolution import (
     ConvStrategy,
     _tile_chunks,
@@ -121,6 +124,16 @@ class TestConvolveNumerics:
         with pytest.raises(ValueError, match="out"):
             convolve(x_ext, tables, 0, rows, lo,
                      out=np.empty((1, 1), dtype=np.complex128))
+
+    def test_rejects_out_of_another_dtype(self, rng, tables):
+        # a complex64 out for complex128 input would round every row
+        p = tables.params
+        rows = p.m_oversampled
+        lo, hi = block_range_for_rows(p, 0, rows)
+        x_ext = random_complex(rng, (hi - lo) * p.n_segments)
+        with pytest.raises(ValueError, match="dtype"):
+            convolve(x_ext, tables, 0, rows, lo,
+                     out=np.empty((rows, p.n_segments), dtype=np.complex64))
 
 
 # -- the invariance contract: a row is a function of (row index, input) -----
@@ -366,3 +379,31 @@ class TestTimeModel:
         flops = p.conv_flops / p.n_procs
         implied = flops / (t_phi * XEON_PHI_SE10.peak_gflops * 1e9)
         assert implied == pytest.approx(0.40, abs=0.05)
+
+
+# -- tier-1 guard: one tile walk ---------------------------------------------
+
+def tile_walks(source: str) -> int:
+    """Tile walks in *source*: the more of its GEMMs against the taps ``w``
+    and its staged-window builds, each of which a walk has one of."""
+    calls = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
+    named = [getattr(n.func, "id", None) or getattr(n.func, "attr", "")
+             for n in calls]
+    gemms = sum(name == "matmul" and any(getattr(a, "id", "") == "w"
+                                         for a in n.args)
+                for name, n in zip(named, calls))
+    return max(gemms, named.count("sliding_window_view"))
+
+
+def test_one_tile_walk():
+    """An ``ast`` count (docstrings cannot trip it): ``core/convolution.py``
+    walks the tile grid in one place, whichever layout it stores."""
+    source = Path(repro.core.convolution.__file__).read_text()
+    assert tile_walks(source) == 1
+    # mutant: the front with a tile loop of its own, copied from the walk
+    start = source.index("    win = sliding_window_view(")
+    end = source.index("    return out\n", start)
+    mutant = (source + "\n\ndef front_walk(xb, k_width, base, d_mu, c0, c1, "
+              "t_chunks, tile, w, res, ob):\n" + source[start:end])
+    ast.parse(mutant)
+    assert tile_walks(mutant) == 2

@@ -5,15 +5,16 @@ Four gates, each with a test-local mutant that must turn it red:
 (a) design time — building a geometry's tables leaves the length-n
     inverse plan (which no pipeline runs) holding no workspace;
 (b) steady state — an unverified call holds at most 5x its signal;
-(c) verified calls — an armed plan runs through the same two arenas as
-    any other, and only ``alpha`` must outlive the stage after it: the
-    verifier repairs ``beta`` from it (the front check recomputes from
-    ``x_ext``, telemetry reads no stage output);
+(c) verified calls — an armed plan runs through the same two stage
+    buffers as any other, ``alpha`` and ``beta``, and only ``alpha`` must
+    outlive the stage after it: the verifier repairs ``beta`` from it (the
+    front check recomputes from ``x_ext``, telemetry reads no stage
+    output);
 (d) end to end — a fresh process at n = 3670016 peaks at most 10x its
     signal above the interpreter after construction and four calls.
 
 Plus the accounting (``workspace_bytes`` counts each buffer once) and the
-frame-major block size, which the two-arena layout must not change.
+frame-major block size, which the stage layout must not change.
 """
 
 import itertools
@@ -136,18 +137,18 @@ class TestSteadyState:
                 if plan is not None)
         total = f.workspace_bytes()
         assert total == distinct_bytes(stage) + sum(cpupool.on_each(kernels))
-        # the naive sum sees u and alpha, z and beta, as four buffers
-        assert total < sum(b.nbytes for b in stage) + sum(
-            cpupool.on_each(kernels))
+        # x_ext, alpha and beta: no stage buffer is a view of another
+        assert distinct_bytes(stage) == sum(b.nbytes for b in stage)
 
 
-# -- (c) verified calls share the two arenas; alpha outlives its FFT --------
+# -- (c) verified calls run through the same stage buffers; alpha outlives
+# -- its FFT ---------------------------------------------------------------
 
 def overlapping_stage_buffers(plan: SoiFFT) -> list:
     bufs = plan._buffers(1)  # what a one-frame call runs through
-    return [(a, b) for a, b in itertools.combinations(
-        ["x_ext", "u", "z", "alpha", "beta"], 2)
-        if np.shares_memory(bufs[a], bufs[b])]
+    assert sorted(bufs) == ["alpha", "beta", "x_ext"]
+    return [(a, b) for a, b in itertools.combinations(sorted(bufs), 2)
+            if np.shares_memory(bufs[a], bufs[b])]
 
 
 def alpha_survives(plan: SoiFFT, rng) -> bool:
@@ -160,21 +161,20 @@ def alpha_survives(plan: SoiFFT, rng) -> bool:
 
 class TestVerifiedCalls:
     def test_a_verified_call_shares_no_stage_memory(self, rng):
-        # The name is historical: a verified call shares the two arenas,
-        # but no memory that a repair reads -- x_ext apart, and alpha and
-        # beta in different arenas, with alpha intact after the segment FFT
+        # x_ext, alpha and beta apart, with alpha intact after the
+        # segment FFT: a repair reads both
         plan = SoiFFT(PARAMS, verify=True)
-        assert overlapping_stage_buffers(plan) == [("u", "alpha"),
-                                                   ("z", "beta")]
+        assert overlapping_stage_buffers(plan) == []
         assert alpha_survives(plan, rng)
 
     @pytest.mark.parametrize("telemetry", [None, "armed"])
     def test_an_unverified_call_shares_two_arenas(self, telemetry):
+        # the two arenas are the stage buffers themselves: the front writes
+        # alpha, the segment FFT beta, as on a verified call
         if telemetry:
             telemetry = Telemetry(metrics=MetricsRegistry())
         plan = SoiFFT(PARAMS, telemetry=telemetry)
-        assert overlapping_stage_buffers(plan) == [("u", "alpha"),
-                                                   ("z", "beta")]
+        assert overlapping_stage_buffers(plan) == []
 
     def test_the_check_can_fail(self, monkeypatch, rng):
         alias_verified_calls(monkeypatch)
@@ -200,19 +200,17 @@ from repro.core.soi_single import SoiFFT
 
 if sys.argv[1] == "keep_every_buffer":
     # the layout this gate was written against: the segment FFT keeps
-    # alpha, and every stage output has an arena of its own
+    # alpha, and the unfused front's two outputs, the convolution's u and
+    # the lane transform's z, hold (and write) buffers of their own
     SoiFFT._keeps_stages = property(lambda self: True)
+    real = SoiFFT._buffers
 
     def apart(self, batch, pool=None):
         pool = self._bufpool if pool is None else pool
         if batch not in pool:
-            s, mp = self.params.n_segments, self.params.m_oversampled
-            rows = {"u": (mp, s), "z": (mp, s), "alpha": (s, mp),
-                    "beta": (s, mp)}
-            pool[batch] = {name: np.empty((batch, *r), dtype=self.dtype)
-                           for name, r in rows.items()}
-            pool[batch]["x_ext"] = np.empty((batch, self._ext_size),
-                                            dtype=self.dtype)
+            bufs = real(self, batch, pool)
+            bufs["u"], bufs["z"] = (np.ones_like(bufs["alpha"])
+                                    for _ in range(2))
         return pool[batch]
     SoiFFT._buffers = apart
 n = 3670016
@@ -256,7 +254,8 @@ class TestPeak:
 # -- frame-major blocks keep their size --------------------------------------
 
 #: ``_frame_bytes()`` of bench/e2e's batch_small geometry (n = 7168): the
-#: extended input and four stage buffers of 8 x 1024 complex128 each.
+#: extended input and the unfused pipeline's four stage buffers of
+#: 8 x 1024 complex128 each.
 SMALL_FRAME_BYTES = 644992
 
 

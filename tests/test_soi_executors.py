@@ -12,7 +12,6 @@ marker.
 """
 
 import ast
-import copy
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core
+import repro.core.soi_dist as soi_dist
 from repro.cluster.backends import ProcessBackend, SimulatedBackend
 from repro.cluster.faults import (
     FaultPlan,
@@ -33,6 +33,7 @@ from repro.cluster.faults import (
 from repro.cluster.shm import list_segments
 from repro.cluster.simcluster import SimCluster
 from repro.cluster.topology import FatTree
+from repro.core.convolution import convolve
 from repro.core.params import SoiParams
 from repro.core.soi_dist import DistributedSoiFFT, Ownership
 from repro.core.soi_single import SoiFFT
@@ -57,18 +58,18 @@ def single_node(params, x):
 
 
 def stockham_rank_lane(monkeypatch):
-    """Mutant: the plan a rank runs transforms its lanes with a Stockham
-    length-S plan, ``get_plan(S, -1)``, as ranks did before they ran
-    SoiFFT's own kernels — as accurate, and a few ulps off the single-node
-    GEMM.  Processes forked before it keep the real plan."""
-    real = SoiFFT._of.__func__
-
-    def rank_plan(cls, tables):
-        plan = copy.copy(real(cls, tables))
+    """Mutant: a rank's front transforms its lanes with a Stockham
+    length-S plan, ``get_plan(S, -1)``, over the convolution's rows, as
+    ranks did before they ran the single-node kernels — as accurate, and a
+    few ulps off the front's GEMM.  Processes forked before it keep the
+    real front."""
+    def rank_front(x_ext, tables, j_start, n_rows, block_lo, out=None, *,
+                   workspace=None):
+        u = convolve(x_ext, tables, j_start, n_rows, block_lo,
+                     workspace=workspace)
         lane = get_plan(tables.params.n_segments, -1)
-        plan._lane_dft = lambda u, out=None, row0=0: lane(u, out=out)
-        return plan
-    monkeypatch.setattr(SoiFFT, "_of", classmethod(rank_plan))
+        return np.ascontiguousarray(lane(u).swapaxes(-1, -2))
+    monkeypatch.setattr(soi_dist, "front", rank_front)
 
 
 X = signal(PARAMS.n)
@@ -165,8 +166,8 @@ class TestOneProgramOnEitherExecutor:
         assert cl.comm.bytes_moved == a2a + ghosts
 
 
-#: A geometry whose ranks' rows fill whole lane tiles (M'/P = 2048 rows,
-#: tiles of 512): only a recovery slice starts inside one.
+#: A geometry whose ranks' rows fill whole front tiles (M'/P = 2048 rows,
+#: tiles of 1024): only a recovery slice starts inside one.
 TILED = SoiParams(n=7 * 2 ** 13, n_procs=P, segments_per_process=2,
                   n_mu=8, d_mu=7, b=48)
 
@@ -177,7 +178,7 @@ class TestOneKernelSet:
     Stockham-lane mutant turns each of these checks red."""
 
     def test_a_recovery_slice_that_starts_mid_tile(self):
-        tile = SoiFFT(TILED)._lane_tile
+        tile = SoiFFT(TILED)._conv_tile
         own = Ownership.after_failures(TILED, [0, 1, 3], {0, 1, 3},
                                        [0, 1, 3])
         assert any(j0 % tile for cover in own.rows for j0, _nr, _ck in cover)
@@ -336,11 +337,12 @@ class TestOneDriver:
 
 def test_stage_sequence_is_written_once():
     """An ``ast`` count (docstrings cannot trip it): across the three
-    distributed-SOI modules there is one convolution call, one
-    demodulation call and one all-to-all site.  A second execution of
-    the algorithm — a fork of the sequence — turns this red."""
+    distributed-SOI modules there is one front call (convolution and
+    lane transform), one demodulation call and one all-to-all site.  A
+    second execution of the algorithm — a fork of the sequence — turns
+    this red."""
     core = Path(repro.core.__file__).parent
-    calls = {"convolve": 0, "demodulate": 0, "alltoall": 0}
+    calls = {"front": 0, "demodulate": 0, "alltoall": 0}
     for name in ("soi_dist.py", "soi_spmd.py", "soi_hetero.py"):
         for node in ast.walk(ast.parse((core / name).read_text())):
             if isinstance(node, ast.Call):
@@ -349,7 +351,7 @@ def test_stage_sequence_is_written_once():
                 key = called.lower()
                 if key in calls:
                     calls[key] += 1
-    assert calls == {"convolve": 1, "demodulate": 1, "alltoall": 1}
+    assert calls == {"front": 1, "demodulate": 1, "alltoall": 1}
 
 
 def own_fft_plans(source: str) -> set[str]:

@@ -1,5 +1,6 @@
 """End-to-end tests for the single-process SOI FFT."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.core.convolution import convolve, front
 from repro.core.demodulate import demodulate
 from repro.core.params import SoiParams
 from repro.core.soi_single import SoiFFT, soi_fft
@@ -101,38 +103,53 @@ class TestLocalFftChoices:
         params = make_params(n=4 * 448, s=4, b=32)
         x = random_complex(rng, params.n)
         f = SoiFFT(params)
-        z = f.oversample(x)
+        alpha = f.oversample(x)
         if choice == "direct":
-            beta = f.segment_spectra(z)
+            beta = f.segment_spectra(alpha)
         else:
             variant = "optimized" if choice == "sixstep" else "naive"
             beta = np.stack([sixstep_fft(a, variant=variant).output
-                             for a in np.ascontiguousarray(z.T)])
+                             for a in alpha])
         got = demodulate(beta, f.tables).reshape(params.n)
         assert np.allclose(got, f(x), rtol=1e-10, atol=1e-10)
 
 
+def front_and_convolution(f: SoiFFT, xs: np.ndarray):
+    """The front's segment-major output for the frames *xs*, the rows of
+    its convolution, and the extended input both read."""
+    mp = f.params.m_oversampled
+    x_ext = f.extended_input(xs)
+    return (front(x_ext, f.tables, 0, mp, f._block_lo),
+            convolve(x_ext, f.tables, 0, mp, f._block_lo), x_ext)
+
+
 class TestLaneDft:
+    """The lane transform runs inside the front's convolution tiles."""
+
     def test_tiled_product_is_the_lane_transform(self, rng):
         f = SoiFFT(make_params(n=7 * 2 ** 13))  # M' = 8192, S = 8
-        assert f._lane_tile == 512  # 512 * 8 * 8 multiply-adds < 2**16
-        u = random_complex(rng, 3, f.params.m_oversampled, 8)
-        z = f._lane_dft(u)
-        assert np.allclose(z, np.fft.fft(u, axis=-1))
+        assert f._conv_tile == 1024  # two 512-row lane products a tile
+        alpha, u, x_ext = front_and_convolution(
+            f, random_complex(rng, 3, f.params.n))
+        # the convolution, then F_S over lanes, stored by segment
+        assert np.allclose(alpha, np.fft.fft(u, axis=-1).swapaxes(-1, -2))
         for i in range(3):  # a tile never spans two frames
-            assert np.array_equal(f._lane_dft(u[i]), z[i])
+            assert np.array_equal(
+                front(x_ext[i], f.tables, 0, f.params.m_oversampled,
+                      f._block_lo), alpha[i])
         # a range cut inside tiles (a rank's, a recovery slice's) is the
         # same rows of the whole, on the global grid
-        assert np.array_equal(f._lane_dft(u[1, 700:1500], row0=700),
-                              z[1, 700:1500])
-        # any row count runs (the ABFT checksum is a few rows, one a frame)
-        assert np.allclose(f._lane_dft(u[:, :1]), z[:, :1])
+        assert np.array_equal(
+            front(x_ext[1], f.tables, 704, 800, f._block_lo),
+            alpha[1, :, 704:1504])
 
     def test_wide_lane_counts_use_the_stockham_plan(self, rng):
         f = SoiFFT(make_params(n=128 * 448, s=128))
-        assert f._lane_mat is None
-        u = random_complex(rng, f.params.m_oversampled, 128)
-        assert np.allclose(f._lane_dft(u), np.fft.fft(u, axis=-1))
+        f._lane_plan.release_workspaces()
+        alpha, u, _x_ext = front_and_convolution(
+            f, random_complex(rng, f.params.n))
+        assert np.allclose(alpha, np.fft.fft(u, axis=-1).T)
+        assert f._lane_plan.workspace_bytes() > 0  # the front ran it
 
 
 class TestConvenienceWrapper:
@@ -206,17 +223,20 @@ if cpus == "one":  # before the first pooled call: the pool finds one cpu
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 if mutant == "range_aligned_cut":
-    # a worker tiles its rows from the first row of its own range, and the
-    # ranges are n_mu-aligned (all the kernel asks for) but not tile-aligned
+    # a worker tiles its rows (convolution and lane products) from the
+    # first row of its own range, and the ranges are n_mu-aligned (all the
+    # kernel asks for) but not tile-aligned
+    from repro.core.convolution import lane_fft
     from tests.test_convolution import convolve_call_relative
-    def convolve(x_ext, tables, j_start, n_rows, block_lo, out, workspace):
-        out[...] = convolve_call_relative(x_ext, tables, j_start, n_rows,
-                                          block_lo)
+    def front(x_ext, tables, j_start, n_rows, block_lo, out, workspace):
+        u = convolve_call_relative(x_ext, tables, j_start, n_rows, block_lo)
+        for i, frame in enumerate(u):
+            lane_fft(frame.T, tables, out=out[i])
     def cuts(total, grid, parts, real=soi_single._cuts):
         if grid == 1 or parts == 1:
             return real(total, grid, parts)
         return [(0, total // 2 + 8), (total // 2 + 8, total)]
-    soi_single.convolve, soi_single._cuts = convolve, cuts
+    soi_single.front, soi_single._cuts = front, cuts
 elif mutant == "call_aligned_tile":
     # the Stockham tiles are counted from the first column of the call, so
     # a segment's tile edges move when a worker's call starts at its row
@@ -247,7 +267,9 @@ if mutant == "none":
         n=x.size, n_procs=2, segments_per_process=4, n_mu=8, d_mu=7, b=48))
     blocks.update({
         "segment_fft": get_plan(65536)(a),
-        "lane_dft": f._lane_dft(a.reshape(65536, 8)),
+        # the front: convolution and lane transform, segment-major
+        "lane_dft": soi_single.front(f.extended_input(x), f.tables, 0,
+                                     f.params.m_oversampled, f._block_lo),
         "dist": dist.assemble(dist(dist.scatter(x))),
         "threaded_dot": np.vdot(x, x),
     })
@@ -326,3 +348,29 @@ class TestBlasPoolInvariance:
         assert (pooled["workers"], serial["workers"]) == (str(CPUS), "1")
         for block in blocks:
             assert pooled[block] != serial[block], block
+
+
+# -- tier-1 guard: a call shares four steps -----------------------------------
+
+def shared_steps(source: str) -> list:
+    """The step functions ``SoiFFT._execute`` in *source* shares out."""
+    fn = next(n for n in ast.walk(ast.parse(source))
+              if isinstance(n, ast.FunctionDef) and n.name == "_execute")
+    return sorted(n.args[0].id for n in ast.walk(fn)
+                  if isinstance(n, ast.Call)
+                  and getattr(n.func, "id", "") == "share")
+
+
+def test_execute_shares_four_steps():
+    """An ``ast`` guard: gather, the front, the segment FFT and
+    demodulation — the lane transform and the permutation run inside the
+    front's tiles, not as steps of their own."""
+    source = (Path(repro.__file__).parent / "core/soi_single.py").read_text()
+    steps = ["conv", "demod", "gather", "segment_fft"]
+    assert shared_steps(source) == steps
+    # mutant: the permutation a step of its own again
+    anchor = "        share(segment_fft, s, 1)\n"
+    mutant = source.replace(anchor, "        share(permute, s, 1)\n" + anchor,
+                            1)
+    assert mutant != source
+    assert shared_steps(mutant) != steps

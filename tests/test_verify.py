@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import repro
+import repro.core.convolution as convolution
 import repro.core.soi_dist as soi_dist
-import repro.core.soi_single as soi_single
 from repro.core import cpupool
 from repro.bench.faultsweep import (
     detection_coverage,
@@ -23,6 +23,7 @@ from repro.bench.faultsweep import (
 )
 from repro.cluster.faults import FaultPlan, chaos_cluster
 from repro.cluster.simcluster import SimCluster
+from repro.core.convolution import lane_fft
 from repro.core.error_model import verification_thresholds
 from repro.core.params import SoiParams
 from repro.core.soi_dist import DistributedSoiFFT
@@ -40,7 +41,6 @@ from repro.verify import (
     VerifyPolicy,
     batch_checksum,
     checksum_weights,
-    energy_cols,
     energy_rows,
     parseval_check,
 )
@@ -51,13 +51,14 @@ pytestmark = pytest.mark.abft
 PARAMS = SoiParams(n=8 * 448, n_procs=1, segments_per_process=8,
                    n_mu=8, d_mu=7, b=48)
 #: the stages an observer sees, on one node and on a rank alike: the
-#: front ("conv": gather, convolution, lane DFT, permutation), the segment
-#: FFT and demodulation
+#: front ("conv": convolution, lane DFT and permutation in one kernel), the
+#: segment FFT and demodulation
 STAGES = ["conv", "segment-fft", "demod"]
-#: where a test strikes one node, and the stage whose check names it: the
-#: output of each step of the front — the convolution's ``u`` and the lane
-#: DFT's ``z``, which no observer sees, and the permutation's ``alpha``,
-#: the seam's "conv" array — and of the two later stages
+#: where a test strikes one node, and the stage whose check names it: each
+#: step of the front — inside a tile, the convolution's product and the
+#: lane DFT's output, which no observer sees, and the segment rows the
+#: tile stores (the permutation), the seam's "conv" array ``alpha`` — and
+#: the outputs of the two later stages
 SITES = {"conv": "conv", "lane": "conv", "permute": "conv",
          "segment-fft": "segment-fft", "demod": "demod"}
 
@@ -90,30 +91,25 @@ def one_shot_injector(stage: str, seg: int, amplitude: float = 3.0):
 
 def struck_plan(params, site: str, monkeypatch, seg: int = 5) -> SoiFFT:
     """A verified plan of *params* whose *site* (a key of :data:`SITES`)
-    takes one strike: a seam array through the policy's hook; ``u`` or
-    ``z`` in its kernel, in lane *seg* of the first row it writes."""
+    takes one strike: a seam array through the policy's hook; inside the
+    front, at the lane transform of the first tile it runs, the first
+    frame's convolution product (in lane *seg*, reaching every segment) or
+    its lane spectra (in segment *seg*)."""
     if site not in ("conv", "lane"):
         return SoiFFT(params, verify=VerifyPolicy(
             inject=one_shot_injector(SITES[site], seg)))
-    strike, f = strike_once((0, 0, seg)), SoiFFT(params, verify=True)
-    if site == "conv":
-        real_conv = soi_single.convolve
+    strike, real = strike_once((0, seg, 37)), convolution.lane_fft
 
-        def convolve(*args, **kwargs):
-            u = real_conv(*args, **kwargs)
-            strike(u)
-            return u
-        monkeypatch.setattr(soi_single, "convolve", convolve)
-    else:
-        real_lane = f._lane_dft
-
-        def lane_dft(u, out=None, row0=0):
-            z = real_lane(u, out=out, row0=row0)
-            if out is not None:  # the stage's call, not a checksum row's
-                strike(z)
-            return z
-        f._lane_dft = lane_dft
-    return f
+    def struck_lane_fft(a, tables, out=None, *, workspace=None):
+        if site == "conv":
+            strike(a)
+        z = real(a, tables, out=out, workspace=workspace)
+        if site == "lane":
+            strike(z)
+        return z
+    # the front's call only: the checksum's is the verifier's own import
+    monkeypatch.setattr(convolution, "lane_fft", struck_lane_fft)
+    return SoiFFT(params, verify=True)
 
 
 class TestChecksumPrimitives:
@@ -131,16 +127,15 @@ class TestChecksumPrimitives:
 
     def test_conv_checksum_predicts_staged_output(self, rng):
         # carried through the lane DFT, the checksum predicted from the
-        # staged input is the front's output's, seen as (rows, S)
+        # staged input is the weighted sum of each segment's front rows
         f = SoiFFT(PARAMS, verify=True)
         x = random_complex(rng, PARAMS.n)
         f(x)
         bufs = f._bufpool[1]
         chk = f.verifier._conv_checksum()
         assert isinstance(chk, ConvChecksum)
-        pred = f._lane_dft(chk.predict(bufs["x_ext"]))
-        obs = batch_checksum(bufs["alpha"].swapaxes(-1, -2),
-                             f.verifier._w_rows)
+        pred = lane_fft(chk.predict(bufs["x_ext"]).T, f.tables).T
+        obs = np.matmul(bufs["alpha"], f.verifier._w_rows)
         assert np.allclose(pred, obs)
 
     def test_conv_checksum_rejects_bad_weights(self):
@@ -154,7 +149,6 @@ class TestEnergyInvariants:
     def test_energy_matches_reference(self, rng):
         a = random_complex(rng, 3, 16, 5)
         assert np.allclose(energy_rows(a), np.sum(np.abs(a) ** 2, axis=-1))
-        assert np.allclose(energy_cols(a), np.sum(np.abs(a) ** 2, axis=-2))
 
     def test_contiguous_and_strided_paths_agree(self, rng):
         a = random_complex(rng, 4, 8, 6)
@@ -162,7 +156,6 @@ class TestEnergyInvariants:
             0, 2, 1)
         assert not strided.flags.c_contiguous
         assert np.allclose(energy_rows(a), energy_rows(strided))
-        assert np.allclose(energy_cols(a), energy_cols(strided))
 
     def test_parseval_check_on_fft(self, rng):
         x = random_complex(rng, 6, 256)
@@ -213,10 +206,9 @@ class TestSingleNodeVerification:
         assert relative_l2_error(y, np.fft.fft(x)) <= base * 1.0001
 
     def test_a_repaired_lane_rounds_like_a_computed_one(self, rng):
-        # every repair runs the callables its stage ran (convolve and
-        # SoiFFT._lane_dft for the whole front, the batch-invariant segment
-        # plan, demodulate), so wherever the strike landed: recovered ==
-        # fault-free, bitwise
+        # every repair runs the callables its stage ran (the front whole,
+        # the batch-invariant segment plan, demodulate), so wherever the
+        # strike landed: recovered == fault-free, bitwise
         x = random_complex(rng, PARAMS.n)
         clean = SoiFFT(PARAMS)(x)
         for site, stage in SITES.items():
@@ -225,12 +217,13 @@ class TestSingleNodeVerification:
                 y = f(x)
             assert f.verifier.report.detected_stages == {stage}, site
             assert np.array_equal(y, clean), site
-        # the gate can go red: the column product a lane repair used to
-        # make by hand, (M', S) @ (S, 1), is a gemv and sums in another
-        # order
-        u = random_complex(rng, PARAMS.m_oversampled, PARAMS.n_segments)
-        assert not np.array_equal(np.matmul(u, f._lane_mat[:, [5]]),
-                                  f._lane_dft(u)[:, [5]])
+        # the gate can go red: the segment product a lane repair used to
+        # make by hand, (1, S) @ (S, rows), is a gemv and sums in another
+        # order than the front's tile products
+        u = random_complex(rng, PARAMS.n_segments, f._conv_tile)
+        assert not np.array_equal(
+            np.matmul(dft_matrix(PARAMS.n_segments)[[5]], u),
+            lane_fft(u, f.tables)[[5]])
 
     def test_small_amplitude_still_detected(self, rng):
         x = random_complex(rng, PARAMS.n)
@@ -296,8 +289,8 @@ class TestPooledStages:
             f.batch(xs)
         assert f.verifier.report.checks > 0
         assert f.verifier.report.detections == 0
-        # gather, convolve, lane, permute, segment FFT, demodulate
-        assert joins == [2] * 3 * 6
+        # gather, front, segment FFT, demodulate
+        assert joins == [2] * 3 * 4
 
     @pytest.mark.parametrize("frames", [1, 3])
     @pytest.mark.parametrize("site", SITES)
@@ -396,9 +389,9 @@ INVARIANT = {"conv": "_checksum_bad", "lane": "_checksum_bad",
              "permute": "_checksum_bad", "segment-fft": "_spectrum_bad",
              "demod": "_demod_bad"}
 #: what each host's pipeline lets a test strike: on one node, every site;
-#: on a cluster, each stage's output (the lane transform's output *is* the
-#: rank program's "conv" output, and the stride permutation is the
-#: all-to-all, which the wire checksum covers)
+#: on a cluster, each stage's output (the front's segment rows are the
+#: rank program's "conv" output, and their exchange is the all-to-all,
+#: which the wire checksum covers)
 CASES = [("single", site) for site in SITES] + [
     ("dist", st) for st in STAGES]
 
@@ -466,17 +459,23 @@ def blind(invariant):
 
 
 def column_gemv_lane(verifier):
-    """Mutant: the lane kernel a repair reruns is not the one the stage
-    ran but the column products both engines used to make by hand,
-    ``(rows, S) @ (S,)`` per lane — a gemv, which sums in another order."""
+    """Mutant: the front a repair reruns transforms its lanes not as the
+    stage did but by the products both engines used to make by hand,
+    ``(S,) @ (S, rows)`` per segment — a gemv, which sums in another
+    order."""
     f_s = dft_matrix(verifier.tables.params.n_segments)
 
-    def lane_by_gemv(u):
-        return np.stack([np.matmul(u, f_s[:, c])
-                         for c in range(f_s.shape[1])], axis=-1)
+    def lane_by_gemv(a, tables, out=None, *, workspace=None):
+        for k in range(f_s.shape[0]):
+            np.matmul(f_s[k], a, out=out[..., k, :])
+        return out
     real = verifier.check_conv
-    verifier.check_conv = lambda *a, lane, **k: real(
-        *a, lane=lane_by_gemv, **k)
+
+    def check_conv(*args, **kwargs):  # the stage ran; only repairs rerun
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convolution, "lane_fft", lane_by_gemv)
+            return real(*args, **kwargs)
+    verifier.check_conv = check_conv
 
 
 class TestOneEngineTwoHosts:
@@ -675,9 +674,9 @@ def test_execute_has_one_stage_seam():
     source = (Path(repro.__file__).parent / "core/soi_single.py").read_text()
     assert_one_stage_seam(source)
     # mutant: a fourth site, the lane DFT observed apart again
-    anchor = "        share(permute, s, 1)\n"
+    anchor = "        share(segment_fft, s, 1)\n"
     mutant = source.replace(anchor, "        if after:\n"
-                            "            after('lane', z, 2 * z.nbytes)\n"
+                            "            after('lane', alpha, 0)\n"
                             + anchor, 1)
     assert mutant != source
     with pytest.raises(AssertionError):
