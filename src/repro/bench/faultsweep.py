@@ -188,16 +188,16 @@ def sdc_ground_truth(plan: FaultPlan,
 
     Both stages strike a segment-major array, so a strike's segment is
     its row: ``"conv"`` events the rank's ``(S, rows)`` front output, a
-    row per global segment; ``"segment-fft"`` events the ``(spp, M')``
-    spectra of the rank's owned slots.
+    row per global segment; ``"back"`` events the ``(spp, M)`` output
+    rows of the rank's owned slots.
     """
     spp = params.segments_per_process
     out = []
     for ev in plan.sdc_log:
         if ev.stage == "conv":
             seg = ev.element // params.rows_per_process
-        else:  # "segment-fft"
-            seg = ev.rank * spp + ev.element // params.m_oversampled
+        else:  # "back"
+            seg = ev.rank * spp + ev.element // params.m
         out.append((ev.stage, ev.rank, seg))
     return out
 
@@ -220,8 +220,8 @@ def detection_coverage(report, plan: FaultPlan,
 def _run_verified(params: SoiParams, x: np.ndarray, seed: int,
                   sdc_rate: float, amplitude: float):
     cl = SimCluster(params.n_procs)
-    # one run consumes exactly 2P SDC slots (P conv stages + P
-    # segment-FFT stages); matching the horizon makes sdc_rate the
+    # one run consumes exactly 2P SDC slots (P conv stages + P back
+    # stages); matching the horizon makes sdc_rate the
     # per-stage corruption probability
     plan = FaultPlan.random(seed, params.n_procs, sdc_rate=sdc_rate,
                             sdc_amplitude=amplitude,

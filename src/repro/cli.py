@@ -109,7 +109,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"running {p.describe()}")
     print(f"fault plan: {plan.describe()}")
     print(f"thresholds: checksum_rtol={th.checksum_rtol:.2e} "
-          f"energy_rtol={th.energy_rtol:.2e} "
           f"min_detectable={th.min_detectable_amplitude:.2e} rms")
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
@@ -124,7 +123,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"rel l2 error vs numpy: {err:.2e} (bound {th.output_rtol:.1e})")
     # the price of verification on a clean single-node batch.  Reported,
     # not gated: the budget dates from before the convolution got 7x
-    # faster and has read 1.12-1.25x since (ROADMAP item 5d).
+    # faster and has read 1.12-1.25x since (ROADMAP item 3).
     ovh = batch_overhead(rounds=5, verify=True)
     clean_trips = ovh["plan"].verifier.report.detections
     print(f"abft overhead: plain batch {ovh['plain_s'] * 1e3:.1f} ms, "

@@ -212,7 +212,7 @@ class SdcEvent:
 
     index: int  # 1-based slot in the SDC schedule
     rank: int  # rank whose stage output was corrupted
-    stage: str  # pipeline stage name ("conv", "segment-fft", ...)
+    stage: str  # pipeline stage name: "conv" (the front) or "back"
     element: int  # flat index of the corrupted element
     amplitude: float  # perturbation magnitude relative to the array rms
 

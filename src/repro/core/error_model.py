@@ -155,24 +155,20 @@ class VerificationThresholds:
     one invariant class, so any excess flags corruption with zero false
     positives:
 
-    * ``checksum_rtol`` — weighted-checksum-row comparisons (transform of
-      the checksum row vs checksum of the transformed rows), normalized
-      by the absolute-sum of the checksummed terms;
-    * ``energy_rtol`` — Parseval/energy invariants at stage boundaries,
-      relative to the stage's total energy;
-    * ``demod_rtol`` — the elementwise demodulation consistency check;
+    * ``checksum_rtol`` — weighted-checksum comparisons (a predicted
+      checksum functional against the weighted sum of a stage's output
+      rows), relative to the Cauchy-Schwarz scale of the dot product;
     * ``output_rtol`` — end-to-end agreement with the exact DFT (the
       alias-analysis bound, never tighter than the proven
       10x-expected-stopband convention);
     * ``min_detectable_amplitude`` — the smallest single-element
-      perturbation (relative to the array rms) the energy invariant is
-      guaranteed to see even when the corruption lands orthogonal to the
-      existing value (the worst case: only the quadratic term survives).
+      perturbation (relative to the array rms) a checksum comparison sees
+      on a segment of typical energy: the perturbation moves the weighted
+      sum by itself (unit-modulus weights), against a tolerance of about
+      ``checksum_rtol * sqrt(2) * M'`` rms.
     """
 
     checksum_rtol: float
-    energy_rtol: float
-    demod_rtol: float
     output_rtol: float
     min_detectable_amplitude: float
 
@@ -184,23 +180,21 @@ def verification_thresholds(tables: SoiTables, *, dtype=np.complex128,
     The stage invariants are exact identities, so their thresholds come
     from floating-point accumulation-error models scaled by *safety*: a
     weighted sum of ``m`` terms carries ~``eps*sqrt(m)`` relative noise
-    (pairwise summation), an FFT perturbs norms by ~``eps*log2(n)``.  The
-    end-to-end bound is algorithmic, not floating point — it comes from
-    :func:`alias_analysis` (the rigorous per-bin worst case), floored at
-    the ``10 * expected_stopband`` convention the accuracy tests use.
+    (pairwise summation).  The end-to-end bound is algorithmic, not
+    floating point — it comes from :func:`alias_analysis` (the rigorous
+    per-bin worst case), floored at the ``10 * expected_stopband``
+    convention the accuracy tests use.
     """
     def calibrate():
         p = tables.params
         eps = float(np.finfo(np.dtype(dtype)).eps)
         mp = p.m_oversampled
         terms = mp + p.b * p.n_mu  # longest checksum accumulation chain
-        energy_rtol = safety * eps * (np.log2(mp) + 4.0)
+        checksum_rtol = safety * eps * float(np.sqrt(terms))
         return VerificationThresholds(
-            checksum_rtol=float(safety * eps * float(np.sqrt(terms))),
-            energy_rtol=float(energy_rtol),
-            demod_rtol=float(safety * eps),
+            checksum_rtol=float(checksum_rtol),
             output_rtol=float(max(10.0 * tables.expected_stopband + 1e-12,
                                   2.0 * alias_analysis(tables).worst)),
-            min_detectable_amplitude=float(np.sqrt(4.0 * mp * energy_rtol)))
+            min_detectable_amplitude=float(2.0 * mp * checksum_rtol))
     return tables.derived(("thresholds", np.dtype(dtype).str, safety),
                           calibrate)

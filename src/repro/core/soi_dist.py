@@ -389,20 +389,18 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
             for j0, nr, _from_ckpt in cover:
                 alpha[:, j0:j0 + nr] = piece[:, off:off + nr]
                 off += nr
-        # unverified, alpha dies here: the passes may work in it
+        # the back: unverified, alpha dies here (the passes may work in
+        # it); verified, it is what the back is checked against
         beta = soi._seg_plan(alpha, overwrite_x=verifier is None)
         yield Compute(costs.fft * share, label="local FFT")
-        if sdc is not None:
-            beta = sdc.apply_sdc(beta, rank=me, stage="segment-fft")
-        if verifier is not None:
-            verifier.check_segments(ctx.cluster, me, alpha, beta,
-                                    fft=soi._seg_plan, ids=mine,
-                                    fft_seconds=costs.fft * share)
         seg = demodulate(beta, tables)  # (n_slots, M)
         yield Compute(costs.demod * share, label="demodulation")
+        if sdc is not None:
+            seg = sdc.apply_sdc(seg, rank=me, stage="back")
         if verifier is not None:
-            verifier.check_demod(ctx.cluster, me, beta, seg, ids=mine,
-                                 demod_seconds=costs.demod * share)
+            verifier.check_back(ctx.cluster, me, alpha, seg,
+                                fft=soi._seg_plan, ids=mine,
+                                seconds=(costs.fft + costs.demod) * share)
         segs.append(seg)
     seg = segs[0] if rounds == 1 else np.concatenate(segs)
     return seg.reshape(-1), report
@@ -475,11 +473,11 @@ class DistributedSoiFFT:
         #: ABFT verifier (``verify=True``, a VerifyPolicy, or a
         #: :class:`~repro.verify.DistVerifier` built for the same params
         #: arms it): post-conv segments are checksum-verified *before*
-        #: they are checkpointed or cross the wire, segment spectra are
-        #: checked against Parseval + an appended checksum row, and
-        #: demodulation is consistency-checked.  Detected segments are
-        #: recomputed from the in-memory stage inputs; verification time
-        #: is charged as ``"abft verify"``, repairs as ``"abft repair"``.
+        #: they are checkpointed or cross the wire, and each demodulated
+        #: output row against one checksum functional of the segment it
+        #: was transformed from.  Detected segments are recomputed from
+        #: the in-memory stage inputs; verification time is charged as
+        #: ``"abft verify"``, repairs as ``"abft repair"``.
         #: Per-call results land in ``self.last_verification``.
         self.verifier = None
         self.last_verification = None

@@ -17,18 +17,19 @@ these kernels (:meth:`SoiFFT._of`), with the permutation's exchange an
 all-to-all of segment rows, bit for bit; this module is both the numerical
 reference for it and the convenient entry point for node-local use.
 
-An observer sees three stages on both: the front (``"conv"``), then
-``"segment-fft"`` and ``"demod"``.
+Steps 4-5 are the *back*: per row range, the segment FFT into ``beta``,
+then demodulation of the same rows into the output.  An observer sees
+two stages on both: the front (``"conv"``) and the back (``"back"``).
 
 Execution is planned: convolution workspaces and stage buffers are
 allocated once per batch size at first use and reused.  Besides the
 extended input there are two stage buffers, ``alpha`` and ``beta``.
 Unverified, the segment FFT also ping-pongs through the dead ``alpha``
-and its ``beta``; an armed verifier repairs ``beta`` from ``alpha``, so
-there ``alpha`` outlives it.  Every stage runs through ``out=``
-destinations (on the per-cpu worker pool, :mod:`repro.core.cpupool`, when
-large enough: as row ranges of one stage, or as whole blocks of a batch's
-frames), and :meth:`SoiFFT.batch` executes the segment FFTs as single
+and its ``beta``; an armed verifier checks the back against ``alpha`` and
+repairs its output rows from it, so there ``alpha`` outlives it.  Every
+stage runs through ``out=`` destinations (on the per-cpu worker pool,
+:mod:`repro.core.cpupool`, when large enough: as row ranges of one stage,
+or as whole blocks of a batch's frames), and :meth:`SoiFFT.batch` executes the segment FFTs as single
 ``(batch*S, M')``-shaped Stockham calls rather than a per-row Python
 loop.  Steady-state calls with ``out=`` perform no new allocations
 (asserted with ``tracemalloc`` by
@@ -106,9 +107,9 @@ class SoiFFT:
         always built in double precision.
     verify:
         ``True`` or a :class:`repro.verify.VerifyPolicy` arms algorithm-
-        based fault tolerance: every stage of a planned block is checked
-        against weighted-checksum and Parseval invariants before the
-        next stage consumes its output, corrupt segments are recomputed
+        based fault tolerance: both stages of a planned block are checked
+        against a weighted-checksum functional before their output is
+        consumed or returned, corrupt segments are recomputed
         in place by the stage's own kernel (a repaired transform is
         bitwise the fault-free one), and persistent corruption raises
         :class:`repro.verify.VerificationError`.
@@ -208,10 +209,11 @@ class SoiFFT:
     @property
     def _keeps_stages(self) -> bool:
         """Whether ``alpha`` must outlive the segment FFT, which then may
-        not work in it (``overwrite_x``): the armed verifier repairs
-        ``beta`` from ``alpha``.  The front check recomputes from
-        ``x_ext`` and telemetry reads no stage output, so every other
-        output dies in the stage after it, verified or not."""
+        not work in it (``overwrite_x``): the armed verifier checks the
+        back's output rows against ``alpha`` and repairs them from it.
+        The front check recomputes from ``x_ext`` and telemetry reads no
+        stage output, so every other output dies in the stage after it,
+        verified or not."""
         return self.verifier is not None
 
     def _buffers(self, batch: int, pool=None) -> dict[str, np.ndarray]:
@@ -316,7 +318,7 @@ class SoiFFT:
             if telem is not None:
                 now = clk()
                 telem.stage(stage, t, now, nbytes=nbytes)
-                if stage == "demod":
+                if stage == "back":
                     telem.transform_done(
                         batch,
                         batch * (p.local_fft_flops + p.lane_fft_flops))
@@ -354,8 +356,8 @@ class SoiFFT:
         frame, one frame by tile and segment) into the same stage buffer:
         the bits are those of the one-range call a small transform makes.
 
-        Each of the three stages (the front, ``"segment-fft"``,
-        ``"demod"``) hands its output to the stage seam
+        Each of the two stages (the front, ``"conv"``, and ``"back"``)
+        hands its output to the stage seam
         (:meth:`_stage_seam`), after its last join, before the next one
         consumes it — with a verifier armed, a corrupt stage output is
         repaired there, so everything downstream runs once, on trusted
@@ -380,11 +382,9 @@ class SoiFFT:
             front(x_ext[f0:f1], self.tables, a, b - a, self._block_lo,
                   out=alpha[f0:f1, :, a:b], workspace=self._conv_ws)
 
-        def segment_fft(f0, f1, a, b):  # alpha dies here unless verified
+        def back(f0, f1, a, b):  # alpha dies here unless verified
             self._seg_plan(alpha[f0:f1, a:b], out=beta[f0:f1, a:b],
                            overwrite_x=not self._keeps_stages)
-
-        def demod(f0, f1, a, b):
             demodulate(beta[f0:f1, a:b], self.tables, out=res3[f0:f1, a:b])
 
         def share(fn, total, grid):
@@ -403,12 +403,9 @@ class SoiFFT:
         share(conv, mp, self._conv_tile)
         if after:
             after("conv", alpha, x_ext.nbytes + alpha.nbytes)
-        share(segment_fft, s, 1)
+        share(back, s, 1)
         if after:
-            after("segment-fft", beta, 2 * beta.nbytes)
-        share(demod, s, 1)
-        if after:
-            after("demod", res3, beta.nbytes + res.nbytes)
+            after("back", res3, 3 * beta.nbytes + res.nbytes)
         return res
 
     def _check_out(self, out: np.ndarray, shape: tuple) -> np.ndarray:

@@ -12,11 +12,13 @@ tradition adapted to the SOI factorization:
   *precomputed* checksum functional (``w^T W``) that rides the lane
   transform, so the front (conv + lane, one kernel) is verifiable
   against the staged input in one O(N) sweep.
-* **Parseval/energy invariants** (:mod:`~repro.verify.invariants`): an
-  unscaled forward FFT preserves energy up to the factor n, and its
-  outputs satisfy the exact sum invariant ``sum_k Y[k] = n * y[0]`` —
-  two O(n) per-row cross-checks that *localize* the corrupt segment,
-  not just detect the corruption.
+* **One functional per back row**: the segment FFT and demodulation are
+  linear too, so the weighted sum ``y_s . w`` of an output row equals
+  ``alpha_s . v`` for one vector ``v`` (the weights pulled back through
+  both, one length-M' transform per geometry) — two dot products per
+  segment, each tolerance the row's energy (:mod:`~repro.verify.invariants`)
+  at the dot product's rounding scale.  The checks are per segment, so
+  they *localize* the corrupt segment, not just detect the corruption.
 * **Segment-level repair** (:mod:`~repro.verify.selfcheck`): a failed
   invariant names the corrupt segment(s); one engine, hosted by the
   single-node and the distributed pipeline alike, recomputes only those
@@ -34,9 +36,9 @@ tradition adapted to the SOI factorization:
 Thresholds are calibrated from the exact alias analysis
 (:func:`repro.core.error_model.verification_thresholds`): invariant
 tolerances sit at the floating-point noise floor of a clean run (zero
-false positives by construction), while any single-element perturbation
+false positives by construction), while a single-element perturbation
 above :attr:`~repro.core.error_model.VerificationThresholds.min_detectable_amplitude`
-is guaranteed to trip an invariant.
+trips the check of a segment of typical energy.
 """
 
 from repro.verify.abft import (
@@ -44,10 +46,7 @@ from repro.verify.abft import (
     batch_checksum,
     checksum_weights,
 )
-from repro.verify.invariants import (
-    energy_rows,
-    parseval_check,
-)
+from repro.verify.invariants import energy_rows
 from repro.verify.policy import (
     DetectionRecord,
     VerificationError,
@@ -69,5 +68,4 @@ __all__ = [
     "batch_checksum",
     "checksum_weights",
     "energy_rows",
-    "parseval_check",
 ]

@@ -31,9 +31,9 @@ class VerifyPolicy:
     :class:`VerificationError`.  ``inject`` is a test hook called
     as ``inject(stage, array)`` at each stage boundary of the
     single-node pipeline — ``"conv"`` with ``alpha`` (the front's
-    output), ``"segment-fft"`` with ``beta``, ``"demod"`` with the output
-    rows, each ``(batch, S, ...)`` (mutate the array in place to simulate
-    silent corruption; production SDC comes from
+    output), ``"back"`` with the output rows (the segment FFT's and
+    demodulation's), each ``(batch, S, ...)`` (mutate the array in place
+    to simulate silent corruption; production SDC comes from
     :meth:`repro.cluster.faults.FaultPlan.apply_sdc`)."""
 
     safety: float = 64.0
@@ -57,7 +57,7 @@ class VerifyPolicy:
 class DetectionRecord:
     """One tripped invariant: which stage, where, and what it named."""
 
-    stage: str  # "conv" (the front), "segment-fft", "demod"
+    stage: str  # "conv" (the front) or "back" (segment FFT + demod)
     rank: int  # rank (distributed) or -1 (single-node)
     segments: tuple[int, ...]  # localized segment/lane ids (global)
     strike: int  # 1 = first detection at this site, 2 = after repair, ...

@@ -3,13 +3,14 @@
 The SOI factorization is one algorithm whatever P is, so its fault
 tolerance is stated once.  :class:`_Engine` owns
 
-* the **invariants** of the three stages, each written over
-  segment-major ``(..., k, length)`` arrays, a segment a row, so a rank's
-  2-D block and a batch's 3-D block are the same call: the convolution's
-  checksum syndrome carried through the lane transform, checked on the
-  front's output (:meth:`~_Engine.check_conv`), per-segment Parseval + the
-  DFT sum invariant (:meth:`~_Engine.check_segments`) and the
-  demodulation weighted sum (:meth:`~_Engine.check_demod`);
+* the **invariants** of the two stages, each written over segment-major
+  ``(..., k, length)`` arrays, a segment a row, so a rank's 2-D block and
+  a batch's 3-D block are the same call, and each one checksum
+  functional: the convolution's checksum syndrome carried through the
+  lane transform, checked on the front's output
+  (:meth:`~_Engine.check_conv`), and the back's ``y_s . w == alpha_s . v``
+  with ``v`` the checksum weights pulled back through demodulation and
+  the segment FFT (:meth:`~_Engine.check_back`);
 * the **ladder** (:meth:`~_Engine._ladder`): detect → record → strike →
   repair the flagged units (strike 1) or the whole stage (strike 2) →
   raise :class:`VerificationError` past ``max_strikes`` — the only place
@@ -42,7 +43,7 @@ from repro.core.demodulate import demodulate
 from repro.core.error_model import verification_thresholds
 from repro.core.window import SoiTables
 from repro.verify.abft import ConvChecksum, checksum_weights
-from repro.verify.invariants import energy_rows, parseval_check
+from repro.verify.invariants import energy_rows
 from repro.telemetry.metrics import get_registry
 from repro.verify.policy import (
     VerificationError,
@@ -119,8 +120,14 @@ class _Engine:
         #: the block index ``x_ext`` starts at
         self._rows, self._block_lo, self._dtype = rows, block_lo, dtype
         self._w_rows = checksum_weights(rows, dtype=dtype)
-        self._vdemod = np.ascontiguousarray(
-            (1.0 / tables.demod).astype(dtype))
+        # the back's functional: y_s . w over the M kept bins equals
+        # alpha_s . v, v = F_{M'} pad_{M'}(w / demod) (F is symmetric)
+        p = tables.params
+        w = checksum_weights(p.m)
+        v = np.fft.fft(w / tables.demod, n=p.m_oversampled)
+        self._w_bins = w.astype(dtype)
+        self._v = v.astype(dtype)
+        self._v_energy = float(energy_rows(v))
         self._conv_chk: ConvChecksum | None = None
         self._published = dict.fromkeys(_REPORT_FIELDS, 0)
 
@@ -133,33 +140,26 @@ class _Engine:
 
     # -- the invariants: each returns the mask of units that violate it ----
 
-    def _checksum_bad(self, a: np.ndarray, c_pred: np.ndarray):
+    def _checksum_bad(self, a: np.ndarray, c_pred: np.ndarray) -> np.ndarray:
         """Segments (rows) of ``(..., S, rows)`` *a* whose weighted checksum
-        departs from the predicted one; also returns their energies."""
+        departs from the predicted one.  The prediction is carried through
+        the lane transform, so it rounds at its frame's energy, not at the
+        segment's: each segment's energy is floored with its frame's mean
+        (a tone leaves most segments nearly empty)."""
         e = energy_rows(a)
-        bad = _abs2(np.matmul(a, self._w_rows) - c_pred) > (
-            self.thresholds.checksum_rtol ** 2 * (self._rows * e + _TINY))
-        return bad, e
-
-    def _spectrum_bad(self, e_alpha: np.ndarray, dc_pred: np.ndarray,
-                      beta: np.ndarray) -> np.ndarray:
-        """Rows of ``(..., k, M')`` *beta* that break Parseval or the DFT
-        sum invariant ``sum_k beta[k] == M' * alpha[0]`` of an unscaled
-        forward DFT.  Any single corrupted spectrum element shifts the
-        sum; an energy-preserving error that fools Parseval still does."""
-        th, mp = self.thresholds, beta.shape[-1]
-        e_beta = energy_rows(beta)
-        bad = parseval_check(e_alpha, e_beta, mp, th.energy_rtol)
-        return bad | (_abs2(beta.sum(axis=-1) - dc_pred)
-                      > th.checksum_rtol ** 2 * (mp * e_beta + _TINY))
-
-    def _demod_bad(self, rhs: np.ndarray, seg: np.ndarray) -> np.ndarray:
-        """Rows of ``(..., k, M)`` *seg* whose plain sum departs from
-        *rhs*, the ``1/demod``-weighted sum of the spectrum they were
-        divided out of (``seg * demod == beta[..., :M]``)."""
-        return _abs2(seg.sum(axis=-1) - rhs) > (
+        return _abs2(np.matmul(a, self._w_rows) - c_pred) > (
             self.thresholds.checksum_rtol ** 2
-            * (seg.shape[-1] * energy_rows(seg) + _TINY))
+            * (self._rows * (e + e.mean(axis=-1, keepdims=True)) + _TINY))
+
+    def _back_bad(self, y: np.ndarray, pred: np.ndarray,
+                  e_alpha: np.ndarray) -> np.ndarray:
+        """Rows of ``(..., k, M)`` *y* whose weighted sum departs from
+        *pred*, the functional ``alpha_s . v`` of the segments they came
+        from.  Both round at the Cauchy-Schwarz scale
+        ``|alpha_s| |v|``."""
+        return _abs2(np.matmul(y, self._w_bins) - pred) > (
+            self.thresholds.checksum_rtol ** 2
+            * (self._v_energy * e_alpha + _TINY))
 
     # -- the ladder --------------------------------------------------------
 
@@ -243,7 +243,7 @@ class _Engine:
 
     def check_conv(self, cluster, rank: int, x_ext: np.ndarray,
                    out: np.ndarray, *, conv: Callable, seconds: float = 0.0
-                   ) -> np.ndarray:
+                   ) -> None:
         """Verify the front, ``out = conv()``, segment-major ``(..., S,
         rows)``: ``alpha`` on one node, on a rank the block it checkpoints
         and ships (the all-to-all is under the wire checksum).
@@ -252,50 +252,31 @@ class _Engine:
         front's lane transform; its syndrome names the corrupt segments,
         whichever step of the front struck them (a struck convolution
         element reaches every segment).  A repair reruns the front and
-        keeps the flagged rows.  Returns the per-segment energies."""
+        keeps the flagged rows."""
         # each frame's checksum an (S, 1) block
         c = lane_fft(self._conv_checksum().predict(x_ext)[..., None],
                      self.tables)[..., 0]
-        e = None
-
-        def detect():
-            nonlocal e
-            bad, e = self._checksum_bad(out, c)
-            return bad
-
         self._ladder(cluster, rank, _whole("conv", out, conv, seconds),
-                     detect, nbytes=out.nbytes + x_ext.nbytes)
-        return e
+                     lambda: self._checksum_bad(out, c),
+                     nbytes=out.nbytes + x_ext.nbytes)
 
-    def check_segments(self, cluster, rank: int, alpha: np.ndarray,
-                       beta: np.ndarray, *, fft: Callable, ids=None,
-                       e_alpha: np.ndarray | None = None,
-                       fft_seconds: float = 0.0) -> None:
-        """Verify the segment spectra ``beta = fft(alpha)``, both
-        ``(..., k, M')``; flagged rows are recomputed from ``alpha``
-        (still in memory — the natural per-destination checkpoint).
-        *e_alpha* passes the row energies of ``alpha`` when the host
-        already has them."""
-        if e_alpha is None:
-            e_alpha = energy_rows(alpha)
-        dc_pred = alpha.shape[-1] * alpha[..., 0]
+    def check_back(self, cluster, rank: int, alpha: np.ndarray,
+                   y: np.ndarray, *, fft: Callable, ids=None,
+                   seconds: float = 0.0) -> None:
+        """Verify the back, ``y = demodulate(fft(alpha))``: ``(..., k,
+        M')`` segments transformed, projected and divided into ``(..., k,
+        M)`` output rows.  One functional per row, read off ``alpha``
+        (still in memory) and ``y``: a struck spectrum bin or output
+        element moves ``y_s . w`` and not ``alpha_s . v``.  Flagged rows
+        rerun both kernels from ``alpha``."""
+        pred = np.matmul(alpha, self._v)
+        e_alpha = energy_rows(alpha)
         self._ladder(cluster, rank,
-                     _rows("segment-fft", beta, alpha, fft, fft_seconds),
-                     lambda: self._spectrum_bad(e_alpha, dc_pred, beta),
-                     ids, alpha.nbytes + beta.nbytes)
-
-    def check_demod(self, cluster, rank: int, beta: np.ndarray,
-                    seg: np.ndarray, *, ids=None,
-                    demod_seconds: float = 0.0) -> None:
-        """Verify ``seg = demodulate(beta)``: ``(..., k, M')`` spectra
-        projected and divided into ``(..., k, M)`` output rows."""
-        rhs = np.matmul(beta[..., : seg.shape[-1]], self._vdemod)
-        self._ladder(cluster, rank,
-                     _rows("demod", seg, beta,
-                           lambda b: demodulate(b, self.tables),
-                           demod_seconds),
-                     lambda: self._demod_bad(rhs, seg),
-                     ids, beta.nbytes + seg.nbytes)
+                     _rows("back", y, alpha,
+                           lambda a: demodulate(fft(a), self.tables),
+                           seconds),
+                     lambda: self._back_bad(y, pred, e_alpha),
+                     ids, alpha.nbytes + y.nbytes)
 
 
 class PipelineVerifier(_Engine):
@@ -310,9 +291,6 @@ class PipelineVerifier(_Engine):
         super().__init__(soi.tables, policy, soi.dtype,
                          soi.params.m_oversampled, soi._block_lo)
         self._soi = soi
-        #: per-segment energies of the last verified ``alpha``, which its
-        #: segment check reads: the front check's per-segment energies
-        self._e_alpha = None
 
     def _registry(self, cluster):
         telem = self._soi.telemetry
@@ -329,15 +307,12 @@ class PipelineVerifier(_Engine):
         bufs = soi._bufpool[arr.shape[0]]
         if stage == "conv":
             x_ext = bufs["x_ext"]
-            self._e_alpha = self.check_conv(
+            self.check_conv(
                 None, -1, x_ext, arr,
                 conv=lambda: front(x_ext, soi.tables, 0, self._rows,
                                    self._block_lo, workspace=soi._conv_ws))
-        elif stage == "segment-fft":
-            self.check_segments(None, -1, bufs["alpha"], arr,
-                                fft=soi._seg_plan, e_alpha=self._e_alpha)
-        else:  # demod
-            self.check_demod(None, -1, bufs["beta"], arr)
+        else:  # back
+            self.check_back(None, -1, bufs["alpha"], arr, fft=soi._seg_plan)
 
 
 class DistVerifier(_Engine):

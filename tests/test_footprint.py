@@ -178,11 +178,12 @@ class TestVerifiedCalls:
 
     def test_the_check_can_fail(self, monkeypatch, rng):
         alias_verified_calls(monkeypatch)
-        # alpha is gone when the segment check runs: a clean call's sum
-        # invariant reads the clobbered alpha, and the repair recomputes
-        # from it
-        with pytest.raises(VerificationError, match="segment-fft"):
-            alpha_survives(SoiFFT(PARAMS, verify=True), rng)
+        # alpha is gone when the back's check runs: a clean call's
+        # functional reads the clobbered alpha and flags the back, and the
+        # repair recomputes from it
+        plan = SoiFFT(PARAMS, verify=True)
+        assert not alpha_survives(plan, rng)
+        assert plan.verifier.report.detected_stages == {"back"}
         with pytest.raises((AssertionError, VerificationError)):
             test_verify.TestSingleNodeVerification() \
                 .test_a_repaired_lane_rounds_like_a_computed_one(rng)

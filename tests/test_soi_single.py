@@ -350,7 +350,7 @@ class TestBlasPoolInvariance:
             assert pooled[block] != serial[block], block
 
 
-# -- tier-1 guard: a call shares four steps -----------------------------------
+# -- tier-1 guard: a call shares three steps ----------------------------------
 
 def shared_steps(source: str) -> list:
     """The step functions ``SoiFFT._execute`` in *source* shares out."""
@@ -362,15 +362,16 @@ def shared_steps(source: str) -> list:
 
 
 def test_execute_shares_four_steps():
-    """An ``ast`` guard: gather, the front, the segment FFT and
-    demodulation — the lane transform and the permutation run inside the
-    front's tiles, not as steps of their own."""
+    """An ``ast`` guard: gather, the front and the back, three steps (the
+    name is the one the guard had when the segment FFT and demodulation
+    were steps of their own) — the lane transform and the permutation run
+    inside the front's tiles, demodulation inside the back's row ranges."""
     source = (Path(repro.__file__).parent / "core/soi_single.py").read_text()
-    steps = ["conv", "demod", "gather", "segment_fft"]
+    steps = ["back", "conv", "gather"]
     assert shared_steps(source) == steps
-    # mutant: the permutation a step of its own again
-    anchor = "        share(segment_fft, s, 1)\n"
-    mutant = source.replace(anchor, "        share(permute, s, 1)\n" + anchor,
+    # mutant: demodulation a step of its own again
+    anchor = "        share(back, s, 1)\n"
+    mutant = source.replace(anchor, anchor + "        share(demod, s, 1)\n",
                             1)
     assert mutant != source
     assert shared_steps(mutant) != steps

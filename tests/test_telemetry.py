@@ -382,10 +382,10 @@ class TestTelemetryBundle:
     def test_stage_records_span_and_histogram(self):
         telem = Telemetry(recorder=SpanRecorder(),
                           metrics=MetricsRegistry())
-        telem.stage("segment-fft", 1.0, 3.0, nbytes=1000)
+        telem.stage("back", 1.0, 3.0, nbytes=1000)
         s = telem.recorder.charges[0]
-        assert s.name == "soi segment-fft" and s.category == "compute"
-        h = telem.metrics.get("repro_core_stage_segment_fft_seconds")
+        assert s.name == "soi back" and s.category == "compute"
+        h = telem.metrics.get("repro_core_stage_back_seconds")
         assert h.count == 1 and h.sum == pytest.approx(2.0)
 
     def test_machine_enables_roofline_gauges(self):
@@ -418,9 +418,10 @@ class TestTelemetryBundle:
                           metrics=MetricsRegistry())
         instrumented = SoiFFT(params, telemetry=telem)(x)
         assert np.array_equal(plain, instrumented)
-        # one span per stage: the front, the segment FFT, demodulation
+        # one span per stage: the front, and the back (the segment FFT and
+        # demodulation)
         assert [s.name for s in telem.recorder.charges] == [
-            "soi conv", "soi segment-fft", "soi demod"]
+            "soi conv", "soi back"]
         assert telem.metrics.get("repro_core_transforms_total").value == 1
 
 
@@ -441,8 +442,7 @@ class TestTelemetryBundle:
         (parts, y, spans), (one, want, serial) = names.values()
         assert parts == min(2, len(os.sched_getaffinity(0))) and one == 1
         assert y == want
-        assert spans == serial == ["soi conv", "soi segment-fft",
-                                   "soi demod"]
+        assert spans == serial == ["soi conv", "soi back"]
 
 
 class TestStageProfile:

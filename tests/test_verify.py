@@ -15,6 +15,7 @@ import pytest
 import repro
 import repro.core.convolution as convolution
 import repro.core.soi_dist as soi_dist
+import repro.core.soi_single as soi_single
 from repro.core import cpupool
 from repro.bench.faultsweep import (
     detection_coverage,
@@ -42,8 +43,8 @@ from repro.verify import (
     batch_checksum,
     checksum_weights,
     energy_rows,
-    parseval_check,
 )
+from repro.verify.selfcheck import _TINY, _abs2, _Engine
 from tests.conftest import random_complex
 
 pytestmark = pytest.mark.abft
@@ -51,16 +52,17 @@ pytestmark = pytest.mark.abft
 PARAMS = SoiParams(n=8 * 448, n_procs=1, segments_per_process=8,
                    n_mu=8, d_mu=7, b=48)
 #: the stages an observer sees, on one node and on a rank alike: the
-#: front ("conv": convolution, lane DFT and permutation in one kernel), the
-#: segment FFT and demodulation
-STAGES = ["conv", "segment-fft", "demod"]
+#: front ("conv": convolution, lane DFT and permutation in one kernel) and
+#: the back ("back": segment FFT and demodulation)
+STAGES = ["conv", "back"]
 #: where a test strikes one node, and the stage whose check names it: each
 #: step of the front — inside a tile, the convolution's product and the
 #: lane DFT's output, which no observer sees, and the segment rows the
 #: tile stores (the permutation), the seam's "conv" array ``alpha`` — and
-#: the outputs of the two later stages
+#: each step of the back: the segment spectra inside it, and the
+#: demodulated rows, the seam's "back" array
 SITES = {"conv": "conv", "lane": "conv", "permute": "conv",
-         "segment-fft": "segment-fft", "demod": "demod"}
+         "segment-fft": "back", "demod": "back"}
 
 
 def strike_once(index, amplitude: float = 3.0):
@@ -94,7 +96,17 @@ def struck_plan(params, site: str, monkeypatch, seg: int = 5) -> SoiFFT:
     takes one strike: a seam array through the policy's hook; inside the
     front, at the lane transform of the first tile it runs, the first
     frame's convolution product (in lane *seg*, reaching every segment) or
-    its lane spectra (in segment *seg*)."""
+    its lane spectra (in segment *seg*); inside the back, the first
+    spectrum of the first row range demodulated, in a kept bin."""
+    if site == "segment-fft":
+        strike, real_demod = strike_once((0, 0, 37)), soi_single.demodulate
+
+        def struck_demodulate(beta, tables, out=None):
+            strike(beta)
+            return real_demod(beta, tables, out=out)
+        # the back's call only: a repair runs the verifier's own import
+        monkeypatch.setattr(soi_single, "demodulate", struck_demodulate)
+        return SoiFFT(params, verify=True)
     if site not in ("conv", "lane"):
         return SoiFFT(params, verify=VerifyPolicy(
             inject=one_shot_injector(SITES[site], seg)))
@@ -157,21 +169,11 @@ class TestEnergyInvariants:
         assert not strided.flags.c_contiguous
         assert np.allclose(energy_rows(a), energy_rows(strided))
 
-    def test_parseval_check_on_fft(self, rng):
-        x = random_complex(rng, 6, 256)
-        y = np.fft.fft(x, axis=-1)
-        e_in, e_out = energy_rows(x), energy_rows(y)
-        assert not parseval_check(e_in, e_out, 256, 1e-12).any()
-        y[3, 17] *= 1.5
-        bad = parseval_check(e_in, energy_rows(y), 256, 1e-12)
-        assert bad.tolist() == [False, False, False, True, False, False]
-
 
 class TestThresholds:
     def test_calibration_sane(self):
         th = verification_thresholds(build_tables(PARAMS))
         assert 0.0 < th.checksum_rtol < 1e-10
-        assert 0.0 < th.energy_rtol < 1e-10
         assert th.output_rtol >= 10.0 * build_tables(PARAMS).expected_stopband
         assert 0.0 < th.min_detectable_amplitude < 1e-3
 
@@ -228,7 +230,7 @@ class TestSingleNodeVerification:
     def test_small_amplitude_still_detected(self, rng):
         x = random_complex(rng, PARAMS.n)
         policy = VerifyPolicy(
-            inject=one_shot_injector("segment-fft", 4, amplitude=1e-8))
+            inject=one_shot_injector("back", 4, amplitude=1e-8))
         f = SoiFFT(PARAMS, verify=policy)
         f(x)
         assert f.verifier.report.detections == 1
@@ -246,12 +248,12 @@ class TestSingleNodeVerification:
         """With repair disabled the strike ladder must end in an error,
         never in silently corrupt output."""
         def always_inject(st, arr):
-            if st == "segment-fft":
+            if st == "back":
                 arr[0, 2, 37] += 10.0 * np.sqrt((np.abs(arr) ** 2).mean())
 
         f = SoiFFT(PARAMS, verify=VerifyPolicy(inject=always_inject))
         f.verifier._repair = lambda stages, bad: 0.0
-        with pytest.raises(VerificationError, match="segment-fft"):
+        with pytest.raises(VerificationError, match="back"):
             f(random_complex(rng, PARAMS.n))
         assert f.verifier.report.escalations >= 1
 
@@ -289,8 +291,8 @@ class TestPooledStages:
             f.batch(xs)
         assert f.verifier.report.checks > 0
         assert f.verifier.report.detections == 0
-        # gather, front, segment FFT, demodulate
-        assert joins == [2] * 3 * 4
+        # gather, front, back
+        assert joins == [2] * 3 * 3
 
     @pytest.mark.parametrize("frames", [1, 3])
     @pytest.mark.parametrize("site", SITES)
@@ -367,7 +369,7 @@ class TestDistributedVerification:
         truth = sdc_ground_truth(plan, params)
         assert len(truth) == len(plan.sdc_log) > 0
         for stage, rank, seg in truth:
-            assert stage in ("conv", "segment-fft")
+            assert stage in STAGES
             assert 0 <= rank < 4
             assert 0 <= seg < params.n_segments
 
@@ -381,19 +383,98 @@ class TestDistributedVerification:
                                   for e in verify_evs)
 
 
+# -- narrowband input: a tone leaves most segments nearly empty ------------
+
+def narrowband(n: int, m: int) -> dict:
+    """Tones at bins 0, 1, M/2, M-1, M and 3M+5 (M a segment's length), a
+    constant and an impulse: the inputs that leave segments empty."""
+    t = np.arange(n)
+    inputs = {f"tone {k}": np.exp(2j * np.pi * k * t / n)
+              for k in (0, 1, m // 2, m - 1, m, 3 * m + 5)}
+    inputs["constant"] = np.ones(n, dtype=complex)
+    inputs["impulse"] = np.eye(1, n, dtype=complex)[0]
+    return inputs
+
+
+def narrowband_trips(host: str, params, only=None) -> list:
+    """The narrowband inputs (the names in *only*, or all) whose verified
+    transform on *host* detected anything, raised, or came back other
+    than the unverified plan's bits."""
+    if host == "single":
+        verified, plain = SoiFFT(params, verify=True), SoiFFT(params)
+
+        def report():
+            return verified.verifier.report
+    else:
+        dv = DistributedSoiFFT(SimCluster(4), params, verify=True)
+        dp = DistributedSoiFFT(SimCluster(4), params)
+
+        def verified(x):
+            return dv.assemble(dv(dv.scatter(x)))
+
+        def plain(x):
+            return dp.assemble(dp(dp.scatter(x)))
+
+        def report():
+            return dv.last_verification
+    trips = []
+    for name, x in narrowband(params.n, params.m).items():
+        if only is not None and name not in only:
+            continue
+        try:
+            y = verified(x)
+        except VerificationError:
+            trips.append(name)
+            continue
+        if report().detections or not np.array_equal(y, plain(x)):
+            trips.append(name)
+    return trips
+
+
+def per_segment_checksum_bad(self, a, c_pred):
+    """Mutant: each segment's front tolerance scaled by that segment's
+    energy alone, though the predicted checksum rounds at its frame's."""
+    e = energy_rows(a)
+    return _abs2(np.matmul(a, self._w_rows) - c_pred) > (
+        self.thresholds.checksum_rtol ** 2 * (self._rows * e + _TINY))
+
+
+class TestNarrowbandInputs:
+    """No check reads a near-empty segment as a corrupt one: a verified
+    transform of a tone, a constant or an impulse detects nothing and
+    returns the unverified plan's bits, on both hosts."""
+
+    @pytest.mark.parametrize("host", ["single", "dist"])
+    def test_no_detections_and_the_unverified_bits(self, host):
+        params = PARAMS if host == "single" else verify_params(4)
+        assert narrowband_trips(host, params) == []
+
+    def test_a_large_constant_on_one_node(self):
+        params = SoiParams(n=458752, n_procs=1, segments_per_process=8,
+                           n_mu=8, d_mu=7, b=48)
+        assert narrowband_trips("single", params, {"constant"}) == []
+
+    @pytest.mark.parametrize("host", ["single", "dist"])
+    def test_mutant_per_segment_tolerance_trips(self, host, monkeypatch):
+        monkeypatch.setattr(_Engine, "_checksum_bad",
+                            per_segment_checksum_bad)
+        params = PARAMS if host == "single" else verify_params(4)
+        assert narrowband_trips(host, params)
+
+
 # -- one engine, two hosts: each gate at the seam, and shown able to fail ----
 
-#: the invariant (an engine method) that catches a strike at each site: the
-#: front check's checksum, whichever step of the front was struck
+#: the invariant (an engine method) that catches a strike at each site:
+#: each stage's one checksum functional, whichever of its steps was struck
 INVARIANT = {"conv": "_checksum_bad", "lane": "_checksum_bad",
-             "permute": "_checksum_bad", "segment-fft": "_spectrum_bad",
-             "demod": "_demod_bad"}
+             "permute": "_checksum_bad", "segment-fft": "_back_bad",
+             "demod": "_back_bad"}
 #: what each host's pipeline lets a test strike: on one node, every site;
 #: on a cluster, each stage's output (the front's segment rows are the
 #: rank program's "conv" output, and their exchange is the all-to-all,
-#: which the wire checksum covers)
+#: which the wire checksum covers) and the spectra inside the back
 CASES = [("single", site) for site in SITES] + [
-    ("dist", st) for st in STAGES]
+    ("dist", site) for site in ("conv", "segment-fft", "demod")]
 
 
 def struck_run(host, stage, monkeypatch, mutate=lambda verifier: None):
@@ -414,20 +495,20 @@ def struck_run(host, stage, monkeypatch, mutate=lambda verifier: None):
     fault_free = DistributedSoiFFT(SimCluster(4), params)
     clean = fault_free.assemble(fault_free(fault_free.scatter(x)))
     cl = SimCluster(4)
-    if stage == "demod":
-        # no SDC slot strikes the demodulated rows, so the rank program's
-        # kernel does (a repair calls the engine's own import of it)
+    if stage == "segment-fft":
+        # no SDC slot strikes inside the back, so the spectra the rank
+        # program demodulates are struck on the way in (a repair calls the
+        # engine's own import of the kernel)
         real, fired = soi_dist.demodulate, []
 
         def struck_demodulate(beta, tables):
-            seg = real(beta, tables)
             if not fired:
                 fired.append(1)
-                seg[1, 37] += 5.0 * np.sqrt((np.abs(seg) ** 2).mean())
-            return seg
+                beta[1, 37] += 5.0 * np.sqrt((np.abs(beta) ** 2).mean())
+            return real(beta, tables)
         monkeypatch.setattr(soi_dist, "demodulate", struck_demodulate)
     else:
-        # rank 1's slot: a run consumes P conv slots, then P segment-FFT
+        # rank 1's slot: a run consumes P conv slots, then P back slots
         # (seed 23 strikes lane 4 of z; a gemv happens to round lanes 0
         # and 1 of an 8-point DFT like the plan, which would let the
         # repair-kernel mutant live)
@@ -449,7 +530,7 @@ def blind(invariant):
         def mutant(*args):
             th = verifier.thresholds
             verifier.thresholds = dataclasses.replace(
-                th, checksum_rtol=np.inf, energy_rtol=np.inf)
+                th, checksum_rtol=np.inf)
             try:
                 return real(*args)
             finally:
@@ -530,16 +611,16 @@ class TestOneEngineTwoHosts:
     def test_every_check_and_repair_is_charged(self, monkeypatch):
         """Each boundary charges what it read as "abft verify" and what
         it reran as "abft repair", to the rank clock and to the installed
-        deadline's budget — the demodulation check included."""
+        deadline's budget — the back's check included."""
         run = struck_run("dist", "demod", monkeypatch)
-        assert run.report.detected_stages == {"demod"}
+        assert run.report.detected_stages == {"back"}
         events = run.cluster.trace.events
         verify = [e for e in events if e.label == "abft verify"]
-        assert len(verify) == 3 * 4  # conv, segment-fft, demod per rank
+        assert len(verify) == 2 * 4  # conv and back per rank
         assert all(e.category == "compute" and e.duration > 0
                    for e in verify)
         repair = [e for e in events if e.label == "abft repair"]
-        assert [(e.rank, e.category) for e in repair] == [(0, "retry")]
+        assert [(e.rank, e.category) for e in repair] == [(1, "retry")]
         assert repair[0].duration > 0
         assert run.budget.charges["retry"] == pytest.approx(
             repair[0].duration)
@@ -630,14 +711,14 @@ def _named(node):
 
 def test_abft_engine_is_written_once():
     """An ``ast`` count (docstrings cannot trip it): ``verify/selfcheck.py``
-    raises, records an escalation, runs Parseval and builds the conv
-    checksum in one place each, and has no kernel of its own.  A second
-    ladder or a private repair kernel turns this red."""
+    raises, records an escalation, builds the conv checksum and names the
+    back's repair kernel in one place each, and has no kernel of its own.
+    A second ladder or a private repair kernel turns this red."""
     root = Path(repro.__file__).parents[2]
     tree = ast.parse(
         (root / "src/repro/verify/selfcheck.py").read_text())
     calls = [_named(n) for n in ast.walk(tree) if isinstance(n, ast.Call)]
-    for name in ("VerificationError", "parseval_check", "ConvChecksum"):
+    for name in ("VerificationError", "ConvChecksum", "demodulate"):
         assert calls.count(name) == 1, name
     assert sum(isinstance(n, ast.AugAssign)
                and getattr(n.target, "attr", "") == "escalations"
@@ -654,7 +735,7 @@ def test_abft_engine_is_written_once():
 
 
 def assert_one_stage_seam(source: str) -> None:
-    """``SoiFFT._execute`` in *source* hands each of the three stages'
+    """``SoiFFT._execute`` in *source* hands each of the two stages'
     outputs to one observer behind one falsy check; telemetry and the
     verifier hang off that, not off per-stage blocks of their own."""
     fn = next(n for n in ast.walk(ast.parse(source))
@@ -673,37 +754,60 @@ def assert_one_stage_seam(source: str) -> None:
 def test_execute_has_one_stage_seam():
     source = (Path(repro.__file__).parent / "core/soi_single.py").read_text()
     assert_one_stage_seam(source)
-    # mutant: a fourth site, the lane DFT observed apart again
-    anchor = "        share(segment_fft, s, 1)\n"
-    mutant = source.replace(anchor, "        if after:\n"
-                            "            after('lane', alpha, 0)\n"
-                            + anchor, 1)
+    # mutant: a third site, the segment spectra observed apart again
+    anchor = "        share(back, s, 1)\n"
+    mutant = source.replace(anchor, anchor + "        if after:\n"
+                            "            after('segment-fft', beta, 0)\n",
+                            1)
     assert mutant != source
     with pytest.raises(AssertionError):
         assert_one_stage_seam(mutant)
 
 
-def rank_program_stages(source: str) -> list:
-    """The stage names ``soi_dist.py`` (given as *source*) passes as string
-    literals to ``apply_sdc`` or to a verifier."""
+def stage_literals(source: str, function: str | None = None) -> list:
+    """The stage names *source* spells as string literals: passed to
+    ``apply_sdc`` or to a verifier, or compared with ``stage`` — inside
+    *function* when given."""
+    tree = ast.parse(source)
+    if function is not None:
+        tree = next(n for n in ast.walk(tree)
+                    if isinstance(n, ast.FunctionDef) and n.name == function)
     names = []
-    for n in ast.walk(ast.parse(source)):
+    for n in ast.walk(tree):
         if isinstance(n, ast.Call) and (
                 _named(n) == "apply_sdc"
                 or getattr(getattr(n.func, "value", None), "id", "")
                 == "verifier"):
-            names += [a.value for a in [*n.args,
-                                        *(k.value for k in n.keywords)]
-                      if isinstance(a, ast.Constant)
-                      and isinstance(a.value, str)]
+            args = [*n.args, *(k.value for k in n.keywords)]
+        elif isinstance(n, ast.Compare) and getattr(n.left, "id", "") \
+                == "stage":
+            args = n.comparators
+        else:
+            continue
+        names += [a.value for a in args if isinstance(a, ast.Constant)
+                  and isinstance(a.value, str)]
     return names
 
 
 def test_the_rank_program_names_only_the_seam_stages():
-    source = (Path(repro.__file__).parent / "core/soi_dist.py").read_text()
-    names = rank_program_stages(source)
-    assert names and set(names) <= set(STAGES)
-    # mutant: an SDC slot named after a step of the front
-    mutant = source.replace('stage="conv"', 'stage="lane"', 1)
-    assert mutant != source
-    assert not set(rank_program_stages(mutant)) <= set(STAGES)
+    """The rank program strikes exactly the two seam stages, and the
+    single node's verifier tells them apart by no third name."""
+    root = Path(repro.__file__).parent
+    rank = (root / "core/soi_dist.py").read_text()
+    seam = (root / "verify/selfcheck.py").read_text()
+
+    def rank_ok(source):
+        return sorted(stage_literals(source)) == sorted(STAGES)
+
+    def seam_ok(source):
+        return set(stage_literals(source, "after")) <= set(STAGES)
+    assert rank_ok(rank) and seam_ok(seam)
+    # mutants: an SDC slot named after a step of the front, the spectra
+    # inside the back struck as a stage of their own, a third seam name
+    for ok, source, old, new in [
+            (rank_ok, rank, 'stage="conv"', 'stage="lane"'),
+            (rank_ok, rank, 'stage="back"', 'stage="segment-fft"'),
+            (seam_ok, seam, "else:  # back", 'elif stage == "demod":')]:
+        mutant = source.replace(old, new, 1)
+        assert mutant != source
+        assert not ok(mutant), new
