@@ -146,8 +146,8 @@ def block_range_for_rows(params: SoiParams, j_start: int, n_rows: int
                          ) -> tuple[int, int]:
     """Half-open global block range [lo, hi) the rows' windows touch.
 
-    Block indices may be negative or exceed N/S: callers wrap them
-    periodically (the ghost halo / circular boundary).
+    Block indices may be negative or exceed N/S: the kernels read them
+    modulo their source's length (the circular boundary).
     """
     m0 = input_block_offsets(params, j_start, n_rows)
     return int(m0.min()), int(m0.max()) + params.b
@@ -184,17 +184,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def convolve(x_ext: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,
+def convolve(x: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,
              block_lo: int, out: np.ndarray | None = None, *,
              workspace: ConvWorkspace | None = None) -> np.ndarray:
     """W*x for rows [j_start, j_start+n_rows) as per-lane GEMM tiles.
 
-    ``x_ext`` holds the (ghost-extended, periodically wrapped) input blocks
-    ``[block_lo, block_lo + len(x_ext)//S)`` as a flat complex array, or a
-    ``(batch, ext)`` stack of such arrays for batched execution.  Returns
-    ``u`` of shape (n_rows, S) — ``(batch, n_rows, S)`` when batched.
-    *out*, if given, must have that shape and the working dtype
-    (``complex64`` for ``complex64`` input, else ``complex128``).
+    ``x`` holds input blocks from global block ``block_lo`` on (the whole
+    period and 0 on one node; on a rank, its ghost-extended block) as a
+    flat complex array, or a ``(batch, length)`` stack; window blocks are
+    read modulo its length.  Returns ``u`` of shape (n_rows, S) —
+    ``(batch, n_rows, S)`` when batched.  *out*, if given, must have that
+    shape and the working dtype (``complex64`` for ``complex64`` input,
+    else ``complex128``).
 
     An output row is a function of (global row index, input) only — not of
     the row range, batch size or rank that computed it — because BLAS
@@ -212,11 +213,11 @@ def convolve(x_ext: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,
     whose shapes depend on ``params`` and dtype only; with it, repeat
     calls are allocation-free apart from the (caller-avoidable) output.
     """
-    return _tile_walk(x_ext, tables, j_start, n_rows, block_lo, out,
-                      workspace, segment_major=False)
+    return _tile_walk(x, tables, j_start, n_rows, block_lo, out, workspace,
+                      segment_major=False)
 
 
-def front(x_ext: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,
+def front(x: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,
           block_lo: int, out: np.ndarray | None = None, *,
           workspace: ConvWorkspace | None = None) -> np.ndarray:
     """The SOI front, ``(I_{M'} (x) F_S) W x`` stored segment-major: shape
@@ -228,37 +229,46 @@ def front(x_ext: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,
     cache and the S segment rows stored contiguously.  Same arguments,
     alignment rule and workspace as :func:`convolve`; *out* may be a
     strided view (a row range of a larger segment-major buffer)."""
-    return _tile_walk(x_ext, tables, j_start, n_rows, block_lo, out,
-                      workspace, segment_major=True)
+    return _tile_walk(x, tables, j_start, n_rows, block_lo, out, workspace,
+                      segment_major=True)
 
 
-def _tile_walk(x_ext, tables: SoiTables, j_start: int, n_rows: int,
+def _wrap_blocks(xb: np.ndarray, first: int, out: np.ndarray) -> np.ndarray:
+    """``out[:, k] = xb[:, (first + k) mod nblocks]``, blocks ``(frames,
+    nblocks, S)``: the one periodic copy, a slice copy per pass."""
+    nblocks, pos, src = xb.shape[1], 0, first % xb.shape[1]
+    while pos < out.shape[1]:
+        take = min(nblocks - src, out.shape[1] - pos)
+        out[:, pos:pos + take] = xb[:, src:src + take]
+        pos, src = pos + take, 0
+    return out
+
+
+def _tile_walk(x, tables: SoiTables, j_start: int, n_rows: int,
                block_lo: int, out, workspace, *, segment_major: bool):
     """The tile walk of :func:`convolve` and :func:`front`, whose store
-    *segment_major* picks."""
+    *segment_major* picks; a tile reads ``x`` in place, an edge tile (its
+    span wraps) a copy."""
     p = tables.params
     s, n_mu, d_mu = p.n_segments, p.n_mu, p.d_mu
-    arr = np.asarray(x_ext)
+    arr = np.asarray(x)
     dtype = np.complex64 if arr.dtype == np.complex64 else np.complex128
-    x_ext = np.asarray(arr, dtype=dtype)
-    if x_ext.ndim not in (1, 2):
-        raise ValueError("x_ext must be 1-D or (batch, ext)")
-    if x_ext.shape[-1] % s:
-        raise ValueError("x_ext length must be a multiple of S")
+    x = np.asarray(arr, dtype=dtype)
+    if x.ndim not in (1, 2):
+        raise ValueError("x must be 1-D or (batch, length)")
+    if x.shape[-1] % s:
+        raise ValueError("x length must be a multiple of S")
     if j_start % n_mu or n_rows % n_mu:
-        raise ValueError("j_start and n_rows must be multiples of n_mu")
+        raise ValueError("j_start and n_rows must each be a multiple of n_mu")
+    nblocks = x.shape[-1] // s
+    if nblocks < p.b:
+        raise ValueError("x does not cover one window of B blocks")
     w = tables.gemm_coeffs(dtype)  # (S, K, n_mu)
     k_width = w.shape[1]
-    nblocks = x_ext.shape[-1] // s
     c0, n_chunks = j_start // n_mu, n_rows // n_mu
     c1 = c0 + n_chunks
-    # chunk c reads the K blocks from base + (c - c0) * d_mu, every lane
-    base = c0 * d_mu - p.b // 2 + 1 - block_lo
-    if n_rows and (base < 0
-                   or base + (n_chunks - 1) * d_mu + k_width > nblocks):
-        raise ValueError("x_ext does not cover the required block range")
-    out_shape = x_ext.shape[:-1] + ((s, n_rows) if segment_major
-                                    else (n_rows, s))
+    out_shape = x.shape[:-1] + ((s, n_rows) if segment_major
+                                else (n_rows, s))
     if out is None:
         out = np.empty(out_shape, dtype=dtype)
     elif out.shape != out_shape:
@@ -270,26 +280,40 @@ def _tile_walk(x_ext, tables: SoiTables, j_start: int, n_rows: int,
     t_chunks = _tile_chunks(p, k_width)
     ws = workspace if workspace is not None else ConvWorkspace()
     tile = ws.array("tile", (s, t_chunks, k_width), dtype)
-    xb = x_ext.reshape(-1, nblocks, s)
+    xb = x.reshape(-1, nblocks, s)
     frames = xb.shape[0]
     # the front keeps every frame's product of a tile for one lane transform
     res = ws.array("res", (frames if segment_major else 1, s, t_chunks,
                            n_mu), dtype)
     if segment_major:
         lanes = ws.array("lane out", (frames, s, t_chunks * n_mu), dtype)
-        ob = out[None] if x_ext.ndim == 1 else out
+        ob = out[None] if x.ndim == 1 else out
     else:
         ob = out.reshape(-1, n_chunks, n_mu, s)
-    # win[f, k] is chunk c0+k's (S, K) window: lane p's K stride-S samples
-    win = sliding_window_view(xb, k_width, axis=1)[:, base::d_mu]
+    edge = ws.array("edge", (frames, (t_chunks - 1) * d_mu + k_width, s),
+                    dtype)
+    # win[wraps][f, i] is the (S, K) window from block i of x (of an edge
+    # tile's wrapped span, if wraps): lane p's K stride-S samples
+    win = {}
     for t0 in range(c0 - c0 % t_chunks, c1, t_chunks):
         lo, hi = max(c0, t0), min(c1, t0 + t_chunks)
         a, b = lo - t0, hi - t0
+        # chunk c reads the K blocks from c * d_mu - B/2 + 1, every lane
+        first = (lo * d_mu - p.b // 2 + 1 - block_lo) % nblocks
+        span = (hi - lo - 1) * d_mu + k_width
+        wraps = first + span > nblocks  # an edge tile
+        if wraps:
+            _wrap_blocks(xb, first, edge[:, :span])
+            first = 0
+        if wraps not in win:  # built once a call, when first read
+            win[wraps] = sliding_window_view(edge if wraps else xb, k_width,
+                                             axis=1)
+        wins = win[wraps][:, first:first + span - k_width + 1:d_mu]
         if b - a < t_chunks:
             tile[:, :a] = 0
             tile[:, b:] = 0
         for f in range(frames):
-            np.copyto(tile[:, a:b], win[f, lo - c0:hi - c0].transpose(1, 0, 2))
+            np.copyto(tile[:, a:b], wins[f].transpose(1, 0, 2))
             np.matmul(tile, w, out=res[f if segment_major else 0])
             if not segment_major:
                 ob[f, lo - c0:hi - c0] = res[0, :, a:b].transpose(1, 2, 0)

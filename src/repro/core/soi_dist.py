@@ -53,7 +53,6 @@ from repro.cluster.spmd import (
 )
 from repro.core.convolution import (
     ConvStrategy,
-    block_range_for_rows,
     conv_time_model,
     front,
 )
@@ -305,8 +304,8 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
     checks run when ``spec.policy`` arms them (each stage is verified —
     and repaired — before its data is checkpointed, shipped or
     returned), and SDC events of the installed fault plan strike the
-    stage buffers first.  A recovery round gathers each recomputed row
-    range's input from the staged global input *x_global* instead, takes
+    stage buffers first.  A recovery round reads each recomputed row
+    range's windows from the staged global input *x_global* instead, takes
     row ranges marked ``from_checkpoint`` from *z_ckpt*, and runs
     without verifier or SDC plan.
     """
@@ -339,13 +338,9 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
         if from_ckpt:
             chunks.append(np.asarray(z_ckpt))
             continue
-        if recovering:
-            lo, hi = block_range_for_rows(p, j0, nr)
-            x_in = soi._wrap(x_global, np.empty((hi - lo) * s, complex),
-                             lo * s)
-        else:
-            lo = (j0 // n_mu) * d_mu - left_g  # where x_ext starts
-            x_in = x_ext
+        # a recovery round reads the whole period, modulo its length
+        x_in, lo = (x_global, 0) if recovering else (
+            x_ext, (j0 // n_mu) * d_mu - left_g)
         def conv():  # this range's front: run now, and by a repair
             return front(x_in, tables, j0, nr, lo, workspace=soi._conv_ws)
         z = conv()

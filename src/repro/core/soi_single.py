@@ -22,8 +22,8 @@ then demodulation of the same rows into the output.  An observer sees
 two stages on both: the front (``"conv"``) and the back (``"back"``).
 
 Execution is planned: convolution workspaces and stage buffers are
-allocated once per batch size at first use and reused.  Besides the
-extended input there are two stage buffers, ``alpha`` and ``beta``.
+allocated once per batch size at first use and reused.  The front reads
+the input in place; there are two stage buffers, ``alpha`` and ``beta``.
 Unverified, the segment FFT also ping-pongs through the dead ``alpha``
 and its ``beta``; an armed verifier checks the back against ``alpha`` and
 repairs its output rows from it, so there ``alpha`` outlives it.  Every
@@ -46,6 +46,7 @@ import numpy as np
 from repro.core import cpupool
 from repro.core.convolution import (
     ConvWorkspace,
+    _wrap_blocks,
     block_range_for_rows,
     front,
     tile_rows,
@@ -128,7 +129,8 @@ class SoiFFT:
     into a caller-owned C-contiguous array of the plan dtype; after the
     first call of a given batch size no further allocations occur.  Calls
     without ``out=`` allocate exactly the result array.  The pooled stage
-    buffers are private to the plan — results never alias them.
+    buffers are private to the plan — results never alias them; ``out``
+    may be the input, read in full before the back writes.
 
     Threads
     -------
@@ -184,9 +186,6 @@ class SoiFFT:
         self._lane_plan = get_plan(params.n_segments, -1, dtype=dt) \
             if params.n_segments > 1 else None
         self._seg_plan = get_plan(params.m_oversampled, -1, dtype=dt)
-        lo, hi = block_range_for_rows(params, 0, params.m_oversampled)
-        #: extended_input's blocks [lo, hi): the first, and the sample count
-        self._block_lo, self._ext_size = lo, (hi - lo) * params.n_segments
         self._conv_ws = ConvWorkspace()
         self._conv_tile = tile_rows(tables, dtype)
         #: batch size -> dict of reused pipeline stage buffers.
@@ -211,15 +210,15 @@ class SoiFFT:
         """Whether ``alpha`` must outlive the segment FFT, which then may
         not work in it (``overwrite_x``): the armed verifier checks the
         back's output rows against ``alpha`` and repairs them from it.
-        The front check recomputes from ``x_ext`` and telemetry reads no
-        stage output, so every other output dies in the stage after it,
-        verified or not."""
+        The front check recomputes from the caller's input and telemetry
+        reads no stage output, so every other output dies in the stage
+        after it, verified or not."""
         return self.verifier is not None
 
     def _buffers(self, batch: int, pool=None) -> dict[str, np.ndarray]:
         """The stage buffers of *batch* frames, by name: the front's
         ``alpha`` and the segment FFT's ``beta``, both segment-major
-        ``(batch, S, M')``, and the extended input."""
+        ``(batch, S, M')``."""
         pool = self._bufpool if pool is None else pool
         bufs = pool.get(batch)
         if bufs is None:
@@ -229,8 +228,7 @@ class SoiFFT:
             # caller's large temporaries (numpy's FFT scratch) page-fault
             bufs = pool[batch] = {
                 "alpha": np.empty(seg, dtype=self.dtype),
-                "beta": np.empty(seg, dtype=self.dtype),
-                "x_ext": np.empty((batch, self._ext_size), dtype=self.dtype)}
+                "beta": np.empty(seg, dtype=self.dtype)}
         return bufs
 
     def _held(self, release: bool = False) -> int:
@@ -264,29 +262,20 @@ class SoiFFT:
     # -- pipeline stages (also reused by tests) ---------------------------
 
     def extended_input(self, x: np.ndarray) -> np.ndarray:
-        """Input blocks [block_lo, block_hi) with periodic wrap."""
-        x = np.asarray(x, dtype=self.dtype)
-        x_ext = np.empty(x.shape[:-1] + (self._ext_size,), dtype=self.dtype)
-        return self._wrap(x, x_ext, self._block_lo * self.params.n_segments)
-
-    def _wrap(self, x: np.ndarray, out: np.ndarray, start: int) -> np.ndarray:
-        """``out[..., k] = x[..., (start + k) mod N]``, the one periodic
-        gather: consecutive integers mod N, so a handful of contiguous
-        slice copies, where ``np.take(..., out=)`` makes a full temporary."""
-        n, pos, src = self.params.n, 0, start % self.params.n
-        while pos < out.shape[-1]:
-            chunk = min(n - src, out.shape[-1] - pos)
-            out[..., pos:pos + chunk] = x[..., src:src + chunk]
-            pos, src = pos + chunk, 0
-        return out
+        """Input blocks ``[lo, hi)`` of all ``M'`` rows' windows, wrapped:
+        what a rank-style ``front(x_ext, ..., lo)`` reads."""
+        p, s = self.params, self.params.n_segments
+        lo, hi = block_range_for_rows(p, 0, p.m_oversampled)
+        xb = np.asarray(x, dtype=self.dtype).reshape(-1, p.n // s, s)
+        ext = np.empty((len(xb), hi - lo, s), dtype=self.dtype)
+        return _wrap_blocks(xb, lo, ext).reshape(np.shape(x)[:-1] + (-1,))
 
     def oversample(self, x: np.ndarray) -> np.ndarray:
         """Steps 1-3, the front: ``alpha``, the oversampled subbands of
         ``x`` (``W x``, then ``F_S`` across lanes), stored segment-major.
         Shape (S, M')."""
-        return front(self.extended_input(x), self.tables, 0,
-                     self.params.m_oversampled, self._block_lo,
-                     workspace=self._conv_ws)
+        return front(np.asarray(x, dtype=self.dtype), self.tables, 0,
+                     self.params.m_oversampled, 0, workspace=self._conv_ws)
 
     def segment_spectra(self, alpha: np.ndarray) -> np.ndarray:
         """Step 4: the per-segment F_{M'} of the front's output.
@@ -301,11 +290,11 @@ class SoiFFT:
         """The one observer of the stage boundaries, or None when neither
         telemetry nor a verifier is armed.
 
-        ``after(stage, array, nbytes)`` runs once *stage* has written
-        *array* and before the next stage reads it: the telemetry span
-        and latency histogram of the stage, then the verifier's
-        injection point, check and repair.  A check's seconds belong to
-        no stage: the clock restarts after it."""
+        ``after(stage, src, array, nbytes)`` runs once *stage* has read
+        *src* and written *array*, before the next stage reads it: the
+        telemetry span and latency histogram of the stage, then the
+        verifier's injection point, check and repair.  A check's seconds
+        belong to no stage: the clock restarts after it."""
         telem, verifier = self.telemetry, self.verifier
         if telem is None and verifier is None:
             return None
@@ -313,7 +302,8 @@ class SoiFFT:
         clk = telem.clock if telem is not None else None
         t = clk() if clk else 0.0
 
-        def after(stage: str, arr: np.ndarray, nbytes: int) -> None:
+        def after(stage: str, src: np.ndarray, arr: np.ndarray,
+                  nbytes: int) -> None:
             nonlocal t
             if telem is not None:
                 now = clk()
@@ -324,7 +314,7 @@ class SoiFFT:
                         batch * (p.local_fft_flops + p.lane_fft_flops))
                 t = now
             if verifier is not None:
-                verifier.after(stage, arr)
+                verifier.after(stage, src, arr)
                 if telem is not None:
                     t = clk()
         return after
@@ -356,10 +346,10 @@ class SoiFFT:
         frame, one frame by tile and segment) into the same stage buffer:
         the bits are those of the one-range call a small transform makes.
 
-        Each of the two stages (the front, ``"conv"``, and ``"back"``)
-        hands its output to the stage seam
-        (:meth:`_stage_seam`), after its last join, before the next one
-        consumes it — with a verifier armed, a corrupt stage output is
+        Each of the two stages (the front, ``"conv"``, which reads *xs*
+        in place, and ``"back"``) hands its input and output to the stage
+        seam (:meth:`_stage_seam`), after its last join, before the next
+        one consumes it — with a verifier armed, a corrupt stage output is
         repaired there, so everything downstream runs once, on trusted
         input.  Given *bufs* (a worker's block of a frame-major
         :meth:`batch`), every stage is one range on the calling thread and
@@ -372,14 +362,11 @@ class SoiFFT:
             parts = self._parts(batch)
         else:
             after, parts = None, 1
-        x_ext, alpha, beta = bufs["x_ext"], bufs["alpha"], bufs["beta"]
+        alpha, beta = bufs["alpha"], bufs["beta"]
         res3 = res.reshape(batch, s, p.m)
 
-        def gather(f0, f1, a, b):
-            self._wrap(xs[f0:f1], x_ext[f0:f1, a:b], self._block_lo * s + a)
-
         def conv(f0, f1, a, b):  # the front: W x, F_S, the permutation
-            front(x_ext[f0:f1], self.tables, a, b - a, self._block_lo,
+            front(xs[f0:f1], self.tables, a, b - a, 0,
                   out=alpha[f0:f1, :, a:b], workspace=self._conv_ws)
 
         def back(f0, f1, a, b):  # alpha dies here unless verified
@@ -399,13 +386,12 @@ class SoiFFT:
                 return fn(*ranges[0])
             cpupool.run([partial(fn, *r) for r in ranges])
 
-        share(gather, x_ext.shape[1], 1)
         share(conv, mp, self._conv_tile)
         if after:
-            after("conv", alpha, x_ext.nbytes + alpha.nbytes)
+            after("conv", xs, alpha, xs.nbytes + alpha.nbytes)
         share(back, s, 1)
         if after:
-            after("back", res3, 3 * beta.nbytes + res.nbytes)
+            after("back", alpha, res3, 3 * beta.nbytes + res.nbytes)
         return res
 
     def _check_out(self, out: np.ndarray, shape: tuple) -> np.ndarray:
@@ -443,14 +429,17 @@ class SoiFFT:
     _BATCH_CACHE_BUDGET = 8 << 20
 
     def _frame_bytes(self) -> int:
-        """Bytes of stage buffer one frame would hold with the extended
-        input and the unfused pipeline's stage outputs (``u``, ``z``,
-        ``alpha``, ``beta``) apart: the count the block sizes were
-        measured against (EXPERIMENTS.md "PR 30"), kept so they stay."""
+        """Bytes a frame held in the layout the block sizes were measured
+        in (EXPERIMENTS.md, frame-major batches): a copy of the blocks its
+        windows span and four ``(S, M')`` stage outputs (``u``, ``z``,
+        ``alpha``, ``beta``; three for S = 1).  No buffer has this size
+        any more; the count stays so the block sizes do."""
         p = self.params
+        lo, hi = self.tables.derived(  # batch() asks on every call
+            "window span", lambda: block_range_for_rows(p, 0, p.m_oversampled))
         lanes = 4 if p.n_segments > 1 else 3
-        return (self._ext_size + lanes * p.m_oversampled * p.n_segments
-                ) * self.dtype.itemsize
+        return ((hi - lo + lanes * p.m_oversampled) * p.n_segments
+                * self.dtype.itemsize)
 
     def _frame_major(self, xs: np.ndarray, res: np.ndarray, block: int,
                      parts: int, deadline) -> None:

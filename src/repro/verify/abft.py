@@ -14,8 +14,8 @@ running the operator on an extra input row (each output row applies a
 different functional of the input), but it can be *precomputed*: the
 checksum of the convolution's output rows is itself a fixed linear
 functional of the input, ``w^T W`` — a (blocks, S) coefficient array
-built once per plan (:class:`ConvChecksum`) and applied per call in
-O(ext).
+built once per plan (:class:`ConvChecksum`) and applied per call in one
+sweep of the input the convolution reads.
 """
 
 from __future__ import annotations
@@ -53,51 +53,52 @@ class ConvChecksum:
     For rows ``u[j, p] = sum_b coeffs[j % n_mu, b, p] * x[(m0(j)+b)*S + p]``
     the weighted row checksum collapses to
 
-    ``c[p] = sum_block A[block, p] * x_ext[block*S + p]``
+    ``c[p] = sum_block A[block, p] * x[block*S + p]``
 
-    with ``A[block, p] = sum_j w_j coeffs[j % n_mu, block - m0(j), p]``
-    accumulated once at plan time.  :meth:`predict` then verifies the
-    conv stage against its *input* in one O(ext) sweep — any corruption
-    of the computed rows (or of the staged input) breaks the match in
-    the corrupted lane's column.
+    with ``A[block, p] = sum_j w_j coeffs[j % n_mu, block - m0(j), p]``,
+    built once per length of the input ``x`` (first block: global
+    ``block_lo``), which :meth:`predict` reads modulo its length as the
+    convolution does: one sweep verifies the conv stage against its
+    *input*, and a corrupt computed row breaks its lane's match.
     """
 
     def __init__(self, tables: SoiTables, j_start: int, n_rows: int,
                  block_lo: int, weights: np.ndarray, dtype=np.complex128):
-        p = tables.params
-        s, b_width, n_mu, d_mu = p.n_segments, p.b, p.n_mu, p.d_mu
         if weights.shape != (n_rows,):
             raise ValueError("need one weight per convolution row")
-        m0 = input_block_offsets(p, j_start, n_rows) - block_lo
-        nblocks = int(m0.max()) + b_width
-        a = np.zeros((nblocks, s), dtype=np.complex128)
-        nr = n_rows // n_mu
-        coeffs = tables.coeffs
-        for r in range(n_mu):
-            w_rows = weights[r::n_mu]  # (nr,)
-            blocks = m0[r] + np.arange(nr) * d_mu
-            for b in range(b_width):
-                np.add.at(a, blocks + b, w_rows[:, None] * coeffs[r, b])
-        self.weights = weights
-        self.n_rows = n_rows
-        self.nblocks = nblocks
-        self.n_segments = s
-        #: (S, nblocks) layout so predict() runs as S BLAS matvecs over
-        #: each lane's stride-S input slice.
-        self._a_t = np.ascontiguousarray(a.T.astype(dtype))
+        self.tables, self.weights, self.dtype = tables, weights, dtype
+        #: each residue's first window block, counted from x's first
+        self._m0 = input_block_offsets(tables.params, j_start, n_rows)[
+            :tables.params.n_mu] - block_lo
+        #: x's block count -> (S, blocks) layout of A, so predict() runs as
+        #: S BLAS matvecs over each lane's stride-S input slice
+        self._a_t: dict[int, np.ndarray] = {}
 
-    def predict(self, x_ext: np.ndarray) -> np.ndarray:
+    def _functional(self, nblocks: int) -> np.ndarray:
+        """``A`` on a source of *nblocks* blocks, as ``(S, nblocks)``."""
+        p, w = self.tables.params, self.weights
+        a = np.zeros((nblocks, p.n_segments), dtype=np.complex128)
+        steps = np.arange(len(w) // p.n_mu) * p.d_mu  # chunk by chunk
+        for r in range(p.n_mu):
+            for b in range(p.b):
+                np.add.at(a, (self._m0[r] + steps + b) % nblocks,
+                          w[r::p.n_mu, None] * self.tables.coeffs[r, b])
+        return np.ascontiguousarray(a.T.astype(self.dtype))
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
         """Checksum row of the conv output, from the input: shape (.., S).
 
-        ``x_ext`` is the (ghost-extended) input, flat or ``(batch, ext)``;
-        only the first ``nblocks*S`` samples participate (the geometry
-        this functional was built for).
+        ``x`` is the array the convolution reads, flat or ``(batch,
+        length)``: the whole period on one node, a rank's ghost-extended
+        input.
         """
-        s = self.n_segments
-        xv = x_ext[..., : self.nblocks * s]
-        xv = xv.reshape(xv.shape[:-1] + (self.nblocks, s))
+        s = self.tables.params.n_segments
+        xv = x.reshape(x.shape[:-1] + (-1, s))
+        a_t = self._a_t.get(xv.shape[-2])
+        if a_t is None:
+            a_t = self._a_t[xv.shape[-2]] = self._functional(xv.shape[-2])
         # c[.., p] = A[p, :] . x[.., :, p] — a batched per-lane matvec
-        out = np.empty(xv.shape[:-2] + (s,), dtype=self._a_t.dtype)
+        out = np.empty(xv.shape[:-2] + (s,), dtype=a_t.dtype)
         for p in range(s):
-            np.matmul(xv[..., p], self._a_t[p], out=out[..., p])
+            np.matmul(xv[..., p], a_t[p], out=out[..., p])
         return out

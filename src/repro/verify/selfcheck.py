@@ -116,10 +116,10 @@ class _Engine:
         self.report = VerificationReport()
         self.thresholds = verification_thresholds(
             tables, dtype=dtype, safety=policy.safety)
-        #: conv geometry in host-local coordinates: rows checksummed, and
-        #: the block index ``x_ext`` starts at
-        self._rows, self._block_lo, self._dtype = rows, block_lo, dtype
+        self._rows = rows  # the front rows checksummed (host-local)
         self._w_rows = checksum_weights(rows, dtype=dtype)
+        self._conv_chk = ConvChecksum(tables, 0, rows, block_lo,
+                                      self._w_rows, dtype=dtype)
         # the back's functional: y_s . w over the M kept bins equals
         # alpha_s . v, v = F_{M'} pad_{M'}(w / demod) (F is symmetric)
         p = tables.params
@@ -128,15 +128,7 @@ class _Engine:
         self._w_bins = w.astype(dtype)
         self._v = v.astype(dtype)
         self._v_energy = float(energy_rows(v))
-        self._conv_chk: ConvChecksum | None = None
         self._published = dict.fromkeys(_REPORT_FIELDS, 0)
-
-    def _conv_checksum(self) -> ConvChecksum:
-        if self._conv_chk is None:
-            self._conv_chk = ConvChecksum(
-                self.tables, 0, self._rows, self._block_lo, self._w_rows,
-                dtype=self._dtype)
-        return self._conv_chk
 
     # -- the invariants: each returns the mask of units that violate it ----
 
@@ -241,24 +233,24 @@ class _Engine:
 
     # -- the stage boundaries ----------------------------------------------
 
-    def check_conv(self, cluster, rank: int, x_ext: np.ndarray,
+    def check_conv(self, cluster, rank: int, x: np.ndarray,
                    out: np.ndarray, *, conv: Callable, seconds: float = 0.0
                    ) -> None:
-        """Verify the front, ``out = conv()``, segment-major ``(..., S,
-        rows)``: ``alpha`` on one node, on a rank the block it checkpoints
-        and ships (the all-to-all is under the wire checksum).
+        """Verify the front, ``out = conv()`` from *x*, segment-major
+        ``(..., S, rows)``: ``alpha`` on one node, on a rank the block it
+        checkpoints and ships (the all-to-all is under the wire checksum).
 
-        The operator checksum predicted from the staged input rides the
+        The operator checksum predicted from the front's input rides the
         front's lane transform; its syndrome names the corrupt segments,
         whichever step of the front struck them (a struck convolution
         element reaches every segment).  A repair reruns the front and
         keeps the flagged rows."""
         # each frame's checksum an (S, 1) block
-        c = lane_fft(self._conv_checksum().predict(x_ext)[..., None],
+        c = lane_fft(self._conv_chk.predict(x)[..., None],
                      self.tables)[..., 0]
         self._ladder(cluster, rank, _whole("conv", out, conv, seconds),
                      lambda: self._checksum_bad(out, c),
-                     nbytes=out.nbytes + x_ext.nbytes)
+                     nbytes=out.nbytes + x.nbytes)
 
     def check_back(self, cluster, rank: int, alpha: np.ndarray,
                    y: np.ndarray, *, fft: Callable, ids=None,
@@ -282,37 +274,35 @@ class _Engine:
 class PipelineVerifier(_Engine):
     """The ABFT engine riding one :class:`SoiFFT` plan's stage seam.
 
-    Geometry: all ``M'`` rows from block ``soi._block_lo``; kernels: the
-    plan's own ``front`` call, segment plan and ``demodulate``; detections
-    are recorded under rank -1 and nothing is charged (wall time is
-    measured, not modeled)."""
+    Geometry: all ``M'`` rows, read from the caller's input (block 0 on);
+    kernels: the plan's own ``front`` call, segment plan and
+    ``demodulate``; detections are recorded under rank -1 and nothing is
+    charged (wall time is measured, not modeled)."""
 
     def __init__(self, soi, policy: VerifyPolicy):
         super().__init__(soi.tables, policy, soi.dtype,
-                         soi.params.m_oversampled, soi._block_lo)
+                         soi.params.m_oversampled, 0)
         self._soi = soi
 
     def _registry(self, cluster):
         telem = self._soi.telemetry
         return telem.metrics if telem is not None else get_registry()
 
-    def after(self, stage: str, arr: np.ndarray) -> None:
+    def after(self, stage: str, src: np.ndarray, arr: np.ndarray) -> None:
         """Stage-seam observer, called by ``SoiFFT._execute`` with each
-        stage's output before the next stage consumes it: the injection
-        point for silent corruption (``policy.inject``), then the
-        stage's check and repair."""
+        stage's input and output before the next stage consumes it: the
+        injection point for silent corruption (``policy.inject``), then
+        the stage's check and repair."""
         if self.policy.inject is not None:
             self.policy.inject(stage, arr)
         soi = self._soi
-        bufs = soi._bufpool[arr.shape[0]]
         if stage == "conv":
-            x_ext = bufs["x_ext"]
             self.check_conv(
-                None, -1, x_ext, arr,
-                conv=lambda: front(x_ext, soi.tables, 0, self._rows,
-                                   self._block_lo, workspace=soi._conv_ws))
+                None, -1, src, arr,
+                conv=lambda: front(src, soi.tables, 0, self._rows, 0,
+                                   workspace=soi._conv_ws))
         else:  # back
-            self.check_back(None, -1, bufs["alpha"], arr, fft=soi._seg_plan)
+            self.check_back(None, -1, src, arr, fft=soi._seg_plan)
 
 
 class DistVerifier(_Engine):

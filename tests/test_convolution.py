@@ -107,6 +107,8 @@ class TestConvolveNumerics:
         assert res is out
 
     def test_rejects_insufficient_extension(self, rng, tables):
+        # windows are read modulo the source's length, which must hold
+        # one window of B blocks (here 4)
         p = tables.params
         with pytest.raises(ValueError, match="cover"):
             convolve(random_complex(rng, p.n_segments * 4), tables, 0,
@@ -401,9 +403,88 @@ def test_one_tile_walk():
     source = Path(repro.core.convolution.__file__).read_text()
     assert tile_walks(source) == 1
     # mutant: the front with a tile loop of its own, copied from the walk
-    start = source.index("    win = sliding_window_view(")
+    start = source.index("    win = {}\n")
     end = source.index("    return out\n", start)
     mutant = (source + "\n\ndef front_walk(xb, k_width, base, d_mu, c0, c1, "
               "t_chunks, tile, w, res, ob):\n" + source[start:end])
     ast.parse(mutant)
     assert tile_walks(mutant) == 2
+
+
+# -- tier-1 guard: one periodic copy -------------------------------------------
+
+def _called(node) -> str:
+    return getattr(node.func, "attr", None) or getattr(node.func, "id", "")
+
+
+def _has_slice(node) -> bool:
+    return any(isinstance(n, ast.Slice) for n in ast.walk(node.slice))
+
+
+def periodic_copies(source: str) -> list:
+    """The functions of *source* that copy samples periodically: a loop of
+    slice copies (the source start wraps each pass), a fancy gather at
+    ``np.arange(...) % n``, a ``np.roll`` or a ``mode="wrap"`` call."""
+    sites = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(fn))
+        loop = any(isinstance(a, ast.Assign)
+                   and isinstance(a.targets[0], ast.Subscript)
+                   and isinstance(a.value, ast.Subscript)
+                   and _has_slice(a.targets[0]) and _has_slice(a.value)
+                   for w in nodes if isinstance(w, ast.While)
+                   for a in ast.walk(w))
+        gather = any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod)
+                     and isinstance(n.left, ast.Call)
+                     and _called(n.left) == "arange" for n in nodes)
+        call = any(isinstance(n, ast.Call) and (
+            _called(n) == "roll" or any(
+                k.arg == "mode" and getattr(k.value, "value", "") == "wrap"
+                for k in n.keywords)) for n in nodes)
+        if loop or gather or call:
+            sites.append(fn.name)
+    return sites
+
+
+def package_copies(patch=lambda path, source: source) -> list:
+    """``module:function`` of every periodic copy under ``src/repro``,
+    each module's source passed through *patch* first."""
+    root = Path(repro.core.convolution.__file__).parents[1]
+    return [f"{path.relative_to(root).as_posix()}:{name}"
+            for path in sorted(root.rglob("*.py"))
+            for name in periodic_copies(patch(path, path.read_text()))]
+
+
+#: the single node's gather before the front read its input in place
+OLD_WRAP = '''
+def _wrap(self, x, out, start):
+    n, pos, src = self.params.n, 0, start % self.params.n
+    while pos < out.shape[-1]:
+        chunk = min(n - src, out.shape[-1] - pos)
+        out[..., pos:pos + chunk] = x[..., src:src + chunk]
+        pos, src = pos + chunk, 0
+    return out
+'''
+
+#: a recovery round's copy of its rows' windows, as a fancy gather
+OLD_GATHER = '''
+def rows_input(x_global, p, lo, hi):
+    s = p.n_segments
+    return x_global[np.arange(lo * s, hi * s) % p.n]
+'''
+
+
+def test_one_periodic_copy():
+    """An ``ast`` guard: the package copies its input periodically in one
+    place, the edge tiles' (and ``SoiFFT.extended_input``'s) block copy in
+    ``core/convolution.py``; a front reads everything else in place."""
+    assert package_copies() == ["core/convolution.py:_wrap_blocks"]
+    # mutants: the single node's gather back, a recovery round's wrapped
+    # copy back
+    for name, extra in [("soi_single.py", OLD_WRAP),
+                        ("soi_dist.py", OLD_GATHER)]:
+        sites = package_copies(lambda path, source: source + extra
+                               if path.name == name else source)
+        assert len(sites) == 2, (name, sites)

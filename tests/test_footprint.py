@@ -4,14 +4,19 @@ Four gates, each with a test-local mutant that must turn it red:
 
 (a) design time — building a geometry's tables leaves the length-n
     inverse plan (which no pipeline runs) holding no workspace;
-(b) steady state — an unverified call holds at most 5x its signal;
+(b) steady state — an unverified call holds at most 4.03x its signal;
 (c) verified calls — an armed plan runs through the same two stage
     buffers as any other, ``alpha`` and ``beta``, and only ``alpha`` must
     outlive the stage after it: the verifier repairs ``beta`` from it (the
-    front check recomputes from ``x_ext``, telemetry reads no stage
-    output);
-(d) end to end — a fresh process at n = 3670016 peaks at most 10x its
+    front and its check read the caller's input in place, telemetry reads
+    no stage output);
+(d) end to end — a fresh process at n = 3670016 peaks at most 9x its
     signal above the interpreter after construction and four calls.
+
+Each bound is the value measured when the front stopped gathering its
+input into a stage buffer (3.77x and 7.36x, 2-cpu host) plus the margin
+its predecessor left over the gathering layout (5x over 4.74x, 10x over
+8.36x).
 
 Plus the accounting (``workspace_bytes`` counts each buffer once) and the
 frame-major block size, which the stage layout must not change.
@@ -107,6 +112,10 @@ class TestDesignTime:
 
 # -- (b) steady state, and the accounting ------------------------------------
 
+#: signals an unverified call at n = 458752 may hold (see the module doc)
+STEADY_SIGNALS = 4.03
+
+
 def steady_workspace(params: SoiParams) -> int:
     f = SoiFFT(params)
     f.release_workspaces()  # the cached FFT plans are shared: start cold
@@ -116,13 +125,17 @@ def steady_workspace(params: SoiParams) -> int:
 
 class TestSteadyState:
     def test_an_unverified_call_holds_at_most_five_signals(self):
+        # named for the bound's first value (the layout with a gathered
+        # input); it holds STEADY_SIGNALS now
         params = geometry(458752)
-        assert steady_workspace(params) <= 5 * signal_bytes(params)
+        assert steady_workspace(params) <= STEADY_SIGNALS * signal_bytes(
+            params)
 
     def test_the_check_can_fail(self, monkeypatch):
         keep_every_buffer(monkeypatch)
         params = geometry(458752)
-        assert steady_workspace(params) > 5 * signal_bytes(params)
+        assert steady_workspace(params) > STEADY_SIGNALS * signal_bytes(
+            params)
 
     def test_each_buffer_is_counted_once(self, rng):
         params = geometry(57344)
@@ -137,7 +150,7 @@ class TestSteadyState:
                 if plan is not None)
         total = f.workspace_bytes()
         assert total == distinct_bytes(stage) + sum(cpupool.on_each(kernels))
-        # x_ext, alpha and beta: no stage buffer is a view of another
+        # alpha and beta: no stage buffer is a view of another
         assert distinct_bytes(stage) == sum(b.nbytes for b in stage)
 
 
@@ -146,7 +159,7 @@ class TestSteadyState:
 
 def overlapping_stage_buffers(plan: SoiFFT) -> list:
     bufs = plan._buffers(1)  # what a one-frame call runs through
-    assert sorted(bufs) == ["alpha", "beta", "x_ext"]
+    assert sorted(bufs) == ["alpha", "beta"]
     return [(a, b) for a, b in itertools.combinations(sorted(bufs), 2)
             if np.shares_memory(bufs[a], bufs[b])]
 
@@ -161,8 +174,8 @@ def alpha_survives(plan: SoiFFT, rng) -> bool:
 
 class TestVerifiedCalls:
     def test_a_verified_call_shares_no_stage_memory(self, rng):
-        # x_ext, alpha and beta apart, with alpha intact after the
-        # segment FFT: a repair reads both
+        # alpha and beta apart, with alpha intact after the segment FFT:
+        # a repair reads both
         plan = SoiFFT(PARAMS, verify=True)
         assert overlapping_stage_buffers(plan) == []
         assert alpha_survives(plan, rng)
@@ -244,12 +257,17 @@ def peak_over_signal(mutant: str = "none") -> float:
     return float(done.stdout)
 
 
+#: signals a fresh process at n = 3670016 may peak at (see the module doc)
+PEAK_SIGNALS = 9.0
+
+
 class TestPeak:
     def test_construction_and_four_calls_peak_under_ten_signals(self):
-        assert peak_over_signal() <= 10.0
+        # named for the bound's first value; it holds PEAK_SIGNALS now
+        assert peak_over_signal() <= PEAK_SIGNALS
 
     def test_the_check_can_fail(self):
-        assert peak_over_signal("keep_every_buffer") > 10.0
+        assert peak_over_signal("keep_every_buffer") > PEAK_SIGNALS
 
 
 # -- frame-major blocks keep their size --------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.core.convolution import convolve, front
+from repro.core.convolution import block_range_for_rows, convolve, front
 from repro.core.demodulate import demodulate
 from repro.core.params import SoiParams
 from repro.core.soi_single import SoiFFT, soi_fft
@@ -115,12 +115,10 @@ class TestLocalFftChoices:
 
 
 def front_and_convolution(f: SoiFFT, xs: np.ndarray):
-    """The front's segment-major output for the frames *xs*, the rows of
-    its convolution, and the extended input both read."""
+    """The front's segment-major output for the frames *xs* and the rows
+    of its convolution, both reading *xs* in place."""
     mp = f.params.m_oversampled
-    x_ext = f.extended_input(xs)
-    return (front(x_ext, f.tables, 0, mp, f._block_lo),
-            convolve(x_ext, f.tables, 0, mp, f._block_lo), x_ext)
+    return front(xs, f.tables, 0, mp, 0), convolve(xs, f.tables, 0, mp, 0)
 
 
 class TestLaneDft:
@@ -129,25 +127,29 @@ class TestLaneDft:
     def test_tiled_product_is_the_lane_transform(self, rng):
         f = SoiFFT(make_params(n=7 * 2 ** 13))  # M' = 8192, S = 8
         assert f._conv_tile == 1024  # two 512-row lane products a tile
-        alpha, u, x_ext = front_and_convolution(
-            f, random_complex(rng, 3, f.params.n))
+        xs = random_complex(rng, 3, f.params.n)
+        alpha, u = front_and_convolution(f, xs)
         # the convolution, then F_S over lanes, stored by segment
         assert np.allclose(alpha, np.fft.fft(u, axis=-1).swapaxes(-1, -2))
         for i in range(3):  # a tile never spans two frames
             assert np.array_equal(
-                front(x_ext[i], f.tables, 0, f.params.m_oversampled,
-                      f._block_lo), alpha[i])
+                front(xs[i], f.tables, 0, f.params.m_oversampled, 0),
+                alpha[i])
         # a range cut inside tiles (a rank's, a recovery slice's) is the
         # same rows of the whole, on the global grid
+        assert np.array_equal(front(xs[1], f.tables, 704, 800, 0),
+                              alpha[1, :, 704:1504])
+        # and so is the ghost-extended input a rank reads, from its first
+        # block
+        lo = block_range_for_rows(f.params, 0, f.params.m_oversampled)[0]
         assert np.array_equal(
-            front(x_ext[1], f.tables, 704, 800, f._block_lo),
-            alpha[1, :, 704:1504])
+            front(f.extended_input(xs), f.tables, 0, f.params.m_oversampled,
+                  lo), alpha)
 
     def test_wide_lane_counts_use_the_stockham_plan(self, rng):
         f = SoiFFT(make_params(n=128 * 448, s=128))
         f._lane_plan.release_workspaces()
-        alpha, u, _x_ext = front_and_convolution(
-            f, random_complex(rng, f.params.n))
+        alpha, u = front_and_convolution(f, random_complex(rng, f.params.n))
         assert np.allclose(alpha, np.fft.fft(u, axis=-1).T)
         assert f._lane_plan.workspace_bytes() > 0  # the front ran it
 
@@ -204,6 +206,71 @@ class TestLinearity:
         assert np.allclose(f(np.zeros(params.n, dtype=np.complex128)), 0.0)
 
 
+# -- out= may be the input -----------------------------------------------------
+
+def aliased_case(case: str, rng):
+    """A plan and a ``(frames, N)`` input for *case*: one frame of a
+    pooled size (1 MiB of stage buffer), a batch of bench/e2e's
+    batch_small frames (frame-major wherever there is a pool), or one
+    verified frame of the pooled size."""
+    big, small = make_params(n=7 * 2 ** 13), make_params(n=7168)
+    plan, frames = {"pooled call": (SoiFFT(big), 1),
+                    "frame-major batch": (SoiFFT(small), 8),
+                    "verified call": (SoiFFT(big, verify=True), 1)}[case]
+    return plan, random_complex(rng, frames, plan.params.n)
+
+
+def aliased_bits_match(plan: SoiFFT, xs: np.ndarray) -> bool:
+    """Whether ``plan(x, out=x)`` (one frame) or ``plan.batch(xs,
+    out=xs)`` returns the bits the same call writes into a fresh array."""
+    got = xs.copy()
+    if len(xs) == 1:
+        want = plan(xs[0])[None]
+        plan(got[0], out=got[0])
+    else:
+        want = plan.batch(xs)
+        plan.batch(got, out=got)
+    return np.array_equal(got, want)
+
+
+def late_front_check(monkeypatch) -> None:
+    """Mutant: the seam holds the front's check back until the back has
+    written the output, so an aliased call's check reads output rows for
+    its input (and its repair recomputes the front from them)."""
+    real = SoiFFT._stage_seam
+
+    def seam(self, batch):
+        after, held = real(self, batch), []
+        if after is None:
+            return None
+
+        def late(stage, src, arr, nbytes):
+            held.append((stage, src, arr, nbytes))
+            if stage == "back":
+                for call in held:
+                    after(*call)
+        return late
+    monkeypatch.setattr(SoiFFT, "_stage_seam", seam)
+
+
+class TestAliasedCalls:
+    """``out`` may be the input: the front and its check read all of it
+    before the back writes the first output row, on every path."""
+
+    @pytest.mark.parametrize("case", ["pooled call", "frame-major batch",
+                                      "verified call"])
+    def test_out_may_be_the_input(self, rng, case):
+        plan, xs = aliased_case(case, rng)
+        assert aliased_bits_match(plan, xs)
+        if plan.verifier is not None:
+            assert plan.verifier.report.detections == 0
+
+    def test_the_check_can_fail(self, monkeypatch, rng):
+        late_front_check(monkeypatch)
+        plan, xs = aliased_case("verified call", rng)
+        assert not aliased_bits_match(plan, xs)
+
+
 # -- one answer whatever BLAS pool the host configured, and however many
 # -- cpus the worker pool found ------------------------------------------------
 
@@ -226,10 +293,13 @@ if mutant == "range_aligned_cut":
     # a worker tiles its rows (convolution and lane products) from the
     # first row of its own range, and the ranges are n_mu-aligned (all the
     # kernel asks for) but not tile-aligned
-    from repro.core.convolution import lane_fft
+    from repro.core.convolution import block_range_for_rows, lane_fft
     from tests.test_convolution import convolve_call_relative
-    def front(x_ext, tables, j_start, n_rows, block_lo, out, workspace):
-        u = convolve_call_relative(x_ext, tables, j_start, n_rows, block_lo)
+    def front(x, tables, j_start, n_rows, block_lo, out, workspace):
+        s = tables.params.n_segments  # the rows' blocks, wrapped
+        lo, hi = block_range_for_rows(tables.params, j_start, n_rows)
+        x_ext = x[..., np.arange(lo * s, hi * s) % x.shape[-1]]
+        u = convolve_call_relative(x_ext, tables, j_start, n_rows, lo)
         for i, frame in enumerate(u):
             lane_fft(frame.T, tables, out=out[i])
     def cuts(total, grid, parts, real=soi_single._cuts):
@@ -268,8 +338,8 @@ if mutant == "none":
     blocks.update({
         "segment_fft": get_plan(65536)(a),
         # the front: convolution and lane transform, segment-major
-        "lane_dft": soi_single.front(f.extended_input(x), f.tables, 0,
-                                     f.params.m_oversampled, f._block_lo),
+        "lane_dft": soi_single.front(x, f.tables, 0, f.params.m_oversampled,
+                                     0),
         "dist": dist.assemble(dist(dist.scatter(x))),
         "threaded_dot": np.vdot(x, x),
     })
@@ -350,7 +420,7 @@ class TestBlasPoolInvariance:
             assert pooled[block] != serial[block], block
 
 
-# -- tier-1 guard: a call shares three steps ----------------------------------
+# -- tier-1 guard: a call shares two steps ------------------------------------
 
 def shared_steps(source: str) -> list:
     """The step functions ``SoiFFT._execute`` in *source* shares out."""
@@ -362,16 +432,20 @@ def shared_steps(source: str) -> list:
 
 
 def test_execute_shares_four_steps():
-    """An ``ast`` guard: gather, the front and the back, three steps (the
-    name is the one the guard had when the segment FFT and demodulation
-    were steps of their own) — the lane transform and the permutation run
-    inside the front's tiles, demodulation inside the back's row ranges."""
+    """An ``ast`` guard: the front and the back, the two seam stages, are
+    the only steps (the name is the one the guard had when gather, the
+    segment FFT and demodulation were steps of their own) — the front
+    reads the input in place, the lane transform and the permutation run
+    inside its tiles, demodulation inside the back's row ranges."""
     source = (Path(repro.__file__).parent / "core/soi_single.py").read_text()
-    steps = ["back", "conv", "gather"]
+    steps = ["back", "conv"]
     assert shared_steps(source) == steps
-    # mutant: demodulation a step of its own again
-    anchor = "        share(back, s, 1)\n"
-    mutant = source.replace(anchor, anchor + "        share(demod, s, 1)\n",
-                            1)
-    assert mutant != source
-    assert shared_steps(mutant) != steps
+    # mutants: a gather step before the front again; demodulation a step
+    # of its own again
+    for anchor, step in [("        share(conv, mp, self._conv_tile)\n",
+                          "        share(gather, p.n, 1)\n"),
+                         ("        share(back, s, 1)\n",
+                          "        share(demod, s, 1)\n")]:
+        mutant = source.replace(anchor, step + anchor, 1)
+        assert mutant != source
+        assert shared_steps(mutant) != steps

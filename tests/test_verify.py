@@ -22,7 +22,7 @@ from repro.bench.faultsweep import (
     sdc_ground_truth,
     verify_params,
 )
-from repro.cluster.faults import FaultPlan, chaos_cluster
+from repro.cluster.faults import FaultPlan, RetryPolicy, chaos_cluster
 from repro.cluster.simcluster import SimCluster
 from repro.core.convolution import lane_fft
 from repro.core.error_model import verification_thresholds
@@ -139,14 +139,15 @@ class TestChecksumPrimitives:
 
     def test_conv_checksum_predicts_staged_output(self, rng):
         # carried through the lane DFT, the checksum predicted from the
-        # staged input is the weighted sum of each segment's front rows
+        # front's input (the caller's x, read modulo its length) is the
+        # weighted sum of each segment's front rows
         f = SoiFFT(PARAMS, verify=True)
         x = random_complex(rng, PARAMS.n)
         f(x)
         bufs = f._bufpool[1]
-        chk = f.verifier._conv_checksum()
+        chk = f.verifier._conv_chk
         assert isinstance(chk, ConvChecksum)
-        pred = lane_fft(chk.predict(bufs["x_ext"]).T, f.tables).T
+        pred = lane_fft(chk.predict(x)[:, None], f.tables).T
         obs = np.matmul(bufs["alpha"], f.verifier._w_rows)
         assert np.allclose(pred, obs)
 
@@ -291,8 +292,8 @@ class TestPooledStages:
             f.batch(xs)
         assert f.verifier.report.checks > 0
         assert f.verifier.report.detections == 0
-        # gather, front, back
-        assert joins == [2] * 3 * 3
+        # front, back
+        assert joins == [2] * 2 * 3
 
     @pytest.mark.parametrize("frames", [1, 3])
     @pytest.mark.parametrize("site", SITES)
@@ -460,6 +461,88 @@ class TestNarrowbandInputs:
                             per_segment_checksum_bad)
         params = PARAMS if host == "single" else verify_params(4)
         assert narrowband_trips(host, params)
+
+
+# -- edge tiles: the windows that wrap around the period ---------------------
+
+def edge_inputs(params) -> dict:
+    """Inputs whose energy sits where a front's windows wrap: impulses at
+    0 and N-1, one block of S samples straddling the wrap, and a tone at
+    M-1."""
+    n, s = params.n, params.n_segments
+    straddle = np.zeros(n, dtype=complex)
+    straddle[np.arange(-(s // 2), s - s // 2)] = 1.0
+    return {"impulse 0": np.eye(1, n, 0, dtype=complex)[0],
+            "impulse N-1": np.eye(1, n, n - 1, dtype=complex)[0],
+            "block across the wrap": straddle,
+            "tone M-1": np.exp(2j * np.pi * (params.m - 1) * np.arange(n) / n)}
+
+
+def edge_misses(host: str, params) -> list:
+    """The edge inputs whose transform on *host* left the design bound —
+    on one node a verified call, which must also detect nothing; on the
+    simulator a run whose first and last ranks die before their post-conv
+    checkpoint, so a recovery round recomputes their rows from the whole
+    period."""
+    if host == "single":
+        plan = SoiFFT(params, verify=True)
+        bound = 10 * plan.expected_stopband
+    else:
+        cl = SimCluster(params.n_procs)
+        cl.comm.install_faults(FaultPlan(rank_failures={
+            0: 1, params.n_procs - 1: 1}), RetryPolicy(max_retries=0))
+        dist = DistributedSoiFFT(cl, params)
+        bound = 10 * dist.tables.expected_stopband
+
+        def plan(x):
+            return dist.assemble(dist(dist.scatter(x)))
+    misses = []
+    for name, x in edge_inputs(params).items():
+        try:
+            y = plan(x)
+        except VerificationError:
+            misses.append(name)
+            continue
+        if host == "single" and plan.verifier.report.detections:
+            misses.append(name)
+        elif relative_l2_error(y, np.fft.fft(x)) >= bound:
+            misses.append(name)
+    if host == "dist":
+        assert dist.last_recovery.recomputed_rows > 0
+    return misses
+
+
+def clamped_blocks(xb, first, out):
+    """Mutant of ``convolution._wrap_blocks``: an edge tile's span clamped
+    at the source's last block, not wrapped to its first."""
+    idx = np.minimum(np.arange(first, first + out.shape[1]), xb.shape[1] - 1)
+    out[...] = xb[:, idx]
+    return out
+
+
+#: one node with eight convolution tiles (two of them edge tiles), and a
+#: cluster of four ranks
+EDGE_HOSTS = {"single": SoiParams(n=7 * 2 ** 13, n_procs=1,
+                                  segments_per_process=8, n_mu=8, d_mu=7,
+                                  b=48),
+              "dist": verify_params(4)}
+
+
+class TestEdgeTiles:
+    """A front reads its windows modulo the length of its source: an edge
+    tile's wrapped copy carries narrowband input across the period's ends
+    like any other block — no front check flags it, no output leaves the
+    design bound, on one node or in a recovery round reading the whole
+    staged input."""
+
+    @pytest.mark.parametrize("host", ["single", "dist"])
+    def test_no_detections_and_within_the_bound(self, host):
+        assert edge_misses(host, EDGE_HOSTS[host]) == []
+
+    @pytest.mark.parametrize("host", ["single", "dist"])
+    def test_the_check_can_fail(self, host, monkeypatch):
+        monkeypatch.setattr(convolution, "_wrap_blocks", clamped_blocks)
+        assert edge_misses(host, EDGE_HOSTS[host])
 
 
 # -- one engine, two hosts: each gate at the seam, and shown able to fail ----
