@@ -1,13 +1,16 @@
-"""Projection and demodulation: the W^{-1} P_roj tail of Equation 1.
+"""The back of the pipeline: segment FFT, projection and demodulation.
 
 After the per-segment length-M' FFT, the top M bins are kept (projection
 P^{M',M}_roj) and divided by the window's exact tone response (the
 diagonal W^{-1}): ``y[s*M + k] = beta_s[k] / demod[k]``.
 
-Two forms are provided: the standalone pass (3 memory sweeps — what the
-paper pays on Xeon where MKL's FFT cannot be modified) and a fused
-diagonal for :func:`repro.fft.sixstep.sixstep_fft`, which folds the
-multiply into the FFT's last pass (§5.2.4, saving two sweeps).
+:func:`back` is the one kernel every host runs for steps 4-5: the
+segment plan leaves each spectrum where its last pass wrote it and the
+division reads it there.  Two forms of the division are provided: the
+standalone pass (3 memory sweeps — what the paper pays on Xeon where
+MKL's FFT cannot be modified) and a fused diagonal for
+:func:`repro.fft.sixstep.sixstep_fft`, which folds the multiply into the
+FFT's last pass (§5.2.4, saving two sweeps).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from repro.core.window import SoiTables
 from repro.machine.memory import SweepLedger
 
-__all__ = ["demodulate", "fused_demod_diagonal", "demod_ledger"]
+__all__ = ["back", "demodulate", "fused_demod_diagonal", "demod_ledger"]
 
 
 def demodulate(beta: np.ndarray, tables: SoiTables,
@@ -35,13 +38,19 @@ def demodulate(beta: np.ndarray, tables: SoiTables,
     if beta.shape[-1] != p.m_oversampled:
         raise ValueError(
             f"expected last axis M' = {p.m_oversampled}, got {beta.shape[-1]}")
-    demod = tables.demod.astype(dtype, copy=False)
-    if out is None:
-        return beta[..., : p.m] / demod
-    if out.shape != beta.shape[:-1] + (p.m,):
+    if out is not None and out.shape != beta.shape[:-1] + (p.m,):
         raise ValueError(f"out must have shape {beta.shape[:-1] + (p.m,)}")
-    np.divide(beta[..., : p.m], demod, out=out)
-    return out
+    return np.divide(beta[..., : p.m], tables.demod.astype(dtype, copy=False),
+                     out=out)
+
+
+def back(alpha: np.ndarray, tables: SoiTables, plan,
+         out: np.ndarray | None = None, *, lend: bool) -> np.ndarray:
+    """Steps 4-5 of segment-major *alpha*, ``(..., k, M')``: the segment
+    FFT by *plan*, then :func:`demodulate` of the spectra where the plan
+    left them (``plan.pooled``) into ``(..., k, M)`` rows.  With *lend*
+    the FFT works in *alpha*, which holds garbage afterwards."""
+    return demodulate(plan.pooled(alpha, overwrite_x=lend), tables, out=out)
 
 
 def fused_demod_diagonal(tables: SoiTables) -> np.ndarray:

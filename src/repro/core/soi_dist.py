@@ -56,7 +56,7 @@ from repro.core.convolution import (
     conv_time_model,
     front,
 )
-from repro.core.demodulate import demodulate
+from repro.core.demodulate import back
 from repro.core.params import SoiParams
 from repro.core.soi_single import SoiFFT
 from repro.core.window import SoiTables, get_tables
@@ -332,24 +332,27 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
             to_right=x_local[x_local.size - left_g * s:])
         x_ext = np.concatenate([from_left, x_local, from_right])
 
-    # ---- the front per covered range: (S, rows), segment-major ----
-    chunks: list[np.ndarray] = []
-    for j0, nr, from_ckpt in own.rows[ctx.rank]:
+    # ---- the front per covered range, into one (S, rows) block ----
+    cover, off = own.rows[ctx.rank], 0
+    block = np.empty((s, sum(nr for _j0, nr, _c in cover)), np.complex128)
+    for j0, nr, from_ckpt in cover:
+        z, off = block[:, off:off + nr], off + nr
         if from_ckpt:
-            chunks.append(np.asarray(z_ckpt))
+            z[...] = z_ckpt
             continue
         # a recovery round reads the whole period, modulo its length
         x_in, lo = (x_global, 0) if recovering else (
             x_ext, (j0 // n_mu) * d_mu - left_g)
-        def conv():  # this range's front: run now, and by a repair
-            return front(x_in, tables, j0, nr, lo, workspace=soi._conv_ws)
-        z = conv()
+        def conv(out=None):  # this range's front: run now, and by a repair
+            return front(x_in, tables, j0, nr, lo, out,
+                         workspace=soi._conv_ws)
+        conv(z)
         adopted = recovering and j0 // rows_pp != me
         yield Compute((costs.conv + costs.lane) * (nr / rows_pp),
                       label="recovery recompute" if adopted
                       else "convolution")
         if sdc is not None:
-            z = sdc.apply_sdc(z, rank=me, stage="conv")
+            z[...] = sdc.apply_sdc(z, rank=me, stage="conv")
         if verifier is not None:
             # verify before the checkpoint and the wire: a corrupt z
             # must never be trusted for recovery or shipped to peers
@@ -360,7 +363,6 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
             # complex words per rank) are the natural cut point for
             # shrink-and-redistribute recovery
             yield Checkpoint(z, tag="post-conv")
-        chunks.append(z)
 
     # ---- per round: one all-to-all, then M'-point FFT + demodulation ----
     rounds = spec.rounds
@@ -371,10 +373,10 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
         going = [ts[k * len(ts) // rounds:(k + 1) * len(ts) // rounds]
                  for ts in own.slots]
         # the stride permutation P^{S,N'}_erm: my rows of every segment
-        # to its owner, each segment's a contiguous run
-        pieces = yield AllToAll(
-            [np.concatenate([z[_rows(ts)] for z in chunks], axis=1)
-             for ts in going], groups=spec.groups)
+        # to its owner, each segment's a contiguous run (the exchange
+        # copies the views)
+        pieces = yield AllToAll([block[_rows(ts)] for ts in going],
+                                groups=spec.groups)
         mine = going[ctx.rank]
         share = len(mine) / spp
         # (n_slots, M'): the layout the single-node front writes
@@ -384,17 +386,17 @@ def soi_rank_program(ctx: RankContext, x_local, z_ckpt, spec: SoiSpec,
             for j0, nr, _from_ckpt in cover:
                 alpha[:, j0:j0 + nr] = piece[:, off:off + nr]
                 off += nr
-        # the back: unverified, alpha dies here (the passes may work in
-        # it); verified, it is what the back is checked against
-        beta = soi._seg_plan(alpha, overwrite_x=verifier is None)
+        # the back: unverified, alpha dies here (the passes work in it);
+        # verified, it is what the back is checked against
+        seg = back(alpha, tables, soi._seg_plan,
+                   lend=verifier is None)  # (n_slots, M)
         yield Compute(costs.fft * share, label="local FFT")
-        seg = demodulate(beta, tables)  # (n_slots, M)
         yield Compute(costs.demod * share, label="demodulation")
         if sdc is not None:
             seg = sdc.apply_sdc(seg, rank=me, stage="back")
         if verifier is not None:
             verifier.check_back(ctx.cluster, me, alpha, seg,
-                                fft=soi._seg_plan, ids=mine,
+                                plan=soi._seg_plan, ids=mine,
                                 seconds=(costs.fft + costs.demod) * share)
         segs.append(seg)
     seg = segs[0] if rounds == 1 else np.concatenate(segs)

@@ -17,19 +17,22 @@ these kernels (:meth:`SoiFFT._of`), with the permutation's exchange an
 all-to-all of segment rows, bit for bit; this module is both the numerical
 reference for it and the convenient entry point for node-local use.
 
-Steps 4-5 are the *back*: per row range, the segment FFT into ``beta``,
-then demodulation of the same rows into the output.  An observer sees
-two stages on both: the front (``"conv"``) and the back (``"back"``).
+Steps 4-5 are the *back* (:func:`repro.core.demodulate.back`, the kernel
+a rank and the verifier's repair run too): per row range, the segment
+FFT, then demodulation of the spectra where its last pass left them into
+the output.  An observer sees two stages on both: the front (``"conv"``)
+and the back (``"back"``).
 
 Execution is planned: convolution workspaces and stage buffers are
 allocated once per batch size at first use and reused.  The front reads
-the input in place; there are two stage buffers, ``alpha`` and ``beta``.
-Unverified, the segment FFT also ping-pongs through the dead ``alpha``
-and its ``beta``; an armed verifier checks the back against ``alpha`` and
-repairs its output rows from it, so there ``alpha`` outlives it.  Every
-stage runs through ``out=`` destinations (on the per-cpu worker pool,
-:mod:`repro.core.cpupool`, when large enough: as row ranges of one stage,
-or as whole blocks of a batch's frames), and :meth:`SoiFFT.batch` executes the segment FFTs as single
+the input in place; there is one stage buffer, ``alpha``.  Unverified,
+the segment FFT works in the dead ``alpha`` and its plan's alternate; an
+armed verifier checks the back against ``alpha`` and repairs its output
+rows from it, so there ``alpha`` outlives it and the plan's two buffers
+hold the passes.  Every stage runs through ``out=`` destinations (on the
+per-cpu worker pool, :mod:`repro.core.cpupool`, when large enough: as row
+ranges of one stage, or as whole blocks of a batch's frames), and
+:meth:`SoiFFT.batch` executes the segment FFTs as single
 ``(batch*S, M')``-shaped Stockham calls rather than a per-row Python
 loop.  Steady-state calls with ``out=`` perform no new allocations
 (asserted with ``tracemalloc`` by
@@ -51,10 +54,11 @@ from repro.core.convolution import (
     front,
     tile_rows,
 )
-from repro.core.demodulate import demodulate
+from repro.core.demodulate import back as back_kernel
 from repro.core.params import SoiParams
 from repro.core.window import SoiTables, get_tables
 from repro.fft.plan import get_plan
+from repro.fft.stockham import checked_out
 
 __all__ = ["SoiFFT", "soi_fft"]
 
@@ -207,9 +211,9 @@ class SoiFFT:
 
     @property
     def _keeps_stages(self) -> bool:
-        """Whether ``alpha`` must outlive the segment FFT, which then may
-        not work in it (``overwrite_x``): the armed verifier checks the
-        back's output rows against ``alpha`` and repairs them from it.
+        """Whether ``alpha`` must outlive the segment FFT, which then is not
+        lent it: the armed verifier checks the back's output rows against
+        ``alpha`` and repairs them from it.
         The front check recomputes from the caller's input and telemetry
         reads no stage output, so every other output dies in the stage
         after it, verified or not."""
@@ -217,22 +221,17 @@ class SoiFFT:
 
     def _buffers(self, batch: int, pool=None) -> dict[str, np.ndarray]:
         """The stage buffers of *batch* frames, by name: the front's
-        ``alpha`` and the segment FFT's ``beta``, both segment-major
-        ``(batch, S, M')``."""
+        ``alpha``, segment-major ``(batch, S, M')``."""
         pool = self._bufpool if pool is None else pool
         bufs = pool.get(batch)
         if bufs is None:
             p = self.params
-            seg = (batch, p.n_segments, p.m_oversampled)
-            # the order shapes the malloc heap, and with it whether a
-            # caller's large temporaries (numpy's FFT scratch) page-fault
-            bufs = pool[batch] = {
-                "alpha": np.empty(seg, dtype=self.dtype),
-                "beta": np.empty(seg, dtype=self.dtype)}
+            bufs = pool[batch] = {"alpha": np.empty(
+                (batch, p.n_segments, p.m_oversampled), dtype=self.dtype)}
         return bufs
 
     def _held(self, release: bool = False) -> int:
-        """Bytes of workspace (convolution tiles, FFT ping-pong pairs,
+        """Bytes of workspace (convolution tiles, FFT work buffers,
         frame-major stage buffers) the calling thread holds, after dropping
         them if *release*."""
         plans = [plan for plan in (self._seg_plan, self._lane_plan)
@@ -362,7 +361,7 @@ class SoiFFT:
             parts = self._parts(batch)
         else:
             after, parts = None, 1
-        alpha, beta = bufs["alpha"], bufs["beta"]
+        alpha = bufs["alpha"]
         res3 = res.reshape(batch, s, p.m)
 
         def conv(f0, f1, a, b):  # the front: W x, F_S, the permutation
@@ -370,9 +369,8 @@ class SoiFFT:
                   out=alpha[f0:f1, :, a:b], workspace=self._conv_ws)
 
         def back(f0, f1, a, b):  # alpha dies here unless verified
-            self._seg_plan(alpha[f0:f1, a:b], out=beta[f0:f1, a:b],
-                           overwrite_x=not self._keeps_stages)
-            demodulate(beta[f0:f1, a:b], self.tables, out=res3[f0:f1, a:b])
+            back_kernel(alpha[f0:f1, a:b], self.tables, self._seg_plan,
+                        res3[f0:f1, a:b], lend=not self._keeps_stages)
 
         def share(fn, total, grid):
             if parts == 1:
@@ -391,17 +389,8 @@ class SoiFFT:
             after("conv", xs, alpha, xs.nbytes + alpha.nbytes)
         share(back, s, 1)
         if after:
-            after("back", alpha, res3, 3 * beta.nbytes + res.nbytes)
+            after("back", alpha, res3, 3 * alpha.nbytes + res.nbytes)
         return res
-
-    def _check_out(self, out: np.ndarray, shape: tuple) -> np.ndarray:
-        if not isinstance(out, np.ndarray) or out.shape != shape:
-            raise ValueError(f"out must have shape {shape}")
-        if out.dtype != self.dtype:
-            raise ValueError(f"out must have dtype {self.dtype}")
-        if not out.flags.c_contiguous:
-            raise ValueError("out must be C-contiguous")
-        return out
 
     def __call__(self, x: np.ndarray, out: np.ndarray | None = None,
                  deadline=None) -> np.ndarray:
@@ -416,7 +405,7 @@ class SoiFFT:
         if x.shape != (p.n,):
             raise ValueError(f"expected input of shape ({p.n},), got {x.shape}")
         res = np.empty(p.n, dtype=self.dtype) if out is None \
-            else self._check_out(out, (p.n,))
+            else checked_out(out, (p.n,), self.dtype)
         self._execute(x.reshape(1, -1), res.reshape(1, -1))
         return res
 
@@ -493,10 +482,8 @@ class SoiFFT:
         xs = np.asarray(xs, dtype=self.dtype)
         if xs.ndim != 2 or xs.shape[1] != self.params.n:
             raise ValueError(f"expected shape (batch, {self.params.n})")
-        if out is None:
-            res = np.empty(xs.shape, dtype=self.dtype)
-        else:
-            res = self._check_out(out, xs.shape)
+        res = np.empty(xs.shape, dtype=self.dtype) if out is None \
+            else checked_out(out, xs.shape, self.dtype)
         xs = np.ascontiguousarray(xs)
         batch = xs.shape[0]
         parts = self._parts(batch)

@@ -12,10 +12,10 @@ All plans follow one workspace contract:
 * ``get_plan(n, sign, dtype)`` is the ONE dtype-aware plan cache —
   ``fft``/``ifft``/``fft_stockham`` all share it; ``cache_clear()`` /
   ``cache_info()`` manage it.
-* A plan lazily allocates ping-pong workspaces per distinct batch size
-  and calling thread, and reuses them forever after — calling a plan
-  twice never re-allocates and always returns independent result arrays,
-  and one cached plan may run on several threads at once.
+* A plan lazily allocates its workspaces per distinct batch size and
+  calling thread, and reuses them forever after — calling a plan twice
+  never re-allocates and always returns independent result arrays, and
+  one cached plan may run on several threads at once.
 * ``plan(x, out=buf)`` writes into a caller-owned, C-contiguous array of
   the plan dtype.  ``out`` may alias ``x`` (in-place transform) or any
   previously returned result; it never aliases the internal pool.  With
@@ -23,8 +23,11 @@ All plans follow one workspace contract:
   (``tests/test_zero_alloc.py::TestNoLargeAllocations`` asserts this
   with ``tracemalloc``).
 * The input comes back untouched unless the caller grants
-  ``plan(x, out=buf, overwrite_x=True)``: then a Stockham plan's passes
-  work in ``x`` and ``buf`` and it keeps only its twiddle scratch.
+  ``plan(x, out=buf, overwrite_x=True)``: then ``x`` is a Stockham
+  plan's work buffer and it pools only the alternate.
+* ``plan.pooled(x, overwrite_x=...)`` leaves the result where the plan
+  wrote it (``x`` or the calling thread's pool, valid until its next call
+  at that batch size): what :func:`repro.core.demodulate.back` reads.
 * ``plan.release_workspaces()`` drops the calling thread's pooled buffers.
 
 A Stockham plan's passes are batched GEMMs: ``default_radices(n)`` is the

@@ -9,8 +9,10 @@ Like :class:`repro.fft.stockham.StockhamPlan`, execution is planned and
 workspace-reusing: the padded chirp buffers are pooled per batch size and
 calling thread (the same workspace contract: one cached plan may run on
 several threads at once) and the embedded Stockham plans run with
-``out=`` destinations through those two buffers, so a steady-state
-``plan(x, out=buf)`` loop performs no per-call allocation.
+``out=`` destinations through those two buffers, each lent to the pass
+that reads it, so a steady-state ``plan(x, out=buf)`` loop performs no
+per-call allocation; ``plan.pooled(x)`` leaves the result in the pooled
+spectrum buffer.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.fft.stockham import StockhamPlan
+from repro.fft.stockham import StockhamPlan, _Plan
 
 __all__ = ["BluesteinPlan", "bluestein_fft"]
 
 
-class BluesteinPlan:
-    """Precomputed chirp tables + padded convolution plans for one length."""
+class BluesteinPlan(_Plan):
+    """Precomputed chirp tables + padded convolution plans for one length,
+    called as :class:`~repro.fft.stockham.StockhamPlan` is."""
 
     def __init__(self, n: int, sign: int = -1):
         if n <= 0:
@@ -53,12 +56,8 @@ class BluesteinPlan:
         self._inv_n = self.dtype.type(1.0 / n)
         self._local = threading.local()
 
-    @property
-    def _pool(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """The calling thread's batch size -> (padded, spectrum) buffers."""
-        return self._local.__dict__  # a local's attributes are per thread
-
     def _workspace(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
+        """The calling thread's (padded, spectrum) buffers of *batch* rows."""
         ws = self._pool.get(batch)
         if ws is None:
             ws = (np.zeros((batch, self.m), dtype=self.dtype),
@@ -68,49 +67,36 @@ class BluesteinPlan:
 
     def workspace_bytes(self) -> int:
         """Bytes the calling thread holds, here and in the embedded plans."""
-        return (sum(b.nbytes for ws in self._pool.values() for b in ws)
-                + self._fwd.workspace_bytes() + self._inv.workspace_bytes())
+        return (super().workspace_bytes() + self._fwd.workspace_bytes()
+                + self._inv.workspace_bytes())
 
     def release_workspaces(self) -> None:
         """Drop the calling thread's pooled buffers, here and in the
         embedded Stockham plans."""
-        self._pool.clear()
+        super().release_workspaces()
         self._fwd.release_workspaces()
         self._inv.release_workspaces()
 
-    def __call__(self, x: np.ndarray, out: np.ndarray | None = None,
-                 overwrite_x: bool = False) -> np.ndarray:
-        """Transform along the last axis, as :class:`StockhamPlan` does.
-        *x* is never written (the chirp product lands in the pooled
-        buffer), so ``overwrite_x`` is accepted and changes nothing."""
-        x = np.asarray(x, dtype=np.complex128)
-        if x.shape[-1] != self.n:
-            raise ValueError(f"last axis has length {x.shape[-1]}, plan is for {self.n}")
-        lead = x.shape[:-1]
-        flat = x.reshape(-1, self.n)
-        batch = flat.shape[0]
-        if out is None:
-            res = np.empty((batch, self.n), dtype=self.dtype)
-        else:
-            if not isinstance(out, np.ndarray) or out.shape != lead + (self.n,):
-                raise ValueError(f"out must have shape {lead + (self.n,)}")
-            if out.dtype != self.dtype:
-                raise ValueError(f"out must have dtype {self.dtype}")
-            if not out.flags.c_contiguous:
-                raise ValueError("out must be C-contiguous")
-            res = out.reshape(batch, self.n)
-        a, spec = self._workspace(batch)
+    def _execute(self, flat: np.ndarray, res: np.ndarray | None,
+                 overwrite: bool = False) -> np.ndarray:
+        """The chirp-z transform of the rows of *flat* into *res*, or with
+        ``res=None`` into the pooled spectrum buffer; returns it.  *flat*
+        is never written (the chirp product lands in the pooled buffer),
+        so *overwrite* changes nothing."""
+        a, spec = self._workspace(flat.shape[0])
         np.multiply(flat, self.chirp, out=a[:, : self.n])
         a[:, self.n:] = 0  # the inverse pass below repurposes a; re-zero the pad
         # both buffers are rewritten before they are read again: the
-        # embedded passes may work in them and keep only their scratch
+        # embedded passes work in them and keep only their alternates
         self._fwd(a, out=spec, overwrite_x=True)
         np.multiply(spec, self._bhat, out=spec)
         self._inv(spec, out=a, overwrite_x=True)
+        if res is None:  # the inverse transform worked in spec: it is free
+            res = spec[:, : self.n]
         np.multiply(a[:, : self.n], self.chirp, out=res)
         if self.sign == +1:
             np.multiply(res, self._inv_n, out=res)
-        return out if out is not None else res.reshape(lead + (self.n,))
+        return res
 
 
 @lru_cache(maxsize=64)

@@ -16,9 +16,9 @@ Where the ``s`` columns of one ``p`` fill a GEMM tile the ``m`` matrices
 ``W_p`` are tabulated at plan time and the pass is that one matmul,
 written straight into the strided destination (the last pass has ``m = 1``
 and no twiddle at all); the early passes, with many ``p`` of few columns
-each, run ``DFT_r`` over all ``m*s`` columns into a pooled scratch and pay
-one ``np.multiply`` by ``tw`` into the destination — six array sweeps for
-``[16, 16, 16, 16]`` at n = 65536.
+each, run ``DFT_r`` over all ``m*s`` columns into a pooled buffer and pay
+one ``np.multiply`` by ``tw`` back into the pass's input — six array
+sweeps for ``[16, 16, 16, 16]`` at n = 65536.
 
 Every product has one shape per stage, fixed by ``(n, radices, dtype)``
 alone: ``(r, r) @ (r, w)`` with ``w`` columns from
@@ -31,12 +31,13 @@ All kernels operate on 2-D arrays ``(batch, n)``: the batch is the paper's
 outer-loop vectorization of simultaneous FFTs, the tile columns its
 inner-loop vectorization of the butterflies within a transform.
 
-Execution is *planned and allocation-free*: each plan owns a pool of
-ping-pong workspaces keyed by batch size, every stage writes through
-``out=`` destinations, and callers may supply the result array via
-``plan(x, out=...)`` so steady-state loops perform no heap traffic at
-all (``tests/test_zero_alloc.py::TestNoLargeAllocations`` asserts this
-with ``tracemalloc``).
+Execution is *planned and allocation-free*: every call runs one schedule
+over two buffers, the *work* buffer (the input when lent, else pooled)
+and a pooled *alternate*.  The twiddled passes come first and run in
+place on the work buffer, their butterflies through the alternate; the
+folded passes alternate between the two, the last writing ``out=``.  So
+steady-state loops perform no heap traffic at all (``tracemalloc``:
+``tests/test_zero_alloc.py::TestNoLargeAllocations``).
 """
 
 from __future__ import annotations
@@ -90,7 +91,73 @@ class _Stage:
         ).astype(dtype)[None, :, :, None]
 
 
-class StockhamPlan:
+def checked_out(out, shape: tuple, dtype) -> np.ndarray:
+    """*out*, if it is a C-contiguous array of *shape* and *dtype*."""
+    if not isinstance(out, np.ndarray) or out.shape != shape:
+        raise ValueError(f"out must have shape {shape}")
+    if out.dtype != dtype:
+        raise ValueError(f"out must have dtype {dtype}")
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    return out
+
+
+class _Plan:
+    """The plans' calling convention over ``_execute(flat, res, overwrite)``,
+    which transforms the rows of *flat* into *res* (``None``: a buffer of
+    its choosing) and returns it."""
+
+    @property
+    def _pool(self) -> dict[int, list]:
+        """The calling thread's batch size -> its pooled buffers."""
+        return self._local.__dict__  # a local's attributes are per thread
+
+    def workspace_bytes(self) -> int:
+        """Bytes currently held by the calling thread's pooled workspaces."""
+        return sum(b.nbytes for ws in self._pool.values() for b in ws
+                   if b is not None)
+
+    def release_workspaces(self) -> None:
+        """Drop the calling thread's pooled buffers (they re-allocate
+        lazily on next use)."""
+        self._pool.clear()
+
+    def _flat(self, x) -> np.ndarray:
+        """*x* as C-contiguous ``(batch, n)`` rows of the plan dtype."""
+        x = np.asarray(x)
+        if x.shape[-1] != self.n:
+            raise ValueError(f"last axis has length {x.shape[-1]}, plan is for {self.n}")
+        return np.ascontiguousarray(x.reshape(-1, self.n), dtype=self.dtype)
+
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None,
+                 overwrite_x: bool = False) -> np.ndarray:
+        """Transform along the last axis; any leading shape is the batch.
+
+        With ``out=`` the result is written into the given C-contiguous
+        array of matching shape and plan dtype (it may alias ``x``) and no
+        allocation happens in steady state; without it a fresh result
+        array is the only allocation.  ``overwrite_x=True`` lends ``x`` to
+        the transform as a work buffer (see the workspace contract).
+        """
+        flat = self._flat(x)
+        if out is None:
+            return self._execute(flat, np.empty_like(flat), overwrite_x
+                                 ).reshape(np.shape(x))
+        checked_out(out, np.shape(x), self.dtype)
+        self._execute(flat, out.reshape(flat.shape), overwrite_x)
+        return out
+
+    def pooled(self, x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+        """Transform along the last axis and leave the result where the
+        plan wrote it: in ``x`` when it is lent and worked in, else in one
+        of the calling thread's pooled buffers — valid until that thread's
+        next call of this plan at the same batch size.  For a caller that
+        reads the spectrum once, it saves the destination."""
+        return self._execute(self._flat(x), None, overwrite_x).reshape(
+            np.shape(x))
+
+
+class StockhamPlan(_Plan):
     """Precomputed plan for batched FFTs of one length and direction.
 
     Parameters
@@ -112,24 +179,22 @@ class StockhamPlan:
 
     Workspace contract
     ------------------
-    The plan lazily allocates, per distinct flattened batch size *and
-    calling thread*, one pair of ping-pong buffers and one equally sized
-    scratch when a pass applies its twiddle separately, and reuses them
-    for every subsequent call from that thread — calling a plan twice
-    never re-allocates and the two calls return independent arrays.  The
+    The plan lazily allocates, per flattened batch size *and calling
+    thread*, at most two buffers (the work buffer of a call that keeps its
+    input, and the alternate) and reuses them — calling a plan twice never
+    re-allocates and the two calls return independent arrays.  The
     tables are read-only and the buffers belong to the executing thread,
     so the one plan :mod:`repro.fft.plan` caches per length may run on
-    several threads at once.  ``plan(x, out=buf)`` writes the
-    result into a caller-owned, C-contiguous array of the plan dtype; the
-    input is never read after the destination is first written, so
-    ``out`` may alias ``x`` (a fully in-place transform) or a buffer
-    returned by a previous call.  The input comes back untouched unless
-    the caller grants ``overwrite_x=True``: then the passes ping-pong
-    between the input and ``out`` and the pair is never allocated, only
-    the scratch (the first pass, twiddled whenever there are two or more,
-    writes its butterflies there and may sweep them back into its own
-    input).  ``workspace_bytes()`` and ``release_workspaces()`` speak for
-    the calling thread's pool only.
+    several threads at once.  ``plan(x, out=buf)`` writes the result into
+    a caller-owned, C-contiguous array of the plan dtype, which may alias
+    ``x`` (a fully in-place transform; the last pass then writes the free
+    buffer and one copy follows when it reads ``x``) or a buffer returned
+    by a previous call.  The input comes back untouched unless the caller
+    grants ``overwrite_x=True``: then ``x`` is the work buffer and only
+    the alternate is pooled.  :meth:`pooled` skips the destination and
+    leaves the result where the last pass wrote it.
+    ``workspace_bytes()`` and ``release_workspaces()`` speak for the
+    calling thread's pool only.
     """
 
     def __init__(self, n: int, sign: int = -1, radices: list[int] | None = None,
@@ -158,122 +223,62 @@ class StockhamPlan:
             self._stages.append(_Stage(cur_n, cur_s, r, sign, self.dtype))
             cur_n //= r
             cur_s *= r
+        twiddled = [st.tw is not None for st in self._stages]
+        # the schedule runs the twiddled passes first, in place
+        assert twiddled == sorted(twiddled, reverse=True), twiddled
         self._inv_n = self.dtype.type(1.0 / n)
-        self._needs_scratch = any(st.tw is not None for st in self._stages)
         self._local = threading.local()
 
     # -- workspace management ------------------------------------------
 
-    @property
-    def _pool(self) -> dict[int, list]:
-        """The calling thread's batch size -> [ping, pong, scratch]."""
-        return self._local.__dict__  # a local's attributes are per thread
-
-    def _workspace(self, batch: int, pair: bool) -> list:
-        """The calling thread's buffers of *batch* rows: the scratch when a
-        pass needs one, the ping-pong pair only when *pair* asks for it."""
-        ws = self._pool.get(batch)
-        if ws is None:
-            ws = self._pool[batch] = [None, None, None]
-        if pair and ws[0] is None:
-            ws[0] = np.empty((batch, self.n), dtype=self.dtype)
-            ws[1] = np.empty((batch, self.n), dtype=self.dtype)
-        if self._needs_scratch and ws[2] is None:
-            ws[2] = np.empty((batch, self.n), dtype=self.dtype)
-        return ws
-
-    def workspace_bytes(self) -> int:
-        """Bytes currently held by the calling thread's pooled workspaces."""
-        total = 0
-        for bufs in self._pool.values():
-            total += sum(b.nbytes for b in bufs if b is not None)
-        return total
-
-    def release_workspaces(self) -> None:
-        """Drop the calling thread's pooled buffers (they re-allocate
-        lazily on next use)."""
-        self._pool.clear()
+    def _workspace(self, batch: int, k: int) -> np.ndarray:
+        """The calling thread's pooled buffer *k* of *batch* rows: 0 the
+        work buffer of a call that keeps its input, 1 the alternate."""
+        ws = self._pool.setdefault(batch, [None, None])
+        if ws[k] is None:
+            ws[k] = np.empty((batch, self.n), dtype=self.dtype)
+        return ws[k]
 
     # -- execution -----------------------------------------------------
 
-    def __call__(self, x: np.ndarray, out: np.ndarray | None = None,
-                 overwrite_x: bool = False) -> np.ndarray:
-        """Transform along the last axis; any leading shape is the batch.
-
-        With ``out=`` the result is written into the given C-contiguous
-        array of matching shape and plan dtype (it may alias ``x``) and no
-        allocation happens in steady state; without it a fresh result
-        array is the only allocation.  ``overwrite_x=True`` lets the
-        passes use ``x`` as a work buffer (see the workspace contract).
-        """
-        x = np.asarray(x)
-        if x.shape[-1] != self.n:
-            raise ValueError(f"last axis has length {x.shape[-1]}, plan is for {self.n}")
-        lead = x.shape[:-1]
-        if x.dtype != self.dtype:
-            x = x.astype(self.dtype)
-        flat = np.ascontiguousarray(x.reshape(-1, self.n))
-        batch = flat.shape[0]
-        if out is None:
-            res = np.empty((batch, self.n), dtype=self.dtype)
-        else:
-            if not isinstance(out, np.ndarray) or out.shape != lead + (self.n,):
-                raise ValueError(f"out must have shape {lead + (self.n,)}")
-            if out.dtype != self.dtype:
-                raise ValueError(f"out must have dtype {self.dtype}")
-            if not out.flags.c_contiguous:
-                raise ValueError("out must be C-contiguous")
-            res = out.reshape(batch, self.n)
-        self._execute(flat, res, overwrite_x)
+    def _execute(self, flat: np.ndarray, res: np.ndarray | None,
+                 overwrite: bool = False) -> np.ndarray:
+        """Run every pass from *flat* over the work buffer (*flat* itself
+        when *overwrite* lends it) and the alternate; returns *res*, or
+        with ``res=None`` the buffer the last pass wrote."""
+        batch, last = flat.shape[0], len(self._stages) - 1
+        work = flat if overwrite else self._workspace(batch, 0)
+        if last < 0:  # n = 1: the identity
+            res = work if res is None else res
+            np.copyto(res, flat)
+            return res
+        cur = flat
+        for i, st in enumerate(self._stages):
+            if st.tw is not None:  # in place; the butterflies go through alt
+                dst = work
+            elif i == last and res is not None \
+                    and not np.may_share_memory(res, cur):
+                dst = res
+            else:  # the buffer this pass does not read
+                dst = self._workspace(batch, 1) if cur is work else work
+            self._apply_stage(cur, dst, st)
+            cur = dst
+        if res is None:
+            res = cur
+        elif cur is not res:  # the last pass read res: one copy
+            np.copyto(res, cur)
         if self.sign == +1:
             np.multiply(res, self._inv_n, out=res)
-        return out if out is not None else res.reshape(lead + (self.n,))
-
-    def _execute(self, flat: np.ndarray, res: np.ndarray,
-                 overwrite: bool = False) -> np.ndarray:
-        """Run all stages from *flat* into *res*: through *flat* itself when
-        *overwrite* grants it, else through the pooled pair."""
-        if not self._stages:
-            if res.base is not flat and res is not flat:
-                np.copyto(res, flat)
-            return res
-        last = len(self._stages) - 1
-        # with an even number of passes the first writes back into its
-        # input, which only a twiddled pass (butterflies into scratch) can
-        overwrite = overwrite and not np.may_share_memory(res, flat) and (
-            last % 2 == 0 or self._stages[0].tw is not None)
-        ping, pong, scratch = self._workspace(flat.shape[0], not overwrite)
-        if overwrite:
-            # pass i writes res when an even number of passes follow it,
-            # else flat; every later pass writes the buffer it did not read
-            cur = flat
-            for i, st in enumerate(self._stages):
-                dst = flat if (last - i) % 2 else res
-                self._apply_stage(cur, dst, st, scratch)
-                cur = dst
-            return res
-        if np.may_share_memory(res, flat):
-            # destination aliases the input (e.g. plan(x, out=x)): stage 0
-            # must read a private copy so later writes cannot corrupt it.
-            np.copyto(ping, flat)
-            cur, spare = ping, pong
-            reading_user_input = False
-        else:
-            cur, spare = flat, ping
-            reading_user_input = True
-        for i, st in enumerate(self._stages):
-            dst = res if i == last else spare
-            self._apply_stage(cur, dst, st, scratch)
-            spare = pong if (reading_user_input and i == 0) else cur
-            cur = dst
         return res
 
-    def _apply_stage(self, cur: np.ndarray, out: np.ndarray, st: _Stage,
-                     scratch: np.ndarray | None) -> None:
+    def _apply_stage(self, cur: np.ndarray, out: np.ndarray,
+                     st: _Stage) -> None:
+        """One pass from *cur* into *out*; a twiddled pass's butterflies go
+        through the alternate first, so its *out* may be *cur*."""
         batch = cur.shape[0]
         r, w = st.r, st.w
         groups, tiles = st.mat.shape[0], st.cols // w
-        dst = out if st.tw is None else scratch
+        dst = out if st.tw is None else self._workspace(batch, 1)
         # d[b, g, t] = mat[g] @ c[b, g, t]: (r, r) @ (r, w), tile t of group g
         c = cur.reshape(batch, r, groups, tiles, w).transpose(0, 2, 3, 1, 4)
         d = dst.reshape(batch, groups, r, tiles, w).transpose(0, 1, 3, 2, 4)

@@ -39,9 +39,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.core.convolution import front, lane_fft
-from repro.core.demodulate import demodulate
+from repro.core.demodulate import back
 from repro.core.error_model import verification_thresholds
 from repro.core.window import SoiTables
+from repro.fft.plan import get_plan
 from repro.verify.abft import ConvChecksum, checksum_weights
 from repro.verify.invariants import energy_rows
 from repro.telemetry.metrics import get_registry
@@ -124,7 +125,8 @@ class _Engine:
         # alpha_s . v, v = F_{M'} pad_{M'}(w / demod) (F is symmetric)
         p = tables.params
         w = checksum_weights(p.m)
-        v = np.fft.fft(w / tables.demod, n=p.m_oversampled)
+        v = get_plan(p.m_oversampled)(
+            np.pad(w / tables.demod, (0, p.m_oversampled - p.m)))
         self._w_bins = w.astype(dtype)
         self._v = v.astype(dtype)
         self._v_energy = float(energy_rows(v))
@@ -253,19 +255,19 @@ class _Engine:
                      nbytes=out.nbytes + x.nbytes)
 
     def check_back(self, cluster, rank: int, alpha: np.ndarray,
-                   y: np.ndarray, *, fft: Callable, ids=None,
+                   y: np.ndarray, *, plan, ids=None,
                    seconds: float = 0.0) -> None:
-        """Verify the back, ``y = demodulate(fft(alpha))``: ``(..., k,
+        """Verify the back, ``y = back(alpha, tables, plan)``: ``(..., k,
         M')`` segments transformed, projected and divided into ``(..., k,
         M)`` output rows.  One functional per row, read off ``alpha``
         (still in memory) and ``y``: a struck spectrum bin or output
         element moves ``y_s . w`` and not ``alpha_s . v``.  Flagged rows
-        rerun both kernels from ``alpha``."""
+        rerun the back kernel on a copy of their ``alpha``."""
         pred = np.matmul(alpha, self._v)
         e_alpha = energy_rows(alpha)
         self._ladder(cluster, rank,
                      _rows("back", y, alpha,
-                           lambda a: demodulate(fft(a), self.tables),
+                           lambda a: back(a, self.tables, plan, lend=True),
                            seconds),
                      lambda: self._back_bad(y, pred, e_alpha),
                      ids, alpha.nbytes + y.nbytes)
@@ -275,9 +277,9 @@ class PipelineVerifier(_Engine):
     """The ABFT engine riding one :class:`SoiFFT` plan's stage seam.
 
     Geometry: all ``M'`` rows, read from the caller's input (block 0 on);
-    kernels: the plan's own ``front`` call, segment plan and
-    ``demodulate``; detections are recorded under rank -1 and nothing is
-    charged (wall time is measured, not modeled)."""
+    kernels: the plan's own ``front`` call and segment plan; detections
+    are recorded under rank -1 and nothing is charged (wall time is
+    measured, not modeled)."""
 
     def __init__(self, soi, policy: VerifyPolicy):
         super().__init__(soi.tables, policy, soi.dtype,
@@ -302,7 +304,7 @@ class PipelineVerifier(_Engine):
                 conv=lambda: front(src, soi.tables, 0, self._rows, 0,
                                    workspace=soi._conv_ws))
         else:  # back
-            self.check_back(None, -1, src, arr, fft=soi._seg_plan)
+            self.check_back(None, -1, src, arr, plan=soi._seg_plan)
 
 
 class DistVerifier(_Engine):

@@ -80,13 +80,13 @@ class TestWhoIsBound:
         before, me = os.sched_getaffinity(0), threading.get_ident()
         f = SoiFFT(POOLED)
         seen = set()
-        real = f._seg_plan.__class__.__call__
+        real = f._seg_plan.__class__.pooled  # the back's segment FFT
 
-        def spy(plan, x, out=None, **kw):
+        def spy(plan, x, **kw):
             seen.add(threading.get_ident())
-            return real(plan, x, out=out, **kw)
+            return real(plan, x, **kw)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(f._seg_plan.__class__, "__call__", spy)
+            mp.setattr(f._seg_plan.__class__, "pooled", spy)
             f(random_complex(np.random.default_rng(1), POOLED.n))
         assert len(seen) == 2 and me not in seen
         assert os.sched_getaffinity(0) == before
@@ -186,18 +186,18 @@ class TestErrors:
             self, monkeypatch):
         x = random_complex(np.random.default_rng(2), POOLED.n)
         f, want = SoiFFT(POOLED), serial_plan(POOLED)(x)
-        real = soi_single.demodulate
+        real = soi_single.back_kernel
 
-        def struck(beta, tables, out=None):
+        def struck(alpha, tables, plan, out=None, **kw):
             if out.ctypes.data != f_out.ctypes.data:  # not the first slice
                 raise Boom("a later slice")
-            return real(beta, tables, out=out)
+            return real(alpha, tables, plan, out, **kw)
         f_out = np.empty(POOLED.n, dtype=complex)
         if f._parts(1) > 1:
-            monkeypatch.setattr(soi_single, "demodulate", struck)
+            monkeypatch.setattr(soi_single, "back_kernel", struck)
             with pytest.raises(Boom):
                 f(x, out=f_out)
-            monkeypatch.setattr(soi_single, "demodulate", real)
+            monkeypatch.setattr(soi_single, "back_kernel", real)
         assert np.array_equal(f(x, out=f_out), want)
 
 

@@ -4,19 +4,19 @@ Four gates, each with a test-local mutant that must turn it red:
 
 (a) design time — building a geometry's tables leaves the length-n
     inverse plan (which no pipeline runs) holding no workspace;
-(b) steady state — an unverified call holds at most 4.03x its signal;
-(c) verified calls — an armed plan runs through the same two stage
-    buffers as any other, ``alpha`` and ``beta``, and only ``alpha`` must
-    outlive the stage after it: the verifier repairs ``beta`` from it (the
-    front and its check read the caller's input in place, telemetry reads
-    no stage output);
-(d) end to end — a fresh process at n = 3670016 peaks at most 9x its
+(b) steady state — an unverified call holds at most 2.89x its signal;
+(c) verified calls — an armed plan runs through the same one stage
+    buffer as any other, ``alpha``, and it must outlive the back: the
+    verifier repairs the output rows from it, so the segment FFT is not
+    lent it and runs in its plan's two buffers (the front and its check
+    read the caller's input in place, telemetry reads no stage output);
+(d) end to end — a fresh process at n = 3670016 peaks at most 7.86x its
     signal above the interpreter after construction and four calls.
 
-Each bound is the value measured when the front stopped gathering its
-input into a stage buffer (3.77x and 7.36x, 2-cpu host) plus the margin
-its predecessor left over the gathering layout (5x over 4.74x, 10x over
-8.36x).
+Each bound is the value measured when the back stopped holding a
+``beta`` buffer and the segment FFT ran in two buffers (2.63x and 6.22x,
+2-cpu host) plus the margin its predecessor left (4.03x over 3.77x,
+9x over 7.36x).
 
 Plus the accounting (``workspace_bytes`` counts each buffer once) and the
 frame-major block size, which the stage layout must not change.
@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 
 from repro.core import cpupool, window
+from repro.core.demodulate import back
 from repro.core.params import SoiParams
 from repro.core.soi_single import SoiFFT
 from repro.core.window import get_tables
@@ -56,14 +57,14 @@ def signal_bytes(params: SoiParams) -> int:
 
 
 def keep_every_buffer(monkeypatch) -> None:
-    """Mutant: every call runs as a verified one does, its segment FFT
-    with a workspace of its own."""
+    """Mutant: every call runs as a verified one does, its segment FFT not
+    lent ``alpha`` (a work buffer of its own)."""
     monkeypatch.setattr(SoiFFT, "_keeps_stages", property(lambda self: True))
 
 
 def alias_verified_calls(monkeypatch) -> None:
-    """Mutant: a verified segment FFT gets ``overwrite_x`` and works in
-    ``alpha``, as an unverified one does."""
+    """Mutant: a verified back is lent ``alpha`` and its segment FFT works
+    in it, as an unverified one does."""
     monkeypatch.setattr(SoiFFT, "_keeps_stages",
                         property(lambda self: False))
 
@@ -100,8 +101,8 @@ class TestDesignTime:
     def test_the_check_can_fail(self, monkeypatch):
         monkeypatch.setattr(window, "_demod_table", batched_demod_table)
         params = geometry(7168)
-        # three (n_mu, n) buffers: ping, pong and the twiddle scratch
-        assert design_workspace(params) == 3 * params.n_mu * signal_bytes(
+        # two (n_mu, n) buffers: the work buffer and the alternate
+        assert design_workspace(params) == 2 * params.n_mu * signal_bytes(
             params)
 
     def test_the_table_is_the_batched_one_bitwise(self):
@@ -113,7 +114,7 @@ class TestDesignTime:
 # -- (b) steady state, and the accounting ------------------------------------
 
 #: signals an unverified call at n = 458752 may hold (see the module doc)
-STEADY_SIGNALS = 4.03
+STEADY_SIGNALS = 2.89
 
 
 def steady_workspace(params: SoiParams) -> int:
@@ -150,40 +151,50 @@ class TestSteadyState:
                 if plan is not None)
         total = f.workspace_bytes()
         assert total == distinct_bytes(stage) + sum(cpupool.on_each(kernels))
-        # alpha and beta: no stage buffer is a view of another
+        # alpha: no stage buffer is a view of another
         assert distinct_bytes(stage) == sum(b.nbytes for b in stage)
 
 
-# -- (c) verified calls run through the same stage buffers; alpha outlives
-# -- its FFT ---------------------------------------------------------------
+# -- (c) verified calls run through the same stage buffer; alpha outlives
+# -- the back --------------------------------------------------------------
 
 def overlapping_stage_buffers(plan: SoiFFT) -> list:
-    bufs = plan._buffers(1)  # what a one-frame call runs through
-    assert sorted(bufs) == ["alpha", "beta"]
+    """Pairs of the buffers a one-frame call runs through — the stage
+    buffer and the segment plan's two — that share memory."""
+    bufs = plan._buffers(1)
+    assert sorted(bufs) == ["alpha"]
+    plan(np.zeros(plan.params.n, dtype=plan.dtype))
+    for rows, pool in plan._seg_plan._pool.items():
+        bufs.update({f"fft{rows}.{k}": b for k, b in enumerate(pool)
+                     if b is not None})
     return [(a, b) for a, b in itertools.combinations(sorted(bufs), 2)
             if np.shares_memory(bufs[a], bufs[b])]
 
 
 def alpha_survives(plan: SoiFFT, rng) -> bool:
-    """Whether one call leaves ``alpha`` the segment FFT's input: the
-    segment plan, batch-invariant, maps it to ``beta`` bitwise."""
-    plan(random_complex(rng, PARAMS.n))
-    bufs = plan._buffers(1)
-    return np.array_equal(plan._seg_plan(bufs["alpha"]), bufs["beta"])
+    """Whether one call leaves ``alpha`` the back's input: the back
+    kernel, batch-invariant, maps it to a fault-free call's output rows
+    bitwise (the call's own rows may have been repaired from it)."""
+    x = random_complex(rng, PARAMS.n)
+    plan(x)
+    got = back(plan._buffers(1)["alpha"][0], plan.tables, plan._seg_plan,
+               lend=False)
+    return np.array_equal(got.reshape(-1), SoiFFT(PARAMS)(x))
 
 
 class TestVerifiedCalls:
     def test_a_verified_call_shares_no_stage_memory(self, rng):
-        # alpha and beta apart, with alpha intact after the segment FFT:
-        # a repair reads both
+        # alpha apart from the segment FFT's buffers, and intact after the
+        # back: a repair reads it
         plan = SoiFFT(PARAMS, verify=True)
         assert overlapping_stage_buffers(plan) == []
         assert alpha_survives(plan, rng)
 
     @pytest.mark.parametrize("telemetry", [None, "armed"])
     def test_an_unverified_call_shares_two_arenas(self, telemetry):
-        # the two arenas are the stage buffers themselves: the front writes
-        # alpha, the segment FFT beta, as on a verified call
+        # the name is the one the test had when beta was a stage buffer:
+        # alpha and the segment plan's alternate are apart, as on a
+        # verified call (the FFT works in alpha, not in a view of it)
         if telemetry:
             telemetry = Telemetry(metrics=MetricsRegistry())
         plan = SoiFFT(PARAMS, telemetry=telemetry)
@@ -258,7 +269,7 @@ def peak_over_signal(mutant: str = "none") -> float:
 
 
 #: signals a fresh process at n = 3670016 may peak at (see the module doc)
-PEAK_SIGNALS = 9.0
+PEAK_SIGNALS = 7.86
 
 
 class TestPeak:

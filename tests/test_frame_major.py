@@ -89,18 +89,18 @@ def check_claiming(plan: SoiFFT, xs: np.ndarray) -> None:
     slow = f"repro-cpu{max(os.sched_getaffinity(0))}"
     out = np.empty_like(xs)
     base, frame_bytes = out.ctypes.data, xs.shape[1] * xs.itemsize
-    ran, real = [], soi_single.demodulate
+    ran, real = [], soi_single.back_kernel
 
-    def demodulate(beta, tables, out=None):
-        # a block's demodulation is one call on the thread that claimed it
+    def back(alpha, tables, plan, out=None, **kw):
+        # a block's back is one call on the thread that claimed it
         me = threading.current_thread().name
         first = (out.ctypes.data - base) // frame_bytes
         ran.append((me, list(range(first, first + out.shape[0]))))
         if me == slow:
             time.sleep(0.1)
-        return real(beta, tables, out=out)
+        return real(alpha, tables, plan, out, **kw)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(soi_single, "demodulate", demodulate)
+        mp.setattr(soi_single, "back_kernel", back)
         plan.batch(xs, out=out)
     frames = sorted(f for _, block in ran for f in block)
     assert frames == list(range(xs.shape[0])), "a frame ran twice or never"

@@ -338,11 +338,11 @@ class TestOneDriver:
 def test_stage_sequence_is_written_once():
     """An ``ast`` count (docstrings cannot trip it): across the three
     distributed-SOI modules there is one front call (convolution and
-    lane transform), one demodulation call and one all-to-all site.  A
-    second execution of the algorithm — a fork of the sequence — turns
-    this red."""
+    lane transform), one back call (segment FFT and demodulation) and one
+    all-to-all site.  A second execution of the algorithm — a fork of the
+    sequence — turns this red."""
     core = Path(repro.core.__file__).parent
-    calls = {"front": 0, "demodulate": 0, "alltoall": 0}
+    calls = {"front": 0, "back": 0, "alltoall": 0}
     for name in ("soi_dist.py", "soi_spmd.py", "soi_hetero.py"):
         for node in ast.walk(ast.parse((core / name).read_text())):
             if isinstance(node, ast.Call):
@@ -351,7 +351,7 @@ def test_stage_sequence_is_written_once():
                 key = called.lower()
                 if key in calls:
                     calls[key] += 1
-    assert calls == {"front": 1, "demodulate": 1, "alltoall": 1}
+    assert calls == {"front": 1, "back": 1, "alltoall": 1}
 
 
 def own_fft_plans(source: str) -> set[str]:

@@ -1,5 +1,9 @@
 """Tests for the batched Stockham FFT engine."""
 
+import ast
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.fft.bitops import _TILE_MACS, default_radices, gemm_tile
+from repro.fft import stockham
 from repro.fft.dft import dft
 from repro.fft.stockham import StockhamPlan, fft_flops, fft_stockham, stage_count
 from tests.conftest import random_complex
@@ -118,36 +123,67 @@ class TestPlan:
         assert np.array_equal(x, saved)
 
 
+def last_pass_writes_out(plan, x, **kw) -> bool:
+    """Whether the last pass of ``plan(x, **kw)`` wrote the result array
+    itself (else a pooled buffer, then one copy)."""
+    dsts, real = [], plan._apply_stage
+
+    def spy(cur, out, st):
+        dsts.append(out)
+        real(cur, out, st)
+    plan._apply_stage = spy
+    try:
+        res = plan(x, **kw)
+    finally:
+        del plan._apply_stage
+    return np.shares_memory(dsts[-1], res)
+
+
+RADICES = [[64], [16, 16], [3, 5, 7], [12, 8], [2] * 4, [4, 16, 16, 4],
+           [16, 16, 14, 2], [16, 1]]
+
+
 class TestOverwriteInput:
-    """``overwrite_x=True`` lends the input to the passes as a work buffer:
-    the bits of the default path, and no ping-pong pair pooled."""
+    """One schedule over two buffers: the work buffer (the input when the
+    caller lends it, ``overwrite_x=True``, else a pooled one) and a pooled
+    alternate — the same bits either way."""
 
     @pytest.mark.parametrize("sign", [-1, +1])
-    @pytest.mark.parametrize("radices", [[64], [16, 16], [3, 5, 7], [12, 8],
-                                         [2] * 4, [4, 16, 16, 4],
-                                         [16, 16, 14, 2], [16, 1]])
+    @pytest.mark.parametrize("radices", RADICES)
     def test_same_bits_without_the_pair(self, rng, radices, sign):
+        # the name is the one the test had when a lending call pooled no
+        # ping-pong pair; now no call pools more than two buffers
         n = int(np.prod(radices))
-        plan = StockhamPlan(n, sign=sign, radices=radices)
-        x = random_complex(rng, 3, n)
-        want = plan(x)
-        plan.release_workspaces()
-        out = np.empty_like(x)
-        assert plan(x.copy(), out=out, overwrite_x=True) is out
-        assert np.array_equal(out, want)
-        # an even pass count makes the first pass write back into its
-        # input: only a twiddled one can ([16, 1]'s cannot, so it pairs)
-        paired = len(radices) % 2 == 0 and plan._stages[0].tw is None
-        ping, pong, scratch = plan._pool[3]
-        assert (ping is not None) == (pong is not None) == paired
-        assert (scratch is not None) == plan._needs_scratch
+        for dtype in DTYPES:
+            plan = StockhamPlan(n, sign=sign, radices=radices, dtype=dtype)
+            x = random_complex(rng, 3, n).astype(dtype)
+            want = plan(x)
+            # a call that keeps its input pools its own work buffer
+            assert plan._pool[3][0] is not None
+            plan.release_workspaces()
+            out = np.empty_like(x)
+            assert plan(x.copy(), out=out, overwrite_x=True) is out
+            assert np.array_equal(out, want)
+            # a lending call pools at most the alternate
+            assert plan._pool.get(3, [None, None])[0] is None
+            assert np.array_equal(plan.pooled(x), want)
+            assert np.array_equal(plan.pooled(x.copy(), overwrite_x=True),
+                                  want)
 
     def test_an_out_that_is_the_input_still_works(self, rng):
-        plan = StockhamPlan(256)
-        x = random_complex(rng, 2, 256)
-        want = plan(x)
-        assert plan(x, out=x, overwrite_x=True) is x
-        assert np.array_equal(x, want)
+        # plan(x, out=x) copies only when its one pass reads x; lent, x is
+        # also the work buffer, and the copy follows when the last pass
+        # reads it
+        for radices, sign, dtype, lend in itertools.product(
+                RADICES, [-1, +1], DTYPES, [False, True]):
+            n = int(np.prod(radices))
+            plan = StockhamPlan(n, sign=sign, radices=radices, dtype=dtype)
+            x = random_complex(rng, 2, n).astype(dtype)
+            want = plan(x)
+            direct = last_pass_writes_out(plan, x, out=x, overwrite_x=lend)
+            assert np.array_equal(x, want)
+            if not lend:
+                assert direct == (len(radices) > 1), radices
 
     def test_bluestein_leaves_its_input_and_pools_no_pair(self, rng):
         from repro.fft.bluestein import BluesteinPlan
@@ -155,11 +191,61 @@ class TestOverwriteInput:
         plan.release_workspaces()  # planning ran the forward transform
         x = random_complex(rng, 101)
         saved = x.copy()
-        assert np.allclose(plan(x, overwrite_x=True), np.fft.fft(saved))
+        want = plan(x, overwrite_x=True)
+        assert np.allclose(want, np.fft.fft(saved))
         assert np.array_equal(x, saved)
+        # its embedded plans are lent the chirp buffers: each pools only
+        # its alternate
         for inner in (plan._fwd, plan._inv):
-            ping, pong, _ = inner._pool[1]
-            assert ping is None and pong is None
+            work, alt = inner._pool[1]
+            assert work is None and alt is not None
+        # the pooled entry leaves the result in the spectrum buffer
+        got = plan.pooled(x)
+        assert np.shares_memory(got, plan._pool[1][1])
+        assert np.array_equal(got, want)
+
+
+class TestOneSchedule:
+    def test_twiddled_passes_come_first(self, monkeypatch):
+        assert StockhamPlan(4096, radices=[4, 16, 16, 4])
+        real = stockham._Stage
+
+        def twiddle_late(n, s, r, sign, dtype):
+            # mutant: the fold rule inverted, so a pass with a small stride
+            # folds and a later one twiddles
+            monkeypatch.setattr(stockham, "_FOLD_COLUMNS",
+                                1 if s < 64 else 1 << 30)
+            return real(n, s, r, sign, dtype)
+        monkeypatch.setattr(stockham, "_Stage", twiddle_late)
+        with pytest.raises(AssertionError):
+            StockhamPlan(4096, radices=[4, 16, 16, 4])
+
+    def test_one_pass_loop(self):
+        """An ``ast`` guard: ``StockhamPlan`` loops over its passes in one
+        place; a second schedule (the ping-pong pair of a call that keeps
+        its input, say) turns it red."""
+        source = Path(stockham.__file__).read_text()
+        assert pass_loops(source) == 1
+        anchor = ("        cur = flat\n"
+                  "        for i, st in enumerate(self._stages):")
+        pair = ("        if not overwrite:\n"
+                "            ping, pong = self._workspace(batch, 0), "
+                "self._workspace(batch, 1)\n"
+                "            for i, st in enumerate(self._stages):\n"
+                "                self._apply_stage(cur, ping, st)\n"
+                "                cur, ping, pong = ping, pong, ping\n")
+        mutant = source.replace(anchor, pair + anchor, 1)
+        assert mutant != source
+        assert pass_loops(mutant) == 2
+
+
+def pass_loops(source: str) -> int:
+    """``for`` loops over ``self._stages`` in ``StockhamPlan`` of *source*."""
+    cls = next(n for n in ast.walk(ast.parse(source))
+               if isinstance(n, ast.ClassDef) and n.name == "StockhamPlan")
+    return sum(isinstance(n, ast.For) and any(
+        getattr(a, "attr", None) == "_stages" for a in ast.walk(n.iter))
+        for n in ast.walk(cls))
 
 
 class TestFlopsAndStages:

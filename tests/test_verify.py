@@ -4,6 +4,7 @@ straggler hedging."""
 
 import ast
 import dataclasses
+import importlib
 import os
 import threading
 from pathlib import Path
@@ -14,8 +15,6 @@ import pytest
 
 import repro
 import repro.core.convolution as convolution
-import repro.core.soi_dist as soi_dist
-import repro.core.soi_single as soi_single
 from repro.core import cpupool
 from repro.bench.faultsweep import (
     detection_coverage,
@@ -46,6 +45,10 @@ from repro.verify import (
 )
 from repro.verify.selfcheck import _TINY, _abs2, _Engine
 from tests.conftest import random_complex
+
+#: the back kernel's module (``repro.core`` re-exports a function under its
+#: name, so a plain import would bind the function)
+demodulate = importlib.import_module("repro.core.demodulate")
 
 pytestmark = pytest.mark.abft
 
@@ -99,13 +102,13 @@ def struck_plan(params, site: str, monkeypatch, seg: int = 5) -> SoiFFT:
     its lane spectra (in segment *seg*); inside the back, the first
     spectrum of the first row range demodulated, in a kept bin."""
     if site == "segment-fft":
-        strike, real_demod = strike_once((0, 0, 37)), soi_single.demodulate
+        strike, real_demod = strike_once((0, 0, 37)), demodulate.demodulate
 
         def struck_demodulate(beta, tables, out=None):
             strike(beta)
             return real_demod(beta, tables, out=out)
-        # the back's call only: a repair runs the verifier's own import
-        monkeypatch.setattr(soi_single, "demodulate", struck_demodulate)
+        # the spectra the back kernel divides (once: a repair runs it too)
+        monkeypatch.setattr(demodulate, "demodulate", struck_demodulate)
         return SoiFFT(params, verify=True)
     if site not in ("conv", "lane"):
         return SoiFFT(params, verify=VerifyPolicy(
@@ -579,17 +582,17 @@ def struck_run(host, stage, monkeypatch, mutate=lambda verifier: None):
     clean = fault_free.assemble(fault_free(fault_free.scatter(x)))
     cl = SimCluster(4)
     if stage == "segment-fft":
-        # no SDC slot strikes inside the back, so the spectra the rank
-        # program demodulates are struck on the way in (a repair calls the
-        # engine's own import of the kernel)
-        real, fired = soi_dist.demodulate, []
+        # no SDC slot strikes inside the back, so the spectra the back
+        # kernel divides are struck on the way in (once: a repair runs the
+        # same kernel)
+        real, fired = demodulate.demodulate, []
 
-        def struck_demodulate(beta, tables):
+        def struck_demodulate(beta, tables, out=None):
             if not fired:
                 fired.append(1)
                 beta[1, 37] += 5.0 * np.sqrt((np.abs(beta) ** 2).mean())
-            return real(beta, tables)
-        monkeypatch.setattr(soi_dist, "demodulate", struck_demodulate)
+            return real(beta, tables, out=out)
+        monkeypatch.setattr(demodulate, "demodulate", struck_demodulate)
     else:
         # rank 1's slot: a run consumes P conv slots, then P back slots
         # (seed 23 strikes lane 4 of z; a gemv happens to round lanes 0
@@ -801,14 +804,16 @@ def test_abft_engine_is_written_once():
     tree = ast.parse(
         (root / "src/repro/verify/selfcheck.py").read_text())
     calls = [_named(n) for n in ast.walk(tree) if isinstance(n, ast.Call)]
-    for name in ("VerificationError", "ConvChecksum", "demodulate"):
+    # get_plan once: the library's transform of the back functional's
+    # weights, never a repair kernel of the engine's own
+    for name in ("VerificationError", "ConvChecksum", "back", "get_plan"):
         assert calls.count(name) == 1, name
     assert sum(isinstance(n, ast.AugAssign)
                and getattr(n.target, "attr", "") == "escalations"
                for n in ast.walk(tree)) == 1
     used = {getattr(n, "id", None) or getattr(n, "attr", None)
             or getattr(n, "name", None) for n in ast.walk(tree)}
-    assert not used & {"einsum", "dft_matrix", "get_plan"}
+    assert not used & {"einsum", "dft_matrix", "demodulate", "fft"}
     # the lane-subset convolution, a second kernel, is gone: the only
     # file under src/ and tests/ that spells its name is this guard
     hits = [f.relative_to(root).as_posix()
