@@ -44,7 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.params import SoiParams
-from repro.core.window import SoiTables
+from repro.core.window import SoiTables, _read_only
 from repro.fft.bitops import gemm_tile
 from repro.fft.dft import dft_matrix
 from repro.fft.plan import get_plan
@@ -177,11 +177,6 @@ def lane_fft(a: np.ndarray, tables: SoiTables, out: np.ndarray | None = None,
     get_plan(s, -1, dtype=a.dtype.type)(t, out=t)
     np.copyto(out, t.swapaxes(-1, -2))
     return out
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def convolve(x: np.ndarray, tables: SoiTables, j_start: int, n_rows: int,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.window import SoiTables
+from repro.core.window import SoiTables, _read_only
 from repro.machine.memory import SweepLedger
 
 __all__ = ["back", "demodulate", "fused_demod_diagonal", "demod_ledger"]
@@ -40,8 +40,9 @@ def demodulate(beta: np.ndarray, tables: SoiTables,
             f"expected last axis M' = {p.m_oversampled}, got {beta.shape[-1]}")
     if out is not None and out.shape != beta.shape[:-1] + (p.m,):
         raise ValueError(f"out must have shape {beta.shape[:-1] + (p.m,)}")
-    return np.divide(beta[..., : p.m], tables.demod.astype(dtype, copy=False),
-                     out=out)
+    demod = tables.derived(("demod", np.dtype(dtype).str), lambda: _read_only(
+        tables.demod.astype(dtype, copy=False)))
+    return np.divide(beta[..., : p.m], demod, out=out)
 
 
 def back(alpha: np.ndarray, tables: SoiTables, plan,

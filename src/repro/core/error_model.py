@@ -4,10 +4,10 @@ The Kaiser formula in :mod:`repro.core.window` *predicts* accuracy from
 design parameters.  This module *computes* it exactly for a built table:
 the pipeline's response to a unit tone at relative frequency ``nu`` is
 
-``R(nu) = (M'/(n_mu*N)) * sum_r e^{-2pi i r nu/M'}
-          e^{+2pi i nu (q_r - B/2 + 1) S / N} G_r(nu)``
+``R(nu) = (M'/(n_mu*N)) * sum_{r,b,l} w[r,b,l] e^{2pi i nu tau/N}``,
+``tau = S(b + 1 - B/2) + l - S f_r``
 
-(the same closed form the demodulation table uses, evaluated off-bin).
+(the demodulation table's closed form off-bin: :func:`_response`).
 The recovered bin k of a segment receives, besides its own coefficient
 ``R(k) = demod[k]``, alias contributions ``R(k + l*M')`` for every l != 0.
 The worst-case relative error of bin k against unit-magnitude spectral
@@ -28,28 +28,45 @@ __all__ = ["AliasAnalysis", "SNR_MODEL_HEADROOM_DB", "VerificationThresholds",
            "verification_thresholds"]
 
 
+def _response(tables: SoiTables, coarse, fine) -> np.ndarray:
+    """``R(coarse[:, None] + fine[None, :])``.  ``a[k, t]`` sums, once per
+    record, the taps at ``tau = t0 + t + k / c`` (``c = n_mu / gcd(n_mu, S)``)
+    times ``M'/(n_mu N)``: ``R = sum_k e^{2 pi i nu k / (c N)} (E(coarse) *
+    a[k]) @ E(fine).T``, ``E(x) = e^{2 pi i x (t0 + t) / N}``, each phase
+    reduced modulo its period before it is scaled."""
+    p = tables.params
+    def fold():
+        s, c = p.n_segments, p.n_mu // np.gcd(p.n_mu, p.n_segments)
+        tau = s * (np.arange(p.b)[:, None] + 1 - p.b // 2
+                   - tables.f_r[:, None, None]) + np.arange(s)
+        t, k = np.divmod(np.rint(c * tau).astype(np.int64), c)
+        a = np.zeros((c, t.max() - t.min() + 1), dtype=np.complex128)
+        np.add.at(a, (k, t - t.min()), tables.coeffs)
+        return t.min(), a * (p.m_oversampled / (p.n_mu * float(p.n)))
+    t0, a = tables.derived("folded taps", fold)
+    def phases(x, positions, period):
+        t = np.multiply.outer(np.asarray(x, dtype=np.float64), positions)
+        t = (t - period * np.floor(t / period)) * (2.0 * np.pi / period)
+        e = np.empty(t.shape, dtype=np.complex128)
+        np.cos(t, out=e.real)
+        np.sin(t, out=e.imag)
+        return e
+    c, taps = len(a), t0 + np.arange(a.shape[1])
+    ec, ef = phases(coarse, taps, p.n), phases(fine, taps, p.n)
+    sc, sf = (phases(x, np.arange(c), c * p.n) for x in (coarse, fine))
+    return sum(np.outer(sc[:, k], sf[:, k]) * ((ec * a[k]) @ ef.T)
+               for k in range(c))
+
+
 def tone_response(tables: SoiTables, frequencies: np.ndarray) -> np.ndarray:
     """Exact pipeline response R(nu) at arbitrary relative frequencies.
 
     ``frequencies`` are offsets from a segment origin in bins (the demod
-    table equals ``tone_response(tables, arange(M))``), any shape of one
-    axis or more; O(n_mu * B * S) each, a row of the last axis at a time.
+    table equals ``tone_response(tables, arange(M))``), any shape; one
+    exponential per folded tap position and c more each (:func:`_response`).
     """
-    p = tables.params
     nu = np.asarray(frequencies, dtype=np.float64)
-    n, s, b_width, n_mu = p.n, p.n_segments, p.b, p.n_mu
-    mp = p.m_oversampled
-    grid = np.arange(b_width * s)  # b*S + lane
-    taps = tables.coeffs.reshape(n_mu, -1)
-    g = np.zeros(nu.shape, dtype=np.complex128)
-    for k in np.ndindex(nu.shape[:-1]):
-        tap_phase = np.exp(2j * np.pi * np.outer(nu[k], grid) / n)  # all r
-        for r in range(n_mu):
-            phase = np.exp(-2j * np.pi * r * nu[k] / mp
-                           + 2j * np.pi * nu[k]
-                           * (tables.q_r[r] - b_width // 2 + 1) * s / n)
-            g[k] += phase * (tap_phase @ taps[r])
-    return g * (mp / (n_mu * float(n)))
+    return _response(tables, nu.reshape(-1), np.zeros(1)).reshape(nu.shape)
 
 
 @dataclass(frozen=True)
@@ -78,8 +95,9 @@ def _image_sums(tables: SoiTables, bins, count: int, square: bool):
     """``(bins, own, images)`` for *bins* (None: *count* of them, evenly
     spaced over [0, M)): the own-bin response ``|R(k)|`` and the sum over
     every distinct alias image inside one period, ``sum_{l != 0}
-    |R(k + l M')|`` (of the squares if *square*), from one
-    :func:`tone_response` evaluation."""
+    |R(k + l M')|`` (of the squares if *square*), image by image from one
+    :func:`_response` grid: a 170 dB rung's alias power, 1e-17 of its own,
+    does not survive a total less the own term."""
     p = tables.params
     m, mp = p.m, p.m_oversampled
     if bins is None:
@@ -87,16 +105,10 @@ def _image_sums(tables: SoiTables, bins, count: int, square: bool):
     bins = np.asarray(bins, dtype=np.int64)
     if bins.size == 0 or bins.min() < 0 or bins.max() >= m:
         raise ValueError("bins must be non-empty and within [0, M)")
-    n_aliases = max(1, p.n // mp // 2)
-    images = np.arange(-n_aliases, n_aliases + 1)[:, None] * mp
-    mag = np.abs(tone_response(tables, bins + images))
-    if square:
-        mag = mag ** 2
-    alias = np.zeros(bins.size)
-    for l in range(1, n_aliases + 1):
-        alias += mag[n_aliases + l]
-        alias += mag[n_aliases - l]
-    return bins, mag[n_aliases], alias
+    l = np.arange(1, max(1, p.n // mp // 2) + 1)  # the images l != 0
+    mag = np.abs(_response(tables, np.concatenate(([0], l, -l)) * mp, bins)) \
+        ** (2 if square else 1)
+    return bins, mag[0], mag[1:].sum(axis=0)
 
 
 def alias_analysis(tables: SoiTables,
@@ -139,9 +151,7 @@ def expected_snr_db(tables: SoiTables,
     """
     def predict():
         _, signal, alias = _image_sums(tables, bins, 129, square=True)
-        noise = float(np.mean(alias / signal))
-        if noise <= 0.0:
-            noise = np.finfo(np.float64).tiny
+        noise = max(float(np.mean(alias / signal)), np.finfo(np.float64).tiny)
         return float(-10.0 * np.log10(noise)) - SNR_MODEL_HEADROOM_DB
     return tables.derived("predicted snr", predict) if bins is None \
         else predict()

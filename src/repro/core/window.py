@@ -179,8 +179,7 @@ class SoiTables:
                          dtype=dtype)
             for r, q in enumerate(self.q_r):
                 w[:, q:q + p.b, r] = self.coeffs[r].T
-            w.flags.writeable = False
-            return w
+            return _read_only(w)
         return self.derived(("gemm", np.dtype(dtype).str), widen)
 
     @property
@@ -188,6 +187,11 @@ class SoiTables:
         """max|demod| / min|demod|: amplification of aliasing at band edges."""
         mags = np.abs(self.demod)
         return float(mags.max() / mags.min())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def build_tables(params: SoiParams, window=None) -> SoiTables:

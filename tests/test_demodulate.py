@@ -5,8 +5,9 @@ import pytest
 
 from repro.core.demodulate import demod_ledger, demodulate, fused_demod_diagonal
 from repro.core.params import SoiParams
-from repro.core.window import build_tables
+from repro.core.window import build_tables, get_tables
 from tests.conftest import random_complex
+from tests.test_zero_alloc import peak_new_bytes
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +35,43 @@ class TestDemodulate:
     def test_rejects_wrong_length(self, rng, tables):
         with pytest.raises(ValueError):
             demodulate(random_complex(rng, 10), tables)
+
+
+def per_call_cast(beta, tables, out=None):
+    """Mutant: the table cast to the spectra's dtype on every call."""
+    return np.divide(beta[..., : tables.params.m],
+                     tables.demod.astype(beta.dtype, copy=False), out=out)
+
+
+class TestPerDtypeTable:
+    """The table is cast once per dtype and shared read-only: a complex64
+    call at n = 458752 (8 spectra of M' = 65536) allocates no M-sized cast
+    (the per-call cast took 460 KB), and gives the per-call cast's bits."""
+
+    @pytest.fixture(scope="class")
+    def spectra(self):
+        p = SoiParams(n=458752, n_procs=1, segments_per_process=8,
+                      n_mu=8, d_mu=7, b=48)
+        rng = np.random.default_rng(2013)
+        beta = random_complex(rng, 8, p.m_oversampled).astype(np.complex64)
+        return get_tables(p), beta, np.empty((8, p.m), dtype=np.complex64)
+
+    @pytest.mark.parametrize("kernel, small", [(demodulate, True),
+                                               (per_call_cast, False)])
+    def test_a_complex64_call_allocates_no_table(self, spectra, kernel,
+                                                 small):
+        tables, beta, out = spectra
+        peak = peak_new_bytes(lambda: kernel(beta, tables, out=out))
+        assert (peak < 64 << 10) == small
+
+    def test_one_read_only_table_per_dtype(self, spectra):
+        tables, beta, out = spectra
+        demodulate(beta, tables, out=out)
+        assert np.array_equal(out, per_call_cast(beta, tables))
+        cast = tables.derived(("demod", "<c8"), None)
+        assert cast.dtype == np.complex64 and not cast.flags.writeable
+        demodulate(beta.astype(np.complex128), tables)
+        assert tables.derived(("demod", "<c16"), None) is tables.demod
 
 
 class TestFusedDiagonal:
