@@ -60,18 +60,19 @@ Elastic fault tolerance (the parent is the watchdog):
   ``Checkpoint`` data is copied into the caller's ``checkpoints`` dict
   first, so the SOI layer completes the transform on the survivors via
   shrink-and-redistribute instead of tearing the world down;
-* dead workers are respawned lazily (next job) and every arena
-  generation a crashed worker left behind is reclaimed by a
-  :class:`~repro.cluster.shm.ShmJanitor`, so repeated failures cannot
-  leak ``/dev/shm``;
+* no process of a job that did not end clean outlives it: the next
+  dispatch attempt kills every worker of that set (the survivors too),
+  a :class:`~repro.cluster.shm.ShmJanitor` reclaims the arenas they
+  created, and a fresh set is forked on fresh pipes — so no straggler
+  writes into a later job, no pipe is read after its reader was stopped
+  mid-message, and repeated failures cannot leak ``/dev/shm``;
 * *deadline* budgets run off the wall clock: checked at dispatch and on
   every watchdog tick, an expired job is aborted cleanly and
   :class:`~repro.resilience.deadline.DeadlineExceeded` raised at the
   boundary; *hedge* policies re-dispatch straggling jobs — when some
   worker falls behind the group's progress for longer than
   ``threshold x`` the label's last known duration, the laggard is
-  killed, respawned, and the whole job re-dispatched once to the fresh
-  worker set.
+  killed and the whole job re-dispatched once to a fresh worker set.
 
 Process-level chaos (:class:`~repro.cluster.faults.ProcessFaultPlan`,
 installed via :meth:`ProcessBackend.inject`) drives all of the above
@@ -235,10 +236,10 @@ class _PipeChannel:
     *feeder* thread holds the pipe write-lock while sending, so forking
     a replacement worker at that instant copies a held lock whose owner
     does not exist in the child, which then deadlocks on its first send
-    — and elastic respawn forks right after abort-flood traffic, exactly
-    that window; (b) a reader parked in ``get()`` holds the shared
-    read-lock, so SIGKILLing an idle worker poisons the lock and wedges
-    its respawned replacement forever.
+    — and a worker-set restart forks right after abort-flood traffic,
+    exactly that window; (b) a reader parked in ``get()`` holds the
+    shared read-lock, so SIGKILLing an idle worker poisons the lock for
+    every later reader.
 
     This channel therefore uses a bare pipe with *no* locks: reads have
     a single owner per channel by construction (each worker drains only
@@ -393,9 +394,9 @@ class _RankSteps:
         return now
 
 
-def _matches(msg, job_id: int, coll_idx: int, want_bar: bool) -> bool:
-    jid, cidx, _src, payload = msg
-    if jid != job_id or cidx != coll_idx:
+def _matches(msg, coll_idx: int, want_bar: bool) -> bool:
+    _jid, cidx, _src, payload = msg
+    if cidx != coll_idx:
         return False
     is_bar = isinstance(payload, str) and payload == _BAR
     return is_bar if want_bar else not is_bar
@@ -408,12 +409,13 @@ def _next_msg(mailbox, job_id: int, coll_idx: int, timeout: float,
     With the entry barrier running through the same mailboxes as the
     data, a fast peer's *next*-collective token can arrive while this
     rank is still collecting the current collective's payloads (and
-    vice versa).  Messages ahead of the current (job, collective, phase)
-    point are stashed in *pending* — a per-worker list that survives
-    across jobs; stale messages from older jobs are dropped.
+    vice versa).  Messages ahead of the current (collective, phase)
+    point are stashed in *pending*, which lives for one job.  No mailbox
+    outlives a job that did not end clean, so a message of another job,
+    or one behind the current collective, is a protocol error.
     """
     for i, msg in enumerate(pending):
-        if _matches(msg, job_id, coll_idx, want_bar):
+        if _matches(msg, coll_idx, want_bar):
             pending.pop(i)
             return msg[2], msg[3]
     deadline = time.monotonic() + timeout
@@ -428,19 +430,14 @@ def _next_msg(mailbox, job_id: int, coll_idx: int, timeout: float,
             raise _Aborted(f"no message within {timeout:.0f}s "
                            f"(collective {coll_idx})") from None
         if msg[0] == "abort":
-            if msg[1] == job_id:
-                raise _Aborted(
-                    f"rank {msg[2]} aborted job {msg[1]}: {msg[3]}")
-            continue  # stale abort of an older job
+            raise _Aborted(f"rank {msg[2]} aborted job {msg[1]}: {msg[3]}")
         jid, cidx, _src, _payload = msg
-        if jid < job_id:
-            continue  # residue of an aborted older job
-        if jid == job_id and cidx < coll_idx:
+        if jid != job_id or cidx < coll_idx:
             raise SpmdError(
                 f"collective mismatch: got (job {jid}, collective {cidx}) "
                 f"while serving (job {job_id}, collective {coll_idx}) — "
                 f"ranks disagree on the collective sequence")
-        if _matches(msg, job_id, coll_idx, want_bar):
+        if _matches(msg, coll_idx, want_bar):
             return msg[2], msg[3]
         pending.append(msg)
 
@@ -548,8 +545,8 @@ def _resolve_args(args: tuple, pool: ShmPool) -> tuple:
 
 
 def _run_rank(job: _Job, me: int, n_workers: int, mailboxes,
-              pool: ShmPool, outbox: ShmArena, timeout: float,
-              pending: list, hb, ship_ckpt):
+              pool: ShmPool, outbox: ShmArena, timeout: float, hb,
+              ship_ckpt):
     """Drive the rank generator to completion; returns (result, steps).
 
     *ship_ckpt(tag, data)* stashes a ``Checkpoint`` for the parent.
@@ -569,6 +566,7 @@ def _run_rank(job: _Job, me: int, n_workers: int, mailboxes,
                         "(use 'yield' for collectives)")
     steps = _RankSteps()
     steps.open()
+    pending: list = []  # out-of-phase mailbox messages (see _next_msg)
     coll_idx = 0
     payload = None
     try:
@@ -620,19 +618,19 @@ def _ship_result(result, slot: ShmView | None, pool: ShmPool):
 
 def _worker_main(me: int, n_workers: int, token: str, job_q, result_q,
                  mailboxes, timeout: float, hb_name: str,
-                 epoch: int) -> None:
+                 generation: int) -> None:
     """Persistent worker loop: one process, one rank, many jobs.
 
-    *epoch* is this worker slot's spawn count: it keys the names of the
-    worker's two arenas so a respawned worker never reuses a name its
-    peers (or the parent) may still hold a stale, unlinked mapping of.
-    The stash holds one job's ``Checkpoint`` data packed one after another;
-    the parent has copied what it needs before it dispatches the next job.
+    *generation* counts the backend's worker sets: it keys the names of
+    the worker's two arenas, so no set reuses a segment name of an
+    earlier one (:class:`~repro.cluster.shm.ShmArena` never reuses a
+    name).  The stash holds one job's ``Checkpoint`` data packed one
+    after another; the parent has copied what it needs before it
+    dispatches the next job.
     """
     pool = ShmPool()
-    outbox = ShmArena(f"{token}w{me}e{epoch}o", pool)
-    stash = ShmArena(f"{token}w{me}e{epoch}k", pool)
-    pending: list = []  # out-of-phase mailbox messages (see _next_msg)
+    outbox = ShmArena(f"{token}w{me}e{generation}o", pool)
+    stash = ShmArena(f"{token}w{me}e{generation}k", pool)
     hb = None
     stop_beat = threading.Event()
     try:
@@ -661,7 +659,6 @@ def _worker_main(me: int, n_workers: int, token: str, job_q, result_q,
             if raw is None:
                 return
             job = pickle.loads(raw)
-            pending[:] = [m for m in pending if m[0] >= job.job_id]
             stash.reset()
 
             def ship_ckpt(tag, data, _jid=job.job_id):
@@ -670,8 +667,8 @@ def _worker_main(me: int, n_workers: int, token: str, job_q, result_q,
 
             try:
                 result, steps = _run_rank(job, me, n_workers, mailboxes,
-                                          pool, outbox, timeout, pending,
-                                          hb, ship_ckpt)
+                                          pool, outbox, timeout, hb,
+                                          ship_ckpt)
                 kind, rest = _ship_result(result, job.result_slot, pool)
                 post_result((job.job_id, me, "ok", kind, rest, steps))
             except _Aborted as exc:
@@ -778,15 +775,17 @@ class ProcessBackend(ExecutionBackend):
         this process may schedule on).
     start_method:
         ``"fork"`` (default on Linux: instant, shares planned tables
-        copy-on-write) or ``"spawn"``.
+        copy-on-write) or ``"spawn"``.  A job that does not end clean
+        costs the next one a fresh worker set: milliseconds under
+        ``fork``, a re-import in every worker under ``spawn``.
     mailbox_timeout:
         Seconds a rank waits on a collective before declaring the job
         wedged; also bounds how long the parent waits for results.
     hang_timeout:
         Seconds a worker's heartbeat may go stale while it has a job in
         flight before the watchdog declares it hung and escalates to
-        SIGKILL (the dead-worker path: abort flood, ``RankFailed``,
-        lazy respawn).
+        SIGKILL (the dead-worker path: abort flood, ``RankFailed``, a
+        fresh worker set at the next dispatch).
     trace, metrics:
         Destinations for the measured per-rank wall-clock intervals.
         Defaults: a backend-owned :class:`~repro.cluster.trace.Trace`
@@ -821,7 +820,9 @@ class ProcessBackend(ExecutionBackend):
         self._token = f"rpb{os.getpid():x}_{next(_backend_serials):x}_"
         self._ctx = mp.get_context(start_method)
         self._procs: list = []
-        self._epochs: list[int] = [0] * self.size  # per-slot spawn count
+        self._generation = -1  # worker sets forked so far, minus one
+        #: Set while a job is in flight; cleared only by a clean end.
+        self._unclean = False
         self._job_qs: list = []
         self._mailboxes: list = []
         self._result_chans: list = []  # one result pipe per worker
@@ -864,82 +865,59 @@ class ProcessBackend(ExecutionBackend):
     # -- worker lifecycle ----------------------------------------------
 
     def _ensure_workers(self) -> None:
-        if not self._mailboxes:
-            ctx = self._ctx
-            self._mailboxes = [_PipeChannel(ctx, atomic=True)
-                               for _ in range(self.size)]
-            self._job_qs = [_PipeChannel(ctx) for _ in range(self.size)]
-            self._result_chans = [_PipeChannel(ctx)
-                                  for _ in range(self.size)]
-            self._procs = [None] * self.size
-            hb = self._pool.create(f"{self._token}hb", self.size * 2 * 8)
-            self._hb = np.ndarray((self.size, 2), dtype=np.float64,
-                                  buffer=hb.buf)
-            self._hb[:, 0] = time.monotonic()
-            self._hb[:, 1] = -1.0
-        for wid in range(self.size):
-            p = self._procs[wid]
-            if p is None or not p.is_alive():
-                self._spawn_worker(wid)
-        self._workers_gauge.set(self.size)
+        """Fork a fresh worker set unless the running one is whole and its
+        last job ended clean.
 
-    def _spawn_worker(self, wid: int) -> None:
-        old = self._procs[wid]
-        if old is not None:
-            old.join(timeout=0.5)
-            # a crashed worker leaves its queues and segments dirty:
-            # drain stale payloads/messages, reclaim its two arenas
-            self._drain(self._job_qs[wid])
-            self._drain(self._mailboxes[wid])
-            self._drain(self._result_chans[wid])
-            self.janitor.sweep(f"w{wid}e")
-            self._epochs[wid] += 1
+        This is the one rule of the elastic path: no process of a job that
+        did not end clean (death, hang kill, hedge, deadline trip, rank
+        error, grace-period break, unresponsive workers) runs into the
+        next one.  Run at the top of every dispatch attempt, before
+        anything is staged.  The old set is killed, not waited for, and
+        the new one starts on fresh job, result and mailbox pipes under
+        the next set generation.  Checkpoints were copied out before
+        ``RankFailed`` raised and forked workers inherit the design
+        records, so a fresh survivor needs nothing from the old one.
+        """
+        if self._procs and not self._unclean \
+                and all(p.is_alive() for p in self._procs):
+            return
+        if self._procs:
             self.metrics.counter(
                 "repro_backend_worker_respawns_total",
-                "worker processes respawned after a death").inc()
-        self._hb[wid, 0] = time.monotonic()
-        self._hb[wid, 1] = -1.0
-        p = self._ctx.Process(
+                "worker processes re-forked by a worker-set restart"
+                ).inc(len(self._procs))
+        self._teardown_workers()
+        self._generation += 1
+        ctx = self._ctx
+        self._mailboxes = [_PipeChannel(ctx, atomic=True)
+                           for _ in range(self.size)]
+        self._job_qs = [_PipeChannel(ctx) for _ in range(self.size)]
+        self._result_chans = [_PipeChannel(ctx) for _ in range(self.size)]
+        hb = self._pool.create(f"{self._token}hb", self.size * 2 * 8)
+        self._hb = np.ndarray((self.size, 2), dtype=np.float64,
+                              buffer=hb.buf)
+        self._hb[:, 0] = time.monotonic()
+        self._hb[:, 1] = -1.0
+        self._procs = [ctx.Process(
             target=_worker_main,
             args=(wid, self.size, self._token, self._job_qs[wid],
                   self._result_chans[wid], self._mailboxes,
                   self.mailbox_timeout, f"{self._token}hb",
-                  self._epochs[wid]),
+                  self._generation),
             daemon=True, name=f"repro-rank-{wid}")
-        p.start()
-        self._procs[wid] = p
-
-    @staticmethod
-    def _drain(q) -> None:
-        while True:
-            try:
-                q.get_nowait()
-            except (queue.Empty, OSError, ValueError):
-                return
+            for wid in range(self.size)]
+        for p in self._procs:
+            p.start()
+        self._unclean = False
+        self._workers_gauge.set(self.size)
 
     def _teardown_workers(self) -> None:
-        for q in self._job_qs:
-            try:
-                q.put(None)
-            except Exception:
-                pass
+        """Kill every worker (a stopped one too), close the set's pipes,
+        unlink the heartbeat table and reclaim the workers' arenas."""
         for p in self._procs:
-            if p is not None:
-                # a SIGSTOPped worker cannot run its shutdown path (and
-                # holds SIGTERM pending); resume it first, then escalate
-                try:
-                    os.kill(p.pid, signal.SIGCONT)
-                except (ProcessLookupError, TypeError):
-                    pass
-                p.join(timeout=2.0)
+            p.kill()
         for p in self._procs:
-            if p is not None and p.is_alive():
-                p.terminate()
-                p.join(timeout=2.0)
-        for p in self._procs:
-            if p is not None and p.is_alive():  # pragma: no cover - stuck
-                p.kill()
-                p.join(timeout=2.0)
+            p.join()
         for ch in [*self._job_qs, *self._mailboxes, *self._result_chans]:
             ch.close()
         self._procs, self._job_qs, self._mailboxes = [], [], []
@@ -947,18 +925,24 @@ class ProcessBackend(ExecutionBackend):
         if self._hb is not None:  # what _ensure_workers made, it unmakes
             self._hb = None
             self._pool.detach(f"{self._token}hb")
+        self._reclaim("w")
 
-    def close(self) -> None:
-        self._teardown_workers()
-        self._ckpts.clear()
-        self._retire_staging()
-        self._pool.close()
-        reclaimed = self.janitor.sweep("")
+    def _reclaim(self, sub: str) -> None:
+        """Unlink what is left under ``token + sub``, counted."""
+        reclaimed = self.janitor.sweep(sub)
         if reclaimed:
             self.metrics.counter(
                 "repro_backend_shm_reclaimed_total",
                 "orphaned shared-memory segments reclaimed"
                 ).inc(len(reclaimed))
+
+    def close(self) -> None:
+        self._teardown_workers()
+        self._ckpts.clear()
+        self._inputs.retire()
+        self._results.retire()
+        self._pool.close()
+        self._reclaim("")
         try:
             self.metrics.gauge("repro_backend_workers_count").set(0)
         except Exception:
@@ -977,9 +961,9 @@ class ProcessBackend(ExecutionBackend):
         self.fault_plan = plan
 
     def live_workers(self) -> list[int]:
-        """Worker ids currently alive (dead ones respawn on the next run)."""
-        return [wid for wid, p in enumerate(self._procs)
-                if p is not None and p.is_alive()]
+        """Worker ids currently alive (the next run forks a fresh set if
+        one is missing or the last job did not end clean)."""
+        return [wid for wid, p in enumerate(self._procs) if p.is_alive()]
 
     def note_recovery(self, report, detected_at: float | None) -> None:
         """Record a completed shrink-and-redistribute recovery.
@@ -1007,9 +991,9 @@ class ProcessBackend(ExecutionBackend):
     def _sweep_checkpoints(self, into: dict | None = None) -> None:
         """Forget the shipped checkpoint descriptors — after copying their
         data out of the workers' stashes under ``(worker_id, tag)`` keys
-        when *into* is given: the copies outlive the stashes (a live
-        worker refills its own at the next job, a dead one's is swept
-        with its outbox), so recovery jobs can re-stage them.
+        when *into* is given: the copies outlive the stashes (the next
+        job refills them or, after a failure, reclaims them with the
+        worker set), so recovery jobs can re-stage them.
         """
         if into is not None:
             for key, view in self._ckpts.items():
@@ -1050,13 +1034,14 @@ class ProcessBackend(ExecutionBackend):
         on every watchdog tick; ``hedge`` (a
         :class:`~repro.verify.HedgePolicy`) arms straggler re-dispatch:
         a worker lagging the group's progress past ``threshold x`` the
-        label's last duration is killed, respawned, and the job re-run
-        once on the fresh worker set.
+        label's last duration is killed and the job re-run once on a
+        fresh worker set.
 
         A worker that dies (or hangs past ``hang_timeout``) mid-job
         raises :class:`~repro.cluster.faults.RankFailed` carrying the
-        dead ids and survivor set; the surviving workers stay up and the
-        dead are respawned on the next call.
+        dead ids and survivor set.  The next call, like every call after
+        a job that did not end clean, first replaces the whole worker
+        set (see :meth:`_ensure_workers`).
         """
         group = tuple(ranks) if ranks else tuple(range(self.size))
         if len(per_rank_args) != len(group):
@@ -1074,116 +1059,106 @@ class ProcessBackend(ExecutionBackend):
                              "plans; wire faults belong to the simulator")
         if deadline is not None:
             deadline.check(f"dispatch ({label})")
-        self._ensure_workers()
         actions = plan.next_job() if plan is not None else ()
         q = len(group)
-        try:
-            attempt = 0
-            while True:
-                attempt += 1
-                self._job_counter += 1
-                jid = self._job_counter
-                staged, staged_common, slots = self._stage(
-                    per_rank_args, common, result_spec, q)
-                # pickle eagerly: surfaces an unpicklable program as a
-                # clean error here, and a delayed/held delivery sends the
-                # bytes verbatim
-                try:
-                    payloads = {wid: pickle.dumps(_Job(
-                        job_id=jid, program=program,
-                        args=tuple(staged[i]), common=tuple(staged_common),
-                        machine=machine, fault_plan=fault_plan,
-                        result_slot=slots[i], ranks=group,
-                        faults=tuple(
-                            (f.kind, f.collective) for f in actions
-                            if f.rank == wid and f.collective is not None
-                            and f.kind in ("kill", "stall")),
-                        checkpoints=checkpoints is not None))
-                        for i, wid in enumerate(group)}
-                except Exception as exc:
-                    raise ValueError(
-                        "job does not pickle — the program must be a "
-                        "module-level generator function and every argument "
-                        "picklable (closures and lambdas are not)") from exc
+        attempt = 0
+        while True:
+            attempt += 1
+            self._ensure_workers()
+            self._job_counter += 1
+            jid = self._job_counter
+            staged, staged_common, slots = self._stage(
+                per_rank_args, common, result_spec, q)
+            # pickle eagerly: surfaces an unpicklable program as a clean
+            # error here, and a delayed/held delivery sends the bytes
+            # verbatim
+            try:
+                payloads = {wid: pickle.dumps(_Job(
+                    job_id=jid, program=program,
+                    args=tuple(staged[i]), common=tuple(staged_common),
+                    machine=machine, fault_plan=fault_plan,
+                    result_slot=slots[i], ranks=group,
+                    faults=tuple(
+                        (f.kind, f.collective) for f in actions
+                        if f.rank == wid and f.collective is not None
+                        and f.kind in ("kill", "stall")),
+                    checkpoints=checkpoints is not None))
+                    for i, wid in enumerate(group)}
+            except Exception as exc:
+                raise ValueError(
+                    "job does not pickle — the program must be a "
+                    "module-level generator function and every argument "
+                    "picklable (closures and lambdas are not)") from exc
 
-                t0 = time.monotonic()
-                timeline = _FaultTimeline(self, t0)
-                for f in actions:
-                    if f.kind == "delay" and f.rank in group:
-                        timeline.hold(f.rank, f.after_s, payloads[f.rank])
-                        plan.note_injected("delay")
-                    elif f.collective is None and f.kind in ("kill", "stall"):
-                        timeline.at(f.kind, f.rank, f.after_s)
-                        plan.note_injected(f.kind)
-                    elif f.kind in ("kill", "stall") and f.rank in group:
-                        plan.note_injected(f.kind)
-                    if f.kind == "stall" and f.resume_s is not None:
-                        timeline.at("resume", f.rank, f.resume_s)
-                for wid in group:
-                    self._hb[wid, 1] = -1.0
-                    if wid not in timeline.held:
-                        self._job_qs[wid].put(payloads[wid])
+            t0 = time.monotonic()
+            timeline = _FaultTimeline(self, t0)
+            for f in actions:
+                if f.kind == "delay" and f.rank in group:
+                    timeline.hold(f.rank, f.after_s, payloads[f.rank])
+                    plan.note_injected("delay")
+                elif f.collective is None and f.kind in ("kill", "stall"):
+                    timeline.at(f.kind, f.rank, f.after_s)
+                    plan.note_injected(f.kind)
+                elif f.kind in ("kill", "stall") and f.rank in group:
+                    plan.note_injected(f.kind)
+                if f.kind == "stall" and f.resume_s is not None:
+                    timeline.at("resume", f.rank, f.resume_s)
+            self._unclean = True
+            for wid in group:
+                self._hb[wid, 1] = -1.0
+                if wid not in timeline.held:
+                    self._job_qs[wid].put(payloads[wid])
 
-                est = self._label_est.get(label)
-                out = self._await_job(jid, group, label, deadline, timeline,
-                                      t0, hedge if attempt == 1 else None,
-                                      est)
-                if deadline is not None:
-                    deadline.charge("compute" if attempt == 1 else "hedge",
-                                    time.monotonic() - t0)
-                if out.deadline_tripped:
-                    deadline.check(label)  # raises DeadlineExceeded
-                if out.hedged:
-                    # straggler re-dispatch: replace the laggards, retry
-                    # the whole job once on the fresh worker set
-                    if hedge is not None:
-                        hedge.launched += len(out.hedged)
-                    self.metrics.counter(
-                        "repro_backend_hedge_retries_total",
-                        "jobs re-dispatched after killing stragglers"
-                        ).inc()
-                    for wid in out.hedged:
-                        self._spawn_worker(wid)
-                    self._sweep_checkpoints()
-                    self._drain_stale()
-                    self._retire_staging()
-                    actions = ()
-                    continue
+            est = self._label_est.get(label)
+            out = self._await_job(jid, group, label, deadline, timeline,
+                                  t0, hedge if attempt == 1 else None, est)
+            if deadline is not None:
+                deadline.charge("compute" if attempt == 1 else "hedge",
+                                time.monotonic() - t0)
+            if out.deadline_tripped:
+                deadline.check(label)  # raises DeadlineExceeded
+            if not out.hedged:
                 break
-
-            if out.deaths:
-                if checkpoints is not None:
-                    self._sweep_checkpoints(into=checkpoints)
-                self._handle_deaths(jid, label, group, out)
-            if out.errors:
-                wid, payload, tb = min(out.errors, key=lambda e: e[0])
-                exc = pickle.loads(payload)
-                raise exc from RuntimeError(
-                    f"rank {wid} failed; worker traceback:\n{tb}")
-            if any(status != "ok" for status, *_ in out.outcomes.values()):
-                bad = {w: o[0] for w, o in out.outcomes.items()
-                       if o[0] != "ok"}
-                raise RuntimeError(f"job aborted without a root error: {bad}")
-
-            if hedge is not None and attempt > 1:
-                hedge.won += 1
-            results: list = [None] * q
-            for i, wid in enumerate(group):
-                status, kind, rest, steps = out.outcomes[wid]
-                if kind == "slot":
-                    results[i] = slots[i].resolve(self._pool).copy()
-                elif kind == "slot+rest":
-                    results[i] = (slots[i].resolve(self._pool).copy(), *rest)
-                else:
-                    results[i] = rest
-            self._fold_telemetry(jid, label,
-                                 {w: o[3] for w, o in out.outcomes.items()})
-            self._label_est[label] = time.monotonic() - t0
+            # straggler re-dispatch: the laggards are dead; the whole job
+            # runs once more, on the fresh set the next attempt forks
+            if hedge is not None:
+                hedge.launched += len(out.hedged)
+            self.metrics.counter(
+                "repro_backend_hedge_retries_total",
+                "jobs re-dispatched after killing stragglers").inc()
             self._sweep_checkpoints()
-            return results
-        except BaseException:
-            self._retire_staging()
-            raise
+            actions = ()
+
+        if out.deaths:
+            if checkpoints is not None:
+                self._sweep_checkpoints(into=checkpoints)
+            self._handle_deaths(jid, label, group, out)
+        if out.errors:
+            wid, payload, tb = min(out.errors, key=lambda e: e[0])
+            exc = pickle.loads(payload)
+            raise exc from RuntimeError(
+                f"rank {wid} failed; worker traceback:\n{tb}")
+        if any(status != "ok" for status, *_ in out.outcomes.values()):
+            bad = {w: o[0] for w, o in out.outcomes.items() if o[0] != "ok"}
+            raise RuntimeError(f"job aborted without a root error: {bad}")
+        self._unclean = False
+
+        if hedge is not None and attempt > 1:
+            hedge.won += 1
+        results: list = [None] * q
+        for i, wid in enumerate(group):
+            status, kind, rest, steps = out.outcomes[wid]
+            if kind == "slot":
+                results[i] = slots[i].resolve(self._pool).copy()
+            elif kind == "slot+rest":
+                results[i] = (slots[i].resolve(self._pool).copy(), *rest)
+            else:
+                results[i] = rest
+        self._fold_telemetry(jid, label,
+                             {w: o[3] for w, o in out.outcomes.items()})
+        self._label_est[label] = time.monotonic() - t0
+        self._sweep_checkpoints()
+        return results
 
     def _stage(self, per_rank_args: list[tuple], common: tuple,
                result_spec: tuple | None, q: int):
@@ -1213,14 +1188,6 @@ class ProcessBackend(ExecutionBackend):
             slots = [ShmView(name, base + i * per, tuple(shape), dt.name)
                      for i in range(q)]
         return staged, staged_common, slots
-
-    def _retire_staging(self) -> None:
-        """Rule 1 of :class:`~repro.cluster.shm.ShmArena`: a rank of a job
-        that did not end clean may still be running, so the generations
-        it reads and writes are unlinked before anything is staged again.
-        """
-        self._inputs.retire()
-        self._results.retire()
 
     # -- the watchdog --------------------------------------------------
 
@@ -1266,12 +1233,13 @@ class ProcessBackend(ExecutionBackend):
                         break
                     got_msg = True
                     mjid, wid, status, a, b, _c = msg
-                    if status == "ckpt":
-                        if mjid == jid:
-                            self._ckpts[(wid, a)] = b
-                        continue
                     if mjid != jid:
-                        continue  # residue of a previously failed job
+                        raise RuntimeError(
+                            f"worker {wid} answered job {mjid} while job "
+                            f"{jid} ran: a result pipe outlived its job")
+                    if status == "ckpt":
+                        self._ckpts[(wid, a)] = b
+                        continue
                     outcomes[wid] = (status, a, b, _c)
                     if status == "error":
                         errors.append((wid, a, b))
@@ -1282,7 +1250,7 @@ class ProcessBackend(ExecutionBackend):
                 if settled(wid):
                     continue
                 p = self._procs[wid]
-                alive = p is not None and p.is_alive()
+                alive = p.is_alive()
                 if alive and now - float(self._hb[wid, 0]) \
                         > self.hang_timeout:
                     # hung (SIGSTOP/livelock): escalate to SIGKILL; the
@@ -1292,10 +1260,7 @@ class ProcessBackend(ExecutionBackend):
                         "workers whose heartbeat went stale in-flight"
                         ).inc()
                     hung.append(wid)
-                    try:
-                        os.kill(p.pid, signal.SIGKILL)
-                    except ProcessLookupError:
-                        pass
+                    p.kill()
                     p.join(timeout=1.0)
                     alive = p.is_alive()
                 if not alive:
@@ -1337,12 +1302,8 @@ class ProcessBackend(ExecutionBackend):
                                             2 * self.hang_timeout)
                     for wid in laggards:
                         timeline.cancel(wid)
-                        p = self._procs[wid]
-                        try:
-                            os.kill(p.pid, signal.SIGKILL)
-                        except (ProcessLookupError, TypeError):
-                            pass
-                        p.join(timeout=1.0)
+                        self._procs[wid].kill()
+                        self._procs[wid].join(timeout=1.0)
 
             if grace_until is not None and now > grace_until:
                 for wid in sorted(need):
@@ -1353,7 +1314,6 @@ class ProcessBackend(ExecutionBackend):
                 break
             if now > hard_deadline:
                 missing = sorted(w for w in need if not settled(w))
-                self._teardown_workers()
                 raise RuntimeError(
                     f"workers unresponsive after "
                     f"{self.mailbox_timeout:.0f}s (job {jid}: ranks "
@@ -1382,8 +1342,7 @@ class ProcessBackend(ExecutionBackend):
         for wid in group:
             if wid in outcomes:
                 continue
-            p = self._procs[wid]
-            if p is None or not p.is_alive():
+            if not self._procs[wid].is_alive():
                 continue
             if now - float(self._hb[wid, 0]) > self.hang_timeout:
                 continue
@@ -1395,49 +1354,28 @@ class ProcessBackend(ExecutionBackend):
                      reason: str) -> None:
         """Unblock every live group member waiting in a collective."""
         for wid in group:
-            p = self._procs[wid]
-            if p is not None and p.is_alive():
+            if self._procs[wid].is_alive():
                 try:
                     self._mailboxes[wid].put(("abort", jid, culprit,
                                               reason))
                 except Exception:  # pragma: no cover - queue torn down
                     pass
 
-    def _drain_stale(self) -> None:
-        """Drop result-pipe residue of an abandoned dispatch attempt."""
-        for chan in self._result_chans:
-            self._drain(chan)
-
     def _handle_deaths(self, jid: int, label: str, group: tuple,
                        out: _JobOutcome) -> None:
         """Turn detected worker deaths into a recoverable RankFailed."""
         dead = tuple(sorted(out.deaths))
         survivors = tuple(w for w in group if w not in dead
-                          and self._procs[w] is not None
                           and self._procs[w].is_alive())
-        exitcodes = {w: (self._procs[w].exitcode
-                         if self._procs[w] is not None else None)
-                     for w in dead}
         reason = ", ".join(
             f"worker {w} "
             + ("hung (heartbeat stale), killed" if w in out.hung else
-               f"died (exitcode {exitcodes[w]})")
+               f"died (exitcode {self._procs[w].exitcode})")
             for w in dead)
         self.last_failure = WorkerFailure(
             job_id=jid, job_label=label, dead=dead, survivors=survivors,
             detected_at=out.detected_at or time.monotonic(),
             reason=reason, hung=tuple(out.hung))
-        # reclaim what the dead left behind (their outbox and stash
-        # generations; run() has copied the checkpoints recovery needs);
-        # survivors' mappings of the segments stay valid
-        reclaimed = []
-        for w in dead:
-            reclaimed += self.janitor.sweep(f"w{w}e")
-        if reclaimed:
-            self.metrics.counter(
-                "repro_backend_shm_reclaimed_total",
-                "orphaned shared-memory segments reclaimed"
-                ).inc(len(reclaimed))
         self._workers_gauge.set(len(self.live_workers()))
         exc = RankFailed(
             dead[0],

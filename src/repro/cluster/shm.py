@@ -144,9 +144,9 @@ class ShmJanitor:
 
     Scoped to a name *prefix* (one backend instance's token): anything
     under the prefix that is not in the ``keep`` set is fair game.  The
-    process backend sweeps after worker deaths (a SIGKILL'd worker's
-    outbox/checkpoint segments) and on ``close()``, so repeated failures
-    cannot leak ``/dev/shm``.
+    process backend sweeps its workers' outbox/checkpoint segments
+    whenever it ends a worker set (a restart, ``close()``), so repeated
+    failures cannot leak ``/dev/shm``.
     """
 
     def __init__(self, prefix: str):
@@ -288,18 +288,18 @@ class ShmArena:
 
     Two lifetime rules replace what per-job segment names gave for free:
 
-    1. **Retire after an unclean end.**  When a fill's readers or writers
+    1. **Restart after an unclean end.**  When a fill's readers or writers
        may still be running (a job that ended by death, hang, hedge,
-       abort, error, deadline or grace-period break), the owner calls
-       :meth:`retire` before the next fill: the generation is unlinked and
-       the next fill gets a fresh name, so a straggler that wakes up late
-       writes into memory only it still maps — never into the next job's
-       result.
+       abort, error, deadline or grace-period break), the process backend
+       kills every worker of that job before the next fill, so no
+       straggler wakes up late inside the next job; the arena itself is
+       reused.  :meth:`retire` unlinks every generation when the owner
+       closes.
     2. **One mapped generation per arena per process.**
        :meth:`ShmPool.attach` unmaps every other generation of an arena
-       when it maps a new one, so neither growth nor retirement leaves old
-       generations mapped for the life of a reader.  Generations a crashed
-       owner left behind are reclaimed by prefix (:class:`ShmJanitor`).
+       when it maps a new one, so growth never leaves old generations
+       mapped for the life of a reader.  Generations of killed owners are
+       reclaimed by prefix (:class:`ShmJanitor`) when their set restarts.
     """
 
     def __init__(self, prefix: str, pool: ShmPool):
@@ -352,7 +352,7 @@ class ShmArena:
         return views
 
     def retire(self) -> None:
-        """Unlink every generation (rule 1); the next fill gets a new name."""
+        """Unlink every generation; the next fill gets a new name."""
         if self._name is not None:
             self._outgrown.append(self._name)
         self._unlink_outgrown()

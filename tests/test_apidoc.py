@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import apidoc
 from repro.bench.apidoc import SUBPACKAGES, build_apidoc, write_apidoc
 
 
@@ -37,3 +38,15 @@ class TestApidoc:
         out = tmp_path / "API.md"
         assert main(["apidoc", "--output", str(out)]) == 0
         assert out.exists()
+
+
+class TestRegenerationIsStable:
+    """Regenerating docs/API.md changes nothing when the code did not:
+    no object address reaches the text."""
+
+    def test_no_object_addresses(self, doc):
+        assert " at 0x" not in doc
+
+    def test_repr_rendered_constants_carry_addresses(self, monkeypatch):
+        monkeypatch.setattr(apidoc, "_shown", repr)
+        assert " at 0x" in build_apidoc()
