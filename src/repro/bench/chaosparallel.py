@@ -3,12 +3,13 @@
 Runs a fixed campaign of chaos scenarios against the
 :class:`~repro.cluster.backends.ProcessBackend` — SIGKILL mid-all-to-all,
 SIGKILL at the halo ring, a double kill, a SIGSTOP hang caught by the
-heartbeat watchdog, a transient stall that resumes, a starved job
-delivery, a hedged straggler, and a tripped wall-clock deadline — and
-verifies for each that the parallel SOI transform ends *bit-for-bit*
-identical to the fault-free run (or raises exactly the declared
-exception), that MTTR is recorded, and that not one shared-memory
-segment leaks.
+heartbeat watchdog, a transient stall that resumes, a starved rank
+asleep before its program starts, a hedged straggler, and a tripped
+wall-clock deadline — and verifies for each that the parallel SOI
+transform ends *bit-for-bit* identical to the fault-free run (or raises
+exactly the declared exception), that MTTR is recorded, and that not one
+shared-memory segment leaks.  Every fault fires in its victim at a
+protocol point (:class:`~repro.cluster.faults.ProcessFault` ``at``).
 
 A scenario that recovers also answers the elasticity question — does a
 crash leave permanent damage? — on the backend that lived through it:
@@ -55,29 +56,27 @@ def _scenarios(workers: int) -> list[dict]:
     mid = workers // 2
     rows = [
         {"name": "kill @ all-to-all",
-         "plan": ProcessFaultPlan([ProcessFault("kill", rank=mid,
-                                                collective=1)]),
+         "plan": ProcessFaultPlan([ProcessFault("kill", rank=mid, at=1)]),
          "expect": "recovered"},
         {"name": "kill @ halo ring",
          "plan": ProcessFaultPlan([ProcessFault("kill", rank=1 % workers,
-                                                collective=0)]),
+                                                at=0)]),
          "expect": "recovered"},
         {"name": "hang (SIGSTOP, watchdog)",
          "plan": ProcessFaultPlan([ProcessFault("stall", rank=workers - 1,
-                                                collective=1)]),
+                                                at=1)]),
          "expect": "recovered"},
         {"name": "stall + SIGCONT resume",
          "plan": ProcessFaultPlan([ProcessFault("stall", rank=workers - 1,
-                                                collective=1,
-                                                resume_s=0.3)]),
+                                                at=1, for_s=0.3)]),
          "expect": "transparent"},
-        {"name": "starved job delivery",
+        {"name": "starved rank",
          "plan": ProcessFaultPlan([ProcessFault("delay", rank=mid,
-                                                after_s=0.3)]),
+                                                for_s=0.3)]),
          "expect": "transparent"},
         {"name": "hedged straggler",
          "plan": ProcessFaultPlan([ProcessFault("delay", rank=0,
-                                                after_s=60.0)]),
+                                                for_s=60.0)]),
          "expect": "hedged"},
         {"name": "deadline trip",
          "plan": None,
@@ -87,8 +86,8 @@ def _scenarios(workers: int) -> list[dict]:
         rows.insert(2, {
             "name": "double kill",
             "plan": ProcessFaultPlan([
-                ProcessFault("kill", rank=0, collective=1),
-                ProcessFault("kill", rank=workers - 1, collective=1)]),
+                ProcessFault("kill", rank=0, at=1),
+                ProcessFault("kill", rank=workers - 1, at=1)]),
             "expect": "recovered"})
     return rows
 

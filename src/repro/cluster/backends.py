@@ -76,9 +76,11 @@ Elastic fault tolerance (the parent is the watchdog):
 
 Process-level chaos (:class:`~repro.cluster.faults.ProcessFaultPlan`,
 installed via :meth:`ProcessBackend.inject`) drives all of the above
-deterministically: seeded kill -9 and SIGSTOP at collective entry
-(worker-side, exact), timed kills/stalls and job-delivery delays
-(parent-side), delayed SIGCONT resumes, and worker-side SDC.
+deterministically: every kill -9, SIGSTOP and starving sleep fires inside
+its victim at a protocol point the worker reaches — the job read whole,
+a collective's entry, the program returned — and worker-side SDC rides
+the job.  The parent's one fault action is the SIGCONT that ends a
+stall, timed from the moment it sees the worker stopped.
 
 SPMD discipline (matching collective kinds/labels across ranks) is
 checked per message: descriptors carry the collective index, and a
@@ -352,7 +354,7 @@ class _Job:
     fault_plan: Any = None  # SDC-only FaultPlan (or None)
     result_slot: ShmView | None = None
     ranks: tuple = ()  # worker ids forming the group ((), = all workers)
-    faults: tuple = ()  # ((kind, collective), ...) for THIS worker
+    faults: tuple = ()  # this worker's ProcessFaults
     checkpoints: bool = False  # ship Checkpoint data to the parent
 
 
@@ -442,6 +444,20 @@ def _next_msg(mailbox, job_id: int, coll_idx: int, timeout: float,
         pending.append(msg)
 
 
+def _fire(faults: tuple, point) -> None:
+    """Fire this worker's scheduled faults at protocol *point* (``"start"``,
+    a collective index or ``"result"``): a kill or a stall is the worker
+    signalling itself, a delay a sleep its heartbeat thread beats through."""
+    for f in faults:
+        if f.at != point:
+            continue
+        if f.kind == "delay":
+            time.sleep(f.for_s)
+        else:
+            os.kill(os.getpid(), signal.SIGKILL if f.kind == "kill"
+                    else signal.SIGSTOP)
+
+
 def _serve_collective(req, coll_idx: int, rank: int, group: tuple,
                       mailboxes, pool: ShmPool, outbox: ShmArena,
                       timeout: float, job_id: int, pending: list,
@@ -459,12 +475,7 @@ def _serve_collective(req, coll_idx: int, rank: int, group: tuple,
     size = len(group)
     if hb is not None:
         hb[me, 1] = float(coll_idx)  # progress: collective reached
-    for kind, coll in faults:
-        if coll == coll_idx:
-            if kind == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            elif kind == "stall":
-                os.kill(os.getpid(), signal.SIGSTOP)
+    _fire(faults, coll_idx)
 
     def post(dest: int, payload) -> None:
         mailboxes[group[dest]].put((job_id, coll_idx, rank, payload))
@@ -660,6 +671,7 @@ def _worker_main(me: int, n_workers: int, token: str, job_q, result_q,
                 return
             job = pickle.loads(raw)
             stash.reset()
+            _fire(job.faults, "start")
 
             def ship_ckpt(tag, data, _jid=job.job_id):
                 (view,) = stash.pack([data])
@@ -669,6 +681,7 @@ def _worker_main(me: int, n_workers: int, token: str, job_q, result_q,
                 result, steps = _run_rank(job, me, n_workers, mailboxes,
                                           pool, outbox, timeout, hb,
                                           ship_ckpt)
+                _fire(job.faults, "result")
                 kind, rest = _ship_result(result, job.result_slot, pool)
                 post_result((job.job_id, me, "ok", kind, rest, steps))
             except _Aborted as exc:
@@ -699,57 +712,13 @@ def _worker_main(me: int, n_workers: int, token: str, job_q, result_q,
 # Parent-side backend
 # ---------------------------------------------------------------------------
 
-class _FaultTimeline:
-    """Parent-side schedule of one job's injected fault actions.
-
-    Holds back delayed job payloads, fires timed kills/stalls, and sends
-    the scheduled SIGCONT resumes — all relative to the dispatch time,
-    ticked from the watchdog loop.
-    """
-
-    def __init__(self, backend: "ProcessBackend", t0: float):
-        self._backend = backend
-        self.t0 = t0
-        self.held: dict[int, tuple[float, bytes]] = {}  # wid -> (due, raw)
-        self.timers: list[tuple[float, str, int]] = []  # (due, kind, wid)
-
-    def hold(self, wid: int, delay_s: float, payload: bytes) -> None:
-        self.held[wid] = (self.t0 + delay_s, payload)
-
-    def at(self, kind: str, wid: int, after_s: float) -> None:
-        self.timers.append((self.t0 + after_s, kind, wid))
-
-    def cancel(self, wid: int) -> None:
-        self.held.pop(wid, None)
-        self.timers = [t for t in self.timers if t[2] != wid]
-
-    def undelivered(self) -> tuple[int, ...]:
-        return tuple(sorted(self.held))
-
-    def tick(self, now: float) -> None:
-        b = self._backend
-        for wid, (due, payload) in list(self.held.items()):
-            if now >= due:
-                del self.held[wid]
-                b._job_qs[wid].put(payload)
-        still = []
-        for due, kind, wid in self.timers:
-            if now < due:
-                still.append((due, kind, wid))
-                continue
-            proc = b._procs[wid] if wid < len(b._procs) else None
-            if proc is None or proc.pid is None:
-                continue
-            try:
-                if kind == "kill":
-                    os.kill(proc.pid, signal.SIGKILL)
-                elif kind == "stall":
-                    os.kill(proc.pid, signal.SIGSTOP)
-                elif kind == "resume":
-                    os.kill(proc.pid, signal.SIGCONT)
-            except ProcessLookupError:
-                pass
-        self.timers = still
+def _stopped(pid: int) -> bool:
+    """True while worker *pid* (a child of this process) is stopped."""
+    try:
+        return os.waitid(os.P_PID, pid, os.WSTOPPED | os.WNOHANG
+                         | os.WNOWAIT) is not None
+    except ChildProcessError:  # already reaped
+        return False
 
 
 @dataclass
@@ -1069,19 +1038,15 @@ class ProcessBackend(ExecutionBackend):
             jid = self._job_counter
             staged, staged_common, slots = self._stage(
                 per_rank_args, common, result_spec, q)
-            # pickle eagerly: surfaces an unpicklable program as a clean
-            # error here, and a delayed/held delivery sends the bytes
-            # verbatim
+            # pickle every rank's job before any is sent: an unpicklable
+            # program is a clean error, not a half-dispatched job
             try:
                 payloads = {wid: pickle.dumps(_Job(
                     job_id=jid, program=program,
                     args=tuple(staged[i]), common=tuple(staged_common),
                     machine=machine, fault_plan=fault_plan,
                     result_slot=slots[i], ranks=group,
-                    faults=tuple(
-                        (f.kind, f.collective) for f in actions
-                        if f.rank == wid and f.collective is not None
-                        and f.kind in ("kill", "stall")),
+                    faults=tuple(f for f in actions if f.rank == wid),
                     checkpoints=checkpoints is not None))
                     for i, wid in enumerate(group)}
             except Exception as exc:
@@ -1090,27 +1055,20 @@ class ProcessBackend(ExecutionBackend):
                     "module-level generator function and every argument "
                     "picklable (closures and lambdas are not)") from exc
 
-            t0 = time.monotonic()
-            timeline = _FaultTimeline(self, t0)
+            resumes = {}  # stalled wid -> SIGCONT delay, from its stop
             for f in actions:
-                if f.kind == "delay" and f.rank in group:
-                    timeline.hold(f.rank, f.after_s, payloads[f.rank])
-                    plan.note_injected("delay")
-                elif f.collective is None and f.kind in ("kill", "stall"):
-                    timeline.at(f.kind, f.rank, f.after_s)
+                if f.rank in group:
                     plan.note_injected(f.kind)
-                elif f.kind in ("kill", "stall") and f.rank in group:
-                    plan.note_injected(f.kind)
-                if f.kind == "stall" and f.resume_s is not None:
-                    timeline.at("resume", f.rank, f.resume_s)
+                    if f.kind == "stall" and f.for_s is not None:
+                        resumes[f.rank] = f.for_s
+            t0 = time.monotonic()
             self._unclean = True
             for wid in group:
                 self._hb[wid, 1] = -1.0
-                if wid not in timeline.held:
-                    self._job_qs[wid].put(payloads[wid])
+                self._job_qs[wid].put(payloads[wid])
 
             est = self._label_est.get(label)
-            out = self._await_job(jid, group, label, deadline, timeline,
+            out = self._await_job(jid, group, label, deadline, resumes,
                                   t0, hedge if attempt == 1 else None, est)
             if deadline is not None:
                 deadline.charge("compute" if attempt == 1 else "hedge",
@@ -1192,14 +1150,17 @@ class ProcessBackend(ExecutionBackend):
     # -- the watchdog --------------------------------------------------
 
     def _await_job(self, jid: int, group: tuple, label: str, deadline,
-                   timeline: _FaultTimeline, t0: float, hedge,
+                   resumes: dict, t0: float, hedge,
                    est: float | None) -> _JobOutcome:
         """Collect one dispatch attempt's outcomes, watching liveness.
 
         The parent *is* the heartbeat watchdog: each ~50ms tick it
-        drains the result queue, fires scheduled fault actions, checks
-        every in-flight worker's process state and heartbeat, enforces
-        the deadline, and evaluates the hedge policy.
+        drains the result queue, resumes stalled workers, checks every
+        in-flight worker's process state and heartbeat, enforces the
+        deadline, and evaluates the hedge policy.  *resumes* maps a
+        worker scheduled to stall to its SIGCONT delay, which counts
+        from the first tick that sees it stopped — never from dispatch,
+        so no resume can arrive before the stop it undoes.
         """
         need = set(group)
         outcomes: dict[int, tuple] = {}
@@ -1217,9 +1178,22 @@ class ProcessBackend(ExecutionBackend):
             return wid in outcomes or wid in deaths or wid in hedged
 
         readers = [self._result_chans[w].reader for w in group]
+        due: dict[int, float] = {}  # wid -> SIGCONT time, once seen stopped
         while not all(settled(w) for w in need):
             now = time.monotonic()
-            timeline.tick(now)
+            for wid, for_s in list(resumes.items()):
+                pid = self._procs[wid].pid
+                if settled(wid):
+                    del resumes[wid]
+                elif wid not in due:
+                    if _stopped(pid):
+                        due[wid] = now + for_s
+                elif now >= due[wid]:
+                    del resumes[wid]
+                    try:
+                        os.kill(pid, signal.SIGCONT)
+                    except ProcessLookupError:  # reaped since the tick
+                        pass
             try:
                 mp_connection.wait(readers, timeout=_WATCHDOG_TICK_S)
             except OSError:  # pragma: no cover - teardown race
@@ -1265,7 +1239,6 @@ class ProcessBackend(ExecutionBackend):
                     alive = p.is_alive()
                 if not alive:
                     deaths.append(wid)
-                    timeline.cancel(wid)
                     if detected_at is None:
                         detected_at = time.monotonic()
                     self.metrics.counter(
@@ -1290,8 +1263,7 @@ class ProcessBackend(ExecutionBackend):
             if hedge is not None and est is not None and not hedged \
                     and not deaths and len(group) >= hedge.min_ranks \
                     and now - t0 > max(hedge.threshold * est, 0.05):
-                laggards = self._find_laggards(group, outcomes, timeline,
-                                               now)
+                laggards = self._find_laggards(group, outcomes, now)
                 if laggards:
                     hedged.extend(laggards)
                     if not flooded:
@@ -1301,7 +1273,6 @@ class ProcessBackend(ExecutionBackend):
                     grace_until = now + max(_ABORT_GRACE_S,
                                             2 * self.hang_timeout)
                     for wid in laggards:
-                        timeline.cancel(wid)
                         self._procs[wid].kill()
                         self._procs[wid].join(timeout=1.0)
 
@@ -1327,17 +1298,17 @@ class ProcessBackend(ExecutionBackend):
                            deadline_tripped=deadline_tripped)
 
     def _find_laggards(self, group: tuple, outcomes: dict,
-                       timeline: _FaultTimeline, now: float) -> list[int]:
+                       now: float) -> list[int]:
         """Workers behind the group's progress front but not hung.
 
         Progress is the collective index each worker last entered
-        (written next to its heartbeat); a rank still waiting for its
-        delayed job payload sits at -1.  Hung workers are the hang
-        watchdog's business, not the hedge's.
+        (written next to its heartbeat); a rank that has not reached its
+        first collective — a starved one asleep at ``"start"`` — sits at
+        -1.  Hung workers are the hang watchdog's business, not the
+        hedge's.
         """
         prog = {wid: float(self._hb[wid, 1]) for wid in group}
         front = max(prog.values())
-        undelivered = set(timeline.undelivered())
         laggards = []
         for wid in group:
             if wid in outcomes:
@@ -1346,7 +1317,7 @@ class ProcessBackend(ExecutionBackend):
                 continue
             if now - float(self._hb[wid, 0]) > self.hang_timeout:
                 continue
-            if prog[wid] < front or wid in undelivered:
+            if prog[wid] < front:
                 laggards.append(wid)
         return laggards
 

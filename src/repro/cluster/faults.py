@@ -589,18 +589,26 @@ class FaultPlan:
 class ProcessFault:
     """One scheduled misbehavior of a real worker process.
 
+    Every fault fires inside the victim worker, at the protocol point
+    ``at`` names, so it lands where it is meant to on any host:
+
+    * ``"start"`` — the job has been read whole and unpickled, and the
+      program has not run (its progress column still reads -1);
+    * an int *k* — the entry of collective *k* (0-based), after the
+      progress column reads *k*;
+    * ``"result"`` — the program has returned (every ``Checkpoint`` it
+      yielded is shipped) and its result slot is not yet written.
+
     ``kind``:
 
-    * ``"kill"`` — SIGKILL: worker-side self-kill at the entry of
-      collective *collective* when set, else a parent-side kill
-      *after_s* seconds into the job (crash at an arbitrary point);
-    * ``"stall"`` — SIGSTOP at the same trigger points; *resume_s*
-      seconds after dispatch the parent sends SIGCONT.  Without a
-      resume the worker stays frozen until the heartbeat watchdog
+    * ``"kill"`` — the worker SIGKILLs itself (a crash);
+    * ``"stall"`` — the worker SIGSTOPs itself.  *for_s* seconds after
+      the parent first sees it stopped, the parent sends SIGCONT; with
+      ``for_s=None`` it stays frozen until the heartbeat watchdog
       declares it hung and escalates to SIGKILL;
-    * ``"delay"`` — the parent holds the rank's job payload back for
-      *after_s* seconds (a starved job queue: the worker is alive and
-      idle while its peers block in the first collective).
+    * ``"delay"`` — the worker sleeps *for_s* seconds at ``"start"``
+      while its heartbeat keeps beating (a starved rank: alive, its
+      progress at -1, while its peers block in the first collective).
 
     ``job`` is the 1-based job sequence number counted from the plan's
     installation; ``rank`` the worker id the fault targets.
@@ -609,9 +617,8 @@ class ProcessFault:
     kind: str  # "kill" | "stall" | "delay"
     rank: int
     job: int = 1
-    collective: int | None = None  # 0-based trigger at collective entry
-    after_s: float = 0.0  # parent-side trigger/holdback, seconds from dispatch
-    resume_s: float | None = None  # SIGCONT delay for "stall"
+    at: int | str = "start"  # "start" | collective index | "result"
+    for_s: float | None = None  # stall: SIGCONT delay; delay: the sleep
 
     def __post_init__(self):
         if self.kind not in ("kill", "stall", "delay"):
@@ -620,8 +627,18 @@ class ProcessFault:
             raise ValueError("rank must be a non-negative worker id")
         if self.job < 1:
             raise ValueError("job sequence numbers are 1-based")
-        if self.kind == "delay" and self.collective is not None:
-            raise ValueError("a delivery delay has no collective trigger")
+        if self.at not in ("start", "result") and not (
+                type(self.at) is int and self.at >= 0):
+            raise ValueError(f"unknown fault point {self.at!r}: "
+                             f"'start', 'result' or a collective index")
+        if self.kind == "delay" and self.at != "start":
+            raise ValueError("a delay fires only at 'start'")
+        if self.kind == "delay" and self.for_s is None:
+            raise ValueError("a delay needs its for_s")
+        if self.kind == "kill" and self.for_s is not None:
+            raise ValueError("a kill has no for_s")
+        if self.for_s is not None and self.for_s < 0:
+            raise ValueError("for_s must be non-negative")
 
 
 class ProcessFaultPlan:
@@ -629,11 +646,13 @@ class ProcessFaultPlan:
 
     The wire-fault :class:`FaultPlan` describes a simulated fabric; this
     plan describes what can actually happen to OS worker processes:
-    kill -9, SIGSTOP stalls (with or without a delayed SIGCONT), job
-    delivery delays, and worker-side silent data corruption (an
-    SDC-only :class:`FaultPlan` applied inside the workers).  Install it
-    with :meth:`repro.cluster.backends.ProcessBackend.inject`; faults
-    fire on the *job*-th run() after installation.
+    kill -9, SIGSTOP stalls (with or without a delayed SIGCONT), starved
+    ranks, and worker-side silent data corruption (an SDC-only
+    :class:`FaultPlan` applied inside the workers).  Each
+    :class:`ProcessFault` fires in its victim at a protocol point
+    (``at``), never on a parent-side wall-clock timer.  Install it with
+    :meth:`repro.cluster.backends.ProcessBackend.inject`; faults fire on
+    the *job*-th run() after installation.
 
     The schedule is immutable; ``injected`` counts fired faults by kind
     at runtime (:meth:`reset` re-arms the plan).
@@ -655,16 +674,18 @@ class ProcessFaultPlan:
     def random(cls, seed: int, n_ranks: int, *, n_kills: int = 0,
                n_stalls: int = 0, n_delays: int = 0,
                max_collective: int = 2, min_survivors: int = 1,
-               stall_resume_s: float | None = 0.5,
+               stall_for_s: float | None = 0.5,
                delay_s: float = 0.25, jobs: int = 1,
                sdc_rate: float = 0.0,
                sdc_amplitude: float = 1.0) -> "ProcessFaultPlan":
         """Draw a seeded schedule over distinct victim ranks.
 
         Victims are drawn without replacement so at least
-        *min_survivors* ranks never get a kill/stall; each fault lands
-        on a uniform job in ``1..jobs`` and a uniform collective entry
-        in ``0..max_collective``.
+        *min_survivors* ranks never get a kill/stall; each kill/stall
+        lands on a uniform job in ``1..jobs`` and a uniform collective
+        entry in ``0..max_collective`` (a stall resumes after
+        *stall_for_s*), each delay on a uniform rank and job, sleeping
+        *delay_s* at ``"start"``.
         """
         rng = np.random.default_rng(seed)
         n_lethal = min(n_kills + n_stalls,
@@ -678,12 +699,12 @@ class ProcessFaultPlan:
             faults.append(ProcessFault(
                 kind=kind, rank=int(victims[i]),
                 job=int(rng.integers(1, jobs + 1)),
-                collective=int(rng.integers(0, max_collective + 1)),
-                resume_s=(stall_resume_s if kind == "stall" else None)))
+                at=int(rng.integers(0, max_collective + 1)),
+                for_s=(stall_for_s if kind == "stall" else None)))
         for _ in range(n_delays):
             faults.append(ProcessFault(
                 kind="delay", rank=int(rng.integers(n_ranks)),
-                job=int(rng.integers(1, jobs + 1)), after_s=delay_s))
+                job=int(rng.integers(1, jobs + 1)), for_s=delay_s))
         sdc = None
         if sdc_rate:
             sdc = FaultPlan.random(seed, n_ranks, sdc_rate=sdc_rate,

@@ -7,11 +7,14 @@ identical to the rank-serial ``SimulatedBackend``, including the merged
 """
 
 import itertools
+import os
+import pickle
 import queue
 import re
 import time
 from collections import Counter
 from dataclasses import replace
+from signal import SIGKILL, SIGSTOP
 
 import numpy as np
 import pytest
@@ -471,6 +474,32 @@ class TestProcessFaultPlan:
             ProcessFault("kill", rank=-1)
         with pytest.raises(ValueError, match="SDC-only"):
             ProcessFaultPlan(sdc=FaultPlan.random(1, P, corrupt_rate=0.1))
+        with pytest.raises(ValueError, match="point"):
+            ProcessFault("kill", rank=0, at="dispatch")
+        with pytest.raises(ValueError, match="point"):
+            ProcessFault("kill", rank=0, at=-1)
+        with pytest.raises(ValueError, match="only at 'start'"):
+            ProcessFault("delay", rank=0, at=1, for_s=0.1)
+        with pytest.raises(ValueError, match="needs its for_s"):
+            ProcessFault("delay", rank=0)
+        with pytest.raises(ValueError, match="a kill has no for_s"):
+            ProcessFault("kill", rank=0, for_s=0.1)
+
+    def test_seeded_draws_are_pinned(self):
+        """Victims, jobs and collectives per seed are the schedule every
+        seeded soak was written against."""
+        draws = {seed: [(f.kind, f.rank, f.job, f.at, f.for_s)
+                        for f in ProcessFaultPlan.random(
+                            seed, P, n_kills=1, n_stalls=1, n_delays=1,
+                            jobs=3).faults]
+                 for seed in (1, 7, 23)}
+        assert draws == {
+            1: [("kill", 1, 3, 0, None), ("stall", 2, 1, 2, 0.5),
+                ("delay", 3, 1, "start", 0.25)],
+            7: [("kill", 2, 3, 1, None), ("stall", 3, 3, 2, 0.5),
+                ("delay", 0, 1, "start", 0.25)],
+            23: [("kill", 2, 2, 0, None), ("stall", 0, 1, 1, 0.5),
+                 ("delay", 0, 1, "start", 0.25)]}
 
     def test_seeded_plan_is_reproducible(self):
         a = ProcessFaultPlan.random(7, P, n_kills=1, n_stalls=1, n_delays=1)
@@ -487,7 +516,7 @@ class TestProcessFaultPlan:
 
     def test_job_sequencing(self):
         plan = ProcessFaultPlan([ProcessFault("kill", rank=1, job=2,
-                                              collective=0)])
+                                              at=0)])
         plan.reset()
         assert plan.next_job() == ()  # job 1: nothing scheduled
         assert len(plan.next_job()) == 1  # job 2: the kill fires
@@ -499,7 +528,7 @@ class TestElasticRecovery:
         rank ids, job label, survivors — and a causal RuntimeError."""
         be = chaos_backend
         be.inject(ProcessFaultPlan([ProcessFault("kill", rank=2,
-                                                 collective=0)]))
+                                                 at=0)]))
         with pytest.raises(RankFailed, match="worker 2 died") as ei:
             be.run(alltoall_prog, [(0.0,)] * P, label="doomed job")
         exc = ei.value
@@ -524,7 +553,7 @@ class TestElasticRecovery:
         x = signal(params.n)
         want = spmd_soi_fft(SimCluster(P), params, x, backend=be)
         be.inject(ProcessFaultPlan([ProcessFault("kill", rank=2,
-                                                 collective=1)]))
+                                                 at=1)]))
         got = spmd_soi_fft(SimCluster(P), params, x, backend=be)
         assert np.array_equal(want, got)
         report = be.last_recovery
@@ -544,7 +573,7 @@ class TestElasticRecovery:
         x = signal(params.n)
         want = spmd_soi_fft(SimCluster(P), params, x, backend=be)
         be.inject(ProcessFaultPlan([ProcessFault("kill", rank=1,
-                                                 collective=0)]))
+                                                 at=0)]))
         got = spmd_soi_fft(SimCluster(P), params, x, backend=be)
         assert np.array_equal(want, got)
         assert be.last_recovery.dead_ranks == (1,)
@@ -557,33 +586,32 @@ class TestElasticRecovery:
         x = signal(params.n)
         want = spmd_soi_fft(SimCluster(P), params, x, backend=be)
         be.inject(ProcessFaultPlan([ProcessFault("stall", rank=3,
-                                                 collective=1)]))
+                                                 at=1)]))
         got = spmd_soi_fft(SimCluster(P), params, x, backend=be)
         assert np.array_equal(want, got)
         assert be.last_failure.hung == (3,)
         assert be.last_recovery.dead_ranks == (3,)
 
     def test_transient_stall_and_delay_are_transparent(self, chaos_backend):
-        """A stall that resumes (SIGCONT) and a delayed job delivery
+        """A stall that resumes (SIGCONT) and a rank asleep at its start
         finish without any recovery at all."""
         be = chaos_backend
         params = soi_params(2 ** 12)
         x = signal(params.n)
         want = spmd_soi_fft(SimCluster(P), params, x, backend=be)
-        be.inject(ProcessFaultPlan([ProcessFault("stall", rank=3,
-                                                 collective=1,
-                                                 resume_s=0.3)]))
+        be.inject(ProcessFaultPlan([ProcessFault("stall", rank=3, at=1,
+                                                 for_s=0.3)]))
         assert np.array_equal(want, spmd_soi_fft(SimCluster(P), params, x,
                                                  backend=be))
         assert be.last_recovery is None
         be.inject(ProcessFaultPlan([ProcessFault("delay", rank=2,
-                                                 after_s=0.2)]))
+                                                 for_s=0.2)]))
         assert np.array_equal(want, spmd_soi_fft(SimCluster(P), params, x,
                                                  backend=be))
         assert be.last_recovery is None
 
     def test_hedge_redispatches_straggler(self, chaos_backend):
-        """A worker whose job delivery stalls far past the label's known
+        """A worker asleep at its start far past the label's known
         duration is killed and the job re-dispatched to its replacement
         — the run completes long before the fault's delay elapses."""
         be = chaos_backend
@@ -591,7 +619,7 @@ class TestElasticRecovery:
         x = signal(params.n)
         want = spmd_soi_fft(SimCluster(P), params, x, backend=be)
         be.inject(ProcessFaultPlan([ProcessFault("delay", rank=0,
-                                                 after_s=30.0)]))
+                                                 for_s=30.0)]))
         hedge = HedgePolicy(threshold=2.0, min_ranks=2)
         got = spmd_soi_fft(SimCluster(P), params, x, backend=be,
                            hedge=hedge)
@@ -610,7 +638,7 @@ class TestElasticRecovery:
         params = soi_params(2 ** 12)
         x = signal(params.n)
         be.inject(ProcessFaultPlan([ProcessFault("kill", rank=0,
-                                                 collective=1)]))
+                                                 at=1)]))
         spmd_soi_fft(SimCluster(P), params, x, backend=be)
         assert recoveries.value == r0 + 1
         assert deaths.value == d0 + 1
@@ -656,40 +684,48 @@ def respawn_the_dead_slots(be):
 
 
 MATRIX_PARAMS = SoiParams(n=28672, n_procs=P, segments_per_process=2)
+# the "@0s" ids name the cases' old dispatch-time triggers; each now
+# fires in its victim at "start", the job read whole
 MATRIX_FAULTS = {
-    "kill@0s": ProcessFault("kill", rank=1, after_s=0.0),
-    "stall@0s": ProcessFault("stall", rank=1, after_s=0.0),
-    "stall+resume@0s": ProcessFault("stall", rank=1, after_s=0.0,
-                                    resume_s=0.3),
-    "delay@0s": ProcessFault("delay", rank=1, after_s=0.0),
-    "kill@collective1": ProcessFault("kill", rank=1, collective=1),
-    "stall@collective1": ProcessFault("stall", rank=1, collective=1),
+    "kill@0s": ProcessFault("kill", rank=1, at="start"),
+    "stall@0s": ProcessFault("stall", rank=1, at="start"),
+    "stall+resume@0s": ProcessFault("stall", rank=1, at="start",
+                                    for_s=0.3),
+    "delay@0s": ProcessFault("delay", rank=1, for_s=0.0),
+    "kill@collective1": ProcessFault("kill", rank=1, at=1),
+    "stall@collective1": ProcessFault("stall", rank=1, at=1),
 }
+
+
+def matrix_calls(be):
+    """``call(**kwargs)`` runs one ``MATRIX_PARAMS`` transform on *be* and
+    returns its verdict: ``"bits"`` (``SoiFFT``'s spectrum, no recovery),
+    ``"recovered"`` (the same bits through a recovery round), ``"wrong
+    bits"``, or the name of the exception the call raised."""
+    x = signal(MATRIX_PARAMS.n)
+    want = SoiFFT(replace(MATRIX_PARAMS, n_procs=1,
+                          segments_per_process=MATRIX_PARAMS.n_segments))(x)
+    dist = DistributedSoiFFT(SimCluster(P), MATRIX_PARAMS, backend=be)
+    parts = dist.scatter(x)
+
+    def call(**kwargs) -> str:
+        try:
+            y = dist.assemble(dist(parts, **kwargs))
+        except Exception as exc:  # noqa: BLE001 - the verdict
+            return type(exc).__name__
+        if not np.array_equal(y, want):
+            return "wrong bits"
+        return "bits" if dist.last_recovery is None else "recovered"
+    return call
 
 
 def clean_faulted_clean_clean(fault, hedged: bool) -> list[str]:
     """One clean call, the call *fault* strikes (hedged or not), then two
     clean calls under ``Deadline(5.0)``, all on one backend.  Returns a
-    verdict per call: ``"bits"`` (``SoiFFT``'s spectrum, no recovery),
-    ``"recovered"`` (the same bits through a recovery round), ``"wrong
-    bits"``, or the name of the exception the call raised.  Nothing is
-    left in ``/dev/shm`` after the backend closes."""
-    x = signal(MATRIX_PARAMS.n)
-    want = SoiFFT(replace(MATRIX_PARAMS, n_procs=1,
-                          segments_per_process=MATRIX_PARAMS.n_segments))(x)
+    verdict per call (:func:`matrix_calls`).  Nothing is left in
+    ``/dev/shm`` after the backend closes."""
     with ProcessBackend(P, hang_timeout=1.0) as be:
-        dist = DistributedSoiFFT(SimCluster(P), MATRIX_PARAMS, backend=be)
-        parts = dist.scatter(x)
-
-        def call(**kwargs) -> str:
-            try:
-                y = dist.assemble(dist(parts, **kwargs))
-            except Exception as exc:  # noqa: BLE001 - the verdict
-                return type(exc).__name__
-            if not np.array_equal(y, want):
-                return "wrong bits"
-            return "bits" if dist.last_recovery is None else "recovered"
-
+        call = matrix_calls(be)
         verdicts = [call()]
         be.inject(ProcessFaultPlan([fault]))
         verdicts.append(call(hedge=HedgePolicy(2.0, 2) if hedged else None))
@@ -721,25 +757,39 @@ class TestEveryJobEndingLeavesAWorkingBackend:
                            "DeadlineExceeded")
         assert after == ["bits", "bits"]
 
+    def test_a_torn_job_pipe_does_not_reach_the_next_job(self):
+        assert after_a_torn_job_pipe() == "bits"
+
     def test_a_partial_respawn_wedges_the_next_job(self, monkeypatch):
-        """The stall at 0 s often stops the worker between the header
-        and the body of its job message (6 runs in 10 on a 2-cpu host);
-        the respawn then reads body bytes as a length and the next clean
-        job runs out of its deadline.  A stall that lands after the read
-        does a partial respawn no harm, so the case gets eight tries
-        (about 1 s each when it does no harm) to show the wedge."""
-        # a grace period of 0.2 s: the wedged job gives up 0.2 s past its
+        """The partial respawn keeps the torn pipe: its drain and the
+        respawned worker 1 read the frame's body bytes as lengths, and
+        the next clean job does not return the bits."""
+        # a grace period of 0.2 s: a wedged job gives up 0.2 s past its
         # deadline instead of 5 s
         monkeypatch.setattr(backends_mod, "_ABORT_GRACE_S", 0.2)
         monkeypatch.setattr(ProcessBackend, "_ensure_workers",
                             respawn_the_dead_slots)
-        for _ in range(8):
-            verdicts = clean_faulted_clean_clean(MATRIX_FAULTS["stall@0s"],
-                                                 hedged=False)
-            assert verdicts[:2] == ["bits", "recovered"]
-            if verdicts[2:] != ["bits", "bits"]:
-                break
-        assert verdicts[2:] != ["bits", "bits"]
+        assert after_a_torn_job_pipe() != "bits"
+
+
+def after_a_torn_job_pipe() -> str:
+    """One clean call; then worker 1 is SIGKILLed and its job pipe is left
+    holding the body of a pickled job frame without the frame's 4-byte
+    length — what a reader killed between its two reads leaves behind (an
+    OOM kill or an outside signal still can).  Returns the verdict of one
+    more clean call under ``Deadline(5.0)``."""
+    with ProcessBackend(P, hang_timeout=1.0) as be:
+        call = matrix_calls(be)
+        assert call() == "bits"
+        victim = be._procs[1]
+        os.kill(victim.pid, SIGKILL)
+        victim.join()
+        body = pickle.dumps(backends_mod._Job(
+            job_id=0, program=fill_prog, args=(N_SLOT, 2.0)))
+        os.write(be._job_qs[1]._writer.fileno(), body)
+        verdict = call(deadline=Deadline(5.0))
+    assert list_segments(be._token) == []
+    return verdict
 
 
 # -- tokens: every backend names its segments under its own prefix -----
@@ -810,8 +860,8 @@ def segments_after_close(close) -> list:
     try:
         be.run(alltoall_prog, [(0.0,)] * P)
         be.inject(ProcessFaultPlan([
-            ProcessFault("kill", rank=1, collective=0),
-            ProcessFault("stall", rank=2, collective=0)]))
+            ProcessFault("kill", rank=1, at=0),
+            ProcessFault("stall", rank=2, at=0)]))
         with pytest.raises(RankFailed):
             be.run(alltoall_prog, [(1.0,)] * P)
     finally:
@@ -926,8 +976,10 @@ def straggler_past_a_deadline(be):
 
 
 def straggler_past_a_kill(be):
+    # rank 2 dies with its checkpoint shipped and its result unwritten,
+    # while rank 1 is still asleep
     be.run(fill_prog, [(2 * N_SLOT, 0.0)] * P, result_spec=BIG)
-    be.inject(ProcessFaultPlan([ProcessFault("kill", rank=2, after_s=0.3)]))
+    be.inject(ProcessFaultPlan([ProcessFault("kill", rank=2, at="result")]))
     ckpts = {}
     with pytest.raises(RankFailed):
         be.run(checkpointed_straggler_prog, [(2 * N_SLOT, 1, 3.0)] * P,
@@ -944,7 +996,7 @@ def straggler_past_a_kill(be):
     params = soi_params(2 ** 12)
     x = signal(params.n)
     be.inject(ProcessFaultPlan([ProcessFault("kill", rank=2,
-                                             collective=1)]))
+                                             at=1)]))
     assert np.array_equal(spmd_soi_fft(SimCluster(P), params, x),
                           spmd_soi_fft(SimCluster(P), params, x, backend=be))
     assert be.last_recovery.dead_ranks == (2,)
@@ -966,10 +1018,10 @@ def hedged_stall(be):
     # job's includes the workers starting up
     assert doubled() and doubled()
     before = {p.pid for p in be._procs}
-    # rank 1 freezes in its sleep, short of the barrier the others reach
-    # (not at 0 s, while it may be half way through reading the job)
+    # rank 1 freezes before its program runs, its progress at -1, while
+    # the others reach the barrier
     be.inject(ProcessFaultPlan([ProcessFault("stall", rank=1,
-                                             after_s=0.03)]))
+                                             at="start")]))
     hedge = HedgePolicy(threshold=2.0, min_ranks=2)
     assert doubled(hedge=hedge)
     assert hedge.launched >= 1 and hedge.won >= 1
@@ -1008,6 +1060,145 @@ class TestUncleanJobsRetireTheirGenerations:
             ending(quick_backend)
         assert caught.type is AssertionError \
             or "answered job" in str(caught.value)
+
+
+# -- a fault fires at its protocol point, whatever the host's timing ------
+
+def _read_after_a_nap(path):
+    time.sleep(0.5)
+    open(path, "w").close()
+
+
+class ReadAfterANap:
+    """A job argument whose unpickling sleeps 0.5 s and then creates
+    *path*: the file exists once the worker holds its job whole, and any
+    fault point comes at least 0.5 s after dispatch."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return _read_after_a_nap, (self.path,)
+
+
+def point_prog(ctx, n, _read):
+    yield Checkpoint(np.full(n, float(ctx.rank)), tag="stage")
+    yield Barrier()
+    yield Barrier()
+    return np.ones(n)
+
+
+def killed_at(be, at, tmp_path, monkeypatch) -> dict:
+    """A job of :func:`point_prog` whose rank 1 is killed at *at*, after a
+    clean job that zeroed every result slot.  Returns what the parent
+    holds of the victim: whether it read its job whole, shipped its
+    checkpoint, its progress column and its result slot."""
+    be.run(fill_prog, [(N_SLOT, 0.0)] * P, result_spec=HALF)
+    slots = []
+    stage = be._stage
+
+    def capture(*args):
+        staged = stage(*args)
+        slots[:] = staged[2]
+        return staged
+    monkeypatch.setattr(be, "_stage", capture)
+    be.inject(ProcessFaultPlan([ProcessFault("kill", rank=1, at=at)]))
+    ckpts = {}
+    with pytest.raises(RankFailed):
+        be.run(point_prog, [(N_SLOT, ReadAfterANap(tmp_path / f"r{r}"))
+                            for r in range(P)],
+               result_spec=HALF, checkpoints=ckpts)
+    return {"read": (tmp_path / "r1").exists(),
+            "ckpt": (1, "stage") in ckpts,
+            "progress": float(be._hb[1, 1]),
+            "slot": slots[1].resolve(be._pool).copy()}
+
+
+def holds_its_point(at, seen) -> None:
+    """What the parent sees of a victim killed at *at*."""
+    assert seen["read"]
+    if at == "start":
+        assert not seen["ckpt"] and seen["progress"] == -1.0
+    elif at == "result":
+        assert seen["ckpt"] and seen["progress"] == 1.0
+        assert np.array_equal(seen["slot"], np.zeros(N_SLOT))
+    else:
+        assert seen["progress"] == float(at)
+
+
+_AWAIT_JOB = ProcessBackend._await_job
+
+
+def fired_at_dispatch(be, *args, **kwargs):
+    """Mutant of the trigger: the parent signals each victim as its job is
+    dispatched (the old wall-clock timer at 0 s), wherever the worker
+    then is."""
+    plan = be.fault_plan
+    for f in plan.actions_for(plan.jobs_seen) if plan else ():
+        os.kill(be._procs[f.rank].pid,
+                SIGKILL if f.kind == "kill" else SIGSTOP)
+    return _AWAIT_JOB(be, *args, **kwargs)
+
+
+def nap_before_collective_1(ctx, x):
+    yield Barrier()
+    time.sleep(1.0)
+    pieces = yield AllToAll([x + d for d in range(ctx.size)])
+    return np.concatenate([np.asarray(p) for p in pieces])
+
+
+def stall_resumed_from_its_stop() -> tuple:
+    """Rank 1 stops itself at collective 1, a second into the job, and is
+    to be resumed 0.2 s after the parent sees it stopped.  Returns whether
+    the job's results are exact and the backend's failure record."""
+    xs = [np.arange(4.0) + 10 * r for r in range(P)]
+    want = [np.concatenate([xs[s] + d for s in range(P)]) for d in range(P)]
+    with ProcessBackend(P, hang_timeout=1.0) as be:
+        be.inject(ProcessFaultPlan([ProcessFault("stall", rank=1, at=1,
+                                                 for_s=0.2)]))
+        try:
+            got = be.run(nap_before_collective_1, [(x,) for x in xs])
+        except RankFailed:
+            got = None
+        exact = got is not None and all(np.array_equal(a, b)
+                                        for a, b in zip(got, want))
+        return exact, be.last_failure, be.last_recovery
+
+
+@pytest.mark.chaos_parallel
+class TestFaultsFireAtTheirPoint:
+    """A fault fires in its victim at the point it names: the job read
+    whole (``"start"``), collective *k*'s entry, or the program returned
+    (``"result"``).  Every point comes at least 0.5 s after dispatch, so a
+    trigger that fires early — the parent's signal at dispatch — is
+    seen."""
+
+    POINTS = ["start", 1, "result"]
+
+    @pytest.mark.parametrize("at", POINTS, ids=str)
+    def test_the_victim_stops_at_its_point(self, at, quick_backend,
+                                           tmp_path, monkeypatch):
+        holds_its_point(at, killed_at(quick_backend, at, tmp_path,
+                                      monkeypatch))
+
+    @pytest.mark.parametrize("at", POINTS, ids=str)
+    def test_fired_at_dispatch_it_is_not(self, at, quick_backend, tmp_path,
+                                         monkeypatch):
+        monkeypatch.setattr(ProcessBackend, "_await_job", fired_at_dispatch)
+        seen = killed_at(quick_backend, at, tmp_path, monkeypatch)
+        with pytest.raises(AssertionError):
+            holds_its_point(at, seen)
+
+    def test_a_resume_counts_from_the_stop(self):
+        assert stall_resumed_from_its_stop() == (True, None, None)
+
+    def test_a_resume_counted_from_dispatch_comes_too_early(self,
+                                                            monkeypatch):
+        """Mutant: the parent takes the worker for stopped at dispatch, so
+        its SIGCONT lands before the stop and the worker stays frozen."""
+        monkeypatch.setattr(backends_mod, "_stopped", lambda pid: True)
+        exact, failure, _ = stall_resumed_from_its_stop()
+        assert not exact and failure.hung == (1,)
 
 
 def grown_mapping_counts(be):

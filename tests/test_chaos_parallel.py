@@ -3,7 +3,7 @@
 The tentpole guarantee under test: whatever a seeded
 :class:`~repro.cluster.faults.ProcessFaultPlan` does to the worker
 processes mid-collective — SIGKILL, SIGSTOP with or without a resume,
-starved job deliveries — the parallel SOI transform either finishes
+starved ranks — the parallel SOI transform either finishes
 transparently or completes via shrink-and-redistribute recovery, and
 the output is *bit-for-bit* identical to the fault-free run.  Every
 scenario also asserts shared-memory hygiene: after ``close()`` not one
@@ -84,7 +84,7 @@ class TestSeededSoak:
     def test_random_stall_with_resume_is_transparent(self, seed):
         plan = ProcessFaultPlan.random(seed, 4, n_stalls=1,
                                        max_collective=1,
-                                       stall_resume_s=0.3)
+                                       stall_for_s=0.3)
         want, got, (_failure, recovery, _mttr) = run_chaos(4, plan)
         assert np.array_equal(want, got)
         assert plan.injected.get("stall", 0) == 1
@@ -94,7 +94,7 @@ class TestSeededSoak:
     def test_random_stall_without_resume_recovers(self, seed):
         plan = ProcessFaultPlan.random(seed, 4, n_stalls=1,
                                        max_collective=1,
-                                       stall_resume_s=None)
+                                       stall_for_s=None)
         want, got, (failure, recovery, _mttr) = run_chaos(4, plan)
         assert np.array_equal(want, got)
         assert failure is not None and failure.hung == failure.dead
@@ -110,8 +110,8 @@ class TestSeededSoak:
 
     def test_double_kill_same_collective(self):
         plan = ProcessFaultPlan([
-            ProcessFault("kill", rank=0, collective=1),
-            ProcessFault("kill", rank=3, collective=1)])
+            ProcessFault("kill", rank=0, at=1),
+            ProcessFault("kill", rank=3, at=1)])
         want, got, (failure, recovery, _mttr) = run_chaos(4, plan)
         assert np.array_equal(want, got)
         assert set(recovery.dead_ranks) == {0, 3}
@@ -130,7 +130,7 @@ class TestSeededSoak:
             for round_, rank in enumerate((2, 0, 3)):
                 be.inject(ProcessFaultPlan([
                     ProcessFault("kill", rank=rank,
-                                 collective=round_ % 2)]))
+                                 at=round_ % 2)]))
                 got = spmd_soi_fft(SimCluster(n_procs), params, x,
                                    backend=be)
                 assert np.array_equal(want, got), f"round {round_}"

@@ -82,15 +82,15 @@ X = signal(PARAMS.n)
 SCENARIOS = {
     "fault-free": (None, None, ()),
     "death before the post-conv checkpoint": (
-        {1: 1}, [ProcessFault("kill", rank=1, collective=0)], (1,)),
+        {1: 1}, [ProcessFault("kill", rank=1, at=0)], (1,)),
     "death at the all-to-all": (
-        {2: 2}, [ProcessFault("kill", rank=2, collective=1)], (2,)),
+        {2: 2}, [ProcessFault("kill", rank=2, at=1)], (2,)),
     "two deaths": (
-        {1: 2, 3: 2}, [ProcessFault("kill", rank=1, collective=1),
-                       ProcessFault("kill", rank=3, collective=1)], (1, 3)),
+        {1: 2, 3: 2}, [ProcessFault("kill", rank=1, at=1),
+                       ProcessFault("kill", rank=3, at=1)], (1, 3)),
     "a further death during recovery": (
-        {2: 2, 0: 4}, [ProcessFault("kill", rank=2, collective=1),
-                       ProcessFault("kill", rank=0, job=2, collective=0)],
+        {2: 2, 0: 4}, [ProcessFault("kill", rank=2, at=1),
+                       ProcessFault("kill", rank=0, job=2, at=0)],
         (0, 2)),
 }
 
