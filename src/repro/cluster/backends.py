@@ -124,7 +124,7 @@ from repro.cluster.trace import Trace
 from repro.telemetry.metrics import NULL_REGISTRY, get_registry
 
 __all__ = ["ExecutionBackend", "ProcessBackend", "SimulatedBackend",
-           "WorkerFailure"]
+           "TornFrame", "WorkerFailure"]
 
 _MAILBOX_TIMEOUT_S = 120.0
 _HANG_TIMEOUT_S = 10.0
@@ -230,6 +230,17 @@ class _Aborted(RuntimeError):
 _ATOMIC_MSG_BYTES = 3600
 
 
+class TornFrame(Exception):
+    """A pipe frame whose body does not unpickle: the bytes left by a
+    writer or reader killed mid-frame, read as a length and a body.  The
+    pipe is not closed; its stream is out of step."""
+
+
+#: A worker's exit code after it read a torn job frame (its job pipe is
+#: out of step, so it cannot serve another job).
+_TORN_FRAME_EXIT = 3
+
+
 class _PipeChannel:
     """One-directional message channel over an OS pipe — no feeder
     thread, no locks.
@@ -266,13 +277,20 @@ class _PipeChannel:
         self._writer.send_bytes(data)
 
     def get(self, timeout: float | None = None):
-        """Next message; raises queue.Empty on timeout (or closed pipe)."""
+        """Next message; raises queue.Empty on timeout or once the pipe is
+        closed (EOF where a frame's length was due, or a closed end),
+        :class:`TornFrame` for a frame whose body does not unpickle."""
         try:
             if timeout is not None and not self._reader.poll(timeout):
                 raise queue.Empty
-            return pickle.loads(self._reader.recv_bytes())
+            data = self._reader.recv_bytes()
         except (EOFError, OSError):
             raise queue.Empty from None
+        try:
+            return pickle.loads(data)
+        except Exception as exc:
+            raise TornFrame(f"a {len(data)}-byte frame does not unpickle: "
+                            f"{exc!r}") from exc
 
     def get_nowait(self):
         return self.get(timeout=0)
@@ -667,6 +685,8 @@ def _worker_main(me: int, n_workers: int, token: str, job_q, result_q,
                 raw = job_q.get()
             except queue.Empty:  # pipe closed: parent is gone
                 return
+            except TornFrame:
+                raise SystemExit(_TORN_FRAME_EXIT) from None
             if raw is None:
                 return
             job = pickle.loads(raw)
@@ -1341,6 +1361,8 @@ class ProcessBackend(ExecutionBackend):
         reason = ", ".join(
             f"worker {w} "
             + ("hung (heartbeat stale), killed" if w in out.hung else
+               f"read a torn job frame (exitcode {_TORN_FRAME_EXIT})"
+               if self._procs[w].exitcode == _TORN_FRAME_EXIT else
                f"died (exitcode {self._procs[w].exitcode})")
             for w in dead)
         self.last_failure = WorkerFailure(

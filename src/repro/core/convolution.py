@@ -26,6 +26,10 @@ rests on.
 SOI pipelines run, is where ``F_S`` fuses: each tile's product goes
 through :func:`lane_fft` in cache and its S segment rows are stored
 contiguously, which takes back §5.3's extra sweep of the decomposed form.
+Both are one :class:`TileWalk`: the schedule of a geometry's tiles with
+every view and operand bound, planned per call by these two functions
+and once per batch size and thread by a planned ``SoiFFT`` call, which
+keeps it in its :class:`ConvWorkspace`.
 
 The paper's three *execution strategies* — row-major baseline,
 loop-interchanged decomposed form, and circular-buffer staging — differ in
@@ -38,7 +42,9 @@ modeled execution times, reproducing the Fig 11 ablation.
 from __future__ import annotations
 
 import threading
+import weakref
 from enum import Enum
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,6 +60,7 @@ from repro.machine.spec import MachineSpec
 __all__ = [
     "ConvStrategy",
     "ConvWorkspace",
+    "TileWalk",
     "block_range_for_rows",
     "conv_time_model",
     "convolve",
@@ -92,8 +99,13 @@ def tile_rows(tables: SoiTables, dtype) -> int:
                               _TILE_CHUNKS)
 
 
+class _Planned(dict):
+    """One thread's planned objects (a dict that can be weakly held)."""
+
+
 class ConvWorkspace:
-    """Reusable scratch arrays for :func:`convolve` and :func:`front`.
+    """Reusable scratch arrays for :func:`convolve` and :func:`front`, and
+    what a plan binds over them.
 
     Buffers are keyed by (name, shape past the first axis, dtype) *and
     executing thread*, and only grow along the first axis (the frames of
@@ -101,33 +113,64 @@ class ConvWorkspace:
     that thread — the steady state performs no new allocations, even as
     batch sizes alternate, and the one workspace a plan owns
     (``SoiFFT``) serves every worker thread its row ranges run on.
-    ``nbytes()`` and ``clear()`` speak for the calling thread's buffers
-    only, as :class:`repro.fft.stockham.StockhamPlan`'s do.
+
+    :meth:`planned` keeps, per thread too, what a caller derived once
+    over this thread's buffers — a :class:`TileWalk`, bound views of its
+    own buffers — until one of the buffers is replaced by a larger one or
+    dropped: then every planned object of the thread goes with it, so
+    none keeps a buffer alive that ``nbytes()`` no longer counts.
+    ``nbytes()`` and ``clear()`` speak for the calling thread only, as
+    :class:`repro.fft.stockham.StockhamPlan`'s do; :meth:`unplan` drops
+    what every thread planned (it may view buffers the owner shares
+    between threads).
     """
 
     def __init__(self):
         self._local = threading.local()
-
-    @property
-    def _bufs(self) -> dict[tuple, np.ndarray]:
-        return self._local.__dict__  # a local's attributes are per thread
+        # every thread's planned dict, by id, for unplan()
+        self._every = weakref.WeakValueDictionary()
 
     def array(self, name: str, shape: tuple, dtype) -> np.ndarray:
         """Return a reused (uninitialized) buffer of the given geometry:
         the first ``shape[0]`` rows of the largest one asked for."""
+        mine = self._local.__dict__  # a local's attributes are per thread
+        bufs = mine.setdefault("bufs", {})
         key = (name, tuple(shape[1:]), np.dtype(dtype).str)
-        buf = self._bufs.get(key)
+        buf = bufs.get(key)
         if buf is None or len(buf) < shape[0]:
-            buf = self._bufs[key] = np.empty(shape, dtype=dtype)
+            if buf is not None:  # what was planned may view the old one
+                mine.get("plans", {}).clear()
+            buf = bufs[key] = np.empty(shape, dtype=dtype)
         return buf[:shape[0]]
+
+    def planned(self, key, build, *args):
+        """The calling thread's ``build(*args)`` for *key*: built on first
+        use, after which a call only looks it up."""
+        plans = self._local.__dict__.get("plans")
+        plan = None if plans is None else plans.get(key)
+        if plan is None:  # stored after the build, which may grow a buffer
+            plan = build(*args)
+            plans = self._local.__dict__.get("plans")
+            if plans is None:
+                plans = self._local.plans = _Planned()
+                self._every[id(plans)] = plans
+            plans[key] = plan
+        return plan
+
+    def unplan(self) -> None:
+        """Drop what every thread planned; the buffers stay."""
+        for plans in list(self._every.values()):
+            plans.clear()
 
     def nbytes(self) -> int:
         """Bytes currently held by the calling thread's buffers."""
-        return sum(b.nbytes for b in self._bufs.values())
+        return sum(b.nbytes for b in self._local.__dict__.get(
+            "bufs", {}).values())
 
     def clear(self) -> None:
-        """Drop every buffer of the calling thread."""
-        self._bufs.clear()
+        """Drop every buffer of the calling thread, and what was planned
+        over them."""
+        self._local.__dict__.clear()
 
 
 def input_block_offsets(params: SoiParams, j_start: int, n_rows: int) -> np.ndarray:
@@ -239,13 +282,19 @@ def _wrap_blocks(xb: np.ndarray, first: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _windows(xb: np.ndarray, k_width: int) -> np.ndarray:
+    """Blocks ``(frames, nblocks, S)`` as ``(frames, windows, S, K)``:
+    window ``i`` holds, per lane ``p``, the K stride-S samples from block
+    ``i`` on — a view."""
+    return sliding_window_view(xb, k_width, axis=1)
+
+
 def _tile_walk(x, tables: SoiTables, j_start: int, n_rows: int,
                block_lo: int, out, workspace, *, segment_major: bool):
-    """The tile walk of :func:`convolve` and :func:`front`, whose store
-    *segment_major* picks; a tile reads ``x`` in place, an edge tile (its
-    span wraps) a copy."""
+    """The checked entry of :func:`convolve` and :func:`front`: a
+    :class:`TileWalk` of the call's geometry, planned and run once."""
     p = tables.params
-    s, n_mu, d_mu = p.n_segments, p.n_mu, p.d_mu
+    s, n_mu = p.n_segments, p.n_mu
     arr = np.asarray(x)
     dtype = np.complex64 if arr.dtype == np.complex64 else np.complex128
     x = np.asarray(arr, dtype=dtype)
@@ -258,10 +307,6 @@ def _tile_walk(x, tables: SoiTables, j_start: int, n_rows: int,
     nblocks = x.shape[-1] // s
     if nblocks < p.b:
         raise ValueError("x does not cover one window of B blocks")
-    w = tables.gemm_coeffs(dtype)  # (S, K, n_mu)
-    k_width = w.shape[1]
-    c0, n_chunks = j_start // n_mu, n_rows // n_mu
-    c1 = c0 + n_chunks
     out_shape = x.shape[:-1] + ((s, n_rows) if segment_major
                                 else (n_rows, s))
     if out is None:
@@ -270,54 +315,114 @@ def _tile_walk(x, tables: SoiTables, j_start: int, n_rows: int,
         raise ValueError("out has wrong shape")
     elif out.dtype != dtype:
         raise ValueError(f"out must have dtype {np.dtype(dtype)}")
-    if not n_rows:
-        return out
-    t_chunks = _tile_chunks(p, k_width)
-    ws = workspace if workspace is not None else ConvWorkspace()
-    tile = ws.array("tile", (s, t_chunks, k_width), dtype)
-    xb = x.reshape(-1, nblocks, s)
-    frames = xb.shape[0]
-    # the front keeps every frame's product of a tile for one lane transform
-    res = ws.array("res", (frames if segment_major else 1, s, t_chunks,
-                           n_mu), dtype)
-    if segment_major:
-        lanes = ws.array("lane out", (frames, s, t_chunks * n_mu), dtype)
-        ob = out[None] if x.ndim == 1 else out
-    else:
-        ob = out.reshape(-1, n_chunks, n_mu, s)
-    edge = ws.array("edge", (frames, (t_chunks - 1) * d_mu + k_width, s),
-                    dtype)
-    # win[wraps][f, i] is the (S, K) window from block i of x (of an edge
-    # tile's wrapped span, if wraps): lane p's K stride-S samples
-    win = {}
-    for t0 in range(c0 - c0 % t_chunks, c1, t_chunks):
-        lo, hi = max(c0, t0), min(c1, t0 + t_chunks)
-        a, b = lo - t0, hi - t0
-        # chunk c reads the K blocks from c * d_mu - B/2 + 1, every lane
-        first = (lo * d_mu - p.b // 2 + 1 - block_lo) % nblocks
-        span = (hi - lo - 1) * d_mu + k_width
-        wraps = first + span > nblocks  # an edge tile
-        if wraps:
-            _wrap_blocks(xb, first, edge[:, :span])
-            first = 0
-        if wraps not in win:  # built once a call, when first read
-            win[wraps] = sliding_window_view(edge if wraps else xb, k_width,
-                                             axis=1)
-        wins = win[wraps][:, first:first + span - k_width + 1:d_mu]
-        if b - a < t_chunks:
-            tile[:, :a] = 0
-            tile[:, b:] = 0
-        for f in range(frames):
-            np.copyto(tile[:, a:b], wins[f].transpose(1, 0, 2))
-            np.matmul(tile, w, out=res[f if segment_major else 0])
-            if not segment_major:
-                ob[f, lo - c0:hi - c0] = res[0, :, a:b].transpose(1, 2, 0)
-        if segment_major:
-            z = lane_fft(res.reshape(lanes.shape), tables, out=lanes,
-                         workspace=ws)
-            ob[:, :, (lo - c0) * n_mu:(hi - c0) * n_mu] = \
-                z[:, :, a * n_mu:b * n_mu]
+    if n_rows:
+        ws = workspace if workspace is not None else ConvWorkspace()
+        TileWalk(tables, nblocks, j_start, block_lo,
+                 out[None] if x.ndim == 1 else out, ws,
+                 segment_major=segment_major)(x)
     return out
+
+
+class TileWalk:
+    """The tile walk of :func:`convolve` and :func:`front` over one
+    geometry, planned: everything but the input, bound once.
+
+    Built for ``(frames, nblocks * S)`` inputs whose rows
+    ``[j_start, j_start + n_rows)`` land in *out* — ``(frames, S,
+    n_rows)`` segment-major (the front), else ``(frames, n_rows, S)``
+    (the convolution); ``n_rows`` is read off *out*, which may be a
+    strided view — it binds the tile schedule, the views of its tiles,
+    products and lane spectra over *workspace*'s buffers and over *out*,
+    and the GEMM operands.  A call ``walk(x)`` then only reads *x*: a
+    tile whose span wraps (an edge tile) copies its blocks into the
+    workspace (:func:`_wrap_blocks`), any other reads its windows in
+    place; then every bound product runs, in the order and with the
+    shapes of the unplanned walk, so the bits are the same.  The lane
+    transform of a tile is a :func:`lane_fft` call."""
+
+    def __init__(self, tables: SoiTables, nblocks: int, j_start: int,
+                 block_lo: int, out: np.ndarray, workspace: ConvWorkspace,
+                 *, segment_major: bool = True):
+        p = tables.params
+        s, n_mu, d_mu = p.n_segments, p.n_mu, p.d_mu
+        dtype = out.dtype
+        frames = out.shape[0]
+        n_rows = out.shape[2 if segment_major else 1]
+        w = tables.gemm_coeffs(dtype)  # (S, K, n_mu)
+        k_width = w.shape[1]
+        c0, n_chunks = j_start // n_mu, n_rows // n_mu
+        c1 = c0 + n_chunks
+        t_chunks = _tile_chunks(p, k_width)
+        tile = workspace.array("tile", (s, t_chunks, k_width), dtype)
+        # the front keeps every frame's product of a tile for one lane
+        # transform
+        res = workspace.array("res", (frames if segment_major else 1, s,
+                                      t_chunks, n_mu), dtype)
+        lanes = workspace.array("lane out", (frames, s, t_chunks * n_mu),
+                                dtype) if segment_major else None
+        ob = out if segment_major else out.reshape(-1, n_chunks, n_mu, s)
+        edge = workspace.array(
+            "edge", (frames, (t_chunks - 1) * d_mu + k_width, s), dtype)
+        edge_wins = _windows(edge, k_width)
+        # a proxy: the workspace may keep this walk (ConvWorkspace.planned),
+        # and a cycle would hold a dropped plan's buffers until the cyclic
+        # collector ran
+        self._tables, self._workspace = tables, weakref.proxy(workspace)
+        self._shape, self._k = (frames, nblocks, s), k_width
+        # the lane transform's operands, the same for every tile
+        self._lanes = (res.reshape(lanes.shape), lanes) if segment_major \
+            else None
+        self._tiles = []
+        for t0 in range(c0 - c0 % t_chunks, c1, t_chunks):
+            lo, hi = max(c0, t0), min(c1, t0 + t_chunks)
+            a, b = lo - t0, hi - t0
+            # chunk c reads the K blocks from c * d_mu - B/2 + 1, every lane
+            first = (lo * d_mu - p.b // 2 + 1 - block_lo) % nblocks
+            span = (hi - lo - 1) * d_mu + k_width
+            window = slice(first, first + span - k_width + 1, d_mu)
+            wrap = srcs = None
+            if first + span > nblocks:  # an edge tile
+                wrap = (first, edge[:, :span])
+                srcs = edge_wins[:, :span - k_width + 1:d_mu].transpose(
+                    0, 2, 1, 3)
+            fill = [partial(np.copyto, tile[:, :a], 0),
+                    partial(np.copyto, tile[:, b:], 0)] \
+                if b - a < t_chunks else []
+            products = []
+            for f in range(frames):
+                prod = res[f if segment_major else 0]
+                ops = [partial(np.matmul, tile, w, out=prod)]
+                if not segment_major:
+                    ops.append(partial(np.copyto, ob[f, lo - c0:hi - c0],
+                                       prod[:, a:b].transpose(1, 2, 0)))
+                products.append(ops)
+            store = partial(np.copyto,
+                            ob[:, :, (lo - c0) * n_mu:(hi - c0) * n_mu],
+                            lanes[:, :, a * n_mu:b * n_mu]) \
+                if segment_major else None
+            self._tiles.append((wrap, window, srcs, fill, tile[:, a:b],
+                                products, store))
+
+    def __call__(self, x: np.ndarray) -> None:
+        """The walk over *x*, ``(frames, nblocks * S)`` (or one frame)."""
+        xb, wins = x.reshape(self._shape), None
+        for wrap, window, srcs, fill, dst, products, store in self._tiles:
+            if wrap is not None:
+                _wrap_blocks(xb, *wrap)
+            else:  # the tile's windows, in place
+                if wins is None:
+                    wins = _windows(xb, self._k)
+                srcs = wins[:, window].transpose(0, 2, 1, 3)
+            for op in fill:
+                op()
+            for src, ops in zip(srcs, products):
+                np.copyto(dst, src)
+                for op in ops:
+                    op()
+            if store is not None:  # F_S in cache, then the segment rows
+                lane_fft(self._lanes[0], self._tables, out=self._lanes[1],
+                         workspace=self._workspace)
+                store()
 
 
 def convolve_reference(x_ext: np.ndarray, tables: SoiTables, j_start: int,

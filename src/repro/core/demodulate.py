@@ -46,12 +46,21 @@ def demodulate(beta: np.ndarray, tables: SoiTables,
 
 
 def back(alpha: np.ndarray, tables: SoiTables, plan,
-         out: np.ndarray | None = None, *, lend: bool) -> np.ndarray:
+         out: np.ndarray | None = None, *, lend: bool,
+         fft=None) -> np.ndarray:
     """Steps 4-5 of segment-major *alpha*, ``(..., k, M')``: the segment
     FFT by *plan*, then :func:`demodulate` of the spectra where the plan
     left them (``plan.pooled``) into ``(..., k, M)`` rows.  With *lend*
-    the FFT works in *alpha*, which holds garbage afterwards."""
-    return demodulate(plan.pooled(alpha, overwrite_x=lend), tables, out=out)
+    the FFT works in *alpha*, which holds garbage afterwards.
+
+    *fft*, if given, is that segment FFT planned once,
+    ``plan.bind(alpha, overwrite_x=lend, ...)``: the same passes over the
+    same buffers, their views bound — how a planned call
+    (:class:`repro.core.soi_single.SoiFFT`) runs its back over its own
+    ``alpha``; a caller whose *alpha* is fresh each call (a rank's) lets
+    the plan bind per call."""
+    spec = plan.pooled(alpha, overwrite_x=lend) if fft is None else fft()
+    return demodulate(spec, tables, out=out)
 
 
 def fused_demod_diagonal(tables: SoiTables) -> np.ndarray:

@@ -24,6 +24,7 @@ an integral number of segments and convolution rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 __all__ = ["SoiParams", "DEFAULT_B"]
@@ -77,12 +78,12 @@ class SoiParams:
 
     # -- derived quantities (Table 1) -------------------------------------
 
-    @property
+    @cached_property
     def n_segments(self) -> int:
         """S: total segments across the cluster."""
         return self.n_procs * self.segments_per_process
 
-    @property
+    @cached_property
     def m(self) -> int:
         """M: input elements per segment."""
         return self.n // self.n_segments
@@ -92,7 +93,7 @@ class SoiParams:
         """Oversampling factor mu = n_mu / d_mu."""
         return self.n_mu / self.d_mu
 
-    @property
+    @cached_property
     def m_oversampled(self) -> int:
         """M' = mu * M: local FFT length per segment."""
         return self.m * self.n_mu // self.d_mu

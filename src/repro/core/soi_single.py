@@ -23,15 +23,19 @@ FFT, then demodulation of the spectra where its last pass left them into
 the output.  An observer sees two stages on both: the front (``"conv"``)
 and the back (``"back"``).
 
-Execution is planned: convolution workspaces and stage buffers are
-allocated once per batch size at first use and reused.  The front reads
-the input in place; there is one stage buffer, ``alpha``.  Unverified,
-the segment FFT works in the dead ``alpha`` and its plan's alternate; an
-armed verifier checks the back against ``alpha`` and repairs its output
-rows from it, so there ``alpha`` outlives it and the plan's two buffers
-hold the passes.  Every stage runs through ``out=`` destinations (on the
-per-cpu worker pool, :mod:`repro.core.cpupool`, when large enough: as row
-ranges of one stage, or as whole blocks of a batch's frames), and
+Execution is planned, as an MKL or FFTW plan is: convolution workspaces
+and stage buffers are allocated once per batch size at first use and
+reused, and everything a call derives from (params, dtype, rows, thread)
+— block sizes, the front's tile walk and its views, the segment FFT's
+pass views, the back's views of ``alpha`` — is bound with them, so a warm
+call only reads its input and runs kernels.  The front reads the input in
+place; there is one stage buffer, ``alpha``.  Unverified, the segment FFT
+works in the dead ``alpha`` and an alternate; an armed verifier checks
+the back against ``alpha`` and repairs its output rows from it, so there
+``alpha`` outlives it and two buffers hold the passes.  Every stage runs
+through ``out=`` destinations (on the per-cpu worker pool,
+:mod:`repro.core.cpupool`, when large enough: as row ranges of one stage,
+or as whole blocks of a batch's frames), and
 :meth:`SoiFFT.batch` executes the segment FFTs as single
 ``(batch*S, M')``-shaped Stockham calls rather than a per-row Python
 loop.  Steady-state calls with ``out=`` perform no new allocations
@@ -49,6 +53,7 @@ import numpy as np
 from repro.core import cpupool
 from repro.core.convolution import (
     ConvWorkspace,
+    TileWalk,
     _wrap_blocks,
     block_range_for_rows,
     front,
@@ -135,6 +140,26 @@ class SoiFFT:
     without ``out=`` allocate exactly the result array.  The pooled stage
     buffers are private to the plan — results never alias them; ``out``
     may be the input, read in full before the back writes.
+
+    Plan and execute
+    ----------------
+    The first call of a batch size on a thread plans it: its block
+    sizes, and per row range the front's :class:`TileWalk`, the back's
+    view of ``alpha`` and its segment FFT bound over the thread's buffers
+    (:meth:`StockhamPlan.bind`).  That state lives in the thread's
+    convolution workspace (:meth:`ConvWorkspace.planned`) beside the
+    buffers it views, and goes when one of them is replaced or dropped.
+    A warm call validates its input, checks its deadline, copies the
+    wrapped blocks of an edge tile (or reads the windows of ``x`` in
+    place), runs the bound kernels — the same ones in the same order with
+    the same shapes, so the bits are the unplanned kernels' — and passes
+    the stage seam when it is armed.  Views of what the plan does not own
+    (the caller's ``x`` and ``out``) are built per call.
+    ``workspace_bytes()`` counts every buffer the bound state views, and
+    ``release_workspaces()`` drops the bound state with them: every
+    thread's (:meth:`ConvWorkspace.unplan`), and the buffers of the
+    calling thread and every pool worker (another thread that ran the
+    plan releases its own buffers by calling it).
 
     Threads
     -------
@@ -254,8 +279,12 @@ class SoiFFT:
             b.nbytes for bufs in self._bufpool.values() for b in bufs.values())
 
     def release_workspaces(self) -> None:
-        """Drop all of them, on every thread (they re-allocate lazily)."""
+        """Drop all of them, on every thread (they re-allocate lazily),
+        and what any thread planned over them: another thread that ran
+        the plan may have bound views of the shared stage buffers (its
+        own workspace is its to release)."""
         self._bufpool.clear()
+        self._conv_ws.unplan()
         cpupool.on_each(partial(self._held, release=True))
 
     # -- pipeline stages (also reused by tests) ---------------------------
@@ -335,8 +364,35 @@ class SoiFFT:
                // self._POOL_MIN_SHARE)
         return min(fit, cpupool.size()) if fit > 1 else 1
 
+    def _layout(self, batch: int, block: int | None):
+        """This call's ``(alpha, parts)``: the stage buffer of *batch*
+        frames and how many workers share each stage (a worker's
+        frame-major *block* is run whole, through its own buffers)."""
+        if block is None:
+            return self._buffers(batch)["alpha"], self._parts(batch)
+        return self._buffers(block, self._local.__dict__)["alpha"][:batch], 1
+
+    def _bind_front(self, alpha: np.ndarray, f0: int, f1: int, a: int,
+                    b: int) -> TileWalk:
+        """The front of frames ``[f0, f1)``, rows ``[a, b)`` into
+        *alpha*, planned over the calling thread's workspace."""
+        return TileWalk(self.tables, self.params.n // self.params.n_segments,
+                        a, 0, alpha[f0:f1, :, a:b], self._conv_ws)
+
+    def _bind_back(self, alpha: np.ndarray, f0: int, f1: int, a: int,
+                   b: int) -> tuple:
+        """The back of frames ``[f0, f1)``, segments ``[a, b)`` of
+        *alpha*: its ``alpha`` view, whether the segment FFT is lent it,
+        and that FFT planned over the calling thread's workspace (its two
+        buffers, when not lent, or its alternate)."""
+        seg, lend = alpha[f0:f1, a:b], not self._keeps_stages
+        shape = ((f1 - f0) * (b - a), self.params.m_oversampled)
+        fft = self._seg_plan.bind(seg, overwrite_x=lend, buffer=lambda k: (
+            self._conv_ws.array(f"segment fft {k}", shape, self.dtype)))
+        return seg, lend, fft
+
     def _execute(self, xs: np.ndarray, res: np.ndarray,
-                 bufs: dict | None = None) -> np.ndarray:
+                 block: int | None = None) -> np.ndarray:
         """Planned pipeline: (batch, N) -> (batch, N) through pooled buffers.
 
         A stage is one slice function over frames ``[f0, f1)`` and rows
@@ -344,33 +400,36 @@ class SoiFFT:
         over ranges cut on the global tile grid (:func:`_cuts`; a block by
         frame, one frame by tile and segment) into the same stage buffer:
         the bits are those of the one-range call a small transform makes.
+        What a slice derives from the geometry — its tile walk, its views
+        of ``alpha``, the segment FFT's passes — is planned on the thread
+        that runs it, the first time, and kept in that thread's workspace
+        (:meth:`ConvWorkspace.planned`); a call only looks it up.
 
         Each of the two stages (the front, ``"conv"``, which reads *xs*
         in place, and ``"back"``) hands its input and output to the stage
         seam (:meth:`_stage_seam`), after its last join, before the next
         one consumes it — with a verifier armed, a corrupt stage output is
         repaired there, so everything downstream runs once, on trusted
-        input.  Given *bufs* (a worker's block of a frame-major
+        input.  Given *block* (a worker's block of a frame-major
         :meth:`batch`), every stage is one range on the calling thread and
         nothing observes it."""
         p = self.params
         s, mp = p.n_segments, p.m_oversampled
         batch = xs.shape[0]
-        if bufs is None:
-            bufs, after = self._buffers(batch), self._stage_seam(batch)
-            parts = self._parts(batch)
-        else:
-            after, parts = None, 1
-        alpha = bufs["alpha"]
+        planned = self._conv_ws.planned
+        alpha, parts = planned((batch, block), self._layout, batch, block)
+        after = None if block is not None else self._stage_seam(batch)
         res3 = res.reshape(batch, s, p.m)
 
         def conv(f0, f1, a, b):  # the front: W x, F_S, the permutation
-            front(xs[f0:f1], self.tables, a, b - a, 0,
-                  out=alpha[f0:f1, :, a:b], workspace=self._conv_ws)
+            planned(("conv", batch, block, f0, a), self._bind_front, alpha,
+                    f0, f1, a, b)(xs[f0:f1])
 
         def back(f0, f1, a, b):  # alpha dies here unless verified
-            back_kernel(alpha[f0:f1, a:b], self.tables, self._seg_plan,
-                        res3[f0:f1, a:b], lend=not self._keeps_stages)
+            seg, lend, fft = planned(("back", batch, block, f0, a),
+                                     self._bind_back, alpha, f0, f1, a, b)
+            back_kernel(seg, self.tables, self._seg_plan, res3[f0:f1, a:b],
+                        lend=lend, fft=fft)
 
         def share(fn, total, grid):
             if parts == 1:
@@ -424,11 +483,21 @@ class SoiFFT:
         ``alpha``, ``beta``; three for S = 1).  No buffer has this size
         any more; the count stays so the block sizes do."""
         p = self.params
-        lo, hi = self.tables.derived(  # batch() asks on every call
-            "window span", lambda: block_range_for_rows(p, 0, p.m_oversampled))
+        lo, hi = block_range_for_rows(p, 0, p.m_oversampled)
         lanes = 4 if p.n_segments > 1 else 3
         return ((hi - lo + lanes * p.m_oversampled) * p.n_segments
                 * self.dtype.itemsize)
+
+    def _blocks(self, batch: int) -> tuple[int, int, int]:
+        """How :meth:`batch` runs *batch* frames unobserved — frame-major
+        workers and their block (0, 0 when it does not) — and the block
+        of a stage-major run."""
+        parts = self._parts(batch)
+        block = self._BATCH_CACHE_BUDGET // (self._frame_bytes() * parts)
+        stage_major = max(1, self._BATCH_CACHE_BUDGET // self._frame_bytes())
+        if batch > 1 and parts > 1 and block:  # a worker's share holds one
+            return parts, min(block, -(-batch // parts)), stage_major
+        return 0, 0, stage_major
 
     def _frame_major(self, xs: np.ndarray, res: np.ndarray, block: int,
                      parts: int, deadline) -> None:
@@ -439,9 +508,7 @@ class SoiFFT:
 
         def run_block(i):
             k = min(block, batch - i)  # the last block may be short
-            bufs = self._buffers(block, self._local.__dict__)
-            self._execute(xs[i:i + k], res[i:i + k],
-                          {name: b[:k] for name, b in bufs.items()})
+            self._execute(xs[i:i + k], res[i:i + k], block)
         starts, lock, stop = iter(range(0, batch, block)), threading.Lock(), []
         cpupool.run([partial(_claim, starts, lock, stop, run_block, deadline)
                      ] * parts)
@@ -467,7 +534,8 @@ class SoiFFT:
         the blocks hold at most ``_BATCH_CACHE_BUDGET // (frame bytes x
         workers)`` frames, at least one block per worker, and the workers
         claim them from one counter.  Otherwise the blocks run one after
-        another, each stage-major.
+        another, each stage-major.  Both block sizes are worked out once
+        per batch size (:meth:`_blocks`).
 
         *deadline* (duck-typed :class:`repro.resilience.Deadline`) is
         checked at entry and before every block — the stage-boundary
@@ -486,14 +554,11 @@ class SoiFFT:
             else checked_out(out, xs.shape, self.dtype)
         xs = np.ascontiguousarray(xs)
         batch = xs.shape[0]
-        parts = self._parts(batch)
-        block = self._BATCH_CACHE_BUDGET // (self._frame_bytes() * parts)
-        if (batch > 1 and parts > 1 and block  # a worker's share holds one
-                and self.telemetry is None and self.verifier is None):
-            self._frame_major(xs, res, min(block, -(-batch // parts)), parts,
-                              deadline)
+        parts, frames, block = self._conv_ws.planned(
+            ("batch", batch), self._blocks, batch)
+        if parts and self.telemetry is None and self.verifier is None:
+            self._frame_major(xs, res, frames, parts, deadline)
             return res
-        block = max(1, self._BATCH_CACHE_BUDGET // self._frame_bytes())
         for i in range(0, batch, block):
             if deadline is not None and i > 0:
                 deadline.check(f"batch block {i // block}")

@@ -9,7 +9,7 @@ A pass is arithmetic-dense and there are few of them (the paper's §5.2.4
 kernel "uses radix 8 and 16"): the default schedule is
 :func:`repro.fft.bitops.default_radices`, radix-16 butterflies with the
 remainder last, and the engine is generic over any radix sequence.  There
-is one pass kernel, :meth:`StockhamPlan._apply_stage`, and it is a batched
+is one pass kernel, :meth:`StockhamPlan._pass_ops`, and it is a batched
 ``np.matmul``: stage ``(n, s, r)`` with ``m = n/r`` computes
 ``o[b, p, :, q] = W_p @ c[b, :, p, q]`` with ``W_p = diag(tw[p]) . DFT_r``.
 Where the ``s`` columns of one ``p`` fill a GEMM tile the ``m`` matrices
@@ -32,17 +32,22 @@ outer-loop vectorization of simultaneous FFTs, the tile columns its
 inner-loop vectorization of the butterflies within a transform.
 
 Execution is *planned and allocation-free*: every call runs one schedule
-over two buffers, the *work* buffer (the input when lent, else pooled)
-and a pooled *alternate*.  The twiddled passes come first and run in
-place on the work buffer, their butterflies through the alternate; the
-folded passes alternate between the two, the last writing ``out=``.  So
-steady-state loops perform no heap traffic at all (``tracemalloc``:
-``tests/test_zero_alloc.py::TestNoLargeAllocations``).
+(:meth:`StockhamPlan._schedule`) over two buffers, the *work* buffer (the
+input when lent, else pooled) and a pooled *alternate*.  The twiddled
+passes come first and run in place on the work buffer, their butterflies
+through the alternate; the folded passes alternate between the two, the
+last writing ``out=``.  So steady-state loops perform no heap traffic at
+all (``tracemalloc``: ``tests/test_zero_alloc.py::TestNoLargeAllocations``).
+The schedule is a list of bound kernel calls: a call of the plan builds
+it over its arrays and runs it, and :meth:`StockhamPlan.bind` builds it
+once over an array a caller keeps (a :class:`repro.core.soi_single.SoiFFT`
+stage buffer), so each later transform of it only runs the kernels.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import partial
 
 import numpy as np
 
@@ -156,6 +161,15 @@ class _Plan:
         return self._execute(self._flat(x), None, overwrite_x).reshape(
             np.shape(x))
 
+    def bind(self, x: np.ndarray, overwrite_x: bool = False,
+             buffer=None):
+        """``pooled(x, overwrite_x)`` planned once for the array *x*: a
+        callable that transforms what *x* holds when called and returns
+        the result.  *buffer* (``k -> array``: 0 the work buffer, 1 the
+        alternate, each of *x*'s flattened shape) supplies the buffers the
+        plan would pool; this plan re-plans every call."""
+        return partial(self.pooled, x, overwrite_x)
+
 
 class StockhamPlan(_Plan):
     """Precomputed plan for batched FFTs of one length and direction.
@@ -192,7 +206,10 @@ class StockhamPlan(_Plan):
     by a previous call.  The input comes back untouched unless the caller
     grants ``overwrite_x=True``: then ``x`` is the work buffer and only
     the alternate is pooled.  :meth:`pooled` skips the destination and
-    leaves the result where the last pass wrote it.
+    leaves the result where the last pass wrote it; :meth:`bind` plans
+    that once for an array the caller keeps, every pass's views bound,
+    over buffers the caller supplies (then the caller owns and counts
+    them) or the pooled ones.
     ``workspace_bytes()`` and ``release_workspaces()`` speak for the
     calling thread's pool only.
     """
@@ -244,14 +261,49 @@ class StockhamPlan(_Plan):
     def _execute(self, flat: np.ndarray, res: np.ndarray | None,
                  overwrite: bool = False) -> np.ndarray:
         """Run every pass from *flat* over the work buffer (*flat* itself
-        when *overwrite* lends it) and the alternate; returns *res*, or
-        with ``res=None`` the buffer the last pass wrote."""
-        batch, last = flat.shape[0], len(self._stages) - 1
-        work = flat if overwrite else self._workspace(batch, 0)
+        when *overwrite* lends it) and the alternate, both pooled; returns
+        *res*, or with ``res=None`` the buffer the last pass wrote."""
+        ops, res = self._schedule(flat, res, overwrite,
+                                  partial(self._workspace, flat.shape[0]))
+        for op in ops:
+            op()
+        return res
+
+    def bind(self, x: np.ndarray, overwrite_x: bool = False,
+             buffer=None):
+        """``pooled(x, overwrite_x)`` planned once for the array *x* (a
+        C-contiguous view, kept): every pass's views over *x* and the two
+        buffers, bound.  *buffer* (``k -> array``: 0 the work buffer, 1
+        the alternate, each ``(rows, n)``) supplies them; by default they
+        are the calling thread's pooled ones.  Returns a callable that
+        runs the passes over what *x* holds and returns the result."""
+        if not x.flags.c_contiguous:
+            raise ValueError("x must be C-contiguous")
+        flat = x.reshape(-1, self.n)
+        ops, res = self._schedule(flat, None, overwrite_x, buffer or partial(
+            self._workspace, flat.shape[0]))
+        res = res.reshape(np.shape(x))
+
+        def run() -> np.ndarray:
+            for op in ops:
+                op()
+            return res
+        return run
+
+    def _schedule(self, flat: np.ndarray, res: np.ndarray | None,
+                  overwrite: bool, buffer) -> tuple[list, np.ndarray]:
+        """The one schedule: every pass of a call from *flat* as bound
+        kernel calls, and where the result lands.  The twiddled passes run
+        in place on the work buffer (*flat* when *overwrite* lends it,
+        else ``buffer(0)``), their butterflies through the alternate
+        (``buffer(1)``); the folded passes alternate between the two, the
+        last writing *res* (``None``: the buffer it lands in)."""
+        last = len(self._stages) - 1
+        work = flat if overwrite else buffer(0)
         if last < 0:  # n = 1: the identity
             res = work if res is None else res
-            np.copyto(res, flat)
-            return res
+            return [partial(np.copyto, res, flat)], res
+        ops = []
         cur = flat
         for i, st in enumerate(self._stages):
             if st.tw is not None:  # in place; the butterflies go through alt
@@ -260,33 +312,37 @@ class StockhamPlan(_Plan):
                     and not np.may_share_memory(res, cur):
                 dst = res
             else:  # the buffer this pass does not read
-                dst = self._workspace(batch, 1) if cur is work else work
-            self._apply_stage(cur, dst, st)
+                dst = buffer(1) if cur is work else work
+            ops += self._pass_ops(cur, dst, st, buffer)
             cur = dst
         if res is None:
             res = cur
         elif cur is not res:  # the last pass read res: one copy
-            np.copyto(res, cur)
+            ops.append(partial(np.copyto, res, cur))
         if self.sign == +1:
-            np.multiply(res, self._inv_n, out=res)
-        return res
+            ops.append(partial(np.multiply, res, self._inv_n, out=res))
+        return ops, res
 
-    def _apply_stage(self, cur: np.ndarray, out: np.ndarray,
-                     st: _Stage) -> None:
-        """One pass from *cur* into *out*; a twiddled pass's butterflies go
-        through the alternate first, so its *out* may be *cur*."""
+    def _pass_ops(self, cur: np.ndarray, out: np.ndarray, st: _Stage,
+                  buffer) -> list:
+        """One pass from *cur* into *out*, as bound kernel calls; a
+        twiddled pass's butterflies go through the alternate
+        (``buffer(1)``) first, so its *out* may be *cur*."""
         batch = cur.shape[0]
         r, w = st.r, st.w
         groups, tiles = st.mat.shape[0], st.cols // w
-        dst = out if st.tw is None else self._workspace(batch, 1)
+        dst = out if st.tw is None else buffer(1)
         # d[b, g, t] = mat[g] @ c[b, g, t]: (r, r) @ (r, w), tile t of group g
         c = cur.reshape(batch, r, groups, tiles, w).transpose(0, 2, 3, 1, 4)
         d = dst.reshape(batch, groups, r, tiles, w).transpose(0, 1, 3, 2, 4)
-        np.matmul(st.mat, c, out=d)
+        ops = [partial(np.matmul, st.mat, c, out=d)]
         if st.tw is not None:
             m = st.n // r
-            np.multiply(dst.reshape(batch, r, m, st.s).transpose(0, 2, 1, 3),
-                        st.tw, out=out.reshape(batch, m, r, st.s))
+            ops.append(partial(
+                np.multiply,
+                dst.reshape(batch, r, m, st.s).transpose(0, 2, 1, 3), st.tw,
+                out=out.reshape(batch, m, r, st.s)))
+        return ops
 
     @property
     def flops(self) -> float:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any
 
 import numpy as np
@@ -160,6 +161,7 @@ class _Admission:
         # completion time; the EWMA calibration_gain then only has to
         # absorb drift, not the model's systematic per-stage bias
         self.calibration = calibration
+        self._breakdowns: dict[tuple, MappingProxyType] = {}
         self._lock = threading.RLock()
         self._scale = 1.0  # EWMA: observed seconds per modeled second
         self._backlog: list[float] = []  # projected finish times
@@ -199,12 +201,24 @@ class _Admission:
 
     # -- the cost model ----------------------------------------------------
 
+    def breakdown(self, rung, batch: int = 1) -> MappingProxyType:
+        """The cost model's per-stage seconds of *batch* transforms on
+        *rung* (for this admission's machine and nodes), evaluated once
+        per ``(rung, batch)`` and kept read-only."""
+        br = self._breakdowns.get((rung, batch))
+        if br is None:
+            br = self._breakdowns.setdefault((rung, batch), MappingProxyType(
+                soi_request_breakdown(rung.params, self.machine,
+                                      nodes=self.nodes,
+                                      itemsize=rung.dtype.itemsize,
+                                      batch=batch)))
+        return br
+
     def estimate(self, rung, batch: int = 1) -> float:
-        """Modeled (not EWMA-scaled) seconds of *batch* transforms."""
-        br = soi_request_breakdown(rung.params, self.machine,
-                                   nodes=self.nodes,
-                                   itemsize=rung.dtype.itemsize,
-                                   batch=batch)
+        """Modeled (not EWMA-scaled) seconds of *batch* transforms: the
+        kept :meth:`breakdown`, summed — through the calibration, on every
+        call, when there is one (a calibration may keep learning)."""
+        br = self.breakdown(rung, batch)
         if self.calibration is not None:
             return self.calibration.total(br)
         return sum(br.values())

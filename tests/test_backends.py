@@ -11,10 +11,11 @@ import os
 import pickle
 import queue
 import re
+import threading
 import time
 from collections import Counter
 from dataclasses import replace
-from signal import SIGKILL, SIGSTOP
+from signal import SIGCONT, SIGKILL, SIGSTOP
 
 import numpy as np
 import pytest
@@ -770,6 +771,81 @@ class TestEveryJobEndingLeavesAWorkingBackend:
         monkeypatch.setattr(ProcessBackend, "_ensure_workers",
                             respawn_the_dead_slots)
         assert after_a_torn_job_pipe() != "bits"
+
+
+def eof_is_a_closed_pipe(self, timeout=None):
+    """Mutant of ``_PipeChannel.get``: a body that does not unpickle with
+    ``EOFError`` (an empty one) reads as a closed pipe, ``queue.Empty``."""
+    try:
+        if timeout is not None and not self._reader.poll(timeout):
+            raise queue.Empty
+        return pickle.loads(self._reader.recv_bytes())
+    except (EOFError, OSError):
+        raise queue.Empty from None
+
+
+def a_torn_job_frame_in_flight() -> tuple:
+    """One clean call; then worker 1 is stopped, a job frame's body is
+    written into its job pipe without the frame's 4-byte length, and the
+    next call is dispatched behind it while a timer resumes the worker —
+    which reads the body as a length and an (empty) frame.  Returns that
+    call's verdict, the :class:`WorkerFailure` reason, worker 1's exit
+    code and the verdict of one more clean call under ``Deadline(5.0)``."""
+    with ProcessBackend(P, hang_timeout=5.0) as be:
+        call = matrix_calls(be)
+        assert call() == "bits"
+        victim = be._procs[1]
+        os.kill(victim.pid, SIGSTOP)
+        stopped = time.monotonic() + 5.0
+        while not backends_mod._stopped(victim.pid):
+            assert time.monotonic() < stopped, "worker 1 did not stop"
+            time.sleep(0.01)
+        body = pickle.dumps(backends_mod._Job(
+            job_id=0, program=fill_prog, args=(N_SLOT, 2.0)))
+        os.write(be._job_qs[1]._writer.fileno(), body)
+        # resumed once the next job's frame is queued behind the body
+        resume = threading.Timer(0.5, os.kill, (victim.pid, SIGCONT))
+        resume.start()
+        faulted = call()
+        resume.join()
+        failure = be.last_failure
+        after = call(deadline=Deadline(5.0))
+    assert list_segments(be._token) == []
+    return (faulted, failure and failure.reason, victim.exitcode, after)
+
+
+@pytest.mark.chaos_parallel
+class TestATornJobFrameIsNotAClosedPipe:
+    """A frame whose body does not unpickle raises ``TornFrame``: the
+    worker that read it exits with its own code, the failure names it,
+    and the next call returns ``SoiFFT``'s bits."""
+
+    def test_the_failure_names_the_torn_frame(self):
+        faulted, reason, code, after = a_torn_job_frame_in_flight()
+        assert faulted in ("recovered", "RankFailed")
+        assert reason == "worker 1 read a torn job frame (exitcode 3)"
+        assert code == backends_mod._TORN_FRAME_EXIT
+        assert after == "bits"
+
+    def test_the_check_can_fail(self, monkeypatch):
+        monkeypatch.setattr(backends_mod._PipeChannel, "get",
+                            eof_is_a_closed_pipe)
+        _faulted, reason, code, after = a_torn_job_frame_in_flight()
+        assert (reason, code) == ("worker 1 died (exitcode 0)", 0)
+        assert after == "bits"
+
+    def test_garbage_is_a_named_error(self):
+        from multiprocessing import get_context
+        ch = backends_mod._PipeChannel(get_context("fork"))
+        try:
+            ch._writer.send_bytes(b"not a pickle")
+            with pytest.raises(backends_mod.TornFrame, match="12-byte"):
+                ch.get(timeout=1.0)
+            ch._writer.close()
+            with pytest.raises(queue.Empty):  # EOF: closed
+                ch.get(timeout=1.0)
+        finally:
+            ch.close()
 
 
 def after_a_torn_job_pipe() -> str:

@@ -387,13 +387,17 @@ class TestTimeModel:
 
 def tile_walks(source: str) -> int:
     """Tile walks in *source*: the more of its GEMMs against the taps ``w``
-    and its staged-window builds, each of which a walk has one of."""
+    (called, or bound with ``partial`` for a planned walk to call) and its
+    staged-window builds, each of which a walk has one of."""
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", "")
     calls = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
-    named = [getattr(n.func, "id", None) or getattr(n.func, "attr", "")
-             for n in calls]
-    gemms = sum(name == "matmul" and any(getattr(a, "id", "") == "w"
-                                         for a in n.args)
-                for name, n in zip(named, calls))
+    named = [name(n.func) for n in calls]
+    gemms = sum(any(name(a) == "w" for a in args)
+                for f, n in zip(named, calls)
+                for args in ([n.args] if f == "matmul" else [n.args[1:]]
+                             if f == "partial" and n.args
+                             and name(n.args[0]) == "matmul" else []))
     return max(gemms, named.count("sliding_window_view"))
 
 
@@ -403,8 +407,9 @@ def test_one_tile_walk():
     source = Path(repro.core.convolution.__file__).read_text()
     assert tile_walks(source) == 1
     # mutant: the front with a tile loop of its own, copied from the walk
-    start = source.index("    win = {}\n")
-    end = source.index("    return out\n", start)
+    start = source.index(
+        "        for t0 in range(c0 - c0 % t_chunks, c1, t_chunks):\n")
+    end = source.index("    def __call__", start)
     mutant = (source + "\n\ndef front_walk(xb, k_width, base, d_mu, c0, c1, "
               "t_chunks, tile, w, res, ob):\n" + source[start:end])
     ast.parse(mutant)

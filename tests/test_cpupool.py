@@ -80,13 +80,13 @@ class TestWhoIsBound:
         before, me = os.sched_getaffinity(0), threading.get_ident()
         f = SoiFFT(POOLED)
         seen = set()
-        real = f._seg_plan.__class__.pooled  # the back's segment FFT
+        real = soi_single.back_kernel  # the segment FFT and demodulation
 
-        def spy(plan, x, **kw):
+        def spy(*args, **kw):
             seen.add(threading.get_ident())
-            return real(plan, x, **kw)
+            return real(*args, **kw)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(f._seg_plan.__class__, "pooled", spy)
+            mp.setattr(soi_single, "back_kernel", spy)
             f(random_complex(np.random.default_rng(1), POOLED.n))
         assert len(seen) == 2 and me not in seen
         assert os.sched_getaffinity(0) == before

@@ -160,13 +160,19 @@ class TestSteadyState:
 
 def overlapping_stage_buffers(plan: SoiFFT) -> list:
     """Pairs of the buffers a one-frame call runs through — the stage
-    buffer and the segment plan's two — that share memory."""
+    buffer and the segment FFT's two (a planned call's are in its
+    workspace, an unplanned one's in the segment plan's pool) — that
+    share memory."""
     bufs = plan._buffers(1)
     assert sorted(bufs) == ["alpha"]
     plan(np.zeros(plan.params.n, dtype=plan.dtype))
     for rows, pool in plan._seg_plan._pool.items():
         bufs.update({f"fft{rows}.{k}": b for k, b in enumerate(pool)
                      if b is not None})
+    work = plan._conv_ws._local.__dict__["bufs"]
+    bufs.update({name: b for (name, *_), b in work.items()
+                 if name.startswith("segment fft")})
+    assert len(bufs) > 1 + plan._keeps_stages  # else vacuous
     return [(a, b) for a, b in itertools.combinations(sorted(bufs), 2)
             if np.shares_memory(bufs[a], bufs[b])]
 

@@ -822,6 +822,60 @@ class TestAdmissionThreaded:
         assert np.isfinite(adm.scaled(1.0)) and adm.scaled(1.0) > 0
 
 
+class LearningCalibration:
+    """A calibration whose every stage factor grows by one each call, and
+    which counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def total(self, breakdown) -> float:
+        self.calls += 1
+        return sum(seconds * self.calls for seconds in breakdown.values())
+
+
+class TestAdmissionKeepsTheModel:
+    """``_Admission.estimate`` evaluates the cost model once per (rung,
+    batch), keeps it read-only, and still sums it through the calibration
+    on every call."""
+
+    def counting_model(self, monkeypatch) -> list:
+        from repro.resilience import server as server_mod
+        calls, real = [], server_mod.soi_request_breakdown
+
+        def spy(params, *args, **kwargs):
+            calls.append((params, kwargs["itemsize"], kwargs["batch"]))
+            return real(params, *args, **kwargs)
+        monkeypatch.setattr(server_mod, "soi_request_breakdown", spy)
+        return calls
+
+    def test_one_model_evaluation_per_key_and_the_same_floats(
+            self, ladder, monkeypatch):
+        from repro.perfmodel.model import soi_request_breakdown
+        calls = self.counting_model(monkeypatch)
+        adm = _Admission(ladder, queue_limit=8, calibration_gain=0.3,
+                         metrics=MetricsRegistry())
+        keys = [(rung, batch) for rung in ladder.rungs for batch in (1, 2, 3)]
+        for _ in range(3):
+            for rung, batch in keys:
+                want = sum(soi_request_breakdown(
+                    rung.params, adm.machine, nodes=adm.nodes,
+                    itemsize=rung.dtype.itemsize, batch=batch).values())
+                assert adm.estimate(rung, batch) == want
+        assert len(calls) == len(keys)
+        with pytest.raises(TypeError):
+            adm.breakdown(ladder[0])["local FFT"] = 0.0
+
+    def test_the_calibration_runs_on_every_call(self, ladder):
+        learning = LearningCalibration()
+        adm = _Admission(ladder, queue_limit=8, calibration_gain=0.3,
+                         metrics=MetricsRegistry(), calibration=learning)
+        br = adm.breakdown(ladder[0])
+        got = [adm.estimate(ladder[0]) for _ in range(3)]
+        assert learning.calls == 3
+        assert got == [sum(s * k for s in br.values()) for k in (1, 2, 3)]
+
+
 # ---------------------------------------------------------------------------
 # Load generator
 # ---------------------------------------------------------------------------

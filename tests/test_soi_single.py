@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.core.convolution import block_range_for_rows, convolve, front
-from repro.core.demodulate import demodulate
+from repro.core.convolution import (
+    ConvWorkspace,
+    block_range_for_rows,
+    convolve,
+    front,
+)
+from repro.core.demodulate import back, demodulate
 from repro.core.params import SoiParams
 from repro.core.soi_single import SoiFFT, soi_fft
 from repro.core.window import GaussianSincWindow
 from repro.fft.sixstep import sixstep_fft
+from repro.resilience.ladder import DegradationLadder
+from repro.telemetry import MetricsRegistry, Telemetry
 from repro.util.validate import relative_l2_error
 from tests.conftest import random_complex
 
@@ -295,29 +303,34 @@ if mutant == "range_aligned_cut":
     # kernel asks for) but not tile-aligned
     from repro.core.convolution import block_range_for_rows, lane_fft
     from tests.test_convolution import convolve_call_relative
-    def front(x, tables, j_start, n_rows, block_lo, out, workspace):
+    def front(x, tables, j_start, n_rows, block_lo, out):
         s = tables.params.n_segments  # the rows' blocks, wrapped
         lo, hi = block_range_for_rows(tables.params, j_start, n_rows)
         x_ext = x[..., np.arange(lo * s, hi * s) % x.shape[-1]]
         u = convolve_call_relative(x_ext, tables, j_start, n_rows, lo)
         for i, frame in enumerate(u):
             lane_fft(frame.T, tables, out=out[i])
+    def walk(tables, nblocks, j_start, block_lo, out, workspace):
+        # what a planned call binds its front range from
+        return lambda x: front(x, tables, j_start, out.shape[-1], block_lo,
+                               out)
     def cuts(total, grid, parts, real=soi_single._cuts):
         if grid == 1 or parts == 1:
             return real(total, grid, parts)
         return [(0, total // 2 + 8), (total // 2 + 8, total)]
-    soi_single.front, soi_single._cuts = front, cuts
+    soi_single.TileWalk, soi_single._cuts = walk, cuts
 elif mutant == "call_aligned_tile":
     # the Stockham tiles are counted from the first column of the call, so
     # a segment's tile edges move when a worker's call starts at its row
     from tests.test_stockham import call_aligned_tiles, run_tiled
-    def execute(self, flat, res, overwrite=False):
-        got = run_tiled(self, flat, call_aligned_tiles)
-        if res is None:  # the pooled entry: the result where it lies
-            return got
-        res[...] = got
-        return res
-    stockham.StockhamPlan._execute = execute
+    def schedule(self, flat, res, overwrite, buffer):
+        # every call's passes, planned or not: one op over flat into res
+        # (the pooled entry: an array of its own)
+        got = np.empty_like(flat) if res is None else res
+        def run():
+            got[...] = run_tiled(self, flat, call_aligned_tiles)
+        return [run], got
+    stockham.StockhamPlan._schedule = schedule
 
 def geometry(n):
     return SoiParams(n=n, n_procs=1, segments_per_process=8,
@@ -452,3 +465,122 @@ def test_execute_shares_four_steps():
         mutant = source.replace(anchor, step + anchor, 1)
         assert mutant != source
         assert shared_steps(mutant) != steps
+
+
+# -- a planned call runs only its kernels ---------------------------------------
+
+#: the serving geometry: every rung of its ladder (both dtypes)
+LADDER = DegradationLadder.standard(896)
+
+
+def direct(f: SoiFFT, xs: np.ndarray) -> np.ndarray:
+    """``front`` then ``back``, called directly (planned per call) on the
+    frames *xs*: what a planned call must return bitwise."""
+    p = f.params
+    alpha = front(xs, f.tables, 0, p.m_oversampled, 0)
+    return back(alpha, f.tables, f._seg_plan, lend=True).reshape(xs.shape)
+
+
+def rung_plan(index: int, mode: str) -> SoiFFT:
+    rung = LADDER[index]
+    kwargs = {"plain": {}, "verify=True": {"verify": True},
+              "telemetry": {"telemetry": Telemetry(
+                  metrics=MetricsRegistry())}}[mode]
+    return SoiFFT(rung.params, dtype=rung.dtype, **kwargs)
+
+
+def frames(f: SoiFFT, batch: int, seed: int) -> np.ndarray:
+    return random_complex(np.random.default_rng(seed), batch,
+                          f.params.n).astype(f.dtype)
+
+
+def planned_bits_match(f: SoiFFT, sizes=(1, 2, 3, 5, 3, 1, 5, 2)) -> bool:
+    """Whether ``f.batch`` returns the direct bits for every batch size
+    of *sizes*, in that order on one plan."""
+    return all(np.array_equal(f.batch(xs), direct(f, xs))
+               for xs in (frames(f, batch, seed)
+                          for seed, batch in enumerate(sizes)))
+
+
+def front_into_another_batch(monkeypatch) -> None:
+    """Mutant: a front range's bound view is taken from the stage buffer
+    of another batch size (one frame more), so the back reads what that
+    buffer held."""
+    real = SoiFFT._bind_front
+
+    def bind(self, alpha, f0, f1, a, b):
+        return real(self, self._buffers(len(alpha) + 1)["alpha"], f0, f1,
+                    a, b)
+    monkeypatch.setattr(SoiFFT, "_bind_front", bind)
+
+
+def calls_of_one_batch(f: SoiFFT, xs: np.ndarray) -> int:
+    """Python-level calls (``sys.setprofile`` ``call`` events) made by one
+    ``f.batch(xs)``."""
+    seen = []
+
+    def count(frame, event, arg):
+        if event == "call":
+            seen.append(frame.f_code)
+    sys.setprofile(count)
+    try:
+        f.batch(xs)
+    finally:
+        sys.setprofile(None)
+    return len(seen)
+
+
+def rebuild_every_call(monkeypatch) -> None:
+    """Mutant: what a call derives from the geometry is built again on
+    every call, nothing kept."""
+    monkeypatch.setattr(ConvWorkspace, "planned",
+                        lambda self, key, build, *args: build(*args))
+
+
+class TestPlannedCall:
+    """Everything a ``SoiFFT`` call derives from (params, dtype, rows,
+    thread) is bound once, with its buffers: a call returns the bits of
+    the kernels called directly and makes a few dozen Python calls."""
+
+    @pytest.mark.parametrize("mode", ["plain", "verify=True", "telemetry"])
+    @pytest.mark.parametrize("index", range(len(LADDER)))
+    def test_every_rung_and_batch_size_is_the_direct_bits(self, index,
+                                                          mode):
+        f = rung_plan(index, mode)
+        for batch in (1, 2, 3, 5):
+            xs = frames(f, batch, batch)
+            assert np.array_equal(f.batch(xs), direct(f, xs)), batch
+        if f.verifier is not None:
+            assert f.verifier.report.detections == 0
+
+    @pytest.mark.parametrize("mode", ["plain", "verify=True"])
+    def test_alternating_sizes_a_release_and_a_second_thread(self, mode):
+        f = rung_plan(0, mode)
+        assert planned_bits_match(f)
+        f.release_workspaces()
+        assert planned_bits_match(f)
+        other = []
+        thread = threading.Thread(
+            target=lambda: other.append(planned_bits_match(f)))
+        thread.start()
+        thread.join()
+        assert other == [True]
+        assert planned_bits_match(f)
+
+    def test_the_bits_check_can_fail(self, monkeypatch):
+        front_into_another_batch(monkeypatch)
+        assert not planned_bits_match(rung_plan(0, "plain"))
+
+    def test_a_warm_call_makes_at_most_40_python_calls(self):
+        f = rung_plan(0, "plain")
+        xs = frames(f, 1, 0)
+        f.batch(xs)
+        counts = {calls_of_one_batch(f, xs) for _ in range(3)}
+        assert len(counts) == 1 and max(counts) <= 40, counts
+
+    def test_the_call_count_check_can_fail(self, monkeypatch):
+        rebuild_every_call(monkeypatch)
+        f = rung_plan(0, "plain")
+        xs = frames(f, 1, 0)
+        f.batch(xs)
+        assert calls_of_one_batch(f, xs) > 40

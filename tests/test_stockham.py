@@ -126,16 +126,16 @@ class TestPlan:
 def last_pass_writes_out(plan, x, **kw) -> bool:
     """Whether the last pass of ``plan(x, **kw)`` wrote the result array
     itself (else a pooled buffer, then one copy)."""
-    dsts, real = [], plan._apply_stage
+    dsts, real = [], plan._pass_ops
 
-    def spy(cur, out, st):
+    def spy(cur, out, st, buffer):
         dsts.append(out)
-        real(cur, out, st)
-    plan._apply_stage = spy
+        return real(cur, out, st, buffer)
+    plan._pass_ops = spy
     try:
         res = plan(x, **kw)
     finally:
-        del plan._apply_stage
+        del plan._pass_ops
     return np.shares_memory(dsts[-1], res)
 
 
@@ -232,7 +232,7 @@ class TestOneSchedule:
                 "            ping, pong = self._workspace(batch, 0), "
                 "self._workspace(batch, 1)\n"
                 "            for i, st in enumerate(self._stages):\n"
-                "                self._apply_stage(cur, ping, st)\n"
+                "                self._pass_ops(cur, ping, st, buffer)\n"
                 "                cur, ping, pong = ping, pong, ping\n")
         mutant = source.replace(anchor, pair + anchor, 1)
         assert mutant != source

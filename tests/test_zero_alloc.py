@@ -404,3 +404,124 @@ class TestNoLargeAllocations:
                 break
         assert peak_new_bytes(lambda: f.batch(xs, out=out)) < LARGE
         assert np.array_equal(out, f.batch(xs))
+
+
+def keep_the_bound_state(monkeypatch) -> None:
+    """Mutant of ``ConvWorkspace.clear`` and ``unplan``: the buffers go,
+    what was planned over them (bound views of them and of the stage
+    buffers) stays."""
+    def clear(self):
+        mine = self._local.__dict__
+        plans = mine.get("plans")
+        mine.clear()
+        if plans is not None:
+            mine["plans"] = plans
+    monkeypatch.setattr(ConvWorkspace, "clear", clear)
+    monkeypatch.setattr(ConvWorkspace, "unplan", lambda self: None)
+
+
+def buffers_alive_after_release(f: SoiFFT, xs) -> list:
+    """Run one call, take weak references to the buffers its bound state
+    views — the stage buffer ``alpha`` and the segment FFT's alternate in
+    the workspace — release the plan's workspaces, collect, and return
+    which of them are still alive (``workspace_bytes()`` must read 0)."""
+    import gc
+    import weakref
+    f.batch(xs)
+    alpha = f._bufpool[len(xs)]["alpha"]
+    alt = next(b for (name, *_), b in f._conv_ws._local.__dict__[
+        "bufs"].items() if name == "segment fft 1")
+    refs = {"alpha": weakref.ref(alpha), "fft alternate": weakref.ref(alt)}
+    del alpha, alt
+    f.release_workspaces()
+    assert f.workspace_bytes() == 0
+    gc.collect()
+    return [name for name, ref in refs.items() if ref() is not None]
+
+
+def alpha_kept_by_another_thread() -> bool:
+    """Whether ``alpha`` outlives ``release_workspaces()`` on this thread
+    after a live thread outside the pool ran the plan."""
+    import gc
+    import weakref
+    from concurrent.futures import ThreadPoolExecutor
+    params = SoiParams(n=896, n_procs=1, segments_per_process=8,
+                       n_mu=5, d_mu=4, b=48)
+    f = SoiFFT(params)
+    with ThreadPoolExecutor(1) as other:
+        other.submit(f.batch, np.ones((1, params.n), dtype=complex)).result()
+        alpha = weakref.ref(f._bufpool[1]["alpha"])
+        f.release_workspaces()
+        gc.collect()
+        return alpha() is not None
+
+
+class TestReleaseDropsTheBoundState:
+    """``release_workspaces()`` drops every view a planned call bound with
+    the buffers it views: nothing stays alive that ``workspace_bytes()``
+    does not count."""
+
+    def test_no_bound_buffer_survives_a_release(self, rng):
+        params = SoiParams(n=896, n_procs=1, segments_per_process=8,
+                           n_mu=5, d_mu=4, b=48)
+        f = SoiFFT(params)
+        assert buffers_alive_after_release(
+            f, random_complex(rng, 2, params.n)) == []
+
+    def test_a_release_drops_what_another_thread_planned(self):
+        # a gateway's executor thread, say: not a pool worker, so its own
+        # workspace is its to release, but its views of the shared stage
+        # buffer must go with the buffer
+        assert not alpha_kept_by_another_thread()
+
+    def test_the_other_thread_check_can_fail(self, monkeypatch):
+        monkeypatch.setattr(ConvWorkspace, "unplan", lambda self: None)
+        assert alpha_kept_by_another_thread()
+
+    def test_the_check_can_fail(self, rng, monkeypatch):
+        keep_the_bound_state(monkeypatch)
+        params = SoiParams(n=896, n_procs=1, segments_per_process=8,
+                           n_mu=5, d_mu=4, b=48)
+        f = SoiFFT(params)
+        assert buffers_alive_after_release(
+            f, random_complex(rng, 2, params.n)) == ["alpha", "fft alternate"]
+
+
+def alpha_outlives_its_plan() -> bool:
+    """Whether a dropped plan's stage buffer outlives it with the cyclic
+    collector off: what it binds must free by reference counting, or
+    every plan a process drops holds its buffers until a collection (a
+    bench/e2e workload that builds five plans peaked 40 % higher)."""
+    import gc
+    import weakref
+    params = SoiParams(n=7168, n_procs=1, segments_per_process=8,
+                       n_mu=8, d_mu=7, b=48)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        f = SoiFFT(params)
+        f(np.ones(params.n, dtype=complex))
+        alpha = weakref.ref(f._bufpool[1]["alpha"])
+        del f
+        return alpha() is not None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class TestADroppedPlanFreesItsBuffers:
+    def test_by_reference_counting(self):
+        assert not alpha_outlives_its_plan()
+
+    def test_the_check_can_fail(self, monkeypatch):
+        # mutant: a tile walk holds its workspace, which holds the walk
+        from repro.core.convolution import TileWalk
+        real = TileWalk.__init__
+
+        def holding(self, tables, nblocks, j_start, block_lo, out,
+                    workspace, **kwargs):
+            real(self, tables, nblocks, j_start, block_lo, out, workspace,
+                 **kwargs)
+            self._workspace = workspace
+        monkeypatch.setattr(TileWalk, "__init__", holding)
+        assert alpha_outlives_its_plan()
